@@ -29,17 +29,17 @@ import json
 import math
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
 from .node import DPTNode
-from .placement import stagger_trigger
+from .placement import PlacementMap, stagger_trigger
 from .queries import AggFunc, Rectangle
 from .routing import ShardSummary
-from .sharded import ShardedJanusAQP
+from .sharded import LocalShard, ShardedJanusAQP
 from .table import Table
 
 _FORMAT_VERSION = 1
@@ -294,31 +294,30 @@ def save_sharded(sharded: ShardedJanusAQP,
     the per-shard table contents (tids + rows + tid counter), the
     per-shard routing summaries and the construction template.
     Uninitialized shards (never held a row) save no archive and come
-    back uninitialized.
+    back uninitialized.  Needs the rows in hand, so it saves an
+    in-process engine, not a worker fleet.
 
-    The in-memory snapshot is gathered under the coordinator map lock
-    plus every shard's lock (acquired in shard order, the same order as
-    the data path, so there is no cycle); compression and disk IO
-    happen *after* the locks are released, so the fleet-wide blocking
-    window is one array copy, not the archive write.  An ingest batch
-    already past tid assignment when the locks are taken could still
-    leave shard rows the tid maps do not know about; that inconsistency
-    is detected and raised (``RuntimeError``) rather than written out
-    as a torn snapshot - quiesce ingest (or retry) to save a live
-    fleet.
+    The in-memory snapshot is gathered under the coordinator's
+    placement lock plus every shard's lock (acquired in shard order,
+    the same order as the data path, so there is no cycle); compression
+    and disk IO happen *after* the locks are released, so the
+    fleet-wide blocking window is one array copy, not the archive
+    write.  An ingest batch already past tid assignment when the locks
+    are taken could still leave shard rows the tid maps do not know
+    about; that inconsistency is detected and raised
+    (``RuntimeError``) rather than written out as a torn snapshot -
+    quiesce ingest (or retry) to save a live fleet.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
-        stack.enter_context(sharded._map_lock)
+        stack.enter_context(sharded._placement.lock)
+        shard_of, local_tid = sharded._placement.state_arrays()
         for shard in sharded.shards:
             stack.enter_context(shard._lock)  # lock-order: canonical (shard index order, same as the data path)
 
         # Consistency gate: every live local tid must be reachable from
         # the global maps, or the snapshot would lose/duplicate rows.
-        n = sharded._next_tid
-        shard_of = sharded._shard_of[:n]
-        local_tid = sharded._local_tid[:n]
         for s, table in enumerate(sharded.tables):
             mapped = np.sort(local_tid[shard_of == s])
             live = np.sort(table.live_tids())
@@ -340,6 +339,7 @@ def save_sharded(sharded: ShardedJanusAQP,
 
         config = dataclasses.asdict(sharded.config)
         config["focus_agg"] = sharded.config.focus_agg.value
+        attr_bounds = sharded.attr_bounds
         meta = {
             "version": _SHARDED_FORMAT_VERSION,
             "schema": list(sharded.schema),
@@ -349,19 +349,18 @@ def save_sharded(sharded: ShardedJanusAQP,
             "n_shards": sharded.n_shards,
             "sharding": sharded.sharding,
             "range_block": sharded.range_block,
-            "next_tid": sharded._next_tid,
+            "next_tid": int(shard_of.shape[0]),
             "initialized": initialized,
             "table_next_tids": [t._next_tid for t in sharded.tables],
             "config": config,
             "route_attr": sharded.route_attr,
-            "has_attr_bounds": sharded.attr_bounds is not None,
+            "has_attr_bounds": attr_bounds is not None,
         }
         arrays = {
             "meta": json.dumps(meta),
-            "shard_of": shard_of.copy(),
-            "local_tid": local_tid.copy(),
-            "attr_bounds": (sharded.attr_bounds.copy()
-                            if sharded.attr_bounds is not None
+            "shard_of": shard_of,
+            "local_tid": local_tid,
+            "attr_bounds": (attr_bounds.copy() if attr_bounds is not None
                             else np.empty(0)),
         }
         for s, table in enumerate(sharded.tables):
@@ -382,15 +381,41 @@ def save_sharded(sharded: ShardedJanusAQP,
     np.savez_compressed(out / _MANIFEST, **arrays)
 
 
-def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
-    """Restore a fleet saved by :func:`save_sharded`.
+@dataclasses.dataclass
+class ShardedManifest:
+    """Parsed coordinator state of a :func:`save_sharded` snapshot."""
 
-    Rebuilds the coordinator (same placement mode, tid maps and
-    counters), each shard's archival table, and every initialized
-    shard's synopsis through :func:`load_synopsis`; forced-repartition
-    counters are re-staggered so the fleet resumes the one-shard-at-a-
-    time rebuild cadence.  Answers after the round-trip are identical
-    to the saved fleet's (``tests/test_persist_sharded.py``).
+    schema: Tuple[str, ...]
+    agg_attr: str
+    predicate_attrs: Tuple[str, ...]
+    stat_attrs: Tuple[str, ...]
+    config: JanusConfig
+    route_attr: str
+    #: Placement mode, bounds and the restored global tid maps.
+    placement: PlacementMap
+    initialized: List[bool]
+    #: Per shard: the archival table's next local tid / live row count.
+    table_next_tids: List[int]
+    table_sizes: List[int]
+    #: ``None`` for a v1 snapshot, which predates the query router.
+    summaries: Optional[List[ShardSummary]]
+    #: The restored archival tables of the shards that were asked for.
+    tables: Dict[int, Table]
+
+
+def read_sharded_manifest(dir_path: Union[str, Path],
+                          tables: Optional[Sequence[int]] = ()
+                          ) -> ShardedManifest:
+    """Parse the manifest of a :func:`save_sharded` snapshot.
+
+    The one manifest reader: :func:`load_sharded`, :func:`load_shard`
+    and the fleet constructor (:mod:`repro.service.fleet`) all start
+    here, so the coordinator state they rebuild cannot drift apart (and
+    janus-lint JL402 checks this function against what
+    :func:`save_sharded` writes).  No engine is built.  ``tables``
+    names the shards whose archival tables to restore (``None`` = every
+    shard); the default restores none, which is all a coordinator over
+    worker processes needs.
     """
     src = Path(dir_path)
     manifest = src / _MANIFEST
@@ -402,126 +427,117 @@ def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
         if version not in (1, _SHARDED_FORMAT_VERSION):
             raise ValueError(f"unsupported sharded snapshot version "
                              f"{meta['version']}")
+        n_shards = int(meta["n_shards"])
         cfg_dict = dict(meta["config"])
         cfg_dict["focus_agg"] = AggFunc(cfg_dict["focus_agg"])
-        config = JanusConfig(**cfg_dict)
-        sharded = ShardedJanusAQP(
-            meta["schema"], meta["agg_attr"], meta["predicate_attrs"],
-            n_shards=int(meta["n_shards"]), config=config,
-            stat_attrs=meta["stat_attrs"],
-            sharding=meta["sharding"],
+        shard_of = archive["shard_of"]
+        if shard_of.shape[0] != int(meta["next_tid"]):
+            raise ValueError("manifest tid maps do not match next_tid")
+        schema = tuple(meta["schema"])
+        predicate_attrs = tuple(meta["predicate_attrs"])
+        route_attr = meta.get("route_attr") or predicate_attrs[0]
+        placement = PlacementMap(
+            n_shards, meta["sharding"],
             range_block=int(meta["range_block"]),
-            route_attr=meta.get("route_attr"))
-        if version >= 2 and meta.get("has_attr_bounds"):
-            sharded.attr_bounds = np.asarray(archive["attr_bounds"],
-                                             dtype=np.float64).copy()
-        for s in range(sharded.n_shards):
-            _restore_table(sharded.tables[s], archive[f"table{s}_tids"],
-                           archive[f"table{s}_rows"],
-                           int(meta["table_next_tids"][s]))
-            if version >= 2:
-                sharded.summaries[s] = ShardSummary.from_state_arrays(
-                    {key: archive[f"summary{s}_{key}"]
-                     for key in ("meta", "lo", "hi", "edges", "counts")})
-            else:
-                # v1 snapshots predate the router: rebuild the summary
-                # exactly from the shard's restored live rows.
-                sharded._refresh_summary(s)
-        next_tid = int(meta["next_tid"])
-        sharded._ensure_tid_capacity(max(next_tid, 1))
-        sharded._shard_of[:next_tid] = archive["shard_of"]
-        sharded._local_tid[:next_tid] = archive["local_tid"]
-        sharded._next_tid = next_tid
-    for s, up in enumerate(meta["initialized"]):
-        if not up:
-            continue
-        sharded.shards[s] = load_synopsis(str(src / f"shard{s}.npz"),
-                                          sharded.tables[s])
-        sharded._stagger_trigger(s)
-    return sharded
+            route_col=schema.index(route_attr),
+            attr_bounds=(
+                np.asarray(archive["attr_bounds"], dtype=np.float64).copy()
+                if version >= 2 and meta.get("has_attr_bounds") else None))
+        placement.restore(shard_of, archive["local_tid"])
+        summaries = None
+        if version >= 2:
+            summaries = [ShardSummary.from_state_arrays(
+                {key: archive[f"summary{s}_{key}"]
+                 for key in ("meta", "lo", "hi", "edges", "counts")})
+                for s in range(n_shards)]
+        table_next_tids = [int(t) for t in meta["table_next_tids"]]
+        restored = {}
+        for s in (range(n_shards) if tables is None else tables):
+            if not (0 <= s < n_shards):
+                raise ValueError(f"snapshot has {n_shards} shards, "
+                                 f"no shard {s}")
+            # One shard at a time, so only one table's decompressed
+            # arrays are ever in flight.
+            restored[s] = Table(schema)
+            _restore_table(restored[s], archive[f"table{s}_tids"],
+                           archive[f"table{s}_rows"], table_next_tids[s])
+        return ShardedManifest(
+            schema=schema,
+            agg_attr=meta["agg_attr"],
+            predicate_attrs=predicate_attrs,
+            stat_attrs=tuple(meta["stat_attrs"]),
+            config=JanusConfig(**cfg_dict),
+            route_attr=route_attr,
+            placement=placement,
+            initialized=[bool(b) for b in meta["initialized"]],
+            table_next_tids=table_next_tids,
+            # save_sharded's consistency gate pins mapped tids == live
+            # rows per shard, so the maps give the table sizes without
+            # decompressing any table.
+            table_sizes=np.bincount(shard_of[shard_of >= 0],
+                                    minlength=n_shards).tolist(),
+            summaries=summaries,
+            tables=restored)
 
 
-def read_sharded_manifest(dir_path: Union[str, Path]) -> Dict[str, object]:
-    """Coordinator-side view of a :func:`save_sharded` snapshot.
+def _restore_shard(src: Path, manifest: ShardedManifest,
+                   shard_id: int) -> LocalShard:
+    """Rebuild one shard of a parsed manifest (its table must have been
+    requested from :func:`read_sharded_manifest`).
 
-    Loads the manifest *without* building any engine: the fleet
-    coordinator (:mod:`repro.service.fleet`) keeps the placement maps,
-    routing summaries and per-shard counters itself while worker
-    processes own the synopses.  Returns a dict with the parsed
-    ``meta`` mapping plus ``shard_of`` / ``local_tid`` (tid maps,
-    length ``meta["next_tid"]``), ``attr_bounds`` (or ``None``),
-    ``summaries`` (one restored :class:`~repro.core.routing.ShardSummary`
-    per shard) and ``table_sizes`` (live rows per shard).
+    Over the restored archival table: the synopsis (when the shard was
+    initialized) and the staggered forced-repartition offset; an
+    uninitialized shard comes back as a fresh engine over its restored
+    rows and initializes lazily on its first insert.
     """
-    src = Path(dir_path)
-    manifest = src / _MANIFEST
-    if not manifest.exists():
-        raise FileNotFoundError(f"no {_MANIFEST} under {src}")
-    with np.load(manifest, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        if int(meta["version"]) != _SHARDED_FORMAT_VERSION:
-            raise ValueError(f"fleet warm-start needs a v"
-                             f"{_SHARDED_FORMAT_VERSION} snapshot, got "
-                             f"v{meta['version']}")
-        n_shards = int(meta["n_shards"])
-        summaries = [ShardSummary.from_state_arrays(
-            {key: archive[f"summary{s}_{key}"]
-             for key in ("meta", "lo", "hi", "edges", "counts")})
-            for s in range(n_shards)]
-        table_sizes = [int(archive[f"table{s}_tids"].shape[0])
-                       for s in range(n_shards)]
-        return {
-            "meta": meta,
-            "shard_of": archive["shard_of"].copy(),
-            "local_tid": archive["local_tid"].copy(),
-            "attr_bounds": (archive["attr_bounds"].copy()
-                            if meta.get("has_attr_bounds") else None),
-            "summaries": summaries,
-            "table_sizes": table_sizes,
-        }
+    table = manifest.tables[shard_id]
+    if manifest.initialized[shard_id]:
+        engine = load_synopsis(str(src / f"shard{shard_id}.npz"), table)
+        stagger_trigger(engine, shard_id, manifest.placement.n_shards)
+    else:
+        config = manifest.config
+        engine = JanusAQP(
+            table, manifest.agg_attr, manifest.predicate_attrs,
+            config=dataclasses.replace(config,
+                                       seed=config.seed + shard_id),
+            stat_attrs=manifest.stat_attrs)
+    return LocalShard(engine, shard_id, manifest.placement.n_shards)
 
 
-def load_shard(dir_path: Union[str, Path], shard_id: int) -> JanusAQP:
+def load_shard(dir_path: Union[str, Path], shard_id: int) -> LocalShard:
     """Warm-start one shard of a :func:`save_sharded` snapshot.
 
-    The fleet's worker processes each restore exactly one shard -
-    archival table, synopsis (when the shard was initialized) and the
-    staggered forced-repartition offset - without paying for the other
-    N-1 shards' arrays.  The construction order matches
-    :func:`load_sharded` step for step (fresh engine against an empty
-    table, table restored in place, synopsis grafted last), so a
-    restored worker shard is state-identical to slot ``shard_id`` of
-    the fully restored fleet; an uninitialized shard comes back as a
-    fresh engine over its restored rows and initializes lazily on its
-    first insert, exactly like the in-process coordinator's.
+    The fleet's worker processes each restore exactly one shard without
+    paying for the other N-1 shards' rows; the result is state-identical
+    to slot ``shard_id`` of :func:`load_sharded` of the same snapshot
+    (both go through the same restore), which the fleet's
+    answer-identity gate depends on.
+    """
+    shard_id = int(shard_id)
+    return _restore_shard(
+        Path(dir_path),
+        read_sharded_manifest(dir_path, tables=(shard_id,)), shard_id)
+
+
+def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
+    """Restore a fleet saved by :func:`save_sharded`.
+
+    Rebuilds the coordinator (same placement mode, tid maps, counters
+    and routing summaries - a v1 snapshot's summaries are rebuilt
+    exactly from the restored rows) over one restored in-process shard
+    per slot; forced-repartition counters are re-staggered so the fleet
+    resumes the one-shard-at-a-time rebuild cadence.  Answers after the
+    round-trip are identical to the saved fleet's
+    (``tests/test_persist_sharded.py``).
     """
     src = Path(dir_path)
-    manifest = src / _MANIFEST
-    if not manifest.exists():
-        raise FileNotFoundError(f"no {_MANIFEST} under {src}")
-    with np.load(manifest, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        if int(meta["version"]) != _SHARDED_FORMAT_VERSION:
-            raise ValueError(f"fleet warm-start needs a v"
-                             f"{_SHARDED_FORMAT_VERSION} snapshot, got "
-                             f"v{meta['version']}")
-        s = int(shard_id)
-        if not (0 <= s < int(meta["n_shards"])):
-            raise ValueError(f"snapshot has {meta['n_shards']} shards, "
-                             f"no shard {s}")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["focus_agg"] = AggFunc(cfg_dict["focus_agg"])
-        config = JanusConfig(**cfg_dict)
-        table = Table(tuple(meta["schema"]))
-        janus = JanusAQP(
-            table, meta["agg_attr"], meta["predicate_attrs"],
-            config=dataclasses.replace(config, seed=config.seed + s),
-            stat_attrs=meta["stat_attrs"])
-        _restore_table(table, archive[f"table{s}_tids"],
-                       archive[f"table{s}_rows"],
-                       int(meta["table_next_tids"][s]))
-    if meta["initialized"][s]:
-        janus = load_synopsis(str(src / f"shard{s}.npz"), table)
-        stagger_trigger(janus, s, int(meta["n_shards"]))
-    return janus
-
+    m = read_sharded_manifest(src, tables=None)
+    sharded = ShardedJanusAQP.__new__(ShardedJanusAQP)
+    sharded._assemble(m.schema, m.agg_attr, m.predicate_attrs,
+                      m.stat_attrs, m.config, m.route_attr, m.placement,
+                      m.summaries, lambda s: _restore_shard(src, m, s))
+    if m.summaries is None:
+        # v1 snapshots predate the router: rebuild each summary
+        # exactly from the shard's restored live rows.
+        sharded.summaries = [shard.summary() for shard in sharded._shards]
+    return sharded

@@ -1,101 +1,28 @@
-"""Shard placement shared by in-process and multi-process coordinators.
+"""Shard placement and global-tid bookkeeping for the sharded coordinator.
 
-:class:`~repro.core.sharded.ShardedJanusAQP` and the process-per-shard
-serving fleet (:mod:`repro.service.fleet`) answer the same two
-questions for every batch: *which shard gets each new row* and *which
-shard currently owns a global tid*.  The answers must agree bit-for-bit
-- the fleet's acceptance gate is answer-identity with the in-process
-engine - so the logic lives here once:
+:class:`~repro.core.sharded.ShardedJanusAQP` answers the same two
+questions for every batch, whether its shards live in this process or
+in fleet workers (:mod:`repro.service.fleet`): *which shard gets each
+new row* and *which shard currently owns a global tid*.  The logic
+lives here once:
 
-* :func:`place_batch` - the pure placement function (``hash`` /
-  ``range`` / ``attr`` modes, identical semantics to the historical
-  ``ShardedJanusAQP._place``);
-* :func:`strike_attr_bounds` - lazy quantile cuts for ``attr``
-  placement, struck from the first batch that carries finite routing
-  values;
-* :func:`grow_tid_maps` - capacity doubling for the global
-  tid-to-(shard, local) maps;
+* :class:`PlacementMap` - the lock-guarded owner of the placement
+  rule (``hash`` / ``range`` / ``attr`` modes, with ``attr`` cuts
+  struck lazily from the first batch that carries finite routing
+  values), the global-tid-to-(shard, local-tid) maps and the tid
+  counter.  The coordinator holds exactly one;
 * :func:`stagger_trigger` - the phase-offset of per-shard forced
-  repartition counters (the one-shard-rebuilds-at-a-time cadence);
-* :class:`PlacementMap` - a lock-guarded tid-map owner for
-  coordinators that do *not* hold the shards in-process (the fleet
-  coordinator talks to worker processes, so the in-process fan-out's
-  map bookkeeping is re-packaged here behind begin/commit methods).
-
-``ShardedJanusAQP`` keeps its historical field layout (tests and
-persistence address ``_shard_of`` / ``_local_tid`` directly) and
-delegates the logic to the functions below.
+  repartition counters (the one-shard-rebuilds-at-a-time cadence).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PlacementMap", "grow_tid_maps", "place_batch",
-           "stagger_trigger", "strike_attr_bounds"]
-
-
-def strike_attr_bounds(vals: np.ndarray,
-                       n_shards: int) -> Optional[np.ndarray]:
-    """Quantile cut values for ``attr`` placement, or ``None``.
-
-    Uses only the finite values (NaNs place onto the last shard and
-    must not skew the cuts); with no finite value at all there is
-    nothing to cut yet and the caller keeps placing on shard 0 until a
-    representative batch arrives.
-    """
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        return None
-    qs = np.arange(1, n_shards) / n_shards
-    return np.quantile(finite, qs)
-
-
-def place_batch(sharding: str, n_shards: int, tids: np.ndarray,
-                rows: Optional[np.ndarray] = None, route_col: int = 0,
-                attr_bounds: Optional[np.ndarray] = None,
-                range_block: int = 8192) -> np.ndarray:
-    """Initial shard placement for a new batch (vectorized, pure).
-
-    ``hash``/``range`` place by tid; ``attr`` places by the routing
-    attribute's value against ``attr_bounds``.  Values past the outer
-    bounds land on the edge shards; NaNs sort past every bound onto the
-    last shard - placement never affects correctness, only routing
-    selectivity.  With ``attr`` placement and no bounds struck yet the
-    whole batch lands on shard 0 (the caller strikes bounds first when
-    it can, see :func:`strike_attr_bounds`).
-    """
-    if sharding == "hash":
-        return tids % n_shards
-    if sharding == "range":
-        return (tids // range_block) % n_shards
-    if attr_bounds is None:
-        return np.zeros(tids.shape[0], dtype=np.int64)
-    vals = rows[:, route_col]
-    return np.searchsorted(attr_bounds, vals,
-                           side="right").astype(np.int64)
-
-
-def grow_tid_maps(shard_of: np.ndarray, local_tid: np.ndarray,
-                  need: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Return tid maps with capacity ``>= need`` (doubling growth).
-
-    The input arrays are returned unchanged when they already fit;
-    otherwise fresh arrays are allocated (``-1`` marks dead/unassigned
-    slots in ``shard_of``) and the old contents copied over.
-    """
-    cap = shard_of.shape[0]
-    if need <= cap:
-        return shard_of, local_tid
-    new_cap = max(need, 2 * cap)
-    grown_of = np.full(new_cap, -1, dtype=np.int64)
-    grown_of[:cap] = shard_of
-    grown_local = np.zeros(new_cap, dtype=np.int64)
-    grown_local[:cap] = local_tid
-    return grown_of, grown_local
+__all__ = ["PlacementMap", "stagger_trigger"]
 
 
 def stagger_trigger(shard, shard_id: int, n_shards: int) -> None:
@@ -122,15 +49,20 @@ def stagger_trigger(shard, shard_id: int, n_shards: int) -> None:
 
 
 class PlacementMap:
-    """Lock-guarded global-tid bookkeeping for an out-of-process fleet.
+    """Lock-guarded global-tid bookkeeping of a sharded coordinator.
 
-    Owns what ``ShardedJanusAQP`` keeps inline: the
-    global-tid-to-(shard, local-tid) maps, the tid counter and the
-    ``attr`` placement bounds.  The begin/commit split mirrors the
-    in-process ingest flow - tids are assigned and placed under the
-    lock, the (remote) shards ingest outside it, and the ownership rows
-    are written back under the lock once the local tids are known - so
-    a concurrent liveness probe never sees a half-written batch.
+    Owns the global-tid-to-(shard, local-tid) maps, the tid counter and
+    the ``attr`` placement bounds.  Ingest is split begin/commit: tids
+    are assigned and placed under the lock, the shards ingest outside
+    it, and the ownership rows are written back under the lock once the
+    local tids are known - so a concurrent liveness probe never sees a
+    half-written batch.
+
+    Every method takes :attr:`lock` itself.  The lock is reentrant and
+    public so a multi-step read-modify-write (a rebalance moving
+    ownership, ``save_sharded``'s consistency gate) can hold it across
+    several calls; it is always the *outermost* lock - nothing that
+    holds a shard or summary lock ever waits on it.
     """
 
     def __init__(self, n_shards: int, sharding: str,
@@ -140,22 +72,31 @@ class PlacementMap:
         self.sharding = sharding
         self.range_block = int(range_block)
         self.route_col = int(route_col)
-        self.attr_bounds = attr_bounds  # guarded-by: _map_lock
-        self._shard_of = np.full(64, -1, dtype=np.int64)  # guarded-by: _map_lock
-        self._local_tid = np.zeros(64, dtype=np.int64)  # guarded-by: _map_lock
-        self._next_tid = 0  # guarded-by: _map_lock
-        self._map_lock = threading.Lock()
+        self.lock = threading.RLock()
+        self.attr_bounds = attr_bounds  # guarded-by: lock
+        self._shard_of = np.full(64, -1, dtype=np.int64)  # guarded-by: lock
+        self._local_tid = np.zeros(64, dtype=np.int64)  # guarded-by: lock
+        self._next_tid = 0  # guarded-by: lock
 
-    def restore(self, shard_of: np.ndarray, local_tid: np.ndarray,
-                next_tid: int) -> None:
-        """Adopt the tid maps of a ``save_sharded`` manifest."""
-        next_tid = int(next_tid)
-        with self._map_lock:
-            self._shard_of, self._local_tid = grow_tid_maps(
-                self._shard_of, self._local_tid, max(next_tid, 1))
-            self._shard_of[:next_tid] = shard_of
-            self._local_tid[:next_tid] = local_tid
-            self._next_tid = next_tid
+    def _grow(self, need: int) -> None:  # requires-lock: lock
+        """Capacity doubling (``-1`` marks dead/unassigned slots)."""
+        cap = self._shard_of.shape[0]
+        if need <= cap:
+            return
+        new_cap = max(need, 2 * cap)
+        grown_of = np.full(new_cap, -1, dtype=np.int64)
+        grown_of[:cap] = self._shard_of
+        grown_local = np.zeros(new_cap, dtype=np.int64)
+        grown_local[:cap] = self._local_tid
+        self._shard_of, self._local_tid = grown_of, grown_local
+
+    def restore(self, shard_of: np.ndarray, local_tid: np.ndarray) -> None:
+        """Adopt (not copy) the tid maps of a ``save_sharded`` manifest,
+        one row per assigned tid."""
+        with self.lock:
+            self._shard_of = np.asarray(shard_of, dtype=np.int64)
+            self._local_tid = np.asarray(local_tid, dtype=np.int64)
+            self._next_tid = int(shard_of.shape[0])
 
     # ------------------------------------------------------------------ #
     # ingest
@@ -167,33 +108,54 @@ class PlacementMap:
         with :meth:`commit_insert` once the per-shard local tids are
         known."""
         n = rows.shape[0]
-        with self._map_lock:
+        with self.lock:
             tids = np.arange(self._next_tid, self._next_tid + n,
                              dtype=np.int64)
             self._next_tid += n
-            self._shard_of, self._local_tid = grow_tid_maps(
-                self._shard_of, self._local_tid, self._next_tid)
-            if self.sharding == "attr" and self.attr_bounds is None:
-                self.attr_bounds = strike_attr_bounds(
-                    rows[:, self.route_col], self.n_shards)
-            placement = place_batch(
-                self.sharding, self.n_shards, tids, rows,
-                self.route_col, self.attr_bounds, self.range_block)
+            self._grow(self._next_tid)
+            placement = self._place(tids, rows)
         return tids, placement
 
+    def _place(self, tids: np.ndarray,  # requires-lock: lock
+               rows: np.ndarray) -> np.ndarray:
+        """Initial shard placement for a new batch (vectorized).
+
+        ``hash``/``range`` place by tid; ``attr`` places by the routing
+        attribute's value against :attr:`attr_bounds`.  Values past the
+        outer bounds land on the edge shards; NaNs sort past every
+        bound onto the last shard - placement never affects
+        correctness, only routing selectivity.  Missing bounds are
+        struck here, at the quantiles of the batch's finite values
+        (NaNs must not skew the cuts); with no finite value at all
+        there is nothing to cut yet and the batch lands on shard 0.
+        """
+        if self.sharding == "hash":
+            return tids % self.n_shards
+        if self.sharding == "range":
+            return (tids // self.range_block) % self.n_shards
+        vals = rows[:, self.route_col]
+        if self.attr_bounds is None:
+            finite = vals[np.isfinite(vals)]
+            if finite.size == 0:
+                return np.zeros(tids.shape[0], dtype=np.int64)
+            self.attr_bounds = np.quantile(
+                finite, np.arange(1, self.n_shards) / self.n_shards)
+        return np.searchsorted(self.attr_bounds, vals,
+                               side="right").astype(np.int64)
+
     def commit_insert(self, tids: np.ndarray, placement: np.ndarray,
-                      locals_of: Dict[int, Tuple[np.ndarray, np.ndarray]]
+                      ingested: List[Tuple[np.ndarray, np.ndarray]]
                       ) -> None:
-        """Publish ownership: ``locals_of[s] = (sel, local_tids)`` per
+        """Publish ownership: one ``(sel, local_tids)`` pair per
         touched shard, with ``sel`` indexing into the batch."""
-        with self._map_lock:
-            for (sel, local) in locals_of.values():
+        with self.lock:
+            for (sel, local) in ingested:
                 g = tids[sel]
                 self._shard_of[g] = placement[sel]
                 self._local_tid[g] = local
 
     # ------------------------------------------------------------------ #
-    # delete
+    # delete / move
     # ------------------------------------------------------------------ #
     def begin_delete(self, tid_arr: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,11 +163,10 @@ class PlacementMap:
         ``(owners, local_tids)`` aligned with ``tid_arr``.
 
         A dead or duplicated tid raises ``KeyError`` before any
-        ownership row is cleared, so the fleet never ends up
-        half-deleted - the same all-or-nothing contract as
-        ``ShardedJanusAQP.delete_many``.
+        ownership row is cleared, so the shards never end up
+        half-deleted.
         """
-        with self._map_lock:
+        with self.lock:
             bad = (tid_arr < 0) | (tid_arr >= self._shard_of.shape[0])
             if not bad.any():
                 owners = self._shard_of[tid_arr]
@@ -219,37 +180,54 @@ class PlacementMap:
             self._shard_of[tid_arr] = -1
         return owners, locals_
 
+    def owned_in(self, lo_tid: int, hi_tid: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tids, owners, local_tids)`` of the live global tids in
+        ``[lo_tid, hi_tid)``, ascending."""
+        with self.lock:
+            span = np.arange(max(0, int(lo_tid)),
+                             min(int(hi_tid), self._next_tid),
+                             dtype=np.int64)
+            span = span[self._shard_of[span] >= 0]
+            return span, self._shard_of[span], self._local_tid[span]
+
+    def move(self, tids: np.ndarray, dst: int,
+             local_tids: np.ndarray) -> None:
+        """Rewrite ownership of ``tids`` to shard ``dst``.
+
+        A rebalance holds :attr:`lock` from :meth:`owned_in` to here,
+        so no delete can turn the gathered owners stale mid-move.
+        """
+        with self.lock:
+            self._shard_of[tids] = dst
+            self._local_tid[tids] = local_tids
+
     # ------------------------------------------------------------------ #
     # probes
     # ------------------------------------------------------------------ #
     def owner(self, tid: int) -> int:
-        """The shard currently holding a live global tid (locked)."""
+        """The shard currently holding a live global tid."""
         t = int(tid)
-        with self._map_lock:
+        with self.lock:
             if 0 <= t < self._shard_of.shape[0] and self._shard_of[t] >= 0:
                 return int(self._shard_of[t])
         raise KeyError(f"tid {tid} is not live")
 
     def live(self, tid: int) -> bool:
-        """Locked liveness probe."""
+        """Liveness probe (a concurrent insert may be swapping the
+        arrays out for bigger ones, hence the lock)."""
         t = int(tid)
-        with self._map_lock:
+        with self.lock:
             return bool(0 <= t < self._shard_of.shape[0]
                         and self._shard_of[t] >= 0)
 
-    def live_tids(self) -> np.ndarray:
-        """All live global tids, ascending (snapshot under the lock)."""
-        with self._map_lock:
-            return np.flatnonzero(self._shard_of[:self._next_tid] >= 0)
-
     @property
     def next_tid(self) -> int:
-        with self._map_lock:
+        with self.lock:
             return self._next_tid
 
-    def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """``(shard_of, local_tid, next_tid)`` copies for persistence."""
-        with self._map_lock:
+    def state_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(shard_of, local_tid)`` copies, one row per assigned tid."""
+        with self.lock:
             n = self._next_tid
-            return (self._shard_of[:n].copy(),
-                    self._local_tid[:n].copy(), n)
+            return self._shard_of[:n].copy(), self._local_tid[:n].copy()

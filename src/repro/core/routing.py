@@ -292,8 +292,7 @@ class RoutingStats:
 
     Registry-backed: the counts live in ``janus_routing_*``
     instruments (pass the owning engine's registry so they surface on
-    ``/metrics``); the historical attribute surface remains as
-    read-only properties and ``to_dict`` keeps its exact shape.
+    ``/metrics``); :meth:`to_dict` reads them back for ``/stats``.
     """
 
     def __init__(self, n_shards: int,
@@ -330,37 +329,17 @@ class RoutingStats:
         else:
             self._c_broadcast.inc(nq)
 
-    @property
-    def n_queries(self) -> int:
-        return int(self._c_queries.value)
-
-    @property
-    def n_routed_queries(self) -> int:
-        return int(self._c_routed.value)
-
-    @property
-    def n_broadcast_queries(self) -> int:
-        return int(self._c_broadcast.value)
-
-    @property
-    def n_pruned_shard_queries(self) -> int:
-        return int(self._c_pruned.value)
-
-    @property
-    def shards_touched(self) -> List[int]:
-        return [int(c.value) for c in self._c_touched]
-
     def to_dict(self) -> Dict[str, object]:
-        hist = self.shards_touched
-        total = max(1, self.n_queries)
-        weighted = sum(k * c for k, c in enumerate(hist))
+        n_queries = int(self._c_queries.value)
+        hist = [int(c.value) for c in self._c_touched]
         return {
-            "n_queries": self.n_queries,
-            "n_routed_queries": self.n_routed_queries,
-            "n_broadcast_queries": self.n_broadcast_queries,
-            "n_pruned_shard_queries": self.n_pruned_shard_queries,
+            "n_queries": n_queries,
+            "n_routed_queries": int(self._c_routed.value),
+            "n_broadcast_queries": int(self._c_broadcast.value),
+            "n_pruned_shard_queries": int(self._c_pruned.value),
             "shards_touched_hist": hist,
-            "mean_shards_touched": weighted / total,
+            "mean_shards_touched":
+                sum(k * c for k, c in enumerate(hist)) / max(1, n_queries),
         }
 
 

@@ -1,7 +1,7 @@
 """Horizontally sharded synopsis engine.
 
 :class:`ShardedJanusAQP` scales JanusAQP past one partition tree: tids
-are hash- or range-sharded across N independent
+are hash-, range- or value-sharded across N independent
 :class:`~repro.core.janus.JanusAQP` synopses over disjoint row sets, and
 every operation fans out per shard:
 
@@ -27,9 +27,26 @@ every operation fans out per shard:
   time while the others stay query-ready - the paper's availability
   argument (Figure 4), load-balanced across the fleet;
 * **rebalancing** - :meth:`ShardedJanusAQP.rebalance_range` moves a tid
-  range between shards through the ordinary ``delete_many`` +
-  ``insert_many`` path (global tids are stable across moves) and then
-  runs the destination's catch-up pipeline so its synopsis re-converges.
+  range between shards through the ordinary delete + insert path
+  (global tids are stable across moves) and then runs the destination's
+  catch-up pipeline so its synopsis re-converges.
+
+The coordinator is written once against a **shard seam**: a list of
+shard objects exposing ``insert`` / ``delete`` / ``query`` /
+``reoptimize`` / ``summary`` / ``close``, a reentrant ``lock`` and the
+read-only ``initialized`` / ``n_live`` / ``data_epoch`` /
+``pool_size``.  :class:`LocalShard` (here) wraps an in-process
+:class:`~repro.core.janus.JanusAQP`;
+:class:`~repro.service.fleet.RemoteShard` is a worker process behind a
+socket, and :class:`~repro.service.fleet.FleetCoordinator` is this same
+coordinator built over those.  What needs whole rows in hand
+(:meth:`~ShardedJanusAQP.rebalance_range`, ground truth,
+``table.domain``, ``storage_cost_bytes``) is ``LocalShard``-only.
+
+Locks, outermost first: the :class:`~repro.core.placement.PlacementMap`
+lock, then one shard's ``lock`` (held across a shard mutation *and* its
+routing-summary upkeep), then the summary's own lock - the table in
+``docs/ARCHITECTURE.md`` says what each guards.
 
 Fan-out uses a thread pool: each shard's hot path is numpy under a
 per-shard lock and releases the GIL inside the array kernels, so
@@ -48,6 +65,7 @@ engine fed the identical stream.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -55,29 +73,123 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import math
-
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, maybe_span
 from .janus import JanusAQP, JanusConfig, ReoptReport
 from .merge import merge_planned
-from .placement import (grow_tid_maps, place_batch, stagger_trigger,
-                        strike_attr_bounds)
-from .queries import AggFunc, Query, QueryResult, SKETCH_AGGS
+from .placement import PlacementMap, stagger_trigger
+from .queries import Query, QueryResult
 from .routing import RoutingStats, ShardSummary, plan_query_subsets
-from .table import Table
+from .table import Table, table_from_array
 
 
-class _ShardedTableView:
+class LocalShard:
+    """One in-process shard: a :class:`JanusAQP` over its own table.
+
+    The in-process side of the coordinator's shard seam - and what a
+    fleet worker process wraps its engine in, so both sides of the wire
+    run the identical ingest sequence (insert, lazy first build with
+    the staggered trigger offset, repartition flag).
+    """
+
+    def __init__(self, engine: JanusAQP, shard_id: int,
+                 n_shards: int) -> None:
+        self.engine = engine
+        self.table = engine.table
+        self.shard_id = int(shard_id)
+        self.n_shards = int(n_shards)
+        #: The engine's own reentrant lock.  The coordinator holds it
+        #: across every mutating call below *plus* the routing-summary
+        #: upkeep that follows, which adds no lock to the order.
+        self.lock = engine._lock
+        self._pred_cols = np.array(
+            [self.table.schema.index(a) for a in engine.predicate_attrs],
+            dtype=np.intp)
+
+    @property
+    def initialized(self) -> bool:
+        return self.engine.dpt is not None
+
+    @property
+    def n_live(self) -> int:
+        return len(self.table)
+
+    @property
+    def data_epoch(self) -> int:
+        return self.engine.data_epoch
+
+    @property
+    def pool_size(self) -> int:
+        return self.engine.pool_size
+
+    def initialize(self) -> Optional[ReoptReport]:
+        """First synopsis build, if still pending and there are rows.
+
+        Every path that first builds a shard (eager initialize, lazy
+        ingest build, rebalance into an empty shard) runs through here,
+        so each applies :func:`~repro.core.placement.stagger_trigger`.
+        """
+        if self.engine.dpt is None and len(self.table):
+            self.engine.initialize()
+            stagger_trigger(self.engine, self.shard_id, self.n_shards)
+        return self.engine.last_reopt
+
+    def insert(self, rows: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Ingest a row block; returns ``(local_tids, repartitioned)``.
+
+        A shard seeing its first rows builds its synopsis on the spot;
+        ``repartitioned`` tells the coordinator the batch tripped the
+        shard's auto-repartition (its summary upkeep branches on it).
+        """
+        reparts = self.engine.n_repartitions
+        local = self.engine.insert_many(rows)
+        self.initialize()
+        return (np.asarray(local, dtype=np.int64),
+                self.engine.n_repartitions != reparts)
+
+    def delete(self, local_tids: np.ndarray) -> np.ndarray:
+        """Delete by local tid; returns the dying rows' predicate
+        coordinates (captured before the slots go dead) so the
+        coordinator can uncount them from its routing summary."""
+        coords = self.table.rows_for(local_tids)[:, self._pred_cols]
+        self.engine.delete_many(local_tids)
+        return coords
+
+    def query(self, queries: Sequence[Query],
+              obs: Optional[TraceContext] = None,
+              parent: Optional[int] = None) -> List[QueryResult]:
+        # Explicit parent: fan-out threads have no implicit span stack,
+        # and the execute span lives on the caller's thread.
+        with maybe_span(obs, "shard_execute", parent=parent,
+                        shard=self.shard_id, n_queries=len(queries)):
+            return self.engine.query_many(queries, obs=obs)
+
+    def reoptimize(self) -> Optional[ReoptReport]:
+        """Full rebuild (``None`` for a shard with no synopsis yet)."""
+        if self.engine.dpt is None:
+            return None
+        return self.engine.reoptimize()
+
+    def summary(self) -> ShardSummary:
+        """A fresh exact routing summary of the live rows."""
+        fresh = ShardSummary(len(self._pred_cols))
+        fresh.refresh(self.table.live_rows()[:, self._pred_cols])
+        return fresh
+
+    def close(self) -> None:
+        """Nothing to release in-process."""
+
+
+class _TableView:
     """Read-only cross-shard table facade.
 
     Presents the union of the shard tables under *global* tids, exposing
     exactly the surface the stream driver and the benchmark harness use:
-    liveness (``tid in view``), live row count, schema, domains and
-    ground truth.  Mutations must go through the coordinator so the
-    tid maps stay consistent.
+    liveness (``tid in view``), live row count and schema - plus, over
+    in-process shards only, domains and ground truth.  Mutations must go
+    through the coordinator so the tid maps stay consistent.
     """
 
     def __init__(self, owner: "ShardedJanusAQP") -> None:
@@ -88,9 +200,7 @@ class _ShardedTableView:
         return self._owner.schema
 
     def __contains__(self, tid: int) -> bool:
-        # Via the coordinator's locked probe: the tid maps are
-        # guarded-by _map_lock and may be mid-resize on the ingest path.
-        return self._owner._tid_live(tid)
+        return self._owner._placement.live(tid)
 
     def __len__(self) -> int:
         return len(self._owner)
@@ -111,7 +221,7 @@ class _ShardedTableView:
         return self._owner.ground_truth(query)
 
     def ground_truths(self, queries: Sequence[Query]) -> List[float]:
-        return [self._owner.ground_truth(q) for q in queries]
+        return self._owner._union_table().ground_truths(queries)
 
 
 class ShardedJanusAQP:
@@ -155,6 +265,9 @@ class ShardedJanusAQP:
         adds context switching under the GIL).
     """
 
+    #: The fan-out thread pool, created on the first multi-shard call.
+    _pool: Optional[ThreadPoolExecutor] = None
+
     def __init__(self, schema: Sequence[str], agg_attr: str,
                  predicate_attrs: Sequence[str], n_shards: int = 2,
                  config: Optional[JanusConfig] = None,
@@ -167,57 +280,84 @@ class ShardedJanusAQP:
             raise ValueError("n_shards must be >= 1")
         if sharding not in ("hash", "range", "attr"):
             raise ValueError(f"unknown sharding mode {sharding!r}")
-        self.schema = tuple(schema)
-        self.agg_attr = agg_attr
-        self.predicate_attrs = tuple(predicate_attrs)
-        self.n_shards = int(n_shards)
-        self.config = config or JanusConfig()
-        self.sharding = sharding
-        self.range_block = int(range_block)
-        #: One registry for the whole fleet: every shard engine labels
-        #: its stall histograms with ``shard=<id>`` here, and the router
-        #: counters land beside them, so a single exposition covers the
-        #: coordinator end to end.
-        self.metrics = MetricsRegistry()
-        self.tables: List[Table] = []
-        self.shards: List[JanusAQP] = []
-        for s in range(self.n_shards):
-            table = Table(self.schema)
-            self.tables.append(table)
-            self.shards.append(JanusAQP(
-                table, agg_attr, predicate_attrs,
-                config=replace(self.config, seed=self.config.seed + s),
+        schema = tuple(schema)
+        predicate_attrs = tuple(predicate_attrs)
+        config = config or JanusConfig()
+        route_attr = route_attr or predicate_attrs[0]
+        if route_attr not in predicate_attrs:
+            raise ValueError(
+                f"route_attr {route_attr!r} is not a predicate "
+                f"attribute {predicate_attrs}")
+        if attr_bounds is not None:
+            attr_bounds = np.asarray(attr_bounds, dtype=np.float64)
+            if attr_bounds.shape != (n_shards - 1,):
+                raise ValueError(
+                    f"attr_bounds needs {n_shards - 1} cut values")
+            if attr_bounds.size and (np.diff(attr_bounds) < 0).any():
+                raise ValueError("attr_bounds must be ascending")
+
+        def fresh_shard(s: int) -> LocalShard:
+            return LocalShard(JanusAQP(
+                Table(schema), agg_attr, predicate_attrs,
+                config=replace(config, seed=config.seed + s),
                 stat_attrs=stat_attrs, metrics=self.metrics,
-                metrics_labels={"shard": str(s)}))
+                metrics_labels={"shard": str(s)}), s, n_shards)
+
+        self._assemble(
+            schema, agg_attr, predicate_attrs,
+            tuple(stat_attrs) if stat_attrs else schema, config,
+            route_attr,
+            PlacementMap(n_shards, sharding, range_block=range_block,
+                         route_col=schema.index(route_attr),
+                         attr_bounds=attr_bounds),
+            [ShardSummary(len(predicate_attrs))
+             for _ in range(n_shards)],
+            fresh_shard, max_workers)
+
+    def _assemble(self, schema: Tuple[str, ...], agg_attr: str,
+                  predicate_attrs: Tuple[str, ...],
+                  stat_attrs: Tuple[str, ...], config: JanusConfig,
+                  route_attr: str, placement: PlacementMap,
+                  summaries: List[ShardSummary],
+                  make_shard: Callable[[int], object],
+                  max_workers: Optional[int] = None) -> None:
+        """Wire the coordinator around its parts.
+
+        The one construction path: ``__init__`` feeds it fresh
+        in-process shards; :func:`~repro.core.persist.load_sharded`
+        and the fleet constructor feed it a parsed snapshot manifest
+        plus restored shards / worker handles (``make_shard(s)`` runs
+        after :attr:`metrics` exists, so shards can register their
+        series on the coordinator's registry).
+        """
+        self.schema = schema
+        self.agg_attr = agg_attr
+        self.predicate_attrs = predicate_attrs
         #: Attributes every shard tracks statistics for (uniform across
         #: the fleet) - the same template surface JanusAQP exposes.
-        self.stat_attrs = self.shards[0].stat_attrs
-        self.route_attr = route_attr or self.predicate_attrs[0]
-        if self.route_attr not in self.predicate_attrs:
-            raise ValueError(
-                f"route_attr {self.route_attr!r} is not a predicate "
-                f"attribute {self.predicate_attrs}")
-        self._route_col = self.schema.index(self.route_attr)
-        self.attr_bounds: Optional[np.ndarray] = None  # guarded-by: _map_lock
-        if attr_bounds is not None:
-            bounds = np.asarray(attr_bounds, dtype=np.float64)
-            if bounds.shape != (self.n_shards - 1,):
-                raise ValueError(
-                    f"attr_bounds needs {self.n_shards - 1} cut values")
-            if bounds.size and (np.diff(bounds) < 0).any():
-                raise ValueError("attr_bounds must be ascending")
-            self.attr_bounds = bounds
+        self.stat_attrs = stat_attrs
+        self.config = config
+        self.route_attr = route_attr
+        self.n_shards = placement.n_shards
+        self.sharding = placement.sharding
+        self.range_block = placement.range_block
+        self._placement = placement
         #: Schema column indices of the predicate attributes, the
         #: coordinate order of the per-shard routing summaries.
         self._pred_cols = np.array(
-            [self.schema.index(a) for a in self.predicate_attrs],
-            dtype=np.intp)
+            [schema.index(a) for a in predicate_attrs], dtype=np.intp)
         #: Conservative per-shard bounding summaries (all placement
         #: modes maintain them - routing prunes whenever the data is
-        #: separable, however it got that way).
-        self.summaries: List[ShardSummary] = [
-            ShardSummary(len(self.predicate_attrs))
-            for _ in range(self.n_shards)]
+        #: separable, however it got that way).  The planner reads
+        #: them lock-free; writers rebind or update an entry only
+        #: while holding that shard's lock.
+        self.summaries = summaries
+        #: One registry for the whole fleet: every in-process shard
+        #: engine labels its stall histograms with ``shard=<id>`` here,
+        #: worker handles their wire series, and the router counters
+        #: land beside them, so a single exposition covers the
+        #: coordinator end to end.
+        self.metrics = MetricsRegistry()
         self._routing_stats = RoutingStats(self.n_shards,
                                            metrics=self.metrics)
         self._h_rebalance = self.metrics.histogram(
@@ -225,15 +365,26 @@ class ShardedJanusAQP:
         #: Default :meth:`query_many` mode; ``route=...`` overrides per
         #: call (the benchmark's broadcast baseline passes ``False``).
         self.route_queries = True
-        self._shard_of = np.full(64, -1, dtype=np.int64)  # guarded-by: _map_lock
-        self._local_tid = np.zeros(64, dtype=np.int64)  # guarded-by: _map_lock
-        self._next_tid = 0  # guarded-by: _map_lock
-        self._map_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
         self._max_workers = max_workers or min(self.n_shards,
                                                os.cpu_count() or 1)
-        self.table = _ShardedTableView(self)
+        self._shards = [make_shard(s) for s in range(self.n_shards)]
+        self.table = _TableView(self)
+
+    @property
+    def shards(self) -> List[JanusAQP]:
+        """The in-process shard engines (``LocalShard``-only)."""
+        return [shard.engine for shard in self._shards]
+
+    @property
+    def tables(self) -> List[Table]:
+        """The in-process shard tables (``LocalShard``-only)."""
+        return [shard.table for shard in self._shards]
+
+    @property
+    def attr_bounds(self) -> Optional[np.ndarray]:
+        """``"attr"`` placement cut values (``None`` until struck)."""
+        return self._placement.attr_bounds
 
     # ------------------------------------------------------------------ #
     # fan-out machinery
@@ -248,7 +399,7 @@ class ShardedJanusAQP:
         if pool is None:
             with self._pool_lock:
                 if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
+                    self._pool = ThreadPoolExecutor(  # guarded-by: _pool_lock
                         max_workers=self._max_workers,
                         thread_name_prefix="janus-shard")
                 pool = self._pool
@@ -265,7 +416,9 @@ class ShardedJanusAQP:
         return [f.result() for f in futures]
 
     def close(self) -> None:
-        """Shut the fan-out pool down (idempotent)."""
+        """Release the shards and the fan-out pool (idempotent)."""
+        for shard in self._shards:
+            shard.close()
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -278,61 +431,24 @@ class ShardedJanusAQP:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # placement and tid maps
+    # probes
     # ------------------------------------------------------------------ #
-    def _place(self, tids: np.ndarray,  # requires-lock: _map_lock
-               rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Initial shard placement for a new batch (vectorized).
-
-        ``hash``/``range`` place by tid; ``attr`` places by the routing
-        attribute's value against :attr:`attr_bounds` (struck lazily
-        from this first batch's quantiles when not configured).  The
-        logic itself lives in :mod:`repro.core.placement` so the
-        process-per-shard fleet coordinator places identically.
-        """
-        if self.sharding == "attr" and self.attr_bounds is None:
-            self.attr_bounds = strike_attr_bounds(
-                rows[:, self._route_col], self.n_shards)
-        return place_batch(self.sharding, self.n_shards, tids, rows,
-                           self._route_col, self.attr_bounds,
-                           self.range_block)
-
-    def _ensure_tid_capacity(self, need: int) -> None:  # requires-lock: _map_lock
-        self._shard_of, self._local_tid = grow_tid_maps(
-            self._shard_of, self._local_tid, need)
-
     def shard_of(self, tid: int) -> int:
-        """The shard currently holding a live global tid.
-
-        Takes the map lock: a concurrent insert batch may be resizing
-        ``_shard_of`` (capacity doubling swaps the array out), so an
-        unlocked indexed read could hit the stale pre-resize array or
-        tear against the rewrite of ownership after a rebalance.
-        """
-        t = int(tid)
-        with self._map_lock:
-            if 0 <= t < self._shard_of.shape[0] and self._shard_of[t] >= 0:
-                return int(self._shard_of[t])
-        raise KeyError(f"tid {tid} is not live")
-
-    def _tid_live(self, tid: int) -> bool:
-        """Locked liveness probe backing the table facade."""
-        t = int(tid)
-        with self._map_lock:
-            return bool(0 <= t < self._shard_of.shape[0]
-                        and self._shard_of[t] >= 0)
+        """The shard currently holding a live global tid."""
+        return self._placement.owner(tid)
 
     def shard_sizes(self) -> List[int]:
         """Live row count per shard."""
-        return [len(t) for t in self.tables]
+        return [shard.n_live for shard in self._shards]
 
     def __len__(self) -> int:
-        return sum(len(t) for t in self.tables)
+        return sum(shard.n_live for shard in self._shards)
 
     @property
     def pool_size(self) -> int:
-        """Total pooled-sample size across shards."""
-        return sum(s.pool_size for s in self.shards)
+        """Total pooled-sample size across shards (one blocking round
+        trip per shard when the shards are worker processes)."""
+        return sum(shard.pool_size for shard in self._shards)
 
     @property
     def sketch_attrs(self) -> Tuple[str, ...]:
@@ -349,10 +465,10 @@ class ShardedJanusAQP:
         any answer could change and the serving tier's cache
         (:mod:`repro.service.cache`) can key merged results by it.
         """
-        return sum(s.data_epoch for s in self.shards)
+        return sum(shard.data_epoch for shard in self._shards)
 
     def storage_cost_bytes(self) -> int:
-        """Summed synopsis footprint of the fleet."""
+        """Summed synopsis footprint of the fleet (``LocalShard``-only)."""
         return sum(s.storage_cost_bytes() for s in self.shards)
 
     # ------------------------------------------------------------------ #
@@ -366,63 +482,50 @@ class ShardedJanusAQP:
         so the documented ``insert_many(seed); initialize()`` flow pays
         one synopsis build per shard, not two.  Empty shards stay
         uninitialized (there is nothing to partition) and come up
-        lazily on their first insert batch.
+        lazily on their first insert batch.  ``LocalShard``-only: fleet
+        workers warm-start from a snapshot instead.
         """
-        return self._fan_out(self._init_shard, range(self.n_shards))
+        def build(s: int) -> Optional[ReoptReport]:
+            shard = self._shards[s]
+            with shard.lock:
+                return shard.initialize()
 
-    def _init_shard(self, s: int) -> Optional[ReoptReport]:
-        if self.shards[s].dpt is not None:
-            return self.shards[s].last_reopt    # lazily built already
-        if len(self.tables[s]) == 0:
-            return None
-        report = self.shards[s].initialize()
-        self._stagger_trigger(s)
-        return report
-
-    def _stagger_trigger(self, s: int) -> None:
-        """Phase-offset shard ``s``'s forced-repartition counter.
-
-        Under balanced placement every shard crosses a shared
-        ``repartition_every`` threshold in the *same* ingest batch, so
-        all N rebuilds would land on one request - the worst-case stall
-        of a single instance, just split N ways.  Setting shard s's
-        update counter to ``s/N`` of the period right after its first
-        build spreads the first firing across the period; afterwards
-        each shard re-fires every R local updates and the offsets
-        persist, so at most one shard is rebuilding at a time and the
-        fleet's worst-case stall drops to one *shard-sized*
-        re-initialization.  Runs on every path that first builds a
-        shard (eager initialize, lazy ingest build, rebalance into an
-        empty shard); the formula lives in
-        :func:`repro.core.placement.stagger_trigger` so fleet workers
-        warm-starting a shard apply the identical offset.
-        """
-        stagger_trigger(self.shards[s], s, self.n_shards)
+        return self._fan_out(build, range(self.n_shards))
 
     def reoptimize(self) -> List[Optional[ReoptReport]]:
         """Staggered re-initialization: one shard rebuilds at a time.
 
-        Each shard's :meth:`~repro.core.janus.JanusAQP.reoptimize` runs
-        under that shard's own lock only, so while shard i rebuilds the
-        other N-1 shards keep answering queries and absorbing updates -
-        at no point is the whole fleet blocked, and the blocking window
-        per shard covers 1/N of the data instead of all of it.
+        Each shard's rebuild runs under that shard's own lock only, so
+        while shard i rebuilds the other N-1 shards keep answering
+        queries and absorbing updates - at no point is the whole fleet
+        blocked, and the blocking window per shard covers 1/N of the
+        data instead of all of it.
         """
         reports: List[Optional[ReoptReport]] = []
         for s in range(self.n_shards):
-            if self.shards[s].dpt is None:
+            shard = self._shards[s]
+            if not shard.initialized:
                 reports.append(None)
                 continue
-            reports.append(self.shards[s].reoptimize())
-            # The rebuild just walked the live rows; piggyback an exact
-            # summary refresh so delete-inflated bounds tighten back.
-            self._refresh_summary(s)
+            with shard.lock:  # lock-order: canonical (one shard at a time, released before the next)
+                reports.append(shard.reoptimize())
+                # The rebuild just walked the live rows; piggyback an
+                # exact summary so delete-inflated bounds tighten back.
+                self._refresh_summary(s)
         return reports
 
     def _refresh_summary(self, s: int) -> None:
-        """Rebuild shard ``s``'s routing summary from its live rows."""
-        self.summaries[s].refresh(
-            self.tables[s].live_rows()[:, self._pred_cols])
+        """Adopt shard ``s``'s fresh exact routing summary.
+
+        Callers hold the shard's lock, like for every summary update:
+        the exact snapshot and the rebind are then atomic against that
+        shard's writers, so a concurrent insert's count is never
+        overwritten.  An unreachable shard keeps its (conservatively
+        high) summary.
+        """
+        fresh = self._shards[s].summary()
+        if fresh is not None:
+            self.summaries[s] = fresh
 
     def reoptimize_async(self) -> threading.Thread:
         """Run the staggered re-initialization in a background thread."""
@@ -442,10 +545,9 @@ class ShardedJanusAQP:
     def insert_many(self, rows: np.ndarray) -> List[int]:
         """Bulk insert: one placement pass, one fan-out, global tids back.
 
-        The block is split by shard placement and each slice flows
-        through its shard's fully vectorized
-        :meth:`~repro.core.janus.JanusAQP.insert_many`; a shard seeing
-        its first rows initializes itself on the spot.  Returns the
+        The block is validated, split by shard placement, and each
+        slice flows through its shard's ``insert``; a shard seeing its
+        first rows initializes itself on the spot.  Returns the
         assigned global tids in row order.
         """
         rows = np.asarray(rows, dtype=np.float64)
@@ -453,39 +555,34 @@ class ShardedJanusAQP:
             return []
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D (n, n_attrs) array")
-        n = rows.shape[0]
-        with self._map_lock:
-            tids = np.arange(self._next_tid, self._next_tid + n,
-                             dtype=np.int64)
-            self._next_tid += n
-            self._ensure_tid_capacity(self._next_tid)
-            placement = self._place(tids, rows)
+        if rows.shape[1] != len(self.schema):
+            # Before any tid is assigned: a rejected batch must not
+            # burn tids or touch a shard.
+            raise ValueError(f"rows have {rows.shape[1]} columns, "
+                             f"schema has {len(self.schema)}")
+        tids, placement = self._placement.begin_insert(rows)
 
-        def ingest(s: int) -> Tuple[np.ndarray, List[int]]:
+        def ingest(s: int) -> Tuple[np.ndarray, np.ndarray]:
             sel = np.flatnonzero(placement == s)
-            reparts = self.shards[s].n_repartitions
-            local = self.shards[s].insert_many(rows[sel])
-            if self.shards[s].dpt is None:
-                self.shards[s].initialize()
-                self._stagger_trigger(s)
-            # Summary upkeep after the rows are queryable (an overlap
-            # window can only overcount - conservative for routing).
-            # When the batch tripped the shard's auto-repartition, the
-            # rebuild walked the live data anyway: refresh to tighten
-            # delete-inflated bounds instead of widening further.
-            if self.shards[s].n_repartitions != reparts:
-                self._refresh_summary(s)
-            else:
-                self.summaries[s].add(rows[sel][:, self._pred_cols])
+            sub = rows[sel]
+            shard = self._shards[s]
+            with shard.lock:
+                local, repartitioned = shard.insert(sub)
+                # Summary upkeep after the rows are queryable (a
+                # query planned in between misses only rows whose
+                # insert has not returned yet).  When the batch tripped
+                # the shard's auto-repartition, the rebuild walked the
+                # live data anyway: adopt an exact summary to tighten
+                # delete-inflated bounds instead of widening further.
+                if repartitioned:
+                    self._refresh_summary(s)
+                else:
+                    self.summaries[s].add(sub[:, self._pred_cols])
             return sel, local
 
-        touched = np.unique(placement)
-        results = self._fan_out(ingest, touched.tolist())
-        with self._map_lock:
-            for (sel, local) in results:
-                g = tids[sel]
-                self._shard_of[g] = placement[sel]
-                self._local_tid[g] = local
+        self._placement.commit_insert(
+            tids, placement,
+            self._fan_out(ingest, np.unique(placement).tolist()))
         return tids.tolist()
 
     def delete(self, tid: int) -> None:
@@ -495,35 +592,26 @@ class ShardedJanusAQP:
     def delete_many(self, tids: Sequence[int]) -> None:
         """Bulk delete by global tid, fanned out per shard.
 
-        Mirrors :meth:`~repro.core.janus.JanusAQP.delete_many`: a dead
-        or duplicated tid raises ``KeyError`` before any shard is
-        touched, so the fleet never ends up half-deleted.
+        Validation is entirely coordinator-side (the placement map
+        knows liveness): a dead or duplicated tid raises ``KeyError``
+        before any shard is touched, so the fleet never ends up
+        half-deleted.  Each shard hands back the dying rows' predicate
+        coordinates to uncount from its routing summary; an unreachable
+        shard hands back nothing and its summary stays conservatively
+        high until the next exact refresh.
         """
         tid_arr = np.asarray(tids if isinstance(tids, np.ndarray)
                              else [int(t) for t in tids], dtype=np.int64)
         if tid_arr.size == 0:
             return
-        with self._map_lock:
-            bad = (tid_arr < 0) | (tid_arr >= self._shard_of.shape[0])
-            if not bad.any():
-                owners = self._shard_of[tid_arr]
-                bad = owners < 0
-            if bad.any():
-                raise KeyError(
-                    f"tid {int(tid_arr[np.argmax(bad)])} is not live")
-            if np.unique(tid_arr).size != tid_arr.size:
-                raise KeyError("duplicate tid in delete batch")
-            locals_ = self._local_tid[tid_arr]
-            self._shard_of[tid_arr] = -1
+        owners, locals_ = self._placement.begin_delete(tid_arr)
 
         def drop(s: int) -> None:
-            sel = owners == s
-            local = locals_[sel]
-            # Uncount *before* the rows die so any concurrent routing
-            # read sees at worst an overcount (prunes less, never more).
-            self.summaries[s].remove(
-                self.tables[s].rows_for(local)[:, self._pred_cols])
-            self.shards[s].delete_many(local)
+            shard = self._shards[s]
+            with shard.lock:
+                coords = shard.delete(locals_[owners == s])
+                if coords is not None:
+                    self.summaries[s].remove(coords)
 
         self._fan_out(drop, np.unique(owners).tolist())
 
@@ -557,15 +645,24 @@ class ShardedJanusAQP:
         shard, that shard's raw batched answers come back directly -
         no thread-pool hop, no merge loop (a merge over one contributor
         is the identity for every aggregate).
+
+        ``obs`` is an optional trace context: plan/execute/merge spans
+        are recorded (one ``shard_execute`` per dispatched shard) and
+        the routing decision is noted for the EXPLAIN report.  The
+        answer path is identical with and without it.  A query whose
+        contributing subset includes an unreachable shard raises that
+        shard's error (``FleetUnavailableError`` for a dead worker);
+        queries the router proves don't need it still answer.
         """
         queries = list(queries)
         if not queries:
             return []
         route = self.route_queries if route is None else bool(route)
-        live = [s for s in range(self.n_shards)
-                if self.shards[s].dpt is not None]
+        shards = self._shards
+        live = [s for s, shard in enumerate(shards) if shard.initialized]
         if not live:
             raise RuntimeError("synopsis not initialized")
+        empties = [shard.n_live == 0 for shard in shards]
         with maybe_span(obs, "plan", n_queries=len(queries)):
             subsets = self._plan(queries, live)
         self._routing_stats.record([len(c) for c in subsets], len(live),
@@ -574,33 +671,15 @@ class ShardedJanusAQP:
             obs.note("subsets", [list(c) for c in subsets])
             obs.note("live", list(live))
             obs.note("routed", route)
-        if route:
+        with maybe_span(obs, "execute") as ex:
+            parent = ex["id"] if ex else None
             first = subsets[0]
-            if len(first) == 1 and all(c == first for c in subsets):
-                with maybe_span(obs, "execute") as ex:
-                    with maybe_span(obs, "shard_execute",
-                                    parent=ex["id"] if ex else None,
-                                    shard=first[0],
-                                    n_queries=len(queries)):
-                        return list(self.shards[first[0]].query_many(
-                            queries, obs=obs))
-            with maybe_span(obs, "execute") as ex:
-                get = self._dispatch_routed(
-                    queries, subsets, live, obs=obs,
-                    parent=ex["id"] if ex else None)
-        else:
-            with maybe_span(obs, "execute") as ex:
-                parent = ex["id"] if ex else None
-
-                def broadcast(s: int) -> List[QueryResult]:
-                    with maybe_span(obs, "shard_execute", parent=parent,
-                                    shard=s, n_queries=len(queries)):
-                        return self.shards[s].query_many(queries, obs=obs)
-
-                per_shard = self._fan_out(broadcast, live)
-            of_shard = dict(zip(live, per_shard))
-            get = lambda s, qi: of_shard[s][qi]
-        empties = [len(t) == 0 for t in self.tables]
+            if route and len(first) == 1 and \
+                    all(c == first for c in subsets):
+                return shards[first[0]].query(queries, obs, parent)
+            get = self._dispatch(
+                queries, subsets if route else [live] * len(queries),
+                live, obs, parent)
         with maybe_span(obs, "merge"):
             return merge_planned(queries, subsets, get,
                                  lambda s: empties[s])
@@ -609,37 +688,31 @@ class ShardedJanusAQP:
               live: Sequence[int]) -> List[List[int]]:
         """Per-query contributing shard subsets (conservative).
 
-        Delegates to :func:`repro.core.routing.plan_query_subsets` -
-        shared with the fleet coordinator, whose routed answers must
-        plan identically.  Off-template queries are never pruned, so
-        the shard engines raise the same errors broadcast would.
+        Off-template queries are never pruned, so the shard engines
+        raise the same errors broadcast would.
         """
         return plan_query_subsets(queries, self.predicate_attrs,
                                   self.summaries, live)
 
-    def _dispatch_routed(self, queries: Sequence[Query],
-                         subsets: Sequence[Sequence[int]],
-                         live: Sequence[int],
-                         obs: Optional[TraceContext] = None,
-                         parent: Optional[int] = None):
-        """Issue one sub-batched ``query_many`` per contributing shard.
+    def _dispatch(self, queries: Sequence[Query],
+                  asked: Sequence[Sequence[int]], live: Sequence[int],
+                  obs: Optional[TraceContext], parent: Optional[int]):
+        """Issue one sub-batched ``query`` per shard some query asks
+        (``asked[qi]``: the query's contributing subset when routing,
+        every live shard when broadcasting).
 
         Returns a ``get(shard, query_index)`` lookup over the answers.
         """
         by_shard = {s: [] for s in live}
-        for qi, contrib in enumerate(subsets):
+        for qi, contrib in enumerate(asked):
             for s in contrib:
                 by_shard[s].append(qi)
         work = [(s, qis) for s, qis in by_shard.items() if qis]
 
         def run(w: int) -> List[QueryResult]:
             s, qis = work[w]
-            # Explicit parent: fan-out threads have no implicit span
-            # stack, and the execute span lives on the caller's thread.
-            with maybe_span(obs, "shard_execute", parent=parent, shard=s,
-                            n_queries=len(qis)):
-                return self.shards[s].query_many(
-                    [queries[qi] for qi in qis], obs=obs)
+            return self._shards[s].query([queries[qi] for qi in qis],
+                                         obs, parent)
 
         batches = self._fan_out(run, range(len(work)))
         answers = {}
@@ -654,19 +727,19 @@ class ShardedJanusAQP:
         return self._routing_stats.to_dict()
 
     # ------------------------------------------------------------------ #
-    # rebalancing
+    # rebalancing (LocalShard-only: the rows must be in hand)
     # ------------------------------------------------------------------ #
     def rebalance_range(self, lo_tid: int, hi_tid: int, dst: int,
                         reoptimize_dst: bool = True) -> int:
         """Move every live tid in ``[lo_tid, hi_tid)`` onto shard ``dst``.
 
-        The move is an ordinary ``delete_many`` on each source shard
-        followed by one ``insert_many`` on the destination - both ends
-        keep their synopses consistent through the standard exact-delta
-        maintenance, so the fleet stays query-correct at every point.
-        Global tids are stable across the move (only the private local
-        tids change).  With ``reoptimize_dst`` (default) the destination
-        runs its full re-initialization pipeline afterwards - partition
+        The move is an ordinary delete on each source shard followed by
+        one insert on the destination - both ends keep their synopses
+        consistent through the standard exact-delta maintenance, so the
+        fleet stays query-correct at every point.  Global tids are
+        stable across the move (only the private local tids change).
+        With ``reoptimize_dst`` (default) the destination runs its full
+        re-initialization pipeline afterwards - partition
         re-optimization, pool resample and background catch-up - so its
         tree re-converges to the post-move data distribution.
 
@@ -675,94 +748,55 @@ class ShardedJanusAQP:
         if not (0 <= dst < self.n_shards):
             raise ValueError(f"destination shard {dst} does not exist")
         t0 = time.perf_counter()
-        # The whole move holds the coordinator map lock: the routing
-        # tables must not change between reading who owns a tid and
-        # rewriting that ownership, or a concurrent delete would turn
-        # the gathered owner/local arrays stale mid-move.  Data-path
-        # operations only hold this lock briefly around their own map
-        # reads/writes (never while waiting on a shard), so there is no
-        # lock-order cycle - concurrent mutations simply queue behind
-        # the move.
-        with self._map_lock:
-            span = np.arange(max(0, int(lo_tid)),
-                             min(int(hi_tid), self._shard_of.shape[0]),
-                             dtype=np.int64)
-            owners = self._shard_of[span] if span.size else span
-            moving = span[(owners >= 0) & (owners != dst)] \
-                if span.size else span
+        # The whole move holds the placement lock: the tid maps must
+        # not change between reading who owns a tid and rewriting that
+        # ownership, or a concurrent delete would turn the gathered
+        # owner/local arrays stale mid-move.  Data-path operations only
+        # hold this lock briefly around their own map reads/writes
+        # (never while waiting on a shard), so there is no lock-order
+        # cycle - concurrent mutations simply queue behind the move.
+        with self._placement.lock:
+            moving, owners, locals_ = self._placement.owned_in(lo_tid,
+                                                               hi_tid)
+            away = owners != dst
+            moving, owners, locals_ = \
+                moving[away], owners[away], locals_[away]
             if moving.size == 0:
                 return 0
             # Gather rows in global-tid order, then replay them as one
             # insert batch on the destination.
-            owners = owners[(owners >= 0) & (owners != dst)]
             rows = np.empty((moving.size, len(self.schema)))
-            for s in np.unique(owners):
+            sources = np.unique(owners).tolist()
+            for s in sources:
                 sel = np.flatnonzero(owners == s)
-                local = self._local_tid[moving[sel]]
-                rows[sel] = self.tables[int(s)].rows_for(local)
-                self.shards[int(s)].delete_many(local)
-            new_local = self.shards[dst].insert_many(rows)
-            if self.shards[dst].dpt is None:
-                self.shards[dst].initialize()
-                self._stagger_trigger(dst)
-            self._shard_of[moving] = dst
-            self._local_tid[moving] = new_local
-            # Exact summary refresh on both ends of the move: the rows
-            # are already in hand, and a refresh (rather than paired
-            # remove/add) also re-tightens the source shards' bounds.
-            for s in {int(v) for v in np.unique(owners)} | {dst}:
-                self._refresh_summary(s)
-        if reoptimize_dst and self.shards[dst].dpt is not None:
-            self.shards[dst].reoptimize()
+                rows[sel] = self._shards[s].table.rows_for(locals_[sel])
+                self._shards[s].engine.delete_many(locals_[sel])
+            target = self._shards[dst]
+            with target.lock:
+                new_local, _ = target.insert(rows)
+                self._refresh_summary(dst)
+            self._placement.move(moving, dst, new_local)
+            # Exact summaries on the source end too: a refresh (rather
+            # than a remove of the moved rows) also re-tightens the
+            # source shards' bounds.
+            for s in sources:
+                shard = self._shards[s]
+                with shard.lock:  # lock-order: canonical (one shard at a time, released before the next)
+                    self._refresh_summary(s)
+        if reoptimize_dst:
+            self._shards[dst].reoptimize()
         self._h_rebalance.observe(time.perf_counter() - t0)
         return int(moving.size)
 
     # ------------------------------------------------------------------ #
-    # ground truth (benchmark/test harness only)
+    # ground truth (benchmark/test harness only; LocalShard-only)
     # ------------------------------------------------------------------ #
+    def _union_table(self) -> Table:
+        """A throwaway table over every shard's live rows, so each
+        aggregate's truth is defined once, in ``Table.ground_truth``."""
+        return table_from_array(self.schema, np.concatenate(
+            [t.live_rows() for t in self.tables]))
+
     def ground_truth(self, query: Query) -> float:
         """Exact answer over the union of the shard tables."""
-        if query.agg in SKETCH_AGGS:
-            # Sketch aggregates are table-wide (unbounded predicate),
-            # so the union truth is the truth over the concatenation of
-            # the shards' live columns.
-            cols = [t.column(query.attr) for t in self.tables if len(t)]
-            vals = np.concatenate(cols) if cols else np.empty(0)
-            if query.agg is AggFunc.COUNT_DISTINCT:
-                return float(np.unique(vals).size)
-            if query.agg is AggFunc.TOPK:
-                uniques, cnts = np.unique(vals, return_counts=True)
-                order = np.lexsort((uniques, -cnts))
-                return float(cnts[order[:int(query.param)]].sum())
-            if vals.size == 0:
-                return math.nan
-            ordered = np.sort(vals)
-            rank = max(1, math.ceil(float(query.param) * ordered.size))
-            return float(ordered[rank - 1])
-        counts = [t.ground_truth(query.with_agg(AggFunc.COUNT))
-                  for t in self.tables]
-        total = sum(counts)
-        if query.agg is AggFunc.COUNT:
-            return float(total)
-        if query.agg is AggFunc.SUM:
-            return float(sum(t.ground_truth(query) for t in self.tables))
-        live = [(t, c) for t, c in zip(self.tables, counts) if c > 0]
-        if not live:
-            return math.nan
-        if query.agg in (AggFunc.MIN, AggFunc.MAX):
-            vals = [t.ground_truth(query) for t, _ in live]
-            return float(max(vals) if query.agg is AggFunc.MAX
-                         else min(vals))
-        sums = [t.ground_truth(query.with_agg(AggFunc.SUM))
-                for t, _ in live]
-        mean = sum(sums) / total
-        if query.agg is AggFunc.AVG:
-            return float(mean)
-        # VARIANCE/STDDEV: recombine E[a^2] from per-shard variances.
-        sumsq = sum(c * (t.ground_truth(query.with_agg(AggFunc.VARIANCE))
-                         + (s / c) ** 2)
-                    for (t, c), s in zip(live, sums))
-        variance = max(0.0, sumsq / total - mean * mean)
-        if query.agg is AggFunc.VARIANCE:
-            return float(variance)
-        return float(math.sqrt(variance))
+        return self._union_table().ground_truth(query)

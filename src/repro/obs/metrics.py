@@ -10,10 +10,7 @@ names.  That single table is what keeps ``/metrics`` one consistent
 Three instrument kinds:
 
 ``Counter``
-    Monotone ``inc()``.  Also supports ``set()`` for scrape-time
-    mirrors of values owned elsewhere (e.g. the service registry
-    mirroring fleet per-worker totals so the historical
-    ``janus_service_worker_*`` series keep their names).
+    Monotone ``inc()``.
 
 ``Gauge``
     ``set()`` / ``inc()``, last-write-wins.
@@ -62,10 +59,7 @@ __all__ = [
 #: ``janus_*`` string literals outside this module that are not keys
 #: here.  Keep it sorted by family prefix.
 CATALOG = {
-    # ---- service layer (owned by AQPServer; janus_service_worker_*,
-    # janus_service_routed_* etc. are scrape-time mirrors of engine /
-    # fleet values so the series names predating the registry keep
-    # working) ----
+    # ---- service layer (owned by AQPServer) ----
     "janus_service_uptime_seconds":
         ("gauge", "Seconds since the server started."),
     "janus_service_requests_total":
@@ -83,7 +77,7 @@ CATALOG = {
     "janus_service_engine_rows":
         ("gauge", "Live rows in the engine at scrape time."),
     "janus_service_engine_data_epoch":
-        ("counter", "Engine data epoch at scrape time."),
+        ("gauge", "Engine data epoch at scrape time."),
     "janus_service_batches_total":
         ("counter", "Micro-batches flushed."),
     "janus_service_batched_queries_total":
@@ -106,30 +100,10 @@ CATALOG = {
         ("counter", "Stores rejected by the epoch-change guard."),
     "janus_service_cache_evictions_total":
         ("counter", "Result-cache LRU evictions."),
-    "janus_service_routed_queries_total":
-        ("counter", "Queries answered by a routed shard subset."),
-    "janus_service_broadcast_queries_total":
-        ("counter", "Queries that fell back to full fan-out."),
-    "janus_service_pruned_shard_queries_total":
-        ("counter", "Per-shard executions skipped by routing."),
-    "janus_service_mean_shards_touched":
-        ("gauge", "Mean shards touched per routed query."),
-    "janus_service_shards_touched_total":
-        ("counter", "Routed queries by number of shards touched."),
     "janus_service_workers":
         ("gauge", "Fleet worker processes configured."),
     "janus_service_workers_alive":
         ("gauge", "Fleet worker processes currently alive."),
-    "janus_service_worker_requests_total":
-        ("counter", "Broker requests per fleet worker."),
-    "janus_service_worker_bytes_sent_total":
-        ("counter", "Bytes sent to each fleet worker."),
-    "janus_service_worker_bytes_received_total":
-        ("counter", "Bytes received from each fleet worker."),
-    "janus_service_worker_restarts_total":
-        ("counter", "Crash-recovery restarts per fleet worker."),
-    "janus_service_worker_p50_seconds":
-        ("gauge", "Median broker round-trip per fleet worker."),
     # ---- engine stalls (owned by JanusAQP / ShardedJanusAQP) ----
     "janus_engine_reoptimize_seconds":
         ("histogram", "Full reoptimize duration (per shard)."),
@@ -153,7 +127,7 @@ CATALOG = {
         ("counter", "Per-shard executions the planner skipped."),
     "janus_routing_shards_touched_total":
         ("counter", "Planner queries by number of shards touched."),
-    # ---- fleet transport (owned by FleetCoordinator) ----
+    # ---- fleet transport (owned by RemoteShard) ----
     "janus_fleet_worker_requests_total":
         ("counter", "Broker requests per fleet worker."),
     "janus_fleet_worker_bytes_sent_total":
@@ -212,7 +186,7 @@ def _render_labels(items: Iterable[Tuple[str, str]]) -> str:
 # instruments
 # --------------------------------------------------------------------- #
 class Counter:
-    """Monotone counter; ``set`` exists for scrape-time mirrors."""
+    """Monotone counter."""
 
     __slots__ = ("_lock", "_value")
 
@@ -224,10 +198,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -238,6 +208,10 @@ class Gauge(Counter):
     """Last-write-wins instantaneous value."""
 
     __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
 
 
 class Histogram:

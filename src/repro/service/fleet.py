@@ -1,45 +1,48 @@
 """Process-per-shard serving fleet: the coordinator side.
 
-:class:`FleetCoordinator` presents the exact engine surface
-:class:`~repro.core.sharded.ShardedJanusAQP` gives the serving tier
-(``insert_many`` / ``delete_many`` / ``query_many`` / ``reoptimize``,
-``data_epoch``, the table facade, routing stats), but each shard's
-synopsis lives in its own **worker process**
+:class:`FleetCoordinator` is :class:`~repro.core.sharded.ShardedJanusAQP`
+- the same placement map, planner, fan-out, ``insert_many`` /
+``delete_many`` / ``reoptimize`` / ``query_many`` bodies and merge -
+built over :class:`RemoteShard` handles instead of in-process shards:
+each shard's synopsis lives in its own **worker process**
 (:mod:`repro.service.worker`), reached over the length-prefixed binary
 protocol of :mod:`repro.broker.frames`.  N workers mean N interpreters
 and N GILs, so shard work genuinely overlaps on multi-core hosts -
 the in-process fan-out's thread pool only overlaps the numpy kernels.
+This module adds what only a process boundary needs: the wire handle,
+write-ahead journals, supervision and the fleet health/stat reports.
 
-The answer contract is **bit-identity** with the in-process sharded
-engine: the coordinator reuses the same placement
-(:class:`~repro.core.placement.PlacementMap`), the same planner
-(:func:`~repro.core.routing.plan_query_subsets`) and the same merge
-(:func:`~repro.core.merge.merge_planned`); workers warm-start from the
-same :func:`~repro.core.persist.save_sharded` snapshot and replay the
-identical per-shard operation sequence, so every per-shard answer -
-and therefore every merged answer - is byte-for-byte what
-``load_sharded(...)`` of the same snapshot would produce
-(``tests/test_fleet.py`` gates this for all seven aggregates through
-interleaved insert/delete/reoptimize).
+The answer contract is **bit-identity** with the in-process engine:
+workers warm-start from the same
+:func:`~repro.core.persist.save_sharded` snapshot (through the same
+restore as ``load_sharded``) and replay the identical per-shard
+operation sequence, so every per-shard answer - and therefore every
+merged answer - is byte-for-byte what ``load_sharded(...)`` of the same
+snapshot would produce (``tests/test_fleet.py`` and
+``tests/test_coordinator_contract.py`` gate this for every aggregate
+through interleaved insert/delete/reoptimize).
 
-Crash safety: every mutation is appended to a per-shard **journal
-before it is sent**, and the coordinator's mirrors (local-tid
-counters, live counts, epochs) advance whether or not the worker is
-up - local tids are deterministic, so the mutation's effect is known
-without the worker's reply.  A dead worker therefore never loses a
-mutation: the supervisor respawns it from the pristine snapshot,
-replays the journal (exactly-once - the crashed process's partial
-state is discarded wholesale), re-adopts an exact routing summary and
-only then swaps it live.  Queries that need a dead shard fail with
+Crash safety: every mutation is appended to its shard's **journal
+before it is sent**, and the handle's mirrors (local-tid counter, live
+count, epoch) advance whether or not the worker is up - local tids are
+deterministic, so the mutation's effect is known without the worker's
+reply.  A dead worker therefore never loses a mutation: the supervisor
+respawns it from the pristine snapshot, replays the journal
+(exactly-once - the crashed process's partial state is discarded
+wholesale), re-adopts an exact routing summary and only then lets
+traffic through.  Queries that need a dead shard fail with
 :class:`FleetUnavailableError` (a 503 at the HTTP layer, see
 :mod:`repro.service.server`) rather than a wrong or torn answer;
 queries the router proves don't need that shard keep being answered.
 
-Locking: per-shard ``_shard_locks[s]`` serialize journal-append +
-frame send + worker swap, so the journal order always equals the
-worker-applied order (replay determinism); the coordinator-wide
-``_mirror_lock`` guards the counter mirrors.  The order is always
-shard lock -> mirror lock -> (worker io lock), never the reverse.
+Locking: each handle's reentrant ``lock`` serializes journal-append +
+frame send + respawn, so the journal order always equals the
+worker-applied order (replay determinism); the coordinator holds it
+across a mutation and its routing-summary upkeep, exactly as it holds
+an in-process shard's engine lock.  A handle's small ``_mirror_lock``
+guards its counter mirrors so size/epoch reads never wait behind a
+long round trip.  The order is always shard lock -> mirror lock, never
+the reverse.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,12 +67,10 @@ from ..broker.frames import (HEADER, OP_DELETE, OP_ERR, OP_INSERT,
                              decode_sketch_block, recv_frame,
                              send_frame, split_reply)
 from ..broker.requests import encode_query
-from ..core.merge import merge_planned
-from ..core.placement import PlacementMap
-from ..core.queries import Query, QueryResult
-from ..core.routing import (RoutingStats, ShardSummary,
-                            plan_query_subsets)
 from ..core.persist import read_sharded_manifest
+from ..core.queries import Query, QueryResult
+from ..core.routing import ShardSummary
+from ..core.sharded import ShardedJanusAQP
 from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, decode_spans, maybe_span
@@ -103,28 +103,46 @@ _EXC_TYPES = {
 
 
 class RemoteShard:
-    """Coordinator-side handle for one worker process.
+    """One worker process behind the coordinator's shard seam.
 
-    Owns the subprocess, the socketpair end and the per-worker wire
-    counters.  ``request`` is the only I/O path: one frame out, one
-    reply in, under the handle's own lock, so concurrent callers
+    Owns the subprocess, the socketpair end, the per-worker wire
+    counters, the write-ahead journal and the mirrors of the worker's
+    state (next local tid, live rows, epoch) that let mutations commit
+    while the worker is down.  ``request`` is the only I/O path: one
+    frame out, one reply in, under :attr:`lock`, so concurrent callers
     (data path vs supervisor ping) never interleave frames.
+
+    Parameters beyond the worker address are the shard's state in the
+    snapshot it warm-starts from: ``next_local`` (its table's next
+    local tid), ``n_live``, whether it is ``initialized``, and
+    ``n_pred_attrs`` (row width of the predicate coordinates a delete
+    hands back).
     """
 
     def __init__(self, snapshot: Union[str, Path], shard_id: int,
-                 timeout: float = 120.0,
+                 next_local: int, n_live: int, initialized: bool,
+                 n_pred_attrs: int, timeout: float = 120.0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.snapshot = Path(snapshot)
         self.shard_id = int(shard_id)
         self.timeout = float(timeout)
-        self._io_lock = threading.RLock()
+        self._n_pred_attrs = int(n_pred_attrs)
+        #: Journal append + frame send + respawn happen under this
+        #: lock, so journal order always equals worker-applied order
+        #: and a restart's replay excludes nothing.
+        self.lock = threading.RLock()
         self._proc: Optional[subprocess.Popen] = None
         self._sock: Optional[socket.socket] = None
         self._down = True  # lock-free-read: one-way until spawn/destroy
-        # Wire counters live in the (thread-safe) metrics registry;
-        # passing the coordinator's registry means a restarted
-        # worker's fresh handle keeps accumulating into the same
-        # per-shard-slot series.
+        self._mirror_lock = threading.Lock()
+        self._next_local = int(next_local)  # guarded-by: _mirror_lock
+        self._n_live = int(n_live)  # guarded-by: _mirror_lock
+        self._initialized = bool(initialized)  # guarded-by: _mirror_lock
+        self._epoch = 0  # guarded-by: _mirror_lock
+        self._journal: List[tuple] = []  # guarded-by: _mirror_lock
+        # Wire counters live in the coordinator's (thread-safe)
+        # registry, one series per shard slot, so they keep
+        # accumulating across restarts.
         registry = metrics if metrics is not None else MetricsRegistry()
         label = str(self.shard_id)
         self._c_requests = registry.counter(
@@ -133,9 +151,14 @@ class RemoteShard:
             "janus_fleet_worker_bytes_sent_total", worker=label)
         self._c_bytes_received = registry.counter(
             "janus_fleet_worker_bytes_received_total", worker=label)
+        self._c_restarts = registry.counter(
+            "janus_fleet_worker_restarts_total", worker=label)
         self._h_latency = registry.histogram(
             "janus_fleet_worker_request_seconds", worker=label)
 
+    # ------------------------------------------------------------------ #
+    # process and wire
+    # ------------------------------------------------------------------ #
     def spawn(self) -> None:
         """Start the worker process and hand it its socketpair end."""
         parent, child = socket.socketpair()
@@ -165,20 +188,21 @@ class RemoteShard:
 
     def request(self, opcode: int, meta: int = 0, bufs: Sequence = (),
                 trace: Optional[Tuple[int, int]] = None
-                ) -> Tuple[int, int, memoryview, bytes]:
-        """One round trip: returns ``(reply_meta, epoch, body, spans)``.
+                ) -> Tuple[int, memoryview, bytes]:
+        """One round trip: returns ``(reply_meta, body, spans)``.
 
         ``trace`` is an optional ``(trace_id, parent_span_id)`` pair
         stamped into the request header; a traced OP_QUERY reply
         carries back a JSON span sidecar (its byte length rides the
         reply header's ``span`` field), returned stripped from
         ``body`` as the ``spans`` element (``b""`` when untraced).
-        Raises :class:`_WorkerDied` on any transport failure (and
-        marks the handle down for the supervisor); re-raises typed
+        The worker's epoch, which prefixes every reply, folds into the
+        mirror.  Raises :class:`_WorkerDied` on any transport failure
+        (and marks the handle down for the supervisor); re-raises typed
         application errors the worker shipped in an ERR frame.
         """
         trace_id, parent_span = trace if trace is not None else (0, 0)
-        with self._io_lock:
+        with self.lock:
             if self._down or self._sock is None:
                 raise _WorkerDied(f"worker {self.shard_id} is down")
             start = time.monotonic()
@@ -200,37 +224,68 @@ class RemoteShard:
             name, _, msg = bytes(payload).decode("utf-8").partition("\n")
             raise _EXC_TYPES.get(name, RuntimeError)(msg)
         epoch, body = split_reply(payload)
+        # Worker epochs only fold in forward (monotone, restart-proof -
+        # a replayed worker restarts its own count from the snapshot).
+        with self._mirror_lock:
+            self._epoch = max(self._epoch, int(epoch))
         spans = b""
         if r_span:
             spans = bytes(body[-r_span:])
             body = body[:-r_span]
-        return r_meta, epoch, body, spans
+        return r_meta, body, spans
 
-    # Mirror the pre-registry attribute surface for /stats readers.
-    @property
-    def n_requests(self) -> int:
-        return int(self._c_requests.value)
+    def _mutate(self, opcode: int, meta: int, bufs: Sequence,
+                live_delta: int) -> Tuple[int, Optional[tuple]]:
+        """Journal a mutation frame, then send it.
 
-    @property
-    def bytes_sent(self) -> int:
-        return int(self._c_bytes_sent.value)
+        The mirrors commit before the worker is asked - the epoch bump
+        included, so the serving tier's result cache invalidates on
+        every mutation even while the worker is down.  Returns the
+        first local tid the frame's rows (if any) take and the
+        worker's reply, ``None`` while it is down (the supervisor's
+        replay applies the journaled frame on restart).
+        """
+        with self.lock:
+            with self._mirror_lock:
+                base = self._next_local
+                if live_delta > 0:
+                    self._next_local += live_delta
+                    self._initialized = True
+                self._n_live += live_delta
+                self._epoch += 1
+                self._journal.append((opcode, meta, bufs))
+            try:
+                return base, self.request(opcode, meta, bufs)
+            except _WorkerDied:
+                return base, None
 
-    @property
-    def bytes_received(self) -> int:
-        return int(self._c_bytes_received.value)
+    def restart(self) -> Optional[int]:
+        """Respawn from the snapshot and replay the journal.
 
-    def counters(self) -> Dict[str, object]:
-        """Wire counters for ``/metrics`` (p50 over recent requests)."""
-        return {
-            "requests": self.n_requests,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "p50_seconds": self._h_latency.percentile(0.5),
-        }
+        Under :attr:`lock` throughout: mutations queue behind the
+        replay (and keep journaling), so when it returns the fresh
+        worker has applied *exactly* the journal - nothing lost,
+        nothing twice.  Returns how many entries were replayed, or
+        ``None`` when the worker is still down (the next supervision
+        sweep tries again).
+        """
+        with self.lock:
+            self.destroy(graceful=False)
+            with self._mirror_lock:
+                entries = list(self._journal)
+            try:
+                self.spawn()
+                for frame in entries:
+                    self.request(*frame)
+            except (_WorkerDied, OSError):
+                self.destroy(graceful=False)
+                return None
+            self._c_restarts.inc()
+        return len(entries)
 
     def destroy(self, graceful: bool = True) -> None:
         """Tear the worker down (idempotent)."""
-        with self._io_lock:
+        with self.lock:
             if graceful and not self._down and self._sock is not None:
                 try:
                     self._sock.settimeout(5.0)
@@ -249,31 +304,154 @@ class RemoteShard:
                 self._proc.kill()
                 self._proc.wait()
 
+    close = destroy
 
-class _FleetTableView:
-    """Read-only table facade over the fleet (coordinator mirrors)."""
-
-    def __init__(self, owner: "FleetCoordinator") -> None:
-        self._owner = owner
+    # ------------------------------------------------------------------ #
+    # the shard seam
+    # ------------------------------------------------------------------ #
+    @property
+    def initialized(self) -> bool:
+        with self._mirror_lock:
+            return self._initialized
 
     @property
-    def schema(self) -> Tuple[str, ...]:
-        return self._owner.schema
+    def n_live(self) -> int:
+        with self._mirror_lock:
+            return self._n_live
 
-    def __contains__(self, tid: int) -> bool:
-        return self._owner._placement.live(tid)
+    @property
+    def data_epoch(self) -> int:
+        with self._mirror_lock:
+            return self._epoch
 
-    def __len__(self) -> int:
-        return len(self._owner)
+    @property
+    def restarts(self) -> int:
+        """Crash-recovery restarts of this shard's worker so far."""
+        return int(self._c_restarts.value)
+
+    @property
+    def pool_size(self) -> int:
+        """The worker's pooled-sample size (one blocking round trip;
+        0 while it is down)."""
+        try:
+            _m, body, _ = self.request(OP_STATS)
+        except _WorkerDied:
+            return 0
+        return int(json.loads(bytes(body).decode())["pool_size"])
+
+    def insert(self, rows: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Journal, then ship a raw row block.
+
+        Local tids are mirrored deterministically (the worker's table
+        assigns consecutive tids and never reuses them), so the batch
+        commits even if the worker is mid-crash - it is journaled and
+        replayed on restart; a live worker's reply is checked against
+        the mirror and any divergence fails loudly.
+        """
+        rows = np.ascontiguousarray(rows)
+        base, reply = self._mutate(OP_INSERT, rows.shape[1], [rows],
+                                   rows.shape[0])
+        local = np.arange(base, base + rows.shape[0], dtype=np.int64)
+        if reply is None:
+            return local, False
+        flag, body, _ = reply
+        if not np.array_equal(np.frombuffer(body, dtype=np.int64), local):
+            raise RuntimeError(f"worker {self.shard_id} local tids "
+                               f"diverged from the coordinator mirror")
+        return local, bool(flag)
+
+    def delete(self, local_tids: np.ndarray) -> Optional[np.ndarray]:
+        """Journal, then ship raw local tids; the worker replies with
+        the dying rows' predicate coordinates.  ``None`` while it is
+        down: the delete is journaled, and the post-replay summary
+        re-tightens what the skipped uncount left high."""
+        local_tids = np.ascontiguousarray(local_tids)
+        _, reply = self._mutate(OP_DELETE, 0, [local_tids],
+                                -local_tids.shape[0])
+        if reply is None:
+            return None
+        return np.frombuffer(reply[1], dtype="<f8").reshape(
+            -1, self._n_pred_attrs)
+
+    def reoptimize(self) -> None:
+        """Journal, then rebuild in the worker's own process."""
+        self._mutate(OP_REOPT, 0, (), 0)
+
+    def summary(self) -> Optional[ShardSummary]:
+        """The worker's fresh exact routing summary (``None`` while it
+        is down: the post-restart adoption will cover it)."""
+        try:
+            _m, body, _ = self.request(OP_SUMMARY)
+        except _WorkerDied:
+            return None
+        with np.load(io.BytesIO(bytes(body)),
+                     allow_pickle=False) as archive:
+            return ShardSummary.from_state_arrays(
+                {key: archive[key]
+                 for key in ("meta", "lo", "hi", "edges", "counts")})
+
+    def query(self, queries: Sequence[Query],
+              obs: Optional[TraceContext] = None,
+              parent: Optional[int] = None) -> List[QueryResult]:
+        """One sub-batch over the wire (broker codec out, a raw
+        :data:`~repro.broker.frames.RESULT_DTYPE` block back).
+
+        Traced requests stamp ``(trace_id, shard_execute span id)``
+        into the frame header; the worker's reply spans come back as a
+        sidecar and are grafted under this call's ``shard_execute``
+        span.  ``parent`` is passed explicitly because fan-out runs on
+        executor threads, where the thread-local parent stack is empty.
+        """
+        payload = "\n".join(encode_query(qi, q)
+                            for qi, q in enumerate(queries)).encode()
+        with maybe_span(obs, "shard_execute", parent=parent,
+                        shard=self.shard_id,
+                        n_queries=len(queries)) as sp:
+            trace = (obs.trace_id, sp["id"]) if obs is not None else None
+            try:
+                n, body, span_blob = self.request(
+                    OP_QUERY, 0, [payload], trace=trace)
+            except _WorkerDied as exc:
+                raise FleetUnavailableError(
+                    f"shard {self.shard_id} worker is down; the fleet "
+                    f"restarts it within one supervision cycle - retry"
+                ) from exc
+            if obs is not None and span_blob:
+                obs.add_foreign_spans(decode_spans(span_blob),
+                                      default_parent=sp["id"])
+        # The fixed block is exactly n records; whatever follows is the
+        # variable-length sketch sidecar of answers that carry blobs.
+        fixed_end = n * RESULT_DTYPE.itemsize
+        results = decode_result_block(body[:fixed_end])
+        if len(results) != len(queries):
+            raise RuntimeError(
+                f"worker {self.shard_id} answered {len(results)} of "
+                f"{len(queries)} queries")
+        attach_sketch_frames(results, decode_sketch_block(body[fixed_end:]))
+        return results
+
+    def counters(self) -> Dict[str, object]:
+        """Wire counters for ``/stats`` (p50 over recent requests)."""
+        return {
+            "requests": int(self._c_requests.value),
+            "bytes_sent": int(self._c_bytes_sent.value),
+            "bytes_received": int(self._c_bytes_received.value),
+            "p50_seconds": self._h_latency.percentile(0.5),
+            "restarts": self.restarts,
+            "alive": self.alive(),
+        }
 
 
-class FleetCoordinator:
-    """Drop-in multi-process replacement for ``ShardedJanusAQP``.
+class FleetCoordinator(ShardedJanusAQP):
+    """``ShardedJanusAQP`` over one worker process per shard.
 
     Built from a :func:`~repro.core.persist.save_sharded` snapshot
-    directory; one worker process per shard is spawned immediately and
-    warm-starts from it.  See the module docstring for the identity,
-    crash-safety and locking contracts.
+    directory; the workers are spawned immediately and warm-start from
+    it.  Everything on the data path is inherited; see the module
+    docstring for the identity, crash-safety and locking contracts.
+    What needs whole rows in hand (``rebalance_range``,
+    ``ground_truth``, ``table.domain``, ``storage_cost_bytes``,
+    ``save_sharded``) stays with the in-process engine.
 
     Parameters
     ----------
@@ -302,71 +480,27 @@ class FleetCoordinator:
                  request_timeout: float = 120.0,
                  supervise: bool = True,
                  log_stream=None) -> None:
-        manifest = read_sharded_manifest(snapshot_dir)
-        meta = manifest["meta"]
+        m = read_sharded_manifest(snapshot_dir)
+        if m.summaries is None:
+            raise ValueError("fleet warm-start needs a v2 snapshot "
+                             "(with routing summaries)")
         self.snapshot_dir = Path(snapshot_dir)
-        self.schema = tuple(meta["schema"])
-        self.agg_attr = meta["agg_attr"]
-        self.predicate_attrs = tuple(meta["predicate_attrs"])
-        self.stat_attrs = tuple(meta["stat_attrs"])
-        # The serving tier validates sketch aggregates against this the
-        # same way it does for an in-process engine; every worker's
-        # shard is built from the same archived config.
-        self.sketch_attrs = tuple(
-            meta.get("config", {}).get("sketch_attrs", ()))
-        self.n_shards = int(meta["n_shards"])
-        self.route_attr = meta.get("route_attr")
-        self._pred_cols = np.array(
-            [self.schema.index(a) for a in self.predicate_attrs],
-            dtype=np.intp)
-        route_col = (self.schema.index(self.route_attr)
-                     if self.route_attr else 0)
-        self._placement = PlacementMap(
-            self.n_shards, meta["sharding"],
-            range_block=int(meta["range_block"]), route_col=route_col,
-            attr_bounds=manifest["attr_bounds"])
-        self._placement.restore(manifest["shard_of"],
-                                manifest["local_tid"],
-                                int(meta["next_tid"]))
-        #: Coordinator-owned routing summaries (planner reads them
-        #: lock-free exactly as the in-process engine's planner does).
-        self.summaries: List[ShardSummary] = list(manifest["summaries"])
-        #: One registry for the whole fleet: routing counters, the
-        #: per-worker wire series and restart counts all land here, and
-        #: the serving tier merges it into ``/metrics``.
-        self.metrics = MetricsRegistry()
         self._log_stream = log_stream
-        self._routing_stats = RoutingStats(self.n_shards,
-                                           metrics=self.metrics)
-        self.route_queries = True
 
-        self._mirror_lock = threading.RLock()
-        self._epochs = [0] * self.n_shards  # guarded-by: _mirror_lock
-        self._next_local = [int(t) for t in meta["table_next_tids"]]  # guarded-by: _mirror_lock
-        self._n_live = [int(v) for v in manifest["table_sizes"]]  # guarded-by: _mirror_lock
-        self._initialized = [bool(b) for b in meta["initialized"]]  # guarded-by: _mirror_lock
-        self._journals: List[List[tuple]] = [
-            [] for _ in range(self.n_shards)]  # guarded-by: _mirror_lock
-        self._restarts = [0] * self.n_shards  # guarded-by: _mirror_lock
+        def spawn_worker(s: int) -> RemoteShard:
+            shard = RemoteShard(
+                self.snapshot_dir, s, m.table_next_tids[s],
+                m.table_sizes[s], m.initialized[s],
+                len(m.predicate_attrs), timeout=request_timeout,
+                metrics=self.metrics)
+            shard.spawn()
+            return shard
 
-        # Per-shard send serializers: journal append + frame send +
-        # worker swap happen under _shard_locks[s], so journal order
-        # always equals worker-applied order and a restart's replay
-        # excludes nothing.  (Element locks: one instance per shard,
-        # only ever acquired one shard at a time by a fan-out closure.)
-        self._shard_locks = [threading.RLock()
-                             for _ in range(self.n_shards)]
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
-        self._max_workers = max_workers or min(self.n_shards,
-                                               os.cpu_count() or 1)
-        self.workers: List[RemoteShard] = [
-            RemoteShard(self.snapshot_dir, s, timeout=request_timeout,
-                        metrics=self.metrics)
-            for s in range(self.n_shards)]
-        for worker in self.workers:
-            worker.spawn()
-        self.table = _FleetTableView(self)
+        self._assemble(m.schema, m.agg_attr, m.predicate_attrs,
+                       m.stat_attrs, m.config, m.route_attr, m.placement,
+                       m.summaries, spawn_worker, max_workers)
+        #: The per-shard worker handles.
+        self.workers: List[RemoteShard] = self._shards
         self._stop_event = threading.Event()
         self._supervise_interval = float(supervise_interval)
         self._supervisor: Optional[threading.Thread] = None
@@ -375,336 +509,6 @@ class FleetCoordinator:
                 target=self._supervise, daemon=True,
                 name="janus-fleet-supervisor")
             self._supervisor.start()
-
-    # ------------------------------------------------------------------ #
-    # fan-out machinery (mirrors ShardedJanusAQP)
-    # ------------------------------------------------------------------ #
-    def _executor(self) -> ThreadPoolExecutor:
-        pool = self._pool  # lock-free-read: double-checked fast path
-        if pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self._max_workers,
-                        thread_name_prefix="janus-fleet")
-                pool = self._pool
-        return pool
-
-    def _fan_out(self, fn: Callable[[int], object],
-                 shard_ids: Sequence[int]) -> List[object]:
-        shard_ids = list(shard_ids)
-        if len(shard_ids) <= 1:
-            return [fn(s) for s in shard_ids]
-        pool = self._executor()
-        futures = [pool.submit(fn, s) for s in shard_ids]
-        return [f.result() for f in futures]
-
-    # ------------------------------------------------------------------ #
-    # epochs and sizes
-    # ------------------------------------------------------------------ #
-    def bump_epoch(self, shard_id: int) -> None:
-        """Advance shard ``shard_id``'s mirrored epoch.
-
-        Runs at journal time, before the worker is even asked, so the
-        serving tier's result cache invalidates on every mutation even
-        while the owning worker is down; worker-reported epochs later
-        fold in through ``max`` (monotone, restart-proof - a replayed
-        worker restarts its own count from the snapshot).
-        """
-        with self._mirror_lock:
-            self._epochs[shard_id] += 1
-
-    def _note_epoch(self, shard_id: int, worker_epoch: int) -> None:
-        with self._mirror_lock:
-            self._epochs[shard_id] = max(self._epochs[shard_id],
-                                         int(worker_epoch))
-
-    @property
-    def data_epoch(self) -> int:
-        """Monotone fleet-wide data version (cache key), mirrored."""
-        with self._mirror_lock:
-            return sum(self._epochs)
-
-    def __len__(self) -> int:
-        with self._mirror_lock:
-            return sum(self._n_live)
-
-    def shard_sizes(self) -> List[int]:
-        """Live row count per shard (coordinator mirror)."""
-        with self._mirror_lock:
-            return list(self._n_live)
-
-    @property
-    def pool_size(self) -> int:
-        """Total pooled-sample size, summed over reachable workers."""
-        total = 0
-        for s in range(self.n_shards):
-            try:
-                with self._shard_locks[s]:
-                    _m, _e, body, _ = self.workers[s].request(OP_STATS)
-            except _WorkerDied:
-                continue
-            total += int(json.loads(bytes(body).decode())["pool_size"])
-        return total
-
-    def routing_stats(self) -> dict:
-        """Cumulative router counters, as for the in-process engine."""
-        return self._routing_stats.to_dict()
-
-    # ------------------------------------------------------------------ #
-    # mutations
-    # ------------------------------------------------------------------ #
-    def insert(self, values: Sequence[float]) -> int:
-        """Insert one row; returns its global tid."""
-        return self.insert_many(
-            np.asarray(values, dtype=np.float64)[None, :])[0]
-
-    def insert_many(self, rows: np.ndarray) -> List[int]:
-        """Bulk insert: place once, journal, then fan out raw blocks.
-
-        Local tids are mirrored deterministically (each worker's table
-        assigns consecutive tids and never reuses them), so the batch
-        commits even if a worker is mid-crash - its slice is journaled
-        and replayed on restart; a live worker's reply is checked
-        against the mirror and any divergence fails loudly.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.size == 0:
-            return []
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D (n, n_attrs) array")
-        if rows.shape[1] != len(self.schema):
-            raise ValueError(f"rows have {rows.shape[1]} columns, "
-                             f"schema has {len(self.schema)}")
-        tids, placement = self._placement.begin_insert(rows)
-
-        def ingest(s: int) -> Tuple[np.ndarray, np.ndarray]:
-            sel = np.flatnonzero(placement == s)
-            sub = np.ascontiguousarray(rows[sel])
-            with self._shard_locks[s]:
-                with self._mirror_lock:
-                    base = self._next_local[s]
-                    self._next_local[s] += sub.shape[0]
-                    self._n_live[s] += sub.shape[0]
-                    self._initialized[s] = True
-                    self._journals[s].append(("i", sub))
-                self.bump_epoch(s)
-                local = np.arange(base, base + sub.shape[0],
-                                  dtype=np.int64)
-                repartitioned = False
-                try:
-                    flag, epoch, body, _ = self.workers[s].request(
-                        OP_INSERT, sub.shape[1], [sub])
-                    got = np.frombuffer(body, dtype=np.int64)
-                    if not np.array_equal(got, local):
-                        raise RuntimeError(
-                            f"worker {s} local tids diverged from the "
-                            f"coordinator mirror")
-                    self._note_epoch(s, epoch)
-                    repartitioned = bool(flag)
-                except _WorkerDied:
-                    pass  # journaled; the supervisor's replay applies it
-                if repartitioned:
-                    # The batch tripped the shard's auto-repartition:
-                    # adopt its post-rebuild exact summary, as the
-                    # in-process coordinator refreshes in place.
-                    self._fetch_summary(s)
-                else:
-                    self.summaries[s].add(sub[:, self._pred_cols])
-            return sel, local
-
-        touched = np.unique(placement).tolist()
-        results = self._fan_out(ingest, touched)
-        self._placement.commit_insert(
-            tids, placement, dict(zip(touched, results)))
-        return tids.tolist()
-
-    def delete(self, tid: int) -> None:
-        """Delete one live row by global tid."""
-        self.delete_many((tid,))
-
-    def delete_many(self, tids: Sequence[int]) -> None:
-        """Bulk delete by global tid.
-
-        Validation is entirely coordinator-side (the placement map
-        knows liveness), so a dead or duplicated tid raises
-        ``KeyError`` before any worker is touched - the same
-        all-or-nothing contract as the in-process engine.  The worker
-        replies with the dying rows' predicate coordinates so the
-        coordinator can uncount them from its routing summary; while a
-        worker is down the uncount is skipped (summaries err
-        conservative-high) and the post-replay summary re-tightens.
-        """
-        tid_arr = np.asarray(tids if isinstance(tids, np.ndarray)
-                             else [int(t) for t in tids], dtype=np.int64)
-        if tid_arr.size == 0:
-            return
-        owners, locals_ = self._placement.begin_delete(tid_arr)
-
-        def drop(s: int) -> None:
-            local = np.ascontiguousarray(locals_[owners == s])
-            with self._shard_locks[s]:
-                with self._mirror_lock:
-                    self._n_live[s] -= local.shape[0]
-                    self._journals[s].append(("d", local))
-                self.bump_epoch(s)
-                try:
-                    _m, epoch, body, _ = self.workers[s].request(
-                        OP_DELETE, 0, [local])
-                    coords = np.frombuffer(body, dtype="<f8").reshape(
-                        -1, self._pred_cols.shape[0])
-                    self.summaries[s].remove(coords)
-                    self._note_epoch(s, epoch)
-                except _WorkerDied:
-                    pass  # journaled; replay restores, summary refreshes
-
-        self._fan_out(drop, np.unique(owners).tolist())
-
-    def reoptimize(self) -> None:
-        """Staggered re-initialization, one shard at a time.
-
-        Each worker rebuilds in its own process; the coordinator
-        adopts the post-rebuild exact summary (the in-process
-        coordinator's piggybacked refresh, shipped over the wire).
-        """
-        for s in range(self.n_shards):
-            with self._mirror_lock:
-                up = self._initialized[s]
-            if not up:
-                continue
-            with self._shard_locks[s]:
-                with self._mirror_lock:
-                    self._journals[s].append(("r",))
-                self.bump_epoch(s)
-                try:
-                    flag, epoch, body, _ = \
-                        self.workers[s].request(OP_REOPT)
-                    if flag:
-                        self._adopt_summary(s, body)
-                    self._note_epoch(s, epoch)
-                except _WorkerDied:
-                    pass  # journaled; replay re-optimizes on restart
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def query(self, query: Query) -> QueryResult:
-        """Answer one query from the fleet."""
-        return self.query_many((query,))[0]
-
-    def query_many(self, queries: Sequence[Query],
-                   route: Optional[bool] = None,
-                   obs: Optional[TraceContext] = None
-                   ) -> List[QueryResult]:
-        """Answer a query batch: plan, dispatch sub-batches, merge.
-
-        Identical pipeline to the in-process engine - shared planner,
-        shared merge, same single-shard fast path - except the
-        per-shard sub-batches travel as broker-codec records and the
-        answers come back as raw :data:`~repro.broker.frames.RESULT_DTYPE`
-        blocks.  A query whose contributing subset includes a dead
-        worker raises :class:`FleetUnavailableError`; queries the
-        router proves don't need it still succeed.  ``obs`` is an
-        optional trace context: plan/execute/merge spans are recorded
-        (worker-side spans cross the wire and are grafted under the
-        per-shard ``shard_execute`` span) and the routing decision is
-        noted for the EXPLAIN report.  The answer path is identical
-        with and without ``obs``.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        route = self.route_queries if route is None else bool(route)
-        with self._mirror_lock:
-            live = [s for s in range(self.n_shards)
-                    if self._initialized[s]]
-            empties = [n == 0 for n in self._n_live]
-        if not live:
-            raise RuntimeError("synopsis not initialized")
-        with maybe_span(obs, "plan", n_queries=len(queries)):
-            subsets = plan_query_subsets(queries, self.predicate_attrs,
-                                         self.summaries, live)
-        self._routing_stats.record([len(c) for c in subsets], len(live),
-                                   route)
-        if obs is not None:
-            obs.note("subsets", [list(c) for c in subsets])
-            obs.note("live", list(live))
-            obs.note("routed", bool(route))
-        if route:
-            first = subsets[0]
-            if len(first) == 1 and all(c == first for c in subsets):
-                with maybe_span(obs, "execute") as ex:
-                    return self._ask(first[0], queries, obs=obs,
-                                     parent=ex["id"] if ex else None)
-            by_shard: Dict[int, List[int]] = {s: [] for s in live}
-            for qi, contrib in enumerate(subsets):
-                for s in contrib:
-                    by_shard[s].append(qi)
-            work = [(s, qis) for s, qis in by_shard.items() if qis]
-            with maybe_span(obs, "execute") as ex:
-                parent = ex["id"] if ex else None
-                batches = self._fan_out(
-                    lambda w: self._ask(
-                        work[w][0],
-                        [queries[qi] for qi in work[w][1]],
-                        obs=obs, parent=parent),
-                    range(len(work)))
-            answers = {}
-            for (s, qis), batch in zip(work, batches):
-                for pos, qi in enumerate(qis):
-                    answers[(s, qi)] = batch[pos]
-            get = lambda s, qi: answers[(s, qi)]
-        else:
-            with maybe_span(obs, "execute") as ex:
-                parent = ex["id"] if ex else None
-                per_shard = self._fan_out(
-                    lambda s: self._ask(s, queries, obs=obs,
-                                        parent=parent), live)
-            of_shard = dict(zip(live, per_shard))
-            get = lambda s, qi: of_shard[s][qi]
-        with maybe_span(obs, "merge"):
-            return merge_planned(queries, subsets, get,
-                                 lambda s: empties[s])
-
-    def _ask(self, s: int, queries: Sequence[Query],
-             obs: Optional[TraceContext] = None,
-             parent: Optional[int] = None) -> List[QueryResult]:
-        """One shard answers one sub-batch (broker codec over frames).
-
-        Traced requests stamp ``(trace_id, shard_execute span id)``
-        into the frame header; the worker's reply spans come back as a
-        sidecar and are grafted under this call's ``shard_execute``
-        span.  ``parent`` is passed explicitly because fan-out runs on
-        executor threads, where the thread-local parent stack is empty.
-        """
-        payload = "\n".join(encode_query(qi, q)
-                            for qi, q in enumerate(queries)).encode()
-        with maybe_span(obs, "shard_execute", parent=parent,
-                        shard=s, n_queries=len(queries)) as sp:
-            trace = (obs.trace_id, sp["id"]) if obs is not None else None
-            with self._shard_locks[s]:
-                try:
-                    n, epoch, body, span_blob = self.workers[s].request(
-                        OP_QUERY, 0, [payload], trace=trace)
-                except _WorkerDied as exc:
-                    raise FleetUnavailableError(
-                        f"shard {s} worker is down; the fleet restarts "
-                        f"it within one supervision cycle - retry"
-                    ) from exc
-            if obs is not None and span_blob:
-                obs.add_foreign_spans(decode_spans(span_blob),
-                                      default_parent=sp["id"])
-        self._note_epoch(s, epoch)
-        # The fixed block is exactly n records; whatever follows is the
-        # variable-length sketch sidecar of answers that carry blobs.
-        fixed_end = n * RESULT_DTYPE.itemsize
-        results = decode_result_block(body[:fixed_end])
-        if len(results) != len(queries):
-            raise RuntimeError(
-                f"worker {s} answered {len(results)} of "
-                f"{len(queries)} queries")
-        attach_sketch_frames(results, decode_sketch_block(body[fixed_end:]))
-        return results
 
     # ------------------------------------------------------------------ #
     # supervision and recovery
@@ -722,97 +526,47 @@ class FleetCoordinator:
         """
         restarted = 0
         for s in range(self.n_shards):
-            worker = self.workers[s]
-            if worker.alive():
+            shard = self._shards[s]
+            if shard.alive():
                 try:
-                    worker.request(OP_PING)
+                    shard.request(OP_PING)
                 except _WorkerDied:
                     pass
-            if not self.workers[s].alive() and self._restart(s):
+            if not shard.alive() and self._restart(s):
                 restarted += 1
         return restarted
 
     def _restart(self, s: int) -> bool:
-        """Respawn shard ``s`` from the snapshot and replay its journal.
-
-        Holds the shard lock throughout: mutations queue behind the
-        replay (and keep journaling), so when the fresh worker is
-        swapped live it has applied *exactly* the journal - nothing
-        lost, nothing twice.
-        """
-        with self._shard_locks[s]:
-            if self._stop_event.is_set():
+        """Bring shard ``s`` back: respawn + journal replay, then adopt
+        its post-replay exact routing summary (the mirror kept counting
+        while the worker was down) before traffic resumes."""
+        shard = self._shards[s]
+        with shard.lock:
+            replayed = None if self._stop_event.is_set() \
+                else shard.restart()
+            if replayed is None:
                 return False
-            self.workers[s].destroy(graceful=False)
-            fresh = RemoteShard(self.snapshot_dir, s,
-                                timeout=self.workers[s].timeout,
-                                metrics=self.metrics)
-            with self._mirror_lock:
-                replayed = len(self._journals[s])
-            try:
-                fresh.spawn()
-                self._replay(fresh, s)
-            except (_WorkerDied, OSError):
-                fresh.destroy(graceful=False)
-                return False  # still down; next sweep tries again
-            self.workers[s] = fresh
-            with self._mirror_lock:
-                self._restarts[s] += 1
-                n_restarts = self._restarts[s]
-            self.metrics.counter("janus_fleet_worker_restarts_total",
-                                 worker=str(s)).inc()
-            log_event(self._log_stream, "worker_restart", shard=s,
-                      restarts=n_restarts, journal_entries=replayed)
+            self._refresh_summary(s)
+        log_event(self._log_stream, "worker_restart", shard=s,
+                  restarts=shard.restarts, journal_entries=replayed)
         return True
-
-    def _replay(self, fresh: RemoteShard, s: int) -> None:
-        """Apply shard ``s``'s journal to a pristine warm start."""
-        with self._mirror_lock:
-            entries = list(self._journals[s])
-        for entry in entries:
-            if entry[0] == "i":
-                sub = entry[1]
-                fresh.request(OP_INSERT, sub.shape[1], [sub])
-            elif entry[0] == "d":
-                fresh.request(OP_DELETE, 0, [entry[1]])
-            else:
-                fresh.request(OP_REOPT)
-        # Post-replay exact summary + epoch resync: the mirror kept
-        # counting while the worker was down, so only adopt forward.
-        _m, epoch, body, _ = fresh.request(OP_SUMMARY)
-        self._adopt_summary(s, body)
-        self._note_epoch(s, epoch)
-
-    def _fetch_summary(self, s: int) -> None:
-        try:
-            with self._shard_locks[s]:
-                _m, epoch, body, _ = self.workers[s].request(OP_SUMMARY)
-        except _WorkerDied:
-            return  # replay's post-restart summary will cover it
-        self._adopt_summary(s, body)
-        self._note_epoch(s, epoch)
-
-    def _adopt_summary(self, s: int, body) -> None:
-        with np.load(io.BytesIO(bytes(body)),
-                     allow_pickle=False) as archive:
-            arrays = {key: archive[key]
-                      for key in ("meta", "lo", "hi", "edges", "counts")}
-        self.summaries[s] = ShardSummary.from_state_arrays(arrays)
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
+    def fleet_stats(self) -> Dict[str, object]:
+        """Per-worker liveness, restart and wire counters for
+        ``/stats``."""
+        return {"n_workers": self.n_shards,
+                "workers": {str(s): shard.counters()
+                            for s, shard in enumerate(self._shards)}}
+
     def fleet_health(self) -> Dict[str, object]:
         """``/health`` payload: ok when every worker is up."""
-        with self._mirror_lock:
-            restarts = list(self._restarts)
-        workers = {}
-        n_alive = 0
-        for s in range(self.n_shards):
-            up = self.workers[s].alive()
-            n_alive += int(up)
-            workers[str(s)] = {"alive": bool(up),
-                               "restarts": restarts[s]}
+        workers = {str(s): {"alive": shard.alive(),
+                            "restarts": shard.restarts}
+                   for s, shard in enumerate(self._shards)}
+        n_alive = sum(w["alive"] for w in workers.values())
         return {
             "status": "ok" if n_alive == self.n_shards else "degraded",
             "mode": "fleet",
@@ -820,18 +574,6 @@ class FleetCoordinator:
             "n_alive": n_alive,
             "workers": workers,
         }
-
-    def fleet_stats(self) -> Dict[str, object]:
-        """Per-worker wire counters for ``/stats`` and ``/metrics``."""
-        with self._mirror_lock:
-            restarts = list(self._restarts)
-        workers = {}
-        for s in range(self.n_shards):
-            counters = self.workers[s].counters()
-            counters["restarts"] = restarts[s]
-            counters["alive"] = self.workers[s].alive()
-            workers[str(s)] = counters
-        return {"n_workers": self.n_shards, "workers": workers}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -843,16 +585,4 @@ class FleetCoordinator:
             self._supervisor.join(timeout=2 * self._supervise_interval
                                   + 5.0)
             self._supervisor = None
-        for s in range(self.n_shards):
-            with self._shard_locks[s]:
-                self.workers[s].destroy()
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "FleetCoordinator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()

@@ -174,7 +174,7 @@ class AQPServer:
         self._g_uptime = self.metrics.gauge(
             "janus_service_uptime_seconds")
         self._g_rows = self.metrics.gauge("janus_service_engine_rows")
-        self._c_epoch = self.metrics.counter(
+        self._g_epoch = self.metrics.gauge(
             "janus_service_engine_data_epoch")
         # Does the engine's query_many take the trace context?  Probed
         # once: stand-in engines in tests may not.
@@ -684,14 +684,29 @@ class AQPServer:
         return {"deleted": len(tids),
                 "epoch": int(self.engine.data_epoch)}
 
-    async def _handle_stats(self, _payload, _headers) -> dict:
+    def _engine_stats(self) -> dict:
+        """The ``/stats`` engine block (runs in the executor: on a
+        fleet ``pool_size`` is one blocking round trip per worker,
+        queued behind whatever that worker is doing)."""
         engine = self.engine
-        stats = {
-            "engine": {
-                "rows": len(engine.table),
-                "pool_size": engine.pool_size,
-                "data_epoch": int(engine.data_epoch),
-            },
+        stats = {"rows": len(engine.table),
+                 "pool_size": engine.pool_size,
+                 "data_epoch": int(engine.data_epoch)}
+        n_shards = getattr(engine, "n_shards", None)
+        if n_shards is not None:    # any sharded coordinator
+            stats["n_shards"] = n_shards
+            stats["shard_sizes"] = engine.shard_sizes()
+            stats["routing"] = engine.routing_stats()
+        fleet_stats = getattr(engine, "fleet_stats", None)
+        if fleet_stats is not None:
+            stats["fleet"] = fleet_stats()
+        return stats
+
+    async def _handle_stats(self, _payload, _headers) -> dict:
+        engine_stats = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._engine_stats)
+        return {
+            "engine": engine_stats,
             "batcher": self.batcher.stats.to_dict(),
             "cache": dict(self.cache.stats.to_dict(),
                           enabled=self.cache.enabled,
@@ -700,16 +715,6 @@ class AQPServer:
             "n_bad_requests": self.n_bad_requests,
             "uptime_seconds": time.time() - self._started_at,
         }
-        n_shards = getattr(engine, "n_shards", None)
-        if n_shards is not None:
-            stats["engine"]["n_shards"] = n_shards
-            stats["engine"]["shard_sizes"] = engine.shard_sizes()
-        if hasattr(engine, "routing_stats"):
-            stats["engine"]["routing"] = engine.routing_stats()
-        fleet_stats = getattr(engine, "fleet_stats", None)
-        if fleet_stats is not None:
-            stats["engine"]["fleet"] = fleet_stats()
-        return stats
 
     async def _handle_traces(self, _payload, _headers) -> dict:
         traces = self.tracer.snapshot()
@@ -718,54 +723,25 @@ class AQPServer:
                 "capacity": self.tracer.capacity,
                 "traces": traces}
 
-    def _sample_mirrors(self) -> None:
-        """Scrape-time snapshot of engine/fleet state into the registry.
-
-        Keeps the historical ``janus_service_*`` series names live
-        (gauges and mirrored totals are *set*, not incremented, so a
-        scrape is idempotent).  Routing and fleet mirrors only exist
-        for engines that expose them - a plain single-engine server
-        never emits those families.
-        """
+    def _sample_gauges(self) -> None:
+        """Scrape-time snapshot of engine state into the gauges that
+        have no event to ride on (runs in the executor, like every
+        other engine call).  Routing and per-worker series come
+        straight from the engine's own registry."""
         self._g_uptime.set(time.time() - self._started_at)
         self._g_rows.set(len(self.engine.table))
-        self._c_epoch.set(int(self.engine.data_epoch))
-        m = self.metrics
-        routing = getattr(self.engine, "routing_stats", None)
-        if routing is not None:
-            r = routing()
-            m.counter("janus_service_routed_queries_total").set(
-                r["n_routed_queries"])
-            m.counter("janus_service_broadcast_queries_total").set(
-                r["n_broadcast_queries"])
-            m.counter("janus_service_pruned_shard_queries_total").set(
-                r["n_pruned_shard_queries"])
-            m.gauge("janus_service_mean_shards_touched").set(
-                r["mean_shards_touched"])
-            for k, count in enumerate(r["shards_touched_hist"]):
-                m.counter("janus_service_shards_touched_total",
-                          shards=str(k)).set(count)
-        fleet_stats = getattr(self.engine, "fleet_stats", None)
-        if fleet_stats is not None:
-            f = fleet_stats()
-            m.gauge("janus_service_workers").set(f["n_workers"])
-            m.gauge("janus_service_workers_alive").set(
-                sum(1 for w in f["workers"].values() if w["alive"]))
-            for wid, w in sorted(f["workers"].items()):
-                label = {"worker": str(wid)}
-                m.counter("janus_service_worker_requests_total",
-                          **label).set(w["requests"])
-                m.counter("janus_service_worker_bytes_sent_total",
-                          **label).set(w["bytes_sent"])
-                m.counter("janus_service_worker_bytes_received_total",
-                          **label).set(w["bytes_received"])
-                m.counter("janus_service_worker_restarts_total",
-                          **label).set(w["restarts"])
-                m.gauge("janus_service_worker_p50_seconds",
-                        **label).set(w["p50_seconds"])
+        self._g_epoch.set(int(self.engine.data_epoch))
+        fleet_health = getattr(self.engine, "fleet_health", None)
+        if fleet_health is not None:
+            health = fleet_health()
+            self.metrics.gauge("janus_service_workers").set(
+                health["n_workers"])
+            self.metrics.gauge("janus_service_workers_alive").set(
+                health["n_alive"])
 
     async def _handle_metrics(self, _payload, _headers) -> dict:
-        self._sample_mirrors()
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._sample_gauges)
         engine_reg = getattr(self.engine, "metrics", None)
         if isinstance(engine_reg, MetricsRegistry) and \
                 engine_reg is not self.metrics:

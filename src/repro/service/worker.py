@@ -13,9 +13,9 @@ summaries and merging; the worker owns exactly one synopsis and its
 archival table, so the numpy hot paths of N workers run on N
 interpreters with N GILs.
 
-Determinism is the contract: the worker applies the identical
-operation sequence the in-process ``ShardedJanusAQP`` shard would see
-(same warm-start state, same lazy-initialize + stagger on first
+Determinism is the contract: the worker drives its engine through the
+same :class:`~repro.core.sharded.LocalShard` the in-process coordinator
+uses (same warm-start state, same lazy-initialize + stagger on first
 insert, same RNG stream from the snapshot's per-shard seed), so its
 answers are bit-identical to that shard's - the fleet's answer-identity
 gate rests on it.  Every reply carries the shard's ``data_epoch`` so
@@ -37,7 +37,6 @@ import os
 import socket
 import sys
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,10 +47,8 @@ from ..broker.frames import (OP_DELETE, OP_ERR, OP_INSERT, OP_OK,
                              encode_sketch_block, extract_sketch_frames,
                              pack_reply, recv_frame, send_frame)
 from ..broker.requests import decode
-from ..core.janus import JanusAQP
-from ..core.persist import _MANIFEST, load_shard
-from ..core.placement import stagger_trigger
-from ..core.routing import ShardSummary
+from ..core.persist import load_shard
+from ..core.sharded import LocalShard
 from ..obs.trace import encode_spans
 
 __all__ = ["ShardWorker", "main"]
@@ -60,17 +57,10 @@ __all__ = ["ShardWorker", "main"]
 class ShardWorker:
     """The worker-side frame loop around one warm-started shard."""
 
-    def __init__(self, sock: socket.socket, shard: JanusAQP,
-                 shard_id: int, n_shards: int, n_bins: int) -> None:
+    def __init__(self, sock: socket.socket, shard: LocalShard) -> None:
         self.sock = sock
         self.shard = shard
-        self.shard_id = int(shard_id)
-        self.n_shards = int(n_shards)
-        self.n_bins = int(n_bins)
-        schema = shard.table.schema
-        self.pred_cols = np.array(
-            [schema.index(a) for a in shard.predicate_attrs],
-            dtype=np.intp)
+        self.shard_id = shard.shard_id
         self.n_requests = 0
         # Span ids must be unique within a trace yet never collide
         # with the coordinator's small sequential ids; salt a high
@@ -131,49 +121,32 @@ class ShardWorker:
     # mutations
     # ------------------------------------------------------------------ #
     def _handle_insert(self, n_cols: int, payload) -> None:
-        """Raw f64 row block in, local tids + repartition flag out.
-
-        Replays the in-process coordinator's ingest closure exactly:
-        insert, lazy first build with the staggered trigger offset,
-        and a flag telling the coordinator whether the batch tripped a
-        repartition (its summary upkeep branches on it).
-        """
+        """Raw f64 row block in, local tids + repartition flag out
+        (the flag tells the coordinator whether the batch tripped a
+        repartition; its summary upkeep branches on it)."""
         rows = np.frombuffer(payload, dtype="<f8").reshape(-1, n_cols)
-        reparts = self.shard.n_repartitions
-        local = self.shard.insert_many(rows)
-        if self.shard.dpt is None:
-            self.shard.initialize()
-            stagger_trigger(self.shard, self.shard_id, self.n_shards)
-        flag = int(self.shard.n_repartitions != reparts)
-        send_frame(self.sock, OP_OK, flag,
-                   pack_reply(self.shard.data_epoch,
-                              [np.asarray(local, dtype=np.int64)]))
+        local, repartitioned = self.shard.insert(rows)
+        send_frame(self.sock, OP_OK, int(repartitioned),
+                   pack_reply(self.shard.data_epoch, [local]))
 
     def _handle_delete(self, payload) -> None:
         """Raw i64 local tids in, the dying rows' predicate coords out.
 
         The coordinator maintains this shard's routing summary; it
         needs the predicate coordinates of the deleted rows to uncount
-        them, and only this process still has the rows.  They are
-        captured *before* the delete - afterwards the slots are dead.
+        them, and only this process still has the rows.
         """
-        local = np.frombuffer(payload, dtype="<i8")
-        coords = np.ascontiguousarray(
-            self.shard.table.rows_for(local)[:, self.pred_cols])
-        self.shard.delete_many(local)
+        coords = self.shard.delete(np.frombuffer(payload, dtype="<i8"))
         send_frame(self.sock, OP_OK, 0,
-                   pack_reply(self.shard.data_epoch, [coords]))
+                   pack_reply(self.shard.data_epoch,
+                              [np.ascontiguousarray(coords)]))
 
     def _handle_reopt(self) -> None:
-        """Re-optimize and ship the post-rebuild exact summary."""
-        if self.shard.dpt is None:
-            send_frame(self.sock, OP_OK, 0,
-                       pack_reply(self.shard.data_epoch))
-            return
-        self.shard.reoptimize()
-        send_frame(self.sock, OP_OK, 1,
-                   pack_reply(self.shard.data_epoch,
-                              [self._summary_npz()]))
+        """Re-optimize; meta flags whether there was a synopsis to
+        rebuild (the coordinator asks for the fresh summary next)."""
+        rebuilt = self.shard.reoptimize() is not None
+        send_frame(self.sock, OP_OK, int(rebuilt),
+                   pack_reply(self.shard.data_epoch))
 
     # ------------------------------------------------------------------ #
     # queries and introspection
@@ -194,7 +167,7 @@ class ShardWorker:
         records = bytes(payload).decode("utf-8").split("\n")
         queries = [decode(r).query for r in records]
         t0 = time.perf_counter()
-        results = self.shard.query_many(queries)
+        results = self.shard.engine.query_many(queries)
         span_block = b""
         if trace_id:
             self._span_seq += 1
@@ -216,26 +189,17 @@ class ShardWorker:
                    trace_id=trace_id, span=len(span_block))
 
     def _summary_npz(self) -> bytes:
-        """A fresh exact routing summary, as npz bytes.
-
-        :meth:`~repro.core.routing.ShardSummary.refresh` fully
-        re-derives every field from the live rows, so this stateless
-        rebuild is identical to the in-place refresh the in-process
-        coordinator performs.
-        """
-        summary = ShardSummary(len(self.pred_cols), self.n_bins)
-        summary.refresh(
-            self.shard.table.live_rows()[:, self.pred_cols])
+        """A fresh exact routing summary, as npz bytes."""
         buf = io.BytesIO()
-        np.savez(buf, **summary.state_arrays())
+        np.savez(buf, **self.shard.summary().state_arrays())
         return buf.getvalue()
 
     def _handle_stats(self) -> None:
         stats = {
             "shard_id": self.shard_id,
-            "n_live": len(self.shard.table),
+            "n_live": self.shard.n_live,
             "pool_size": self.shard.pool_size,
-            "n_repartitions": self.shard.n_repartitions,
+            "n_repartitions": self.shard.engine.n_repartitions,
             "data_epoch": self.shard.data_epoch,
             "n_requests": self.n_requests,
         }
@@ -246,15 +210,10 @@ class ShardWorker:
 
 def serve(fd: int, snapshot: str, shard_id: int) -> None:
     """Warm-start shard ``shard_id`` and serve frames on ``fd``."""
-    with np.load(Path(snapshot) / _MANIFEST,
-                 allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        n_bins = int(archive[f"summary{shard_id}_meta"][1])
     shard = load_shard(snapshot, shard_id)
     sock = socket.socket(fileno=fd)
     try:
-        ShardWorker(sock, shard, shard_id,
-                    int(meta["n_shards"]), n_bins).run()
+        ShardWorker(sock, shard).run()
     finally:
         sock.close()
 

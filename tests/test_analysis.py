@@ -464,7 +464,7 @@ META_BAD = textwrap.dedent('''\
         meta = {"version": 1, "schema": [], "range_block": 4}
         return meta
 
-    def load_sharded(path):
+    def read_sharded_manifest(path):
         meta = _read(path)
         return meta["version"], meta["schema"], meta["block_size"]
     ''')
@@ -628,13 +628,15 @@ def test_cli_exits_zero_on_the_committed_tree():
 def test_real_lock_order_graph_is_acyclic_and_layered():
     project = Project.from_paths(["src/repro"], root=REPO)
     edges = lock_order_edges(project)
-    # the documented layering: coordinator map lock above shard locks
-    assert ("ShardedJanusAQP._map_lock", "JanusAQP._lock") in edges
-    # and no path back up
+    # the documented layering: the coordinator's placement lock above
+    # the shard seam's lock above the engine lock it aliases ...
+    assert ("PlacementMap.lock", "JanusAQP._lock") in edges
+    assert ("PlacementMap.lock", "LocalShard.lock") in edges
+    assert ("LocalShard.lock", "JanusAQP._lock") in edges
+    assert ("LocalShard.lock", "ShardSummary._lock") in edges
+    # ... and no path back up
     froms = {a for a, _b in edges}
-    assert not any(a == "JanusAQP._lock" and
-                   b == "ShardedJanusAQP._map_lock"
-                   for a, b in edges), froms
+    assert not any(b == "PlacementMap.lock" for _a, b in edges), froms
 
 
 # ------------------------------------------------------------------ #

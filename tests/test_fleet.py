@@ -220,20 +220,6 @@ class TestBitIdentity:
             finally:
                 twin.close()
 
-    def test_coordinator_side_validation_matches_inprocess(self, ds,
-                                                           snapshot):
-        """Bad mutations fail before any worker sees them."""
-        with FleetCoordinator(snapshot, supervise=False) as fleet:
-            with pytest.raises(KeyError):
-                fleet.delete(10 ** 9)            # never existed
-            tid = fleet.insert(ds.data[N_SEED])
-            fleet.delete(tid)
-            with pytest.raises(KeyError):
-                fleet.delete(tid)                # already dead
-            with pytest.raises(ValueError):
-                fleet.insert_many(np.zeros((2, len(ds.schema) + 1)))
-            assert tid not in fleet.table
-
     def test_fleet_stats_expose_wire_counters(self, ds, snapshot):
         with FleetCoordinator(snapshot, supervise=False) as fleet:
             fleet.query_many(all_agg_queries(ds)[:3])
@@ -364,13 +350,13 @@ class TestServedFleet:
                 assert "janus_service_workers 3" in text
                 assert "janus_service_workers_alive 3" in text
                 for wid in ("0", "1", "2"):
-                    assert (f'janus_service_worker_requests_total'
+                    assert (f'janus_fleet_worker_requests_total'
                             f'{{worker="{wid}"}}') in text
-                    assert (f'janus_service_worker_bytes_sent_total'
+                    assert (f'janus_fleet_worker_bytes_sent_total'
                             f'{{worker="{wid}"}}') in text
-                    assert (f'janus_service_worker_restarts_total'
+                    assert (f'janus_fleet_worker_restarts_total'
                             f'{{worker="{wid}"}} 0') in text
-                    assert (f'janus_service_worker_p50_seconds'
+                    assert (f'janus_fleet_worker_request_seconds_count'
                             f'{{worker="{wid}"}}') in text
 
                 # Kill a worker: wide queries 503, health degrades,
@@ -390,5 +376,6 @@ class TestServedFleet:
                 result = client.query(wide)
                 assert result.n_covered + result.n_partial >= 0
                 text = client.metrics()
-                assert ('janus_service_worker_restarts_total'
+                assert ('janus_fleet_worker_restarts_total'
                         '{worker="1"} 1') in text
+                assert "janus_service_worker_" not in text

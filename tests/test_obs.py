@@ -55,14 +55,12 @@ def test_registry_returns_same_instrument_for_same_key():
     assert other.value == 0
 
 
-def test_gauge_set_and_counter_mirror_set():
+def test_gauge_sets_and_counter_only_counts():
     g = Gauge()
     g.set(4.5)
     g.inc(0.5)
     assert g.value == 5.0
-    c = Counter()
-    c.set(17)        # scrape-time mirror path
-    assert c.value == 17
+    assert not hasattr(Counter(), "set")    # counters are monotone
 
 
 def test_histogram_exact_percentiles_over_window():

@@ -74,14 +74,11 @@ class TestRoundtrip:
         assert restored.sharding == "range"
         assert restored.range_block == sharded.range_block
         assert restored.n_shards == sharded.n_shards
-        assert restored._next_tid == sharded._next_tid
+        assert restored._placement.next_tid == sharded._placement.next_tid
         assert restored.shard_sizes() == sharded.shard_sizes()
-        np.testing.assert_array_equal(
-            restored._shard_of[:restored._next_tid],
-            sharded._shard_of[:sharded._next_tid])
-        np.testing.assert_array_equal(
-            restored._local_tid[:restored._next_tid],
-            sharded._local_tid[:sharded._next_tid])
+        for got, want in zip(restored._placement.state_arrays(),
+                             sharded._placement.state_arrays()):
+            np.testing.assert_array_equal(got, want)
         sharded.close()
         restored.close()
 
@@ -89,7 +86,7 @@ class TestRoundtrip:
                                                       tmp_path):
         sharded = build(ds)
         save_sharded(sharded, tmp_path / "fleet")
-        next_tid = sharded._next_tid
+        next_tid = sharded._placement.next_tid
         restored = load_sharded(tmp_path / "fleet")
         tids = restored.insert_many(ds.data[10_000:10_500])
         assert tids[0] == next_tid              # tid counter preserved
@@ -171,17 +168,46 @@ class TestValidation:
         assert not (tmp_path / "fleet" / "manifest.npz").exists()
         sharded.close()
 
-    def test_version_mismatch_rejected(self, ds, tmp_path):
+    @staticmethod
+    def rewrite_manifest(path, version, drop=()):
         import json
+        manifest = path / "manifest.npz"
+        with np.load(manifest, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in archive.files
+                      if not k.startswith(tuple(drop))}
+        meta = json.loads(str(arrays["meta"]))
+        meta["version"] = version
+        arrays["meta"] = json.dumps(meta)
+        np.savez_compressed(manifest, **arrays)
+
+    def test_version_mismatch_rejected(self, ds, tmp_path):
         sharded = build(ds, n_shards=2)
         save_sharded(sharded, tmp_path / "fleet")
         sharded.close()
-        manifest = tmp_path / "fleet" / "manifest.npz"
-        with np.load(manifest, allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(str(arrays["meta"]))
-        meta["version"] = 999
-        arrays["meta"] = json.dumps(meta)
-        np.savez_compressed(manifest, **arrays)
+        self.rewrite_manifest(tmp_path / "fleet", 999)
         with pytest.raises(ValueError, match="version"):
             load_sharded(tmp_path / "fleet")
+
+    def test_v1_manifest_loads_with_rebuilt_summaries(self, ds, tmp_path):
+        """A pre-router (v1) manifest has no summaries: ``load_sharded``
+        rebuilds them exactly; a worker fleet refuses it up front."""
+        from repro.service.fleet import FleetCoordinator
+        sharded = build(ds, n_shards=2)
+        queries = workload(ds)
+        want = sharded.query_many(queries)
+        save_sharded(sharded, tmp_path / "fleet")
+        self.rewrite_manifest(tmp_path / "fleet", 1,
+                              drop=("summary", "attr_bounds"))
+        restored = load_sharded(tmp_path / "fleet")
+        for s in range(2):
+            a, b = sharded.summaries[s], restored.summaries[s]
+            assert a.n_live == b.n_live
+            np.testing.assert_array_equal(a.lo, b.lo)
+        for w, g in zip(want, restored.query_many(queries)):
+            assert g.estimate == pytest.approx(w.estimate, rel=1e-12,
+                                               nan_ok=True)
+            assert g.exact == w.exact
+        with pytest.raises(ValueError, match="v2"):
+            FleetCoordinator(tmp_path / "fleet")
+        sharded.close()
+        restored.close()

@@ -406,9 +406,9 @@ class TestAttrPlacement:
         assert tids == list(range(500))
         for t in tids[::37]:
             s = fleet.shard_of(t)
+            local_tid = fleet._placement.state_arrays()[1]
             np.testing.assert_array_equal(
-                fleet.tables[s].rows_for([fleet._local_tid[t]])[0],
-                rows[t])
+                fleet.tables[s].rows_for([local_tid[t]])[0], rows[t])
         fleet.close()
 
 

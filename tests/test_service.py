@@ -422,9 +422,9 @@ class TestObservability:
         assert routing["n_routed_queries"] == 7
         assert sum(routing["shards_touched_hist"]) == 7
         assert 0.0 <= routing["mean_shards_touched"] <= 3.0
-        assert "janus_service_routed_queries_total 7" in text
-        assert "janus_service_mean_shards_touched " in text
-        assert 'janus_service_shards_touched_total{shards="' in text
+        assert "janus_routing_routed_queries_total 7" in text
+        assert 'janus_routing_shards_touched_total{shards="' in text
+        assert "janus_service_routed_queries_total" not in text
 
     def test_single_engine_has_no_routing_section(self, ds):
         engine = build_single(ds)
@@ -433,7 +433,53 @@ class TestObservability:
                 stats = client.stats()
                 text = client.metrics()
         assert "routing" not in stats["engine"]
-        assert "janus_service_routed_queries_total" not in text
+        assert "janus_routing_routed_queries_total" not in text
+
+
+class _SlowStatsEngine:
+    """Just enough engine for ``/stats``; ``pool_size`` blocks like a
+    fleet's does while a worker is busy."""
+
+    agg_attr = "y"
+    predicate_attrs = ("x",)
+    data_epoch = 0
+    table = ()
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    @property
+    def pool_size(self):
+        self.entered.set()
+        assert self.release.wait(timeout=20)
+        return 7
+
+    def query_many(self, queries):
+        return []
+
+
+class TestStatsOffTheLoop:
+    def test_health_answers_while_stats_waits_on_the_engine(self):
+        """A blocking engine probe behind ``/stats`` runs in the
+        executor: it must not freeze every other connection."""
+        engine = _SlowStatsEngine()
+        with serve_background(engine, port=0) as handle:
+            with ThreadPoolExecutor(max_workers=1) as pool, \
+                    ServiceClient(handle.host, handle.port) as slow, \
+                    ServiceClient(handle.host, handle.port,
+                                  timeout=5.0) as fast:
+                pending = pool.submit(slow.stats)
+                try:
+                    assert engine.entered.wait(timeout=10)
+                    assert fast.health()         # loop still serving
+                    assert "janus_service_uptime_seconds" in \
+                        fast.metrics()
+                    assert not pending.done()
+                finally:
+                    engine.release.set()
+                assert pending.result(timeout=10)["engine"][
+                    "pool_size"] == 7
 
 
 class TestLifecycle:

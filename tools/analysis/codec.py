@@ -63,7 +63,7 @@ META_PAIRS = [
     ("core/persist.py", "_synopsis_payload", "core/persist.py",
      "load_synopsis"),
     ("core/persist.py", "save_sharded", "core/persist.py",
-     "load_sharded"),
+     "read_sharded_manifest"),
 ]
 
 

@@ -24,8 +24,14 @@ Checks:
 * **JL203** - cycle in the cross-module lock-ordering graph.  Nodes are
   ``Class.lockattr``; edges come from lexical ``with`` nesting plus
   interprocedural call resolution (``self``, annotated parameters, and
-  a small table of container element types such as
-  ``ShardedJanusAQP.shards -> JanusAQP``).
+  small tables of attribute / container element types that follow the
+  sharded coordinator through its shard seam:
+  ``ShardedJanusAQP._placement -> PlacementMap``,
+  ``ShardedJanusAQP._shards[] -> LocalShard``,
+  ``LocalShard.engine -> JanusAQP``).  A call made on the *same
+  receiver* a held lock was taken from (``with shard.lock:
+  shard.insert(...)``, ``self`` included) may re-acquire that lock: it
+  is the same reentrant instance, not a second one.
 * **JL204** - ``requires-lock`` method called without the lock held.
 * **JL205** - several instances of one lock class acquired together
   (lexical nesting on the same node, or acquisition inside a loop)
@@ -47,13 +53,18 @@ from .core import Finding, Module, Project
 #: (Class, container attribute) -> element class, for receiver-type
 #: resolution of calls like ``self.shards[s].delete_many(...)``.
 ELEM_TYPES = {
+    ("ShardedJanusAQP", "_shards"): "LocalShard",
+    ("FleetCoordinator", "_shards"): "RemoteShard",
     ("ShardedJanusAQP", "shards"): "JanusAQP",
     ("ShardedJanusAQP", "summaries"): "ShardSummary",
     ("ShardedJanusAQP", "tables"): "Table",
 }
 
 #: (Class, attribute) -> class, for scalar attributes.
-ATTR_TYPES: Dict[Tuple[str, str], str] = {}
+ATTR_TYPES: Dict[Tuple[str, str], str] = {
+    ("ShardedJanusAQP", "_placement"): "PlacementMap",
+    ("LocalShard", "engine"): "JanusAQP",
+}
 
 
 def _is_lockish(attr: str) -> bool:
@@ -214,9 +225,10 @@ def _lock_node(env: _Env, expr: ast.AST) -> Tuple[Optional[str],
 class _FnFacts:
     lexical: Set[str] = field(default_factory=set)   # graph nodes
     calls: List[Tuple[str, int]] = field(default_factory=list)
-    # (callee key, line, held nodes, receiver-is-self)
-    held_calls: List[Tuple[str, int, Tuple[str, ...], bool]] = field(
-        default_factory=list)
+    # (callee key, line, held nodes, held nodes taken from the call's
+    # own receiver)
+    held_calls: List[Tuple[str, int, Tuple[str, ...],
+                           Tuple[str, ...]]] = field(default_factory=list)
 
 
 class _Walker:
@@ -235,6 +247,7 @@ class _Walker:
         self.facts = _FnFacts()
         self.held_local: List[str] = []   # attr names on self
         self.held_nodes: List[str] = []   # graph nodes "Class.attr"
+        self.held_recv: List[str] = []    # source text of the lock owner
         self.loop_depth = 0
 
     def run(self) -> _FnFacts:
@@ -243,6 +256,7 @@ class _Walker:
             if lock:
                 self.held_local.append(lock)
                 self.held_nodes.append(f"{self.ci.name}.{lock}")
+                self.held_recv.append("self")
         self.visit_body(self.fn.body)
         return self.facts
 
@@ -275,7 +289,7 @@ class _Walker:
         for call in self._enter_context_calls(stmt):
             node, local = self._acquisition(call)
             if node is not None or local is not None:
-                self._acquire(node, local, call.lineno, release=False)
+                self._acquire(node, local, call.args[0], call.lineno)
         self.scan_exprs(stmt)
         in_loop = isinstance(stmt, (ast.For, ast.AsyncFor, ast.While))
         if in_loop:
@@ -319,7 +333,10 @@ class _Walker:
             node, local = self._acquisition(item.context_expr)
             if node is None and local is None:
                 continue
-            self._acquire(node, local, item.context_expr.lineno)
+            expr = item.context_expr
+            if isinstance(expr, ast.Call):      # enter_context(lock)
+                expr = expr.args[0]
+            self._acquire(node, local, expr, expr.lineno)
             pushed += 1
         self.visit_body(stmt.body)
         for _ in range(pushed):
@@ -334,7 +351,8 @@ class _Walker:
         return _lock_node(self.env, expr)
 
     def _acquire(self, node: Optional[str], local: Optional[str],
-                 line: int, release: bool = True) -> None:
+                 lock_expr: ast.AST, line: int) -> None:
+        self.held_recv.append(ast.unparse(lock_expr.value))
         if node is not None:
             waived = "lock-order: canonical" in self.module.comment(line)
             for held in self.held_nodes:
@@ -353,13 +371,14 @@ class _Walker:
         elif local is not None:
             self.held_nodes.append("")
             self.held_local.append(local)
-        del release  # bookkeeping symmetry; unreleased stacks are fine
 
     def _release(self) -> None:
         if self.held_nodes:
             self.held_nodes.pop()
         if self.held_local:
             self.held_local.pop()
+        if self.held_recv:
+            self.held_recv.pop()
 
     # -- expression-level checks -----------------------------------------
 
@@ -418,11 +437,13 @@ class _Walker:
             self.facts.calls.append((callee_key, node.lineno))
             held = tuple(h for h in self.held_nodes if h)
             if held:
-                recv_self = (isinstance(fn, ast.Attribute)
-                             and isinstance(fn.value, ast.Name)
-                             and fn.value.id == "self")
+                recv = (ast.unparse(fn.value)
+                        if isinstance(fn, ast.Attribute) else None)
+                same = tuple(h for h, r in zip(self.held_nodes,
+                                               self.held_recv)
+                             if h and r == recv)
                 self.facts.held_calls.append(
-                    (callee_key, node.lineno, held, recv_self))
+                    (callee_key, node.lineno, held, same))
 
     def check_acquire(self, stmt: ast.Expr, body: Sequence[ast.stmt],
                       index: int) -> None:
@@ -493,13 +514,14 @@ def _analyze(project: Project) -> Tuple[List[Finding], _Graph]:
     # Interprocedural edges: locks held at a call site order before
     # everything the callee may acquire.
     for key, facts in fn_facts.items():
-        for callee, line, held, recv_self in facts.held_calls:
+        for callee, line, held, same in facts.held_calls:
             for acquired in sorted(may.get(callee, ())):
+                # x.method() re-acquiring the (reentrant) lock that was
+                # taken from x itself is the same instance, already
+                # held: it cannot block, so it orders after nothing.
+                if acquired in same:
+                    continue
                 for h in held:
-                    # self.method() re-acquiring self's own (reentrant)
-                    # lock is the same instance, not a second one.
-                    if recv_self and h == acquired:
-                        continue
                     graph.add(h, acquired, fn_module[key], line)
 
     return findings, graph
