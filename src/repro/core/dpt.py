@@ -353,14 +353,7 @@ class DynamicPartitionTree:
         """
         orig = self.root.rect
         for node in self._nodes:
-            lo = list(node.rect.lo)
-            hi = list(node.rect.hi)
-            for j in range(len(lo)):
-                if lo[j] == orig.lo[j]:
-                    lo[j] = -math.inf
-                if hi[j] == orig.hi[j]:
-                    hi[j] = math.inf
-            node.rect = Rectangle(tuple(lo), tuple(hi))
+            node.rect = inflate_rect(node.rect, orig)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -946,6 +939,16 @@ class DynamicPartitionTree:
         exact = all_exact and not partial
         return QueryResult(est, 0.0, 0.0, exact,
                            n_covered=len(cover), n_partial=len(partial))
+
+
+def inflate_rect(rect: Rectangle, domain: Rectangle) -> Rectangle:
+    """``rect`` with each edge it shares with ``domain`` moved to infinity
+    (the rectangle a tree built over ``domain`` gives that node)."""
+    return Rectangle(
+        tuple(-math.inf if a == o else a
+              for a, o in zip(rect.lo, domain.lo)),
+        tuple(math.inf if b == o else b
+              for b, o in zip(rect.hi, domain.hi)))
 
 
 def _rect_distance(rect: Rectangle, coords: Sequence[float]) -> float:

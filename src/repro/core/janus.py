@@ -55,7 +55,7 @@ from ..sketch.counted import CountedSketch
 from ..sketch.registry import (new_sketch, sketch_answer,
                                sketch_from_bytes, sketch_kind_for)
 from .catchup import CatchupReport, CatchupRunner, seed_from_reservoir
-from .dpt import DynamicPartitionTree
+from .dpt import DynamicPartitionTree, inflate_rect
 from .node import DPTNode
 from .queries import AggFunc, Query, QueryResult, Rectangle, SKETCH_AGGS
 from .table import Table
@@ -341,6 +341,13 @@ class JanusAQP:
             "janus_engine_ingest_stall_seconds", **labels)
         self._h_repartition = self.metrics.histogram(
             "janus_engine_repartition_seconds", **labels)
+        self._h_candidate_eval = self.metrics.histogram(
+            "janus_engine_candidate_eval_seconds", **labels)
+        self._c_checks = {
+            outcome: self.metrics.counter(
+                "janus_engine_trigger_checks_total", outcome=outcome,
+                **labels)
+            for outcome in ("none", "rejected", "committed", "forced")}
 
         # Per-attribute sketch bank (repro.sketch): one sketch per kind,
         # seeded from whatever rows the table already holds and then
@@ -373,7 +380,8 @@ class JanusAQP:
 
         self.dpt: Optional[DynamicPartitionTree] = None
         self.strata: Optional[StrataView] = None
-        self.trigger: Optional[RepartitionTrigger] = None
+        #: One per engine life (its counters are lifetime counts).
+        self.trigger: Optional[RepartitionTrigger] = None  # guarded-by: _lock
         self.n_repartitions = 0
         self.last_reopt: Optional[ReoptReport] = None
         #: Monotone data-version counter: bumped under the lock by every
@@ -439,6 +447,7 @@ class JanusAQP:
             t_block = time.perf_counter()
             with self._lock:                     # phase 2: blocking swap
                 self._install(spec)
+                self.trigger.rebase(self.dpt)
                 target = max(self.config.min_pool,
                              int(2 * self.config.sample_rate *
                                  len(self.table)))
@@ -461,8 +470,7 @@ class JanusAQP:
                         self.dpt.add_catchup_rows(self.table.rows_for(live))
                         self.data_epoch += 1
             with self._lock:
-                if self.trigger is not None:
-                    self.trigger.rebase(self.dpt)
+                self.trigger.rebase(self.dpt)
             self._h_reopt.observe(time.perf_counter() - t_work)
 
         thread = threading.Thread(target=work, daemon=True,
@@ -503,11 +511,14 @@ class JanusAQP:
                 coords, values, tids, self.config.k, n_population=n_pop,
                 root_rect=Rectangle(lo, hi), index=snapshot_index).tree
 
-    def _reinitialize(self, catchup_goal: Optional[int]) -> ReoptReport:  # requires-lock: _lock
+    def _reinitialize(self, catchup_goal: Optional[int],  # requires-lock: _lock
+                      spec: Optional[PartitionNode] = None) -> ReoptReport:
         report = ReoptReport()
-        # Phase 1: partition optimization over the current pooled sample.
+        # Phase 1: partition optimization over the current pooled sample
+        # (already done by a committing candidate evaluation).
         t0 = time.perf_counter()
-        spec = self._compute_partitioning()
+        if spec is None:
+            spec = self._compute_partitioning()
         report.optimize_seconds = time.perf_counter() - t0
         # Phase 2 (blocking): build the new tree, seed stats from the pool.
         t1 = time.perf_counter()
@@ -527,14 +538,13 @@ class JanusAQP:
                                seed=int(self._rng.integers(2 ** 31)))
         report.catchup = runner.run_from_table(
             self.table, self.table.live_tids(), goal)
-        if self.trigger is not None:
-            self.trigger.rebase(self.dpt)
+        self.trigger.rebase(self.dpt)
         self.data_epoch += 1
         self.last_reopt = report
         self._h_reopt.observe(time.perf_counter() - t0)
         return report
 
-    def _compute_partitioning(self) -> PartitionNode:
+    def _compute_partitioning(self) -> PartitionNode:  # requires-lock: _lock
         d = len(self.predicate_attrs)
         n = max(len(self.table), 1)
         m = max(len(self.sample_index), 1)
@@ -560,7 +570,7 @@ class JanusAQP:
                 root_rect=Rectangle(lo, hi))
         return result.tree
 
-    def _install(self, spec: PartitionNode) -> None:
+    def _install(self, spec: PartitionNode) -> None:  # requires-lock: _lock
         """Blocking step: swap in the new tree and seed it from the pool."""
         dpt = DynamicPartitionTree(
             spec, self.table.schema, self.predicate_attrs,
@@ -577,11 +587,13 @@ class JanusAQP:
         self.dpt = dpt
         self._install_support_structures()
 
-    def _install_support_structures(self) -> None:
+    def _install_support_structures(self) -> None:  # requires-lock: _lock
         """(Re)wire strata routing and the trigger for the current tree.
 
         Used by every (re-)initialization path and by snapshot restore
-        (:mod:`repro.core.persist`).
+        (:mod:`repro.core.persist`).  The caller rebases the trigger
+        once the pool its baselines describe is in place (a
+        re-initialization resamples it after this).
         """
         if self.strata is not None:
             self.strata.reroute(self._route_tid)
@@ -594,8 +606,10 @@ class JanusAQP:
         trig_cfg = TriggerConfig(
             beta=self.config.beta, check_every=self.config.check_every,
             every_n_updates=self.config.repartition_every)
-        self.trigger = RepartitionTrigger(trig_cfg, oracle, self.strata)
-        self.trigger.rebase(self.dpt)
+        if self.trigger is None:
+            self.trigger = RepartitionTrigger(trig_cfg, oracle, self.strata)
+        else:
+            self.trigger.config, self.trigger.oracle = trig_cfg, oracle
         self._rebuild_leaf_cache()
 
     def _rebuild_leaf_cache(self) -> None:
@@ -711,39 +725,48 @@ class JanusAQP:
                 self._after_update_batch(leaf_of)
         self._h_ingest_stall.observe(time.perf_counter() - t0)
 
-    def _after_update_batch(self, leaf_of: np.ndarray) -> None:
+    def _after_update_batch(self, leaf_of: np.ndarray) -> None:  # requires-lock: _lock
         if self.trigger is None:
             return
         uniq, counts = np.unique(leaf_of, return_counts=True)
         self._after_update([(self.dpt.leaves[int(pos)], int(c))
                             for pos, c in zip(uniq, counts)])
 
-    def _after_update(self, leaf_counts: List[Tuple[DPTNode, int]]) -> None:
+    def _after_update(self, leaf_counts: List[Tuple[DPTNode, int]]) -> None:  # requires-lock: _lock
         """Run the trigger over a batch's ``(leaf, row count)`` pairs."""
-        if self.trigger is None:
-            return
+        n_checks = self.trigger.state.n_checks
         action = self.trigger.on_update_batch(self.dpt, leaf_counts)
-        if action is TriggerAction.NONE:
-            return
+        outcome = "none"
         if action is TriggerAction.FORCED:
             self.reoptimize()
-            return
-        if not self.config.auto_repartition:
-            return
-        # Candidate: compute a fresh partitioning and apply the
-        # commit rule M(R') < M(R) / beta (Section 5.4).
+            outcome = "forced"
+        elif action is TriggerAction.CANDIDATE and \
+                self.config.auto_repartition:
+            t0 = time.perf_counter()
+            spec = self._candidate_spec()
+            self._h_candidate_eval.observe(time.perf_counter() - t0)
+            outcome = "rejected"
+            if spec is not None:
+                self._reinitialize(None, spec)
+                self.n_repartitions += 1
+                outcome = "committed"
+        elif self.trigger.state.n_checks == n_checks:
+            return                       # no drift check came due
+        self._c_checks[outcome].inc()
+
+    def _candidate_spec(self) -> Optional[PartitionNode]:  # requires-lock: _lock
+        """A fresh partitioning R' if it passes the commit rule
+        ``M(R') < M(R) / beta`` (Section 5.4), else ``None``.  R' is
+        judged on the rectangles a tree built from it would have, and
+        only until one leaf decides a rejection."""
         old_m = self.trigger.current_max_variance(self.dpt)
         try:
             spec = self._compute_partitioning()
         except (RuntimeError, ValueError):
-            return
-        new_dpt = DynamicPartitionTree(
-            spec, self.table.schema, self.predicate_attrs,
-            stat_attrs=self.stat_attrs)
-        new_m = max((self.trigger.oracle.max_variance(leaf.rect).variance
-                     for leaf in new_dpt.leaves), default=0.0)
-        if self.trigger.confirm(new_m, old_m):
-            self.reoptimize()
+            return None
+        rects = (inflate_rect(leaf.rect, spec.rect)
+                 for leaf in spec.leaves())
+        return spec if self.trigger.confirm_rects(rects, old_m) else None
 
     # ------------------------------------------------------------------ #
     # query processing
@@ -858,18 +881,26 @@ class JanusAQP:
 
 
 class _SampleSync:
-    """Keeps synopsis-resident sample rows, the range index and the
-    per-leaf sample-matrix cache in step with reservoir membership."""
+    """Keeps synopsis-resident sample rows, the range index, the
+    per-leaf sample-matrix cache and the trigger's variance memo in step
+    with reservoir membership (``_lock`` below is the owner's)."""
 
     def __init__(self, owner: JanusAQP) -> None:
         self._owner = owner
 
-    def on_add(self, tid: int) -> None:
+    def _pool_changed(self, coords: Optional[np.ndarray]) -> None:  # requires-lock: _lock
+        """Report one pool-index mutation (the ``(n, d)`` points it
+        added or removed) to the trigger's per-leaf variance memo."""
+        if self._owner.trigger is not None:
+            self._owner.trigger.pool_changed(coords)
+
+    def on_add(self, tid: int) -> None:  # requires-lock: _lock
         owner = self._owner
         row = owner.table.row(tid).copy()
         owner._sample_rows[tid] = row
-        owner.sample_index.insert(tid, row[owner._pred_idx],
-                                  float(row[owner._agg_idx]))
+        coords = row[owner._pred_idx]
+        owner.sample_index.insert(tid, coords, float(row[owner._agg_idx]))
+        self._pool_changed(coords[None])
         leaf_id = owner._route_tid(tid)
         if leaf_id is not None:
             owner._leaf_cache.add(leaf_id, tid, row)
@@ -892,28 +923,31 @@ class _SampleSync:
             owner._sample_rows[tid] = row
         return rows
 
-    def on_add_many(self, tids: List[int]) -> None:
+    def on_add_many(self, tids: List[int]) -> None:  # requires-lock: _lock
         """Bulk add: one row gather and one routed pass per batch."""
         rows = self._ingest_rows(tids)
         if tids:
+            self._pool_changed(rows[:, self._owner._pred_idx])
             self._owner._cache_routed_rows(tids, rows)
 
-    def on_remove(self, tid: int) -> None:
+    def on_remove(self, tid: int) -> None:  # requires-lock: _lock
         owner = self._owner
-        owner._sample_rows.pop(tid, None)
-        owner.sample_index.delete(tid)
+        row = owner._sample_rows.pop(tid, None)
+        if owner.sample_index.delete(tid):
+            self._pool_changed(row[owner._pred_idx][None])
         owner._leaf_cache.remove(tid)
 
-    def on_remove_many(self, tids: List[int]) -> None:
+    def on_remove_many(self, tids: List[int]) -> None:  # requires-lock: _lock
         """Bulk removal: one index rebuild check and one cache
         compaction per batch instead of per-tid round-trips."""
         owner = self._owner
-        for tid in tids:
-            owner._sample_rows.pop(tid, None)
-        owner.sample_index.delete_many(tids)
+        rows = [owner._sample_rows.pop(tid, None) for tid in tids]
+        if owner.sample_index.delete_many(tids):
+            self._pool_changed(np.array(
+                [row[owner._pred_idx] for row in rows if row is not None]))
         owner._leaf_cache.remove_many(tids)
 
-    def on_reset(self, tids: List[int]) -> None:
+    def on_reset(self, tids: List[int]) -> None:  # requires-lock: _lock
         owner = self._owner
         owner._sample_rows = {}
         owner.sample_index = RangeIndex(len(owner.predicate_attrs),
@@ -925,3 +959,4 @@ class _SampleSync:
         # Oracles hold a reference to the old index: refresh them.
         if owner.trigger is not None:
             owner.trigger.oracle.index = owner.sample_index
+            self._pool_changed(None)

@@ -10,9 +10,10 @@ restore against the same archival table.
 What is saved: the tree structure (parent links + rectangles), every
 node's catch-up accumulators / exact deltas / base statistics, the
 MIN/MAX heap contents, the epoch population ``n0``, the pooled sample
-(tids + rows) and the configuration.  What is *not* saved: the trigger
-baselines (recomputed on load) and any in-flight catch-up progress
-beyond the accumulators (already folded into the statistics).
+(tids + rows), the trigger's lifetime counts and the configuration.
+What is *not* saved: the trigger baselines (recomputed on load) and any
+in-flight catch-up progress beyond the accumulators (already folded into
+the statistics).
 
 A sharded fleet persists as a *directory*: one synopsis archive per
 initialized shard plus a manifest (:func:`save_sharded` /
@@ -121,6 +122,9 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
         "stat_attrs": list(dpt.stat_attrs),
         "n0": dpt.n0,
         "n_repartitions": janus.n_repartitions,
+        "trigger_counts": [janus.trigger.state.n_checks,
+                           janus.trigger.state.n_candidates,
+                           janus.trigger.state.n_forced],
         "config": config,
         "minmax": minmax_payload,
         "minmax_attrs": [dpt.stat_attrs[p] for p in
@@ -253,6 +257,10 @@ def load_synopsis(path: str, table: Table) -> JanusAQP:
         if blobs:
             janus.restore_sketch_blobs(blobs)
     janus._install_support_structures()
+    janus.trigger.rebase(janus.dpt)
+    state = janus.trigger.state     # lifetime counts survive a restart
+    state.n_checks, state.n_candidates, state.n_forced = (
+        int(c) for c in meta.get("trigger_counts", (0, 0, 0)))
     return janus
 
 

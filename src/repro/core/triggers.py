@@ -23,12 +23,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..partitioning.maxvar import MaxVarOracle
 from ..sampling.stratified import StrataView, min_samples_per_stratum
 from .dpt import DynamicPartitionTree
 from .node import DPTNode
+from .queries import Rectangle
 
 
 class TriggerAction(enum.Enum):
@@ -50,12 +53,24 @@ class TriggerState:
     baseline: Dict[int, float] = field(default_factory=dict)  # leaf -> M_i
     updates_since_check: int = 0
     updates_since_repartition: int = 0
+    # Lifetime counts (never reset: the engine keeps one trigger).
+    n_checks: int = 0             # drift checks that came due
     n_candidates: int = 0
     n_forced: int = 0
 
 
 class RepartitionTrigger:
-    """Drift detector over one DPT's leaves."""
+    """Drift detector over one DPT's leaves.
+
+    Each leaf's current ``M_i'`` is memoised between pool changes, so a
+    check costs oracle calls for the leaves the pool changed under, not
+    for all k.  The SUM and COUNT oracles are pure functions of the pool
+    points in the leaf's closed rectangle: :meth:`pool_changed` drops
+    the entries whose rectangle contains a changed point.  The AVG
+    oracle is not ``rect_local``, so any change drops them all - as does
+    an index mutation nobody reported (``index.version`` ran ahead).  A
+    memoised value is thus always bit-equal to a fresh oracle call.
+    """
 
     def __init__(self, config: TriggerConfig, oracle: MaxVarOracle,
                  strata: StrataView) -> None:
@@ -63,28 +78,68 @@ class RepartitionTrigger:
         self.oracle = oracle
         self.strata = strata
         self.state = TriggerState()
+        self._pos: Dict[DPTNode, int] = {}    # rebased tree's leaf -> row
+        self._lo = self._hi = np.empty((0, 0))    # (k, d) leaf bounds
+        # M_i' per row, None = dirty; ``_lock`` is the owning engine's.
+        self._memo: List[Optional[float]] = []  # guarded-by: _lock
+        self._version = -1                    # index.version memo is for
 
     # ------------------------------------------------------------------ #
-    def rebase(self, dpt: DynamicPartitionTree) -> None:
+    def rebase(self, dpt: DynamicPartitionTree) -> None:  # requires-lock: _lock
         """Record per-leaf baseline variances for a (new) tree."""
-        self.state.baseline = {
-            leaf.node_id: self.oracle.max_variance(leaf.rect).variance
-            for leaf in dpt.leaves}
+        self._pos = {leaf: i for i, leaf in enumerate(dpt.leaves)}
+        self._lo = np.array([leaf.rect.lo for leaf in dpt.leaves])
+        self._hi = np.array([leaf.rect.hi for leaf in dpt.leaves])
+        self.pool_changed(None)
+        self.state.baseline = {leaf.node_id: self.leaf_variance(leaf)
+                               for leaf in dpt.leaves}
         self.state.updates_since_check = 0
         self.state.updates_since_repartition = 0
 
-    def current_max_variance(self, dpt: DynamicPartitionTree) -> float:
+    def pool_changed(self, coords: Optional[np.ndarray]) -> None:  # requires-lock: _lock
+        """Account one mutating call on ``oracle.index``.
+
+        ``coords`` holds the ``(n, d)`` points that call added or
+        removed; ``None`` (index replaced, tree changed) drops the memo.
+        """
+        version = self.oracle.index.version
+        if coords is None or version != self._version + 1 or \
+                not self.oracle.rect_local:
+            self._memo = [None] * len(self._pos)
+        else:
+            # "not outside" rather than "inside": a NaN coordinate then
+            # dirties every leaf, a superset of what report() returns.
+            pts = coords[:, None, :]
+            outside = ((pts < self._lo) | (pts > self._hi)).any(axis=2)
+            for i in np.flatnonzero(~outside.all(axis=0)).tolist():
+                self._memo[i] = None
+        self._version = version
+
+    def leaf_variance(self, leaf: DPTNode) -> float:  # requires-lock: _lock
+        """``M_i'``: the leaf's max variance under the current samples."""
+        i = self._pos.get(leaf)
+        if i is None:                    # not a leaf of the rebased tree
+            return self.oracle.max_variance(leaf.rect).variance
+        if self.oracle.index.version != self._version:
+            self.pool_changed(None)
+        var = self._memo[i]
+        if var is None:
+            var = self._memo[i] = \
+                self.oracle.max_variance(leaf.rect).variance
+        return var
+
+    def current_max_variance(self, dpt: DynamicPartitionTree) -> float:  # requires-lock: _lock
         """M(R): worst leaf variance under the current samples."""
-        return max((self.oracle.max_variance(leaf.rect).variance
-                    for leaf in dpt.leaves), default=0.0)
+        return max((self.leaf_variance(leaf) for leaf in dpt.leaves),
+                   default=0.0)
 
     # ------------------------------------------------------------------ #
-    def on_update(self, dpt: DynamicPartitionTree,
+    def on_update(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
                   leaf: DPTNode) -> TriggerAction:
         """Called after every insert/delete routed to ``leaf``."""
         return self.on_update_batch(dpt, ((leaf, 1),))
 
-    def on_update_batch(self, dpt: DynamicPartitionTree,
+    def on_update_batch(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
                         leaf_counts: Iterable[Tuple[DPTNode, int]]
                         ) -> TriggerAction:
         """Account a whole update batch in one call.
@@ -110,6 +165,7 @@ class RepartitionTrigger:
         if self.state.updates_since_check < cfg.check_every:
             return TriggerAction.NONE
         self.state.updates_since_check %= cfg.check_every
+        self.state.n_checks += 1
         for leaf, _ in leaf_counts:
             if self._under_represented(leaf) or \
                     self._variance_drifted(leaf):
@@ -124,11 +180,11 @@ class RepartitionTrigger:
                 sample_rate=1.0, pool_size=max(len(self.oracle.index), 2))
         return self.strata.stratum_size(leaf.node_id) < floor
 
-    def _variance_drifted(self, leaf: DPTNode) -> bool:
+    def _variance_drifted(self, leaf: DPTNode) -> bool:  # requires-lock: _lock
         baseline = self.state.baseline.get(leaf.node_id)
         if baseline is None:
             return False
-        current = self.oracle.max_variance(leaf.rect).variance
+        current = self.leaf_variance(leaf)
         beta = self.config.beta
         if baseline <= 0:
             return current > 0
@@ -145,3 +201,12 @@ class RepartitionTrigger:
         if old_max_variance <= 0:
             return False
         return new_max_variance < old_max_variance / self.config.beta
+
+    def confirm_rects(self, rects: Iterable[Rectangle],
+                      old_max_variance: float) -> bool:
+        """:meth:`confirm` on ``max(M(r) for r in rects)``, stopping at
+        the first rectangle whose variance alone decides a rejection."""
+        old = old_max_variance
+        return self.confirm(0.0, old) and all(
+            self.confirm(self.oracle.max_variance(rect).variance, old)
+            for rect in rects)

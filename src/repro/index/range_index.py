@@ -140,6 +140,9 @@ class RangeIndex:
         self._n_dead = 0
         self._size_at_build = 0
         self._root = _KDNode()
+        #: Bumped once by every call that changes the point set, so a
+        #: cache over query results can tell it missed a mutation.
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -181,6 +184,7 @@ class RangeIndex:
         self._n_slots += 1
         self._idx_of[tid] = idx
         self._n_live += 1
+        self.version += 1
         self._insert_into_tree(idx)
         self._maybe_rebuild()
 
@@ -227,6 +231,7 @@ class RangeIndex:
         self._alive[lo:lo + n] = True
         self._n_slots += n
         self._n_live += n
+        self.version += 1
         if n >= max(_MIN_BULK_REBUILD,
                     int(_BULK_REBUILD_FRACTION * self._n_live)):
             self.rebuild()          # rebuilds the tid map itself
@@ -246,6 +251,7 @@ class RangeIndex:
         self._alive[idx] = False
         self._n_live -= 1
         self._n_dead += 1
+        self.version += 1
         self._remove_from_tree(idx)
         self._maybe_rebuild()
         return True
@@ -272,6 +278,7 @@ class RangeIndex:
             self._remove_from_tree(idx)
             removed += 1
         if removed:
+            self.version += 1
             self._maybe_rebuild()
         return removed
 

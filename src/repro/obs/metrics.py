@@ -114,6 +114,12 @@ CATALOG = {
                       "engine lock."),
     "janus_engine_repartition_seconds":
         ("histogram", "Partial repartition duration."),
+    "janus_engine_trigger_checks_total":
+        ("counter", "Drift checks that came due, by outcome (none / "
+                    "rejected / committed / forced)."),
+    "janus_engine_candidate_eval_seconds":
+        ("histogram", "Candidate evaluation (M(R), R', commit test) "
+                      "under the engine lock."),
     "janus_engine_rebalance_seconds":
         ("histogram", "Cross-shard rebalance duration."),
     # ---- routing (owned by RoutingStats) ----

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -95,6 +95,8 @@ class PrefixStats:
     """Prefix sums over samples sorted by their 1-D key.
 
     ``bucket [i, j)`` statistics and max-variance estimates in O(1)/O(j-i).
+    The scalar oracles read list copies of the prefix arrays: the same
+    IEEE doubles, without a numpy scalar round trip per probe.
     """
 
     def __init__(self, values: np.ndarray) -> None:
@@ -102,26 +104,33 @@ class PrefixStats:
         self.m = values.shape[0]
         self.p1 = np.concatenate([[0.0], np.cumsum(values)])
         self.p2 = np.concatenate([[0.0], np.cumsum(values * values)])
+        self._p1: List[float] = self.p1.tolist()
+        self._p2: List[float] = self.p2.tolist()
 
     def stats(self, i: int, j: int) -> Tuple[int, float, float]:
-        return j - i, float(self.p1[j] - self.p1[i]), \
-            float(self.p2[j] - self.p2[i])
+        return j - i, self._p1[j] - self._p1[i], self._p2[j] - self._p2[i]
 
     # -- oracles ------------------------------------------------------- #
     def max_var_count(self, i: int, j: int, pop_ratio: float) -> float:
         return count_query_variance(pop_ratio, j - i)
 
     def max_var_sum(self, i: int, j: int, pop_ratio: float) -> float:
-        """Median half-split oracle (1/4-approximation)."""
+        """Median half-split oracle (1/4-approximation):
+        :func:`sum_query_variance` of each half, written out operation
+        for operation (the 1-D partitioner probes it thousands of times
+        per partitioning)."""
         m_b = j - i
         if m_b <= 1:
             return 0.0
         mid = i + m_b // 2
-        best = 0.0
-        for lo, hi in ((i, mid), (mid, j)):
-            _, s, s2 = self.stats(lo, hi)
-            best = max(best, sum_query_variance(pop_ratio, m_b, s, s2))
-        return best
+        p1, p2 = self._p1, self._p2
+        n_b = pop_ratio * m_b
+        scale = (n_b * n_b) / (m_b ** 3)
+        s, s2 = p1[mid] - p1[i], p2[mid] - p2[i]
+        left = scale * (m_b * s2 - s * s)
+        s, s2 = p1[j] - p1[mid], p2[j] - p2[mid]
+        right = scale * (m_b * s2 - s * s)
+        return max(0.0, left, right)
 
     def max_var_avg(self, i: int, j: int, window: int) -> float:
         """Best delta*m-sample window inside the bucket (vectorized)."""
@@ -177,6 +186,12 @@ class MaxVarOracle:
 
     def _window(self) -> int:
         return max(4, int(self.delta * max(len(self.index), 1)))
+
+    @property
+    def rect_local(self) -> bool:
+        """Whether ``M(R)`` depends on the pool only through the points
+        inside ``R`` (AVG also reads the pool size and the index cells)."""
+        return self.agg is not AggFunc.AVG
 
     def max_variance(self, rect: Rectangle) -> MaxVarResult:
         if self.agg is AggFunc.COUNT:

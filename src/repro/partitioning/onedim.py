@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,9 +72,17 @@ class OneDimPartitioner:
         prefix = PrefixStats(values)
         window = max(4, int(self.delta * m))
 
+        # A ladder step re-probes many of the buckets earlier steps
+        # did (every first bucket, and every run they agree on).
+        memo: Dict[int, float] = {}
+
         def bucket_error(i: int, j: int) -> float:
-            var = prefix.max_var(i, j, self.agg, pop_ratio, window)
-            return math.sqrt(max(var, 0.0))
+            key = i * (m + 1) + j
+            err = memo.get(key)
+            if err is None:
+                var = prefix.max_var(i, j, self.agg, pop_ratio, window)
+                err = memo[key] = math.sqrt(max(var, 0.0))
+            return err
 
         hi_err = bucket_error(0, m)          # one bucket: the worst case
         if hi_err <= 0.0:

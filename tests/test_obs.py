@@ -304,3 +304,47 @@ def test_log_event_emits_one_json_line():
     assert event["duration_ms"] == 12.5
     assert event["trace_id"] is None
     assert isinstance(event["ts"], float)
+
+
+# ---------------------------------------------------------------------- #
+# write path: trigger checks and candidate evaluations
+# ---------------------------------------------------------------------- #
+
+
+def test_engine_emits_trigger_check_and_candidate_eval_families():
+    from repro.core.janus import JanusAQP, JanusConfig
+    from repro.core.table import Table
+    from repro.datasets.synthetic import nyc_taxi
+
+    ds = nyc_taxi(n=9000, seed=1)
+    table = Table(ds.schema)
+    table.insert_many(ds.data[:6000])
+    reg = MetricsRegistry()
+    engine = JanusAQP(table, "fare", ("pickup_time",),
+                      config=JanusConfig(k=48, sample_rate=0.03, seed=2,
+                                         repartition_every=2500),
+                      metrics=reg, metrics_labels={"shard": "3"})
+    engine.initialize()
+    for b in range(40):
+        engine.insert_many(ds.data[6000 + 72 * b:6000 + 72 * (b + 1)])
+
+    families = parse_exposition(render_exposition(reg))
+    checks = families["janus_engine_trigger_checks_total"]
+    assert checks["type"] == "counter"
+    by_outcome = {s[1]["outcome"]: s[2] for s in checks["samples"]}
+    assert all(s[1]["shard"] == "3" for s in checks["samples"])
+    assert set(by_outcome) == {"none", "rejected", "committed", "forced"}
+    state = engine.trigger.state
+    assert by_outcome["forced"] == state.n_forced == 1
+    assert by_outcome["rejected"] > 0 and by_outcome["committed"] > 0
+    assert by_outcome["rejected"] + by_outcome["committed"] == \
+        state.n_candidates
+    assert sum(by_outcome.values()) == state.n_checks + state.n_forced
+    assert by_outcome["committed"] + by_outcome["forced"] == \
+        engine.n_repartitions
+
+    evals = families["janus_engine_candidate_eval_seconds"]
+    assert evals["type"] == "histogram"
+    count = [s for s in evals["samples"] if s[0].endswith("_count")][0]
+    assert count[1] == {"shard": "3"}
+    assert count[2] == state.n_candidates

@@ -140,3 +140,69 @@ class TestConfirm:
                                 old_max_variance=100.0)
         assert not trig.confirm(new_max_variance=0.0,
                                 old_max_variance=0.0)
+
+
+class TestLifetimeCounters:
+    """The engine keeps ONE trigger: ``n_checks`` / ``n_candidates`` /
+    ``n_forced`` are lifetime counts, not per-tree counts (they used to
+    restart from 0 at every install)."""
+
+    def _engine(self, **cfg):
+        from repro.core.janus import JanusAQP, JanusConfig
+        from repro.core.table import Table
+        from repro.datasets.synthetic import nyc_taxi
+        ds = nyc_taxi(n=12_000, seed=1)
+        table = Table(ds.schema)
+        table.insert_many(ds.data[:6000])
+        engine = JanusAQP(table, "fare", ("pickup_time",),
+                          config=JanusConfig(k=48, sample_rate=0.03,
+                                             seed=2, **cfg))
+        engine.initialize()
+        return engine, ds
+
+    def test_counts_survive_every_kind_of_repartition(self, tmp_path):
+        from repro.core.persist import load_synopsis, save_synopsis
+        from repro.core.repartition import partial_repartition
+        engine, ds = self._engine()
+        trigger = engine.trigger
+        seen = [(0, 0)]
+
+        def step():
+            state = engine.trigger.state
+            assert engine.trigger is trigger
+            assert state.n_checks >= seen[-1][0]
+            assert state.n_candidates >= seen[-1][1]
+            seen.append((state.n_checks, state.n_candidates))
+
+        for b in range(30):       # this trace auto-repartitions early
+            engine.insert_many(ds.data[6000 + 72 * b:6000 + 72 * (b + 1)])
+            step()
+        assert engine.n_repartitions >= 1
+        assert seen[-1][1] > engine.n_repartitions    # and rejects some
+        engine.reoptimize()
+        step()
+        partial_repartition(engine, engine.dpt.leaves[5], psi=2)
+        step()
+        path = str(tmp_path / "syn.npz")
+        save_synopsis(engine, path)
+        restored = load_synopsis(path, engine.table)
+        state = restored.trigger.state
+        assert (state.n_checks, state.n_candidates, state.n_forced) == \
+            (seen[-1][0], seen[-1][1], 0)
+        restored.insert_many(ds.data[9000:9300])
+        assert restored.trigger.state.n_checks > seen[-1][0]
+
+    def test_stagger_offset_lands_on_the_live_trigger(self):
+        from repro.core.placement import stagger_trigger
+        engine, ds = self._engine(repartition_every=1000,
+                                  auto_repartition=False)
+        stagger_trigger(engine, 1, 4)       # 250 of the 1000 already "used"
+        trigger = engine.trigger
+        assert trigger.state.updates_since_repartition == 250
+        engine.insert_many(ds.data[6000:6740])
+        assert (trigger.state.n_forced, engine.n_repartitions) == (0, 0)
+        engine.insert_many(ds.data[6740:6750])          # 750th update
+        assert (trigger.state.n_forced, engine.n_repartitions) == (1, 1)
+        assert engine.trigger is trigger
+        engine.insert_many(ds.data[6750:7750])          # a full period
+        assert (trigger.state.n_forced, engine.n_repartitions) == (2, 2)
