@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
 from .node import DPTNode
@@ -149,12 +150,17 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
     return payload
 
 
-def load_synopsis(path: str, table: Table) -> JanusAQP:
+def load_synopsis(path: str, table: Table,
+                  metrics: Optional[MetricsRegistry] = None,
+                  metrics_labels: Optional[Dict[str, str]] = None
+                  ) -> JanusAQP:
     """Restore a synopsis saved by :func:`save_synopsis`.
 
     ``table`` must be the same archival store (or a restored copy with
     the same schema and tids); pool members whose tuples no longer exist
-    are dropped.
+    are dropped.  ``metrics`` / ``metrics_labels`` go to the engine's
+    constructor (a restored shard registers its series on its
+    coordinator's registry, like a freshly built one).
     """
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
@@ -168,7 +174,8 @@ def load_synopsis(path: str, table: Table) -> JanusAQP:
         config = JanusConfig(**cfg_dict)
         janus = JanusAQP(table, meta["agg_attr"],
                          meta["predicate_attrs"], config=config,
-                         stat_attrs=meta["stat_attrs"])
+                         stat_attrs=meta["stat_attrs"], metrics=metrics,
+                         metrics_labels=metrics_labels)
         janus.n_repartitions = int(meta["n_repartitions"])
 
         # ---- rebuild the node graph ---------------------------------- #
@@ -488,19 +495,23 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             tables=restored)
 
 
-def _restore_shard(src: Path, manifest: ShardedManifest,
-                   shard_id: int) -> LocalShard:
+def _restore_shard(src: Path, manifest: ShardedManifest, shard_id: int,
+                   metrics: Optional[MetricsRegistry] = None
+                   ) -> LocalShard:
     """Rebuild one shard of a parsed manifest (its table must have been
     requested from :func:`read_sharded_manifest`).
 
     Over the restored archival table: the synopsis (when the shard was
     initialized) and the staggered forced-repartition offset; an
     uninitialized shard comes back as a fresh engine over its restored
-    rows and initializes lazily on its first insert.
+    rows and initializes lazily on its first insert.  Either way the
+    engine's series land on ``metrics`` labelled ``shard=<id>``.
     """
     table = manifest.tables[shard_id]
+    labels = {"shard": str(shard_id)}
     if manifest.initialized[shard_id]:
-        engine = load_synopsis(str(src / f"shard{shard_id}.npz"), table)
+        engine = load_synopsis(str(src / f"shard{shard_id}.npz"), table,
+                               metrics=metrics, metrics_labels=labels)
         stagger_trigger(engine, shard_id, manifest.placement.n_shards)
     else:
         config = manifest.config
@@ -508,11 +519,13 @@ def _restore_shard(src: Path, manifest: ShardedManifest,
             table, manifest.agg_attr, manifest.predicate_attrs,
             config=dataclasses.replace(config,
                                        seed=config.seed + shard_id),
-            stat_attrs=manifest.stat_attrs)
+            stat_attrs=manifest.stat_attrs, metrics=metrics,
+            metrics_labels=labels)
     return LocalShard(engine, shard_id, manifest.placement.n_shards)
 
 
-def load_shard(dir_path: Union[str, Path], shard_id: int) -> LocalShard:
+def load_shard(dir_path: Union[str, Path], shard_id: int,
+               metrics: Optional[MetricsRegistry] = None) -> LocalShard:
     """Warm-start one shard of a :func:`save_sharded` snapshot.
 
     The fleet's worker processes each restore exactly one shard without
@@ -524,7 +537,8 @@ def load_shard(dir_path: Union[str, Path], shard_id: int) -> LocalShard:
     shard_id = int(shard_id)
     return _restore_shard(
         Path(dir_path),
-        read_sharded_manifest(dir_path, tables=(shard_id,)), shard_id)
+        read_sharded_manifest(dir_path, tables=(shard_id,)), shard_id,
+        metrics)
 
 
 def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
@@ -543,7 +557,8 @@ def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
     sharded = ShardedJanusAQP.__new__(ShardedJanusAQP)
     sharded._assemble(m.schema, m.agg_attr, m.predicate_attrs,
                       m.stat_attrs, m.config, m.route_attr, m.placement,
-                      m.summaries, lambda s: _restore_shard(src, m, s))
+                      m.summaries,
+                      lambda s: _restore_shard(src, m, s, sharded.metrics))
     if m.summaries is None:
         # v1 snapshots predate the router: rebuild each summary
         # exactly from the shard's restored live rows.

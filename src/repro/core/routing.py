@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +68,9 @@ class ShardSummary:
 
     Thread safety: mutators and :meth:`refresh` serialize on an internal
     lock.  The planner reads without the lock - every field it reads is
-    replaced atomically (numpy array rebinds) and both signals are
+    replaced atomically (numpy array rebinds; the bin edges, the
+    histogram and its prefix sums rebind together, as one tuple) and
+    both signals are
     one-sided, so a torn read can only make the router *less* eager,
     never unsound, provided the coordinator orders maintenance
     conservatively (count rows before they die, after they are born).
@@ -87,7 +90,8 @@ class ShardSummary:
         #: ``(n_attrs, n_bins + 1)`` fixed bin edges, or ``None`` until
         #: the first rows arrive.  Edges only change on :meth:`refresh`.
         self.edges: Optional[np.ndarray] = None  # guarded-by: _lock
-        self.counts = np.zeros((n_attrs, n_bins), dtype=np.int64)  # guarded-by: _lock
+        with self._lock:
+            self._set_counts(np.zeros((n_attrs, n_bins), dtype=np.int64))
         #: Set when non-finite predicate values were seen; the summary
         #: then refuses to prune until a refresh re-establishes order.
         self.tainted = False  # guarded-by: _lock
@@ -95,6 +99,21 @@ class ShardSummary:
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
+    @property
+    def counts(self) -> np.ndarray:
+        """``(n_attrs, n_bins)`` exact live counts per histogram bin."""
+        return self._hist[1]  # lock-free-read: atomic rebind snapshot
+
+    def _set_counts(self, counts: np.ndarray) -> None:  # requires-lock: _lock
+        """Adopt a histogram over the current edges, together with its
+        per-attribute prefix sums (``csum[j, i]`` = rows in bins
+        ``< i``): the upkeep pays one ``cumsum`` per mutation so the
+        planner pays none per call, and the planner takes edges, counts
+        and sums from a single rebind - never sums over other edges."""
+        csum = np.zeros((self.n_attrs, self.n_bins + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=csum[:, 1:])
+        self._hist = (self.edges, counts, csum)  # guarded-by: _lock
+
     def _bin_of(self, coords: np.ndarray) -> np.ndarray:  # requires-lock: _lock
         """Bin index per (row, attr), clamped into the edge bins."""
         idx = np.empty(coords.shape, dtype=np.intp)
@@ -122,11 +141,11 @@ class ShardSummary:
             self.n_live += sign * coords.shape[0]
             if self.edges is not None:
                 idx = self._bin_of(coords)
-                counts = self.counts.copy()
+                counts = self._hist[1].copy()
                 for j in range(self.n_attrs):
                     counts[j] += sign * np.bincount(
                         idx[:, j], minlength=self.n_bins)
-                self.counts = counts
+                self._set_counts(counts)
 
     def add(self, coords: np.ndarray) -> None:
         """Count newly live rows' predicate coordinates (after insert)."""
@@ -163,8 +182,8 @@ class ShardSummary:
                 self.lo = np.full(self.n_attrs, np.inf)
                 self.hi = np.full(self.n_attrs, -np.inf)
                 self.edges = None
-                self.counts = np.zeros((self.n_attrs, self.n_bins),
-                                       dtype=np.int64)
+                self._set_counts(np.zeros((self.n_attrs, self.n_bins),
+                                          dtype=np.int64))
                 self.tainted = False
                 return
             if not np.isfinite(coords).all():
@@ -177,7 +196,7 @@ class ShardSummary:
             counts = np.zeros((self.n_attrs, self.n_bins), dtype=np.int64)
             for j in range(self.n_attrs):
                 counts[j] = np.bincount(idx[:, j], minlength=self.n_bins)
-            self.counts = counts
+            self._set_counts(counts)
             self.tainted = False
 
     # ------------------------------------------------------------------ #
@@ -199,9 +218,9 @@ class ShardSummary:
         # are one-sided, so a torn read only prunes less.
         if self.n_live <= 0:  # lock-free-read: one-sided planner probe
             return np.zeros(nq, dtype=bool)
-        if self.tainted or self.edges is None:  # lock-free-read: one-sided planner probe
+        edges, _, csum = self._hist  # lock-free-read: atomic rebind snapshot
+        if self.tainted or edges is None:  # lock-free-read: one-sided planner probe
             return np.ones(nq, dtype=bool)
-        edges, counts = self.edges, self.counts  # lock-free-read: atomic rebind snapshot
         # Bounding-interval test per attribute: disjoint anywhere kills
         # the conjunction.
         lo_ok = hi >= self.lo  # lock-free-read: one-sided planner probe
@@ -211,15 +230,14 @@ class ShardSummary:
             return may
         # Histogram test: a query overlaps bins [i0, i1] per attribute
         # (boundary bins reach +-inf, covering values clamped past the
-        # edges); all-zero overlap on any attribute proves emptiness.
-        csum = np.zeros((self.n_attrs, self.n_bins + 1), dtype=np.int64)
-        np.cumsum(counts, axis=1, out=csum[:, 1:])
+        # edges - so a bound's bin is its rank among the *interior*
+        # edges, already in range); all-zero overlap on any attribute
+        # proves emptiness.
         for j in range(self.n_attrs):
-            i0 = np.searchsorted(edges[j], lo[:, j], side="right") - 1
-            i1 = np.searchsorted(edges[j], hi[:, j], side="right") - 1
-            i0 = np.clip(i0, 0, self.n_bins - 1)
-            i1 = np.clip(i1, 0, self.n_bins - 1)
-            may &= (csum[j, i1 + 1] - csum[j, i0]) > 0
+            inner = edges[j, 1:-1]
+            i0 = np.searchsorted(inner, lo[:, j], side="right")
+            i1 = np.searchsorted(inner, hi[:, j], side="right")
+            may &= csum[j, i1 + 1] > csum[j, i0]
         return may
 
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> str:
@@ -260,7 +278,7 @@ class ShardSummary:
                 "hi": self.hi.copy(),
                 "edges": (self.edges.copy() if has_edges else
                           np.zeros((self.n_attrs, 0))),
-                "counts": self.counts.copy(),
+                "counts": self._hist[1].copy(),
             }
 
     @classmethod
@@ -276,8 +294,9 @@ class ShardSummary:
         if has_edges:
             summary.edges = np.asarray(arrays["edges"],
                                        dtype=np.float64).copy()
-        summary.counts = np.asarray(arrays["counts"],
-                                    dtype=np.int64).copy()
+        with summary._lock:
+            summary._set_counts(np.asarray(arrays["counts"],
+                                           dtype=np.int64).copy())
         summary.tainted = bool(tainted)
         return summary
 
@@ -314,16 +333,11 @@ class RoutingStats:
     def record(self, touched: Sequence[int], n_live: int,
                routed: bool) -> None:
         """Fold one planned batch: ``touched[i]`` shards for query i."""
-        touched = np.asarray(touched, dtype=np.int64)
-        counts = np.bincount(np.minimum(touched, self.n_shards),
-                             minlength=self.n_shards + 1)
-        nq = int(touched.shape[0])
-        pruned = int(nq * n_live - touched.sum())
+        nq = len(touched)
         self._c_queries.inc(nq)
-        self._c_pruned.inc(max(0, pruned))
-        for k, c in enumerate(counts):
-            if c:
-                self._c_touched[k].inc(int(c))
+        self._c_pruned.inc(max(0, nq * n_live - sum(touched)))
+        for k, c in Counter(touched).items():
+            self._c_touched[min(k, self.n_shards)].inc(c)
         if routed:
             self._c_routed.inc(nq)
         else:

@@ -48,12 +48,15 @@ lock, then one shard's ``lock`` (held across a shard mutation *and* its
 routing-summary upkeep), then the summary's own lock - the table in
 ``docs/ARCHITECTURE.md`` says what each guards.
 
-Fan-out uses a thread pool: each shard's hot path is numpy under a
-per-shard lock and releases the GIL inside the array kernels, so
-multi-core hosts overlap shard work, while the coordinator itself holds
-no global lock on the data path.  Shards are seeded with distinct RNG
-streams (``config.seed + shard id``) so their sample pools are
-independent.
+The seam also decides how a data-path call reaches its shards
+(``blocks_on_io``): a :class:`LocalShard`'s ``query`` / ``insert`` /
+``delete`` are GIL-bound Python, which a thread hop can only slow down,
+so they run inline on the caller's thread in shard order; a
+``RemoteShard`` call blocks on a socket while another interpreter does
+the work, so those overlap on a thread pool.  Either way the
+coordinator holds no global lock on the data path.  Shards are seeded
+with distinct RNG streams (``config.seed + shard id``) so their sample
+pools are independent.
 
 Because the shards partition the population, the merged estimates are
 unbiased whenever the per-shard estimates are, and the combined
@@ -93,6 +96,11 @@ class LocalShard:
     run the identical ingest sequence (insert, lazy first build with
     the staggered trigger offset, repartition flag).
     """
+
+    #: Seam fact the coordinator's dispatch reads: calls on this shard
+    #: never wait on I/O (they are GIL-bound Python), so overlapping
+    #: them on threads buys nothing and they run inline.
+    blocks_on_io = False
 
     def __init__(self, engine: JanusAQP, shard_id: int,
                  n_shards: int) -> None:
@@ -260,12 +268,14 @@ class ShardedJanusAQP:
         first insert batch (the documented seed-then-initialize flow),
         so a representative seed yields balanced shards.
     max_workers:
-        Thread-pool width for the fan-out (default: ``n_shards`` capped
-        at ``os.cpu_count()`` - more fan-out threads than cores only
-        adds context switching under the GIL).
+        Thread-pool width for the pooled fan-outs - the first builds of
+        :meth:`initialize`, and every data-path call of a coordinator
+        whose shards block on I/O (default: ``n_shards`` capped at
+        ``os.cpu_count()`` - more fan-out threads than cores only adds
+        context switching under the GIL).
     """
 
-    #: The fan-out thread pool, created on the first multi-shard call.
+    #: The fan-out thread pool, created on the first pooled fan-out.
     _pool: Optional[ThreadPoolExecutor] = None
 
     def __init__(self, schema: Sequence[str], agg_attr: str,
@@ -369,6 +379,9 @@ class ShardedJanusAQP:
         self._max_workers = max_workers or min(self.n_shards,
                                                os.cpu_count() or 1)
         self._shards = [make_shard(s) for s in range(self.n_shards)]
+        #: Fan-outs hop to the pool only when a shard would block the
+        #: caller on I/O (see ``LocalShard.blocks_on_io``).
+        self._pooled = any(shard.blocks_on_io for shard in self._shards)
         self.table = _TableView(self)
 
     @property
@@ -406,10 +419,16 @@ class ShardedJanusAQP:
         return pool
 
     def _fan_out(self, fn: Callable[[int], object],
-                 shard_ids: Sequence[int]) -> List[object]:
-        """Run ``fn(shard_id)`` per shard, in parallel, results in order."""
+                 shard_ids: Sequence[int],
+                 pooled: Optional[bool] = None) -> List[object]:
+        """Run ``fn(shard_id)`` per shard, results in ``shard_ids``
+        order: overlapped on the pool when ``pooled`` (default: when
+        the shards block on I/O), else inline on the caller's thread,
+        one shard after the other."""
         shard_ids = list(shard_ids)
-        if len(shard_ids) <= 1:
+        if pooled is None:
+            pooled = self._pooled
+        if len(shard_ids) <= 1 or not pooled:
             return [fn(s) for s in shard_ids]
         pool = self._executor()
         futures = [pool.submit(fn, s) for s in shard_ids]
@@ -490,7 +509,7 @@ class ShardedJanusAQP:
             with shard.lock:
                 return shard.initialize()
 
-        return self._fan_out(build, range(self.n_shards))
+        return self._fan_out(build, range(self.n_shards), pooled=True)
 
     def reoptimize(self) -> List[Optional[ReoptReport]]:
         """Staggered re-initialization: one shard rebuilds at a time.
@@ -707,19 +726,15 @@ class ShardedJanusAQP:
         for qi, contrib in enumerate(asked):
             for s in contrib:
                 by_shard[s].append(qi)
-        work = [(s, qis) for s, qis in by_shard.items() if qis]
+        work = [s for s in live if by_shard[s]]
 
-        def run(w: int) -> List[QueryResult]:
-            s, qis = work[w]
-            return self._shards[s].query([queries[qi] for qi in qis],
-                                         obs, parent)
+        def run(s: int) -> dict:
+            qis = by_shard[s]
+            return dict(zip(qis, self._shards[s].query(
+                [queries[qi] for qi in qis], obs, parent)))
 
-        batches = self._fan_out(run, range(len(work)))
-        answers = {}
-        for (s, qis), batch in zip(work, batches):
-            for pos, qi in enumerate(qis):
-                answers[(s, qi)] = batch[pos]
-        return lambda s, qi: answers[(s, qi)]
+        answers = dict(zip(work, self._fan_out(run, work)))
+        return lambda s, qi: answers[s][qi]
 
     def routing_stats(self) -> dict:
         """Cumulative router counters (see

@@ -87,7 +87,17 @@ CATALOG = {
     "janus_service_batch_flush_full_total":
         ("counter", "Flushes triggered by a full batch."),
     "janus_service_batch_flush_linger_total":
-        ("counter", "Flushes triggered by the linger timer."),
+        ("counter", "Flushes triggered by the linger deadline behind "
+                    "a busy lane."),
+    "janus_service_batch_flush_idle_total":
+        ("counter", "Flushes that left at once because nothing was "
+                    "in flight."),
+    "janus_service_batch_flush_drain_total":
+        ("counter", "Flushes released by an in-flight batch "
+                    "completing."),
+    "janus_service_batch_wait_seconds":
+        ("histogram", "Time a query sat parked before its engine call "
+                      "started."),
     "janus_service_batch_isolated_total":
         ("counter", "Queries re-run solo after a poisoned batch."),
     "janus_service_cache_hits_total":

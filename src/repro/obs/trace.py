@@ -34,8 +34,8 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Dict, Iterator, List, Optional
 
 from collections import deque
 
@@ -233,15 +233,16 @@ class Tracer:
             return list(self._traces)
 
 
-@contextmanager
+#: What an untraced ``maybe_span`` hands back (``as`` target: ``None``).
+_NO_SPAN = nullcontext()
+
+
 def maybe_span(ctx: Optional[TraceContext], name: str,
                parent: object = _UNSET,
-               **tags: object) -> Iterator[Optional[dict]]:
+               **tags: object) -> ContextManager[Optional[dict]]:
     """``ctx.span`` when tracing, a free no-op when ``ctx`` is None -
     lets engine code carry instrumentation with zero overhead on the
     untraced hot path."""
     if ctx is None:
-        yield None
-        return
-    with ctx.span(name, parent=parent, **tags) as span:
-        yield span
+        return _NO_SPAN
+    return ctx.span(name, parent=parent, **tags)

@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-batch", type=int, default=64,
                         help="micro-batch size cap")
     parser.add_argument("--linger-ms", type=float, default=2.0,
-                        help="micro-batch linger deadline")
+                        help="longest a query may wait parked behind "
+                             "a busy engine lane")
     parser.add_argument("--cache-size", type=int, default=256,
                         help="result-cache entries per template")
     parser.add_argument("--no-cache", action="store_true",

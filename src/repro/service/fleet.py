@@ -119,6 +119,11 @@ class RemoteShard:
     hands back).
     """
 
+    #: Seam fact the coordinator's dispatch reads: every call here
+    #: waits on a socket while the worker's interpreter does the work,
+    #: so calls to several shards overlap on the coordinator's pool.
+    blocks_on_io = True
+
     def __init__(self, snapshot: Union[str, Path], shard_id: int,
                  next_local: int, n_live: int, initialized: bool,
                  n_pred_attrs: int, timeout: float = 120.0,

@@ -384,14 +384,18 @@ class AQPServer:
             # TOPK clients want the members, not just the covered mass;
             # the item list rides next to the standard envelope (decoded
             # from the answer's own sketch blob, so it is exactly the
-            # state the estimate came from).
+            # state the estimate came from).  Decoded once per answer:
+            # the list stays with the (cacheable) result, so a cache
+            # hit does no sketch work.
             if query.agg is AggFunc.TOPK:
-                blob = results[i].details.get(SKETCH_KEY)
-                if blob is not None:
-                    sketch = sketch_from_bytes(blob)
-                    payloads[i]["topk"] = [
+                details = results[i].details
+                if "topk" not in details and SKETCH_KEY in details:
+                    sketch = sketch_from_bytes(details[SKETCH_KEY])
+                    details["topk"] = [
                         [float(value), int(count)] for value, count
                         in sketch.top(int(query.param))]
+                if "topk" in details:
+                    payloads[i]["topk"] = details["topk"]
         return payloads, cached
 
     async def _execute_traced(self, queries: List[Query],

@@ -237,6 +237,48 @@ def test_lock_pass_detects_ordering_cycle():
     assert ("Pair._a_lock", "Pair._b_lock") in edges
 
 
+LOCKS_INLINE_CLOSURE = textwrap.dedent('''\
+    import threading
+
+    class Pair:
+        def __init__(self):
+            self._a_lock = threading.Lock()
+            self._b_lock = threading.Lock()
+
+        def each(self, fn):
+            fn()
+
+        def forward(self):
+            def work():
+                with self._b_lock:
+                    pass
+            with self._a_lock:
+                self.each(work)
+
+        def backward(self):
+            with self._b_lock:
+                with self._a_lock:
+                    pass
+    ''')
+
+
+def test_closure_passed_under_a_lock_orders_the_locks_it_takes():
+    """A dispatcher may run a closure inline (the sharded coordinator
+    does, over in-process shards): locks held where it is handed over
+    come before the ones it takes."""
+    project = Project.from_sources(
+        {"src/repro/core/x.py": LOCKS_INLINE_CLOSURE})
+    assert ("Pair._a_lock", "Pair._b_lock") in lock_order_edges(project)
+    assert has(check_locks(project), "JL203")
+    released = LOCKS_INLINE_CLOSURE.replace(
+        "        with self._a_lock:\n            self.each(work)",
+        "        with self._a_lock:\n            pass\n"
+        "        self.each(work)")
+    assert released != LOCKS_INLINE_CLOSURE
+    project = Project.from_sources({"src/repro/core/x.py": released})
+    assert not has(check_locks(project), "JL203")
+
+
 LOCKS_MULTI = textwrap.dedent('''\
     import threading
 

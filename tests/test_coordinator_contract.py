@@ -196,8 +196,14 @@ def test_scripted_interleaving_is_backend_independent(
     engine = open_engine(snapshot)
     try:
         transcript = run_script(engine, ds)
+        pooled = engine._pool is not None
     finally:
         engine.close()
+    # The seam decides dispatch: routed and broadcast queries, inserts,
+    # deletes and an auto-repartition never hop threads to reach
+    # in-process shards (no pool is ever built); worker shards, which
+    # block on a socket, overlap on the pool.
+    assert pooled == (open_engine is open_remote)
     assert [label for label, _ in transcript] == \
         [label for label, _ in reference]
     for (label, got), (_, want) in zip(transcript, reference):

@@ -348,3 +348,45 @@ def test_engine_emits_trigger_check_and_candidate_eval_families():
     count = [s for s in evals["samples"] if s[0].endswith("_count")][0]
     assert count[1] == {"shard": "3"}
     assert count[2] == state.n_candidates
+
+
+# ---------------------------------------------------------------------- #
+# micro-batcher: why a batch left, how long its members waited
+# ---------------------------------------------------------------------- #
+
+
+def test_batcher_emits_idle_and_drain_flush_and_wait_families():
+    import asyncio
+
+    from repro.service.batcher import MicroBatcher
+
+    reg = MetricsRegistry()
+    busy, release = threading.Event(), threading.Event()
+
+    def execute(queries):
+        busy.set()
+        assert release.wait(5.0)
+        return list(queries)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        batcher = MicroBatcher(execute, max_linger_ms=10_000.0,
+                               metrics=reg)
+        first = asyncio.ensure_future(batcher.submit("a"))   # idle
+        assert await loop.run_in_executor(None, busy.wait, 5.0)
+        behind = asyncio.ensure_future(batcher.submit("b"))  # drain
+        await asyncio.sleep(0)
+        release.set()
+        await asyncio.wait_for(asyncio.gather(first, behind), 5.0)
+        await batcher.close()
+
+    asyncio.run(scenario())
+    families = parse_exposition(render_exposition(reg))
+    for name in ("janus_service_batch_flush_idle_total",
+                 "janus_service_batch_flush_drain_total"):
+        assert families[name]["type"] == "counter"
+        assert [s[2] for s in families[name]["samples"]] == [1]
+    waits = families["janus_service_batch_wait_seconds"]
+    assert waits["type"] == "histogram"
+    count = [s for s in waits["samples"] if s[0].endswith("_count")][0]
+    assert count[2] == 2

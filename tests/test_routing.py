@@ -18,16 +18,21 @@ Pins the ISSUE 6 contract from three sides:
 """
 
 import math
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import JanusConfig, Query, QueryResult, Rectangle
 from repro.core.merge import (MOMENTS_KEY, N_Q_KEY, merge_results)
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, SKETCH_AGGS
-from repro.core.routing import RoutingStats, ShardSummary, plan_contributors
+from repro.core.routing import (RoutingStats, ShardSummary,
+                                plan_contributors, plan_query_subsets)
 from repro.core.sharded import ShardedJanusAQP
 
 # Sketch aggregates are whole-column by contract (no predicate
@@ -162,6 +167,160 @@ class TestShardSummary:
         plans = plan_contributors([s, None], [0, 1],
                                   np.array([[50.0]]), np.array([[60.0]]))
         assert plans == [[1]]   # shard 0 pruned, unknown shard 1 kept
+
+
+def frozen_may_contain_many(s, lo, hi):
+    """The planner's emptiness proof as it stood before the prefix sums
+    were kept (ISSUE 17): re-derives them from ``counts`` per call and
+    clamps bin indices with ``np.clip``.  The reference the live
+    :meth:`ShardSummary.may_contain_many` must agree with exactly."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    nq = lo.shape[0]
+    if s.n_live <= 0:
+        return np.zeros(nq, dtype=bool)
+    if s.tainted or s.edges is None:
+        return np.ones(nq, dtype=bool)
+    edges, counts = s.edges, s.counts
+    may = ((hi >= s.lo) & (lo <= s.hi)).all(axis=1)
+    if not may.any():
+        return may
+    csum = np.zeros((s.n_attrs, s.n_bins + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=csum[:, 1:])
+    for j in range(s.n_attrs):
+        i0 = np.searchsorted(edges[j], lo[:, j], side="right") - 1
+        i1 = np.searchsorted(edges[j], hi[:, j], side="right") - 1
+        i0 = np.clip(i0, 0, s.n_bins - 1)
+        i1 = np.clip(i1, 0, s.n_bins - 1)
+        may &= (csum[j, i1 + 1] - csum[j, i0]) > 0
+    return may
+
+
+def probe_rectangles(rng, s, live, n=24):
+    """Rectangles that stress the bin arithmetic: random spans, +-inf
+    sides, and bounds sitting exactly on bin edges / live values."""
+    d = s.n_attrs
+    pool = [np.array([-math.inf, math.inf, -50.0, 0.0, 150.0])]
+    if s.edges is not None:
+        pool.append(s.edges.ravel())
+    if len(live):
+        pool.append(live.ravel())
+    pool = np.concatenate(pool)
+    lo = rng.uniform(-20, 120, (n, d))
+    hi = lo + rng.uniform(0, 60, (n, d))
+    exact = rng.random((n, d))
+    lo = np.where(exact < 0.3, rng.choice(pool, (n, d)), lo)
+    hi = np.where(exact > 0.7, rng.choice(pool, (n, d)), hi)
+    return lo, hi
+
+
+SUMMARY_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add", "remove", "refresh",
+                               "roundtrip"]),
+              st.integers(0, 2 ** 16)),
+    min_size=1, max_size=12)
+
+
+class TestPlannerPrefixSums:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=SUMMARY_OPS, n_attrs=st.integers(1, 2),
+           n_bins=st.sampled_from([1, 2, 5, 32]))
+    def test_kept_sums_track_counts_and_decisions_match_the_reference(
+            self, ops, n_attrs, n_bins):
+        s = ShardSummary(n_attrs, n_bins=n_bins)
+        live = np.empty((0, n_attrs))
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            if op == "add":
+                rows = rng.uniform(0, 100, (int(rng.integers(1, 40)),
+                                            n_attrs))
+                if rng.random() < 0.3:      # drift past the edges
+                    rows += rng.choice([-300.0, 300.0])
+                s.add(rows)
+                live = np.concatenate([live, rows])
+            elif op == "remove" and len(live):
+                gone = rng.random(len(live)) < 0.5
+                s.remove(live[gone])
+                live = live[~gone]
+            elif op == "refresh":
+                s.refresh(live)
+            elif op == "roundtrip":
+                s = ShardSummary.from_state_arrays(s.state_arrays())
+            edges, counts, csum = s._hist
+            assert edges is s.edges and counts is s.counts
+            assert counts.sum(axis=1).tolist() == [len(live)] * n_attrs
+            assert np.array_equal(csum[:, 0], np.zeros(n_attrs))
+            assert np.array_equal(csum[:, 1:], np.cumsum(counts, axis=1))
+            lo, hi = probe_rectangles(rng, s, live)
+            assert np.array_equal(s.may_contain_many(lo, hi),
+                                  frozen_may_contain_many(s, lo, hi))
+
+    def test_planner_reads_stay_one_sided_while_writers_churn(self):
+        """A reader hammering the lock-free planner during add / remove
+        / refresh never raises and never prunes a shard that holds live
+        rows in the rectangle - the anchor rows below are live
+        throughout, so the reference keeps their shard at every moment;
+        once the writers stop, live and reference agree everywhere."""
+        rng = np.random.default_rng(5)
+        anchors = [np.array([[10.0], [20.0]]), np.array([[70.0], [90.0]])]
+        summaries = [ShardSummary(1, n_bins=8) for _ in anchors]
+        for s, rows in zip(summaries, anchors):
+            s.add(rows)
+        probes = [Query(AggFunc.COUNT, "y", ("x",), Rectangle((a,), (b,)))
+                  for a, b in ((5.0, 12.0), (19.5, 20.0), (60.0, 75.0),
+                               (90.0, math.inf), (-math.inf, math.inf),
+                               (30.0, 40.0), (21.0, 69.0))]
+        must_keep = [[0], [0], [1], [1], [0, 1], [], []]
+        stop = threading.Event()
+        errors = []
+
+        def write(s, rows, seed):
+            wrng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    extra = wrng.uniform(-50, 150, (20, 1))
+                    s.add(extra)
+                    s.remove(extra[:10])
+                    s.refresh(np.concatenate([rows, extra[10:]]))
+                    s.remove(extra[10:])
+                    s.refresh(rows)
+            except Exception as exc:        # pragma: no cover
+                errors.append(exc)
+
+        def read():
+            try:
+                while not stop.is_set():
+                    plans = plan_query_subsets(probes, ("x",), summaries,
+                                               [0, 1])
+                    for plan, keep in zip(plans, must_keep):
+                        assert set(keep) <= set(plan), (plan, keep)
+            except Exception as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(s, rows, i))
+                       for i, (s, rows) in
+                       enumerate(zip(summaries, anchors))]
+            readers = [threading.Thread(target=read) for _ in range(2)]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            stop.set()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert not errors, errors
+        for s, rows in zip(summaries, anchors):
+            lo, hi = probe_rectangles(rng, s, rows, n=64)
+            assert np.array_equal(s.may_contain_many(lo, hi),
+                                  frozen_may_contain_many(s, lo, hi))
+        assert plan_query_subsets(probes, ("x",), summaries, [0, 1]) == \
+            [[0], [0], [1], [1], [0, 1], [], []]
 
 
 class TestRoutingStats:

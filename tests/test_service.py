@@ -11,6 +11,7 @@ concurrent requests.
 import json
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -182,26 +183,102 @@ class TestCacheBehaviour:
             assert handle.server.cache.stats.hits == 0
 
 
+    def test_topk_decodes_its_sketch_once_per_answer(self, ds,
+                                                     monkeypatch):
+        """A TOPK cache hit does no sketch work: the decoded item list
+        stays with the cached answer, and only a new answer (here: a
+        write bumped the epoch) decodes again."""
+        from repro.service import server as server_mod
+        from repro.sketch.registry import SKETCH_KEY, sketch_from_bytes
+        table = Table(ds.schema, capacity=ds.n + 16)
+        table.insert_many(ds.data[:N_SEED])
+        engine = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                          config=JanusConfig(
+                              k=16, sample_rate=0.04, seed=0,
+                              check_every=10 ** 9,
+                              sketch_attrs=("passenger_count",)))
+        engine.initialize()
+        decoded = []
+
+        def counting(blob):
+            decoded.append(len(blob))
+            return sketch_from_bytes(blob)
+
+        monkeypatch.setattr(server_mod, "sketch_from_bytes", counting)
+        query = Query(AggFunc.TOPK, "passenger_count",
+                      ds.predicate_attrs,
+                      Rectangle((-math.inf,), (math.inf,)), 3.0)
+
+        def expected():
+            blob = engine.query(query).details[SKETCH_KEY]
+            return [(float(v), int(c))
+                    for v, c in sketch_from_bytes(blob).top(3)]
+
+        with serve_background(engine, port=0) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                before = [client.query(query) for _ in range(5)]
+                want_before = expected()
+                client.insert_many(ds.data[N_SEED:N_SEED + 40])
+                after = [client.query(query) for _ in range(3)]
+                want_after = expected()
+        assert [r.details["cached"] for r in before] == \
+            [False] + [True] * 4
+        assert [r.details["cached"] for r in after] == [False, True, True]
+        assert all(r.details["topk"] == want_before for r in before)
+        assert all(r.details["topk"] == want_after for r in after)
+        assert len(decoded) == 2, decoded
+
+
+class HeldEngine:
+    """The real engine behind a ``query_many`` that records each
+    batch's size and blocks until the test opens ``gate``."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.gate = threading.Event()
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def query_many(self, queries):
+        self.sizes.append(len(queries))
+        assert self.gate.wait(10), "the test never released the engine"
+        return self._engine.query_many(queries)
+
+
 class TestMicroBatching:
     def test_concurrent_requests_group_into_one_engine_batch(self, ds):
-        engine = build_single(ds)
+        """Group commit: while one engine call is in flight, every
+        request that arrives parks, and they all leave as ONE batch
+        when it lands.  The engine call is held on an event until all
+        16 requests are admitted, so nothing here depends on timing."""
+        engine = HeldEngine(build_single(ds))
         queries = workload(ds, n=32)
-        barrier = threading.Barrier(16)
 
         def one(query):
             with ServiceClient(handle.host, handle.port) as client:
-                barrier.wait(timeout=10)
                 return client.query(query)
 
         with serve_background(engine, port=0, cache_enabled=False,
                               max_batch=64,
-                              max_linger_ms=25.0) as handle:
+                              max_linger_ms=10_000.0) as handle:
+            batcher = handle.server.batcher
             with ThreadPoolExecutor(max_workers=16) as pool:
-                results = list(pool.map(one, queries[:16]))
-            stats = handle.server.batcher.stats
+                futures = [pool.submit(one, q) for q in queries[:16]]
+                deadline = time.monotonic() + 10
+                while sum(engine.sizes) + len(batcher._pending) < 16:
+                    assert time.monotonic() < deadline, engine.sizes
+                    time.sleep(0.001)
+                engine.gate.set()
+                results = [f.result(timeout=10) for f in futures]
+            stats = batcher.stats
         assert all(math.isfinite(r.estimate) for r in results)
+        first, rest = engine.sizes      # whoever shared the first tick
+        assert first >= 1 and rest == 16 - first
         assert stats.max_batch_size >= 8, stats.to_dict()
         assert stats.n_queries == 16
+        assert (stats.n_flush_idle, stats.n_flush_drain) == (1, 1)
 
     def test_batched_answers_equal_sequential(self, ds):
         engine = build_single(ds)
@@ -425,6 +502,41 @@ class TestObservability:
         assert "janus_routing_routed_queries_total 7" in text
         assert 'janus_routing_shards_touched_total{shards="' in text
         assert "janus_service_routed_queries_total" not in text
+
+    def test_restored_shards_report_on_the_served_metrics_page(
+            self, ds, tmp_path):
+        """``load_sharded`` engines register on the coordinator's
+        registry like freshly built ones, so a ``--load`` deployment's
+        ``/metrics`` carries the per-shard engine series."""
+        from repro.core.persist import load_sharded, save_sharded
+        from repro.obs import parse_exposition
+        built = ShardedJanusAQP(
+            ds.schema, ds.agg_attr, ds.predicate_attrs, n_shards=2,
+            config=JanusConfig(k=8, sample_rate=0.04, seed=0))
+        built.insert_many(ds.data[:N_SEED])
+        built.initialize()
+        save_sharded(built, tmp_path / "snap")
+        built.close()
+        engine = load_sharded(tmp_path / "snap")
+        assert all(shard.metrics is engine.metrics
+                   for shard in engine.shards)
+        with serve_background(engine, port=0) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                # default check_every=256 per shard: 1500 rows take
+                # every shard past at least one trigger check
+                client.insert_many(ds.data[N_SEED:N_SEED + 1500])
+                families = parse_exposition(client.metrics())
+        engine.close()
+        checks = families["janus_engine_trigger_checks_total"]
+        per_shard = {}
+        for _, labels, value in checks["samples"]:
+            per_shard[labels["shard"]] = \
+                per_shard.get(labels["shard"], 0) + value
+        assert set(per_shard) == {"0", "1"}
+        assert per_shard["0"] >= 1
+        stalls = families["janus_engine_ingest_stall_seconds"]
+        assert {"shard": "0"} in [s[1] for s in stalls["samples"]
+                                  if s[0].endswith("_count")]
 
     def test_single_engine_has_no_routing_section(self, ds):
         engine = build_single(ds)

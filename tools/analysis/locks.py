@@ -39,7 +39,11 @@ Checks:
 
 Nested function definitions are analyzed with an *empty* held set: a
 closure handed to an executor runs on another thread later, so locks
-held at definition time prove nothing at run time.
+held at definition time prove nothing at run time.  Locks held where
+the closure is *passed to a call* are another matter - the callee may
+run it inline on this very thread (``ShardedJanusAQP._fan_out`` does,
+over in-process shards) - so each lock the closure takes lexically gets
+an ordering edge from every lock held at that call.
 """
 
 from __future__ import annotations
@@ -249,6 +253,8 @@ class _Walker:
         self.held_nodes: List[str] = []   # graph nodes "Class.attr"
         self.held_recv: List[str] = []    # source text of the lock owner
         self.loop_depth = 0
+        #: nested def name -> lock nodes its body acquires lexically
+        self.closures: Dict[str, Set[str]] = {}
 
     def run(self) -> _FnFacts:
         if self.ci is not None:
@@ -275,6 +281,7 @@ class _Walker:
             sub = _Walker(self.classes, self.module, self.ci, stmt,
                           self.graph, self.findings, self.module_funcs)
             facts = sub.run()
+            self.closures[stmt.name] = set(facts.lexical)
             self.facts.lexical |= facts.lexical
             self.facts.calls.extend(facts.calls)
             self.facts.held_calls.extend(facts.held_calls)
@@ -415,6 +422,14 @@ class _Walker:
             f"accessed in {self.fn.name}() without holding it"))
 
     def check_call(self, node: ast.Call) -> None:
+        # A closure passed along may run inline, under what is held now.
+        for arg in node.args:
+            if isinstance(arg, ast.Name):
+                for inner in self.closures.get(arg.id, ()):
+                    for held in self.held_nodes:
+                        if held:
+                            self.graph.add(held, inner, self.module.path,
+                                           node.lineno)
         fn = node.func
         callee_key: Optional[str] = None
         if isinstance(fn, ast.Attribute):
