@@ -84,7 +84,7 @@ def build_queries(rect, n, seed=5):
 
 
 def answers(dpt, schema, rows, queries):
-    _, leaf_of = dpt._route_batch(rows[:, PRED_COLS])
+    leaf_of = dpt.route_rows(rows[:, PRED_COLS])
     blocks = {}
     for pos in np.unique(leaf_of):
         blocks[dpt.leaves[int(pos)].node_id] = rows[leaf_of == pos]

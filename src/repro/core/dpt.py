@@ -19,12 +19,14 @@ nodes (answered from node statistics, contributing catch-up variance
 nu_c) and partially covered leaves (answered from stratified samples,
 contributing nu_s); see :mod:`repro.core.estimators` for the formulas.
 
-Maintenance is vectorized: :meth:`DynamicPartitionTree.insert_rows` /
+Maintenance runs on one :class:`~repro.core.node.NodeTable`: every
+write entry point (:meth:`DynamicPartitionTree.insert_rows` /
 :meth:`~DynamicPartitionTree.delete_rows` /
-:meth:`~DynamicPartitionTree.add_catchup_rows` route an ``(n, d)``
-coordinate batch to leaves with vectorized rectangle tests and apply
-grouped per-node statistics along the root-to-leaf paths; the per-row
-methods delegate to the same machinery.
+:meth:`~DynamicPartitionTree.add_catchup_rows`, their per-row and
+subtree forms) sends its ``(n, d)`` coordinates through the one router
+(:meth:`~DynamicPartitionTree._route`) and hands the resulting (node,
+row) pairs to the table's grouped-update kernel - O(depth) array
+operations per batch, however many nodes the rows touch.
 
 Query processing is batched the same way:
 :meth:`DynamicPartitionTree.query_many` computes the frontier of every
@@ -45,10 +47,23 @@ import numpy as np
 
 from ..partitioning.spec import PartitionNode
 from . import estimators
-from .node import DPTNode
+from .node import DPTNode, NodeTable
 from .queries import AggFunc, Query, QueryResult, Rectangle
 
 LeafSamplesFn = Callable[[DPTNode], np.ndarray]
+
+#: Batches with fewer rows than this are routed one row at a time over
+#: the node table's list columns; larger ones level by level with array
+#: operations.  The level-wise walk costs ~0.16 ms of fixed array-call
+#: overhead, the row walk ~10 us per row, so they cross near 16 rows
+#: (chosen by the microbench in ``.claude/skills/verify/SKILL.md``).
+LEVELWISE_MIN_ROWS = 16
+
+#: Query batches at least this large compute each node statistic for
+#: every node at once (:class:`_NodeMemo`), smaller ones per node read:
+#: a column costs ~5-15 us however few entries are used, an entry
+#: ~1 us, and ``query_many`` crosses at 8 queries (341 vs 338 us).
+WHOLE_COLUMN_MIN_QUERIES = 8
 
 
 class _LeafMoments(NamedTuple):
@@ -68,81 +83,71 @@ _NO_SAMPLES = _LeafMoments(0, 0, 0.0, 0.0, math.inf, -math.inf)
 MomentsFn = Callable[[DPTNode], _LeafMoments]
 
 
+class _Entries(dict):
+    """A statistic column filled in entry by entry (row -> value)."""
+
+    def __init__(self, nodes: List[DPTNode], estimate, args) -> None:
+        self._make = nodes, estimate, args
+
+    def __missing__(self, row: int) -> float:
+        nodes, estimate, args = self._make
+        value = self[row] = estimate(nodes[row], *args)
+        return value
+
+
 class _NodeMemo:
     """Per-batch memo of node statistic scalars.
 
-    Queries in one batch overlap heavily on covered nodes; memoizing per
-    (node, statistic) turns the repeated estimate method calls into dict
-    hits while keeping the per-query accumulation order - and therefore
-    the float result - exactly what a solo :meth:`DynamicPartitionTree.
-    query` computes.
+    Queries in one batch overlap heavily on covered nodes, so each
+    statistic is computed once per batch: as a whole column of the node
+    table's estimate methods read back as a list, or - below
+    :data:`WHOLE_COLUMN_MIN_QUERIES` queries, which read too few entries
+    to repay that - entry by entry through the nodes' own methods.  The
+    answer loops index either by node row; an entry is the number a
+    per-node evaluation yields and the per-query accumulation order is
+    untouched, so the float result is exactly what a solo
+    :meth:`DynamicPartitionTree.query` computes.
     """
 
-    __slots__ = ("_tree", "_count", "_sum", "_sumsq", "_varsum",
-                 "_varbase", "_minmax")
+    __slots__ = ("_tree", "_whole", "_totals", "_cols", "exact")
 
-    def __init__(self, tree: "DynamicPartitionTree") -> None:
+    def __init__(self, tree: "DynamicPartitionTree", n_queries: int) -> None:
         self._tree = tree
-        self._count: Dict[int, float] = {}
-        self._sum: Dict[Tuple[int, int], float] = {}
-        self._sumsq: Dict[Tuple[int, int], float] = {}
-        self._varsum: Dict[Tuple[int, int], float] = {}
-        self._varbase: Dict[Tuple[int, int], float] = {}
-        self._minmax: Dict[Tuple[int, int, bool],
-                           Tuple[Optional[float], bool]] = {}
+        self._whole = n_queries >= WHOLE_COLUMN_MIN_QUERIES
+        self._totals = (tree.n0, tree.h_total)
+        self._cols: Dict[tuple, Sequence] = {}
+        self.exact: List[bool] = tree._table.exact.tolist()
 
-    def count(self, node: DPTNode) -> float:
-        v = self._count.get(node.node_id)
-        if v is None:
-            t = self._tree
-            v = node.count_estimate(t.n0, t.h_total)
-            self._count[node.node_id] = v
-        return v
+    def _col(self, estimate: str, *args, whole: bool = True) -> Sequence:
+        col = self._cols.get((estimate, args))
+        if col is None:
+            if whole and self._whole:
+                col = getattr(self._tree._table, estimate + "s")(
+                    *args).tolist()
+            else:
+                col = _Entries(self._tree._nodes,
+                               getattr(DPTNode, estimate), args)
+            self._cols[(estimate, args)] = col
+        return col
 
-    def sum(self, node: DPTNode, pos: int) -> float:
-        key = (node.node_id, pos)
-        v = self._sum.get(key)
-        if v is None:
-            t = self._tree
-            v = node.sum_estimate(pos, t.n0, t.h_total)
-            self._sum[key] = v
-        return v
+    def counts(self) -> Sequence[float]:
+        return self._col("count_estimate", *self._totals)
 
-    def sumsq(self, node: DPTNode, pos: int) -> float:
-        key = (node.node_id, pos)
-        v = self._sumsq.get(key)
-        if v is None:
-            t = self._tree
-            v = node.sumsq_estimate(pos, t.n0, t.h_total)
-            self._sumsq[key] = v
-        return v
+    def sums(self, pos: int, squares: bool = False) -> Sequence[float]:
+        return self._col("sum_estimate", pos, *self._totals, squares)
 
-    def varsum(self, node: DPTNode, pos: int) -> float:
-        key = (node.node_id, pos)
-        v = self._varsum.get(key)
-        if v is None:
-            t = self._tree
-            v = node.catchup_var_sum(pos, t.n0, t.h_total)
-            self._varsum[key] = v
-        return v
+    def varsums(self, pos: int) -> Sequence[float]:
+        return self._col("catchup_var_sum", pos, *self._totals)
 
-    def varbase(self, node: DPTNode, pos: int) -> float:
-        key = (node.node_id, pos)
-        v = self._varbase.get(key)
-        if v is None:
-            v = node.catchup_var_base(pos)
-            self._varbase[key] = v
-        return v
+    def varbases(self, pos: int) -> Sequence[float]:
+        return self._col("catchup_var_base", pos)
 
-    def minmax(self, node: DPTNode, pos: int, is_max: bool
-               ) -> Tuple[Optional[float], bool]:
-        key = (node.node_id, pos, is_max)
-        v = self._minmax.get(key)
-        if v is None:
-            v = node.max_estimate(pos) if is_max \
-                else node.min_estimate(pos)
-            self._minmax[key] = v
-        return v
+    def extremes(self, pos: int, is_max: bool
+                 ) -> Sequence[Tuple[Optional[float], bool]]:
+        """(estimate, exactness) pairs; heaps are per node, so never a
+        whole column."""
+        return self._col("max_estimate" if is_max else "min_estimate",
+                         pos, whole=False)
 
 
 class DynamicPartitionTree:
@@ -172,24 +177,29 @@ class DynamicPartitionTree:
         self.n0 = 0                       # snapshot population at epoch start
         self._nodes: List[DPTNode] = []
         self._next_id = 0
-        self.root = self._build(spec, self._mm_pos, minmax_k)
+        self.root = self._build(spec, *self._fresh_rows(spec))
         self._inflate_edges()
         self.leaves: List[DPTNode] = []
-        self._leaf_pos: Dict[int, int] = {}
         self._index_leaves()
         self.n_updates = 0
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _build(self, spec: PartitionNode, mm_pos: Tuple[int, ...],
-               minmax_k: int) -> DPTNode:
+    def _fresh_rows(self, spec: PartitionNode) -> Tuple[NodeTable, int]:
+        """A zeroed table for ``spec``'s nodes and the id of its row 0."""
+        return NodeTable(sum(1 for _ in spec.walk()),
+                         len(self.stat_attrs)), self._next_id
+
+    def _build(self, spec: PartitionNode, table: NodeTable,
+               base: int) -> DPTNode:
         node = DPTNode(self._next_id, spec.rect, len(self.stat_attrs),
-                       minmax_attrs=mm_pos, minmax_k=minmax_k)
+                       self._mm_pos, self._minmax_k, table,
+                       self._next_id - base)
         self._next_id += 1
         self._nodes.append(node)
         for child_spec in spec.children:
-            child = self._build(child_spec, mm_pos, minmax_k)
+            child = self._build(child_spec, table, base)
             child.parent = node
             node.children.append(child)
         return node
@@ -212,8 +222,9 @@ class DynamicPartitionTree:
         before = len(self._nodes)
         # _build appends to _nodes; rebuild the registry afterwards so
         # discarded nodes disappear from iteration.
+        table, base = self._fresh_rows(spec)
         for child_spec in spec.children:
-            child = self._build(child_spec, self._mm_pos, self._minmax_k)
+            child = self._build(child_spec, table, base)
             child.parent = node
             node.children.append(child)
         new_nodes = self._nodes[before:]
@@ -227,8 +238,10 @@ class DynamicPartitionTree:
         return new_nodes
 
     def _index_leaves(self) -> None:
+        """Every structure change ends here: lay the node table out
+        over the current nodes, then the leaf list and frontier mirrors."""
+        self._table = NodeTable.of(self._nodes, len(self.stat_attrs))
         self.leaves = [n for n in self._nodes if n.is_leaf]
-        self._leaf_pos = {n.node_id: i for i, n in enumerate(self.leaves)}
         self._index_frontier_order()
 
     def _index_frontier_order(self) -> None:
@@ -237,11 +250,11 @@ class DynamicPartitionTree:
         ``_dfs_nodes`` lists every node in the exact order the scalar
         :meth:`frontier` stack visits them (children expanded last-in
         first-out), so batched classification can emit per-query node
-        lists in the identical order by walking positions ascending.
-        ``_dfs_levels`` groups child->parent links by depth for the
-        vectorized reachability propagation.  Node rects only change
-        through structure changes, which all funnel through
-        :meth:`_index_leaves`.
+        lists in the identical order by walking positions ascending;
+        ``_dfs_lo`` / ``_dfs_hi`` / ``_dfs_leaf`` are the node table's
+        rectangle columns in that order.  ``_dfs_levels`` groups
+        child->parent links by depth for the vectorized reachability
+        propagation.
         """
         order: List[DPTNode] = []
         stack = [self.root]
@@ -250,10 +263,11 @@ class DynamicPartitionTree:
             order.append(node)
             stack.extend(node.children)
         self._dfs_nodes = order
+        rows = np.array([n._i for n in order], dtype=np.intp)
         pos = {n.node_id: i for i, n in enumerate(order)}
-        self._dfs_lo = np.array([n.rect.lo for n in order])
-        self._dfs_hi = np.array([n.rect.hi for n in order])
-        self._dfs_leaf = np.array([n.is_leaf for n in order], dtype=bool)
+        self._dfs_lo = self._table.lo[rows]
+        self._dfs_hi = self._table.hi[rows]
+        self._dfs_leaf = self._table.leaf_pos[rows] >= 0
         depth_of: Dict[int, int] = {}
         levels: List[Tuple[List[int], List[int]]] = []
         for i, node in enumerate(order):
@@ -279,73 +293,6 @@ class DynamicPartitionTree:
                 count += 1
             stack.extend(n.children)
         return count
-
-    def add_catchup_row_subtree(self, subtree_root: DPTNode,
-                                row: np.ndarray) -> None:
-        """Catch-up propagation restricted to a subtree (Appendix E).
-
-        Used when seeding a partially re-partitioned region: the ancestor
-        path keeps its statistics, only the fresh descendants accumulate.
-        """
-        stats = self._stat_values(row)
-        coords = self._coords(row)
-        node = subtree_root
-        while not node.is_leaf:
-            for child in node.children:
-                if child.rect.contains_point(coords):
-                    node = child
-                    break
-            else:
-                node = min(node.children,
-                           key=lambda c: _rect_distance(c.rect, coords))
-            node.add_catchup(stats)
-
-    def add_catchup_rows_subtree(self, subtree_root: DPTNode,
-                                 rows: np.ndarray) -> None:
-        """Vectorized subtree catch-up: one grouped pass per node.
-
-        The batched counterpart of :meth:`add_catchup_row_subtree`, used
-        by partial re-partitioning to seed a fresh subtree from all the
-        pooled samples in its region at once.  Child selection matches
-        the scalar path (first containing child, else nearest by L1
-        rectangle distance with first-minimum tie-breaking); the subtree
-        root itself keeps its statistics, exactly as in the scalar
-        routine.
-        """
-        rows = self._as_batch(rows)
-        n = rows.shape[0]
-        if n == 0:
-            return
-        stats = rows[:, self._stat_idx]
-        coords = rows[:, self._pred_idx]
-        stack: List[Tuple[DPTNode, np.ndarray]] = \
-            [(subtree_root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if node is not subtree_root:
-                node.add_catchup_batch(stats[idx])
-            if node.is_leaf:
-                continue
-            unassigned = np.ones(idx.size, dtype=bool)
-            for child in node.children:
-                if not unassigned.any():
-                    break
-                sub = idx[unassigned]
-                inside = child.rect.contains_points(coords[sub])
-                if inside.any():
-                    stack.append((child, sub[inside]))
-                    where = np.flatnonzero(unassigned)
-                    unassigned[where[inside]] = False
-            if unassigned.any():
-                # numeric edge case: snap leftovers to the nearest child
-                sub = idx[unassigned]
-                dists = np.stack([child.rect.distances(coords[sub])
-                                  for child in node.children])
-                choice = np.argmin(dists, axis=0)
-                for ci, child in enumerate(node.children):
-                    sel = sub[choice == ci]
-                    if sel.size:
-                        stack.append((child, sel))
 
     def _inflate_edges(self) -> None:
         """Extend boundary partitions to infinity so every future tuple
@@ -387,85 +334,88 @@ class DynamicPartitionTree:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def _coords(self, row: np.ndarray) -> np.ndarray:
-        return row[self._pred_idx]
-
-    def _stat_values(self, row: np.ndarray) -> np.ndarray:
-        return row[self._stat_idx]
-
     def route_leaf(self, coords: Sequence[float]) -> DPTNode:
         """The leaf whose partition contains ``coords``."""
-        node = self.root
-        while not node.is_leaf:
-            for child in node.children:
-                if child.rect.contains_point(coords):
-                    node = child
-                    break
-            else:  # numeric edge case: snap to the nearest child
-                node = min(node.children,
-                           key=lambda c: _rect_distance(c.rect, coords))
-        return node
+        return self._nodes[self._walk(coords, 0)[-1]]
 
-    def _path(self, coords: Sequence[float]) -> List[DPTNode]:
-        path = [self.root]
-        node = self.root
-        while not node.is_leaf:
-            for child in node.children:
-                if child.rect.contains_point(coords):
-                    node = child
+    def route_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Leaf positions (into :attr:`leaves`) of ``(n, d)`` points."""
+        return self._route(coords)[2]
+
+    def _walk(self, point: Sequence[float], node: int) -> List[int]:
+        """Table rows on one point's path from row ``node`` to its leaf.
+
+        The routing rule, which :meth:`_route` applies to whole batches:
+        the first child (in order) whose closed rectangle contains the
+        point, else - a numeric edge case, or a NaN coordinate - the
+        child nearest by L1 distance, first minimum winning (a NaN
+        coordinate is at distance 0 from everything, so an all-NaN point
+        goes to the first child).
+        """
+        kids, lo, hi = (self._table.kids, self._table.lo_rows,
+                        self._table.hi_rows)
+        path = [node]
+        while kids[node]:
+            for child in kids[node]:
+                if all(a <= x <= b for a, x, b in
+                       zip(lo[child], point, hi[child])):
                     break
             else:
-                node = min(node.children,
-                           key=lambda c: _rect_distance(c.rect, coords))
+                child = min(kids[node], key=lambda c: _rect_distance(
+                    lo[c], hi[c], point))
+            node = child
             path.append(node)
         return path
 
-    def _route_batch(self, coords: np.ndarray
-                     ) -> Tuple[List[Tuple[DPTNode, np.ndarray]],
-                                np.ndarray]:
-        """Route an ``(n, d)`` coordinate batch to leaves in one sweep.
+    def _route(self, coords: np.ndarray, start: int = 0,
+               keep_start: bool = True
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The router: descend an ``(n, d)`` batch from row ``start``.
 
-        Returns ``(assignments, leaf_of)``: ``assignments`` lists every
-        node lying on some row's root-to-leaf path together with the
-        indices of the rows routed through it (the root carries all
-        rows), ``leaf_of`` maps each row to its leaf's position in
-        :attr:`leaves`.  Child selection matches :meth:`_path` exactly -
-        first containing child, else nearest by L1 rectangle distance
-        with first-minimum tie-breaking - so the batch and per-row paths
-        land every row on the same leaf.
+        Returns ``(ids, rows, leaf_of)``: the (node row, data row) pairs
+        of every node on some row's path - each node's pairs in
+        ascending data-row order, the start node's left out unless
+        ``keep_start`` - and each row's leaf as a position in
+        :attr:`leaves`.  Small batches take :meth:`_walk` per row;
+        larger ones move all rows down one level per step with a
+        handful of array operations (see :data:`LEVELWISE_MIN_ROWS`).
+        Both apply the same rule, so they produce the same paths.
         """
+        t = self._table
         n = coords.shape[0]
-        leaf_of = np.empty(n, dtype=np.intp)
-        assignments: List[Tuple[DPTNode, np.ndarray]] = []
-        stack: List[Tuple[DPTNode, np.ndarray]] = \
-            [(self.root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            assignments.append((node, idx))
-            if node.is_leaf:
-                leaf_of[idx] = self._leaf_pos[node.node_id]
-                continue
-            unassigned = np.ones(idx.size, dtype=bool)
-            for child in node.children:
-                if not unassigned.any():
+        first = 0 if keep_start else 1
+        if n < LEVELWISE_MIN_ROWS:
+            paths = [self._walk(point, start) for point in coords.tolist()]
+            ids = np.array([i for path in paths for i in path[first:]],
+                           dtype=np.intp)
+            rows = np.repeat(np.arange(n),
+                             [len(path) - first for path in paths])
+            return ids, rows, t.leaf_pos[[path[-1] for path in paths]]
+        cur = np.full(n, start, dtype=np.intp)
+        rows, x = np.arange(n), coords
+        levels = [(cur.copy(), rows)]
+        while True:
+            kids = t.child[cur[rows]]                     # (m, fanout)
+            inner = kids[:, 0] < len(t.kids)              # not at a leaf
+            if not inner.all():
+                if not inner.any():
                     break
-                sub = idx[unassigned]
-                inside = child.rect.contains_points(coords[sub])
-                if inside.any():
-                    stack.append((child, sub[inside]))
-                    where = np.flatnonzero(unassigned)
-                    unassigned[where[inside]] = False
-            if unassigned.any():
-                # numeric edge case: snap leftovers to the nearest child
-                sub = idx[unassigned]
-                dists = np.stack([child.rect.distances(coords[sub])
-                                  for child in node.children])
-                choice = np.argmin(dists, axis=0)
-                for ci, child in enumerate(node.children):
-                    rows = sub[choice == ci]
-                    if rows.size:
-                        stack.append((child, rows))
-        return assignments, leaf_of
+                rows, kids = rows[inner], kids[inner]
+                x = coords[rows]
+            pt = x[:, None, :]
+            inside = ((t.lo[kids] <= pt) & (pt <= t.hi[kids])).all(axis=2)
+            slot = inside.argmax(axis=1)
+            lost = ~inside.any(axis=1)
+            if lost.any():
+                slot[lost] = _nearest_slot(t.lo[kids[lost]],
+                                           t.hi[kids[lost]], pt[lost])
+            below = kids[np.arange(rows.size), slot]
+            cur[rows] = below
+            levels.append((below, rows))
+        levels = levels[first:] or [(cur[:0], cur[:0])]    # leaf start
+        return (np.concatenate([ids for ids, _ in levels]),
+                np.concatenate([rows for _, rows in levels]),
+                t.leaf_pos[cur])
 
     def _as_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -481,81 +431,54 @@ class DynamicPartitionTree:
     # maintenance (Figure 3)
     # ------------------------------------------------------------------ #
     def insert_row(self, row: np.ndarray) -> DPTNode:
-        leaf_of = self.insert_rows(
-            np.asarray(row, dtype=np.float64)[None, :])
-        return self.leaves[int(leaf_of[0])]
+        return self.leaves[int(self.insert_rows(np.asarray(row)[None])[0])]
 
     def delete_row(self, row: np.ndarray) -> DPTNode:
-        leaf_of = self.delete_rows(
-            np.asarray(row, dtype=np.float64)[None, :])
-        return self.leaves[int(leaf_of[0])]
+        return self.leaves[int(self.delete_rows(np.asarray(row)[None])[0])]
 
     def insert_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized insert of an ``(n, n_attrs)`` row block.
-
-        Every node on a root-to-leaf path receives its rows' delta
-        statistics as one grouped accumulation instead of n scalar
-        updates.  Returns per-row leaf positions (indices into
-        :attr:`leaves`).
-        """
-        rows = self._as_batch(rows)
-        n = rows.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.intp)
-        self.n_updates += n
-        if n == 1:
-            # scalar route: a one-row reduction equals the row exactly,
-            # so this path is bit-identical to the batched one
-            stats = rows[0, self._stat_idx]
-            path = self._path(rows[0, self._pred_idx])
-            for node in path:
-                node.apply_insert(stats)
-            return np.array([self._leaf_pos[path[-1].node_id]],
-                            dtype=np.intp)
-        stats = rows[:, self._stat_idx]
-        assignments, leaf_of = self._route_batch(rows[:, self._pred_idx])
-        for node, idx in assignments:
-            node.apply_insert_batch(stats[idx])
-        return leaf_of
+        """Insert an ``(n, n_attrs)`` row block: every node on a path
+        receives its rows' delta statistics as one grouped accumulation.
+        Returns per-row leaf positions (indices into :attr:`leaves`)."""
+        return self._update(rows, 1)
 
     def delete_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized delete of an ``(n, n_attrs)`` row block."""
+        """Delete an ``(n, n_attrs)`` row block (see :meth:`insert_rows`)."""
+        return self._update(rows, -1)
+
+    def _update(self, rows: np.ndarray, sign: int) -> np.ndarray:
         rows = self._as_batch(rows)
-        n = rows.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.intp)
-        self.n_updates += n
-        if n == 1:
-            stats = rows[0, self._stat_idx]
-            path = self._path(rows[0, self._pred_idx])
-            for node in path:
-                node.apply_delete(stats)
-            return np.array([self._leaf_pos[path[-1].node_id]],
-                            dtype=np.intp)
-        stats = rows[:, self._stat_idx]
-        assignments, leaf_of = self._route_batch(rows[:, self._pred_idx])
-        for node, idx in assignments:
-            node.apply_delete_batch(stats[idx])
+        self.n_updates += rows.shape[0]
+        ids, src, leaf_of = self._route(rows[:, self._pred_idx])
+        self._table.apply_delta(ids, rows[src[:, None], self._stat_idx],
+                                sign)
         return leaf_of
 
     def add_catchup_row(self, row: np.ndarray) -> DPTNode:
         """Propagate one archival sample through the tree (Section 4.3)."""
-        row = np.asarray(row, dtype=np.float64)
-        stats = row[self._stat_idx]
-        path = self._path(row[self._pred_idx])
-        for node in path:
-            node.add_catchup(stats)
-        return path[-1]
+        return self.leaves[int(self.add_catchup_rows(np.asarray(row)[None])[0])]
 
-    def add_catchup_rows(self, rows: np.ndarray) -> None:
-        """Vectorized catch-up: one grouped accumulation per path node."""
+    def add_catchup_rows(self, rows: np.ndarray,
+                         subtree_root: Optional[DPTNode] = None
+                         ) -> np.ndarray:
+        """Catch-up for an ``(n, n_attrs)`` sample block, from the root
+        or - seeding a partially re-partitioned region (Appendix E) -
+        below ``subtree_root``, which then keeps its own statistics."""
         rows = self._as_batch(rows)
-        if rows.shape[0] == 0:
-            return
-        stats = rows[:, self._stat_idx]
-        assignments, _ = self._route_batch(rows[:, self._pred_idx])
-        for node, idx in assignments:
-            node.add_catchup_batch(stats[idx])
+        ids, src, leaf_of = self._route(
+            rows[:, self._pred_idx],
+            0 if subtree_root is None else subtree_root._i,
+            subtree_root is None)
+        self._table.add_catchup(ids, rows[src[:, None], self._stat_idx])
+        return leaf_of
+
+    def add_catchup_row_subtree(self, subtree_root: DPTNode,
+                                row: np.ndarray) -> None:
+        self.add_catchup_rows(np.asarray(row)[None], subtree_root)
+
+    def add_catchup_rows_subtree(self, subtree_root: DPTNode,
+                                 rows: np.ndarray) -> None:
+        self.add_catchup_rows(rows, subtree_root)
 
     # ------------------------------------------------------------------ #
     # query processing (Section 4.4)
@@ -636,7 +559,7 @@ class DynamicPartitionTree:
         The frontier computation runs once for the whole batch
         (:meth:`frontier_many`), each partial leaf's sample matrix is
         tested against all of its queries' rectangles in one broadcasted
-        comparison (:meth:`_match_masks`), and only the final per-query
+        comparison (:meth:`_leaf_moments`), and only the final per-query
         estimation - a pure function of that query's own frontier and
         matched samples - runs per query.  Results are returned in
         request order and match :meth:`query` exactly.
@@ -658,7 +581,7 @@ class DynamicPartitionTree:
         moments = self._leaf_moments(queries, partials, leaf_samples)
         # Node statistics are memoized across the batch: overlapping
         # cover sets pay one estimate computation per node.
-        memo = _NodeMemo(self)
+        memo = _NodeMemo(self, len(queries))
         results: List[QueryResult] = []
         for qi, query in enumerate(queries):
             def moments_of(leaf: DPTNode, qi: int = qi) -> "_LeafMoments":
@@ -764,34 +687,6 @@ class DynamicPartitionTree:
         return self._answer_minmax(query, cover, partial,
                                    moments_of, memo)
 
-    # -- helpers -------------------------------------------------------- #
-    def _match_masks(self, lo: np.ndarray, hi: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-        """Boolean ``(n_queries, m)`` matrix of rows matching each rect.
-
-        One broadcasted comparison per predicate dimension replaces the
-        per-query mask loop; boolean tests are exact, so every mask row
-        equals the mask a single-query evaluation would produce.
-        """
-        mask = np.ones((lo.shape[0], rows.shape[0]), dtype=bool)
-        for dim, col in enumerate(self._pred_idx):
-            vals = rows[:, col]
-            mask &= (vals >= lo[:, dim, None]) & (vals <= hi[:, dim, None])
-        return mask
-
-    def _matched(self, query: Query, rows: np.ndarray
-                 ) -> Tuple[np.ndarray, int]:
-        """(matched aggregation values, stratum size) for a partial leaf."""
-        m_i = rows.shape[0]
-        if m_i == 0:
-            return np.empty(0), 0
-        lo = np.asarray(query.rect.lo, dtype=np.float64)[None, :]
-        hi = np.asarray(query.rect.hi, dtype=np.float64)[None, :]
-        mask = self._match_masks(lo, hi, rows)[0]
-        if query.agg is AggFunc.COUNT:
-            return np.ones(int(mask.sum())), m_i
-        return rows[mask, self.schema.index(query.attr)], m_i
-
     def _answer_sum_count(self, query: Query, cover: List[DPTNode],
                           partial: List[DPTNode], moments_of: "MomentsFn",
                           memo: "_NodeMemo") -> QueryResult:
@@ -800,18 +695,21 @@ class DynamicPartitionTree:
         agg = 0.0
         var_c = 0.0
         all_exact = True
+        counts = memo.counts()
+        if not is_count:
+            sums, varsums = memo.sums(pos), memo.varsums(pos)
         for node in cover:
             if is_count:
-                agg += memo.count(node)
+                agg += counts[node._i]
             else:
-                agg += memo.sum(node, pos)
-                var_c += memo.varsum(node, pos)
-            all_exact = all_exact and node.exact
+                agg += sums[node._i]
+                var_c += varsums[node._i]
+            all_exact = all_exact and memo.exact[node._i]
         samp = 0.0
         var_s = 0.0
         for leaf in partial:
             mom = moments_of(leaf)
-            n_i = memo.count(leaf)
+            n_i = counts[leaf._i]
             if is_count:
                 c = float(mom.count)
                 est, var = estimators.sum_partial_moments(n_i, mom.m, c, c)
@@ -829,10 +727,11 @@ class DynamicPartitionTree:
                     memo: "_NodeMemo") -> QueryResult:
         pos = self.stat_pos(query.attr)
         n_q = 0.0
+        counts = memo.counts()
         for node in cover:
-            n_q += memo.count(node)
+            n_q += counts[node._i]
         for leaf in partial:
-            n_q += memo.count(leaf)
+            n_q += counts[leaf._i]
         # The normalizer rides along in ``details`` so shard merging can
         # reweight per-shard means into the union estimator (merge.py).
         if n_q <= 0:
@@ -842,16 +741,17 @@ class DynamicPartitionTree:
         est = 0.0
         var_c = 0.0
         all_exact = True
+        sums, varbases = memo.sums(pos), memo.varbases(pos)
         for node in cover:
-            est += memo.sum(node, pos) / n_q
-            w_i = memo.count(node) / n_q
-            var_c += (w_i * w_i) * memo.varbase(node, pos)
-            all_exact = all_exact and node.exact
+            est += sums[node._i] / n_q
+            w_i = counts[node._i] / n_q
+            var_c += (w_i * w_i) * varbases[node._i]
+            all_exact = all_exact and memo.exact[node._i]
         var_s = 0.0
         for leaf in partial:
             mom = moments_of(leaf)
             c_est, c_var = estimators.avg_partial_moments(
-                memo.count(leaf), n_q, mom.m, mom.count, mom.s, mom.s2)
+                counts[leaf._i], n_q, mom.m, mom.count, mom.s, mom.s2)
             est += c_est
             var_s += c_var
         exact = all_exact and not partial
@@ -876,17 +776,19 @@ class DynamicPartitionTree:
         sum_est = 0.0
         sumsq_est = 0.0
         all_exact = True
+        counts, sums, sumsqs = (memo.counts(), memo.sums(pos),
+                                memo.sums(pos, squares=True))
         for node in cover:
-            count_est += memo.count(node)
-            sum_est += memo.sum(node, pos)
-            sumsq_est += memo.sumsq(node, pos)
-            all_exact = all_exact and node.exact
+            count_est += counts[node._i]
+            sum_est += sums[node._i]
+            sumsq_est += sumsqs[node._i]
+            all_exact = all_exact and memo.exact[node._i]
         for leaf in partial:
             mom = moments_of(leaf)
             if mom.m <= 0:
                 continue
             count, total, totalsq = estimators.moments_partial(
-                memo.count(leaf), mom.m, mom.count, mom.s, mom.s2)
+                counts[leaf._i], mom.m, mom.count, mom.s, mom.s2)
             count_est += count
             sum_est += total
             sumsq_est += totalsq
@@ -916,8 +818,9 @@ class DynamicPartitionTree:
         is_max = query.agg is AggFunc.MAX
         candidates: List[float] = []
         all_exact = True
+        extremes = memo.extremes(pos, is_max)
         for node in cover:
-            value, exact = memo.minmax(node, pos, is_max)
+            value, exact = extremes[node._i]
             if value is None:
                 # A covered node with no extremum information at all
                 # cannot prove the answer: its true MIN/MAX is unknown,
@@ -951,12 +854,25 @@ def inflate_rect(rect: Rectangle, domain: Rectangle) -> Rectangle:
               for b, o in zip(rect.hi, domain.hi)))
 
 
-def _rect_distance(rect: Rectangle, coords: Sequence[float]) -> float:
+def _rect_distance(lo: Sequence[float], hi: Sequence[float],
+                   coords: Sequence[float]) -> float:
     """L1 distance from a point to a rectangle (0 when inside)."""
     dist = 0.0
-    for lo, hi, x in zip(rect.lo, rect.hi, coords):
-        if x < lo:
-            dist += lo - x
-        elif x > hi:
-            dist += x - hi
+    for a, b, x in zip(lo, hi, coords):
+        if x < a:
+            dist += a - x
+        elif x > b:
+            dist += x - b
     return dist
+
+
+def _nearest_slot(lo: np.ndarray, hi: np.ndarray,
+                  pt: np.ndarray) -> np.ndarray:
+    """:func:`_rect_distance`'s first-minimum child slot for ``(m, 1,
+    d)`` points against ``(m, fanout, d)`` child rectangles."""
+    with np.errstate(invalid="ignore"):     # inf - inf in unused lanes
+        gap = np.where(pt < lo, lo - pt, np.where(pt > hi, pt - hi, 0.0))
+    dist = np.zeros(gap.shape[:2])
+    for dim in range(gap.shape[2]):
+        dist += gap[:, :, dim]
+    return dist.argmin(axis=1)

@@ -112,23 +112,6 @@ def moments_partial(n_i: float, m_i: int, n_matched: int, s: float,
     return scale * n_matched, scale * s, scale * s2
 
 
-def avg_covered_estimate(n_i: float, n_q: float, h_i: int,
-                         catchup_sum: float, exact: bool,
-                         exact_sum: float) -> float:
-    """AVG contribution of a covered node: ``w_i * mean(phi(H_i))``.
-
-    Exact nodes contribute ``exact_sum / n_q`` directly (their sum is
-    known); sampled nodes contribute ``n_i / (h_i * n_q) * sum(H_i a)``.
-    """
-    if n_q <= 0:
-        return 0.0
-    if exact:
-        return exact_sum / n_q
-    if h_i <= 0:
-        return exact_sum / n_q    # delta-only node: exact_sum is the delta
-    return (n_i / (h_i * n_q)) * catchup_sum
-
-
 def uniform_estimate(agg: str, n_total: float, m: int,
                      matched_values: np.ndarray) -> PartialContribution:
     """Plain uniform-sampling estimator (RS baseline, Section 6.1.3)."""

@@ -190,6 +190,10 @@ class _LeafSampleCache:
     def size(self, leaf_id: int) -> int:
         return self._size.get(leaf_id, 0)
 
+    def leaf_of(self, tid: int) -> Optional[int]:
+        """The leaf ``tid``'s row is filed under (None: not cached)."""
+        return int(self._loc_leaf[tid]) if tid in self else None
+
     def tids(self, leaf_id: int) -> List[int]:
         tid_at = self._tid_at.get(leaf_id)
         if tid_at is None:
@@ -225,15 +229,6 @@ class _LeafSampleCache:
         loc_row = np.zeros(new_cap, dtype=np.int64)
         loc_row[:cap] = self._loc_row
         self._loc_leaf, self._loc_row = loc_leaf, loc_row
-
-    def add(self, leaf_id: int, tid: int, row: np.ndarray) -> None:
-        mat, size = self._ensure(leaf_id, 1)
-        mat[size] = row
-        self._tid_at[leaf_id][size] = tid
-        self._ensure_tid(int(tid))
-        self._loc_leaf[tid] = leaf_id
-        self._loc_row[tid] = size
-        self._size[leaf_id] = size + 1
 
     def add_block(self, leaf_id: int, tids: Sequence[int],
                   rows: np.ndarray) -> None:
@@ -595,6 +590,7 @@ class JanusAQP:
         once the pool its baselines describe is in place (a
         re-initialization resamples it after this).
         """
+        self._rebuild_leaf_cache()      # the strata read their routes here
         if self.strata is not None:
             self.strata.reroute(self._route_tid)
         else:
@@ -610,7 +606,6 @@ class JanusAQP:
             self.trigger = RepartitionTrigger(trig_cfg, oracle, self.strata)
         else:
             self.trigger.config, self.trigger.oracle = trig_cfg, oracle
-        self._rebuild_leaf_cache()
 
     def _rebuild_leaf_cache(self) -> None:
         """Re-derive the per-leaf sample matrices from the current pool.
@@ -631,7 +626,7 @@ class JanusAQP:
         """Route a row block to leaves and append it to the cache."""
         if self.dpt is None:
             return
-        _, leaf_of = self.dpt._route_batch(rows[:, self._pred_idx])
+        leaf_of = self.dpt.route_rows(rows[:, self._pred_idx])
         leaves = self.dpt.leaves
         tid_arr = np.asarray(tids, dtype=np.int64)
         for pos in np.unique(leaf_of):
@@ -640,10 +635,10 @@ class JanusAQP:
                                        tid_arr[sel], rows[sel])
 
     def _route_tid(self, tid: int) -> Optional[int]:
-        row = self._sample_rows.get(tid)
-        if row is None or self.dpt is None:
-            return None
-        return self.dpt.route_leaf(row[self._pred_idx]).node_id
+        """A pooled tid's stratum: the leaf its row is cached under
+        (:class:`_SampleSync` runs before the strata view on every
+        membership event), so no tid descends the tree twice."""
+        return self._leaf_cache.leaf_of(tid)
 
     # ------------------------------------------------------------------ #
     # request processing (Section 3.2)
@@ -895,15 +890,7 @@ class _SampleSync:
             self._owner.trigger.pool_changed(coords)
 
     def on_add(self, tid: int) -> None:  # requires-lock: _lock
-        owner = self._owner
-        row = owner.table.row(tid).copy()
-        owner._sample_rows[tid] = row
-        coords = row[owner._pred_idx]
-        owner.sample_index.insert(tid, coords, float(row[owner._agg_idx]))
-        self._pool_changed(coords[None])
-        leaf_id = owner._route_tid(tid)
-        if leaf_id is not None:
-            owner._leaf_cache.add(leaf_id, tid, row)
+        self.on_add_many([tid])
 
     def _ingest_rows(self, tids: List[int]) -> np.ndarray:
         """Gather rows once and bulk-insert them into dict + range index.

@@ -35,9 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..partitioning.spec import PartitionNode
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
-from .node import DPTNode
+from .node import DPTNode, NodeTable
 from .placement import PlacementMap, stagger_trigger
 from .queries import AggFunc, Rectangle
 from .routing import ShardSummary
@@ -68,45 +69,13 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
     if dpt is None:
         raise RuntimeError("cannot save an uninitialized synopsis")
     nodes = list(dpt.nodes())
-    index_of = {node.node_id: i for i, node in enumerate(nodes)}
     n = len(nodes)
-    d = len(dpt.predicate_attrs)
-    s = len(dpt.stat_attrs)
-
-    parent = np.full(n, -1, dtype=np.int64)
-    rect_lo = np.empty((n, d))
-    rect_hi = np.empty((n, d))
-    h = np.empty(n)
-    delta_count = np.empty(n, dtype=np.int64)
-    base_count = np.empty(n, dtype=np.int64)
-    exact = np.zeros(n, dtype=bool)
-    csum = np.empty((n, s))
-    csumsq = np.empty((n, s))
-    cmin = np.empty((n, s))
-    cmax = np.empty((n, s))
-    dsum = np.empty((n, s))
-    dsumsq = np.empty((n, s))
-    bsum = np.empty((n, s))
-    bsumsq = np.empty((n, s))
-    minmax_payload: List[Dict] = []
-    for i, node in enumerate(nodes):
-        if node.parent is not None:
-            parent[i] = index_of[node.parent.node_id]
-        rect_lo[i] = node.rect.lo
-        rect_hi[i] = node.rect.hi
-        h[i] = node.h
-        delta_count[i] = node.delta_count
-        base_count[i] = node.base_count
-        exact[i] = node.exact
-        csum[i], csumsq[i] = node.csum, node.csumsq
-        cmin[i], cmax[i] = node.cmin, node.cmax
-        dsum[i], dsumsq[i] = node.dsum, node.dsumsq
-        bsum[i], bsumsq[i] = node.bsum, node.bsumsq
-        minmax_payload.append({
-            str(pos): {
-                "max": mm._max.values(), "min": mm._min.values(),
-                "max_exact": mm._max.exact, "min_exact": mm._min.exact,
-            } for pos, mm in node.minmax.items()})
+    table = dpt._table              # rows are in nodes() order
+    minmax_payload: List[Dict] = [{
+        str(pos): {
+            "max": mm._max.values(), "min": mm._min.values(),
+            "max_exact": mm._max.exact, "min_exact": mm._min.exact,
+        } for pos, mm in node.minmax.items()} for node in nodes]
 
     pool_tids = np.array(janus.reservoir.tids(), dtype=np.int64)
     pool_rows = (np.stack([janus._sample_rows[t] for t in pool_tids])
@@ -132,11 +101,10 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
                          sorted(nodes[0].minmax)] if nodes else [],
     }
     payload = dict(
-        meta=json.dumps(meta), parent=parent, rect_lo=rect_lo,
-        rect_hi=rect_hi, h=h, delta_count=delta_count,
-        base_count=base_count, exact=exact, csum=csum, csumsq=csumsq,
-        cmin=cmin, cmax=cmax, dsum=dsum, dsumsq=dsumsq, bsum=bsum,
-        bsumsq=bsumsq, pool_tids=pool_tids, pool_rows=pool_rows)
+        meta=json.dumps(meta), parent=table.parent.copy(),
+        rect_lo=table.lo[:n].copy(), rect_hi=table.hi[:n].copy(),
+        **{name: getattr(table, name).copy() for name in NodeTable.FIELDS},
+        pool_tids=pool_tids, pool_rows=pool_rows)
     # Canonical sketch blobs ride as uint8 arrays keyed by the attr's
     # position in config.sketch_attrs and the per-attr kind order -
     # deterministic keys, no new meta entries.  ``_sketches`` is read
@@ -183,31 +151,20 @@ def load_synopsis(path: str, table: Table,
         n = parent.shape[0]
         stat_attrs = tuple(meta["stat_attrs"])
         mm_pos = tuple(stat_attrs.index(a) for a in meta["minmax_attrs"])
+        node_table = NodeTable(n, len(stat_attrs))
+        for name in NodeTable.FIELDS:
+            getattr(node_table, name)[:] = archive[name]
+        rect_lo, rect_hi = archive["rect_lo"], archive["rect_hi"]
         nodes: List[DPTNode] = []
         for i in range(n):
-            rect = Rectangle(tuple(archive["rect_lo"][i]),
-                             tuple(archive["rect_hi"][i]))
-            node = DPTNode(i, rect, len(stat_attrs),
-                           minmax_attrs=mm_pos,
-                           minmax_k=config.minmax_k)
-            node.h = float(archive["h"][i])
-            node.delta_count = int(archive["delta_count"][i])
-            node.base_count = int(archive["base_count"][i])
-            node.exact = bool(archive["exact"][i])
-            node.csum = archive["csum"][i].copy()
-            node.csumsq = archive["csumsq"][i].copy()
-            node.cmin = archive["cmin"][i].copy()
-            node.cmax = archive["cmax"][i].copy()
-            node.dsum = archive["dsum"][i].copy()
-            node.dsumsq = archive["dsumsq"][i].copy()
-            node.bsum = archive["bsum"][i].copy()
-            node.bsumsq = archive["bsumsq"][i].copy()
+            node = DPTNode(i, Rectangle(tuple(rect_lo[i]),
+                                        tuple(rect_hi[i])),
+                           len(stat_attrs), mm_pos, config.minmax_k,
+                           node_table, i)
             for pos_str, payload in meta["minmax"][i].items():
                 mm = node.minmax[int(pos_str)]
-                mm._max._values = [float(v) for v in payload["max"]]
-                mm._min._values = [float(v) for v in payload["min"]]
-                mm._max.exact = bool(payload["max_exact"])
-                mm._min.exact = bool(payload["min_exact"])
+                mm._max.restore(payload["max"], payload["max_exact"])
+                mm._min.restore(payload["min"], payload["min_exact"])
             nodes.append(node)
         root = None
         for i, node in enumerate(nodes):
@@ -220,24 +177,13 @@ def load_synopsis(path: str, table: Table,
         if root is None:
             raise ValueError("snapshot has no root node")
 
-        # graft the restored graph into a DynamicPartitionTree shell
-        dpt = DynamicPartitionTree.__new__(DynamicPartitionTree)
-        dpt.schema = table.schema
-        dpt.predicate_attrs = tuple(meta["predicate_attrs"])
-        dpt.stat_attrs = stat_attrs
-        dpt._stat_pos = {a: i for i, a in enumerate(stat_attrs)}
-        dpt._pred_idx = np.array([table.col_index(a)
-                                  for a in dpt.predicate_attrs])
-        dpt._stat_idx = np.array([table.col_index(a)
-                                  for a in stat_attrs])
-        dpt._mm_pos = mm_pos
-        dpt._minmax_k = config.minmax_k
+        # a tree over the root's rectangle, re-pointed at the restored graph
+        dpt = DynamicPartitionTree(
+            PartitionNode(root.rect), table.schema, meta["predicate_attrs"],
+            stat_attrs, meta["minmax_attrs"], config.minmax_k)
         dpt.n0 = int(meta["n0"])
-        dpt._nodes = nodes
-        dpt._next_id = n
-        dpt.root = root
+        dpt._nodes, dpt._next_id, dpt.root = nodes, n, root
         dpt._index_leaves()
-        dpt.n_updates = 0
         janus.dpt = dpt
 
         # ---- restore the pooled sample ------------------------------- #

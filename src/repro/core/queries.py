@@ -109,19 +109,6 @@ class Rectangle:
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
-    def distances(self, points) -> np.ndarray:
-        """Vectorized L1 point-to-rectangle distance (0 inside)."""
-        pts = np.asarray(points, dtype=np.float64)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        below = np.clip(lo - pts, 0.0, None)
-        above = np.clip(pts - hi, 0.0, None)
-        # inf - inf at an unbounded edge yields NaN; an unbounded side
-        # can never be violated, so its term is zero.
-        below[np.isnan(below)] = 0.0
-        above[np.isnan(above)] = 0.0
-        return below.sum(axis=1) + above.sum(axis=1)
-
     def contains_rect(self, other: "Rectangle") -> bool:
         """True when ``other`` lies entirely inside this rectangle."""
         return all(a <= c and d <= b

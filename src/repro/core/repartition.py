@@ -95,9 +95,9 @@ def partial_repartition(janus, leaf: DPTNode, psi: int = 2
             node.csum *= factor
             node.csumsq *= factor
             stack.extend(node.children)
+    janus._rebuild_leaf_cache()     # first: the strata read routes from it
     if janus.strata is not None:
         janus.strata.reroute(janus._route_tid)
-    janus._rebuild_leaf_cache()
     if janus.trigger is not None:
         janus.trigger.rebase(dpt)
     # Epoch bump goes through the engine so it happens under its lock;

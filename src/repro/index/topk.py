@@ -15,7 +15,10 @@ heap with lazy deletion in both simplicity and constant factors.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional
+import math
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class TopK:
@@ -31,16 +34,19 @@ class TopK:
         # False once a delete had to be refused to keep one element:
         # top() is then only an outer approximation.
         self.exact = True
-        self._saturated = False  # ever trimmed: refills are impossible
+        # Sticky: a NaN breaks the list's order, so no value may skip
+        # the sequential path again (see edges()).
+        self._nan = False
 
     def __len__(self) -> int:
         return len(self._values)
 
     def insert(self, value: float) -> None:
         value = float(value)
+        if value != value:
+            self._nan = True
         bisect.insort(self._values, value)
         if len(self._values) > self.k:
-            self._saturated = True
             if self.largest:
                 self._values.pop(0)     # drop smallest of the top-k
             else:
@@ -62,12 +68,40 @@ class TopK:
             self.exact = False
             return
         self._values.pop(i)
-        if self._saturated:
-            # After trimming we no longer know the k-th order statistic,
-            # so a shrunken window means top() is exact but the window is
-            # not refillable.  Exactness of the extremum itself is kept:
-            # any value bigger than top() would still be stored.
-            pass
+
+    def edges(self) -> Tuple[float, float]:
+        """``(insert_edge, delete_edge)`` of the kept window.
+
+        Inserting ``v < insert_edge`` (top-k; ``>`` for bottom-k) is a
+        no-op: the list is full and would trim ``v`` at once.  Deleting
+        ``v < delete_edge`` (``>``) is one too: ``v`` is outside the
+        window.  Later inserts (deletes) only move the edges outward, so
+        a batch may be filtered against edges read before it.  A NaN
+        edge drops nothing.
+        """
+        values = self._values
+        if self._nan:
+            return math.nan, math.nan
+        if not values:
+            return math.nan, math.inf if self.largest else -math.inf
+        edge = values[0] if self.largest else values[-1]
+        return (edge if len(values) == self.k else math.nan), edge
+
+    def restore(self, values: Iterable[float], exact: bool) -> None:
+        """Install a saved state (:mod:`repro.core.persist`)."""
+        self._values = [float(v) for v in values]
+        self.exact = bool(exact)
+        self._nan = any(v != v for v in self._values)
+
+    def insert_many(self, values: Sequence[float]) -> None:
+        """``insert`` per value in order, minus the provable no-ops."""
+        TopKColumn([self]).insert_many(
+            np.zeros(len(values), dtype=np.intp), np.asarray(values, float))
+
+    def delete_many(self, values: Sequence[float]) -> None:
+        """``delete`` per value in order, minus the provable no-ops."""
+        TopKColumn([self]).delete_many(
+            np.zeros(len(values), dtype=np.intp), np.asarray(values, float))
 
     def top(self) -> Optional[float]:
         """Current MAX (or MIN) estimate; None when never populated."""
@@ -77,6 +111,41 @@ class TopK:
 
     def values(self) -> List[float]:
         return list(self._values)
+
+
+class TopKColumn:
+    """One direction's :class:`TopK` lists of all nodes of a tree, with
+    their window edges as arrays: a batch of (node, value) pairs is
+    filtered by one vector comparison and only the values that can
+    change a list reach it, in pair order."""
+
+    def __init__(self, tops: Sequence[TopK]) -> None:
+        self.tops = list(tops)
+        self.largest = bool(self.tops) and self.tops[0].largest
+        # rows: insert edges, delete edges, NaN (an edge nothing is beyond)
+        self._edges = np.full((3, len(self.tops)), math.nan)
+        self._refresh(range(len(self.tops)))
+
+    def _refresh(self, ids: Iterable[int]) -> None:
+        for i in ids:
+            self._edges[:2, i] = self.tops[i].edges()
+
+    def _apply(self, op, edge: np.ndarray, ids: np.ndarray,
+               values: np.ndarray) -> None:
+        drop = values < edge[ids] if self.largest else values > edge[ids]
+        if not drop.all():
+            kept, tops = ids[~drop].tolist(), self.tops
+            for i, v in zip(kept, values[~drop].tolist()):
+                op(tops[i], v)
+            self._refresh(set(kept))
+
+    def insert_many(self, ids: np.ndarray, values: np.ndarray) -> None:
+        # a NaN in the batch unsorts lists mid-way: filter nothing
+        self._apply(TopK.insert, self._edges[2 if (values != values).any()
+                                             else 0], ids, values)
+
+    def delete_many(self, ids: np.ndarray, values: np.ndarray) -> None:
+        self._apply(TopK.delete, self._edges[1], ids, values)
 
 
 class MinMaxStats:

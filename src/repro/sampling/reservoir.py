@@ -181,11 +181,6 @@ class DynamicReservoir:
             self.initialize()
 
     # ------------------------------------------------------------------ #
-    def _add(self, tid: int) -> None:
-        self._add_silent(tid)
-        for obs in self._observers:
-            obs.on_add(tid)
-
     def _add_silent(self, tid: int) -> None:
         self._pos[tid] = len(self._members)
         self._members.append(tid)

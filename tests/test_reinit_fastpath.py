@@ -265,7 +265,7 @@ class TestReoptimizePipeline:
         seed_from_reservoir(dpt_new, rows)                # matrix path
 
         def leaf_samples_for(dpt):
-            _, leaf_of = dpt._route_batch(rows[:, janus._pred_idx])
+            leaf_of = dpt.route_rows(rows[:, janus._pred_idx])
             blocks = {}
             for pos in np.unique(leaf_of):
                 node = dpt.leaves[int(pos)]

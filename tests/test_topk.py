@@ -1,5 +1,6 @@
 """Tests for top-k/bottom-k MIN/MAX maintenance (Section 4.1 semantics)."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -207,3 +208,83 @@ class TestSaturationContract:
         survivors = [live[i] for i in order[len(live) - 1:]]
         assert mm.max_value >= max(survivors) - 1e-12
         assert mm.min_value <= min(survivors) + 1e-12
+
+
+class TestBatchMatchesSequential:
+    """PR 18: ``insert_many`` / ``delete_many`` drop the provable no-ops
+    with one vector comparison against the window edge; what is left of
+    the list, ``exact`` and ``top()`` must be what value-at-a-time calls
+    leave - the tree's grouped-update kernel rides the same filter
+    (:class:`~repro.index.topk.TopKColumn`) across all of its nodes."""
+
+    # a small alphabet forces duplicates and values equal to the edge
+    VALUES = st.one_of(st.integers(-4, 12).map(float),
+                       st.sampled_from([math.inf, -math.inf, 0.0, -0.0]),
+                       st.floats(allow_nan=False, width=32))
+    BATCHES = st.lists(st.tuples(st.booleans(),
+                                 st.lists(VALUES, max_size=40)),
+                       min_size=1, max_size=8)
+
+    @staticmethod
+    def state(t):
+        return repr(t.values()), t.exact, repr(t.top()), len(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(BATCHES, st.sampled_from([1, 2, 32]), st.booleans())
+    def test_batches_leave_the_sequential_state(self, batches, k, largest):
+        seq, bat = TopK(k, largest), TopK(k, largest)
+        for is_insert, values in batches:
+            for v in values:
+                (seq.insert if is_insert else seq.delete)(v)
+            (bat.insert_many if is_insert else bat.delete_many)(values)
+            assert self.state(bat) == self.state(seq)
+
+    @settings(max_examples=80, deadline=None)
+    @given(BATCHES, st.sampled_from([1, 2, 32]), st.booleans(),
+           st.integers(0, 2 ** 31 - 1))
+    def test_nan_disarms_the_filter_not_the_answer(self, batches, k,
+                                                   largest, seed):
+        """A NaN unsorts the list, so bisect stops behaving like a
+        window: from then on nothing may skip the sequential path."""
+        rng = np.random.default_rng(seed)
+        seq, bat = TopK(k, largest), TopK(k, largest)
+        for is_insert, values in batches:
+            values = [math.nan if rng.random() < 0.15 else v
+                      for v in values]
+            for v in values:
+                (seq.insert if is_insert else seq.delete)(v)
+            (bat.insert_many if is_insert else bat.delete_many)(values)
+            assert self.state(bat) == self.state(seq)
+
+    def test_values_at_the_edge_of_a_full_window(self):
+        t = TopK(k=2, largest=True)
+        t.insert_many([5.0, 7.0])
+        assert t.edges() == (5.0, 5.0)
+        t.insert_many([5.0, 4.0, 5.0])       # trimmed at once: no change
+        assert t.values() == [5.0, 7.0]
+        t.insert_many([6.0, 5.0])            # 6 enters, edge moves to 6
+        assert t.values() == [6.0, 7.0] and t.edges() == (6.0, 6.0)
+        t.delete_many([5.0, 6.0, 6.0])       # one 6 tracked, one not
+        assert t.values() == [7.0] and t.exact
+        assert math.isnan(t.edges()[0])      # not full: nothing to trim
+        t.delete_many([7.0])                 # would empty: refused
+        assert t.values() == [7.0] and not t.exact
+
+    def test_column_filters_each_node_against_its_own_edge(self):
+        from repro.index.topk import TopKColumn
+        tops = [TopK(2, largest=False) for _ in range(3)]
+        ref = [TopK(2, largest=False) for _ in range(3)]
+        column = TopKColumn(tops)
+        ids = np.array([0, 0, 0, 1, 2, 2, 0, 1])
+        values = np.array([3.0, 1.0, 2.0, 9.0, 4.0, 4.0, 5.0, 0.5])
+        column.insert_many(ids, values)
+        column.insert_many(ids, values[::-1].copy())
+        column.delete_many(ids, values)
+        for i, v in zip(ids, values):
+            ref[i].insert(v)
+        for i, v in zip(ids, values[::-1]):
+            ref[i].insert(v)
+        for i, v in zip(ids, values):
+            ref[i].delete(v)
+        assert [t.values() for t in tops] == [t.values() for t in ref]
+        assert [t.exact for t in tops] == [t.exact for t in ref]

@@ -48,6 +48,8 @@ MUTATORS = {
     "insert_rows", "delete_rows",
     "add_catchup_rows", "add_catchup_rows_subtree",
     "add_catchup_row", "add_catchup_row_subtree",
+    # the node table's grouped-update kernel and its per-node handles
+    "apply_delta", "add_catchup", "apply_insert", "apply_delete",
     "replace_subtree", "seed_from_reservoir",
     "_install", "set_target", "rebalance_range",
 }
