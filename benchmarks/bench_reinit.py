@@ -117,7 +117,7 @@ def run_reoptimize(m):
                      "seed_s": t3 - t2, "total_s": t3 - t0}
 
     # ---- new path ---------------------------------------------------- #
-    # Mirrors the new _partition_snapshot: SUM/COUNT focus needs no
+    # Mirrors JanusAQP._partition: SUM/COUNT focus needs no
     # throwaway snapshot index - the partitioner runs off the flat
     # arrays (AVG would pay one bulk add_many, timed separately below).
     t0 = time.perf_counter()

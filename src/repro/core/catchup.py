@@ -20,9 +20,10 @@ Two sources are supported:
 
 from __future__ import annotations
 
+import contextlib
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, ContextManager, Iterable, Optional
 
 import numpy as np
 
@@ -30,6 +31,12 @@ from ..broker.broker import Topic
 from ..broker.samplers import SequentialSampler, SingletonSampler
 from .dpt import DynamicPartitionTree
 from .table import Table
+
+
+#: Rows per catch-up chunk.  One constant for every route of the
+#: rebuild pipeline: the node sums are accumulated chunk by chunk, so a
+#: second chunk size would be a second set of last-digit roundings.
+CATCHUP_CHUNK = 2048
 
 
 @dataclass
@@ -56,17 +63,19 @@ class CatchupRunner:
 
     # ------------------------------------------------------------------ #
     def run_from_table(self, table: Table,
-                       snapshot_tids: Optional[np.ndarray],
-                       goal: int, batch_size: int = 2048,
-                       on_batch: Optional[Callable[[int], None]] = None
-                       ) -> CatchupReport:
+                       snapshot_tids: Optional[np.ndarray], goal: int,
+                       guard: Callable[[], ContextManager] =
+                       contextlib.nullcontext) -> CatchupReport:
         """Sample ``goal`` snapshot rows uniformly (without replacement).
 
         ``snapshot_tids`` pins the epoch: rows inserted after
         re-initialization are excluded (they are tracked exactly by the
         delta statistics), and rows deleted since the snapshot are
-        skipped.  ``on_batch`` lets callers interleave update processing
-        (the async pipeline) between batches.
+        skipped.  Every chunk of ``CATCHUP_CHUNK`` rows is applied
+        inside ``guard()``: the engine passes its lock-and-bump section,
+        so a background rebuild yields to writers and readers between
+        chunks while a caller that already holds the lock re-enters it
+        for free.
         """
         report = CatchupReport(goal=goal)
         if snapshot_tids is None:
@@ -76,18 +85,17 @@ class CatchupRunner:
             return report
         goal = min(goal, snapshot_tids.size)
         order = self._rng.permutation(snapshot_tids)[:goal]
-        for start in range(0, order.size, batch_size):
-            chunk = order[start:start + batch_size]
-            t0 = time.perf_counter()
-            live = chunk[table.live_mask(chunk)]
-            rows = table.rows_for(live)
-            report.loading_seconds += time.perf_counter() - t0
-            t1 = time.perf_counter()
-            self.dpt.add_catchup_rows(rows)
-            report.processing_seconds += time.perf_counter() - t1
+        for start in range(0, order.size, CATCHUP_CHUNK):
+            chunk = order[start:start + CATCHUP_CHUNK]
+            with guard():
+                t0 = time.perf_counter()
+                live = chunk[table.live_mask(chunk)]
+                rows = table.rows_for(live)
+                t1 = time.perf_counter()
+                self.dpt.add_catchup_rows(rows)
+                report.processing_seconds += time.perf_counter() - t1
+            report.loading_seconds += t1 - t0
             report.n_processed += int(live.size)
-            if on_batch is not None:
-                on_batch(report.n_processed)
         return report
 
     # ------------------------------------------------------------------ #

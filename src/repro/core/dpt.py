@@ -228,12 +228,7 @@ class DynamicPartitionTree:
             child.parent = node
             node.children.append(child)
         new_nodes = self._nodes[before:]
-        self._nodes = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            self._nodes.append(n)
-            stack.extend(n.children)
+        self._nodes = self.subtree_nodes(self.root)
         self._index_leaves()
         return new_nodes
 
@@ -284,15 +279,19 @@ class DynamicPartitionTree:
                              np.array(p, dtype=np.intp))
                             for c, p in levels]
 
-    def subtree_leaf_count(self, node: DPTNode) -> int:
-        count = 0
+    def subtree_nodes(self, node: DPTNode) -> List[DPTNode]:
+        """``node`` and everything below it, in the registry's walk
+        order."""
+        out: List[DPTNode] = []
         stack = [node]
         while stack:
             n = stack.pop()
-            if n.is_leaf:
-                count += 1
+            out.append(n)
             stack.extend(n.children)
-        return count
+        return out
+
+    def subtree_leaf_count(self, node: DPTNode) -> int:
+        return sum(n.is_leaf for n in self.subtree_nodes(node))
 
     def _inflate_edges(self) -> None:
         """Extend boundary partitions to infinity so every future tuple

@@ -12,8 +12,8 @@
   StrataView`),
 * the partitioners of Section 5 (binary-search in 1-D, greedy k-d tree in
   higher dimensions),
-* the :class:`~repro.core.catchup.CatchupRunner` re-initialization
-  pipeline of Figure 4, and
+* the re-initialization pipeline of Figure 4 (:meth:`JanusAQP._rebuild`,
+  catching up through :class:`~repro.core.catchup.CatchupRunner`), and
 * the :class:`~repro.core.triggers.RepartitionTrigger` drift monitor.
 
 Queries never touch the base table: they are answered entirely from node
@@ -34,11 +34,14 @@ is a thin wrapper over the same path with identical results.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from ..sampling.stratified import StrataView
 from ..sketch.counted import CountedSketch
 from ..sketch.registry import (new_sketch, sketch_answer,
                                sketch_from_bytes, sketch_kind_for)
-from .catchup import CatchupReport, CatchupRunner, seed_from_reservoir
+from .catchup import CatchupReport, CatchupRunner
 from .dpt import DynamicPartitionTree, inflate_rect
 from .node import DPTNode
 from .queries import AggFunc, Query, QueryResult, Rectangle, SKETCH_AGGS
@@ -129,8 +132,8 @@ class JanusConfig:
 class ReoptReport:
     """Timings of one re-initialization (Figure 4 / Figure 5 right)."""
 
-    optimize_seconds: float = 0.0     # phase 1: partition optimization
-    blocking_seconds: float = 0.0     # phase 2: seed stats from the pool
+    optimize_seconds: float = 0.0     # snapshot + build stages
+    blocking_seconds: float = 0.0     # install stage (lock held)
     catchup: CatchupReport = field(default_factory=CatchupReport)
 
     @property
@@ -390,197 +393,192 @@ class JanusAQP:
     def bump_epoch(self) -> int:
         """Advance ``data_epoch`` under the engine's own lock.
 
-        The one sanctioned way for *external* mutators (e.g. the
-        partial re-partitioner in :mod:`repro.core.repartition`) to
-        invalidate cached answers: a bare ``engine.data_epoch += 1``
-        from outside would race with the locked read-modify-write
-        cycles of the ingest paths.  Returns the new epoch.
+        The one sanctioned way for *external* mutators to invalidate
+        cached answers: a bare ``engine.data_epoch += 1`` from outside
+        would race with the locked read-modify-write cycles of the
+        ingest paths.  Returns the new epoch.
         """
         with self._lock:
             self.data_epoch += 1
             return self.data_epoch
 
     # ------------------------------------------------------------------ #
-    # construction / re-initialization (Figure 4)
+    # construction / re-initialization (Figure 4, Appendix E)
     # ------------------------------------------------------------------ #
     def initialize(self, catchup_goal: Optional[int] = None) -> ReoptReport:
         """Build the first synopsis from the current table state."""
         with self._lock:
+            self.dpt = None     # void once the pool resets: a first build
             self.reservoir.initialize()
-            return self._reinitialize(catchup_goal)
+            return self._rebuild(catchup_goal)
 
     def reoptimize(self, catchup_goal: Optional[int] = None) -> ReoptReport:
         """Full re-partitioning over the current pooled sample."""
         with self._lock:
-            report = self._reinitialize(catchup_goal)
-            self.n_repartitions += 1
-            return report
+            return self._rebuild(catchup_goal)
 
-    def reoptimize_async(self, catchup_goal: Optional[int] = None,
-                         batch_size: int = 512) -> threading.Thread:
-        """The multi-threaded re-initialization pipeline of Figure 4.
-
-        Phase 1 (parallel): the partition optimizer runs on a *snapshot*
-        of the pooled sample in a worker thread while the main thread
-        keeps maintaining the old synopsis and answering queries.
-        Phase 2 (blocking): the new tree is installed and seeded - the
-        only period during which updates/queries wait on the lock.
-        Phases 4-5: the pool is resampled and catch-up proceeds in small
-        batches, yielding the lock between batches so new requests
-        interleave.  Returns the worker thread; ``join()`` it to wait
-        for catch-up completion.
+    def reoptimize_async(self, catchup_goal: Optional[int] = None
+                         ) -> threading.Thread:
+        """:meth:`reoptimize` on a worker thread that does not hold the
+        lock: the old synopsis keeps serving while the partitioner runs,
+        only the install blocks, and catch-up yields between chunks.
+        ``join()`` the returned thread, then read :attr:`last_reopt`.
         """
-        with self._lock:
-            coords, values, tids = self.sample_index.all_items()
-            n_pop = max(len(self.table), 1)
-            domains = [self.table.domain(a) for a in self.predicate_attrs]
-
-        def work() -> None:
-            t_work = time.perf_counter()
-            spec = self._partition_snapshot(coords, values, tids, n_pop,
-                                            domains)
-            t_block = time.perf_counter()
-            with self._lock:                     # phase 2: blocking swap
-                self._install(spec)
-                self.trigger.rebase(self.dpt)
-                target = max(self.config.min_pool,
-                             int(2 * self.config.sample_rate *
-                                 len(self.table)))
-                self.reservoir.set_target(target, resample=True)
-                snapshot = self.table.live_tids()
-                n0 = len(self.table)
-                self.n_repartitions += 1
-                self.data_epoch += 1
-            self._h_reopt_blocking.observe(time.perf_counter() - t_block)
-            goal = catchup_goal if catchup_goal is not None else \
-                int(self.config.catchup_rate * n0)
-            goal = min(goal, snapshot.size)
-            rng = np.random.default_rng(int(self._rng.integers(2 ** 31)))
-            order = rng.permutation(snapshot)[:goal]
-            for start in range(0, order.size, batch_size):
-                chunk = order[start:start + batch_size]
-                with self._lock:                 # phase 5, interleaved
-                    live = chunk[self.table.live_mask(chunk)]
-                    if live.size:
-                        self.dpt.add_catchup_rows(self.table.rows_for(live))
-                        self.data_epoch += 1
-            with self._lock:
-                self.trigger.rebase(self.dpt)
-            self._h_reopt.observe(time.perf_counter() - t_work)
-
-        thread = threading.Thread(target=work, daemon=True,
-                                  name="janus-reoptimize")
+        thread = threading.Thread(
+            target=self._rebuild, args=(catchup_goal,),
+            kwargs={"frozen": True}, daemon=True, name="janus-reoptimize")
         thread.start()
         return thread
 
-    def _partition_snapshot(self, coords: np.ndarray, values: np.ndarray,
-                            tids: np.ndarray, n_pop: int,
-                            domains) -> PartitionNode:
-        """Partition a frozen copy of the pool (runs without the lock).
+    def _rebuild(self, catchup_goal: Optional[int] = None,
+                 spec: Optional[PartitionNode] = None,
+                 scope: Optional[DPTNode] = None,
+                 frozen: bool = False) -> ReoptReport:
+        """The one re-initialization pipeline (Figure 4; Appendix E below
+        ``scope``): snapshot the pool, build a partitioning from it
+        (unless a committing candidate evaluation hands its ``spec``
+        in), install and seed it - the blocking stage - then catch up
+        from archival storage.  Each stage takes the re-entrant lock
+        itself: a caller that holds it runs the pipeline as one critical
+        section; the ``frozen`` caller (:meth:`reoptimize_async`) does
+        not, so its build runs beside traffic and its catch-up yields
+        between chunks.
+        """
+        t0 = time.perf_counter()
+        if spec is None:
+            with self._lock:
+                snapshot = self._snapshot(scope, frozen)
+            spec = self._partition(*snapshot)
+        t1 = time.perf_counter()
+        with self._lock:
+            repartition = scope is None and self.dpt is not None
+            catchup = self._install(spec, scope, catchup_goal)
+            self.data_epoch += 1
+        t2 = time.perf_counter()
+        report = ReoptReport(t1 - t0, t2 - t1, catchup())
+        with self._lock:
+            self.last_reopt = report
+            if repartition:
+                self.n_repartitions += 1
+        seconds = time.perf_counter() - t0
+        if scope is None:
+            self._h_reopt_blocking.observe(report.blocking_seconds)
+            self._h_reopt.observe(seconds)
+        else:
+            self._h_repartition.observe(seconds)
+        return report
 
-        For SUM/COUNT focus the k-d partitioner runs straight off the
-        flat snapshot arrays - no throwaway geometric index at all.
-        AVG needs one for the oracle's canonical-cell candidates; it is
-        built with a single bulk ``add_many`` (vectorized wholesale
-        rebuild) instead of n incremental tree descents.  Real pool
-        tids keep the partitioner's canonical ordering identical to
-        the synchronous path.
+    def _snapshot(self, scope: Optional[DPTNode],  # requires-lock: _lock
+                  frozen: bool) -> tuple:
+        """Stage 1, :meth:`_partition`'s arguments: copies of the pool
+        items, leaf budget, root rectangle (the table domains, or
+        ``scope``'s own), ``|D|``, and - unless the build will run
+        without the lock - the live pool index."""
+        coords, values, tids = self.sample_index.all_items()
+        if scope is None:
+            domains = [self.table.domain(a) for a in self.predicate_attrs]
+            k, rect = self.config.k, Rectangle(
+                tuple(lo for lo, _ in domains),
+                tuple(hi for _, hi in domains))
+        else:
+            k, rect = self.dpt.subtree_leaf_count(scope), scope.rect
+        return (coords, values, tids, k, rect, max(len(self.table), 1),
+                None if frozen else self.sample_index)
+
+    def _compute_partitioning(self) -> PartitionNode:  # requires-lock: _lock
+        """Stages 1-2 over the live pool (candidate evaluation)."""
+        return self._partition(*self._snapshot(None, False))
+
+    def _partition(self, coords: np.ndarray, values: np.ndarray,
+                   tids: np.ndarray, k: int, rect: Rectangle, n_pop: int,
+                   index: Optional[RangeIndex]) -> PartitionNode:
+        """Stage 2, the engine's only partitioner call: ``k`` leaves
+        over the items inside ``rect``.  Reads no engine state, so a
+        frozen snapshot is partitioned without the lock; the AVG oracle
+        then takes its canonical cells from a throwaway index over the
+        items (one vectorized ``add_many``) instead of ``index``.
         """
         if coords.shape[0] == 0:
             raise RuntimeError("cannot partition: empty sample pool")
+        inside = np.flatnonzero(rect.contains_points(coords))
+        if inside.size == 0:
+            return PartitionNode(rect)  # a sample-free region: one leaf
+        focus, delta = self.config.focus_agg, self.config.delta
         if len(self.predicate_attrs) == 1:
-            order = np.argsort(tids, kind="stable")
-            return OneDimPartitioner(
-                self.config.focus_agg, delta=self.config.delta).partition(
-                    coords[order, 0], values[order], self.config.k,
-                    n_population=n_pop, domain=domains[0]).tree
-        snapshot_index = None
-        if self.config.focus_agg is AggFunc.AVG:
-            snapshot_index = RangeIndex(len(self.predicate_attrs),
-                                        seed=self.config.seed + 3)
-            snapshot_index.add_many(tids, coords, values)
-        lo = tuple(d[0] for d in domains)
-        hi = tuple(d[1] for d in domains)
-        return KDTreePartitioner(
-            self.config.focus_agg, delta=self.config.delta).partition_rows(
-                coords, values, tids, self.config.k, n_population=n_pop,
-                root_rect=Rectangle(lo, hi), index=snapshot_index).tree
-
-    def _reinitialize(self, catchup_goal: Optional[int],  # requires-lock: _lock
-                      spec: Optional[PartitionNode] = None) -> ReoptReport:
-        report = ReoptReport()
-        # Phase 1: partition optimization over the current pooled sample
-        # (already done by a committing candidate evaluation).
-        t0 = time.perf_counter()
-        if spec is None:
-            spec = self._compute_partitioning()
-        report.optimize_seconds = time.perf_counter() - t0
-        # Phase 2 (blocking): build the new tree, seed stats from the pool.
-        t1 = time.perf_counter()
-        self._install(spec)
-        report.blocking_seconds = time.perf_counter() - t1
-        self._h_reopt_blocking.observe(report.blocking_seconds)
-        # Phase 4: resample a fresh pool sized to the *current* data
-        # ("the system resamples a uniform sample of data from archival
-        # storage to be the new pooled reservoir sample").
-        target = max(self.config.min_pool,
-                     int(2 * self.config.sample_rate * len(self.table)))
-        self.reservoir.set_target(target, resample=True)
-        # Phase 5: background catch-up from archival storage.
-        goal = catchup_goal if catchup_goal is not None else \
-            int(self.config.catchup_rate * len(self.table))
-        runner = CatchupRunner(self.dpt,
-                               seed=int(self._rng.integers(2 ** 31)))
-        report.catchup = runner.run_from_table(
-            self.table, self.table.live_tids(), goal)
-        self.trigger.rebase(self.dpt)
-        self.data_epoch += 1
-        self.last_reopt = report
-        self._h_reopt.observe(time.perf_counter() - t0)
-        return report
-
-    def _compute_partitioning(self) -> PartitionNode:  # requires-lock: _lock
-        d = len(self.predicate_attrs)
-        n = max(len(self.table), 1)
-        m = max(len(self.sample_index), 1)
-        if d == 1:
-            coords, values, tids = self.sample_index.all_items()
-            if coords.shape[0] == 0:
-                raise RuntimeError("cannot partition: empty sample pool")
-            domain = self.table.domain(self.predicate_attrs[0])
             # Canonical tid order: with duplicate keys the stable
             # by-key argsort would otherwise tie-break by pool storage
             # order, an implementation detail.
-            order = np.argsort(tids, kind="stable")
-            result = OneDimPartitioner(
-                self.config.focus_agg, delta=self.config.delta).partition(
-                    coords[order, 0], values[order], self.config.k,
-                    n_population=n, domain=domain)
-            return result.tree
-        lo = tuple(self.table.domain(a)[0] for a in self.predicate_attrs)
-        hi = tuple(self.table.domain(a)[1] for a in self.predicate_attrs)
-        result = KDTreePartitioner(
-            self.config.focus_agg, delta=self.config.delta).partition(
-                self.sample_index, self.config.k, n_population=n,
-                root_rect=Rectangle(lo, hi))
-        return result.tree
+            order = inside[np.argsort(tids[inside], kind="stable")]
+            return OneDimPartitioner(focus, delta=delta).partition(
+                coords[order, 0], values[order], k, n_population=n_pop,
+                domain=(rect.lo[0], rect.hi[0])).tree
+        if index is None and focus is AggFunc.AVG:
+            index = RangeIndex(len(self.predicate_attrs))
+            index.add_many(tids, coords, values)
+        return KDTreePartitioner(focus, delta=delta).partition_rows(
+            coords, values, tids, k, n_population=n_pop, root_rect=rect,
+            index=index).tree
 
-    def _install(self, spec: PartitionNode) -> None:  # requires-lock: _lock
-        """Blocking step: swap in the new tree and seed it from the pool."""
-        dpt = DynamicPartitionTree(
-            spec, self.table.schema, self.predicate_attrs,
-            stat_attrs=self.stat_attrs, minmax_attrs=(self.agg_attr,),
-            minmax_k=self.config.minmax_k)
-        dpt.set_population(len(self.table))
-        # One vectorized gather for the whole pool: reservoir members
-        # are live table rows and synopsis-resident copies are verbatim,
-        # so the matrix equals stacking self._sample_rows row by row.
-        pool_tids = np.asarray(self.reservoir.tids(), dtype=np.int64)
-        seed_from_reservoir(dpt, self.table.rows_for(pool_tids)
-                            if pool_tids.size else
-                            np.empty((0, len(self.table.schema))))
+    def _install(self, spec: PartitionNode,  # requires-lock: _lock
+                 scope: Optional[DPTNode], catchup_goal: Optional[int]
+                 ) -> Callable[[], CatchupReport]:
+        """Stage 3, the blocking one: swap in a tree built from ``spec``
+        (or ``scope``'s subtree), seed it from the pool, rewire strata
+        and trigger.  A full rebuild then resamples the pool; returns
+        the catch-up still owed (stage 4; none below a ``scope``).
+        """
+        if scope is None:
+            dpt = DynamicPartitionTree(
+                spec, self.table.schema, self.predicate_attrs,
+                stat_attrs=self.stat_attrs, minmax_attrs=(self.agg_attr,),
+                minmax_k=self.config.minmax_k)
+            dpt.set_population(len(self.table))
+            tids = np.asarray(self.reservoir.tids(), dtype=np.int64)
+            h_equiv = 0.0
+        else:
+            # h_equiv (see :mod:`repro.core.repartition`): the weight
+            # the fresh subtree must carry to match its ancestor.
+            dpt = self.dpt
+            h_equiv = (scope.count_estimate(dpt.n0, dpt.h_total) *
+                       dpt.h_total / dpt.n0
+                       if dpt.n0 > 0 and dpt.h_total > 0 else 0.0)
+            dpt.replace_subtree(scope, spec)
+            tids = self.sample_index.report(scope.rect)[2]
+        # One vectorized gather: pool members are live table rows and
+        # the synopsis-resident copies are verbatim.
+        if tids.size:
+            dpt.add_catchup_rows(self.table.rows_for(tids), scope)
+        if tids.size and h_equiv > 0:
+            factor = h_equiv / tids.size
+            for node in dpt.subtree_nodes(scope)[1:]:
+                node.h *= factor
+                node.csum *= factor
+                node.csumsq *= factor
         self.dpt = dpt
         self._install_support_structures()
+        catchup = CatchupReport         # nothing owed: an empty report
+        if scope is None:
+            # Resample a fresh pool sized to the *current* data ("the
+            # system resamples a uniform sample of data from archival
+            # storage to be the new pooled reservoir sample").
+            self.reservoir.set_target(self._pool_target(), resample=True)
+            goal = catchup_goal if catchup_goal is not None else \
+                int(self.config.catchup_rate * len(self.table))
+            catchup = functools.partial(
+                CatchupRunner(dpt, int(self._rng.integers(2 ** 31)))
+                .run_from_table, self.table, self.table.live_tids(), goal,
+                self._catchup_chunk)
+        # Baselines describe the pool, which catch-up does not touch.
+        self.trigger.rebase(dpt)
+        return catchup
+
+    @contextlib.contextmanager
+    def _catchup_chunk(self) -> Iterator[None]:
+        """One catch-up chunk's critical section, closed by the epoch
+        bump its rows owe the result cache."""
+        with self._lock:
+            yield
+            self.data_epoch += 1
 
     def _install_support_structures(self) -> None:  # requires-lock: _lock
         """(Re)wire strata routing and the trigger for the current tree.
@@ -679,15 +677,19 @@ class JanusAQP:
         self._h_ingest_stall.observe(time.perf_counter() - t0)
         return tids
 
+    def _pool_target(self) -> int:
+        """The paper's standing pool size 2m = 2 * rate * |D|."""
+        return max(self.config.min_pool,
+                   int(2 * self.config.sample_rate * len(self.table)))
+
     def _maybe_grow_pool(self) -> None:
-        """Track the paper's standing pool size 2m = 2 * rate * |D|.
+        """Track :meth:`_pool_target` as the table grows.
 
         Growth is applied by resampling (a grown target filled only by
         future arrivals would bias the pool), amortized by the 25%
         hysteresis so steady insertion costs O(1) per tuple.
         """
-        want = max(self.config.min_pool,
-                   int(2 * self.config.sample_rate * len(self.table)))
+        want = self._pool_target()
         if want > 1.25 * self.reservoir.target_size:
             self.reservoir.set_target(want, resample=True)
 
@@ -742,8 +744,7 @@ class JanusAQP:
             self._h_candidate_eval.observe(time.perf_counter() - t0)
             outcome = "rejected"
             if spec is not None:
-                self._reinitialize(None, spec)
-                self.n_repartitions += 1
+                self._rebuild(spec=spec)
                 outcome = "committed"
         elif self.trigger.state.n_checks == n_checks:
             return                       # no drift check came due
@@ -841,13 +842,6 @@ class JanusAQP:
     def sketch_attrs(self) -> Tuple[str, ...]:
         """Attributes with maintained sketch state."""
         return self.config.sketch_attrs
-
-    def sketch_blobs(self) -> Dict[str, List[bytes]]:
-        """Canonical blobs of every maintained sketch (for snapshots)."""
-        with self._lock:
-            return {attr: [bank[kind].to_bytes()
-                           for kind in sorted(bank)]
-                    for attr, bank in self._sketches.items()}
 
     def restore_sketch_blobs(self, blobs: Dict[str, List[bytes]]) -> None:
         """Replace sketch state from snapshot blobs (persist restore).

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,9 +245,3 @@ def relative_error(estimate: float, truth: float) -> float:
     if truth == 0:
         return 0.0 if estimate == 0 else math.inf
     return abs(estimate - truth) / abs(truth)
-
-
-def queries_relative_errors(estimates: Iterable[float],
-                            truths: Iterable[float]) -> list:
-    """Element-wise :func:`relative_error` over a workload."""
-    return [relative_error(e, t) for e, t in zip(estimates, truths)]

@@ -22,16 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from ..partitioning.kdtree import KDTreePartitioner
-from ..partitioning.onedim import OneDimPartitioner
-from ..partitioning.spec import PartitionNode
-from .dpt import DynamicPartitionTree
 from .node import DPTNode
-from .queries import Rectangle
 
 
 @dataclass
@@ -57,61 +49,21 @@ def partial_repartition(janus, leaf: DPTNode, psi: int = 2
     """Re-partition the neighbourhood of ``leaf`` on a JanusAQP system.
 
     ``psi`` is the paper's pre-defined level parameter.  The subtree's
-    leaf budget is preserved (``l_u`` leaves before and after).
+    leaf budget is preserved (``l_u`` leaves before and after).  The
+    work is the engine's rebuild pipeline scoped to the ancestor (the
+    whole tree when ``psi`` reaches the root), run under the engine's
+    lock: readers and writers never see a half-replaced subtree.
     """
     t0 = time.perf_counter()
-    dpt: DynamicPartitionTree = janus.dpt
-    u = ancestor_at(leaf, psi)
-    if u is dpt.root:
-        # Degenerates to a full re-partition; delegate to the system.
-        janus.reoptimize()
-        return PartialRepartitionReport(dpt.root.node_id, janus.dpt.k, 0,
-                                        time.perf_counter() - t0)
-    l_u = dpt.subtree_leaf_count(u)
-    spec = _partition_region(janus, u.rect, l_u)
-    # Remember the ancestor's h-equivalent population before the swap.
-    h_total = dpt.h_total
-    n0 = dpt.n0
-    if n0 > 0 and h_total > 0:
-        h_equiv = u.count_estimate(n0, h_total) * h_total / n0
-    else:
-        h_equiv = 0.0
-    dpt.replace_subtree(u, spec)
-    # Seed the fresh subtree from the pooled samples in its region: one
-    # vectorized region report, one table gather, one batched subtree
-    # routing pass (pool members are live rows, and the synopsis-resident
-    # copies are verbatim, so the gather equals the per-tid dict reads).
-    _, _, tids = janus.sample_index.report(u.rect)
-    n_seed = int(tids.shape[0])
-    if n_seed:
-        dpt.add_catchup_rows_subtree(u, janus.table.rows_for(tids))
-    # Rescale so the children's combined weight matches the ancestor.
-    if n_seed > 0 and h_equiv > 0:
-        factor = h_equiv / n_seed
-        stack = list(u.children)
-        while stack:
-            node = stack.pop()
-            node.h *= factor
-            node.csum *= factor
-            node.csumsq *= factor
-            stack.extend(node.children)
-    janus._rebuild_leaf_cache()     # first: the strata read routes from it
-    if janus.strata is not None:
-        janus.strata.reroute(janus._route_tid)
-    if janus.trigger is not None:
-        janus.trigger.rebase(dpt)
-    # Epoch bump goes through the engine so it happens under its lock;
-    # a bare `janus.data_epoch += 1` here would race the locked
-    # read-modify-write cycles of the ingest paths (janus-lint JL102).
-    janus.bump_epoch()
-    report = PartialRepartitionReport(u.node_id, l_u, n_seed,
-                                      time.perf_counter() - t0)
-    # getattr: tests drive this with bare engine stand-ins that lack
-    # the metrics instruments.
-    hist = getattr(janus, "_h_repartition", None)
-    if hist is not None:
-        hist.observe(report.seconds)
-    return report
+    with janus._lock:
+        scope = ancestor_at(leaf, psi)
+        if scope is janus.dpt.root:
+            scope = None            # degenerates to a full re-partition
+        janus._rebuild(scope=scope)
+        u = scope or janus.dpt.root
+        return PartialRepartitionReport(
+            u.node_id, janus.dpt.subtree_leaf_count(u),
+            janus.sample_index.count(u.rect), time.perf_counter() - t0)
 
 
 def auto_partial_repartition(janus, leaf: DPTNode, max_psi: int = 6,
@@ -120,51 +72,18 @@ def auto_partial_repartition(janus, leaf: DPTNode, max_psi: int = 6,
     """Appendix E's automatic variant: grow ``psi`` until the region's
     max-variance improves by the requested factor (or the root is hit).
     """
-    oracle = janus.trigger.oracle if janus.trigger is not None else None
-    for psi in range(1, max_psi + 1):
-        u = ancestor_at(leaf, psi)
-        if u is janus.dpt.root:
-            break
-        before = oracle.max_variance(u.rect).variance if oracle else 0.0
-        report = partial_repartition(janus, leaf, psi)
-        after = max((oracle.max_variance(lf.rect).variance
-                     for lf in _subtree_leaves(u)), default=0.0) \
-            if oracle else 0.0
-        if before <= 0 or after <= improvement * before:
-            return report
-        leaf = _subtree_leaves(u)[0]
-    return partial_repartition(janus, leaf, max_psi)
-
-
-def _subtree_leaves(node: DPTNode):
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            out.append(n)
-        stack.extend(n.children)
-    return out
-
-
-def _partition_region(janus, rect: Rectangle, k: int) -> PartitionNode:
-    """Run the system's partitioner restricted to one region."""
-    d = len(janus.predicate_attrs)
-    coords, values, tids = janus.sample_index.report(rect)
-    if coords.shape[0] == 0:
-        return PartitionNode(rect)
-    if d == 1:
-        lo = rect.lo[0]
-        hi = rect.hi[0]
-        order = np.argsort(tids, kind="stable")   # canonical tid order
-        result = OneDimPartitioner(
-            janus.config.focus_agg, delta=janus.config.delta).partition(
-                coords[order, 0], values[order], k,
-                n_population=max(len(janus.table), 1),
-                domain=(lo, hi))
-        return result.tree
-    result = KDTreePartitioner(
-        janus.config.focus_agg, delta=janus.config.delta).partition(
-            janus.sample_index, k, n_population=max(len(janus.table), 1),
-            root_rect=rect)
-    return result.tree
+    with janus._lock:
+        oracle = janus.trigger.oracle
+        for psi in range(1, max_psi + 1):
+            u = ancestor_at(leaf, psi)
+            if u is janus.dpt.root:
+                break
+            before = oracle.max_variance(u.rect).variance
+            report = partial_repartition(janus, leaf, psi)
+            leaves = [n for n in janus.dpt.subtree_nodes(u) if n.is_leaf]
+            after = max(oracle.max_variance(lf.rect).variance
+                        for lf in leaves)
+            if before <= 0 or after <= improvement * before:
+                return report
+            leaf = leaves[0]
+        return partial_repartition(janus, leaf, max_psi)

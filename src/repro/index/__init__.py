@@ -1,10 +1,7 @@
-"""Geometric index substrates: treap, k-d range index, top-k heaps."""
+"""Geometric index substrates: k-d range index, top-k heaps."""
 
-from .treap import Treap
-from .layered_range_tree import LayeredRangeTree
 from .range_index import RangeIndex
 from .reference import PyRangeIndex
 from .topk import MinMaxStats, TopK
 
-__all__ = ["Treap", "RangeIndex", "PyRangeIndex", "LayeredRangeTree",
-           "MinMaxStats", "TopK"]
+__all__ = ["RangeIndex", "PyRangeIndex", "MinMaxStats", "TopK"]

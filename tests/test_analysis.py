@@ -117,10 +117,12 @@ def test_reverting_repartition_epoch_fix_fails_the_gate():
     path = os.path.join(REPO, "src", "repro", "core", "repartition.py")
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
-    assert "janus.bump_epoch()" in source, \
-        "the repartition epoch fix is gone from the tree"
-    reverted = source.replace("janus.bump_epoch()",
-                              "janus.data_epoch += 1")
+    delegated = "janus._rebuild(scope=scope)"
+    assert delegated in source, \
+        "partial re-partitioning no longer runs the engine's pipeline"
+    reverted = source.replace(
+        delegated, "janus.dpt.replace_subtree(scope, None)\n"
+                   "        janus.data_epoch += 1")
     project = Project.from_sources(
         {"src/repro/core/repartition.py": reverted})
     findings = check_epoch(project)

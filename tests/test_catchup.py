@@ -1,12 +1,14 @@
 """Tests for the catch-up phase and re-initialization pipeline pieces."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.broker.broker import Topic, encode_rows
-from repro.core.catchup import CatchupRunner, seed_from_reservoir
+from repro.core.catchup import (CATCHUP_CHUNK, CatchupRunner,
+                                seed_from_reservoir)
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table, table_from_array
@@ -92,13 +94,21 @@ class TestRunFromTable:
             variances.append(dpt.query(q, empty).variance_catchup)
         assert variances[1] < variances[0]
 
-    def test_on_batch_callback(self, table):
+    def test_guard_wraps_every_chunk(self, table):
+        """Each chunk's rows reach the tree inside its own guard."""
         dpt = make_dpt(len(table))
-        seen = []
+        added = []
+
+        @contextlib.contextmanager
+        def guard():
+            before = dpt.h_total
+            yield
+            added.append(dpt.h_total - before)
+
         CatchupRunner(dpt, seed=1).run_from_table(
-            table, table.live_tids(), goal=3000, batch_size=1000,
-            on_batch=seen.append)
-        assert seen == [1000, 2000, 3000]
+            table, table.live_tids(), goal=5000, guard=guard)
+        assert added == [CATCHUP_CHUNK, CATCHUP_CHUNK,
+                         5000 - 2 * CATCHUP_CHUNK]
 
 
 class TestRunFromTopic:

@@ -93,9 +93,11 @@ def _bump_target(node: ast.AST) -> Tuple[bool, str]:
 def _collect(fact: FuncFact, body: List[ast.stmt]) -> None:
     """Collect calls/bumps from a function body, merging nested defs.
 
-    Nested defs are merged because the dominant idiom here is a worker
-    closure (``reoptimize_async``'s ``work``) that performs the bump on
-    behalf of its enclosing function.
+    Nested defs are merged: a closure handed to a pool (the sharded
+    coordinator's per-shard ``ingest`` / ``drop`` bodies) mutates and
+    bumps on behalf of its enclosing function.  The engine's rebuild
+    needs no merge - every route, ``reoptimize_async``'s thread
+    included, is the one method ``JanusAQP._rebuild``.
     """
     for node in ast.walk(ast.Module(body=body, type_ignores=[])):
         if isinstance(node, ast.Call):
