@@ -13,12 +13,14 @@ process boundary is framed here.  The design goals, in order:
    :mod:`repro.broker.requests` (``encode_query``/``decode``), one
    record per line, so the wire shares the broker's tested codec
    instead of inventing a second query serialization;
-3. **bit-exact answers** - :data:`RESULT_DTYPE` carries every
-   :class:`~repro.core.queries.QueryResult` field plus the merge
-   inputs (AVG's ``n_q`` normalizer, the VARIANCE/STDDEV moment
-   triple) as IEEE-754 doubles, which round-trip exactly; the
-   coordinator's :func:`~repro.core.merge.merge_results` therefore
-   sees byte-identical inputs to the in-process fan-out's.
+3. **bit-exact answers** - :data:`RESULT_DTYPE` carries every wire
+   field :class:`~repro.core.queries.QueryResult` declares (derived
+   from its :class:`~repro.core.queries.WireSchema`, never restated)
+   plus the merge inputs (AVG's ``n_q`` normalizer, the
+   VARIANCE/STDDEV moment triple) as IEEE-754 doubles, which
+   round-trip exactly; the coordinator's
+   :func:`~repro.core.merge.merge_results` therefore sees
+   byte-identical inputs to the in-process fan-out's.
 
 Frame layout (little-endian)::
 
@@ -47,12 +49,13 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.merge import MOMENTS_KEY, N_Q_KEY
-from ..core.queries import QueryResult
+from ..core.queries import QueryResult, WireSchema
 from ..sketch.registry import SKETCH_KEY
 
 __all__ = [
@@ -86,26 +89,31 @@ OP_SHUTDOWN = 8   #: drain and exit; empty payload, OK reply then EOF
 OP_OK = 16        #: success; payload = i64 epoch + opcode-specific body
 OP_ERR = 17       #: failure; payload = "ExcType\nmessage" (UTF-8)
 
-#: One wire record per :class:`~repro.core.queries.QueryResult`.  The
-#: three ``has_*``/flag bytes distinguish "no details entry" from a
-#: zero-valued one, so decoded ``details`` dicts match the originals
-#: key for key and the merge rules (which probe ``details.get``)
-#: behave identically on both sides of the wire.
-RESULT_DTYPE = np.dtype([
-    ("estimate", "<f8"),
-    ("variance_catchup", "<f8"),
-    ("variance_sample", "<f8"),
-    ("exact", "<i1"),
-    ("n_covered", "<i8"),
-    ("n_partial", "<i8"),
-    ("has_n_q", "<i1"),
-    ("n_q", "<f8"),
+_SCHEMA = WireSchema(QueryResult)
+_ENVELOPE = attrgetter(*(f.key for f in _SCHEMA.fields))
+_MERGE_INPUTS = [
+    ("has_n_q", "<i1"), ("n_q", "<f8"),
     ("has_moments", "<i1"),
-    ("m_count", "<f8"),
-    ("m_sum", "<f8"),
-    ("m_sumsq", "<f8"),
-    ("ci_unavailable", "<i1"),
-])
+    ("m_count", "<f8"), ("m_sum", "<f8"), ("m_sumsq", "<f8"),
+    ("ci_unavailable", "<i1")]
+_NO_MERGE_INPUTS = (0, 0.0, 0, 0.0, 0.0, 0.0, 0)
+
+#: One wire record per :class:`~repro.core.queries.QueryResult`: its
+#: wire fields, then the fleet-only merge inputs read out of
+#: ``details``.  The three ``has_*``/flag bytes distinguish "no details
+#: entry" from a zero-valued one, so decoded ``details`` dicts match
+#: the originals key for key and the merge rules (which probe
+#: ``details.get``) behave identically on both sides of the wire.
+RESULT_DTYPE = np.dtype(
+    [(f.key, f.dtype) for f in _SCHEMA.fields] + _MERGE_INPUTS)
+if any(f.cast not in (float, int, bool) for f in _SCHEMA.fields):
+    raise TypeError("a block column's cast must be float, int or bool")
+#: The same layout read back with flag bytes as ``bool``, so
+#: ``tolist()`` hands every wire field its own Python type and
+#: decoding casts nothing.
+_DECODE_DTYPE = np.dtype(
+    [(f.key, "?" if f.cast is bool else f.dtype) for f in _SCHEMA.fields]
+    + _MERGE_INPUTS)
 
 
 # ---------------------------------------------------------------------- #
@@ -176,30 +184,20 @@ def split_reply(payload: memoryview) -> Tuple[int, memoryview]:
 # ---------------------------------------------------------------------- #
 # result block codec
 # ---------------------------------------------------------------------- #
+def _merge_inputs(details: dict) -> tuple:
+    """The trailing :data:`RESULT_DTYPE` columns of one answer."""
+    if not details:
+        return _NO_MERGE_INPUTS
+    return (N_Q_KEY in details, details.get(N_Q_KEY, 0.0),
+            MOMENTS_KEY in details,
+            *details.get(MOMENTS_KEY, (0.0, 0.0, 0.0)),
+            details.get("ci") == "unavailable")
+
+
 def encode_result_block(results: Sequence[QueryResult]) -> np.ndarray:
     """Pack query answers into a :data:`RESULT_DTYPE` record block."""
-    block = np.zeros(len(results), dtype=RESULT_DTYPE)
-    for i, result in enumerate(results):
-        rec = block[i]
-        rec["estimate"] = result.estimate
-        rec["variance_catchup"] = result.variance_catchup
-        rec["variance_sample"] = result.variance_sample
-        rec["exact"] = 1 if result.exact else 0
-        rec["n_covered"] = result.n_covered
-        rec["n_partial"] = result.n_partial
-        details = result.details
-        if N_Q_KEY in details:
-            rec["has_n_q"] = 1
-            rec["n_q"] = float(details[N_Q_KEY])
-        if MOMENTS_KEY in details:
-            count, total, totalsq = details[MOMENTS_KEY]
-            rec["has_moments"] = 1
-            rec["m_count"] = float(count)
-            rec["m_sum"] = float(total)
-            rec["m_sumsq"] = float(totalsq)
-        if details.get("ci") == "unavailable":
-            rec["ci_unavailable"] = 1
-    return block
+    return np.array([_ENVELOPE(result) + _merge_inputs(result.details)
+                     for result in results], dtype=RESULT_DTYPE)
 
 
 def decode_result_block(payload) -> List[QueryResult]:
@@ -210,24 +208,18 @@ def decode_result_block(payload) -> List[QueryResult]:
     ``n * RESULT_DTYPE.itemsize`` first (see
     :func:`decode_sketch_block`).
     """
-    block = np.frombuffer(payload, dtype=RESULT_DTYPE)
     out: List[QueryResult] = []
-    for rec in block:
-        result = QueryResult(
-            estimate=float(rec["estimate"]),
-            variance_catchup=float(rec["variance_catchup"]),
-            variance_sample=float(rec["variance_sample"]),
-            exact=bool(rec["exact"]),
-            n_covered=int(rec["n_covered"]),
-            n_partial=int(rec["n_partial"]))
-        if rec["ci_unavailable"]:
+    for record in map(iter, np.frombuffer(
+            payload, dtype=_DECODE_DTYPE).tolist()):
+        result = _SCHEMA.build(record)      # takes the wire fields
+        has_n_q, n_q, has_moments, count, total, totalsq, \
+            ci_unavailable = record
+        if ci_unavailable:
             result.details["ci"] = "unavailable"
-        if rec["has_n_q"]:
-            result.details[N_Q_KEY] = float(rec["n_q"])
-        if rec["has_moments"]:
-            result.details[MOMENTS_KEY] = (float(rec["m_count"]),
-                                           float(rec["m_sum"]),
-                                           float(rec["m_sumsq"]))
+        if has_n_q:
+            result.details[N_Q_KEY] = n_q
+        if has_moments:
+            result.details[MOMENTS_KEY] = (count, total, totalsq)
         out.append(result)
     return out
 
@@ -272,6 +264,8 @@ def decode_sketch_block(payload) -> List[SketchFrame]:
     frames: List[SketchFrame] = []
     offset = 0
     while offset < len(buf):
+        if offset + _SKETCH_FRAME_HEADER.size > len(buf):
+            raise ValueError("sketch sidecar truncated mid-header")
         index, blob_len = _SKETCH_FRAME_HEADER.unpack_from(buf, offset)
         offset += _SKETCH_FRAME_HEADER.size
         if offset + blob_len > len(buf):
@@ -294,4 +288,8 @@ def attach_sketch_frames(results: Sequence[QueryResult],
                          frames: Sequence[SketchFrame]) -> None:
     """Re-attach decoded sidecar blobs onto their results (in place)."""
     for frame in frames:
+        if frame.index >= len(results):
+            raise ValueError(
+                f"sketch sidecar frame indexes result {frame.index} of "
+                f"a {len(results)}-result block")
         results[frame.index].details[SKETCH_KEY] = frame.blob

@@ -16,17 +16,28 @@ Answers flow back through a fourth lane: the driver publishes each
 answered query as a :class:`QueryResponse` record
 (:func:`encode_result` / :func:`decode_result`) on its results topic,
 so reads and writes ride the same event log end to end.
+
+The ``Query`` / ``QueryResult`` codecs - these line records and the
+HTTP service's JSON mappings (``*_to_dict`` / ``*_from_dict``) - name
+no field: they loop over the wire schema the dataclasses declare
+(:func:`repro.core.queries.wire`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import methodcaller
+from typing import Callable, List, Sequence, Tuple, Union
 
-from ..core.queries import AggFunc, Query, QueryResult, Rectangle
+from ..core.queries import Query, QueryResult, WireField, WireSchema
 
 _FIELD_SEP = "|"
 _NUM_SEP = ","
+_QUERY = WireSchema(Query)
+_RESULT = WireSchema(QueryResult)
+#: ``details`` / JSON key of a TOPK answer's decoded ``(value, count)``
+#: item list - the one ``details`` entry the HTTP envelope carries.
+TOPK_KEY = "topk"
 
 
 @dataclass(frozen=True)
@@ -48,29 +59,106 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class QueryResponse:
-    """One answered query on the results topic.
-
-    Carries the full :class:`~repro.core.queries.QueryResult` envelope -
-    estimate, both variance components of Section 4.4.1, the exactness
-    flag and the frontier sizes - so consumers can reconstruct
-    confidence intervals without talking to the synopsis.
-    """
+    """One answered query on the results topic: the query id beside the
+    full :class:`~repro.core.queries.QueryResult` envelope (estimate,
+    both variance components of Section 4.4.1, exactness, frontier
+    sizes), so consumers can reconstruct confidence intervals without
+    talking to the synopsis."""
 
     query_id: int
-    estimate: float
-    variance_catchup: float
-    variance_sample: float
-    exact: bool
-    n_covered: int
-    n_partial: int
-
-    @property
-    def variance(self) -> float:
-        """Total estimator variance ``nu_c + nu_s``."""
-        return self.variance_catchup + self.variance_sample
+    result: QueryResult
 
 
 Request = Union[InsertRequest, DeleteRequest, QueryRequest]
+
+
+def _field_codec(f: WireField, spell: Callable, parse: Callable,
+                 join: Callable, split: Callable):
+    """``(write(value), read(raw))`` of one field in one spelling:
+    ``spell`` / ``parse`` take one of its scalars there and back,
+    ``join`` / ``split`` a tuple of them; an unset optional field is
+    ``None`` both ways.  Compiled once - every fleet query and every
+    HTTP answer crosses through these - and a plain scalar costs no
+    Python frame: its codec is ``spell`` / ``parse`` themselves."""
+    write, read = spell, parse
+    if f.many:
+        def write(value):
+            return join(map(spell, value))
+
+        def read(raw):
+            return tuple(map(parse, split(raw)))
+    if not f.optional:
+        return write, read
+    return (lambda value: None if value is None else write(value),
+            lambda raw: None if raw is None else read(raw))
+
+
+def _dict_codec(schema: WireSchema):
+    """``(to_dict(obj), from_dict(payload))``: the schema's JSON-safe
+    ``{wire key: value}`` form; ``from_dict`` raises ``ValueError``
+    when a required key is missing or a value has the wrong shape."""
+    rows = [(f.key, f.get, f.optional,
+             *_field_codec(f, f.out, f.cast, list, iter))
+            for f in schema.fields]
+
+    def to_dict(obj) -> dict:
+        return {key: write(get(obj)) for key, get, _, write, _ in rows}
+
+    def from_dict(payload: dict):
+        try:
+            return schema.build(iter([
+                read(payload.get(key) if optional else payload[key])
+                for key, _, optional, _, read in rows]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {schema.cls.__name__.lower()} "
+                             f"payload: {exc}") from exc
+
+    return to_dict, from_dict
+
+
+#: How a line record spells one JSON-safe scalar, by the field's cast:
+#: floats by ``repr`` (exact round trip), flags as ``1`` / ``0``;
+#: anything else (names, enum values) is its own text.
+_SPELL = {float: repr, int: repr, bool: lambda flag: "1" if flag else "0"}
+
+
+def _line_codec(kind: str, schema: WireSchema):
+    """``(encode(ident, obj), decode(tokens after the ident))`` of the
+    schema's ``kind|ident|field|...`` records: one token per field in
+    schema order, tuples comma-joined, an unset optional (trailing)
+    field omitted."""
+    def compile_field(f: WireField):
+        text, out = _SPELL.get(f.cast), f.out
+        return _field_codec(
+            f, (lambda x: text(out(x))) if text else out,
+            "1".__eq__ if f.cast is bool else f.cast,
+            _NUM_SEP.join, methodcaller("split", _NUM_SEP))
+
+    texts, parsers = zip(*map(compile_field, schema.fields))
+    columns = [(f.get, text) for f, text in zip(schema.fields, texts)]
+    n_required = sum(not f.optional for f in schema.fields)
+
+    def encode(ident: int, obj) -> str:
+        tokens = [kind, str(ident)] + [text(get(obj))
+                                       for get, text in columns]
+        while tokens[-1] is None:       # unset optionals trail
+            tokens.pop()
+        return _FIELD_SEP.join(tokens)
+
+    def decode(tokens: List[str]):
+        if len(tokens) < n_required:
+            raise ValueError(f"short {kind!r} record: {tokens!r}")
+        tokens = tokens + [None] * (len(parsers) - len(tokens))
+        return schema.build(iter(
+            [parse(token) for parse, token in zip(parsers, tokens)]))
+
+    return encode, decode
+
+
+_query_to_dict, _query_from_dict = _dict_codec(_QUERY)
+_result_to_dict, _result_from_dict = _dict_codec(_RESULT)
+_query_line, _line_query = _line_codec("Q", _QUERY)
+_result_line, _line_result = _line_codec("R", _RESULT)
 
 
 def encode_insert(key: int, values: Sequence[float]) -> str:
@@ -98,22 +186,10 @@ def encode_delete(key: int) -> str:
 
 
 def encode_query(query_id: int, query: Query) -> str:
-    """Serialize one execute request (aggregate + rectangle).
-
-    The trailing field carries the parameterized aggregates' argument
-    (:attr:`~repro.core.queries.Query.param`); it is omitted when
-    ``None`` so parameterless records keep their historical 7-field
-    shape and old decoders keep working.
-    """
-    parts = [
-        "Q", str(query_id), query.agg.value, query.attr,
-        _NUM_SEP.join(query.predicate_attrs),
-        _NUM_SEP.join(repr(float(x)) for x in query.rect.lo),
-        _NUM_SEP.join(repr(float(x)) for x in query.rect.hi),
-    ]
-    if query.param is not None:
-        parts.append(repr(float(query.param)))
-    return _FIELD_SEP.join(parts)
+    """Serialize one execute request (aggregate + rectangle); the
+    trailing :attr:`~repro.core.queries.Query.param` field is omitted
+    when ``None``, so parameterless records keep their 7-field shape."""
+    return _query_line(query_id, query)
 
 
 def encode_queries(start_id: int, queries: Sequence[Query]
@@ -129,16 +205,9 @@ def encode_queries(start_id: int, queries: Sequence[Query]
     return records, ids
 
 
-def encode_result(query_id: int, result) -> str:
+def encode_result(query_id: int, result: QueryResult) -> str:
     """Serialize a :class:`~repro.core.queries.QueryResult` answer."""
-    parts = [
-        "R", str(query_id), repr(float(result.estimate)),
-        repr(float(result.variance_catchup)),
-        repr(float(result.variance_sample)),
-        "1" if result.exact else "0",
-        str(int(result.n_covered)), str(int(result.n_partial)),
-    ]
-    return _FIELD_SEP.join(parts)
+    return _result_line(query_id, result)
 
 
 def decode_result(record: str) -> QueryResponse:
@@ -146,77 +215,39 @@ def decode_result(record: str) -> QueryResponse:
     parts = record.split(_FIELD_SEP)
     if parts[0] != "R":
         raise ValueError(f"not a query response: {record!r}")
-    return QueryResponse(
-        query_id=int(parts[1]), estimate=float(parts[2]),
-        variance_catchup=float(parts[3]), variance_sample=float(parts[4]),
-        exact=parts[5] == "1", n_covered=int(parts[6]),
-        n_partial=int(parts[7]))
+    return QueryResponse(int(parts[1]), _line_result(parts[2:]))
 
 
 def query_to_dict(query: Query) -> dict:
-    """JSON-safe mapping for one query (HTTP service wire format).
-
-    The inverse of :func:`query_from_dict`; floats round-trip exactly
-    because JSON serialization uses Python's shortest-repr floats.
-    """
-    return {
-        "agg": query.agg.value,
-        "attr": query.attr,
-        "predicate_attrs": list(query.predicate_attrs),
-        "lo": [float(x) for x in query.rect.lo],
-        "hi": [float(x) for x in query.rect.hi],
-        "param": None if query.param is None else float(query.param),
-    }
+    """JSON-safe mapping for one query (HTTP service wire format);
+    floats round-trip exactly through JSON's shortest-repr spelling."""
+    return _query_to_dict(query)
 
 
 def query_from_dict(payload: dict) -> Query:
     """Parse one query mapping; raises ``ValueError`` on a bad shape."""
-    try:
-        agg = AggFunc(str(payload["agg"]).upper())
-        attr = str(payload["attr"])
-        pred_attrs = tuple(str(a) for a in payload["predicate_attrs"])
-        lo = tuple(float(x) for x in payload["lo"])
-        hi = tuple(float(x) for x in payload["hi"])
-        raw_param = payload.get("param")
-        param = None if raw_param is None else float(raw_param)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed query payload: {exc}") from exc
-    return Query(agg, attr, pred_attrs, Rectangle(lo, hi), param)
+    return _query_from_dict(payload)
 
 
-def result_to_dict(result) -> dict:
-    """JSON-safe mapping for a :class:`~repro.core.queries.QueryResult`.
-
-    Carries the same envelope as :func:`encode_result` (estimate, both
-    Section 4.4.1 variance components, exactness, frontier sizes) so a
-    service client can reconstruct confidence intervals; the internal
-    ``details`` dict (merge bookkeeping, numpy payloads) stays
-    server-side.
-    """
-    return {
-        "estimate": float(result.estimate),
-        "variance_catchup": float(result.variance_catchup),
-        "variance_sample": float(result.variance_sample),
-        "exact": bool(result.exact),
-        "n_covered": int(result.n_covered),
-        "n_partial": int(result.n_partial),
-    }
+def result_to_dict(result: QueryResult) -> dict:
+    """JSON-safe mapping for a :class:`~repro.core.queries.QueryResult`:
+    the :func:`encode_result` envelope, so a service client can rebuild
+    confidence intervals, plus a TOPK answer's item list; the rest of
+    ``details`` (merge bookkeeping, numpy payloads) stays server-side."""
+    payload = _result_to_dict(result)
+    if TOPK_KEY in result.details:
+        payload[TOPK_KEY] = result.details[TOPK_KEY]
+    return payload
 
 
 def result_from_dict(payload: dict) -> QueryResult:
-    """Rebuild the :func:`result_to_dict` envelope (the client side).
-
-    Kept beside its inverse so the field list lives in exactly one
-    module; raises ``KeyError``/``ValueError``/``TypeError`` on a
-    payload that does not carry the full envelope.
-    """
-    return QueryResult(
-        estimate=float(payload["estimate"]),
-        variance_catchup=float(payload["variance_catchup"]),
-        variance_sample=float(payload["variance_sample"]),
-        exact=bool(payload["exact"]),
-        n_covered=int(payload["n_covered"]),
-        n_partial=int(payload["n_partial"]))
+    """Rebuild the :func:`result_to_dict` envelope (the client side);
+    raises ``ValueError`` on a payload without the full envelope."""
+    result = _result_from_dict(payload)
+    if TOPK_KEY in payload:
+        result.details[TOPK_KEY] = [(float(value), int(count))
+                                    for value, count in payload[TOPK_KEY]]
+    return result
 
 
 def decode(record: str) -> Request:
@@ -230,13 +261,5 @@ def decode(record: str) -> Request:
     if kind == "D":
         return DeleteRequest(int(parts[1]))
     if kind == "Q":
-        query_id = int(parts[1])
-        agg = AggFunc(parts[2])
-        attr = parts[3]
-        pred_attrs = tuple(parts[4].split(_NUM_SEP))
-        lo = tuple(float(tok) for tok in parts[5].split(_NUM_SEP))
-        hi = tuple(float(tok) for tok in parts[6].split(_NUM_SEP))
-        param = float(parts[7]) if len(parts) > 7 else None
-        query = Query(agg, attr, pred_attrs, Rectangle(lo, hi), param)
-        return QueryRequest(query_id, query)
+        return QueryRequest(int(parts[1]), _line_query(parts[2:]))
     raise ValueError(f"unknown request kind {kind!r}")

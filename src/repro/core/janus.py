@@ -390,6 +390,19 @@ class JanusAQP:
         #: answer without any synopsis traffic.
         self.data_epoch = 0  # guarded-by: _lock
 
+    def close(self) -> None:
+        """Release a dropped engine without waiting for a gen-2 GC.
+
+        The reservoir's observers point back here (``_SampleSync``'s
+        owner, the strata view's bound ``_route_tid``), and so does the
+        trigger through the strata; unhooking them leaves the engine
+        acyclic, freed by its last reference.  Idempotent; a closed
+        engine takes no further updates or queries.
+        """
+        with self._lock:
+            self.reservoir._observers.clear()
+            self.strata = self.trigger = None
+
     def bump_epoch(self) -> int:
         """Advance ``data_epoch`` under the engine's own lock.
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from operator import attrgetter
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -55,6 +57,64 @@ SKETCH_AGGS = frozenset({AggFunc.PERCENTILE, AggFunc.COUNT_DISTINCT,
                          AggFunc.TOPK})
 
 
+def wire(cast: Callable, dtype: Optional[str] = None, many: bool = False,
+         out: Optional[Callable] = None) -> dict:
+    """``field(metadata=wire(...))``: the field crosses process boundaries.
+
+    The one declaration every codec loops over (HTTP dict and broker
+    line in :mod:`repro.broker.requests`, the fleet block in
+    :mod:`repro.broker.frames`).  ``cast`` turns one wire scalar into
+    the field's and ``out`` (default ``cast``) back; ``many`` marks a
+    tuple of them; ``dtype`` is the little-endian column type in the
+    fleet block.  A ``cast`` that is a wire dataclass is inlined
+    (``Query.rect`` contributes ``lo``, ``hi``); a ``None`` default
+    makes the field optional; a field without this metadata
+    (``QueryResult.details``) never leaves its process.
+    """
+    return {"wire": (cast, dtype, many, out or cast)}
+
+
+class WireField(NamedTuple):
+    """One wire key of a dataclass (see :func:`wire`)."""
+
+    key: str
+    cast: Callable          # one wire scalar -> the field's scalar
+    out: Callable           # ... and back, JSON-safe
+    dtype: Optional[str]
+    many: bool
+    optional: bool
+    get: Callable           # owning object -> the field's value
+
+
+class WireSchema:
+    """A dataclass's wire ``fields``, flat and in declaration order, and
+    :meth:`build`, the way back from their values."""
+
+    def __init__(self, cls, path: str = "") -> None:
+        self.cls = cls
+        self.fields: List[WireField] = []
+        self._takes: List[Callable] = []    # one per dataclass field
+        declared = [f for f in fields(cls) if "wire" in f.metadata]
+        if declared != list(fields(cls))[:len(declared)]:
+            raise TypeError(f"{cls.__name__}: wire fields must lead")
+        for f in declared:
+            cast, dtype, many, out = f.metadata["wire"]
+            if is_dataclass(cast):
+                inlined = WireSchema(cast, f"{path}{f.name}.")
+                self.fields += inlined.fields
+                self._takes.append(inlined.build)
+                continue
+            self.fields.append(WireField(
+                f.name, cast, out, dtype, many, f.default is None,
+                attrgetter(path + f.name)))
+            self._takes.append(next)
+
+    def build(self, values: Iterator):
+        """The dataclass from its wire field values, in ``fields``
+        order (an inlined dataclass takes its run of them)."""
+        return self.cls(*[take(values) for take in self._takes])
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """A closed axis-aligned box ``[lo_j, hi_j]`` in d dimensions.
@@ -66,8 +126,8 @@ class Rectangle:
     clause is a degenerate interval).
     """
 
-    lo: Tuple[float, ...]
-    hi: Tuple[float, ...]
+    lo: Tuple[float, ...] = field(metadata=wire(float, many=True))
+    hi: Tuple[float, ...] = field(metadata=wire(float, many=True))
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
@@ -171,11 +231,13 @@ class Query:
     here so a malformed query fails at construction, not mid-batch.
     """
 
-    agg: AggFunc
-    attr: str
-    predicate_attrs: Tuple[str, ...]
-    rect: Rectangle
-    param: Optional[float] = None
+    agg: AggFunc = field(metadata=wire(
+        lambda name: AggFunc(str(name).upper()), out=attrgetter("value")))
+    attr: str = field(metadata=wire(str))
+    predicate_attrs: Tuple[str, ...] = field(
+        metadata=wire(str, many=True))
+    rect: Rectangle = field(metadata=wire(Rectangle))
+    param: Optional[float] = field(default=None, metadata=wire(float))
 
     def __post_init__(self) -> None:
         if len(self.predicate_attrs) != self.rect.dim:
@@ -210,15 +272,19 @@ class QueryResult:
     stratified leaf samples).  ``ci(z)`` combines them under the normal
     approximation.  ``exact`` is set when the synopsis can prove the answer
     has no approximation error (all touched nodes exact and fully covered).
+    ``details`` (merge bookkeeping, diagnostics) declares no :func:`wire`
+    metadata, so no codec carries it wholesale.
     """
 
-    estimate: float
-    variance_catchup: float = 0.0
-    variance_sample: float = 0.0
-    exact: bool = False
-    n_covered: int = 0
-    n_partial: int = 0
-    details: dict = field(default_factory=dict)  # codec-exempt: diagnostics-only, stays server-side
+    estimate: float = field(metadata=wire(float, "<f8"))
+    variance_catchup: float = field(default=0.0,
+                                    metadata=wire(float, "<f8"))
+    variance_sample: float = field(default=0.0,
+                                   metadata=wire(float, "<f8"))
+    exact: bool = field(default=False, metadata=wire(bool, "<i1"))
+    n_covered: int = field(default=0, metadata=wire(int, "<i8"))
+    n_partial: int = field(default=0, metadata=wire(int, "<i8"))
+    details: dict = field(default_factory=dict)
 
     @property
     def variance(self) -> float:

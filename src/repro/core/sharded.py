@@ -187,7 +187,8 @@ class LocalShard:
         return fresh
 
     def close(self) -> None:
-        """Nothing to release in-process."""
+        """Close the engine so it is freed with its last reference."""
+        self.engine.close()
 
 
 class _TableView:
@@ -382,7 +383,12 @@ class ShardedJanusAQP:
         #: Fan-outs hop to the pool only when a shard would block the
         #: caller on I/O (see ``LocalShard.blocks_on_io``).
         self._pooled = any(shard.blocks_on_io for shard in self._shards)
-        self.table = _TableView(self)
+
+    @property
+    def table(self) -> _TableView:
+        """The cross-shard table facade (built per access: a stored
+        view would be a reference cycle through its owner)."""
+        return _TableView(self)
 
     @property
     def shards(self) -> List[JanusAQP]:

@@ -136,47 +136,35 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     # query plane
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _envelope(payload: dict, cached: bool) -> QueryResult:
-        # Whether the server answered from its epoch cache, surfaced
-        # the same way other answer metadata travels in-process; TOPK
-        # answers additionally carry the decoded (value, count) item
-        # list the server derives from its heavy-hitter sketch.
-        result = result_from_dict(payload)
-        if "topk" in payload:
-            result.details["topk"] = [(float(v), int(c))
-                                      for v, c in payload["topk"]]
-        result.details["cached"] = bool(cached)
-        return result
+    def _read(self, route: str, body: dict) -> List[QueryResult]:
+        """POST one read request; answers in request order, each with
+        ``details["cached"]`` (did the server answer from its epoch
+        cache), surfaced the way answer metadata travels in-process."""
+        payload = self._json("POST", route, body)
+        if "result" in payload:         # a bare item, not a batch
+            payload = {"results": [payload["result"]],
+                       "cached": [payload["cached"]]}
+        results = [result_from_dict(r) for r in payload["results"]]
+        for result, cached in zip(results, payload["cached"]):
+            result.details["cached"] = bool(cached)
+        return results
 
     def query(self, query: Query) -> QueryResult:
-        """POST /query with one structured query.
-
-        ``result.details["cached"]`` reports whether the server
-        answered from its epoch cache (same for the methods below).
-        """
-        payload = self._json("POST", "/query",
-                             {"query": query_to_dict(query)})
-        return self._envelope(payload["result"], payload["cached"])
+        """POST /query with one structured query."""
+        return self._read("/query", {"query": query_to_dict(query)})[0]
 
     def query_many(self, queries: Sequence[Query]) -> List[QueryResult]:
         """POST /query with a batch; results in request order."""
-        payload = self._json("POST", "/query", {
+        return self._read("/query", {
             "queries": [query_to_dict(q) for q in queries]})
-        return [self._envelope(r, c)
-                for r, c in zip(payload["results"], payload["cached"])]
 
     def sql(self, statement: str) -> QueryResult:
         """POST /sql with one statement of the supported subset."""
-        payload = self._json("POST", "/sql", {"sql": statement})
-        return self._envelope(payload["result"], payload["cached"])
+        return self._read("/sql", {"sql": statement})[0]
 
     def sql_many(self, statements: Sequence[str]) -> List[QueryResult]:
         """POST /sql with a statement batch; results in order."""
-        payload = self._json("POST", "/sql",
-                             {"sql": list(statements)})
-        return [self._envelope(r, c)
-                for r, c in zip(payload["results"], payload["cached"])]
+        return self._read("/sql", {"sql": list(statements)})
 
     # ------------------------------------------------------------------ #
     # control plane

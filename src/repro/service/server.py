@@ -52,16 +52,16 @@ infinite on unconstrained dimensions.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..broker.requests import query_from_dict, result_to_dict
+from ..broker.requests import TOPK_KEY, query_from_dict, result_to_dict
 from ..core.queries import SKETCH_AGGS, AggFunc, Query, QueryResult
 from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry, render_exposition
@@ -70,7 +70,7 @@ from ..sketch.registry import SKETCH_KEY, sketch_from_bytes
 from .batcher import MicroBatcher
 from .cache import ResultCache
 from .fleet import FleetUnavailableError
-from .sqlfront import SQLError, compile_sql
+from .sqlfront import compile_sql
 
 __all__ = ["AQPServer", "ServiceHandle", "serve_background"]
 
@@ -176,20 +176,13 @@ class AQPServer:
         self._g_rows = self.metrics.gauge("janus_service_engine_rows")
         self._g_epoch = self.metrics.gauge(
             "janus_service_engine_data_epoch")
-        # Does the engine's query_many take the trace context?  Probed
-        # once: stand-in engines in tests may not.
-        try:
-            self._engine_takes_obs = "obs" in inspect.signature(
-                self.engine.query_many).parameters
-        except (TypeError, ValueError):
-            self._engine_takes_obs = False
         self._routes = {
             ("GET", "/health"): self._handle_health,
             ("GET", "/stats"): self._handle_stats,
             ("GET", "/metrics"): self._handle_metrics,
             ("GET", "/debug/traces"): self._handle_traces,
-            ("POST", "/query"): self._handle_query,
-            ("POST", "/sql"): self._handle_sql,
+            ("POST", "/query"): partial(self._handle_read, "/query"),
+            ("POST", "/sql"): partial(self._handle_read, "/sql"),
             ("POST", "/insert"): self._handle_insert,
             ("POST", "/delete"): self._handle_delete,
         }
@@ -287,18 +280,10 @@ class AQPServer:
         The epoch is read on both sides of the call: results are
         admitted to the cache only when no write interleaved, keyed by
         the epoch they provably belong to.  ``ctx`` (traced requests
-        only) threads through to engines that take a trace context;
-        for those that do not, a single ``engine_execute`` span wraps
-        the call instead.
+        only) threads through to the engine as its trace context.
         """
         epoch_before = self.engine.data_epoch
-        if ctx is None:
-            results = self.engine.query_many(queries)
-        elif self._engine_takes_obs:
-            results = self.engine.query_many(queries, obs=ctx)
-        else:
-            with ctx.span("engine_execute", n_queries=len(queries)):
-                results = self.engine.query_many(queries)
+        results = self.engine.query_many(queries, obs=ctx)
         epoch_after = self.engine.data_epoch
         for query, result in zip(queries, results):
             self.cache.store(query, result, epoch_before, epoch_after)
@@ -379,23 +364,21 @@ class AQPServer:
                 answered = await self._execute_traced(miss_queries, ctx)
             for i, result in zip(misses, answered):
                 results[i] = result
-        payloads = [result_to_dict(r) for r in results]
-        for i, query in enumerate(queries):
+        for query, result in zip(queries, results):
             # TOPK clients want the members, not just the covered mass;
-            # the item list rides next to the standard envelope (decoded
-            # from the answer's own sketch blob, so it is exactly the
-            # state the estimate came from).  Decoded once per answer:
-            # the list stays with the (cacheable) result, so a cache
-            # hit does no sketch work.
-            if query.agg is AggFunc.TOPK:
-                details = results[i].details
-                if "topk" not in details and SKETCH_KEY in details:
-                    sketch = sketch_from_bytes(details[SKETCH_KEY])
-                    details["topk"] = [
-                        [float(value), int(count)] for value, count
-                        in sketch.top(int(query.param))]
-                if "topk" in details:
-                    payloads[i]["topk"] = details["topk"]
+            # the item list rides in the envelope (decoded from the
+            # answer's own sketch blob, so it is exactly the state the
+            # estimate came from).  Decoded once per answer: the list
+            # stays with the (cacheable) result, so a cache hit does no
+            # sketch work.
+            if query.agg is AggFunc.TOPK and \
+                    TOPK_KEY not in result.details and \
+                    SKETCH_KEY in result.details:
+                sketch = sketch_from_bytes(result.details[SKETCH_KEY])
+                result.details[TOPK_KEY] = [
+                    [float(value), int(count)] for value, count
+                    in sketch.top(int(query.param))]
+        payloads = [result_to_dict(r) for r in results]
         return payloads, cached
 
     async def _execute_traced(self, queries: List[Query],
@@ -571,64 +554,48 @@ class AQPServer:
         # until the supervisor's restart lands.
         return fleet_health()
 
-    async def _handle_query(self, payload: dict, headers) -> dict:
-        t_req = time.perf_counter()
+    def _read_body(self, route: str, payload: dict
+                   ) -> Tuple[list, bool, Callable[[object], Query]]:
+        """``(items, single, parse)`` of a read request: the body's
+        query list, whether it was sent as one bare item, and what
+        turns an item into a :class:`Query` - all that tells ``/sql``
+        from ``/query``."""
+        if route == "/sql":
+            if "sql" not in payload:
+                raise _HTTPError(400, "expected 'sql'")
+            raw = payload["sql"]
+            single = isinstance(raw, str)
+            statements = [raw] if single else raw
+            if not isinstance(statements, list) or \
+                    not all(isinstance(s, str) for s in statements):
+                raise _HTTPError(400, "'sql' must be a string or a "
+                                      "list of strings")
+            return statements, single, partial(
+                compile_sql, agg_attr=self.engine.agg_attr,
+                predicate_attrs=self.engine.predicate_attrs,
+                stat_attrs=getattr(self.engine, "stat_attrs", None))
         if "queries" in payload:
-            raw = payload["queries"]
-            single = False
+            raw, single = payload["queries"], False
         elif "query" in payload:
-            raw = [payload["query"]]
-            single = True
+            raw, single = [payload["query"]], True
         else:
             raise _HTTPError(400, "expected 'query' or 'queries'")
         if not isinstance(raw, list):
             raise _HTTPError(400, "'queries' must be a list")
-        explain = bool(payload.get("explain", False))
-        if explain:
-            self._c_explain.inc()
-        ctx = self._trace_context(headers, force=explain)
-        t0 = time.perf_counter()
-        try:
-            queries = [query_from_dict(q) for q in raw]
-        except ValueError as exc:
-            raise _HTTPError(400, str(exc)) from exc
-        if ctx is not None:
-            ctx.add_span("parse",
-                         int((time.perf_counter() - t0) * 1e6),
-                         n_queries=len(queries))
-        results, cached = await self._answer(queries, ctx)
-        out = {"result": results[0], "cached": cached[0]} if single \
-            else {"results": results, "cached": cached}
-        trace = self._finish_request("/query", t_req, len(queries), ctx)
-        if explain and trace is not None:
-            out["explain"] = self._explain_report(queries, results,
-                                                  cached, trace, ctx)
-        return out
+        return raw, single, query_from_dict
 
-    async def _handle_sql(self, payload: dict, headers) -> dict:
+    async def _handle_read(self, route: str, payload: dict,
+                           headers) -> dict:
         t_req = time.perf_counter()
-        if "sql" not in payload:
-            raise _HTTPError(400, "expected 'sql'")
-        raw = payload["sql"]
-        single = isinstance(raw, str)
-        statements = [raw] if single else raw
-        if not isinstance(statements, list) or \
-                not all(isinstance(s, str) for s in statements):
-            raise _HTTPError(400, "'sql' must be a string or a list "
-                                  "of strings")
+        raw, single, parse = self._read_body(route, payload)
         explain = bool(payload.get("explain", False))
         if explain:
             self._c_explain.inc()
         ctx = self._trace_context(headers, force=explain)
         t0 = time.perf_counter()
         try:
-            queries = [compile_sql(s, self.engine.agg_attr,
-                                   self.engine.predicate_attrs,
-                                   stat_attrs=getattr(self.engine,
-                                                      "stat_attrs",
-                                                      None))
-                       for s in statements]
-        except SQLError as exc:
+            queries = [parse(item) for item in raw]
+        except ValueError as exc:       # SQLError included
             raise _HTTPError(400, str(exc)) from exc
         if ctx is not None:
             ctx.add_span("parse",
@@ -637,7 +604,7 @@ class AQPServer:
         results, cached = await self._answer(queries, ctx)
         out = {"result": results[0], "cached": cached[0]} if single \
             else {"results": results, "cached": cached}
-        trace = self._finish_request("/sql", t_req, len(queries), ctx)
+        trace = self._finish_request(route, t_req, len(queries), ctx)
         if explain and trace is not None:
             out["explain"] = self._explain_report(queries, results,
                                                   cached, trace, ctx)

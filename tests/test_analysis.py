@@ -438,70 +438,8 @@ def test_sketch_closure_accepts_closed_dispatch():
 
 
 # ------------------------------------------------------------------ #
-# codec parity (JL401 / JL402)
+# codec parity (JL402)
 # ------------------------------------------------------------------ #
-
-CODEC_QUERIES = textwrap.dedent('''\
-    from dataclasses import dataclass
-
-    @dataclass
-    class Query:
-        agg: str
-        attr: str
-        predicate_attrs: tuple
-        rect: tuple
-        debug: dict  # codec-exempt: diagnostics only, never serialized
-    ''')
-
-CODEC_BAD = textwrap.dedent('''\
-    def query_to_dict(query):
-        return {"agg": query.agg, "attr": query.attr,
-                "lo": query.rect.lo, "hi": query.rect.hi,
-                "extra": 1}
-
-    def query_from_dict(payload):
-        return (payload["agg"], payload["attr"], payload["lo"],
-                payload["hi"], payload["predicate_attrs"])
-    ''')
-
-
-def test_codec_pass_reports_missing_and_spurious_keys():
-    project = Project.from_sources({
-        "src/repro/core/queries.py": CODEC_QUERIES,
-        "src/repro/broker/requests.py": CODEC_BAD,
-    })
-    findings = check_codecs(project)
-    messages = [f.message for f in findings if f.code == "JL401"]
-    assert any("predicate_attrs" in m and "query_to_dict" in m
-               for m in messages), "missing field not reported"
-    assert any("'extra'" in m for m in messages), \
-        "spurious key not reported"
-    assert not any("debug" in m for m in messages), \
-        "codec-exempt field must not be required"
-
-
-def test_codec_pass_accepts_full_round_trip():
-    fixed = CODEC_BAD.replace(', "extra": 1', '').replace(
-        '"hi": query.rect.hi,',
-        '"hi": query.rect.hi, "predicate_attrs": '
-        'list(query.predicate_attrs),')
-    # dict literal layout changed; rebuild it to stay syntactically valid
-    fixed = textwrap.dedent('''\
-        def query_to_dict(query):
-            return {"agg": query.agg, "attr": query.attr,
-                    "lo": query.rect.lo, "hi": query.rect.hi,
-                    "predicate_attrs": list(query.predicate_attrs)}
-
-        def query_from_dict(payload):
-            return (payload["agg"], payload["attr"], payload["lo"],
-                    payload["hi"], payload["predicate_attrs"])
-        ''')
-    project = Project.from_sources({
-        "src/repro/core/queries.py": CODEC_QUERIES,
-        "src/repro/broker/requests.py": fixed,
-    })
-    assert check_codecs(project) == []
-
 
 META_BAD = textwrap.dedent('''\
     def save_sharded(sharded, path):

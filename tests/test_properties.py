@@ -9,13 +9,15 @@ The heavyweight invariants that tie the whole system together:
 * rectangle algebra behaves like set algebra on sampled points.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.broker.requests import decode, encode_query
+from repro.broker.requests import (decode, encode_query,
+                                   query_from_dict, query_to_dict)
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.partitioning.spec import tree_from_intervals
@@ -175,6 +177,8 @@ class TestCodecRoundtrip:
                   param)
         out = decode(encode_query(qid, q))
         assert out.query == q and out.query_id == qid
+        assert query_from_dict(
+            json.loads(json.dumps(query_to_dict(q)))) == q
 
 
 class TestRectangleAlgebra:

@@ -357,15 +357,8 @@ class TestStreamQueryLane:
         assert len(records) == len(queries)
         for record in records:
             response = decode_result(record)
-            result = driver.results[response.query_id]
-            assert response.estimate == result.estimate or \
-                (math.isnan(response.estimate) and
-                 math.isnan(result.estimate))
-            assert response.variance_catchup == result.variance_catchup
-            assert response.variance_sample == result.variance_sample
-            assert response.exact == result.exact
-            assert response.n_covered == result.n_covered
-            assert response.n_partial == result.n_partial
+            assert_same_result(response.result,
+                               driver.results[response.query_id])
         assert set(r.query_id for r in map(decode_result, records)) == \
             set(ids)
 

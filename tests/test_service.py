@@ -241,10 +241,10 @@ class HeldEngine:
     def __getattr__(self, name):
         return getattr(self._engine, name)
 
-    def query_many(self, queries):
+    def query_many(self, queries, obs=None):
         self.sizes.append(len(queries))
         assert self.gate.wait(10), "the test never released the engine"
-        return self._engine.query_many(queries)
+        return self._engine.query_many(queries, obs=obs)
 
 
 class TestMicroBatching:
@@ -567,7 +567,7 @@ class _SlowStatsEngine:
         assert self.release.wait(timeout=20)
         return 7
 
-    def query_many(self, queries):
+    def query_many(self, queries, obs=None):
         return []
 
 

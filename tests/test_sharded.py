@@ -11,7 +11,9 @@ merge rules of :mod:`repro.core.merge`, including the cross-shard
 incarnation of the PR 2 MIN/MAX ``None``-estimate bug class.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -218,6 +220,30 @@ class TestShardedLifecycle:
         sharded.initialize()
         assert sharded.insert(ds.data[3_000]) == 3_000
         sharded.close()
+
+    def test_closed_engines_are_freed_without_a_gc_pass(self):
+        """``close()`` unhooks the observer back-references, so a
+        dropped engine dies with its last reference: with the cycle
+        collector off, nothing else could free it."""
+        ds, single, sharded = make_pair(n_rows=3_000, n_shards=2)
+        q = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
+                  Rectangle((-math.inf,), (math.inf,)))
+        for engine in (single, sharded):
+            engine.insert_many(ds.data[:2_000])
+            engine.initialize()
+            engine.insert_many(ds.data[2_000:])
+            engine.query(q)
+        refs = [weakref.ref(o) for o in (single, sharded, *sharded.shards)]
+        gc.collect()
+        gc.disable()
+        try:
+            single.close()
+            sharded.close()
+            sharded.close()             # idempotent
+            del single, sharded, engine
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_lazy_shard_initialization(self):
         """Range placement can leave shards empty; they come up lazily."""

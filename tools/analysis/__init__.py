@@ -15,7 +15,7 @@ epoch           JL101-102 every mutation path bumps ``data_epoch``
 locks           JL201-205 guarded-by/lock-order discipline
 merge-closure   JL301-305 aggregates closed over merge/fallback/oracle/
                           sketch-kind/SQL-arity
-codec-parity    JL401-402 dataclasses round-trip the wire/archive codecs
+codec-parity    JL402     persist ``meta`` keys written == keys read
 hygiene         JL501-503 seeded RNG, no numeric ``is``, no bare except
 obs-metrics     JL601-602 metric names come from the obs.metrics CATALOG
 ==============  ========  ==================================================
