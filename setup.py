@@ -13,7 +13,7 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

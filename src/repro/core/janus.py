@@ -41,16 +41,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 import numpy as np
 
 from ..index.range_index import RangeIndex
+from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, maybe_span
-from ..partitioning.kdtree import KDTreePartitioner
+from ..partitioning.kdtree import KDTreePartitioner, KDTreeResult
 from ..partitioning.maxvar import MaxVarOracle
-from ..partitioning.onedim import OneDimPartitioner
+from ..partitioning.onedim import OneDimPartitioner, OneDimResult
 from ..partitioning.spec import PartitionNode
 from ..sampling.reservoir import DynamicReservoir
 from ..sampling.stratified import StrataView
@@ -339,13 +340,16 @@ class JanusAQP:
             "janus_engine_ingest_stall_seconds", **labels)
         self._h_repartition = self.metrics.histogram(
             "janus_engine_repartition_seconds", **labels)
-        self._h_candidate_eval = self.metrics.histogram(
-            "janus_engine_candidate_eval_seconds", **labels)
+        self._h_candidate_eval = {
+            stage: self.metrics.histogram(
+                "janus_engine_candidate_eval_seconds", stage=stage, **labels)
+            for stage in ("m_r", "partition", "commit_test")}
         self._c_checks = {
             outcome: self.metrics.counter(
                 "janus_engine_trigger_checks_total", outcome=outcome,
                 **labels)
-            for outcome in ("none", "rejected", "committed", "forced")}
+            for outcome in ("none", "rejected", "committed", "forced",
+                            "error")}
 
         # Per-attribute sketch bank (repro.sketch): one sketch per kind,
         # seeded from whatever rows the table already holds and then
@@ -461,7 +465,7 @@ class JanusAQP:
         if spec is None:
             with self._lock:
                 snapshot = self._snapshot(scope, frozen)
-            spec = self._partition(*snapshot)
+            spec = self._partition(*snapshot).tree
         t1 = time.perf_counter()
         with self._lock:
             repartition = scope is None and self.dpt is not None
@@ -499,12 +503,13 @@ class JanusAQP:
                 None if frozen else self.sample_index)
 
     def _compute_partitioning(self) -> PartitionNode:  # requires-lock: _lock
-        """Stages 1-2 over the live pool (candidate evaluation)."""
-        return self._partition(*self._snapshot(None, False))
+        """Stages 1-2 over the live pool."""
+        return self._partition(*self._snapshot(None, False)).tree
 
     def _partition(self, coords: np.ndarray, values: np.ndarray,
                    tids: np.ndarray, k: int, rect: Rectangle, n_pop: int,
-                   index: Optional[RangeIndex]) -> PartitionNode:
+                   index: Optional[RangeIndex]
+                   ) -> Union[OneDimResult, KDTreeResult]:
         """Stage 2, the engine's only partitioner call: ``k`` leaves
         over the items inside ``rect``.  Reads no engine state, so a
         frozen snapshot is partitioned without the lock; the AVG oracle
@@ -515,7 +520,7 @@ class JanusAQP:
             raise RuntimeError("cannot partition: empty sample pool")
         inside = np.flatnonzero(rect.contains_points(coords))
         if inside.size == 0:
-            return PartitionNode(rect)  # a sample-free region: one leaf
+            return KDTreeResult(PartitionNode(rect), 0.0)  # one leaf
         focus, delta = self.config.focus_agg, self.config.delta
         if len(self.predicate_attrs) == 1:
             # Canonical tid order: with duplicate keys the stable
@@ -524,13 +529,13 @@ class JanusAQP:
             order = inside[np.argsort(tids[inside], kind="stable")]
             return OneDimPartitioner(focus, delta=delta).partition(
                 coords[order, 0], values[order], k, n_population=n_pop,
-                domain=(rect.lo[0], rect.hi[0])).tree
+                domain=(rect.lo[0], rect.hi[0]))
         if index is None and focus is AggFunc.AVG:
             index = RangeIndex(len(self.predicate_attrs))
             index.add_many(tids, coords, values)
         return KDTreePartitioner(focus, delta=delta).partition_rows(
             coords, values, tids, k, n_population=n_pop, root_rect=rect,
-            index=index).tree
+            index=index)
 
     def _install(self, spec: PartitionNode,  # requires-lock: _lock
                  scope: Optional[DPTNode], catchup_goal: Optional[int]
@@ -568,6 +573,11 @@ class JanusAQP:
                 node.csum *= factor
                 node.csumsq *= factor
         self.dpt = dpt
+        if scope is not None:
+            # The pool stays: re-route it (a full install resamples it
+            # below, and ``on_reset`` routes the new one - once).
+            self._rebuild_leaf_cache()
+            self.strata.reroute(self._route_tid)
         self._install_support_structures()
         catchup = CatchupReport         # nothing owed: an empty report
         if scope is None:
@@ -594,17 +604,14 @@ class JanusAQP:
             self.data_epoch += 1
 
     def _install_support_structures(self) -> None:  # requires-lock: _lock
-        """(Re)wire strata routing and the trigger for the current tree.
+        """(Re)wire the strata view and the trigger for the current tree.
 
         Used by every (re-)initialization path and by snapshot restore
         (:mod:`repro.core.persist`).  The caller rebases the trigger
         once the pool its baselines describe is in place (a
         re-initialization resamples it after this).
         """
-        self._rebuild_leaf_cache()      # the strata read their routes here
-        if self.strata is not None:
-            self.strata.reroute(self._route_tid)
-        else:
+        if self.strata is None:
             self.strata = StrataView(self.reservoir, self._route_tid)
         oracle = MaxVarOracle(self.sample_index, self.config.focus_agg,
                               len(self.table) / max(len(self.sample_index),
@@ -752,30 +759,37 @@ class JanusAQP:
             outcome = "forced"
         elif action is TriggerAction.CANDIDATE and \
                 self.config.auto_repartition:
-            t0 = time.perf_counter()
-            spec = self._candidate_spec()
-            self._h_candidate_eval.observe(time.perf_counter() - t0)
-            outcome = "rejected"
+            outcome, spec = self._candidate_spec()
             if spec is not None:
                 self._rebuild(spec=spec)
-                outcome = "committed"
         elif self.trigger.state.n_checks == n_checks:
             return                       # no drift check came due
         self._c_checks[outcome].inc()
 
-    def _candidate_spec(self) -> Optional[PartitionNode]:  # requires-lock: _lock
-        """A fresh partitioning R' if it passes the commit rule
-        ``M(R') < M(R) / beta`` (Section 5.4), else ``None``.  R' is
-        judged on the rectangles a tree built from it would have, and
-        only until one leaf decides a rejection."""
+    def _candidate_spec(self) -> Tuple[str, Optional[PartitionNode]]:  # requires-lock: _lock
+        """A fresh partitioning R' against the commit rule ``M(R') <
+        M(R) / beta`` (Section 5.4): ``("committed", spec)``,
+        ``("rejected", None)`` or, the partitioner having raised,
+        ``("error", None)``.  R' is judged on the rectangles a tree
+        built from it would have (only a commit builds one), worst
+        bucket first and only until one leaf decides a rejection."""
+        hist, t0 = self._h_candidate_eval, time.perf_counter()
         old_m = self.trigger.current_max_variance(self.dpt)
+        t1 = time.perf_counter()
+        hist["m_r"].observe(t1 - t0)
+        snapshot = self._snapshot(None, False)
+        root = snapshot[4]              # the rectangle R' partitions
         try:
-            spec = self._compute_partitioning()
-        except (RuntimeError, ValueError):
-            return None
-        rects = (inflate_rect(leaf.rect, spec.rect)
-                 for leaf in spec.leaves())
-        return spec if self.trigger.confirm_rects(rects, old_m) else None
+            found = self._partition(*snapshot)
+        except (RuntimeError, ValueError) as exc:
+            log_event(None, "candidate_eval_error", error=repr(exc))
+            return "error", None
+        t2 = time.perf_counter()
+        hist["partition"].observe(t2 - t1)
+        rects = (inflate_rect(rect, root) for rect in found.leaf_rects())
+        commit = self.trigger.confirm_rects(rects, old_m)
+        hist["commit_test"].observe(time.perf_counter() - t2)
+        return ("committed", found.tree) if commit else ("rejected", None)
 
     # ------------------------------------------------------------------ #
     # query processing

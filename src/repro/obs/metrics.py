@@ -126,10 +126,10 @@ CATALOG = {
         ("histogram", "Partial repartition duration."),
     "janus_engine_trigger_checks_total":
         ("counter", "Drift checks that came due, by outcome (none / "
-                    "rejected / committed / forced)."),
+                    "rejected / committed / forced / error)."),
     "janus_engine_candidate_eval_seconds":
-        ("histogram", "Candidate evaluation (M(R), R', commit test) "
-                      "under the engine lock."),
+        ("histogram", "Candidate evaluation under the engine lock, by "
+                      "stage (m_r / partition / commit_test)."),
     "janus_engine_rebalance_seconds":
         ("histogram", "Cross-shard rebalance duration."),
     # ---- routing (owned by RoutingStats) ----

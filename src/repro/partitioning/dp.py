@@ -24,7 +24,6 @@ import numpy as np
 from ..core.queries import AggFunc, Rectangle
 from .maxvar import PrefixStats
 from .onedim import OneDimResult
-from .spec import tree_from_intervals
 
 
 class DPPartitioner:
@@ -76,8 +75,8 @@ class DPPartitioner:
         max_err = float(dp_full[m]) if math.isfinite(dp_full[m]) else 0.0
         lo_d, hi_d = (domain if domain is not None
                       else (float(keys[0]), float(keys[-1])))
-        tree = tree_from_intervals(cuts, Rectangle((lo_d,), (hi_d,)))
-        return OneDimResult(cuts, bounds, max_err, tree)
+        return OneDimResult(cuts, bounds, max_err,
+                            Rectangle((lo_d,), (hi_d,)))
 
     # ------------------------------------------------------------------ #
     def _cost_matrix(self, values: np.ndarray, pop_ratio: float,

@@ -47,6 +47,9 @@ class KDTreeResult:
     tree: PartitionNode
     max_error: float
 
+    def leaf_rects(self) -> List[Rectangle]:
+        return [leaf.rect for leaf in self.tree.leaves()]
+
 
 class KDTreePartitioner:
     """Median-split greedy partitioner driven by the max-variance oracle."""

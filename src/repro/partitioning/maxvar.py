@@ -132,6 +132,25 @@ class PrefixStats:
         right = scale * (m_b * s2 - s * s)
         return max(0.0, left, right)
 
+    def max_var_sum_many(self, i: np.ndarray, j: np.ndarray,
+                         pop_ratio: float) -> np.ndarray:
+        """:meth:`max_var_sum` over int64 index arrays: the same IEEE
+        operations in the same order, so every entry is bit-equal to
+        the scalar call (``m_b ** 3`` is exact in int64 below 2**21)."""
+        m_b = j - i
+        mid = i + m_b // 2
+        p1, p2 = self.p1, self.p2
+        with np.errstate(all="ignore"):      # 0/0 where m_b == 0, inf-inf
+            n_b = pop_ratio * m_b
+            scale = (n_b * n_b) / (m_b ** 3)
+            s, s2 = p1[mid] - p1[i], p2[mid] - p2[i]
+            left = scale * (m_b * s2 - s * s)
+            s, s2 = p1[j] - p1[mid], p2[j] - p2[mid]
+            right = scale * (m_b * s2 - s * s)
+            # Python's max(0.0, left, right) skips NaNs: so does fmax.
+            var = np.fmax(left, right)
+            return np.where((m_b > 1) & (var > 0.0), var, 0.0)
+
     def max_var_avg(self, i: int, j: int, window: int) -> float:
         """Best delta*m-sample window inside the bucket (vectorized)."""
         m_b = j - i

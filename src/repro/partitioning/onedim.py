@@ -16,15 +16,17 @@ against the PASS dynamic program.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.queries import AggFunc, Rectangle
 from .maxvar import PrefixStats
-from .spec import PartitionNode, tree_from_intervals
+from .spec import PartitionNode, leaf_intervals, tree_from_intervals
 
 
 @dataclass
@@ -34,7 +36,25 @@ class OneDimResult:
     boundaries: List[float]          # k-1 interior cut coordinates
     bucket_index_bounds: List[int]   # k+1 sample-rank boundaries
     max_error: float                 # sqrt(max bucket variance) achieved
-    tree: PartitionNode
+    rect: Rectangle                  # the key range the root covers
+    #: Per bucket ``(right-edge key, error)``; the last edge is inf.
+    buckets: Sequence[Tuple[float, float]] = ()
+
+    @functools.cached_property
+    def tree(self) -> PartitionNode:
+        """Built on first use: a rejected candidate never needs one."""
+        return tree_from_intervals(self.boundaries, self.rect)
+
+    def leaf_rects(self) -> List[Rectangle]:
+        """The leaf rectangles of :attr:`tree`, worst bucket first."""
+        rects = leaf_intervals(self.boundaries, self.rect)
+        edges = [rect.hi[0] for rect in rects[:-1]]
+        worst = [0.0] * len(rects)
+        for edge, err in self.buckets:
+            at = bisect.bisect_left(edges, edge)
+            worst[at] = max(worst[at], err)
+        ranked = sorted(zip(worst, rects), key=lambda pair: -pair[0])
+        return [rect for _, rect in ranked]
 
 
 class OneDimPartitioner:
@@ -71,6 +91,7 @@ class OneDimPartitioner:
         pop_ratio = n_population / m
         prefix = PrefixStats(values)
         window = max(4, int(self.delta * m))
+        is_sum = self.agg is AggFunc.SUM
 
         # A ladder step re-probes many of the buckets earlier steps
         # did (every first bucket, and every run they agree on).
@@ -80,7 +101,8 @@ class OneDimPartitioner:
             key = i * (m + 1) + j
             err = memo.get(key)
             if err is None:
-                var = prefix.max_var(i, j, self.agg, pop_ratio, window)
+                var = (prefix.max_var_sum(i, j, pop_ratio) if is_sum else
+                       prefix.max_var(i, j, self.agg, pop_ratio, window))
                 err = memo[key] = math.sqrt(max(var, 0.0))
             return err
 
@@ -88,18 +110,40 @@ class OneDimPartitioner:
         if hi_err <= 0.0:
             bounds = self._equal_count_bounds(m, k)
         else:
-            bounds = self._search_ladder(m, k, hi_err, bucket_error)
-        cuts = self._cuts_from_bounds(keys, bounds)
-        max_err = max((bucket_error(bounds[i], bounds[i + 1])
-                       for i in range(len(bounds) - 1)), default=0.0)
+            bounds = self._pad(self._search_ladder(
+                m, k, hi_err, bucket_error,
+                self._fail_table(prefix, pop_ratio)), k)
+        edges = keys[np.asarray(bounds[1:-1], dtype=np.intp) - 1].tolist()
+        errors = [bucket_error(a, b) for a, b in zip(bounds, bounds[1:])]
         lo_d, hi_d = (domain if domain is not None
                       else (float(keys[0]), float(keys[-1])))
-        tree = tree_from_intervals(cuts, Rectangle((lo_d,), (hi_d,)))
-        return OneDimResult(cuts, bounds, max_err, tree)
+        # Interior cuts: the edges without the repeats tied keys cause.
+        cuts = [c for i, c in enumerate(edges) if not i or c > edges[i - 1]]
+        return OneDimResult(cuts, bounds, max(errors),
+                            Rectangle((lo_d,), (hi_d,)),
+                            list(zip(edges + [math.inf], errors)))
 
     # ------------------------------------------------------------------ #
-    def _search_ladder(self, m: int, k: int, hi_err: float,
-                       bucket_error) -> List[int]:
+    def _fail_table(self, prefix: PrefixStats, pop_ratio: float
+                    ) -> Optional[np.ndarray]:
+        """``error([start, j))`` at the probes ``j`` a bucket's bisection
+        makes up to its first success, as a ``(depth, start)`` table.
+        They depend only on ``(start, m)`` - ``(start + 1 + m) // 2``,
+        then ``(start + j) // 2``, ... down to ``start + 1`` (error 0,
+        a success on every rung) - so one vector kernel pass serves all
+        ladder steps.  ``None`` without a vector kernel: plain search."""
+        m = prefix.m
+        if self.agg is not AggFunc.SUM or m >= 1 << 21:
+            return None
+        start = np.arange(m)
+        probes = [(start + 1 + m) // 2]
+        while probes[-1][0] > 1:             # rank 0 bisects the longest
+            probes.append((start + probes[-1]) // 2)
+        return np.sqrt(prefix.max_var_sum_many(start, np.array(probes),
+                                               pop_ratio))
+
+    def _search_ladder(self, m: int, k: int, hi_err: float, bucket_error,
+                       fails: Optional[np.ndarray]) -> List[int]:
         """Binary search over exponents t of rho^t within the error range."""
         # Lower end of the ladder: a tiny fraction of the 1-bucket error
         # stands in for the paper's L/sqrt(2) bound (both are poly bounds
@@ -111,7 +155,7 @@ class OneDimPartitioner:
         while lo <= hi:
             mid = (lo + hi) // 2
             e = self.rho ** mid
-            bounds = self._feasible(m, k, e, bucket_error)
+            bounds = self._feasible(m, k, e, bucket_error, fails)
             if bounds is not None:
                 best_bounds = bounds
                 hi = mid - 1
@@ -119,7 +163,7 @@ class OneDimPartitioner:
                 lo = mid + 1
         if best_bounds is None:
             best_bounds = self._feasible(m, k, self.rho ** (t_hi + 1),
-                                         bucket_error)
+                                         bucket_error, fails)
         if best_bounds is None:                 # paranoid fallback
             best_bounds = self._equal_count_bounds(m, k)
         return best_bounds
@@ -128,9 +172,13 @@ class OneDimPartitioner:
     def _equal_count_bounds(m: int, k: int) -> List[int]:
         return [round(i * m / k) for i in range(k + 1)]
 
-    def _feasible(self, m: int, k: int, e: float,
-                  bucket_error) -> Optional[List[int]]:
+    @staticmethod
+    def _feasible(m: int, k: int, e: float, bucket_error,
+                  fails: Optional[np.ndarray]) -> Optional[List[int]]:
         """Greedy maximal buckets with error <= e; None if > k needed."""
+        # Per start, how many probes fail before the first success.
+        skip = None if fails is None else \
+            (fails <= e).argmax(axis=0).tolist()
         bounds = [0]
         start = 0
         for _ in range(k):
@@ -139,6 +187,12 @@ class OneDimPartitioner:
             # Binary search the largest j with error([start, j)) <= e.
             lo, hi = start + 1, m
             best = start + 1                   # single sample: error 0
+            if skip is not None:
+                # Resume behind the d failures and the success the table
+                # answers (a failure halves the width probed).
+                width, d = m + 1 - start, skip[start]
+                best = start + (width >> d + 1)
+                lo, hi = best + 1, start + (width >> d) - 1
             while lo <= hi:
                 mid = (lo + hi) // 2
                 if bucket_error(start, mid) <= e:
@@ -148,27 +202,15 @@ class OneDimPartitioner:
                     hi = mid - 1
             bounds.append(best)
             start = best
-        if bounds[-1] < m:
-            return None
-        # Feasible with fewer than k buckets: pad by splitting the largest.
-        while len(bounds) - 1 < k:
-            sizes = [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)]
-            widest = int(np.argmax(sizes))
-            if sizes[widest] < 2:
-                break
-            mid = bounds[widest] + sizes[widest] // 2
-            bounds.insert(widest + 1, mid)
-        return bounds
+        return bounds if start >= m else None
 
     @staticmethod
-    def _cuts_from_bounds(keys: np.ndarray, bounds: List[int]) -> List[float]:
-        """Interior cut coordinates at the right edge of each bucket."""
-        cuts = []
-        for b in bounds[1:-1]:
-            cuts.append(float(keys[b - 1]))
-        # Deduplicate cuts caused by tied keys.
-        out: List[float] = []
-        for c in cuts:
-            if not out or c > out[-1]:
-                out.append(c)
-        return out
+    def _pad(bounds: List[int], k: int) -> List[int]:
+        """Fewer than k buckets were needed: split the largest until k
+        (on the winning bounds only: padding never decides feasibility)."""
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        while len(sizes) < k and (size := max(sizes)) > 1:
+            widest = sizes.index(size)
+            bounds.insert(widest + 1, bounds[widest] + size // 2)
+            sizes[widest:widest + 1] = [size // 2, size - size // 2]
+        return bounds

@@ -8,6 +8,7 @@ parent.  The DPT/SPT then attach statistics and samples to this skeleton.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -59,28 +60,25 @@ class PartitionNode:
                         raise AssertionError("siblings overlap")
 
 
-def tree_from_intervals(boundaries: Sequence[float],
-                        full: Rectangle) -> PartitionNode:
-    """A balanced binary hierarchy over consecutive 1-D leaf intervals.
-
-    ``boundaries`` are the interior cut points ``c_1 < ... < c_{k-1}``:
-    leaf i covers ``(c_{i-1}, c_i]`` (with the full rectangle's ends at the
-    extremes).  Matches the paper's "128 leaf nodes in a balanced binary
-    tree" experimental setting.
-    """
-    import math
+def leaf_intervals(boundaries: Sequence[float],
+                   full: Rectangle) -> List[Rectangle]:
+    """Consecutive 1-D leaf intervals for interior cuts ``c_1 < ... <
+    c_{k-1}``: leaf i covers ``(c_{i-1}, c_i]`` (with the full
+    rectangle's ends at the extremes)."""
     # Duplicate cuts and cuts at (or beyond) the domain edges would
     # create empty leaf intervals.
     cuts = sorted({c for c in boundaries if full.lo[0] <= c < full.hi[0]})
-    leaves: List[PartitionNode] = []
-    lo = full.lo[0]
-    current_lo = lo
-    for cut in cuts:
-        leaves.append(PartitionNode(
-            Rectangle((current_lo,), (cut,))))
-        current_lo = math.nextafter(cut, math.inf)
-    leaves.append(PartitionNode(Rectangle((current_lo,), (full.hi[0],))))
-    return _balanced_merge(leaves)
+    los = [full.lo[0]] + [math.nextafter(c, math.inf) for c in cuts]
+    return [Rectangle((lo,), (hi,))
+            for lo, hi in zip(los, cuts + [full.hi[0]])]
+
+
+def tree_from_intervals(boundaries: Sequence[float],
+                        full: Rectangle) -> PartitionNode:
+    """A balanced binary hierarchy over :func:`leaf_intervals` (the
+    paper's "128 leaf nodes in a balanced binary tree" setting)."""
+    return _balanced_merge([PartitionNode(rect)
+                            for rect in leaf_intervals(boundaries, full)])
 
 
 def _balanced_merge(leaves: List[PartitionNode]) -> PartitionNode:

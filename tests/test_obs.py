@@ -311,7 +311,8 @@ def test_log_event_emits_one_json_line():
 # ---------------------------------------------------------------------- #
 
 
-def test_engine_emits_trigger_check_and_candidate_eval_families():
+def _drifting_engine(**kwargs):
+    """A 1-D engine on 6000 taxi rows, and 40 batches to stream into it."""
     from repro.core.janus import JanusAQP, JanusConfig
     from repro.core.table import Table
     from repro.datasets.synthetic import nyc_taxi
@@ -319,24 +320,34 @@ def test_engine_emits_trigger_check_and_candidate_eval_families():
     ds = nyc_taxi(n=9000, seed=1)
     table = Table(ds.schema)
     table.insert_many(ds.data[:6000])
-    reg = MetricsRegistry()
-    engine = JanusAQP(table, "fare", ("pickup_time",),
-                      config=JanusConfig(k=48, sample_rate=0.03, seed=2,
-                                         repartition_every=2500),
-                      metrics=reg, metrics_labels={"shard": "3"})
+    config = JanusConfig(k=48, sample_rate=0.03, seed=2,
+                         repartition_every=kwargs.pop("repartition_every",
+                                                      None))
+    engine = JanusAQP(table, "fare", ("pickup_time",), config=config,
+                      **kwargs)
     engine.initialize()
-    for b in range(40):
-        engine.insert_many(ds.data[6000 + 72 * b:6000 + 72 * (b + 1)])
+    return engine, [ds.data[6000 + 72 * b:6000 + 72 * (b + 1)]
+                    for b in range(40)]
+
+
+def test_engine_emits_trigger_check_and_candidate_eval_families():
+    reg = MetricsRegistry()
+    engine, batches = _drifting_engine(
+        repartition_every=2500, metrics=reg, metrics_labels={"shard": "3"})
+    for rows in batches:
+        engine.insert_many(rows)
 
     families = parse_exposition(render_exposition(reg))
     checks = families["janus_engine_trigger_checks_total"]
     assert checks["type"] == "counter"
     by_outcome = {s[1]["outcome"]: s[2] for s in checks["samples"]}
     assert all(s[1]["shard"] == "3" for s in checks["samples"])
-    assert set(by_outcome) == {"none", "rejected", "committed", "forced"}
+    assert set(by_outcome) == {"none", "rejected", "committed", "forced",
+                               "error"}
     state = engine.trigger.state
     assert by_outcome["forced"] == state.n_forced == 1
     assert by_outcome["rejected"] > 0 and by_outcome["committed"] > 0
+    assert by_outcome["error"] == 0
     assert by_outcome["rejected"] + by_outcome["committed"] == \
         state.n_candidates
     assert sum(by_outcome.values()) == state.n_checks + state.n_forced
@@ -345,9 +356,36 @@ def test_engine_emits_trigger_check_and_candidate_eval_families():
 
     evals = families["janus_engine_candidate_eval_seconds"]
     assert evals["type"] == "histogram"
-    count = [s for s in evals["samples"] if s[0].endswith("_count")][0]
-    assert count[1] == {"shard": "3"}
-    assert count[2] == state.n_candidates
+    counts = {s[1]["stage"]: s[2] for s in evals["samples"]
+              if s[0].endswith("_count")}
+    assert all(s[1]["shard"] == "3" for s in evals["samples"])
+    assert counts == dict.fromkeys(("m_r", "partition", "commit_test"),
+                                   state.n_candidates)
+
+
+def test_failed_candidate_evaluation_is_an_error_not_a_rejection(
+        monkeypatch, capsys):
+    engine, batches = _drifting_engine()
+
+    def broken(*args):
+        raise RuntimeError("cannot partition: empty sample pool")
+    monkeypatch.setattr(engine, "_partition", broken)
+    for rows in batches:        # every write still succeeds
+        engine.insert_many(rows)
+    assert len(engine.table) == 6000 + 72 * 40
+    assert engine.n_repartitions == 0
+
+    families = parse_exposition(render_exposition(engine.metrics))
+    by_outcome = {s[1]["outcome"]: s[2] for s in
+                  families["janus_engine_trigger_checks_total"]["samples"]}
+    n_candidates = engine.trigger.state.n_candidates
+    assert by_outcome["error"] == n_candidates > 0
+    assert by_outcome["rejected"] == by_outcome["committed"] == 0
+    events = [json.loads(line)
+              for line in capsys.readouterr().err.splitlines()]
+    assert len(events) == n_candidates
+    assert all(e["event"] == "candidate_eval_error" and
+               "empty sample pool" in e["error"] for e in events)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
 """Decision replay: the fast candidate evaluation decides what the old one did.
 
 The write path evaluates a re-partitioning candidate with a per-leaf
-``M_i'`` memo, an early-exit commit test over ``spec.leaves()`` and a
-scalar, memoised bucket-error kernel in the 1-D partitioner.  Every one
-of those is meant to be *exact*.  This file keeps a frozen copy of the
+``M_i'`` memo, a worst-bucket-first, early-exit commit test over the
+leaf intervals of R' (no tree unless it commits) and, in the 1-D
+partitioner, a vectorised fail-path table in front of a scalar, memoised
+bucket-error kernel.  Every one of those is meant to be *exact*.  This file keeps a frozen copy of the
 evaluation and of the 1-D partitioner as they were before (commit
 885f11a: fresh oracle calls for every leaf, a throwaway
 ``DynamicPartitionTree`` for R', numpy-scalar prefix arithmetic, a second
@@ -12,7 +13,14 @@ partitioning on commit) and drives it beside the live code:
 * the per-batch transcript ``(batch, action, M(R), committed)`` and every
   field of 128 probe answers must be identical (1-D SUM, 1-D AVG, 2-D);
 * ``OneDimPartitioner.partition`` must return the reference's bounds,
-  cuts, ``max_error`` and tree rectangles on random inputs with ties.
+  cuts, ``max_error`` and tree rectangles on random inputs with ties,
+  heavy tails, overflow-scale values, infinities and NaNs, up to sizes
+  whose bisections run 9 and more probes deep;
+* every entry of the fail-path table must ``repr``-equal the scalar
+  kernel at the same ``(i, j)``;
+* on one recorded pool a candidate costs at most a quarter of the
+  reference's ``bucket_error`` calls and no more commit-test oracle
+  calls.
 """
 
 import dataclasses
@@ -23,13 +31,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dpt import DynamicPartitionTree
+from repro.core.dpt import DynamicPartitionTree, inflate_rect
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.repartition import partial_repartition
 from repro.core.table import Table
 from repro.core.triggers import RepartitionTrigger, TriggerAction
 from repro.datasets.synthetic import nyc_taxi
+from repro.partitioning.maxvar import PrefixStats
 from repro.partitioning.onedim import OneDimPartitioner
 from repro.partitioning.spec import tree_from_intervals
 
@@ -373,35 +382,163 @@ def test_decisions_and_answers_replay(pred_attrs, agg, k):
 # ---------------------------------------------------------------------- #
 # partition() against the reference, bit for bit
 # ---------------------------------------------------------------------- #
+def _shaped_values(flavour, m, rng):
+    """``m`` values of one stress shape (seeded: hypothesis only draws
+    the shape, the size and the seed)."""
+    if flavour == "ties":
+        return rng.choice([0.0, 1.0, 7.5, -3.0], m)
+    if flavour == "heavy":
+        return rng.pareto(0.7, m) * rng.choice([-1.0, 1.0], m)
+    values = rng.lognormal(0.0, 2.0, m)
+    if flavour in ("1e150", "1e200"):       # squares near / past overflow
+        values[rng.integers(0, m, max(1, m // 8))] *= float(flavour)
+    elif flavour in ("inf", "nan"):
+        values[rng.integers(0, m, 2)] = float(flavour)
+        values[rng.integers(0, m)] = -float(flavour)
+    return values
+
+
+FLAVOURS = ["plain", "ties", "heavy", "1e150", "1e200", "inf", "nan"]
+
+
 @st.composite
 def samples(draw):
-    m = draw(st.integers(1, 120))
-    # few distinct keys -> many ties, some of them on bucket edges
-    keys = draw(st.lists(st.integers(0, 25), min_size=m, max_size=m))
-    values = draw(st.lists(
-        st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
-                  st.sampled_from([0.0, 1.0, 7.5])),
-        min_size=m, max_size=m))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 120))
+        # few distinct keys -> many ties, some of them on bucket edges
+        keys = draw(st.lists(st.integers(0, 25), min_size=m, max_size=m))
+        values = np.array(draw(st.lists(
+            st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                      st.sampled_from([0.0, 1.0, 7.5])),
+            min_size=m, max_size=m)))
+    else:       # large and ill-conditioned: bisection depths >= 9
+        m = draw(st.one_of(st.integers(121, 700), st.integers(512, 700)))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        keys = rng.integers(0, draw(st.sampled_from([25, 10 * m])), m)
+        values = _shaped_values(draw(st.sampled_from(FLAVOURS)), m, rng)
     k = draw(st.integers(1, 20))
     agg = draw(st.sampled_from([AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG]))
     n_pop = draw(st.one_of(st.none(), st.integers(m, 50 * m)))
     domain = draw(st.sampled_from([None, (-5.0, 30.0)]))
-    return (np.array(keys, dtype=np.float64), np.array(values), k, agg,
-            n_pop, domain)
+    return np.array(keys, dtype=np.float64), values, k, agg, n_pop, domain
 
 
 def _rects(tree):
     return [(n.rect.lo, n.rect.hi, len(n.children)) for n in tree.walk()]
 
 
+def _partition_or_error(partitioner, *args):
+    """The result, or the type of what an infinite one-bucket error makes
+    ``math.ceil(math.log(...))`` raise."""
+    try:
+        with np.errstate(all="ignore"):
+            return partitioner.partition(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(samples())
 def test_partition_matches_reference(sample):
     keys, values, k, agg, n_pop, domain = sample
-    ref = _RefOneDimPartitioner(agg).partition(keys, values, k, n_pop,
-                                               domain)
-    got = OneDimPartitioner(agg).partition(keys, values, k, n_pop, domain)
+    ref = _partition_or_error(_RefOneDimPartitioner(agg), keys, values, k,
+                              n_pop, domain)
+    got = _partition_or_error(OneDimPartitioner(agg), keys, values, k,
+                              n_pop, domain)
+    if isinstance(ref, type) or isinstance(got, type):
+        assert got is ref
+        return
     assert got.bucket_index_bounds == ref.bucket_index_bounds
     assert got.boundaries == ref.boundaries
     assert repr(got.max_error) == repr(ref.max_error)
     assert _rects(got.tree) == _rects(ref.tree)
+    # the commit test's view: the tree's leaves, in some order
+    leaves = [n.rect for n in got.tree.leaves()]
+    assert sorted(got.leaf_rects(), key=lambda r: r.lo) == leaves
+
+
+# ---------------------------------------------------------------------- #
+# the fail-path table against the scalar kernel, entry for entry
+# ---------------------------------------------------------------------- #
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 1500), seed=st.integers(0, 2 ** 16),
+       flavour=st.sampled_from(FLAVOURS),
+       pop_ratio=st.sampled_from([1.0, 3.7, 1e6]))
+def test_fail_table_equals_scalar_kernel(m, seed, flavour, pop_ratio):
+    values = _shaped_values(flavour, m, np.random.default_rng(seed))
+    with np.errstate(all="ignore"):
+        prefix = PrefixStats(values)
+        table = OneDimPartitioner(AggFunc.SUM)._fail_table(prefix,
+                                                           pop_ratio)
+    assert table.shape[1] == m and not np.isnan(table).any()
+    for start in range(m):
+        hi = m                  # the bisection of _feasible, all failures
+        for depth in range(table.shape[0]):
+            j = (start + 1 + hi) // 2
+            scalar = math.sqrt(max(
+                prefix.max_var_sum(start, j, pop_ratio), 0.0))
+            assert repr(float(table[depth, start])) == repr(scalar), \
+                (start, j)
+            hi = j - 1
+    assert (table[-1] == 0.0).all()     # every column ends in a success
+    for agg in (AggFunc.AVG, AggFunc.COUNT):    # no vector kernel
+        assert OneDimPartitioner(agg)._fail_table(prefix, 1.0) is None
+
+
+# ---------------------------------------------------------------------- #
+# count guard: what one rejected candidate costs, against the reference
+# ---------------------------------------------------------------------- #
+def test_candidate_costs_a_quarter_of_the_reference(monkeypatch):
+    table = Table(DS.schema)
+    table.insert_many(DS.data[:N_SEED])
+    engine = JanusAQP(table, "fare", ("pickup_time",), config=JanusConfig(
+        k=48, sample_rate=0.03, seed=3))
+    engine.initialize()
+    for b in range(120, 160):               # the replay's drift batches
+        rows = DS.data[N_SEED + b * BATCH:N_SEED + (b + 1) * BATCH].copy()
+        rows[20:60, 0] = rows[20:60, 0] % 7 + 300
+        rows[20:60, DS.schema.index("fare")] += 3000.0
+        engine.insert_many(rows)
+    assert engine.n_repartitions >= 1       # the next candidate is a reject
+    coords, values, tids, k, rect, n_pop, _ = engine._snapshot(None, False)
+    order = np.argsort(tids, kind="stable")
+    args = (coords[order, 0], values[order], k, n_pop,
+            (rect.lo[0], rect.hi[0]))
+
+    calls = {"ref": 0, "live": 0, "oracle": 0}
+    ref_max_var = _RefPrefixStats.max_var
+    monkeypatch.setattr(
+        _RefPrefixStats, "max_var", lambda *a: (
+            calls.__setitem__("ref", calls["ref"] + 1), ref_max_var(*a))[1])
+    search_ladder = OneDimPartitioner._search_ladder
+
+    def counted_ladder(self, m, k, hi_err, bucket_error, fails):
+        def counted(i, j):
+            calls["live"] += 1
+            return bucket_error(i, j)
+        return search_ladder(self, m, k, hi_err, counted, fails)
+    monkeypatch.setattr(OneDimPartitioner, "_search_ladder", counted_ladder)
+
+    ref = _RefOneDimPartitioner(AggFunc.SUM).partition(*args)
+    got = OneDimPartitioner(AggFunc.SUM).partition(*args)
+    assert got.bucket_index_bounds == ref.bucket_index_bounds
+    outside_ladder = len(got.bucket_index_bounds)    # hi_err + one / bucket
+    assert calls["ref"] > 1000
+    assert calls["live"] + outside_ladder <= 0.25 * calls["ref"]
+
+    trigger = engine.trigger
+    max_variance = trigger.oracle.max_variance
+
+    def counted_max_variance(r):
+        calls["oracle"] += 1
+        return max_variance(r)
+    trigger.oracle.max_variance = counted_max_variance
+    old_m = trigger.current_max_variance(engine.dpt)
+    visited = {}
+    for name, rects in (("ref", [n.rect for n in ref.tree.leaves()]),
+                        ("live", got.leaf_rects())):
+        calls["oracle"] = 0
+        assert not trigger.confirm_rects(
+            (inflate_rect(r, rect) for r in rects), old_m)
+        visited[name] = calls["oracle"]
+    assert 1 <= visited["live"] <= visited["ref"]

@@ -10,11 +10,13 @@
   early-exit sweep visited; a committed one partitions exactly once.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dpt import DynamicPartitionTree
+from repro.core.dpt import DynamicPartitionTree, inflate_rect
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc
 from repro.core.repartition import partial_repartition
@@ -140,7 +142,7 @@ def test_evaluation_cost_counts(monkeypatch):
                      sample_rate=0.03)
     counting(DynamicPartitionTree, "__init__", "dpt")
     counting(RangeIndex, "report", "report")
-    counting(JanusAQP, "_compute_partitioning", "partition")
+    counting(JanusAQP, "_partition", "partition")
     trigger = engine.trigger
     confirm_rects = trigger.confirm_rects
 
@@ -189,3 +191,38 @@ def test_evaluation_cost_counts(monkeypatch):
     for _, c, _ in log:                 # a batch with no candidate: free
         if not c["partition"]:
             assert c["dpt"] == c["visited"] == 0
+
+
+# ---------------------------------------------------------------------- #
+# the commit test is order-free (so R' may be visited worst bucket first)
+# ---------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _commit_world(pred_attrs, agg):
+    """An engine, the inflated leaf rectangles of a candidate R' in the
+    order the commit test visits them, and their variances."""
+    engine = _engine(pred_attrs, agg, 6000, k=24, sample_rate=0.03)
+    snapshot = engine._snapshot(None, False)
+    rects = [inflate_rect(r, snapshot[4])
+             for r in engine._partition(*snapshot).leaf_rects()]
+    variances = [engine.trigger.oracle.max_variance(r).variance
+                 for r in rects]
+    return engine.trigger, rects, variances
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       case=st.sampled_from([(("pickup_time",), AggFunc.SUM),
+                             (("pickup_time",), AggFunc.AVG),
+                             (("pickup_time", "trip_distance"),
+                              AggFunc.SUM)]))
+def test_confirm_rects_is_order_free(data, case):
+    trigger, rects, variances = _commit_world(*case)
+    beta = trigger.config.beta
+    # thresholds on both sides of every leaf's own decision
+    pivot = data.draw(st.sampled_from(variances))
+    old_m = data.draw(st.sampled_from(
+        [0.0, pivot * beta, pivot * beta * (1 + 1e-9), 1e300]))
+    shuffled = data.draw(st.permutations(rects))
+    want = trigger.confirm(max(variances), old_m)
+    assert trigger.confirm_rects(iter(rects), old_m) is want
+    assert trigger.confirm_rects(iter(shuffled), old_m) is want
