@@ -99,7 +99,7 @@ def run_skewed_deletions():
     chosen_rects = [leaves[li].rect for li in chosen]
     victims = []
     for li in chosen:
-        members = sorted(static.strata.stratum(leaves[li].node_id))
+        members = sorted(static.pool.tids(leaves[li].node_id))
         if members:
             take = rng.choice(members, size=int(0.9 * len(members)),
                               replace=False)

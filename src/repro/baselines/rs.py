@@ -1,22 +1,20 @@
 """Reservoir-sampling baseline (paper Section 6.1.3, "RS").
 
 A plain uniform sample of the whole dataset, maintained by the same
-AQUA-style dynamic reservoir as JanusAQP's pool, answering queries with
-the standard uniform-sampling estimators.  Its query latency grows with
-the sample size because every query scans the whole sample - the effect
-visible in Table 2's latency columns.
+:class:`~repro.sampling.pool.SamplePool` as JanusAQP's (one stratum, no
+index), answering queries with the standard uniform-sampling estimators.
+Its query latency grows with the sample size because every query scans
+the whole sample - the effect visible in Table 2's latency columns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ..core.estimators import uniform_estimate
-from ..core.queries import AggFunc, Query, QueryResult
+from ..core.estimators import uniform_scan
+from ..core.queries import Query, QueryResult
 from ..core.table import Table
-from ..sampling.reservoir import DynamicReservoir
+from ..sampling.pool import SamplePool
 
 
 class ReservoirBaseline:
@@ -25,57 +23,18 @@ class ReservoirBaseline:
     def __init__(self, table: Table, sample_rate: float = 0.01,
                  seed: int = 0, min_pool: int = 128) -> None:
         self.table = table
-        self.sample_rate = sample_rate
-        target = max(min_pool, int(2 * sample_rate * max(len(table), 1)))
-        self.reservoir = DynamicReservoir(table, target, seed=seed)
-        self._rows: Dict[int, np.ndarray] = {}
-        self.reservoir.subscribe(self)
-        self.reservoir.initialize()
+        self.pool = SamplePool(table, sample_rate, min_pool, seed=seed)
+        self.pool.initialize()
 
-    # observer protocol ------------------------------------------------- #
-    def on_add(self, tid: int) -> None:
-        self._rows[tid] = self.table.row(tid).copy()
-
-    def on_remove(self, tid: int) -> None:
-        self._rows.pop(tid, None)
-
-    def on_reset(self, tids: List[int]) -> None:
-        self._rows = {t: self.table.row(t).copy() for t in tids}
-
-    # updates ------------------------------------------------------------ #
     def insert(self, values: Sequence[float]) -> int:
         tid = self.table.insert(values)
-        self.reservoir.on_insert(tid)
-        self._maybe_grow_pool()
+        self.pool.insert_many((tid,))
         return tid
-
-    def _maybe_grow_pool(self) -> None:
-        """Keep the pool at ~2 * rate * |D| as the data grows (resampling
-        on growth keeps it uniform; see DynamicReservoir.set_target)."""
-        want = int(2 * self.sample_rate * len(self.table))
-        if want > 1.25 * self.reservoir.target_size:
-            self.reservoir.set_target(want, resample=True)
 
     def delete(self, tid: int) -> None:
         self.table.delete(tid)
-        self.reservoir.on_delete(tid)
+        self.pool.delete_many((tid,))
 
-    # queries ------------------------------------------------------------ #
     def query(self, query: Query) -> QueryResult:
-        if not self._rows:
-            raise RuntimeError("empty sample")
-        rows = np.stack(list(self._rows.values()))
-        schema = self.table.schema
-        mask = np.ones(rows.shape[0], dtype=bool)
-        for dim, attr in enumerate(query.predicate_attrs):
-            col = rows[:, schema.index(attr)]
-            mask &= (col >= query.rect.lo[dim]) & \
-                    (col <= query.rect.hi[dim])
-        if query.agg is AggFunc.COUNT:
-            matched = np.ones(int(mask.sum()))
-        else:
-            matched = rows[mask, schema.index(query.attr)]
-        contrib = uniform_estimate(query.agg.value, float(len(self.table)),
-                                   rows.shape[0], matched)
-        return QueryResult(contrib.estimate, 0.0, contrib.variance,
-                           exact=False, n_partial=1)
+        return uniform_scan(query, self.table.schema, self.pool.rows(),
+                            float(len(self.table)))

@@ -2,7 +2,8 @@
 
 Strata are fixed at construction by equal-depth partitioning of the
 (single) predicate attribute; each stratum keeps an exact population
-counter and a virtual slice of a global dynamic reservoir.  Queries use
+counter and a virtual slice of a global dynamic reservoir (one
+:class:`~repro.sampling.pool.SamplePool` filed by bucket).  Queries use
 the standard stratified estimator: exact-weighted per-stratum sample
 means - structurally the "all leaves partial" special case of a partition
 tree with no hierarchy and no node aggregates.
@@ -11,7 +12,7 @@ tree with no hierarchy and no node aggregates.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from ..core import estimators
 from ..core.queries import AggFunc, Query, QueryResult
 from ..core.table import Table
 from ..partitioning.equidepth import equidepth_boundaries
-from ..sampling.reservoir import DynamicReservoir
-from ..sampling.stratified import StrataView
+from ..sampling.pool import SamplePool
 
 
 class StratifiedReservoirBaseline:
@@ -31,7 +31,6 @@ class StratifiedReservoirBaseline:
                  seed: int = 0, min_pool: int = 128) -> None:
         self.table = table
         self.predicate_attr = predicate_attr
-        self.sample_rate = sample_rate
         self._attr_idx = table.col_index(predicate_attr)
         keys = table.column(predicate_attr)
         self.boundaries = equidepth_boundaries(keys, n_strata)
@@ -39,57 +38,31 @@ class StratifiedReservoirBaseline:
         self._populations = np.zeros(self.n_strata)
         for key in keys:
             self._populations[self._stratum_of_key(float(key))] += 1
-        target = max(min_pool, int(2 * sample_rate * max(len(table), 1)))
-        self.reservoir = DynamicReservoir(table, target, seed=seed)
-        self._rows: Dict[int, np.ndarray] = {}
-        self.reservoir.subscribe(self)
-        self.strata = StrataView(self.reservoir, self._route_tid)
-        self.reservoir.initialize()
+        self.pool = SamplePool(table, sample_rate, min_pool, seed=seed)
+        self.pool.initialize(self._strata_of_rows)
 
     # ------------------------------------------------------------------ #
     def _stratum_of_key(self, key: float) -> int:
         return bisect.bisect_left(self.boundaries, key)
 
-    def _route_tid(self, tid: int) -> Optional[int]:
-        row = self._rows.get(tid)
-        if row is None:
-            return None
-        return self._stratum_of_key(float(row[self._attr_idx]))
-
-    # observer protocol -------------------------------------------------- #
-    def on_add(self, tid: int) -> None:
-        self._rows[tid] = self.table.row(tid).copy()
-
-    def on_remove(self, tid: int) -> None:
-        self._rows.pop(tid, None)
-
-    def on_reset(self, tids: List[int]) -> None:
-        self._rows = {t: self.table.row(t).copy() for t in tids}
+    def _strata_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.boundaries, rows[:, self._attr_idx])
 
     # updates ------------------------------------------------------------ #
     def insert(self, values: Sequence[float]) -> int:
         tid = self.table.insert(values)
         key = float(self.table.row(tid)[self._attr_idx])
         self._populations[self._stratum_of_key(key)] += 1
-        self.reservoir.on_insert(tid)
-        want = int(2 * self.sample_rate * len(self.table))
-        if want > 1.25 * self.reservoir.target_size:
-            self.reservoir.set_target(want, resample=True)
+        self.pool.insert_many((tid,))
         return tid
 
     def delete(self, tid: int) -> None:
         key = float(self.table.row(tid)[self._attr_idx])
         self._populations[self._stratum_of_key(key)] -= 1
         self.table.delete(tid)
-        self.reservoir.on_delete(tid)
+        self.pool.delete_many((tid,))
 
     # queries ------------------------------------------------------------ #
-    def _stratum_rows(self, stratum: int) -> np.ndarray:
-        tids = self.strata.stratum(stratum)
-        if not tids:
-            return np.empty((0, len(self.table.schema)))
-        return np.stack([self._rows[t] for t in tids])
-
     def query(self, query: Query) -> QueryResult:
         if query.predicate_attrs != (self.predicate_attr,):
             raise ValueError("SRS supports only its stratification attr")
@@ -104,7 +77,7 @@ class StratifiedReservoirBaseline:
         if query.agg is AggFunc.AVG:
             n_q = float(self._populations[first:last + 1].sum())
         for stratum in range(first, last + 1):
-            rows = self._stratum_rows(stratum)
+            rows = self.pool.matrix(stratum)
             m_i = rows.shape[0]
             n_i = float(self._populations[stratum])
             if m_i == 0 or n_i <= 0:

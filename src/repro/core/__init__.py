@@ -11,7 +11,6 @@ from .triggers import RepartitionTrigger, TriggerAction, TriggerConfig
 from .janus import JanusAQP, JanusConfig, ReoptReport
 from .persist import (load_sharded, load_synopsis, save_sharded,
                       save_synopsis)
-from .shared import SharedPoolSynopses
 from .repartition import (PartialRepartitionReport, ancestor_at,
                           auto_partial_repartition, partial_repartition)
 from .stream import StreamClient, StreamDriver, StreamStats
@@ -30,7 +29,7 @@ __all__ = [
     "TriggerConfig", "JanusAQP", "JanusConfig", "ReoptReport",
     "HeuristicRouter", "SynopsisManager", "PartialRepartitionReport",
     "ancestor_at", "auto_partial_repartition", "partial_repartition",
-    "StreamClient", "StreamDriver", "StreamStats", "SharedPoolSynopses",
+    "StreamClient", "StreamDriver", "StreamStats",
     "load_sharded", "load_synopsis", "save_sharded", "save_synopsis",
     "ShardedJanusAQP", "RoutingStats", "ShardSummary", "merge_additive",
     "merge_avg", "merge_minmax", "merge_moments", "merge_results",

@@ -237,6 +237,8 @@ class DynamicPartitionTree:
         over the current nodes, then the leaf list and frontier mirrors."""
         self._table = NodeTable.of(self._nodes, len(self.stat_attrs))
         self.leaves = [n for n in self._nodes if n.is_leaf]
+        self._leaf_ids = np.array([n.node_id for n in self.leaves],
+                                  dtype=np.int64)
         self._index_frontier_order()
 
     def _index_frontier_order(self) -> None:
@@ -340,6 +342,11 @@ class DynamicPartitionTree:
     def route_rows(self, coords: np.ndarray) -> np.ndarray:
         """Leaf positions (into :attr:`leaves`) of ``(n, d)`` points."""
         return self._route(coords)[2]
+
+    def leaf_ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """Leaf ``node_id`` of each full-schema ``(n, n_attrs)`` row:
+        the stratum key the pooled sample is filed under."""
+        return self._leaf_ids[self.route_rows(rows[:, self._pred_idx])]
 
     def _walk(self, point: Sequence[float], node: int) -> List[int]:
         """Table rows on one point's path from row ``node`` to its leaf.

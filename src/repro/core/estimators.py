@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from .queries import AggFunc, Query, QueryResult
 
 
 @dataclass
@@ -154,3 +156,26 @@ def uniform_estimate(agg: str, n_total: float, m: int,
         raise ValueError(f"sketch aggregate {agg} is answered from "
                          f"sketch state, not uniform samples")
     raise ValueError(f"unknown aggregate {agg}")
+
+
+def uniform_scan(query: Query, schema: Sequence[str], rows: np.ndarray,
+                 n_total: float) -> QueryResult:
+    """Answer ``query`` by scanning *all* pooled ``rows`` (full-schema,
+    a uniform sample of ``n_total`` tuples): the RS baseline, and the
+    fallback for a predicate template no tree covers (Section 5.5
+    option (ii)) - any predicate attributes work, at a latency that
+    grows with the pool."""
+    if rows.shape[0] == 0:
+        raise RuntimeError("empty sample pool")
+    mask = np.ones(rows.shape[0], dtype=bool)
+    for dim, attr in enumerate(query.predicate_attrs):
+        col = rows[:, schema.index(attr)]
+        mask &= (col >= query.rect.lo[dim]) & (col <= query.rect.hi[dim])
+    if query.agg is AggFunc.COUNT:
+        matched = np.ones(int(mask.sum()))
+    else:
+        matched = rows[mask, schema.index(query.attr)]
+    contrib = uniform_estimate(query.agg.value, n_total, rows.shape[0],
+                               matched)
+    return QueryResult(contrib.estimate, 0.0, contrib.variance,
+                       exact=False, n_partial=1)

@@ -3,13 +3,12 @@
 :class:`JanusAQP` wires together every substrate:
 
 * a :class:`~repro.core.table.Table` playing archival storage,
-* a :class:`~repro.sampling.reservoir.DynamicReservoir` pooled sample with
-  synopsis-resident row copies and a :class:`~repro.index.range_index.
-  RangeIndex` over the predicate coordinates (the "store S only once in a
-  dynamic range tree" of Section 5.5),
+* a :class:`~repro.sampling.pool.SamplePool`: the pooled sample, its
+  synopsis-resident rows and a :class:`~repro.index.range_index.
+  RangeIndex` over their predicate coordinates, held once (the "store S
+  only once in a dynamic range tree" of Section 5.5),
 * a :class:`~repro.core.dpt.DynamicPartitionTree` whose leaf strata are
-  virtual partitions of the pool (:class:`~repro.sampling.stratified.
-  StrataView`),
+  virtual partitions of the pool (its rows are filed by leaf),
 * the partitioners of Section 5 (binary-search in 1-D, greedy k-d tree in
   higher dimensions),
 * the re-initialization pipeline of Figure 4 (:meth:`JanusAQP._rebuild`,
@@ -27,9 +26,8 @@ one vectorized pass per layer, and the per-row :meth:`JanusAQP.insert` /
 Queries are batched the same way: :meth:`JanusAQP.query_many` answers a
 whole batch under one lock with a shared frontier traversal and one
 broadcasted predicate evaluation per partial leaf, reading each leaf's
-samples from a contiguous matrix cache (:class:`_LeafSampleCache`) that
-is maintained incrementally as the pool churns; :meth:`JanusAQP.query`
-is a thin wrapper over the same path with identical results.
+samples as one contiguous block of the pool; :meth:`JanusAQP.query` is a
+thin wrapper over the same path with identical results.
 """
 
 from __future__ import annotations
@@ -53,8 +51,7 @@ from ..partitioning.kdtree import KDTreePartitioner, KDTreeResult
 from ..partitioning.maxvar import MaxVarOracle
 from ..partitioning.onedim import OneDimPartitioner, OneDimResult
 from ..partitioning.spec import PartitionNode
-from ..sampling.reservoir import DynamicReservoir
-from ..sampling.stratified import StrataView
+from ..sampling.pool import IndexReports, SamplePool
 from ..sketch.counted import CountedSketch
 from ..sketch.registry import (new_sketch, sketch_answer,
                                sketch_from_bytes, sketch_kind_for)
@@ -144,165 +141,6 @@ class ReoptReport:
                 self.catchup.total_seconds)
 
 
-class _LeafSampleCache:
-    """Per-leaf contiguous sample matrices for the batched query path.
-
-    One ``(m_i, n_schema)`` float64 block per leaf stratum, maintained
-    incrementally by :class:`_SampleSync`: appends amortize via capacity
-    doubling and removals swap the last row into the hole, so pool churn
-    costs O(1) row copies - instead of the per-query ``np.stack`` over a
-    Python dict the query path used to pay for every partial leaf.
-
-    Bookkeeping is array-native throughout: per-leaf row-to-tid maps are
-    int64 arrays grown alongside the matrices, and the reverse tid
-    location map is a pair of tid-indexed arrays (tids are dense table
-    ids), so bulk compaction after an eviction sweep is pure fancy
-    indexing - no per-row dict churn.
-    """
-
-    def __init__(self, n_cols: int) -> None:
-        self._n_cols = n_cols
-        self._mat: Dict[int, np.ndarray] = {}       # leaf id -> block
-        self._size: Dict[int, int] = {}             # leaf id -> live rows
-        self._tid_at: Dict[int, np.ndarray] = {}    # leaf id -> row -> tid
-        self._loc_leaf = np.full(64, -1, dtype=np.int64)  # tid -> leaf id
-        self._loc_row = np.zeros(64, dtype=np.int64)      # tid -> row
-        self._empty = np.empty((0, n_cols))
-
-    def __contains__(self, tid: int) -> bool:
-        t = int(tid)
-        return 0 <= t < self._loc_leaf.shape[0] and self._loc_leaf[t] >= 0
-
-    def clear(self) -> None:
-        self._mat.clear()
-        self._size.clear()
-        self._tid_at.clear()
-        # Fresh small location arrays instead of a fill(-1) memset:
-        # capacity tracks the highest tid ever cached, so on a
-        # long-running stream the memset would scale with total inserts
-        # while a reset pays one reallocation on the next add.
-        self._loc_leaf = np.full(64, -1, dtype=np.int64)
-        self._loc_row = np.zeros(64, dtype=np.int64)
-
-    def matrix(self, leaf_id: int) -> np.ndarray:
-        """The leaf's live sample rows as one contiguous view."""
-        mat = self._mat.get(leaf_id)
-        if mat is None:
-            return self._empty
-        return mat[:self._size[leaf_id]]
-
-    def size(self, leaf_id: int) -> int:
-        return self._size.get(leaf_id, 0)
-
-    def leaf_of(self, tid: int) -> Optional[int]:
-        """The leaf ``tid``'s row is filed under (None: not cached)."""
-        return int(self._loc_leaf[tid]) if tid in self else None
-
-    def tids(self, leaf_id: int) -> List[int]:
-        tid_at = self._tid_at.get(leaf_id)
-        if tid_at is None:
-            return []
-        return tid_at[:self._size[leaf_id]].tolist()
-
-    def _ensure(self, leaf_id: int, extra: int) -> Tuple[np.ndarray, int]:
-        mat = self._mat.get(leaf_id)
-        size = self._size.get(leaf_id, 0)
-        need = size + extra
-        if mat is None:
-            cap = max(4, 2 * need)
-            self._mat[leaf_id] = np.empty((cap, self._n_cols))
-            self._tid_at[leaf_id] = np.empty(cap, dtype=np.int64)
-            self._size[leaf_id] = 0
-        elif need > mat.shape[0]:
-            cap = max(2 * mat.shape[0], need)
-            grown = np.empty((cap, self._n_cols))
-            grown[:size] = mat[:size]
-            self._mat[leaf_id] = grown
-            tids_grown = np.empty(cap, dtype=np.int64)
-            tids_grown[:size] = self._tid_at[leaf_id][:size]
-            self._tid_at[leaf_id] = tids_grown
-        return self._mat[leaf_id], size
-
-    def _ensure_tid(self, max_tid: int) -> None:
-        cap = self._loc_leaf.shape[0]
-        if max_tid < cap:
-            return
-        new_cap = max(max_tid + 1, 2 * cap)
-        loc_leaf = np.full(new_cap, -1, dtype=np.int64)
-        loc_leaf[:cap] = self._loc_leaf
-        loc_row = np.zeros(new_cap, dtype=np.int64)
-        loc_row[:cap] = self._loc_row
-        self._loc_leaf, self._loc_row = loc_leaf, loc_row
-
-    def add_block(self, leaf_id: int, tids: Sequence[int],
-                  rows: np.ndarray) -> None:
-        """Append a whole ``(n, n_schema)`` block to one leaf."""
-        tid_arr = np.asarray(tids, dtype=np.int64)
-        n = tid_arr.shape[0]
-        if n == 0:
-            return
-        mat, size = self._ensure(leaf_id, n)
-        mat[size:size + n] = rows
-        self._tid_at[leaf_id][size:size + n] = tid_arr
-        self._ensure_tid(int(tid_arr.max()))
-        self._loc_leaf[tid_arr] = leaf_id
-        self._loc_row[tid_arr] = np.arange(size, size + n, dtype=np.int64)
-        self._size[leaf_id] = size + n
-
-    def remove(self, tid: int) -> None:
-        if tid not in self:
-            return
-        leaf_id = int(self._loc_leaf[tid])
-        row = int(self._loc_row[tid])
-        self._loc_leaf[tid] = -1
-        last = self._size[leaf_id] - 1
-        mat = self._mat[leaf_id]
-        tid_at = self._tid_at[leaf_id]
-        if row != last:
-            mat[row] = mat[last]
-            moved = int(tid_at[last])
-            tid_at[row] = moved
-            self._loc_row[moved] = row
-        self._size[leaf_id] = last
-
-    def remove_many(self, tids: Sequence[int]) -> None:
-        """Bulk removal: one compaction pass per touched leaf.
-
-        Large evictions (reservoir resamples, bulk deletes) compact each
-        leaf's block and its row-to-tid map with single boolean-mask
-        copies, then restore the reverse map with one vectorized
-        ``_loc_row`` assignment over the surviving tids.
-        """
-        tid_arr = np.asarray(tids if isinstance(tids, np.ndarray)
-                             else list(tids), dtype=np.int64)
-        if tid_arr.size == 0:
-            return
-        tid_arr = tid_arr[(tid_arr >= 0) &
-                          (tid_arr < self._loc_leaf.shape[0])]
-        leaves = self._loc_leaf[tid_arr]
-        present = leaves >= 0
-        tid_arr, leaves = tid_arr[present], leaves[present]
-        for leaf in np.unique(leaves):
-            leaf_id = int(leaf)
-            gone = tid_arr[leaves == leaf]
-            if gone.size < 8:
-                for tid in gone.tolist():
-                    self.remove(tid)
-                continue
-            size = self._size[leaf_id]
-            dead = np.zeros(size, dtype=bool)
-            dead[self._loc_row[gone]] = True
-            self._loc_leaf[gone] = -1
-            keep = np.flatnonzero(~dead)
-            mat = self._mat[leaf_id]
-            mat[:keep.size] = mat[keep]
-            tid_at = self._tid_at[leaf_id]
-            kept = tid_at[keep]
-            tid_at[:keep.size] = kept
-            self._loc_row[kept] = np.arange(keep.size, dtype=np.int64)
-            self._size[leaf_id] = int(keep.size)
-
-
 class JanusAQP:
     """A dynamic AQP synopsis over one query template."""
 
@@ -370,18 +208,16 @@ class JanusAQP:
                 sketch.insert_many(seed_vals)
             self._sketches[attr] = bank
 
-        target = max(self.config.min_pool,
-                     int(2 * self.config.sample_rate * max(len(table), 1)))
-        self.reservoir = DynamicReservoir(table, target,
-                                          seed=self.config.seed + 1)
-        self._sample_rows: Dict[int, np.ndarray] = {}
-        self.sample_index = RangeIndex(len(self.predicate_attrs),
-                                       seed=self.config.seed + 2)
-        self._leaf_cache = _LeafSampleCache(len(table.schema))
-        self.reservoir.subscribe(_SampleSync(self))
+        #: The pooled sample S, stored once: reservoir policy, resident
+        #: rows filed by leaf, and the range index over them.
+        self.pool = SamplePool(
+            table, self.config.sample_rate, self.config.min_pool,
+            seed=self.config.seed + 1,
+            index_on=(self._pred_idx, self._agg_idx),
+            index_seed=self.config.seed + 2)
+        self.reservoir = self.pool.reservoir
 
         self.dpt: Optional[DynamicPartitionTree] = None
-        self.strata: Optional[StrataView] = None
         #: One per engine life (its counters are lifetime counts).
         self.trigger: Optional[RepartitionTrigger] = None  # guarded-by: _lock
         self.n_repartitions = 0
@@ -394,18 +230,10 @@ class JanusAQP:
         #: answer without any synopsis traffic.
         self.data_epoch = 0  # guarded-by: _lock
 
-    def close(self) -> None:
-        """Release a dropped engine without waiting for a gen-2 GC.
-
-        The reservoir's observers point back here (``_SampleSync``'s
-        owner, the strata view's bound ``_route_tid``), and so does the
-        trigger through the strata; unhooking them leaves the engine
-        acyclic, freed by its last reference.  Idempotent; a closed
-        engine takes no further updates or queries.
-        """
-        with self._lock:
-            self.reservoir._observers.clear()
-            self.strata = self.trigger = None
+    @property
+    def sample_index(self) -> RangeIndex:
+        """The pool's range index (a pool redraw replaces it)."""
+        return self.pool.index
 
     def bump_epoch(self) -> int:
         """Advance ``data_epoch`` under the engine's own lock.
@@ -426,7 +254,7 @@ class JanusAQP:
         """Build the first synopsis from the current table state."""
         with self._lock:
             self.dpt = None     # void once the pool resets: a first build
-            self.reservoir.initialize()
+            self._pool_changed(self.pool.initialize())
             return self._rebuild(catchup_goal)
 
     def reoptimize(self, catchup_goal: Optional[int] = None) -> ReoptReport:
@@ -541,9 +369,10 @@ class JanusAQP:
                  scope: Optional[DPTNode], catchup_goal: Optional[int]
                  ) -> Callable[[], CatchupReport]:
         """Stage 3, the blocking one: swap in a tree built from ``spec``
-        (or ``scope``'s subtree), seed it from the pool, rewire strata
-        and trigger.  A full rebuild then resamples the pool; returns
-        the catch-up still owed (stage 4; none below a ``scope``).
+        (or ``scope``'s subtree), seed it from the pool, re-file the
+        pool under its leaves, rewire the trigger.  A full rebuild then
+        resamples the pool; returns the catch-up still owed (stage 4;
+        none below a ``scope``).
         """
         if scope is None:
             dpt = DynamicPartitionTree(
@@ -574,17 +403,13 @@ class JanusAQP:
                 node.csumsq *= factor
         self.dpt = dpt
         if scope is not None:
-            # The pool stays: re-route it (a full install resamples it
-            # below, and ``on_reset`` routes the new one - once).
-            self._rebuild_leaf_cache()
-            self.strata.reroute(self._route_tid)
+            # The pool stays: re-file it under the new leaves (a full
+            # install resamples it below, filing the new one - once).
+            self.pool.reroute(dpt.leaf_ids_of)
         self._install_support_structures()
         catchup = CatchupReport         # nothing owed: an empty report
         if scope is None:
-            # Resample a fresh pool sized to the *current* data ("the
-            # system resamples a uniform sample of data from archival
-            # storage to be the new pooled reservoir sample").
-            self.reservoir.set_target(self._pool_target(), resample=True)
+            self._pool_changed(self.pool.resample(dpt.leaf_ids_of))
             goal = catchup_goal if catchup_goal is not None else \
                 int(self.config.catchup_rate * len(self.table))
             catchup = functools.partial(
@@ -604,15 +429,13 @@ class JanusAQP:
             self.data_epoch += 1
 
     def _install_support_structures(self) -> None:  # requires-lock: _lock
-        """(Re)wire the strata view and the trigger for the current tree.
+        """(Re)wire the trigger for the current tree.
 
         Used by every (re-)initialization path and by snapshot restore
         (:mod:`repro.core.persist`).  The caller rebases the trigger
         once the pool its baselines describe is in place (a
         re-initialization resamples it after this).
         """
-        if self.strata is None:
-            self.strata = StrataView(self.reservoir, self._route_tid)
         oracle = MaxVarOracle(self.sample_index, self.config.focus_agg,
                               len(self.table) / max(len(self.sample_index),
                                                     1),
@@ -621,42 +444,17 @@ class JanusAQP:
             beta=self.config.beta, check_every=self.config.check_every,
             every_n_updates=self.config.repartition_every)
         if self.trigger is None:
-            self.trigger = RepartitionTrigger(trig_cfg, oracle, self.strata)
+            self.trigger = RepartitionTrigger(trig_cfg, oracle, self.pool)
         else:
             self.trigger.config, self.trigger.oracle = trig_cfg, oracle
 
-    def _rebuild_leaf_cache(self) -> None:
-        """Re-derive the per-leaf sample matrices from the current pool.
-
-        Called whenever tid-to-leaf routing changes wholesale (tree
-        install, partial re-partition, pool resample); steady-state pool
-        churn maintains the cache incrementally via :class:`_SampleSync`.
-        """
-        self._leaf_cache.clear()
-        if self.dpt is None or not self._sample_rows:
-            return
-        tids = np.fromiter(self._sample_rows.keys(), dtype=np.int64,
-                           count=len(self._sample_rows))
-        self._cache_routed_rows(tids, self.table.rows_for(tids))
-
-    def _cache_routed_rows(self, tids: Sequence[int],
-                           rows: np.ndarray) -> None:
-        """Route a row block to leaves and append it to the cache."""
-        if self.dpt is None:
-            return
-        leaf_of = self.dpt.route_rows(rows[:, self._pred_idx])
-        leaves = self.dpt.leaves
-        tid_arr = np.asarray(tids, dtype=np.int64)
-        for pos in np.unique(leaf_of):
-            sel = np.flatnonzero(leaf_of == pos)
-            self._leaf_cache.add_block(leaves[int(pos)].node_id,
-                                       tid_arr[sel], rows[sel])
-
-    def _route_tid(self, tid: int) -> Optional[int]:
-        """A pooled tid's stratum: the leaf its row is cached under
-        (:class:`_SampleSync` runs before the strata view on every
-        membership event), so no tid descends the tree twice."""
-        return self._leaf_cache.leaf_of(tid)
+    def _pool_changed(self, reports: IndexReports) -> None:  # requires-lock: _lock
+        """Pass what a pool call did to its index on to the trigger's
+        per-leaf variance memo."""
+        if self.trigger is not None:
+            # a redraw (a ``None`` report) put the pool in a fresh index
+            self.trigger.oracle.index = self.pool.index
+            self.trigger.pool_changed(reports)
 
     # ------------------------------------------------------------------ #
     # request processing (Section 3.2)
@@ -682,36 +480,26 @@ class JanusAQP:
         t0 = time.perf_counter()
         with self._lock:
             tids = self.table.insert_many(rows)
-            leaf_of = self.dpt.insert_rows(rows) if self.dpt else None
-            self.reservoir.on_insert_many(tids)
-            self._maybe_grow_pool()
-            for attr, bank in self._sketches.items():
-                vals = rows[:, self.table.col_index(attr)]
-                for sketch in bank.values():
-                    sketch.insert_many(vals)
-            self.data_epoch += 1
-            if leaf_of is not None:
-                self._after_update_batch(leaf_of)
+            self.apply_inserted(tids, rows)
         # Wait-for-lock + hold time: how long this batch stalled other
         # lock holders (queries, reoptimize phase 2).
         self._h_ingest_stall.observe(time.perf_counter() - t0)
         return tids
 
-    def _pool_target(self) -> int:
-        """The paper's standing pool size 2m = 2 * rate * |D|."""
-        return max(self.config.min_pool,
-                   int(2 * self.config.sample_rate * len(self.table)))
-
-    def _maybe_grow_pool(self) -> None:
-        """Track :meth:`_pool_target` as the table grows.
-
-        Growth is applied by resampling (a grown target filled only by
-        future arrivals would bias the pool), amortized by the 25%
-        hysteresis so steady insertion costs O(1) per tuple.
-        """
-        want = self._pool_target()
-        if want > 1.25 * self.reservoir.target_size:
-            self.reservoir.set_target(want, resample=True)
+    def apply_inserted(self, tids: Sequence[int], rows: np.ndarray) -> None:
+        """What an insert owes the synopsis once the table holds
+        ``rows`` under ``tids``: tree statistics, pool, sketches, epoch,
+        trigger.  Several synopses over one table
+        (:class:`~repro.core.templates.SynopsisManager`) insert once
+        and call this on each."""
+        with self._lock:
+            leaf_of = self.dpt.insert_rows(rows) if self.dpt else None
+            self._pool_changed(self.pool.insert_many(tids))
+            for sketch, vals in self._sketch_columns(rows):
+                sketch.insert_many(vals)
+            self.data_epoch += 1
+            if leaf_of is not None:
+                self._after_update_batch(leaf_of)
 
     def delete(self, tid: int) -> None:
         """Delete a live tuple by id."""
@@ -730,17 +518,28 @@ class JanusAQP:
             return
         t0 = time.perf_counter()
         with self._lock:
-            rows = self.table.delete_many(tids)
+            self.apply_deleted(tids, self.table.delete_many(tids))
+        self._h_ingest_stall.observe(time.perf_counter() - t0)
+
+    def apply_deleted(self, tids: Sequence[int], rows: np.ndarray) -> None:
+        """:meth:`apply_inserted`'s mirror, the table having dropped
+        ``tids`` (``rows``: the values they held)."""
+        with self._lock:
             leaf_of = self.dpt.delete_rows(rows) if self.dpt else None
-            self.reservoir.on_delete_many(tids)
-            for attr, bank in self._sketches.items():
-                vals = rows[:, self.table.col_index(attr)]
-                for sketch in bank.values():
-                    sketch.delete_many(vals)
+            self._pool_changed(self.pool.delete_many(tids))
+            for sketch, vals in self._sketch_columns(rows):
+                sketch.delete_many(vals)
             self.data_epoch += 1
             if leaf_of is not None:
                 self._after_update_batch(leaf_of)
-        self._h_ingest_stall.observe(time.perf_counter() - t0)
+
+    def _sketch_columns(self, rows: np.ndarray  # requires-lock: _lock
+                        ) -> Iterator[Tuple[CountedSketch, np.ndarray]]:
+        """Every maintained sketch with its attribute's column of ``rows``."""
+        for attr, bank in self._sketches.items():
+            vals = rows[:, self.table.col_index(attr)]
+            for sketch in bank.values():
+                yield sketch, vals
 
     def _after_update_batch(self, leaf_of: np.ndarray) -> None:  # requires-lock: _lock
         if self.trigger is None:
@@ -855,7 +654,7 @@ class JanusAQP:
         return sketch_answer(query, self._sketches[query.attr][kind])
 
     def _leaf_samples(self, leaf: DPTNode) -> np.ndarray:
-        return self._leaf_cache.matrix(leaf.node_id)
+        return self.pool.matrix(leaf.node_id)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -886,85 +685,12 @@ class JanusAQP:
                     bank[sketch.KIND] = sketch
 
     def storage_cost_bytes(self) -> int:
-        """Approximate synopsis footprint: samples + node statistics."""
+        """Synopsis footprint: the pooled rows (held once, in the
+        pool's blocks) plus the node statistics."""
         n_schema = len(self.table.schema)
-        sample_bytes = len(self._sample_rows) * n_schema * 8
+        sample_bytes = len(self.pool) * n_schema * 8
         node_bytes = 0
         if self.dpt is not None:
             per_node = (6 * len(self.dpt.stat_attrs) + 4) * 8
             node_bytes = sum(1 for _ in self.dpt.nodes()) * per_node
         return sample_bytes + node_bytes
-
-
-class _SampleSync:
-    """Keeps synopsis-resident sample rows, the range index, the
-    per-leaf sample-matrix cache and the trigger's variance memo in step
-    with reservoir membership (``_lock`` below is the owner's)."""
-
-    def __init__(self, owner: JanusAQP) -> None:
-        self._owner = owner
-
-    def _pool_changed(self, coords: Optional[np.ndarray]) -> None:  # requires-lock: _lock
-        """Report one pool-index mutation (the ``(n, d)`` points it
-        added or removed) to the trigger's per-leaf variance memo."""
-        if self._owner.trigger is not None:
-            self._owner.trigger.pool_changed(coords)
-
-    def on_add(self, tid: int) -> None:  # requires-lock: _lock
-        self.on_add_many([tid])
-
-    def _ingest_rows(self, tids: List[int]) -> np.ndarray:
-        """Gather rows once and bulk-insert them into dict + range index.
-
-        The index takes the whole block through ``add_many`` - one
-        duplicate check, one array append and one rebuild decision; a
-        reservoir reset (re-initialization phase 4) therefore rebuilds
-        the pool index with the vectorized builder instead of n
-        incremental tree descents.
-        """
-        owner = self._owner
-        rows = owner.table.rows_for(tids).copy()
-        if len(tids):
-            owner.sample_index.add_many(tids, rows[:, owner._pred_idx],
-                                        rows[:, owner._agg_idx])
-        for tid, row in zip(tids, rows):
-            owner._sample_rows[tid] = row
-        return rows
-
-    def on_add_many(self, tids: List[int]) -> None:  # requires-lock: _lock
-        """Bulk add: one row gather and one routed pass per batch."""
-        rows = self._ingest_rows(tids)
-        if tids:
-            self._pool_changed(rows[:, self._owner._pred_idx])
-            self._owner._cache_routed_rows(tids, rows)
-
-    def on_remove(self, tid: int) -> None:  # requires-lock: _lock
-        owner = self._owner
-        row = owner._sample_rows.pop(tid, None)
-        if owner.sample_index.delete(tid):
-            self._pool_changed(row[owner._pred_idx][None])
-        owner._leaf_cache.remove(tid)
-
-    def on_remove_many(self, tids: List[int]) -> None:  # requires-lock: _lock
-        """Bulk removal: one index rebuild check and one cache
-        compaction per batch instead of per-tid round-trips."""
-        owner = self._owner
-        rows = [owner._sample_rows.pop(tid, None) for tid in tids]
-        if owner.sample_index.delete_many(tids):
-            self._pool_changed(np.array(
-                [row[owner._pred_idx] for row in rows if row is not None]))
-        owner._leaf_cache.remove_many(tids)
-
-    def on_reset(self, tids: List[int]) -> None:  # requires-lock: _lock
-        owner = self._owner
-        owner._sample_rows = {}
-        owner.sample_index = RangeIndex(len(owner.predicate_attrs),
-                                        seed=owner.config.seed + 2)
-        rows = self._ingest_rows(tids)
-        owner._leaf_cache.clear()
-        if tids:
-            owner._cache_routed_rows(tids, rows)
-        # Oracles hold a reference to the old index: refresh them.
-        if owner.trigger is not None:
-            owner.trigger.oracle.index = owner.sample_index
-            self._pool_changed(None)

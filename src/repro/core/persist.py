@@ -78,9 +78,7 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
         } for pos, mm in node.minmax.items()} for node in nodes]
 
     pool_tids = np.array(janus.reservoir.tids(), dtype=np.int64)
-    pool_rows = (np.stack([janus._sample_rows[t] for t in pool_tids])
-                 if pool_tids.size else
-                 np.empty((0, len(janus.table.schema))))
+    pool_rows = janus.pool.rows(pool_tids)
 
     config = dataclasses.asdict(janus.config)
     config["focus_agg"] = janus.config.focus_agg.value
@@ -187,13 +185,8 @@ def load_synopsis(path: str, table: Table,
         janus.dpt = dpt
 
         # ---- restore the pooled sample ------------------------------- #
-        live_tids = [int(t) for t in archive["pool_tids"]
-                     if int(t) in table]
-        janus.reservoir._members = list(live_tids)
-        janus.reservoir._pos = {t: i for i, t in enumerate(live_tids)}
-        # re-fire observer resets so rows/index/strata rebuild
-        for obs in janus.reservoir._observers:
-            obs.on_reset(list(live_tids))
+        janus.pool.restore([int(t) for t in archive["pool_tids"]
+                            if int(t) in table], dpt.leaf_ids_of)
 
         # ---- restore sketch state from the archived blobs ------------ #
         # Construction above already re-seeded the sketches from the

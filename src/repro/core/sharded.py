@@ -187,8 +187,8 @@ class LocalShard:
         return fresh
 
     def close(self) -> None:
-        """Close the engine so it is freed with its last reference."""
-        self.engine.close()
+        """Nothing to release: an in-process engine is acyclic and dies
+        with its last reference (a remote shard stops its worker)."""
 
 
 class _TableView:

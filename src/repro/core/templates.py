@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import uniform_estimate
+from .estimators import uniform_scan
 from .janus import JanusAQP, JanusConfig
 from .queries import AggFunc, Query, QueryResult
 from .table import Table
@@ -37,12 +37,12 @@ def template_key(query: Query) -> TemplateKey:
 
 
 class SynopsisManager:
-    """Method 1: a tree per template, one pooled sample store each.
+    """Method 1: a tree per template over one shared table.
 
-    (The paper shares one physical sample store across trees; here each
-    JanusAQP instance owns a pool, and ``share_pool`` wires the additional
-    templates to the first template's reservoir to reproduce the shared-
-    storage accounting.)
+    The paper shares one physical sample store across the trees; here
+    each template is a whole :class:`JanusAQP` with its own pool, so
+    space is L independent synopses' O(L*m), not O(m + L*k).  The table
+    is updated once per batch and every synopsis then applies it.
     """
 
     def __init__(self, table: Table, config: Optional[JanusConfig] = None
@@ -94,13 +94,9 @@ class SynopsisManager:
         if not synopses:
             self._epoch_extra += 1
             return self.table.insert_many(rows)
-        first, rest = synopses[0], synopses[1:]
-        tids = first.insert_many(rows)
-        for s in rest:
-            leaf_of = s.dpt.insert_rows(rows) if s.dpt else None
-            s.reservoir.on_insert_many(tids)
-            if leaf_of is not None:
-                s._after_update_batch(leaf_of)
+        tids = synopses[0].insert_many(rows)
+        for s in synopses[1:]:
+            s.apply_inserted(tids, rows)
         return tids
 
     def delete(self, tid: int) -> None:
@@ -116,12 +112,10 @@ class SynopsisManager:
             self._epoch_extra += 1
             self.table.delete_many(tids)
             return
-        rows = self.table.rows_for(tids).copy()
+        rows = self.table.rows_for(tids)
         synopses[0].delete_many(tids)
         for s in synopses[1:]:
-            if s.dpt is not None:
-                s.dpt.delete_rows(rows)
-            s.reservoir.on_delete_many(tids)
+            s.apply_deleted(tids, rows)
 
     def query(self, query: Query) -> QueryResult:
         """Route to the matching template, building it on first use."""
@@ -220,26 +214,11 @@ class HeuristicRouter:
 
     def _uniform_fallback(self, query: Query) -> QueryResult:
         owner = self.synopsis
-        rows_map = owner._sample_rows
-        if not rows_map:
-            raise RuntimeError("empty sample pool")
-        rows = np.stack(list(rows_map.values()))
-        mask = np.ones(rows.shape[0], dtype=bool)
-        schema = owner.table.schema
-        for dim, attr in enumerate(query.predicate_attrs):
-            col = rows[:, schema.index(attr)]
-            mask &= (col >= query.rect.lo[dim]) & \
-                    (col <= query.rect.hi[dim])
-        if query.agg is AggFunc.COUNT:
-            matched = np.ones(int(mask.sum()))
-        else:
-            matched = rows[mask, schema.index(query.attr)]
         n_total = owner.dpt.n_current if owner.dpt else len(owner.table)
-        contrib = uniform_estimate(query.agg.value, float(n_total),
-                                   rows.shape[0], matched)
-        return QueryResult(contrib.estimate, 0.0, contrib.variance,
-                           exact=False, n_partial=1,
-                           details={"fallback": "uniform"})
+        result = uniform_scan(query, owner.table.schema, owner.pool.rows(),
+                              float(n_total))
+        result.details["fallback"] = "uniform"
+        return result
 
     def repartition_for(self, predicate_attrs: Sequence[str]) -> JanusAQP:
         """Option (iii): rebuild the tree for a new predicate template."""

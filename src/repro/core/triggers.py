@@ -23,12 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..partitioning.maxvar import MaxVarOracle
-from ..sampling.stratified import StrataView, min_samples_per_stratum
+from ..sampling.pool import SamplePool
+from ..sampling.stratified import min_samples_per_stratum
 from .dpt import DynamicPartitionTree
 from .node import DPTNode
 from .queries import Rectangle
@@ -73,10 +74,10 @@ class RepartitionTrigger:
     """
 
     def __init__(self, config: TriggerConfig, oracle: MaxVarOracle,
-                 strata: StrataView) -> None:
+                 pool: SamplePool) -> None:
         self.config = config
         self.oracle = oracle
-        self.strata = strata
+        self.pool = pool          # its strata are the leaves' samples
         self.state = TriggerState()
         self._pos: Dict[DPTNode, int] = {}    # rebased tree's leaf -> row
         self._lo = self._hi = np.empty((0, 0))    # (k, d) leaf bounds
@@ -90,29 +91,34 @@ class RepartitionTrigger:
         self._pos = {leaf: i for i, leaf in enumerate(dpt.leaves)}
         self._lo = np.array([leaf.rect.lo for leaf in dpt.leaves])
         self._hi = np.array([leaf.rect.hi for leaf in dpt.leaves])
-        self.pool_changed(None)
+        self.pool_changed((None,))
         self.state.baseline = {leaf.node_id: self.leaf_variance(leaf)
                                for leaf in dpt.leaves}
         self.state.updates_since_check = 0
         self.state.updates_since_repartition = 0
 
-    def pool_changed(self, coords: Optional[np.ndarray]) -> None:  # requires-lock: _lock
-        """Account one mutating call on ``oracle.index``.
-
-        ``coords`` holds the ``(n, d)`` points that call added or
-        removed; ``None`` (index replaced, tree changed) drops the memo.
+    def pool_changed(self, reports: Sequence[Optional[np.ndarray]]  # requires-lock: _lock
+                     ) -> None:
+        """Account the mutating calls made on ``oracle.index`` since the
+        last report: per call, the ``(n, d)`` points it added or removed
+        (what :class:`~repro.sampling.pool.SamplePool` returns).  A
+        ``None`` among them (index replaced, tree changed) drops the
+        memo, as does a version that moved by more calls than reported.
         """
         version = self.oracle.index.version
-        if coords is None or version != self._version + 1 or \
-                not self.oracle.rect_local:
+        if version != self._version + len(reports) or \
+                not self.oracle.rect_local or \
+                any(coords is None for coords in reports):
             self._memo = [None] * len(self._pos)
         else:
-            # "not outside" rather than "inside": a NaN coordinate then
-            # dirties every leaf, a superset of what report() returns.
-            pts = coords[:, None, :]
-            outside = ((pts < self._lo) | (pts > self._hi)).any(axis=2)
-            for i in np.flatnonzero(~outside.all(axis=0)).tolist():
-                self._memo[i] = None
+            for coords in reports:
+                # "not outside" rather than "inside": a NaN coordinate
+                # then dirties every leaf, a superset of what report()
+                # returns.
+                pts = coords[:, None, :]
+                outside = ((pts < self._lo) | (pts > self._hi)).any(axis=2)
+                for i in np.flatnonzero(~outside.all(axis=0)).tolist():
+                    self._memo[i] = None
         self._version = version
 
     def leaf_variance(self, leaf: DPTNode) -> float:  # requires-lock: _lock
@@ -121,7 +127,7 @@ class RepartitionTrigger:
         if i is None:                    # not a leaf of the rebased tree
             return self.oracle.max_variance(leaf.rect).variance
         if self.oracle.index.version != self._version:
-            self.pool_changed(None)
+            self.pool_changed((None,))
         var = self._memo[i]
         if var is None:
             var = self._memo[i] = \
@@ -178,7 +184,7 @@ class RepartitionTrigger:
         if floor is None:
             floor = min_samples_per_stratum(
                 sample_rate=1.0, pool_size=max(len(self.oracle.index), 2))
-        return self.strata.stratum_size(leaf.node_id) < floor
+        return self.pool.stratum_size(leaf.node_id) < floor
 
     def _variance_drifted(self, leaf: DPTNode) -> bool:  # requires-lock: _lock
         baseline = self.state.baseline.get(leaf.node_id)

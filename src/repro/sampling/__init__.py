@@ -1,6 +1,7 @@
-"""Sampling substrates: dynamic reservoir and pooled stratified views."""
+"""Sampling substrates: dynamic reservoir and the pooled sample store."""
 
+from .pool import SamplePool
 from .reservoir import DynamicReservoir
-from .stratified import StrataView, proportional_allocation_ok
+from .stratified import proportional_allocation_ok
 
-__all__ = ["DynamicReservoir", "StrataView", "proportional_allocation_ok"]
+__all__ = ["DynamicReservoir", "SamplePool", "proportional_allocation_ok"]

@@ -1,90 +1,17 @@
-"""Pooled stratified sample: virtual strata over a global reservoir.
+"""Allocation checks for the pooled stratified sample.
 
-Section 4.2: "Instead of implementing physical strata for the stratified
-sampling, we implement large enough virtual partitions of a single global
-sample."  :class:`StrataView` subscribes to a :class:`DynamicReservoir`
-and routes each sampled tid to a stratum key (normally the DPT leaf id),
-so the per-leaf sample sets the estimators need are just dictionary
-lookups.  When the tree is re-partitioned the view is re-routed in one
-pass over the pool.
-
+The strata themselves are virtual partitions of one global sample
+(Section 4.2) and live in :class:`~repro.sampling.pool.SamplePool`.
 Appendix B gives the condition under which uniform global sampling
 satisfies proportional allocation per stratum up to a factor of two with
-high probability; :func:`proportional_allocation_ok` implements that check
-and is used by the re-partitioning trigger.
+high probability; :func:`proportional_allocation_ok` implements that
+check, and :func:`min_samples_per_stratum` is the floor the
+re-partitioning trigger holds each leaf to.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set
-
-from .reservoir import DynamicReservoir
-
-
-class StrataView:
-    """Maps reservoir members to strata via a routing function."""
-
-    def __init__(self, reservoir: DynamicReservoir,
-                 route: Callable[[int], Optional[int]]) -> None:
-        self.reservoir = reservoir
-        self._route = route
-        self._strata: Dict[int, Set[int]] = {}
-        self._stratum_of: Dict[int, int] = {}
-        reservoir.subscribe(self)
-        self.on_reset(reservoir.tids())
-
-    # ------------------------------------------------------------------ #
-    # observer protocol
-    # ------------------------------------------------------------------ #
-    def on_add(self, tid: int) -> None:
-        key = self._route(tid)
-        if key is None:
-            return
-        self._strata.setdefault(key, set()).add(tid)
-        self._stratum_of[tid] = key
-
-    def on_add_many(self, tids: List[int]) -> None:
-        """Bulk add: one call per reservoir batch operation."""
-        for tid in tids:
-            self.on_add(tid)
-
-    def on_remove(self, tid: int) -> None:
-        key = self._stratum_of.pop(tid, None)
-        if key is None:
-            return
-        members = self._strata.get(key)
-        if members is not None:
-            members.discard(tid)
-
-    def on_remove_many(self, tids: List[int]) -> None:
-        """Bulk remove: one call per reservoir batch operation."""
-        for tid in tids:
-            self.on_remove(tid)
-
-    def on_reset(self, tids: List[int]) -> None:
-        self._strata = {}
-        self._stratum_of = {}
-        for tid in tids:
-            self.on_add(tid)
-
-    # ------------------------------------------------------------------ #
-    def reroute(self, route: Callable[[int], Optional[int]]) -> None:
-        """Swap the routing function (after a re-partition) and re-route."""
-        self._route = route
-        self.on_reset(self.reservoir.tids())
-
-    def stratum(self, key: int) -> Set[int]:
-        return self._strata.get(key, set())
-
-    def stratum_size(self, key: int) -> int:
-        return len(self._strata.get(key, ()))
-
-    def sizes(self) -> Dict[int, int]:
-        return {k: len(v) for k, v in self._strata.items()}
-
-    def detach(self) -> None:
-        self.reservoir.unsubscribe(self)
 
 
 def proportional_allocation_ok(stratum_population: int, sample_rate: float,

@@ -190,37 +190,22 @@ class TestDptBatchRouting:
             np.testing.assert_array_equal(na.cmax, nb.cmax)
 
 
-class _Mirror:
-    """Observer that mirrors reservoir membership for invariant checks."""
-
-    def __init__(self):
-        self.members = set()
-
-    def on_add(self, tid):
-        assert tid not in self.members
-        self.members.add(tid)
-
-    def on_remove(self, tid):
-        self.members.remove(tid)
-
-    def on_reset(self, tids):
-        self.members = set(tids)
-
-
 class TestReservoirBatch:
     def test_saturated_pool_invariants(self, ds):
         table = Table(ds.schema, capacity=ds.n + 16)
         table.insert_many(ds.data[:2_000])
         res = DynamicReservoir(table, target_size=200, seed=1)
-        mirror = _Mirror()
-        res.subscribe(mirror)
-        res.initialize()
+        members = set(res.initialize().added)
         for start in range(2_000, 10_000, 512):
             rows = ds.data[start:start + 512]
             tids = table.insert_many(rows)
-            res.on_insert_many(tids)
+            change = res.on_insert_many(tids)
+            # the returned net change mirrors membership exactly
+            assert set(change.removed) <= members
+            assert not set(change.added) & members
+            members = (members - set(change.removed)) | set(change.added)
             assert len(res) == 200
-            assert mirror.members == set(res.tids())
+            assert members == set(res.tids())
 
     def test_fill_phase_is_deterministic(self, ds):
         table = Table(ds.schema, capacity=4_096)

@@ -134,7 +134,7 @@ class TestDynamics:
         janus, table, ds = world
         for tid in janus.reservoir.tids():
             assert tid in table
-            assert tid in janus._sample_rows
+            assert tid in janus.pool
             assert tid in janus.sample_index
 
 
@@ -173,3 +173,44 @@ class TestOutOfDomainArrivals:
         res = janus.query(q)
         # the boundary leaf is partially covered: sample-estimate noise
         assert res.estimate == pytest.approx(500, rel=0.3)
+
+
+class TestMemoryBudget:
+    def test_parameters_fit_budget(self):
+        cfg = JanusConfig.from_memory_budget(200_000, n_rows=100_000,
+                                             n_attrs=6)
+        # 2m sample rows must fit in the budget
+        m = cfg.sample_rate * 100_000
+        assert 2 * m * 6 * 8 <= 200_000 * 1.05
+        # the paper's ratio k ~ 0.5/100 m
+        assert cfg.k == pytest.approx(m * 0.005, abs=2)
+
+    def test_small_budget_floors(self):
+        cfg = JanusConfig.from_memory_budget(1_000, n_rows=1000,
+                                             n_attrs=4)
+        assert cfg.k >= 2
+
+    def test_overrides(self):
+        cfg = JanusConfig.from_memory_budget(100_000, n_rows=10_000,
+                                             n_attrs=4, beta=5.0)
+        assert cfg.beta == 5.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            JanusConfig.from_memory_budget(0, 10, 10)
+
+    def test_budget_usable_end_to_end(self):
+        ds = nyc_taxi(n=8_000, seed=1)
+        table = Table(ds.schema, capacity=ds.n + 16)
+        table.insert_many(ds.data)
+        cfg = JanusConfig.from_memory_budget(
+            150_000, n_rows=len(table), n_attrs=len(ds.schema),
+            check_every=10 ** 9, seed=3)
+        janus = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                         config=cfg)
+        janus.initialize()
+        assert janus.storage_cost_bytes() <= 150_000 * 1.5
+        q = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
+                  Rectangle((-math.inf,), (math.inf,)))
+        truth = table.ground_truth(q)
+        assert abs(janus.query(q).estimate - truth) / truth < 0.1

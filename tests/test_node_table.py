@@ -831,8 +831,8 @@ def test_insert_cost_does_not_depend_on_nodes_touched():
 
 def test_sampled_rows_do_not_descend_twice(monkeypatch):
     """``insert_many(80 rows)``: one routing call for the batch, at most
-    one more for the rows the reservoir accepted; the strata view reads
-    its routes from the leaf cache instead of descending per tid."""
+    one more for the rows the reservoir accepted (the pool files them
+    by leaf); nothing descends per tid."""
     rng = np.random.default_rng(2)
     table = Table(("x", "a"), capacity=40_000)
     table.insert_many(rng.uniform(0, 100, (4000, 2)))
@@ -866,15 +866,12 @@ def test_sampled_rows_do_not_descend_twice(monkeypatch):
         assert calls["route_leaf"] == 0
         accepted_some += bool(accepted)
     assert accepted_some >= 5
-    # the strata view and the leaf cache file every pooled tid alike
-    sizes = {leaf.node_id: engine._leaf_cache.size(leaf.node_id)
-             for leaf in engine.dpt.leaves}
-    assert {k: v for k, v in sizes.items() if v} == \
-        {k: v for k, v in engine.strata.sizes().items() if v}
-    for tid in engine.reservoir.tids()[:50]:
-        row = engine._sample_rows[tid]
-        assert engine._route_tid(tid) == \
-            route_leaf(engine.dpt, row[engine._pred_idx]).node_id
+    # every pooled row sits in the block of the leaf the tree routes it to
+    for leaf in engine.dpt.leaves:
+        block = engine.pool.matrix(leaf.node_id)
+        assert all(route_leaf(engine.dpt, row[engine._pred_idx]) is leaf
+                   for row in block)
+    assert sum(engine.pool.sizes().values()) == engine.pool_size
 
 
 # ---------------------------------------------------------------------- #

@@ -78,7 +78,8 @@ def assert_same_synopsis(a, b, dim):
         assert np.array_equal(getattr(a.dpt._table, name),
                               getattr(b.dpt._table, name)), name
     assert a.dpt.n0 == b.dpt.n0
-    assert a.strata._stratum_of == b.strata._stratum_of
+    assert [a.pool.tids(n.node_id) for n in a.dpt.leaves] == \
+        [b.pool.tids(n.node_id) for n in b.dpt.leaves]
     for ra, rb in zip(a.query_many(probes(dim)), b.query_many(probes(dim))):
         assert (ra.estimate, ra.variance_catchup, ra.variance_sample,
                 ra.exact, ra.n_covered, ra.n_partial) == \
@@ -187,9 +188,7 @@ def frozen_partial_repartition(janus, leaf, psi=2):
             node.csum *= factor
             node.csumsq *= factor
             stack.extend(node.children)
-    janus._rebuild_leaf_cache()
-    if janus.strata is not None:
-        janus.strata.reroute(janus._route_tid)
+    janus.pool.reroute(dpt.leaf_ids_of)
     if janus.trigger is not None:
         janus.trigger.rebase(dpt)
     janus.bump_epoch()

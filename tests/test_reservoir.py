@@ -13,20 +13,15 @@ def make_table(n):
     return t
 
 
-class Recorder:
-    def __init__(self):
-        self.added, self.removed, self.resets = [], [], 0
-
-    def on_add(self, tid):
-        self.added.append(tid)
-
-    def on_remove(self, tid):
-        self.removed.append(tid)
-
-    def on_reset(self, tids):
-        self.resets += 1
-        self.added = list(tids)
-        self.removed = []
+def replay(members, change):
+    """Apply one returned :class:`PoolChange` to a mirror member set."""
+    if change.reset:
+        assert change.removed == []
+        return set(change.added)
+    assert set(change.removed) <= members
+    assert not set(change.added) & members
+    assert not set(change.added) & set(change.removed)
+    return (members - set(change.removed)) | set(change.added)
 
 
 class TestInitialization:
@@ -159,24 +154,54 @@ class TestUniformity:
 
 
 class TestObservers:
+    """What a caller observes: each call's returned net change."""
+
     def test_events_track_membership(self):
         t = make_table(300)
         r = DynamicReservoir(t, target_size=40, seed=2)
-        rec = Recorder()
-        r.subscribe(rec)
-        r.initialize()
-        assert rec.resets == 1
+        change = r.initialize()
+        assert change.reset and change.added == r.tids()
+        live = replay(set(), change)
         for _ in range(200):
             tid = t.insert((1.0,))
-            r.on_insert(tid)
-        live = set(rec.added) - set(rec.removed)
+            live = replay(live, r.on_insert(tid))
         assert live == set(r.tids())
 
-    def test_unsubscribe(self):
-        t = make_table(100)
-        r = DynamicReservoir(t, target_size=20, seed=2)
-        rec = Recorder()
-        r.subscribe(rec)
-        r.unsubscribe(rec)
-        r.initialize()
-        assert rec.resets == 0
+    def test_batch_change_is_net_of_the_batch(self):
+        """A tid added and evicted inside one batch is in neither list."""
+        t = make_table(50)
+        r = DynamicReservoir(t, target_size=40, seed=3)
+        live = replay(set(), r.initialize())
+        for _ in range(20):
+            tids = t.insert_many(np.ones((64, 1)))
+            live = replay(live, r.on_insert_many(tids))
+            assert live == set(r.tids())
+
+    def test_shrinking_below_m_returns_a_reset(self):
+        t = make_table(400)
+        r = DynamicReservoir(t, target_size=40, seed=4)
+        live = replay(set(), r.initialize())
+        victims = r.tids()[:25]
+        t.delete_many(victims)
+        change = r.on_delete_many(victims)
+        assert change.reset and r.n_resamples == 1
+        assert replay(live, change) == set(r.tids()) and len(r) == 40
+        gone = r.tids()[:3]
+        t.delete_many(gone)
+        change = r.on_delete_many(gone + [10 ** 6])     # a non-member
+        assert (change.removed, change.added, change.reset) == \
+            (gone, [], False)
+
+    def test_iteration_is_join_order(self):
+        """``iter(reservoir)`` lists members in the order they joined,
+        whatever slot swaps evictions caused (``tids()`` is slot order)."""
+        t = make_table(200)
+        r = DynamicReservoir(t, target_size=30, seed=5)
+        order = list(r.initialize().added)
+        for _ in range(40):
+            tids = t.insert_many(np.ones((16, 1)))
+            change = r.on_insert_many(tids)
+            order = [x for x in order if x not in set(change.removed)]
+            order += change.added
+            assert list(r) == order
+        assert sorted(r) == sorted(r.tids()) and list(r) != r.tids()

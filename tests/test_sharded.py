@@ -222,9 +222,10 @@ class TestShardedLifecycle:
         sharded.close()
 
     def test_closed_engines_are_freed_without_a_gc_pass(self):
-        """``close()`` unhooks the observer back-references, so a
-        dropped engine dies with its last reference: with the cycle
-        collector off, nothing else could free it."""
+        """No reference cycle runs through an engine (nothing it owns
+        points back at it), so a dropped engine dies with its last
+        reference: with the cycle collector off, nothing else could
+        free it."""
         ds, single, sharded = make_pair(n_rows=3_000, n_shards=2)
         q = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
                   Rectangle((-math.inf,), (math.inf,)))
@@ -237,7 +238,6 @@ class TestShardedLifecycle:
         gc.collect()
         gc.disable()
         try:
-            single.close()
             sharded.close()
             sharded.close()             # idempotent
             del single, sharded, engine
@@ -557,7 +557,7 @@ class TestShardEdgeCases:
         q = Query(AggFunc.MIN, ds.agg_attr, ds.predicate_attrs, full)
         # With its leaf samples still present the shard answers from
         # them; drop them too so the shard truly has no candidates.
-        shard._leaf_cache.clear()
+        shard.pool._clear()
         res = sharded.query(q)
         assert not res.exact
         assert math.isfinite(res.estimate)    # shard 0 still answers

@@ -94,6 +94,41 @@ class TestSynopsisManagerUpdates:
                                                       rel=0.01)
 
 
+    def test_every_template_gets_the_whole_ingest_body(self):
+        """Growth, sketches and the delete-side trigger pass reach the
+        templates after the first (they used to get a hand-copied half
+        of the engine's ingest: a pool stuck at its 4k-row target and
+        sketch banks that never saw an insert)."""
+        ds = nyc_taxi(n=40_000, seed=4)
+        table = Table(ds.schema, capacity=ds.n + 16)
+        table.insert_many(ds.data[:4000])
+        mgr = SynopsisManager(table, config=JanusConfig(
+            k=16, sample_rate=0.03, check_every=64, auto_repartition=False,
+            sketch_attrs=("fare",), seed=0))
+        first = mgr.add_template("trip_distance", ("pickup_time",))
+        second = mgr.add_template("fare", ("dropoff_time",))
+        tids = mgr.insert_many(ds.data[4000:])
+        assert first.reservoir.target_size == second.reservoir.target_size \
+            == 2400
+        assert first.pool_size == second.pool_size
+        full = Rectangle((-math.inf,), (math.inf,))
+        distinct = [mgr.query(Query(AggFunc.COUNT_DISTINCT, "fare", pred,
+                                    full)).estimate
+                    for pred in (("pickup_time",), ("dropoff_time",))]
+        assert distinct[0] == distinct[1]
+        truth = len(np.unique(table.column("fare")))
+        assert distinct[1] == pytest.approx(truth, rel=0.1)
+        # deletes: sketches follow, and the trigger counts them too
+        checks = second.trigger.state.n_checks
+        mgr.delete_many(tids[:20_000])
+        assert second.trigger.state.n_checks > checks
+        assert first.trigger.state.n_checks == second.trigger.state.n_checks
+        median = [mgr.query(Query(AggFunc.PERCENTILE, "fare", pred, full,
+                                  param=0.5)).estimate
+                  for pred in (("pickup_time",), ("dropoff_time",))]
+        assert median[0] == median[1]
+
+
 class TestHeuristicRouter:
     @pytest.fixture(scope="class")
     def router(self, world):

@@ -101,7 +101,8 @@ def test_memo_equals_fresh_oracle(ops, seed, case):
             gone = set(picks.tolist())
             live = [t for i, t in enumerate(live) if i not in gone]
         elif kind == "reset":
-            engine.reservoir.initialize()
+            engine._pool_changed(
+                engine.pool.initialize(engine.dpt.leaf_ids_of))
         elif kind == "partial":
             partial_repartition(engine, engine.dpt.leaves[-1], psi=1)
         elif kind == "reoptimize":

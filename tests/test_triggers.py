@@ -8,17 +8,15 @@ from repro.core.queries import AggFunc, Rectangle
 from repro.core.triggers import (RepartitionTrigger, TriggerAction,
                                  TriggerConfig)
 from repro.core.table import table_from_array
-from repro.index.range_index import RangeIndex
 from repro.partitioning.maxvar import MaxVarOracle
 from repro.partitioning.spec import tree_from_intervals
-from repro.sampling.reservoir import DynamicReservoir
-from repro.sampling.stratified import StrataView
+from repro.sampling.pool import SamplePool
 
 SCHEMA = ("x", "a")
 
 
 def build_world(n=2000, seed=0):
-    """Table + sample index + strata + DPT wired like JanusAQP does."""
+    """Table + sample pool (with index) + DPT wired like JanusAQP does."""
     rng = np.random.default_rng(seed)
     data = np.column_stack([rng.uniform(0, 100, n),
                             rng.lognormal(0, 1, n)])
@@ -27,66 +25,43 @@ def build_world(n=2000, seed=0):
                                Rectangle((0.0,), (100.0,)))
     dpt = DynamicPartitionTree(spec, SCHEMA, ("x",))
     dpt.set_population(n)
-    index = RangeIndex(1, seed=1)
-    reservoir = DynamicReservoir(table, target_size=200, seed=2)
-    rows = {}
-
-    class Sync:
-        def on_add(self, tid):
-            row = table.row(tid).copy()
-            rows[tid] = row
-            index.insert(tid, (row[0],), float(row[1]))
-
-        def on_remove(self, tid):
-            rows.pop(tid, None)
-            if tid in index:
-                index.delete(tid)
-
-        def on_reset(self, tids):
-            for t in list(rows):
-                self.on_remove(t)
-            for t in tids:
-                self.on_add(t)
-
-    reservoir.subscribe(Sync())
-    strata = StrataView(reservoir,
-                        lambda tid: dpt.route_leaf(
-                            (rows[tid][0],)).node_id
-                        if tid in rows else None)
-    reservoir.initialize()
+    pool = SamplePool(table, sample_rate=0.05, min_pool=200, seed=2,
+                      index_on=([0], 1), index_seed=1)
+    pool.initialize(dpt.leaf_ids_of)
+    index, reservoir = pool.index, pool.reservoir
     oracle = MaxVarOracle(index, AggFunc.SUM, pop_ratio=n / 200)
-    return table, dpt, index, reservoir, strata, oracle
+    return table, dpt, index, reservoir, pool, oracle
 
 
 class TestBaseline:
     def test_rebase_records_all_leaves(self):
-        _, dpt, _, _, strata, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(), oracle, strata)
+        _, dpt, _, _, pool, oracle = build_world()
+        trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
         trig.rebase(dpt)
         assert set(trig.state.baseline) == \
             {leaf.node_id for leaf in dpt.leaves}
 
     def test_current_max_variance_positive(self):
-        _, dpt, _, _, strata, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(), oracle, strata)
+        _, dpt, _, _, pool, oracle = build_world()
+        trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
         assert trig.current_max_variance(dpt) > 0
 
 
 class TestOnUpdate:
     def test_no_action_below_check_every(self):
-        _, dpt, _, _, strata, oracle = build_world()
+        _, dpt, _, _, pool, oracle = build_world()
         trig = RepartitionTrigger(TriggerConfig(check_every=100),
-                                  oracle, strata)
+                                  oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
         for _ in range(99):
             assert trig.on_update(dpt, leaf) is TriggerAction.NONE
 
     def test_forced_periodic(self):
-        _, dpt, _, _, strata, oracle = build_world()
+        _, dpt, _, _, pool, oracle = build_world()
         trig = RepartitionTrigger(
             TriggerConfig(every_n_updates=10, check_every=1000),
-            oracle, strata)
+            oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
         actions = [trig.on_update(dpt, leaf) for _ in range(10)]
@@ -94,10 +69,10 @@ class TestOnUpdate:
         assert trig.state.n_forced == 1
 
     def test_under_represented_leaf_fires(self):
-        _, dpt, _, _, strata, oracle = build_world()
+        _, dpt, _, _, pool, oracle = build_world()
         trig = RepartitionTrigger(
             TriggerConfig(check_every=1, min_samples_floor=5.0),
-            oracle, strata)
+            oracle, pool)
         trig.rebase(dpt)
         # an artificial leaf id with no samples at all
         from repro.core.node import DPTNode
@@ -106,10 +81,10 @@ class TestOnUpdate:
         assert action is TriggerAction.CANDIDATE
 
     def test_variance_drift_fires(self):
-        table, dpt, index, reservoir, strata, oracle = build_world()
+        table, dpt, index, reservoir, pool, oracle = build_world()
         trig = RepartitionTrigger(
             TriggerConfig(check_every=1, beta=2.0, min_samples_floor=0.0),
-            oracle, strata)
+            oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
         # inject extreme values into the leaf's sample region to blow up
@@ -121,11 +96,11 @@ class TestOnUpdate:
         assert action is TriggerAction.CANDIDATE
 
     def test_stable_leaf_no_candidate(self):
-        _, dpt, _, _, strata, oracle = build_world()
+        _, dpt, _, _, pool, oracle = build_world()
         trig = RepartitionTrigger(
             TriggerConfig(check_every=1, beta=10.0,
                           min_samples_floor=0.0),
-            oracle, strata)
+            oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[1]
         assert trig.on_update(dpt, leaf) is TriggerAction.NONE
@@ -133,8 +108,8 @@ class TestOnUpdate:
 
 class TestConfirm:
     def test_commit_rule(self):
-        _, dpt, _, _, strata, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(beta=10.0), oracle, strata)
+        _, dpt, _, _, pool, oracle = build_world()
+        trig = RepartitionTrigger(TriggerConfig(beta=10.0), oracle, pool)
         assert trig.confirm(new_max_variance=0.5, old_max_variance=100.0)
         assert not trig.confirm(new_max_variance=50.0,
                                 old_max_variance=100.0)

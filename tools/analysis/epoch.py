@@ -35,7 +35,6 @@ EPOCH_LAYER = (
     "core/templates.py",
     "core/repartition.py",
     "core/stream.py",
-    "core/shared.py",
     "core/persist.py",
     "service/",
     "broker/",
@@ -51,7 +50,7 @@ MUTATORS = {
     # the node table's grouped-update kernel and its per-node handles
     "apply_delta", "add_catchup", "apply_insert", "apply_delete",
     "replace_subtree", "seed_from_reservoir",
-    "_install", "set_target", "rebalance_range",
+    "_install", "resample", "reroute", "rebalance_range",
 }
 
 #: Attributes whose increment counts as an epoch bump.  The synopsis
