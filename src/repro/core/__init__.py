@@ -1,7 +1,7 @@
 """Core JanusAQP components: queries, tables, partition trees, system."""
 
-from .queries import (AggFunc, Query, QueryResult, Rectangle, SKETCH_AGGS,
-                      relative_error)
+from .queries import (AggFamily, AggFunc, Query, QueryResult, QueryTemplate,
+                      Rectangle, SKETCH_AGGS, relative_error)
 from .table import Table, table_from_array
 from .node import DPTNode
 from .dpt import DynamicPartitionTree
@@ -21,8 +21,8 @@ from .routing import RoutingStats, ShardSummary
 from .sharded import ShardedJanusAQP
 
 __all__ = [
-    "AggFunc", "Query", "QueryResult", "Rectangle", "SKETCH_AGGS",
-    "relative_error",
+    "AggFamily", "AggFunc", "Query", "QueryResult", "QueryTemplate",
+    "Rectangle", "SKETCH_AGGS", "relative_error",
     "Table", "table_from_array", "DPTNode", "DynamicPartitionTree",
     "StaticPartitionTree", "build_spt", "CatchupReport", "CatchupRunner",
     "seed_from_reservoir", "RepartitionTrigger", "TriggerAction",

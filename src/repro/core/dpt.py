@@ -48,7 +48,8 @@ import numpy as np
 from ..partitioning.spec import PartitionNode
 from . import estimators
 from .node import DPTNode, NodeTable
-from .queries import AggFunc, Query, QueryResult, Rectangle
+from .queries import (AggFamily, AggFunc, Query, QueryResult,
+                      QueryTemplate, Rectangle)
 
 LeafSamplesFn = Callable[[DPTNode], np.ndarray]
 
@@ -163,6 +164,9 @@ class DynamicPartitionTree:
         if spec.rect.dim != len(self.predicate_attrs):
             raise ValueError("spec dimensionality != #predicate attributes")
         self.stat_attrs = tuple(stat_attrs) if stat_attrs else self.schema
+        #: What the tree alone answers (no sketches, no default column).
+        self.template = QueryTemplate(None, self.predicate_attrs,
+                                      self.stat_attrs)
         self._stat_pos: Dict[str, int] = {a: i for i, a in
                                           enumerate(self.stat_attrs)}
         self._pred_idx = np.array([self.schema.index(a)
@@ -574,10 +578,7 @@ class DynamicPartitionTree:
         if not queries:
             return []
         for query in queries:
-            if query.predicate_attrs != self.predicate_attrs:
-                raise ValueError(
-                    f"query predicate attrs {query.predicate_attrs} do "
-                    f"not match synopsis attrs {self.predicate_attrs}")
+            self.template.check(query)
         if len(queries) == 1:
             cover, partial = self.frontier(queries[0].rect)
             covers, partials = [cover], [partial]
@@ -592,8 +593,8 @@ class DynamicPartitionTree:
         for qi, query in enumerate(queries):
             def moments_of(leaf: DPTNode, qi: int = qi) -> "_LeafMoments":
                 return moments[(leaf.node_id, qi)]
-            results.append(self._answer(query, covers[qi], partials[qi],
-                                        moments_of, memo))
+            results.append(self._ANSWER[query.agg.family](
+                self, query, covers[qi], partials[qi], moments_of, memo))
         return results
 
     def _leaf_moments(self, queries: List[Query],
@@ -662,8 +663,8 @@ class DynamicPartitionTree:
         # attribute (COUNT pairs borrow column 0; their values are never
         # read).
         attr_cols = np.array(
-            [0 if queries[qi].agg is AggFunc.COUNT
-             else self.schema.index(queries[qi].attr) for qi in pair_qi],
+            [self.schema.index(queries[qi].attr)
+             if queries[qi].agg.reads_column else 0 for qi in pair_qi],
             dtype=np.intp)
         vals = pool[idx, np.repeat(attr_cols, pair_m)]
         mvals = np.where(mask, vals, 0.0)
@@ -677,21 +678,6 @@ class DynamicPartitionTree:
                 int(pair_m[p]), int(cnts[p]), float(s[p]), float(s2[p]),
                 float(vmin[p]), float(vmax[p]))
         return moments
-
-    def _answer(self, query: Query, cover: List[DPTNode],
-                partial: List[DPTNode], moments_of: "MomentsFn",
-                memo: "_NodeMemo") -> QueryResult:
-        if query.agg in (AggFunc.SUM, AggFunc.COUNT):
-            return self._answer_sum_count(query, cover, partial,
-                                          moments_of, memo)
-        if query.agg is AggFunc.AVG:
-            return self._answer_avg(query, cover, partial,
-                                    moments_of, memo)
-        if query.agg in (AggFunc.VARIANCE, AggFunc.STDDEV):
-            return self._answer_variance(query, cover, partial,
-                                         moments_of, memo)
-        return self._answer_minmax(query, cover, partial,
-                                   moments_of, memo)
 
     def _answer_sum_count(self, query: Query, cover: List[DPTNode],
                           partial: List[DPTNode], moments_of: "MomentsFn",
@@ -848,6 +834,13 @@ class DynamicPartitionTree:
         exact = all_exact and not partial
         return QueryResult(est, 0.0, 0.0, exact,
                            n_covered=len(cover), n_partial=len(partial))
+
+    #: The estimator of each family a tree answers (the sketch family
+    #: never reaches one: :attr:`template` carries no sketch columns).
+    _ANSWER = {AggFamily.ADDITIVE: _answer_sum_count,
+               AggFamily.RATIO: _answer_avg,
+               AggFamily.MOMENTS: _answer_variance,
+               AggFamily.EXTREME: _answer_minmax}
 
 
 def inflate_rect(rect: Rectangle, domain: Rectangle) -> Rectangle:

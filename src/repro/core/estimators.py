@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .queries import AggFunc, Query, QueryResult
+from .queries import AggFamily, AggFunc, Query, QueryResult
 
 
 @dataclass
@@ -114,48 +114,70 @@ def moments_partial(n_i: float, m_i: int, n_matched: int, s: float,
     return scale * n_matched, scale * s, scale * s2
 
 
-def uniform_estimate(agg: str, n_total: float, m: int,
-                     matched_values: np.ndarray) -> PartialContribution:
-    """Plain uniform-sampling estimator (RS baseline, Section 6.1.3)."""
+def _uniform_additive(agg, n_total, m, matched_values):
+    if agg is AggFunc.COUNT:
+        return count_partial(n_total, m, int(matched_values.shape[0]))
+    return sum_partial(n_total, m, matched_values)
+
+
+def _uniform_ratio(agg, n_total, m, matched_values):
     n_matched = int(matched_values.shape[0])
+    if n_matched == 0:
+        return PartialContribution(math.nan, 0.0, 0)
+    mean = float(matched_values.mean())
+    if n_matched > 1:
+        var = float(matched_values.var(ddof=1)) / n_matched
+    else:
+        var = 0.0
+    return PartialContribution(mean, var, n_matched)
+
+
+def _uniform_extreme(agg, n_total, m, matched_values):
+    n_matched = int(matched_values.shape[0])
+    if not n_matched:
+        return PartialContribution(math.nan, 0.0, 0)
+    est = matched_values.max() if agg is AggFunc.MAX else \
+        matched_values.min()
+    return PartialContribution(float(est), 0.0, n_matched)
+
+
+def _uniform_moments(agg, n_total, m, matched_values):
+    # Plug-in moments, matching the tree's E[a^2] - E[a]^2
+    # composition (Section 6.6); like MIN/MAX, no variance-of-the-
+    # variance estimate is attempted (ci unavailable).
+    n_matched = int(matched_values.shape[0])
+    if n_matched == 0:
+        return PartialContribution(math.nan, 0.0, 0)
+    var = max(0.0, float(matched_values.var()))
+    est = var if agg is AggFunc.VARIANCE else math.sqrt(var)
+    return PartialContribution(est, 0.0, n_matched)
+
+
+def _uniform_sketch(agg, n_total, m, matched_values):
+    # Sketch aggregates are answered from per-engine sketch state
+    # (repro.sketch), never from uniform leaf samples - a quantile
+    # or distinct count reconstructed from a subsample has no
+    # honest error story under this estimator's contract.
+    raise ValueError(f"sketch aggregate {agg.value} is answered from "
+                     f"sketch state, not uniform samples")
+
+
+#: family -> ``f(agg, n_total, m, matched_values) -> PartialContribution``
+_UNIFORM = {AggFamily.ADDITIVE: _uniform_additive,
+            AggFamily.RATIO: _uniform_ratio,
+            AggFamily.EXTREME: _uniform_extreme,
+            AggFamily.MOMENTS: _uniform_moments,
+            AggFamily.SKETCH: _uniform_sketch}
+
+
+def uniform_estimate(agg: Union[AggFunc, str], n_total: float, m: int,
+                     matched_values: np.ndarray) -> PartialContribution:
+    """Plain uniform-sampling estimator (RS baseline, Section 6.1.3);
+    ``agg`` may be its wire string (an unknown name: ``ValueError``)."""
+    agg = AggFunc(agg)
     if m <= 0:
         return PartialContribution(0.0, 0.0, 0)
-    if agg == "COUNT":
-        return count_partial(n_total, m, n_matched)
-    if agg == "SUM":
-        return sum_partial(n_total, m, matched_values)
-    if agg == "AVG":
-        if n_matched == 0:
-            return PartialContribution(math.nan, 0.0, 0)
-        mean = float(matched_values.mean())
-        if n_matched > 1:
-            var = float(matched_values.var(ddof=1)) / n_matched
-        else:
-            var = 0.0
-        return PartialContribution(mean, var, n_matched)
-    if agg == "MIN":
-        est = float(matched_values.min()) if n_matched else math.nan
-        return PartialContribution(est, 0.0, n_matched)
-    if agg == "MAX":
-        est = float(matched_values.max()) if n_matched else math.nan
-        return PartialContribution(est, 0.0, n_matched)
-    if agg in ("VARIANCE", "STDDEV"):
-        # Plug-in moments, matching the tree's E[a^2] - E[a]^2
-        # composition (Section 6.6); like MIN/MAX, no variance-of-the-
-        # variance estimate is attempted (ci unavailable).
-        if n_matched == 0:
-            return PartialContribution(math.nan, 0.0, 0)
-        var = max(0.0, float(matched_values.var()))
-        est = var if agg == "VARIANCE" else math.sqrt(var)
-        return PartialContribution(est, 0.0, n_matched)
-    if agg in ("PERCENTILE", "COUNT_DISTINCT", "TOPK"):
-        # Sketch aggregates are answered from per-engine sketch state
-        # (repro.sketch), never from uniform leaf samples - a quantile
-        # or distinct count reconstructed from a subsample has no
-        # honest error story under this estimator's contract.
-        raise ValueError(f"sketch aggregate {agg} is answered from "
-                         f"sketch state, not uniform samples")
-    raise ValueError(f"unknown aggregate {agg}")
+    return _UNIFORM[agg.family](agg, n_total, m, matched_values)
 
 
 def uniform_scan(query: Query, schema: Sequence[str], rows: np.ndarray,
@@ -175,7 +197,6 @@ def uniform_scan(query: Query, schema: Sequence[str], rows: np.ndarray,
         matched = np.ones(int(mask.sum()))
     else:
         matched = rows[mask, schema.index(query.attr)]
-    contrib = uniform_estimate(query.agg.value, n_total, rows.shape[0],
-                               matched)
+    contrib = uniform_estimate(query.agg, n_total, rows.shape[0], matched)
     return QueryResult(contrib.estimate, 0.0, contrib.variance,
                        exact=False, n_partial=1)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,12 +52,13 @@ from ..partitioning.onedim import OneDimPartitioner, OneDimResult
 from ..partitioning.spec import PartitionNode
 from ..sampling.pool import IndexReports, SamplePool
 from ..sketch.counted import CountedSketch
-from ..sketch.registry import (new_sketch, sketch_answer,
-                               sketch_from_bytes, sketch_kind_for)
+from ..sketch.registry import (SKETCH_KIND, new_sketch, sketch_answer,
+                               sketch_from_bytes)
 from .catchup import CatchupReport, CatchupRunner
 from .dpt import DynamicPartitionTree, inflate_rect
 from .node import DPTNode
-from .queries import AggFunc, Query, QueryResult, Rectangle, SKETCH_AGGS
+from .queries import (AggFamily, AggFunc, Query, QueryResult,
+                      QueryTemplate, Rectangle)
 from .table import Table
 from .triggers import RepartitionTrigger, TriggerAction, TriggerConfig
 
@@ -155,8 +155,11 @@ class JanusAQP:
         self.predicate_attrs = tuple(predicate_attrs)
         self.config = config or JanusConfig()
         self.stat_attrs = tuple(stat_attrs) if stat_attrs else table.schema
-        if agg_attr not in self.stat_attrs:
-            raise ValueError("agg_attr must be tracked in stat_attrs")
+        #: Attributes with maintained sketch state.
+        self.sketch_attrs = self.config.sketch_attrs
+        #: What this synopsis may be asked (checked by :meth:`query_many`).
+        self.template = QueryTemplate(agg_attr, self.predicate_attrs,
+                                      self.stat_attrs, self.sketch_attrs)
         self._rng = np.random.default_rng(self.config.seed)
         self._pred_idx = [table.col_index(a) for a in self.predicate_attrs]
         self._agg_idx = table.col_index(agg_attr)
@@ -201,8 +204,7 @@ class JanusAQP:
                         kind, sketch_height=self.config.sketch_height,
                         hll_bits=self.config.hll_bits,
                         topk_capacity=self.config.topk_capacity)
-                    for kind in sorted({sketch_kind_for(a)
-                                        for a in SKETCH_AGGS})}
+                    for kind in sorted(set(SKETCH_KIND.values()))}
             seed_vals = table.column(attr)
             for sketch in bank.values():
                 sketch.insert_many(seed_vals)
@@ -608,16 +610,23 @@ class JanusAQP:
         inputs, so results are identical to a sequential
         :meth:`query` loop, in request order.  ``obs`` (a sampled trace
         context) adds an ``engine_execute`` span covering the locked
-        section; it never changes the answers.
+        section; it never changes the answers.  A query off
+        :attr:`template` is a ``ValueError`` for the whole batch,
+        raised before anything is answered.
         """
         queries = list(queries)
         if not queries:
             return []
+        for query in queries:
+            self.template.check(query)
         with maybe_span(obs, "engine_execute", n_queries=len(queries)), \
                 self._lock:
-            sketch_at = {qi: self._sketch_answer(q)
+            # One sketch per column covers the whole live table, which
+            # is all the template lets a sketch aggregate ask about.
+            sketch_at = {qi: sketch_answer(
+                             q, self._sketches[q.attr][SKETCH_KIND[q.agg]])
                          for qi, q in enumerate(queries)
-                         if q.agg in SKETCH_AGGS}
+                         if q.agg.family is AggFamily.SKETCH}
             tree_queries = [q for qi, q in enumerate(queries)
                             if qi not in sketch_at]
             tree_results: List[QueryResult] = []
@@ -632,27 +641,6 @@ class JanusAQP:
                 out.append(sketch_at[qi] if qi in sketch_at else next(it))
             return out
 
-    def _sketch_answer(self, query: Query) -> QueryResult:  # requires-lock: _lock
-        """Answer one sketch aggregate from the engine's sketch bank.
-
-        Sketch state covers the *whole* live table (there is one sketch
-        per column, not one per predicate region), so only the
-        unbounded rectangle is answerable; a bounded predicate is a
-        usage error, not an approximation opportunity.
-        """
-        if query.attr not in self._sketches:
-            raise ValueError(
-                f"attribute {query.attr!r} has no sketch state; add it "
-                f"to JanusConfig.sketch_attrs")
-        if any(not (math.isinf(lo) and lo < 0) or not (math.isinf(hi)
-                                                       and hi > 0)
-               for lo, hi in zip(query.rect.lo, query.rect.hi)):
-            raise ValueError(
-                f"{query.agg.value} is answered from table-wide sketch "
-                f"state and requires an unbounded predicate rectangle")
-        kind = sketch_kind_for(query.agg)
-        return sketch_answer(query, self._sketches[query.attr][kind])
-
     def _leaf_samples(self, leaf: DPTNode) -> np.ndarray:
         return self.pool.matrix(leaf.node_id)
 
@@ -663,11 +651,6 @@ class JanusAQP:
     def pool_size(self) -> int:
         """Current pooled-sample size (the paper's ``|S|``)."""
         return len(self.reservoir)
-
-    @property
-    def sketch_attrs(self) -> Tuple[str, ...]:
-        """Attributes with maintained sketch state."""
-        return self.config.sketch_attrs
 
     def restore_sketch_blobs(self, blobs: Dict[str, List[bytes]]) -> None:
         """Replace sketch state from snapshot blobs (persist restore).

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .queries import AggFunc, Query, QueryResult
+from .queries import AggFamily, AggFunc, Query, QueryResult
 
 #: details key under which AVG answers report their normalizer.
 N_Q_KEY = "n_q"
@@ -212,27 +212,27 @@ def merge_sketch(query: Query,
     return sketch_answer(query, merge_sketch_blobs(blobs))
 
 
+#: Each family's combination rule, as ``(query, results, empty_ok)``.
+_MERGE = {
+    AggFamily.ADDITIVE: lambda q, results, _: merge_additive(results),
+    AggFamily.RATIO: lambda q, results, _: merge_avg(results),
+    AggFamily.MOMENTS: lambda q, results, _: merge_moments(q.agg, results),
+    AggFamily.EXTREME: lambda q, results, empty_ok:
+        merge_minmax(q.agg, results, empty_ok),
+    AggFamily.SKETCH: lambda q, results, _: merge_sketch(q, results),
+}
+
+
 def merge_results(query: Query, results: Sequence[QueryResult],
                   empty_ok: Optional[Sequence[bool]] = None
                   ) -> QueryResult:
-    """Dispatch to the aggregate's combination rule.
+    """Dispatch to the aggregate family's combination rule.
 
     ``results`` holds one answer per *participating* shard (shards known
     to be empty may simply be left out); ``empty_ok`` flags, per entry,
     whether that shard is provably empty - only MIN/MAX consults it.
     """
-    if query.agg in (AggFunc.SUM, AggFunc.COUNT):
-        return merge_additive(results)
-    if query.agg is AggFunc.AVG:
-        return merge_avg(results)
-    if query.agg in (AggFunc.VARIANCE, AggFunc.STDDEV):
-        return merge_moments(query.agg, results)
-    if query.agg in (AggFunc.MIN, AggFunc.MAX):
-        return merge_minmax(query.agg, results, empty_ok)
-    if query.agg in (AggFunc.PERCENTILE, AggFunc.COUNT_DISTINCT,
-                     AggFunc.TOPK):
-        return merge_sketch(query, results)
-    raise ValueError(f"unsupported aggregate {query.agg}")
+    return _MERGE[query.agg.family](query, results, empty_ok)
 
 
 def merge_planned(queries: Sequence[Query],

@@ -53,6 +53,58 @@ _SHARDED_FORMAT_VERSION = 2
 _MANIFEST = "manifest.npz"
 
 
+@dataclasses.dataclass
+class _SynopsisMeta:
+    """A synopsis archive's JSON ``meta`` entry, field for key: written
+    with ``asdict``, read with ``_SynopsisMeta(**meta)``, so a key only
+    one side knows is a ``TypeError`` at load."""
+
+    version: int
+    schema: List[str]
+    agg_attr: str
+    predicate_attrs: List[str]
+    stat_attrs: List[str]
+    n0: int
+    n_repartitions: int
+    config: dict
+    minmax: List[Dict]
+    minmax_attrs: List[str]
+    #: Lifetime trigger counts; archives older than them restart at 0.
+    trigger_counts: Sequence[int] = (0, 0, 0)
+
+
+@dataclasses.dataclass
+class _ManifestMeta:
+    """A fleet manifest's ``meta`` entry (see :class:`_SynopsisMeta`)."""
+
+    version: int
+    schema: List[str]
+    agg_attr: str
+    predicate_attrs: List[str]
+    stat_attrs: List[str]
+    n_shards: int
+    sharding: str
+    range_block: int
+    next_tid: int
+    initialized: List[bool]
+    table_next_tids: List[int]
+    config: dict
+    #: The v2 placement template; a v1 manifest has neither.
+    route_attr: Optional[str] = None
+    has_attr_bounds: bool = False
+
+
+def _config_dict(config: JanusConfig) -> dict:
+    """A :class:`JanusConfig` as JSON (:func:`_config_from` undoes it)."""
+    return dict(dataclasses.asdict(config),
+                focus_agg=config.focus_agg.value)
+
+
+def _config_from(config: dict) -> JanusConfig:
+    return JanusConfig(**dict(config,
+                              focus_agg=AggFunc(config["focus_agg"])))
+
+
 def save_synopsis(janus: JanusAQP, path: str) -> None:
     """Serialize a JanusAQP synopsis to ``path`` (.npz archive)."""
     np.savez_compressed(path, **_synopsis_payload(janus))
@@ -80,26 +132,24 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
     pool_tids = np.array(janus.reservoir.tids(), dtype=np.int64)
     pool_rows = janus.pool.rows(pool_tids)
 
-    config = dataclasses.asdict(janus.config)
-    config["focus_agg"] = janus.config.focus_agg.value
-    meta = {
-        "version": _FORMAT_VERSION,
-        "schema": list(janus.table.schema),
-        "agg_attr": janus.agg_attr,
-        "predicate_attrs": list(janus.predicate_attrs),
-        "stat_attrs": list(dpt.stat_attrs),
-        "n0": dpt.n0,
-        "n_repartitions": janus.n_repartitions,
-        "trigger_counts": [janus.trigger.state.n_checks,
-                           janus.trigger.state.n_candidates,
-                           janus.trigger.state.n_forced],
-        "config": config,
-        "minmax": minmax_payload,
-        "minmax_attrs": [dpt.stat_attrs[p] for p in
-                         sorted(nodes[0].minmax)] if nodes else [],
-    }
+    state = janus.trigger.state
+    meta = _SynopsisMeta(
+        version=_FORMAT_VERSION,
+        schema=list(janus.table.schema),
+        agg_attr=janus.agg_attr,
+        predicate_attrs=list(janus.predicate_attrs),
+        stat_attrs=list(dpt.stat_attrs),
+        n0=dpt.n0,
+        n_repartitions=janus.n_repartitions,
+        config=_config_dict(janus.config),
+        minmax=minmax_payload,
+        minmax_attrs=[dpt.stat_attrs[p] for p in
+                      sorted(nodes[0].minmax)] if nodes else [],
+        trigger_counts=[state.n_checks, state.n_candidates,
+                        state.n_forced])
     payload = dict(
-        meta=json.dumps(meta), parent=table.parent.copy(),
+        meta=json.dumps(dataclasses.asdict(meta)),
+        parent=table.parent.copy(),
         rect_lo=table.lo[:n].copy(), rect_hi=table.hi[:n].copy(),
         **{name: getattr(table, name).copy() for name in NodeTable.FIELDS},
         pool_tids=pool_tids, pool_rows=pool_rows)
@@ -129,26 +179,23 @@ def load_synopsis(path: str, table: Table,
     coordinator's registry, like a freshly built one).
     """
     with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        if meta["version"] != _FORMAT_VERSION:
+        meta = _SynopsisMeta(**json.loads(str(archive["meta"])))
+        if meta.version != _FORMAT_VERSION:
             raise ValueError(f"unsupported snapshot version "
-                             f"{meta['version']}")
-        if list(table.schema) != meta["schema"]:
+                             f"{meta.version}")
+        if list(table.schema) != meta.schema:
             raise ValueError("table schema does not match the snapshot")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["focus_agg"] = AggFunc(cfg_dict["focus_agg"])
-        config = JanusConfig(**cfg_dict)
-        janus = JanusAQP(table, meta["agg_attr"],
-                         meta["predicate_attrs"], config=config,
-                         stat_attrs=meta["stat_attrs"], metrics=metrics,
-                         metrics_labels=metrics_labels)
-        janus.n_repartitions = int(meta["n_repartitions"])
+        config = _config_from(meta.config)
+        janus = JanusAQP(table, meta.agg_attr, meta.predicate_attrs,
+                         config=config, stat_attrs=meta.stat_attrs,
+                         metrics=metrics, metrics_labels=metrics_labels)
+        janus.n_repartitions = int(meta.n_repartitions)
 
         # ---- rebuild the node graph ---------------------------------- #
         parent = archive["parent"]
         n = parent.shape[0]
-        stat_attrs = tuple(meta["stat_attrs"])
-        mm_pos = tuple(stat_attrs.index(a) for a in meta["minmax_attrs"])
+        stat_attrs = tuple(meta.stat_attrs)
+        mm_pos = tuple(stat_attrs.index(a) for a in meta.minmax_attrs)
         node_table = NodeTable(n, len(stat_attrs))
         for name in NodeTable.FIELDS:
             getattr(node_table, name)[:] = archive[name]
@@ -159,7 +206,7 @@ def load_synopsis(path: str, table: Table,
                                         tuple(rect_hi[i])),
                            len(stat_attrs), mm_pos, config.minmax_k,
                            node_table, i)
-            for pos_str, payload in meta["minmax"][i].items():
+            for pos_str, payload in meta.minmax[i].items():
                 mm = node.minmax[int(pos_str)]
                 mm._max.restore(payload["max"], payload["max_exact"])
                 mm._min.restore(payload["min"], payload["min_exact"])
@@ -177,9 +224,9 @@ def load_synopsis(path: str, table: Table,
 
         # a tree over the root's rectangle, re-pointed at the restored graph
         dpt = DynamicPartitionTree(
-            PartitionNode(root.rect), table.schema, meta["predicate_attrs"],
-            stat_attrs, meta["minmax_attrs"], config.minmax_k)
-        dpt.n0 = int(meta["n0"])
+            PartitionNode(root.rect), table.schema, meta.predicate_attrs,
+            stat_attrs, meta.minmax_attrs, config.minmax_k)
+        dpt.n0 = int(meta.n0)
         dpt._nodes, dpt._next_id, dpt.root = nodes, n, root
         dpt._index_leaves()
         janus.dpt = dpt
@@ -206,7 +253,7 @@ def load_synopsis(path: str, table: Table,
     janus.trigger.rebase(janus.dpt)
     state = janus.trigger.state     # lifetime counts survive a restart
     state.n_checks, state.n_candidates, state.n_forced = (
-        int(c) for c in meta.get("trigger_counts", (0, 0, 0)))
+        int(c) for c in meta.trigger_counts)
     return janus
 
 
@@ -291,27 +338,24 @@ def save_sharded(sharded: ShardedJanusAQP,
             payloads[s] = _synopsis_payload(shard)
             initialized.append(True)
 
-        config = dataclasses.asdict(sharded.config)
-        config["focus_agg"] = sharded.config.focus_agg.value
         attr_bounds = sharded.attr_bounds
-        meta = {
-            "version": _SHARDED_FORMAT_VERSION,
-            "schema": list(sharded.schema),
-            "agg_attr": sharded.agg_attr,
-            "predicate_attrs": list(sharded.predicate_attrs),
-            "stat_attrs": list(sharded.stat_attrs),
-            "n_shards": sharded.n_shards,
-            "sharding": sharded.sharding,
-            "range_block": sharded.range_block,
-            "next_tid": int(shard_of.shape[0]),
-            "initialized": initialized,
-            "table_next_tids": [t._next_tid for t in sharded.tables],
-            "config": config,
-            "route_attr": sharded.route_attr,
-            "has_attr_bounds": attr_bounds is not None,
-        }
+        meta = _ManifestMeta(
+            version=_SHARDED_FORMAT_VERSION,
+            schema=list(sharded.schema),
+            agg_attr=sharded.agg_attr,
+            predicate_attrs=list(sharded.predicate_attrs),
+            stat_attrs=list(sharded.stat_attrs),
+            n_shards=sharded.n_shards,
+            sharding=sharded.sharding,
+            range_block=sharded.range_block,
+            next_tid=int(shard_of.shape[0]),
+            initialized=initialized,
+            table_next_tids=[t._next_tid for t in sharded.tables],
+            config=_config_dict(sharded.config),
+            route_attr=sharded.route_attr,
+            has_attr_bounds=attr_bounds is not None)
         arrays = {
-            "meta": json.dumps(meta),
+            "meta": json.dumps(dataclasses.asdict(meta)),
             "shard_of": shard_of,
             "local_tid": local_tid,
             "attr_bounds": (attr_bounds.copy() if attr_bounds is not None
@@ -364,39 +408,35 @@ def read_sharded_manifest(dir_path: Union[str, Path],
 
     The one manifest reader: :func:`load_sharded`, :func:`load_shard`
     and the fleet constructor (:mod:`repro.service.fleet`) all start
-    here, so the coordinator state they rebuild cannot drift apart (and
-    janus-lint JL402 checks this function against what
-    :func:`save_sharded` writes).  No engine is built.  ``tables``
-    names the shards whose archival tables to restore (``None`` = every
-    shard); the default restores none, which is all a coordinator over
-    worker processes needs.
+    here, so the coordinator state they rebuild cannot drift apart.  No
+    engine is built.  ``tables`` names the shards whose archival tables
+    to restore (``None`` = every shard); the default restores none,
+    which is all a coordinator over worker processes needs.
     """
     src = Path(dir_path)
     manifest = src / _MANIFEST
     if not manifest.exists():
         raise FileNotFoundError(f"no {_MANIFEST} under {src}")
     with np.load(manifest, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        version = int(meta["version"])
+        meta = _ManifestMeta(**json.loads(str(archive["meta"])))
+        version = int(meta.version)
         if version not in (1, _SHARDED_FORMAT_VERSION):
             raise ValueError(f"unsupported sharded snapshot version "
-                             f"{meta['version']}")
-        n_shards = int(meta["n_shards"])
-        cfg_dict = dict(meta["config"])
-        cfg_dict["focus_agg"] = AggFunc(cfg_dict["focus_agg"])
+                             f"{meta.version}")
+        n_shards = int(meta.n_shards)
         shard_of = archive["shard_of"]
-        if shard_of.shape[0] != int(meta["next_tid"]):
+        if shard_of.shape[0] != int(meta.next_tid):
             raise ValueError("manifest tid maps do not match next_tid")
-        schema = tuple(meta["schema"])
-        predicate_attrs = tuple(meta["predicate_attrs"])
-        route_attr = meta.get("route_attr") or predicate_attrs[0]
+        schema = tuple(meta.schema)
+        predicate_attrs = tuple(meta.predicate_attrs)
+        route_attr = meta.route_attr or predicate_attrs[0]
         placement = PlacementMap(
-            n_shards, meta["sharding"],
-            range_block=int(meta["range_block"]),
+            n_shards, meta.sharding,
+            range_block=int(meta.range_block),
             route_col=schema.index(route_attr),
             attr_bounds=(
                 np.asarray(archive["attr_bounds"], dtype=np.float64).copy()
-                if version >= 2 and meta.get("has_attr_bounds") else None))
+                if version >= 2 and meta.has_attr_bounds else None))
         placement.restore(shard_of, archive["local_tid"])
         summaries = None
         if version >= 2:
@@ -404,7 +444,7 @@ def read_sharded_manifest(dir_path: Union[str, Path],
                 {key: archive[f"summary{s}_{key}"]
                  for key in ("meta", "lo", "hi", "edges", "counts")})
                 for s in range(n_shards)]
-        table_next_tids = [int(t) for t in meta["table_next_tids"]]
+        table_next_tids = [int(t) for t in meta.table_next_tids]
         restored = {}
         for s in (range(n_shards) if tables is None else tables):
             if not (0 <= s < n_shards):
@@ -417,13 +457,13 @@ def read_sharded_manifest(dir_path: Union[str, Path],
                            archive[f"table{s}_rows"], table_next_tids[s])
         return ShardedManifest(
             schema=schema,
-            agg_attr=meta["agg_attr"],
+            agg_attr=meta.agg_attr,
             predicate_attrs=predicate_attrs,
-            stat_attrs=tuple(meta["stat_attrs"]),
-            config=JanusConfig(**cfg_dict),
+            stat_attrs=tuple(meta.stat_attrs),
+            config=_config_from(meta.config),
             route_attr=route_attr,
             placement=placement,
-            initialized=[bool(b) for b in meta["initialized"]],
+            initialized=[bool(b) for b in meta.initialized],
             table_next_tids=table_next_tids,
             # save_sharded's consistency gate pins mapped tids == live
             # rows per shard, so the maps give the table sizes without

@@ -4,12 +4,14 @@ A JanusAQP synopsis answers query templates of the form::
 
     SELECT agg(A) FROM D WHERE Rectangle(D.c1, ..., D.cd)
 
-where ``agg`` is one of SUM/COUNT/AVG/MIN/MAX, ``A`` is the aggregation
+where ``agg`` is an :class:`AggFunc`, ``A`` is the aggregation
 attribute and ``c1..cd`` are predicate attributes (paper, Section 3.1).
 This module defines the geometric predicate (:class:`Rectangle`), the query
 object (:class:`Query`) and the answer envelope (:class:`QueryResult`),
 which carries the estimate together with its confidence interval and the
-two variance components of Section 4.4.1.
+two variance components of Section 4.4.1.  What a query may ask is said
+here, once: an aggregate's facts on its :class:`AggFunc` member, the rule
+binding a query to a synopsis in :class:`QueryTemplate`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,38 @@ from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 
+class AggFamily(enum.Enum):
+    """The rule an aggregate is answered, merged and estimated by: the
+    key of every per-family dispatch table (paper Sections 4.4, 6.6)."""
+
+    ADDITIVE = "additive"   # SUM, COUNT: estimates and variances add
+    RATIO = "ratio"         # AVG: reweighted by the normalizer n_q
+    MOMENTS = "moments"     # VARIANCE, STDDEV: count, sum, sum of squares
+    EXTREME = "extreme"     # MIN, MAX: the extremal candidate wins
+    SKETCH = "sketch"       # mergeable per-column sketches, not the tree
+
+
+class ParamRule(NamedTuple):
+    """What a parameterized aggregate's :attr:`Query.param` must be."""
+
+    symbol: str                         # its name in usage strings
+    wants: str                          # the rule, as error text
+    accepts: Callable[[float], bool]
+
+
+_FRACTION = ParamRule("p", "fraction must be in [0, 1]",
+                      lambda p: 0.0 <= p <= 1.0)
+_INTEGRAL_K = ParamRule("k", "k must be an integer >= 1",
+                        lambda k: k >= 1 and k % 1 == 0)
+
+
 class AggFunc(enum.Enum):
     """Aggregation functions supported by a partition-tree synopsis.
+
+    A member line declares all the rest of the system dispatches on:
+    the wire string (its ``value``), its :class:`AggFamily`, its
+    :class:`ParamRule` (``None``: no parameter) and whether it reads the
+    aggregation column (COUNT does not, so it binds to untracked ones).
 
     VARIANCE and STDDEV are the composition the paper points at in
     Section 6.6 ("other aggregate functions such as STDDEV that can be
@@ -40,21 +72,44 @@ class AggFunc(enum.Enum):
     the k) in :attr:`Query.param`.
     """
 
-    SUM = "SUM"
-    COUNT = "COUNT"
-    AVG = "AVG"
-    MIN = "MIN"
-    MAX = "MAX"
-    VARIANCE = "VARIANCE"
-    STDDEV = "STDDEV"
-    PERCENTILE = "PERCENTILE"
-    COUNT_DISTINCT = "COUNT_DISTINCT"
-    TOPK = "TOPK"
+    family: AggFamily
+    param_rule: Optional[ParamRule]
+    reads_column: bool
+
+    def __new__(cls, wire_name: str, family: AggFamily,
+                param_rule: Optional[ParamRule] = None,
+                reads_column: bool = True) -> "AggFunc":
+        member = object.__new__(cls)
+        member._value_ = wire_name
+        member.family = family
+        member.param_rule = param_rule
+        member.reads_column = reads_column
+        return member
+
+    SUM = ("SUM", AggFamily.ADDITIVE)
+    COUNT = ("COUNT", AggFamily.ADDITIVE, None, False)
+    AVG = ("AVG", AggFamily.RATIO)
+    MIN = ("MIN", AggFamily.EXTREME)
+    MAX = ("MAX", AggFamily.EXTREME)
+    VARIANCE = ("VARIANCE", AggFamily.MOMENTS)
+    STDDEV = ("STDDEV", AggFamily.MOMENTS)
+    PERCENTILE = ("PERCENTILE", AggFamily.SKETCH, _FRACTION)
+    COUNT_DISTINCT = ("COUNT_DISTINCT", AggFamily.SKETCH)
+    TOPK = ("TOPK", AggFamily.SKETCH, _INTEGRAL_K)
+
+    def check_param(self, param: Optional[float]) -> None:
+        """``ValueError`` unless ``param`` fits :attr:`param_rule`."""
+        rule = self.param_rule
+        if rule is None:
+            if param is not None:
+                raise ValueError(f"{self.value} does not take a parameter")
+        elif param is None or not rule.accepts(float(param)):
+            raise ValueError(f"{self.value} {rule.wants}, got {param!r}")
 
 
 #: Aggregates answered from mergeable sketches, not the partition tree.
-SKETCH_AGGS = frozenset({AggFunc.PERCENTILE, AggFunc.COUNT_DISTINCT,
-                         AggFunc.TOPK})
+SKETCH_AGGS = frozenset(agg for agg in AggFunc
+                        if agg.family is AggFamily.SKETCH)
 
 
 def wire(cast: Callable, dtype: Optional[str] = None, many: bool = False,
@@ -242,25 +297,65 @@ class Query:
     def __post_init__(self) -> None:
         if len(self.predicate_attrs) != self.rect.dim:
             raise ValueError("predicate_attrs must match rectangle dims")
-        if self.agg is AggFunc.PERCENTILE:
-            if self.param is None or not 0.0 <= float(self.param) <= 1.0:
-                raise ValueError(
-                    f"PERCENTILE needs a fraction in [0, 1], got "
-                    f"{self.param!r}")
-        elif self.agg is AggFunc.TOPK:
-            if self.param is None or float(self.param) != \
-                    int(float(self.param)) or int(float(self.param)) < 1:
-                raise ValueError(
-                    f"TOPK needs an integral k >= 1, got {self.param!r}")
-        elif self.param is not None:
-            raise ValueError(
-                f"{self.agg.value} does not take a parameter")
+        self.agg.check_param(self.param)
 
     def with_agg(self, agg: AggFunc, attr: Optional[str] = None,
                  param: Optional[float] = None) -> "Query":
         """The same predicate with a different aggregation function/attr."""
         return Query(agg, attr if attr is not None else self.attr,
                      self.predicate_attrs, self.rect, param)
+
+
+@dataclass(frozen=True)
+class QueryTemplate:
+    """What one synopsis may be asked: "(aggregation function,
+    aggregation attribute, predicate attributes)" (paper Section 5.5),
+    the function being any whose column the synopsis maintains.  Every
+    engine exposes one as ``.template`` and calls :meth:`check` on each
+    query at the top of ``query_many``; nothing else states the rule.
+    """
+
+    #: The column ``COUNT(*)`` binds to (``None`` for a bare tree).
+    agg_attr: Optional[str]
+    predicate_attrs: Tuple[str, ...]
+    #: Columns with node statistics / with table-wide sketch state.
+    stat_attrs: Tuple[str, ...]
+    sketch_attrs: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.agg_attr is not None and \
+                self.agg_attr not in self.stat_attrs:
+            raise ValueError("agg_attr must be tracked in stat_attrs")
+
+    def problem(self, query: Query) -> Optional[str]:
+        """Why ``query`` is off this template (``None``: it is on)."""
+        if query.predicate_attrs != self.predicate_attrs:
+            return (f"predicate attributes {list(query.predicate_attrs)} "
+                    f"do not match this synopsis (template: "
+                    f"{list(self.predicate_attrs)})")
+        agg = query.agg
+        if agg.family is AggFamily.SKETCH:
+            if query.attr not in self.sketch_attrs:
+                return (f"no {agg.value} sketch is maintained for column "
+                        f"{query.attr!r} (sketched: "
+                        f"{list(self.sketch_attrs)})")
+            # one sketch per column, not per region
+            if any(lo != -math.inf or hi != math.inf
+                   for lo, hi in zip(query.rect.lo, query.rect.hi)):
+                return (f"{agg.value} is answered from a whole-column "
+                        f"sketch and requires an unbounded predicate "
+                        f"rectangle")
+        elif agg.reads_column and query.attr not in self.stat_attrs:
+            return (f"aggregation column {query.attr!r} is not tracked "
+                    f"by this synopsis (tracked: "
+                    f"{list(self.stat_attrs)})")
+        return None
+
+    def check(self, query: Query) -> None:
+        """``ValueError`` with the reason unless ``query`` binds."""
+        problem = self.problem(query)
+        if problem is not None:
+            raise ValueError(problem)
 
 
 @dataclass

@@ -45,7 +45,6 @@ shard-queries pruned, and a shards-touched histogram - surfaced through
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -390,26 +389,13 @@ def plan_query_subsets(queries: Sequence,
     coordinator (:mod:`repro.service.fleet`) run, shared so their routed
     answers come from identical subsets.
 
-    Off-template queries (predicate attributes that do not match the
-    coordinator's) are never pruned: every live shard stays in the
-    subset, so the shard engines raise the same errors broadcast would -
-    the router must not swallow a ``ValueError`` into a silently empty
-    answer.
+    The queries are on the coordinator's template (its ``query_many``
+    checked them), so every rectangle is in ``predicate_attrs`` order,
+    the order the summaries are kept in.
     """
-    nq = len(queries)
-    d = len(predicate_attrs)
-    lo = np.empty((nq, d))
-    hi = np.empty((nq, d))
-    forced: List[int] = []
+    lo = np.empty((len(queries), len(predicate_attrs)))
+    hi = np.empty_like(lo)
     for qi, q in enumerate(queries):
-        if q.predicate_attrs == predicate_attrs:
-            lo[qi] = q.rect.lo
-            hi[qi] = q.rect.hi
-        else:
-            forced.append(qi)
-            lo[qi] = -math.inf
-            hi[qi] = math.inf
-    subsets = plan_contributors(summaries, live, lo, hi)
-    for qi in forced:
-        subsets[qi] = list(live)
-    return subsets
+        lo[qi] = q.rect.lo
+        hi[qi] = q.rect.hi
+    return plan_contributors(summaries, live, lo, hi)

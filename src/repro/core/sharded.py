@@ -83,7 +83,7 @@ from ..obs.trace import TraceContext, maybe_span
 from .janus import JanusAQP, JanusConfig, ReoptReport
 from .merge import merge_planned
 from .placement import PlacementMap, stagger_trigger
-from .queries import Query, QueryResult
+from .queries import Query, QueryResult, QueryTemplate
 from .routing import RoutingStats, ShardSummary, plan_query_subsets
 from .table import Table, table_from_array
 
@@ -348,6 +348,12 @@ class ShardedJanusAQP:
         #: the fleet) - the same template surface JanusAQP exposes.
         self.stat_attrs = stat_attrs
         self.config = config
+        #: Attributes every shard maintains sketch state for.
+        self.sketch_attrs = config.sketch_attrs
+        #: The shards' common template: :meth:`query_many` rejects an
+        #: off-template query before any shard or worker is asked.
+        self.template = QueryTemplate(agg_attr, predicate_attrs,
+                                      stat_attrs, self.sketch_attrs)
         self.route_attr = route_attr
         self.n_shards = placement.n_shards
         self.sharding = placement.sharding
@@ -474,11 +480,6 @@ class ShardedJanusAQP:
         """Total pooled-sample size across shards (one blocking round
         trip per shard when the shards are worker processes)."""
         return sum(shard.pool_size for shard in self._shards)
-
-    @property
-    def sketch_attrs(self) -> Tuple[str, ...]:
-        """Attributes every shard maintains sketch state for."""
-        return self.config.sketch_attrs
 
     @property
     def data_epoch(self) -> int:
@@ -674,7 +675,9 @@ class ShardedJanusAQP:
         ``obs`` is an optional trace context: plan/execute/merge spans
         are recorded (one ``shard_execute`` per dispatched shard) and
         the routing decision is noted for the EXPLAIN report.  The
-        answer path is identical with and without it.  A query whose
+        answer path is identical with and without it.  A query off
+        :attr:`template` is a ``ValueError`` for the whole batch,
+        raised before any shard is asked.  A query whose
         contributing subset includes an unreachable shard raises that
         shard's error (``FleetUnavailableError`` for a dead worker);
         queries the router proves don't need it still answer.
@@ -682,6 +685,8 @@ class ShardedJanusAQP:
         queries = list(queries)
         if not queries:
             return []
+        for query in queries:
+            self.template.check(query)
         route = self.route_queries if route is None else bool(route)
         shards = self._shards
         live = [s for s, shard in enumerate(shards) if shard.initialized]
@@ -711,11 +716,7 @@ class ShardedJanusAQP:
 
     def _plan(self, queries: Sequence[Query],
               live: Sequence[int]) -> List[List[int]]:
-        """Per-query contributing shard subsets (conservative).
-
-        Off-template queries are never pruned, so the shard engines
-        raise the same errors broadcast would.
-        """
+        """Per-query contributing shard subsets (conservative)."""
         return plan_query_subsets(queries, self.predicate_attrs,
                                   self.summaries, live)
 

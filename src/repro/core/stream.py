@@ -137,38 +137,41 @@ class StreamDriver:
         """Process everything currently queued, data before queries."""
         while (self._insert_consumer.lag or self._delete_consumer.lag or
                self._query_consumer.lag):
-            self._drain_data(batch_size)
-            self._drain_queries(batch_size)
+            # Inserts drain fully before deletes: a delete can only
+            # reference a key whose insert was produced earlier, so this
+            # order never orphans a delete that is already queued.
+            while self._insert_consumer.lag:
+                self._apply_batch(self._insert_consumer.poll(batch_size),
+                                  InsertRequest)
+            while self._delete_consumer.lag:
+                self._apply_batch(self._delete_consumer.poll(batch_size),
+                                  DeleteRequest)
+            self._apply_batch(self._query_consumer.poll(batch_size),
+                              QueryRequest)
         return self.stats
 
-    def _drain_data(self, batch_size: int) -> None:
-        # Inserts drain fully before deletes: a delete can only reference
-        # a key whose insert was produced earlier, so this order never
-        # orphans a delete that is already queued.  Each polled batch is
-        # decoded into one array and applied through the batch API, so a
-        # poll of n records costs one lock acquisition instead of n.
-        while self._insert_consumer.lag:
-            self._apply_insert_batch(self._insert_consumer.poll(batch_size))
-        while self._delete_consumer.lag:
-            self._apply_delete_batch(self._delete_consumer.poll(batch_size))
-
-    def _apply_insert_batch(self, records: List[str]) -> None:
-        pending: List[InsertRequest] = []
+    def _apply_batch(self, records: List[str], kind: type) -> None:
+        """One polled batch of a topic whose records are ``kind``: runs
+        of them go through the engine's batch API (n records, one lock
+        round-trip).  An off-kind record flushes the run first, so
+        arrival order holds, then applies as a batch of one of its own
+        kind; an undecodable record is counted."""
+        pending: list = []
         for record in records:
             try:
                 request = decode(record)
             except (ValueError, IndexError):
                 request = None
-            if isinstance(request, InsertRequest):
+            if isinstance(request, kind):
                 pending.append(request)
                 continue
-            # Undecodable or off-kind record: flush what we have so
-            # arrival order is preserved, then fall back to the per-
-            # record path (which counts it or applies it as-is).
-            self._flush_inserts(pending)
+            self._FLUSH[kind](self, pending)
             pending = []
-            self._apply(record)
-        self._flush_inserts(pending)
+            if request is None:
+                self.stats.n_bad_requests += 1
+            else:
+                self._FLUSH[type(request)](self, [request])
+        self._FLUSH[kind](self, pending)
 
     def _flush_inserts(self, pending: List[InsertRequest]) -> None:
         if not pending:
@@ -189,101 +192,45 @@ class StreamDriver:
             self._tid_of_key[request.key] = tid
         self.stats.n_inserts += len(pending)
 
-    def _apply_delete_batch(self, records: List[str]) -> None:
-        pending: List[int] = []
-        for record in records:
-            try:
-                request = decode(record)
-            except (ValueError, IndexError):
-                request = None
-            if isinstance(request, DeleteRequest):
-                tid = self._tid_of_key.pop(request.key, None)
-                if tid is None or tid not in self.janus.table:
-                    self.stats.n_bad_requests += 1
-                    continue
-                pending.append(tid)
-                continue
-            self._flush_deletes(pending)
-            pending = []
-            self._apply(record)
-        self._flush_deletes(pending)
-
-    def _flush_deletes(self, pending: List[int]) -> None:
-        if not pending:
-            return
-        self.janus.delete_many(pending)
-        self.stats.n_deletes += len(pending)
-
-    def _drain_queries(self, batch_size: int) -> None:
-        # Each polled batch is decoded into one query block and answered
-        # through the batched engine: one lock round-trip, one shared
-        # frontier pass, one bulk publish to the results topic.
-        pending: List[QueryRequest] = []
-        for record in self._query_consumer.poll(batch_size):
-            try:
-                request = decode(record)
-            except (ValueError, IndexError):
-                request = None
-            if isinstance(request, QueryRequest):
-                pending.append(request)
-                continue
-            # Undecodable or off-kind record: flush so arrival order is
-            # preserved, then fall back to the per-record path.
-            self._flush_queries(pending)
-            pending = []
-            self._apply(record)
-        self._flush_queries(pending)
-
-    def _flush_queries(self, pending: List[QueryRequest]) -> None:
-        if not pending:
-            return
-        try:
-            results = self.janus.query_many(
-                [request.query for request in pending])
-        except ValueError:
-            # A malformed query (e.g. template mismatch) poisons the
-            # batch: re-run per query so every other co-batched request
-            # is still answered, and count the bad ones - the records
-            # are already consumed, so raising would drop the rest.
-            for request in pending:
-                try:
-                    result = self.janus.query(request.query)
-                except ValueError:
-                    self.stats.n_bad_requests += 1
-                    continue
-                self._publish(request.query_id, result)
-            return
-        records = [encode_result(request.query_id, result)
-                   for request, result in zip(pending, results)]
-        self.broker.topic(self.RESULTS).produce_many(records)
-        for request, result in zip(pending, results):
-            self.results[request.query_id] = result
-        self.stats.n_queries += len(pending)
-
-    def _publish(self, query_id: int, result: QueryResult) -> None:
-        self.results[query_id] = result
-        self.broker.topic(self.RESULTS).produce(
-            encode_result(query_id, result))
-        self.stats.n_queries += 1
-
-    # ------------------------------------------------------------------ #
-    def _apply(self, record: str) -> None:
-        try:
-            request = decode(record)
-        except (ValueError, IndexError):
-            self.stats.n_bad_requests += 1
-            return
-        if isinstance(request, InsertRequest):
-            tid = self.janus.insert(request.values)
-            self._tid_of_key[request.key] = tid
-            self.stats.n_inserts += 1
-        elif isinstance(request, DeleteRequest):
+    def _flush_deletes(self, pending: List[DeleteRequest]) -> None:
+        tids: List[int] = []
+        for request in pending:
             tid = self._tid_of_key.pop(request.key, None)
             if tid is None or tid not in self.janus.table:
                 self.stats.n_bad_requests += 1
-                return
-            self.janus.delete(tid)
-            self.stats.n_deletes += 1
-        else:
-            self._publish(request.query_id,
-                          self.janus.query(request.query))
+            else:
+                tids.append(tid)
+        if tids:
+            self.janus.delete_many(tids)
+            self.stats.n_deletes += len(tids)
+
+    def _flush_queries(self, pending: List[QueryRequest]) -> None:
+        """Answer a run through the batched engine (one lock round-trip,
+        one shared frontier pass) and publish it in one bulk produce."""
+        if not pending:
+            return
+        try:
+            answered = list(zip(pending, self.janus.query_many(
+                [request.query for request in pending])))
+        except ValueError:
+            # An off-template query fails its whole batch: re-run per
+            # query so every other co-batched request is still answered,
+            # and count the bad ones - the records are already consumed,
+            # so raising would drop the rest.
+            answered = []
+            for request in pending:
+                try:
+                    answered.append((request,
+                                     self.janus.query(request.query)))
+                except ValueError:
+                    self.stats.n_bad_requests += 1
+        self.broker.topic(self.RESULTS).produce_many(
+            [encode_result(request.query_id, result)
+             for request, result in answered])
+        for request, result in answered:
+            self.results[request.query_id] = result
+        self.stats.n_queries += len(answered)
+
+    #: What applies a run of each request kind (:meth:`_apply_batch`).
+    _FLUSH = {InsertRequest: _flush_inserts, DeleteRequest: _flush_deletes,
+              QueryRequest: _flush_queries}

@@ -257,43 +257,49 @@ class Table:
     def ground_truth(self, query: Query) -> float:
         """Evaluate the query exactly against the current live data."""
         mask = self.predicate_mask(query.predicate_attrs, query.rect)
-        if query.agg is AggFunc.COUNT:
+        if not query.agg.reads_column:
             return float(mask.sum())
         vals = self._data[:self._n_slots, self._col_of[query.attr]][mask]
-        if query.agg is AggFunc.SUM:
-            return float(vals.sum())
-        if query.agg is AggFunc.COUNT_DISTINCT:
-            return float(np.unique(vals).size)
-        if query.agg is AggFunc.TOPK:
-            # Total row mass of the k most frequent values (ties broken
-            # count desc, value asc - the HeavyHitters sketch ordering;
-            # boundary ties have equal counts, so the mass is unique).
-            uniques, counts = np.unique(vals, return_counts=True)
-            order = np.lexsort((uniques, -counts))
-            return float(counts[order[:int(query.param)]].sum())
-        if vals.size == 0:
-            return math.nan
-        if query.agg is AggFunc.AVG:
-            return float(vals.mean())
-        if query.agg is AggFunc.MIN:
-            return float(vals.min())
-        if query.agg is AggFunc.MAX:
-            return float(vals.max())
-        if query.agg is AggFunc.VARIANCE:
-            return float(vals.var())
-        if query.agg is AggFunc.STDDEV:
-            return float(vals.std())
-        if query.agg is AggFunc.PERCENTILE:
-            # Lower quantile: the value at rank ceil(p * n) (1-based;
-            # p=0 -> the minimum), matching QuantileSketch.quantile on
-            # an exact (height 0) sketch.
-            ordered = np.sort(vals)
-            rank = max(1, math.ceil(float(query.param) * ordered.size))
-            return float(ordered[rank - 1])
-        raise ValueError(f"unsupported aggregate {query.agg}")
+        return float(_TRUTH[query.agg](vals, query.param))
 
     def ground_truths(self, queries: Sequence[Query]) -> List[float]:
         return [self.ground_truth(q) for q in queries]
+
+
+def _lower_quantile(vals: np.ndarray, p: float) -> float:
+    # The value at rank ceil(p * n) (1-based; p=0 -> the minimum),
+    # matching QuantileSketch.quantile on an exact (height 0) sketch.
+    ordered = np.sort(vals)
+    return ordered[max(1, math.ceil(float(p) * ordered.size)) - 1]
+
+
+def _top_mass(vals: np.ndarray, k: float) -> float:
+    # Total row mass of the k most frequent values (ties broken count
+    # desc, value asc - the HeavyHitters sketch ordering; boundary ties
+    # have equal counts, so the mass is unique).
+    uniques, counts = np.unique(vals, return_counts=True)
+    order = np.lexsort((uniques, -counts))
+    return counts[order[:int(k)]].sum()
+
+
+def _or_nan(fn):
+    """``fn(vals, param)``, undefined (NaN) over no rows."""
+    return lambda vals, param: fn(vals, param) if vals.size else math.nan
+
+
+#: The exact answer of every column-reading aggregate over the matching
+#: rows' values (COUNT never reads the column: it is the mask's size).
+_TRUTH = {
+    AggFunc.SUM: lambda vals, _: vals.sum(),
+    AggFunc.AVG: _or_nan(lambda vals, _: vals.mean()),
+    AggFunc.MIN: _or_nan(lambda vals, _: vals.min()),
+    AggFunc.MAX: _or_nan(lambda vals, _: vals.max()),
+    AggFunc.VARIANCE: _or_nan(lambda vals, _: vals.var()),
+    AggFunc.STDDEV: _or_nan(lambda vals, _: vals.std()),
+    AggFunc.PERCENTILE: _or_nan(_lower_quantile),
+    AggFunc.COUNT_DISTINCT: lambda vals, _: np.unique(vals).size,
+    AggFunc.TOPK: _top_mass,
+}
 
 
 def table_from_array(schema: Sequence[str], data: np.ndarray) -> Table:

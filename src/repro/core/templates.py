@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimators import uniform_scan
 from .janus import JanusAQP, JanusConfig
-from .queries import AggFunc, Query, QueryResult
+from .queries import Query, QueryResult, QueryTemplate
 from .table import Table
 
 
@@ -169,39 +169,31 @@ class HeuristicRouter:
         """
         return self._epoch_base + self.synopsis.data_epoch
 
+    @property
+    def template(self) -> QueryTemplate:
+        """The active tree's template: what it answers itself."""
+        return self.synopsis.template
+
     def query(self, query: Query) -> QueryResult:
         """Answer with the tree when possible, else uniform sampling.
 
-        The tree handles any aggregation function and any aggregation
-        attribute it tracks statistics for.  A mismatched predicate-
-        attribute set falls back to a plain uniform estimate over the
-        pooled sample (the paper's option (ii)); callers wanting tree
-        accuracy for the new template should trigger a re-partition.
+        The tree handles every query on its :attr:`template`.  Anything
+        else - other predicate attributes, an untracked column - falls
+        back to a plain uniform estimate over the pooled sample (the
+        paper's option (ii)); callers wanting tree accuracy for the new
+        template should trigger a re-partition.
         """
-        tree_ok = (query.predicate_attrs == self.synopsis.predicate_attrs
-                   and (query.agg is AggFunc.COUNT or
-                        query.attr in (self.synopsis.dpt.stat_attrs
-                                       if self.synopsis.dpt else ())))
-        if tree_ok:
-            return self.synopsis.query(query)
-        return self._uniform_fallback(query)
+        return self.query_many((query,))[0]
 
     def query_many(self, queries: Sequence[Query]) -> list:
         """Batched routing: tree-capable queries share one batch pass,
         fallback queries answer individually, order is preserved."""
         queries = list(queries)
-        if not queries:
-            return []
-        tree_attrs = (self.synopsis.dpt.stat_attrs
-                      if self.synopsis.dpt else ())
+        template = self.template
         results: list = [None] * len(queries)
         tree_idx = []
         for i, query in enumerate(queries):
-            tree_ok = (query.predicate_attrs ==
-                       self.synopsis.predicate_attrs and
-                       (query.agg is AggFunc.COUNT or
-                        query.attr in tree_attrs))
-            if tree_ok:
+            if template.problem(query) is None:
                 tree_idx.append(i)
             else:
                 results[i] = self._uniform_fallback(query)

@@ -7,12 +7,15 @@ requests into the batched engine lane built by PRs 1-4.  One server
 fronts one engine - a :class:`~repro.core.janus.JanusAQP`, a
 :class:`~repro.core.sharded.ShardedJanusAQP` fleet, or anything else
 exposing ``insert_many`` / ``delete_many`` / ``query_many`` /
-``data_epoch`` and the template attributes.
+``data_epoch`` and its :class:`~repro.core.queries.QueryTemplate` as
+``template``.
 
 Request flow for reads::
 
     /sql ──► sqlfront.compile_sql ─┐
     /query ── query_from_dict ─────┤
+                                   ▼
+                        engine.template.problem(query)?  -> 400
                                    ▼
                         ResultCache.lookup(query, engine.data_epoch)
                           │ hit: answered with zero synopsis traffic
@@ -62,7 +65,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..broker.requests import TOPK_KEY, query_from_dict, result_to_dict
-from ..core.queries import SKETCH_AGGS, AggFunc, Query, QueryResult
+from ..core.queries import AggFamily, AggFunc, Query, QueryResult
 from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry, render_exposition
 from ..obs.trace import TraceContext, Tracer
@@ -289,44 +292,6 @@ class AQPServer:
             self.cache.store(query, result, epoch_before, epoch_after)
         return results
 
-    def _validate_queries(self, queries: List[Query]) -> None:
-        """Reject off-template queries before they reach the batcher.
-
-        A query the engine cannot answer would otherwise fail the whole
-        micro-batch it rides in; binding errors must surface as this
-        request's 400, never as a co-batched neighbour's failure.
-        """
-        pred_attrs = tuple(self.engine.predicate_attrs)
-        stat_attrs = getattr(self.engine, "stat_attrs", None)
-        sketch_attrs = tuple(getattr(self.engine, "sketch_attrs", ()))
-        for query in queries:
-            if query.predicate_attrs != pred_attrs:
-                raise _HTTPError(
-                    400, f"predicate attributes "
-                         f"{list(query.predicate_attrs)} do not match "
-                         f"this synopsis (template: {list(pred_attrs)})")
-            if query.agg in SKETCH_AGGS:
-                if query.attr not in sketch_attrs:
-                    raise _HTTPError(
-                        400, f"no {query.agg.value} sketch is "
-                             f"maintained for column {query.attr!r} "
-                             f"(sketched: {list(sketch_attrs)})")
-                if not all(lo == float("-inf") and hi == float("inf")
-                           for lo, hi in zip(query.rect.lo,
-                                             query.rect.hi)):
-                    raise _HTTPError(
-                        400, f"{query.agg.value} is answered from a "
-                             f"whole-column sketch and cannot take "
-                             f"predicate bounds")
-                continue
-            if stat_attrs is not None and \
-                    query.agg is not AggFunc.COUNT and \
-                    query.attr not in stat_attrs:
-                raise _HTTPError(
-                    400, f"aggregation column {query.attr!r} is not "
-                         f"tracked by this synopsis (tracked: "
-                         f"{list(stat_attrs)})")
-
     async def _answer(self, queries: List[Query],
                       ctx: Optional[TraceContext] = None
                       ) -> Tuple[List[dict], List[bool]]:
@@ -338,7 +303,13 @@ class AQPServer:
         The engine pins batched == sequential, so the answers are
         bit-identical down either lane.
         """
-        self._validate_queries(queries)
+        # An off-template query is this request's 400, here, before it
+        # could fail the micro-batch it would have ridden in.
+        template = self.engine.template
+        for query in queries:
+            problem = template.problem(query)
+            if problem is not None:
+                raise _HTTPError(400, problem)
         results: List[Optional[QueryResult]] = [None] * len(queries)
         cached = [False] * len(queries)
         misses: List[int] = []
@@ -475,7 +446,7 @@ class AQPServer:
             if cached[i]:
                 per_query.append({"tier": "cache"})
                 continue
-            if query.agg in SKETCH_AGGS:
+            if query.agg.family is AggFamily.SKETCH:
                 entry = {"tier": "sketch"}
             else:
                 entry = {"tier": "exact" if payloads[i].get("exact")
@@ -570,10 +541,11 @@ class AQPServer:
                     not all(isinstance(s, str) for s in statements):
                 raise _HTTPError(400, "'sql' must be a string or a "
                                       "list of strings")
+            template = self.engine.template
             return statements, single, partial(
-                compile_sql, agg_attr=self.engine.agg_attr,
-                predicate_attrs=self.engine.predicate_attrs,
-                stat_attrs=getattr(self.engine, "stat_attrs", None))
+                compile_sql, agg_attr=template.agg_attr,
+                predicate_attrs=template.predicate_attrs,
+                stat_attrs=template.stat_attrs)
         if "queries" in payload:
             raw, single = payload["queries"], False
         elif "query" in payload:

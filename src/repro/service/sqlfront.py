@@ -37,27 +37,17 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.queries import AggFunc, Query, Rectangle, SKETCH_AGGS
+from ..core.queries import (AggFamily, AggFunc, Query, QueryTemplate,
+                            Rectangle)
 
 __all__ = ["SQLError", "ParsedSQL", "aggregate_arity", "parse_sql",
            "compile_sql"]
 
 
 def aggregate_arity(agg: AggFunc) -> int:
-    """Extra call arguments the aggregate's SQL form takes.
-
-    The parser consults this to accept/reject ``AGG(col, x)`` forms,
-    so it must dispatch every :class:`AggFunc` member explicitly - the
-    JL305 merge-closure site: growing the enum without deciding its
-    textual shape fails janus-lint here.
-    """
-    if agg in (AggFunc.PERCENTILE, AggFunc.TOPK):
-        return 1
-    if agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN,
-               AggFunc.MAX, AggFunc.VARIANCE, AggFunc.STDDEV,
-               AggFunc.COUNT_DISTINCT):
-        return 0
-    raise ValueError(f"aggregate {agg} has no SQL arity rule")
+    """Extra call arguments the aggregate's SQL form takes: one when
+    it declares a parameter rule (``AGG(col, x)``), else none."""
+    return 0 if agg.param_rule is None else 1
 
 
 class SQLError(ValueError):
@@ -216,12 +206,14 @@ class _Parser:
             self._advance()
             param_pos = self.cur.pos
             param = self.number()
-            self._check_param(agg, param, param_pos)
+            try:        # range-check where the text still points at it
+                agg.check_param(param)
+            except ValueError as exc:
+                raise SQLError(str(exc), self.sql, param_pos) from None
         elif aggregate_arity(agg) == 1:
             raise self._fail(
                 f"{agg.value} needs a parameter: "
-                f"{agg.value}(col, "
-                f"{'p' if agg is AggFunc.PERCENTILE else 'k'})")
+                f"{agg.value}(col, {agg.param_rule.symbol})")
         self.expect_op(")")
         self.expect_keyword("FROM")
         table = self.identifier("a table name")
@@ -232,18 +224,6 @@ class _Parser:
                          attr_pos=attr_pos,
                          condition_positions=tuple(positions),
                          param=param)
-
-    def _check_param(self, agg: AggFunc, param: float,
-                     pos: int) -> None:
-        """Range-check a parameter where the text still points at it."""
-        if agg is AggFunc.PERCENTILE and not 0.0 <= param <= 1.0:
-            raise SQLError(
-                f"PERCENTILE fraction must be in [0, 1], got {param!r}",
-                self.sql, pos)
-        if agg is AggFunc.TOPK and (param != int(param) or param < 1):
-            raise SQLError(
-                f"TOPK k must be an integer >= 1, got {param!r}",
-                self.sql, pos)
 
     def where_clause(self) -> Tuple[List[Tuple[str, float, float]],
                                     List[int]]:
@@ -325,16 +305,6 @@ def compile_sql(sql: str, agg_attr: str,
     parsed = parse_sql(sql)
     pred_attrs = tuple(predicate_attrs)
     attr = parsed.attr if parsed.attr is not None else agg_attr
-    # Sketch aggregates bind against the engine's sketch_attrs, a set
-    # this template does not carry; the serving tier validates them
-    # per engine (:meth:`JanusService._validate_queries`).
-    if stat_attrs is not None and parsed.agg is not AggFunc.COUNT \
-            and parsed.agg not in SKETCH_AGGS \
-            and attr not in tuple(stat_attrs):
-        raise SQLError(
-            f"aggregation column {attr!r} is not tracked by this "
-            f"synopsis (tracked: {', '.join(stat_attrs)})", sql,
-            parsed.attr_pos)
     for (col, lo, hi), pos in zip(parsed.conditions,
                                   parsed.condition_positions):
         if col not in pred_attrs:
@@ -351,5 +321,14 @@ def compile_sql(sql: str, agg_attr: str,
                for a in pred_attrs)
     hi = tuple(bound.get(a, (-math.inf, math.inf))[1]
                for a in pred_attrs)
-    return Query(parsed.agg, attr, pred_attrs, Rectangle(lo, hi),
-                 parsed.param)
+    query = Query(parsed.agg, attr, pred_attrs, Rectangle(lo, hi),
+                  parsed.param)
+    # Sketch aggregates bind against the engine's sketch_attrs, which
+    # this signature does not carry: ``engine.template`` rejects those.
+    if stat_attrs is not None and \
+            parsed.agg.family is not AggFamily.SKETCH:
+        problem = QueryTemplate(None, pred_attrs,
+                                tuple(stat_attrs)).problem(query)
+        if problem is not None:
+            raise SQLError(problem, sql, parsed.attr_pos)
+    return query

@@ -37,13 +37,12 @@ from .counted import (CountedSketch, DistinctSketch, HeavyHitters,
                       QuantileSketch)
 from .hashing import hash_float, sample_level, splitmix64
 from .registry import (KIND_DISTINCT, KIND_HEAVY, KIND_QUANTILE,
-                       SKETCH_KEY, merge_sketch_blobs, new_sketch,
-                       sketch_answer, sketch_from_bytes, sketch_kind_for)
+                       SKETCH_KEY, SKETCH_KIND, merge_sketch_blobs,
+                       new_sketch, sketch_answer, sketch_from_bytes)
 
 __all__ = [
     "CountedSketch", "DistinctSketch", "HeavyHitters", "QuantileSketch",
     "KIND_DISTINCT", "KIND_HEAVY", "KIND_QUANTILE", "SKETCH_KEY",
-    "hash_float", "merge_sketch_blobs", "new_sketch", "sample_level",
-    "sketch_answer", "sketch_from_bytes", "sketch_kind_for",
-    "splitmix64",
+    "SKETCH_KIND", "hash_float", "merge_sketch_blobs", "new_sketch",
+    "sample_level", "sketch_answer", "sketch_from_bytes", "splitmix64",
 ]

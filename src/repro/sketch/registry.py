@@ -3,11 +3,8 @@
 This module is the single place where the engine layers meet the
 sketch package:
 
-* :func:`sketch_kind_for` decides, per :class:`~repro.core.queries.
-  AggFunc` member, which sketch kind (if any) backs it - the janus-lint
-  merge-closure pass (JL304) requires every member to be dispatched
-  here, so adding an aggregate without deciding its sketch story is a
-  lint failure at this function's door.
+* :data:`SKETCH_KIND` names, per sketch-family :class:`~repro.core.
+  queries.AggFunc` member, the sketch kind that backs it.
 * :func:`sketch_answer` renders a :class:`~repro.core.queries.
   QueryResult` from a sketch state.  The single engine, the sharded
   merge rule and the fleet coordinator all call this one function, so a
@@ -21,16 +18,15 @@ sketch package:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.queries import AggFunc, Query, QueryResult
 from .counted import (CountedSketch, DistinctSketch, HeavyHitters,
                       QuantileSketch)
 
 __all__ = ["KIND_DISTINCT", "KIND_HEAVY", "KIND_QUANTILE", "SKETCH_KEY",
-           "merge_sketch_blobs", "new_sketch", "sketch_answer",
-           "sketch_empty_answer", "sketch_from_bytes",
-           "sketch_kind_for"]
+           "SKETCH_KIND", "merge_sketch_blobs", "new_sketch",
+           "sketch_answer", "sketch_empty_answer", "sketch_from_bytes"]
 
 #: ``QueryResult.details`` key carrying a canonical sketch blob.
 SKETCH_KEY = "sketch"
@@ -45,24 +41,10 @@ _SKETCH_CLASSES = {
     KIND_HEAVY: HeavyHitters,
 }
 
-
-def sketch_kind_for(agg: AggFunc) -> Optional[int]:
-    """The sketch kind backing an aggregate; ``None`` for moment aggs.
-
-    Every :class:`AggFunc` member must be dispatched explicitly - the
-    JL304 merge-closure site - so growing the enum without a sketch
-    maintenance decision fails janus-lint here.
-    """
-    if agg is AggFunc.PERCENTILE:
-        return KIND_QUANTILE
-    if agg is AggFunc.COUNT_DISTINCT:
-        return KIND_DISTINCT
-    if agg is AggFunc.TOPK:
-        return KIND_HEAVY
-    if agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN,
-               AggFunc.MAX, AggFunc.VARIANCE, AggFunc.STDDEV):
-        return None
-    raise ValueError(f"aggregate {agg} has no sketch dispatch rule")
+#: The sketch kind backing each sketch-family aggregate.
+SKETCH_KIND = {AggFunc.PERCENTILE: KIND_QUANTILE,
+               AggFunc.COUNT_DISTINCT: KIND_DISTINCT,
+               AggFunc.TOPK: KIND_HEAVY}
 
 
 def new_sketch(kind: int, *, sketch_height: int, hll_bits: int,

@@ -19,13 +19,11 @@ if REPO not in sys.path:
     sys.path.insert(0, REPO)
 
 from tools.analysis import PASSES, run_passes                  # noqa: E402
-from tools.analysis.codec import check_codecs                  # noqa: E402
 from tools.analysis.core import (DEFAULT_BASELINE, Project,    # noqa: E402
                                  apply_baseline, load_baseline)
 from tools.analysis.epoch import check_epoch                   # noqa: E402
 from tools.analysis.hygiene import check_hygiene               # noqa: E402
 from tools.analysis.locks import check_locks, lock_order_edges  # noqa: E402
-from tools.analysis.mergeclosure import check_merge_closure    # noqa: E402
 from tools.analysis.obsmetrics import check_obs_metrics        # noqa: E402
 from tools.analysis.runtime import LockOrderRecorder           # noqa: E402
 
@@ -328,145 +326,6 @@ def test_self_reacquisition_of_reentrant_lock_is_not_multi_instance():
 
 
 # ------------------------------------------------------------------ #
-# merge closure (JL301 - JL303)
-# ------------------------------------------------------------------ #
-
-MERGE_ENUM = textwrap.dedent('''\
-    class AggFunc:
-        COUNT = "COUNT"
-        SUM = "SUM"
-        VARIANCE = "VARIANCE"
-    ''')
-
-MERGE_BAD = {
-    "src/repro/core/queries.py": MERGE_ENUM,
-    "src/repro/core/merge.py": textwrap.dedent('''\
-        def merge_results(agg, parts):
-            if agg == AggFunc.COUNT:
-                return 1
-            if agg == AggFunc.SUM:
-                return 2
-        '''),
-    "src/repro/core/estimators.py": textwrap.dedent('''\
-        def uniform_estimate(agg, frac):
-            if agg in ("COUNT", "SUM"):
-                return frac
-        '''),
-    "src/repro/core/table.py": textwrap.dedent('''\
-        class Table:
-            def ground_truth(self, agg):
-                if agg == AggFunc.COUNT:
-                    return 0
-                if agg == AggFunc.SUM:
-                    return 1
-                if agg == AggFunc.VARIANCE:
-                    return 2
-        '''),
-}
-
-
-def test_merge_closure_reports_unhandled_aggregates():
-    findings = check_merge_closure(Project.from_sources(MERGE_BAD))
-    assert has(findings, "JL301", "src/repro/core/merge.py")
-    assert has(findings, "JL302", "src/repro/core/estimators.py")
-    assert not has(findings, "JL303")   # ground_truth covers all three
-    for f in findings:
-        assert "VARIANCE" in f.message
-
-
-def test_merge_closure_accepts_closed_dispatch():
-    fixed = dict(MERGE_BAD)
-    fixed["src/repro/core/merge.py"] = MERGE_BAD[
-        "src/repro/core/merge.py"].replace(
-        "return 2", "return 2\n    if agg == AggFunc.VARIANCE:\n"
-                    "        return 3")
-    fixed["src/repro/core/estimators.py"] = MERGE_BAD[
-        "src/repro/core/estimators.py"].replace(
-        '("COUNT", "SUM")', '("COUNT", "SUM", "VARIANCE")')
-    assert check_merge_closure(Project.from_sources(fixed)) == []
-
-
-# The two PR 9 closure sites: every aggregate needs a sketch-kind
-# decision (JL304) and a SQL arity (JL305).  VARIANCE is deliberately
-# unhandled in both dispatchers.
-SKETCH_CLOSURE_BAD = {
-    "src/repro/core/queries.py": MERGE_ENUM,
-    "src/repro/sketch/registry.py": textwrap.dedent('''\
-        def sketch_kind_for(agg):
-            if agg is AggFunc.COUNT:
-                return None
-            if agg is AggFunc.SUM:
-                return None
-            raise ValueError(agg)
-        '''),
-    "src/repro/service/sqlfront.py": textwrap.dedent('''\
-        def aggregate_arity(agg):
-            if agg in (AggFunc.COUNT, AggFunc.SUM):
-                return 0
-            raise ValueError(agg)
-        '''),
-}
-
-
-def test_sketch_closure_flags_unhandled_member_at_site():
-    findings = check_merge_closure(
-        Project.from_sources(SKETCH_CLOSURE_BAD))
-    # Both new sites flag the forgotten member at the dispatch
-    # function's exact location (line 1 of each fixture).
-    assert has(findings, "JL304", "src/repro/sketch/registry.py", 1)
-    assert has(findings, "JL305", "src/repro/service/sqlfront.py", 1)
-    sketch_findings = [f for f in findings
-                       if f.code in ("JL304", "JL305")]
-    assert len(sketch_findings) == 2
-    for f in sketch_findings:
-        assert "VARIANCE" in f.message
-
-
-def test_sketch_closure_accepts_closed_dispatch():
-    fixed = dict(SKETCH_CLOSURE_BAD)
-    fixed["src/repro/sketch/registry.py"] = fixed[
-        "src/repro/sketch/registry.py"].replace(
-        "raise ValueError(agg)",
-        "if agg is AggFunc.VARIANCE:\n        return None\n"
-        "    raise ValueError(agg)")
-    fixed["src/repro/service/sqlfront.py"] = fixed[
-        "src/repro/service/sqlfront.py"].replace(
-        "(AggFunc.COUNT, AggFunc.SUM)",
-        "(AggFunc.COUNT, AggFunc.SUM, AggFunc.VARIANCE)")
-    findings = check_merge_closure(Project.from_sources(fixed))
-    assert not has(findings, "JL304") and not has(findings, "JL305")
-
-
-# ------------------------------------------------------------------ #
-# codec parity (JL402)
-# ------------------------------------------------------------------ #
-
-META_BAD = textwrap.dedent('''\
-    def save_sharded(sharded, path):
-        meta = {"version": 1, "schema": [], "range_block": 4}
-        return meta
-
-    def read_sharded_manifest(path):
-        meta = _read(path)
-        return meta["version"], meta["schema"], meta["block_size"]
-    ''')
-
-
-def test_codec_pass_diffs_persist_meta_keys():
-    project = Project.from_sources(
-        {"src/repro/core/persist.py": META_BAD})
-    findings = [f for f in check_codecs(project) if f.code == "JL402"]
-    assert any("range_block" in f.message and "never read" in f.message
-               for f in findings)
-    assert any("block_size" in f.message and "never written" in f.message
-               for f in findings)
-    fixed = META_BAD.replace('meta["block_size"]', 'meta["range_block"]')
-    project = Project.from_sources(
-        {"src/repro/core/persist.py": fixed})
-    assert [f for f in check_codecs(project) if f.code == "JL402"] == []
-
-
-# ------------------------------------------------------------------ #
 # determinism / numpy hygiene (JL501 - JL503)
 # ------------------------------------------------------------------ #
 
@@ -584,8 +443,7 @@ def test_repo_tree_is_clean_modulo_baseline():
 
 
 def test_all_passes_are_registered():
-    assert set(PASSES) == {"epoch", "locks", "merge-closure",
-                           "codec-parity", "hygiene", "obs-metrics"}
+    assert set(PASSES) == {"epoch", "locks", "hygiene", "obs-metrics"}
 
 
 def test_cli_exits_nonzero_on_new_violation(tmp_path):

@@ -13,6 +13,11 @@ A process-free case swaps one ``LocalShard`` for a subclass whose
 ``query`` raises the fleet's unavailable error: queries the router
 prunes away from the dead shard still answer, the rest surface the
 error instead of a partial answer.
+
+The five ways a query sits on or off ``engine.template`` get one
+verdict - ``ValueError`` with the template's reason, before any shard
+is asked - from a single engine, both backends, the heuristic router
+and both HTTP read routes.
 """
 
 import math
@@ -23,8 +28,10 @@ import pytest
 from repro.core.janus import JanusConfig
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, Query, Rectangle
+from repro.core.templates import HeuristicRouter
 from repro.core.sharded import LocalShard, ShardedJanusAQP
 from repro.datasets.synthetic import nyc_taxi
+from repro.service import ServiceClient, ServiceError, serve_background
 from repro.service.fleet import FleetCoordinator, FleetUnavailableError
 
 N_ROWS = 9_000
@@ -208,6 +215,79 @@ def test_scripted_interleaving_is_backend_independent(
         [label for label, _ in reference]
     for (label, got), (_, want) in zip(transcript, reference):
         assert got == want, label
+
+
+def open_single(snapshot):
+    return load_sharded(snapshot).shards[0]
+
+
+def template_cases(ds):
+    """``(query, its /sql form, the reason or None if on-template)``;
+    every column is tracked here, so the untracked one is made up."""
+    preds, col = ds.predicate_attrs, ds.predicate_attrs[0]
+    box, where = Rectangle((0.0,), (1e9,)), f"WHERE {col} BETWEEN 0 AND 1e9"
+    return [
+        (Query(AggFunc.SUM, ds.agg_attr, ("fare",), box),
+         f"SELECT SUM({ds.agg_attr}) FROM t WHERE fare <= 1e9",
+         "do not match"),                   # /sql: "not a predicate ..."
+        (Query(AggFunc.SUM, "nope", preds, box),
+         f"SELECT SUM(nope) FROM t {where}", "not tracked"),
+        (Query(AggFunc.COUNT, "nope", preds, box),
+         f"SELECT COUNT(nope) FROM t {where}", None),
+        (Query(AggFunc.COUNT_DISTINCT, "fare", preds, FULL),
+         "SELECT COUNT(DISTINCT fare) FROM t", "sketch is maintained"),
+        (Query(AggFunc.PERCENTILE, SKETCH_ATTR, preds, box, 0.5),
+         f"SELECT PERCENTILE({SKETCH_ATTR}, 0.5) FROM t {where}",
+         "unbounded predicate")]
+
+
+@pytest.mark.parametrize("open_engine",
+                         [open_single, open_local, open_remote],
+                         ids=["single", "local", "remote"])
+def test_off_template_queries_get_one_verdict_everywhere(
+        ds, snapshot, open_engine):
+    engine = open_engine(snapshot)
+    shards = getattr(engine, "_shards", None)
+    good = workload(ds)[0]
+    try:
+        for query, sql, reason in template_cases(ds):
+            if reason is None:
+                assert engine.query(query).estimate > 0
+                continue
+            if shards is not None:
+                engine._shards = None   # touching a shard: a TypeError
+            with pytest.raises(ValueError, match=reason) as err:
+                engine.query_many([good, query])
+            assert type(err.value) is ValueError
+            assert str(err.value) == engine.template.problem(query)
+            if shards is not None:
+                engine._shards = shards
+        with serve_background(engine, port=0) as handle, \
+                ServiceClient(handle.host, handle.port) as client:
+            for query, sql, reason in template_cases(ds):
+                if reason is None:
+                    assert client.sql(sql).estimate == \
+                        client.query(query).estimate
+                    continue
+                for ask, arg, why in (
+                        (client.query, query, reason),
+                        (client.sql, sql, reason.replace(
+                            "do not match", "not a predicate attribute"))):
+                    with pytest.raises(ServiceError, match=why) as err:
+                        ask(arg)
+                    assert err.value.status == 400
+        if shards is None:      # the router: the non-raising form
+            router = HeuristicRouter(engine)
+            for i, (query, _, reason) in enumerate(template_cases(ds)):
+                off = router.template.problem(query) is not None
+                assert off == (reason is not None)
+                if i in (0, 2):     # the rest have no uniform estimate
+                    assert ("fallback" in
+                            router.query(query).details) == off
+    finally:
+        if shards is not None:
+            engine._shards = shards
+            engine.close()
 
 
 class DeadShard(LocalShard):

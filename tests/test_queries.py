@@ -5,8 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
-                                relative_error)
+from repro.core import estimators, merge, table
+from repro.core.dpt import DynamicPartitionTree
+from repro.core.queries import (SKETCH_AGGS, AggFamily, AggFunc, Query,
+                                QueryResult, Rectangle, relative_error)
+from repro.sketch import registry
 
 
 class TestRectangle:
@@ -131,3 +134,47 @@ class TestRelativeError:
 
     def test_negative_truth(self):
         assert relative_error(-90.0, -100.0) == pytest.approx(0.1)
+
+
+def open_dispatch_tables():
+    """Names of the per-aggregate tables whose keys are not exactly the
+    members / families they must cover (what janus-lint once checked
+    by reading the dispatch functions' source)."""
+    families = set(AggFamily)
+    tables = {
+        "dpt._ANSWER": (DynamicPartitionTree._ANSWER,
+                        families - {AggFamily.SKETCH}),
+        "merge._MERGE": (merge._MERGE, families),
+        "estimators._UNIFORM": (estimators._UNIFORM, families),
+        "table._TRUTH": (table._TRUTH,
+                         {agg for agg in AggFunc if agg.reads_column}),
+        "registry.SKETCH_KIND": (registry.SKETCH_KIND, SKETCH_AGGS),
+    }
+    return sorted(name for name, (found, want) in tables.items()
+                  if set(found) != set(want))
+
+
+class TestAggFuncFacts:
+    def test_every_dispatch_table_is_closed(self):
+        assert open_dispatch_tables() == []
+        assert all(agg.family in AggFamily and AggFunc(agg.value) is agg
+                   for agg in AggFunc)
+        assert [a for a in AggFunc if not a.reads_column] == [AggFunc.COUNT]
+
+    def test_a_dropped_key_is_reported(self, monkeypatch):
+        monkeypatch.delitem(merge._MERGE, AggFamily.RATIO)
+        monkeypatch.delitem(table._TRUTH, AggFunc.TOPK)
+        assert open_dispatch_tables() == ["merge._MERGE", "table._TRUTH"]
+
+    def test_parameter_rules(self):
+        preds, rect = ("x",), Rectangle((0.0,), (1.0,))
+        for agg, good, bad in (
+                (AggFunc.PERCENTILE, (0.0, 0.5, 1), (1.5, -0.1, math.nan)),
+                (AggFunc.TOPK, (1, 7.0), (0, 2.5, math.inf))):
+            for param in good:
+                assert Query(agg, "a", preds, rect, param).param == param
+            for param in bad + (None,):
+                with pytest.raises(ValueError, match="must be"):
+                    Query(agg, "a", preds, rect, param)
+        with pytest.raises(ValueError, match="does not take a parameter"):
+            Query(AggFunc.SUM, "a", preds, rect, 0.5)

@@ -139,3 +139,23 @@ class TestStreamDriver:
         driver.drain()
         assert driver.results[qid].estimate == pytest.approx(
             len(table), rel=0.01)
+
+    def test_off_template_query_costs_only_itself(self, world):
+        """good, bad, good in one execute poll: the untracked column is
+        one bad request and its neighbours (already consumed) are still
+        answered - on the batch path and on the per-record path an
+        off-topic record takes."""
+        broker, janus, table, ds = world
+        client, driver = StreamClient(broker), StreamDriver(broker, janus)
+        good = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
+                     Rectangle((0.0,), (500.0,)))
+        bad = good.with_agg(AggFunc.SUM, "not_a_tracked_column")
+        ids = client.execute_many([good, bad, good])
+        broker.topic(Broker.INSERT).produce(encode_query(99, bad))
+        broker.topic(Broker.INSERT).produce(encode_query(100, good))
+        stats = driver.drain()
+        assert sorted(driver.results) == [ids[0], ids[2], 100]
+        assert (stats.n_queries, stats.n_bad_requests) == (3, 2)
+        assert driver.results[ids[0]].estimate == \
+            driver.results[ids[2]].estimate == janus.query(good).estimate
+        assert len(broker.topic(StreamDriver.RESULTS)) == 3

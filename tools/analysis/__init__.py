@@ -5,7 +5,7 @@ Run over the engine sources::
     python -m tools.analysis              # defaults to src/repro
     python -m tools.analysis src/repro --write-baseline
 
-Six passes guard the cross-cutting conventions the engine's
+Four passes guard the cross-cutting conventions the engine's
 correctness rests on (see ``docs/ANALYSIS.md``):
 
 ==============  ========  ==================================================
@@ -13,9 +13,6 @@ pass            codes     invariant
 ==============  ========  ==================================================
 epoch           JL101-102 every mutation path bumps ``data_epoch``
 locks           JL201-205 guarded-by/lock-order discipline
-merge-closure   JL301-305 aggregates closed over merge/fallback/oracle/
-                          sketch-kind/SQL-arity
-codec-parity    JL402     persist ``meta`` keys written == keys read
 hygiene         JL501-503 seeded RNG, no numeric ``is``, no bare except
 obs-metrics     JL601-602 metric names come from the obs.metrics CATALOG
 ==============  ========  ==================================================
@@ -29,21 +26,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .codec import check_codecs
 from .core import (DEFAULT_BASELINE, Finding, GateResult, Module,  # noqa: F401
                    Project, apply_baseline, load_baseline, write_baseline)
 from .epoch import check_epoch
 from .hygiene import check_hygiene
 from .locks import check_locks, lock_order_edges  # noqa: F401
-from .mergeclosure import check_merge_closure
 from .obsmetrics import check_obs_metrics
 
 #: Registered passes, in reporting order.
 PASSES: Dict[str, Callable[[Project], List[Finding]]] = {
     "epoch": check_epoch,
     "locks": check_locks,
-    "merge-closure": check_merge_closure,
-    "codec-parity": check_codecs,
     "hygiene": check_hygiene,
     "obs-metrics": check_obs_metrics,
 }
