@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="longest a query may wait parked behind "
                              "a busy engine lane")
     parser.add_argument("--cache-size", type=int, default=256,
-                        help="result-cache entries per template")
+                        help="result-cache entries per template "
+                             "(also the /sql statement memo's size)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache entirely")
     parser.add_argument("--slow-query-ms", type=float, default=None,

@@ -12,7 +12,10 @@ exposing ``insert_many`` / ``delete_many`` / ``query_many`` /
 
 Request flow for reads::
 
-    /sql ──► sqlfront.compile_sql ─┐
+    /sql ──► statement memo ───────┐   hit: the frozen Query
+              │ miss (or error)    │   compiled for the same text
+              ▼                    │
+             sqlfront.compile_sql ─┤   errors are never memoized
     /query ── query_from_dict ─────┤
                                    ▼
                         engine.template.problem(query)?  -> 400
@@ -59,7 +62,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -96,6 +99,13 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 503: "Service Unavailable"}
 
 
+def _bind_sql(engine, sql: str) -> Query:
+    """Compile one statement against the engine's (fixed) template."""
+    template = engine.template
+    return compile_sql(sql, template.agg_attr, template.predicate_attrs,
+                       stat_attrs=template.stat_attrs)
+
+
 class AQPServer:
     """HTTP/JSON front-end over one synopsis engine.
 
@@ -115,7 +125,10 @@ class AQPServer:
     cache_size, cache_enabled:
         Per-template LRU capacity of the epoch-tagged result cache;
         disabling it makes served answers bit-identical to in-process
-        ``query_many`` (the end-to-end test's mode).
+        ``query_many`` (the end-to-end test's mode).  ``cache_size``
+        also bounds the ``/sql`` statement memo (:attr:`bind_sql`),
+        which stays on either way: a memoized ``Query`` equals a
+        fresh compile.
     executor_workers:
         Threads executing engine calls; the engine's own locks
         serialize what must be serialized.
@@ -156,6 +169,12 @@ class AQPServer:
         self.cache = ResultCache(per_template=cache_size,
                                  enabled=cache_enabled,
                                  metrics=self.metrics)
+        #: ``/sql`` text -> its bound :class:`Query`, so a repeated
+        #: statement costs one dict probe instead of the SQL front
+        #: end.  ``lru_cache`` keeps nothing for a call that raises:
+        #: every bad statement re-compiles to the same positioned 400.
+        self.bind_sql = lru_cache(maxsize=cache_size)(
+            partial(_bind_sql, engine))
         self._executor_workers = executor_workers
         self._executor: Optional[ThreadPoolExecutor] = \
             ThreadPoolExecutor(max_workers=executor_workers,
@@ -420,9 +439,12 @@ class AQPServer:
         lock-free summary read is fine (see ``ShardSummary.classify``).
         """
         by_name: Dict[str, int] = {}
+        memo_hits = 0
         for span in trace["spans"]:
             by_name[span["name"]] = \
                 by_name.get(span["name"], 0) + int(span["dur_us"])
+            if span["name"] == "parse":
+                memo_hits += span["tags"].get("memo_hits", 0)
         stages = {name: by_name[name]
                   for name in ("parse", "admission", "cache_lookup",
                                "plan", "merge") if name in by_name}
@@ -466,6 +488,8 @@ class AQPServer:
         return {"trace_id": trace["trace_id"],
                 "duration_us": trace["duration_us"],
                 "stages_us": stages,
+                # statements the parse stage took from the memo
+                "memo_hits": memo_hits,
                 "shard_execute": shard_execute,
                 "queries": per_query}
 
@@ -490,18 +514,21 @@ class AQPServer:
         if hist is None:
             hist = self._route_hists[path] = self.metrics.histogram(
                 "janus_service_request_seconds", route=path)
-        payload = None
-        if method == "POST":
-            if len(body) > 256 * 1024:
-                # Decoding a large body inline would stall the event
-                # loop (and every other connection's latency with it).
-                payload = await asyncio.get_running_loop() \
-                    .run_in_executor(self._executor, self._json_body,
-                                     body)
-            else:
-                payload = self._json_body(body)
+        # The clock covers the body decode (and the executor hop of a
+        # large one): the requests it is dearest for must not vanish
+        # from the per-route histogram.
         t0 = time.perf_counter()
         try:
+            payload = None
+            if method == "POST":
+                if len(body) > 256 * 1024:
+                    # Decoding a large body inline would stall the
+                    # event loop (and every other connection with it).
+                    payload = await asyncio.get_running_loop() \
+                        .run_in_executor(self._executor,
+                                         self._json_body, body)
+                else:
+                    payload = self._json_body(body)
             return await handler(payload, headers)
         finally:
             hist.observe(time.perf_counter() - t0)
@@ -541,11 +568,7 @@ class AQPServer:
                     not all(isinstance(s, str) for s in statements):
                 raise _HTTPError(400, "'sql' must be a string or a "
                                       "list of strings")
-            template = self.engine.template
-            return statements, single, partial(
-                compile_sql, agg_attr=template.agg_attr,
-                predicate_attrs=template.predicate_attrs,
-                stat_attrs=template.stat_attrs)
+            return statements, single, self.bind_sql
         if "queries" in payload:
             raw, single = payload["queries"], False
         elif "query" in payload:
@@ -564,6 +587,9 @@ class AQPServer:
         if explain:
             self._c_explain.inc()
         ctx = self._trace_context(headers, force=explain)
+        # Parsing is synchronous on the loop, so the memo's hit count
+        # moves by exactly this request's hits.
+        hits0 = self.bind_sql.cache_info().hits if ctx is not None else 0
         t0 = time.perf_counter()
         try:
             queries = [parse(item) for item in raw]
@@ -572,7 +598,8 @@ class AQPServer:
         if ctx is not None:
             ctx.add_span("parse",
                          int((time.perf_counter() - t0) * 1e6),
-                         n_queries=len(queries))
+                         n_queries=len(queries),
+                         memo_hits=self.bind_sql.cache_info().hits - hits0)
         results, cached = await self._answer(queries, ctx)
         out = {"result": results[0], "cached": cached[0]} if single \
             else {"results": results, "cached": cached}
@@ -648,12 +675,15 @@ class AQPServer:
     async def _handle_stats(self, _payload, _headers) -> dict:
         engine_stats = await asyncio.get_running_loop().run_in_executor(
             self._executor, self._engine_stats)
+        memo = self.bind_sql.cache_info()
         return {
             "engine": engine_stats,
             "batcher": self.batcher.stats.to_dict(),
             "cache": dict(self.cache.stats.to_dict(),
                           enabled=self.cache.enabled,
                           entries=len(self.cache)),
+            "statements": {"hits": memo.hits, "misses": memo.misses,
+                           "size": memo.currsize},
             "requests": dict(self.request_counts),
             "n_bad_requests": self.n_bad_requests,
             "uptime_seconds": time.time() - self._started_at,

@@ -20,7 +20,9 @@ partition-tree synopsis answers (paper Section 3.1)::
   ``>= <= > < =``, and repeats on the same column intersect.  Strict
   inequalities are tightened to the adjacent float
   (``math.nextafter``), which is exact for the closed-rectangle model.
-* Unconstrained predicate attributes default to ``(-inf, +inf)``.
+* Unconstrained predicate attributes default to ``(-inf, +inf)``;
+  a bound may also be written ``inf`` / ``infinity``, signed and in
+  any case (``-Infinity`` is what JSON-minded clients emit).
 
 Compilation is a two-step pipeline so errors point at the right layer:
 :func:`parse_sql` turns text into a :class:`ParsedSQL` (pure syntax,
@@ -35,7 +37,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.queries import (AggFamily, AggFunc, Query, QueryTemplate,
                             Rectangle)
@@ -85,7 +88,7 @@ class ParsedSQL:
 _TOKEN_RE = re.compile(r"""
     \s*(?:
       (?P<num>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![A-Za-z_])|
-              [-+]?(?:infinity|inf)(?![A-Za-z_0-9]))
+              [-+]?(?i:infinity|inf)(?![A-Za-z_0-9]))
     | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>>=|<=|<>|!=|=|<|>|\(|\)|\*|,)
     )""", re.VERBOSE)
@@ -93,27 +96,32 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "BETWEEN", "DISTINCT"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str       # "num" | "ident" | "op" | "end"
     text: str
     pos: int
 
 
+def _unexpected(sql: str, start: int, end: int) -> None:
+    """Raise at the first non-blank character of ``sql[start:end]``
+    (no match covers it); blanks alone are fine."""
+    gap = sql[start:end]
+    stripped = gap.lstrip()
+    if stripped:
+        bad = start + len(gap) - len(stripped)
+        raise SQLError(f"unexpected character {sql[bad]!r}", sql, bad)
+
+
 def _tokenize(sql: str) -> List[_Token]:
     tokens: List[_Token] = []
     pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if match is None or match.end() == pos:
-            if sql[pos:].strip() == "":
-                break
-            bad = pos + len(sql[pos:]) - len(sql[pos:].lstrip())
-            raise SQLError(f"unexpected character {sql[bad]!r}", sql, bad)
+    for match in _TOKEN_RE.finditer(sql):
+        if match.start() != pos:        # text no token pattern matched
+            _unexpected(sql, pos, match.start())
         kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind),
-                             match.start(kind)))
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
+    _unexpected(sql, pos, len(sql))
     tokens.append(_Token("end", "", len(sql)))
     return tokens
 
@@ -327,8 +335,15 @@ def compile_sql(sql: str, agg_attr: str,
     # this signature does not carry: ``engine.template`` rejects those.
     if stat_attrs is not None and \
             parsed.agg.family is not AggFamily.SKETCH:
-        problem = QueryTemplate(None, pred_attrs,
-                                tuple(stat_attrs)).problem(query)
+        problem = _stat_template(pred_attrs,
+                                 tuple(stat_attrs)).problem(query)
         if problem is not None:
             raise SQLError(problem, sql, parsed.attr_pos)
     return query
+
+
+@lru_cache(maxsize=32)
+def _stat_template(predicate_attrs: Tuple[str, ...],
+                   stat_attrs: Tuple[str, ...]) -> QueryTemplate:
+    """The tracked-column rule of one binding signature, built once."""
+    return QueryTemplate(None, predicate_attrs, stat_attrs)

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
@@ -227,6 +228,170 @@ class TestCacheBehaviour:
         assert all(r.details["topk"] == want_before for r in before)
         assert all(r.details["topk"] == want_after for r in after)
         assert len(decoded) == 2, decoded
+
+
+ANSWER_FIELDS = ("estimate", "variance_catchup", "variance_sample",
+                 "exact", "n_covered", "n_partial")
+
+#: The sketch-backed aggregates over the column the sketched engine
+#: below maintains sketches for.
+SKETCH_SQL = ("SELECT PERCENTILE(passenger_count, 0.5) FROM t",
+              "SELECT COUNT(DISTINCT passenger_count) FROM t",
+              "SELECT TOPK(passenger_count, 3) FROM t")
+
+
+def build_sketched(ds):
+    table = Table(ds.schema, capacity=ds.n + 16)
+    table.insert_many(ds.data[:N_SEED])
+    engine = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                      config=JanusConfig(
+                          k=16, sample_rate=0.04, seed=0,
+                          check_every=10 ** 9,
+                          sketch_attrs=("passenger_count",)))
+    engine.initialize()
+    return engine
+
+
+def template_engine():
+    """Just enough engine to construct an ``AQPServer`` around."""
+    from types import SimpleNamespace
+    from repro.core.queries import QueryTemplate
+    return SimpleNamespace(template=QueryTemplate(
+        "trip_distance", ("pickup_time", "fare"),
+        ("trip_distance", "fare")))
+
+
+def compile_for(engine, statement):
+    from repro.service.sqlfront import compile_sql
+    template = engine.template
+    return compile_sql(statement, template.agg_attr,
+                       template.predicate_attrs,
+                       stat_attrs=template.stat_attrs)
+
+
+def render_bound(value, spelling):
+    """A float as SQL, infinities in one of the accepted spellings."""
+    if math.isinf(value):
+        return ("-" if value < 0 else "") + spelling
+    return repr(value)
+
+
+class TestStatementMemo:
+    """``/sql`` binds through a per-server memo of compiled statements:
+    a repeat is one dict probe, never a different answer."""
+
+    @pytest.mark.parametrize("cache_enabled", [True, False],
+                             ids=["cache-on", "cache-off"])
+    def test_hot_pool_answers_like_fresh_compiles(self, ds,
+                                                  cache_enabled):
+        engine = build_sketched(ds)
+        pool = [sql_for(q) for q in workload(ds)] + list(SKETCH_SQL)
+        want = engine.query_many([compile_for(engine, s) for s in pool])
+        with serve_background(engine, port=0,
+                              cache_enabled=cache_enabled) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                rounds = [client.sql_many(pool) for _ in range(3)]
+                stats = client.stats()["statements"]
+        for k, got in enumerate(rounds):
+            assert [r.details["cached"] for r in got] == \
+                [cache_enabled and k > 0] * len(pool)
+            for g, w in zip(got, want):
+                for name in ANSWER_FIELDS:
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert a == b or (a != a and b != b), (k, name)
+        assert stats == {"hits": 2 * len(pool), "misses": len(pool),
+                         "size": len(pool)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(agg=st.sampled_from(["SUM", "COUNT", "AVG", "MIN", "MAX",
+                                "VARIANCE", "STDDEV", "COUNT(*)",
+                                "PERCENTILE", "TOPK"]),
+           bounds=st.lists(st.one_of(st.none(), st.tuples(
+               st.floats(allow_nan=False), st.floats(allow_nan=False))),
+               min_size=2, max_size=2),
+           spelling=st.sampled_from(["inf", "Infinity", "INF", "iNf"]))
+    def test_memoized_query_equals_a_fresh_compile(self, agg, bounds,
+                                                   spelling):
+        from repro.service import AQPServer
+        engine = template_engine()
+        server = AQPServer(engine)
+        if agg == "COUNT(*)":
+            select = "COUNT(*)"
+        elif agg == "PERCENTILE":
+            select = "PERCENTILE(fare, 0.25)"
+        elif agg == "TOPK":
+            select = "TOPK(fare, 5)"
+        else:
+            select = f"{agg}(trip_distance)"
+        where = [f"{col} BETWEEN {render_bound(min(b), spelling)} "
+                 f"AND {render_bound(max(b), spelling)}"
+                 for col, b in zip(("fare", "pickup_time"), bounds)
+                 if b is not None]
+        sql = f"SELECT {select} FROM t" + \
+            (" WHERE " + " AND ".join(where) if where else "")
+        fresh = compile_for(engine, sql)
+        first = server.bind_sql(sql)
+        again = server.bind_sql(sql)
+        assert first == fresh and again == fresh
+        assert again is first               # the repeat was a memo hit
+        info = server.bind_sql.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("statement,fragment", [
+        ("SELECT NOPE(x) FROM t", "unknown aggregate"),
+        ("SELECT SUM(trip_distance) FROM t WHERE bogus BETWEEN 0 AND 1",
+         "not a predicate attribute"),
+        ("SELECT SUM(nope) FROM t", "not tracked"),
+    ])
+    def test_bad_statement_is_never_memoized(self, ds, statement,
+                                             fragment):
+        engine = build_single(ds)
+        with serve_background(engine, port=0) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                errors = []
+                for _ in range(2):
+                    with pytest.raises(ServiceError) as err:
+                        client.sql(statement)
+                    assert err.value.status == 400
+                    errors.append(str(err.value))
+                stats = client.stats()["statements"]
+        assert errors[0] == errors[1]
+        assert fragment in errors[0] and "position" in errors[0]
+        assert stats == {"hits": 0, "misses": 2, "size": 0}
+
+    def test_memo_is_bounded_by_cache_size_lru(self):
+        from repro.service import AQPServer
+        server = AQPServer(template_engine(), cache_size=2)
+        a, b, c = (f"SELECT SUM(fare) FROM t WHERE fare >= {i}"
+                   for i in range(3))
+        server.bind_sql(a)
+        server.bind_sql(b)
+        server.bind_sql(a)                  # a is now the most recent
+        server.bind_sql(c)                  # evicts b, the LRU entry
+        info = server.bind_sql.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+        server.bind_sql(a)
+        assert server.bind_sql.cache_info().hits == 2
+        server.bind_sql(b)                  # b was evicted: compiles
+        assert server.bind_sql.cache_info().misses == 4
+
+    def test_parse_span_counts_memo_hits(self, ds):
+        engine = build_single(ds)
+        stmt = sql_for(workload(ds, n=1)[0])
+        other = "SELECT COUNT(*) FROM t"
+        with serve_background(engine, port=0) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client.sql(stmt)
+                explained = client._json(
+                    "POST", "/sql", {"sql": [stmt, other, stmt],
+                                     "explain": True})["explain"]
+                traces = client._json("GET", "/debug/traces")["traces"]
+        assert explained["memo_hits"] == 2
+        trace = [t for t in traces
+                 if t["trace_id"] == explained["trace_id"]][0]
+        parse = [s for s in trace["spans"] if s["name"] == "parse"]
+        assert [s["tags"] for s in parse] == \
+            [{"n_queries": 3, "memo_hits": 2}]
 
 
 class HeldEngine:
@@ -537,6 +702,31 @@ class TestObservability:
         stalls = families["janus_engine_ingest_stall_seconds"]
         assert {"shard": "0"} in [s[1] for s in stalls["samples"]
                                   if s[0].endswith("_count")]
+
+    @pytest.mark.parametrize("pad", [0, 300 * 1024],
+                             ids=["inline-decode", "executor-decode"])
+    def test_request_histogram_includes_body_decode(self, ds,
+                                                    monkeypatch, pad):
+        """The per-route clock starts before the JSON body is decoded
+        (and before a large body's executor hop), so a request whose
+        decode is slow is charged for it."""
+        from repro.service.server import AQPServer
+        decode = AQPServer._json_body
+
+        def slow(body):
+            time.sleep(0.2)
+            return decode(body)
+
+        monkeypatch.setattr(AQPServer, "_json_body", staticmethod(slow))
+        engine = build_single(ds)
+        body = {"query": _qdict(workload(ds, n=1)[0]), "pad": "x" * pad}
+        with serve_background(engine, port=0) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client._json("POST", "/query", body)
+            hist = handle.server.metrics.histogram(
+                "janus_service_request_seconds", route="/query")
+            assert hist.count == 1
+            assert hist.sum >= 0.2
 
     def test_single_engine_has_no_routing_section(self, ds):
         engine = build_single(ds)

@@ -84,6 +84,21 @@ class TestParse:
                            "WHERE inflow BETWEEN 0 AND 1")
         assert parsed.attr == "inflow"
 
+    @pytest.mark.parametrize("literal,value", [
+        ("Infinity", math.inf), ("-Infinity", -math.inf),
+        ("-INF", -math.inf), ("+Inf", math.inf), ("INFINITY", math.inf),
+    ])
+    def test_infinity_literals_in_any_case(self, literal, value):
+        # -Infinity is how JSON-minded clients spell an open bound.
+        parsed = parse_sql(f"SELECT SUM(v) FROM t WHERE a >= {literal}")
+        assert parsed.conditions == (("a", value, math.inf),)
+
+    def test_column_named_info_is_still_an_identifier(self):
+        parsed = parse_sql("SELECT SUM(info) FROM t "
+                           "WHERE info BETWEEN -INF AND Inf")
+        assert parsed.attr == "info"
+        assert parsed.conditions == (("info", -math.inf, math.inf),)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("sql,fragment", [
