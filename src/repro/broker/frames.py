@@ -9,10 +9,13 @@ process boundary is framed here.  The design goals, in order:
    out, ``recv_into -> frombuffer`` on the way in), never JSON.  An
    insert of n rows costs ``29 + 8*n*n_cols`` bytes on the wire and no
    per-row Python object ever exists;
-2. **codec reuse** - queries ride the existing line format of
-   :mod:`repro.broker.requests` (``encode_query``/``decode``), one
-   record per line, so the wire shares the broker's tested codec
-   instead of inventing a second query serialization;
+2. **one block per sub-batch** - a ``query_many`` sub-batch crosses
+   as one query block (:func:`encode_query_block`): fixed-width
+   records whose layout (:func:`query_dtype`) is derived from the
+   :class:`~repro.core.queries.Query` wire schema, text fields as
+   indexes into a per-frame name table.  Nothing is spelled as text
+   per query, and the worker still rebuilds - and so validates -
+   every query through the schema's constructor;
 3. **bit-exact answers** - :data:`RESULT_DTYPE` carries every wire
    field :class:`~repro.core.queries.QueryResult` declares (derived
    from its :class:`~repro.core.queries.WireSchema`, never restated)
@@ -29,7 +32,8 @@ Frame layout (little-endian)::
     payload = payload_len raw bytes (opcode-specific)
 
 ``meta`` is an opcode-specific small integer (column count for
-INSERT, result count for a QUERY reply, flag bits elsewhere).
+INSERT, the queries' dimensionality for QUERY, result count for a
+QUERY reply, flag bits elsewhere).
 ``trace_id`` is 0 for untraced traffic; on a traced *request* it
 carries the request's trace id and ``span`` the coordinator-side
 parent span id, so the worker can parent its own spans under the
@@ -49,23 +53,25 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, List, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
 from ..core.merge import MOMENTS_KEY, N_Q_KEY
-from ..core.queries import QueryResult, WireSchema
+from ..core.queries import Query, QueryResult, WireField, WireSchema
 from ..sketch.registry import SKETCH_KEY
 
 __all__ = [
     "HEADER", "MAX_PAYLOAD", "OP_DELETE", "OP_ERR", "OP_INSERT",
     "OP_OK", "OP_PING", "OP_QUERY", "OP_REOPT", "OP_SHUTDOWN",
     "OP_STATS", "OP_SUMMARY", "RESULT_DTYPE", "SketchFrame",
-    "attach_sketch_frames", "decode_result_block",
-    "decode_sketch_block", "encode_result_block",
+    "attach_sketch_frames", "decode_query_block", "decode_result_block",
+    "decode_sketch_block", "encode_query_block", "encode_result_block",
     "encode_sketch_block", "extract_sketch_frames", "pack_reply",
-    "recv_frame", "send_frame", "split_reply",
+    "query_dtype", "recv_frame", "send_frame", "split_reply",
 ]
 
 #: ``opcode:u8 | meta:u32 | trace_id:u64 | span:u64 | payload_len:u64``,
@@ -80,7 +86,7 @@ MAX_PAYLOAD = 1 << 30
 OP_PING = 1       #: liveness probe; empty payload, OK reply
 OP_INSERT = 2     #: raw f64 row block; meta = n_cols
 OP_DELETE = 3     #: raw i64 local-tid block
-OP_QUERY = 4      #: newline-joined broker query records (UTF-8)
+OP_QUERY = 4      #: one query block; meta = the queries' dimensionality
 OP_REOPT = 5      #: re-optimize the shard; empty payload
 OP_SUMMARY = 6    #: compute a fresh routing summary; empty payload
 OP_STATS = 7      #: shard counters as JSON; empty payload
@@ -182,6 +188,195 @@ def split_reply(payload: memoryview) -> Tuple[int, memoryview]:
 
 
 # ---------------------------------------------------------------------- #
+# query block codec
+# ---------------------------------------------------------------------- #
+_QUERY = WireSchema(Query)
+if any(f.dtype is not None and f.cast not in (float, int, bool)
+       for f in _QUERY.fields):
+    raise TypeError("a query block column with a dtype must cast to "
+                    "float, int or bool")
+_MANY = [f for f in _QUERY.fields if f.many]
+#: ``names_len:u32``, the byte length of a block's name table.
+_NAMES_LEN = struct.Struct("<I")
+#: A text field's column type: an index into the frame's name table.
+_NAME_INDEX = "<u2"
+_MAX_NAMES = np.iinfo(_NAME_INDEX).max + 1
+
+
+@lru_cache(maxsize=64)
+def query_dtype(d: int, readable: bool = False) -> np.dtype:
+    """The record layout of a block of ``d``-dimensional queries.
+
+    One column per :class:`~repro.core.queries.Query` wire field, in
+    schema order: a field with a ``dtype`` keeps it, a text field
+    (``dtype`` ``None``) is a ``<u2`` index into the frame's name
+    table, a ``many`` field is a ``(d,)`` sub-array and an optional
+    one is preceded by a
+    ``has_<key>`` flag byte.  ``readable`` reads the flag bytes (and
+    ``bool`` columns) back as ``bool``, so ``tolist()`` hands every
+    field its own Python type.
+    """
+    flag = "?" if readable else "<i1"
+    columns: List[tuple] = []
+    for f in _QUERY.fields:
+        if f.optional:
+            columns.append((f"has_{f.key}", flag))
+        kind = flag if readable and f.cast is bool \
+            else f.dtype or _NAME_INDEX
+        columns.append((f.key, kind, (d,) if f.many else ()))
+    return np.dtype(columns)
+
+
+#: A block record's bytes: fixed, plus this many per dimension.
+_FIXED_BYTES = query_dtype(0).itemsize
+_DIM_BYTES = query_dtype(1).itemsize - _FIXED_BYTES
+
+
+def _names_used(block: np.ndarray) -> Set[int]:
+    """Every name-table index a record of ``block`` refers to."""
+    used: Set[int] = set()
+    for f in _QUERY.fields:
+        if f.dtype is None:
+            column = block[f.key]
+            if f.optional:
+                column = column[block[f"has_{f.key}"]]
+            used.update(column.ravel().tolist())
+    return used
+
+
+def _name_table(column: np.ndarray, names: List[str],
+                cast: Callable) -> np.ndarray:
+    """``column``'s name indexes resolved: each distinct name is cast
+    once, then looked up per record."""
+    table = np.empty(len(names), dtype=object)
+    for i in set(column.ravel().tolist()):
+        table[i] = cast(names[i])
+    return table[column]
+
+
+def _column_reader(f: WireField) -> Callable:
+    """``read(block, names)``: one field's values, record by record."""
+    def values(column: np.ndarray, names: List[str]) -> list:
+        if f.dtype is None:
+            column = _name_table(column, names, f.cast)
+        return list(map(tuple, column.tolist())) if f.many \
+            else column.tolist()
+
+    if not f.optional:
+        return lambda block, names: values(block[f.key], names)
+
+    def read(block: np.ndarray, names: List[str]) -> list:
+        present = block[f"has_{f.key}"]
+        given = iter(values(block[f.key][present], names))
+        return [next(given) if has else None for has in present.tolist()]
+    return read
+
+
+_READERS = [_column_reader(f) for f in _QUERY.fields]
+
+
+def _name_indexes(f: WireField, values: list, names: Dict[str, int]
+                  ) -> list:
+    """A text field's values as indexes into ``names`` (first seen,
+    first numbered), which grows by the names not yet in it; a tuple
+    of names is spelled once per distinct tuple."""
+    def index(value) -> int:
+        return names.setdefault(f.out(value), len(names))
+    if not f.many:
+        return list(map(index, values))
+    spelled = {value: tuple(map(index, value))
+               for value in dict.fromkeys(values)}
+    return list(map(spelled.__getitem__, values))
+
+
+def encode_query_block(queries: Sequence[Query]) -> Tuple[int, bytes]:
+    """Pack a query batch into one block: ``(meta, payload)`` of an
+    OP_QUERY frame, ``meta`` being the queries' dimensionality.
+
+    The payload is ``names_len:u32 | "\\n"-joined UTF-8 names |
+    records`` (:func:`query_dtype`); every name is used by some
+    record.  Raises ``ValueError`` naming the query block when the
+    queries mix dimensionalities, a name holds a newline or there are
+    more distinct names than an index can tell apart.
+    """
+    if not queries:
+        return 0, _NAMES_LEN.pack(0)
+    d = len(_MANY[0].get(queries[0])) if _MANY else 0
+    names: Dict[str, int] = {}
+    block = np.zeros(len(queries), dtype=query_dtype(d))
+    for f in _QUERY.fields:
+        values = list(map(f.get, queries))
+        rows: object = slice(None)
+        if f.optional:
+            rows = np.array([v is not None for v in values])
+            block[f"has_{f.key}"] = rows
+            values = [v for v in values if v is not None]
+        if f.many and set(map(len, values)) - {d}:
+            raise ValueError(f"query block mixes dimensionalities: "
+                             f"{f.key} of {sorted(set(map(len, values)))}"
+                             f" values in one block")
+        if f.dtype is None:
+            values = _name_indexes(f, values, names)
+            if len(names) > _MAX_NAMES:
+                raise ValueError(f"query block holds more than "
+                                 f"{_MAX_NAMES} distinct names")
+        block[f.key][rows] = values
+    bad = [name for name in names if "\n" in name]
+    if bad:
+        raise ValueError(f"query block name {bad[0]!r} contains a "
+                         f"newline, the name table's separator")
+    table = "\n".join(names).encode("utf-8")
+    return d, b"".join((_NAMES_LEN.pack(len(table)), table,
+                        block.tobytes()))
+
+
+def decode_query_block(d: int, payload) -> List[Query]:
+    """Unpack an :func:`encode_query_block` payload of
+    ``d``-dimensional queries.
+
+    Every query is rebuilt through the schema's constructor, so
+    :class:`~repro.core.queries.Query` / ``Rectangle`` validation runs
+    here as it does anywhere else.  A corrupt block - a name table cut
+    short, a partial record, a name index past the table, a table
+    entry no record uses (what a newline inside a name leaves) - is a
+    ``ValueError`` naming the query block.
+    """
+    view = memoryview(payload)
+    if view.nbytes < _NAMES_LEN.size:
+        raise ValueError("query block cut short before its name table")
+    (names_len,) = _NAMES_LEN.unpack_from(view)
+    start = _NAMES_LEN.size + names_len
+    if start > view.nbytes:
+        raise ValueError(f"query block name table cut short: "
+                         f"{names_len} bytes declared, "
+                         f"{view.nbytes - _NAMES_LEN.size} sent")
+    try:
+        names = str(view[_NAMES_LEN.size:start], "utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"query block name table is not UTF-8: "
+                         f"{exc}") from exc
+    records = view[start:]
+    if not records.nbytes:
+        return []
+    size = _FIXED_BYTES + _DIM_BYTES * d
+    if records.nbytes % size:
+        raise ValueError(f"query block records are {records.nbytes} "
+                         f"bytes, not a multiple of the {size}-byte "
+                         f"record of {d}-dimensional queries")
+    block = np.frombuffer(records, dtype=query_dtype(d, readable=True))
+    used = _names_used(block)
+    if used and max(used) >= len(names):
+        raise ValueError(f"query block name index {max(used)} is out of "
+                         f"range of its {len(names)}-name table")
+    if len(used) < len(names):
+        raise ValueError(f"query block name table holds "
+                         f"{len(names) - len(used)} name(s) no record "
+                         f"uses; is there a newline inside a name?")
+    return _QUERY.build_many(iter([read(block, names)
+                                   for read in _READERS]))
+
+
+# ---------------------------------------------------------------------- #
 # result block codec
 # ---------------------------------------------------------------------- #
 def _merge_inputs(details: dict) -> tuple:
@@ -208,20 +403,17 @@ def decode_result_block(payload) -> List[QueryResult]:
     ``n * RESULT_DTYPE.itemsize`` first (see
     :func:`decode_sketch_block`).
     """
-    out: List[QueryResult] = []
-    for record in map(iter, np.frombuffer(
-            payload, dtype=_DECODE_DTYPE).tolist()):
-        result = _SCHEMA.build(record)      # takes the wire fields
-        has_n_q, n_q, has_moments, count, total, totalsq, \
-            ci_unavailable = record
-        if ci_unavailable:
-            result.details["ci"] = "unavailable"
-        if has_n_q:
-            result.details[N_Q_KEY] = n_q
-        if has_moments:
-            result.details[MOMENTS_KEY] = (count, total, totalsq)
-        out.append(result)
-    return out
+    block = np.frombuffer(payload, dtype=_DECODE_DTYPE)
+    results = _SCHEMA.build_many(iter([block[f.key].tolist()
+                                       for f in _SCHEMA.fields]))
+    for i in np.flatnonzero(block["ci_unavailable"]).tolist():
+        results[i].details["ci"] = "unavailable"
+    n_q, moments = block["n_q"], block[["m_count", "m_sum", "m_sumsq"]]
+    for i in np.flatnonzero(block["has_n_q"]).tolist():
+        results[i].details[N_Q_KEY] = n_q[i].item()
+    for i in np.flatnonzero(block["has_moments"]).tolist():
+        results[i].details[MOMENTS_KEY] = moments[i].item()
+    return results
 
 
 # ---------------------------------------------------------------------- #

@@ -77,8 +77,8 @@ def _field_codec(f: WireField, spell: Callable, parse: Callable,
     """``(write(value), read(raw))`` of one field in one spelling:
     ``spell`` / ``parse`` take one of its scalars there and back,
     ``join`` / ``split`` a tuple of them; an unset optional field is
-    ``None`` both ways.  Compiled once - every fleet query and every
-    HTTP answer crosses through these - and a plain scalar costs no
+    ``None`` both ways.  Compiled once - every HTTP query and answer
+    crosses through these - and a plain scalar costs no
     Python frame: its codec is ``spell`` / ``parse`` themselves."""
     write, read = spell, parse
     if f.many:

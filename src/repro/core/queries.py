@@ -117,14 +117,16 @@ def wire(cast: Callable, dtype: Optional[str] = None, many: bool = False,
     """``field(metadata=wire(...))``: the field crosses process boundaries.
 
     The one declaration every codec loops over (HTTP dict and broker
-    line in :mod:`repro.broker.requests`, the fleet block in
+    line in :mod:`repro.broker.requests`, the fleet blocks in
     :mod:`repro.broker.frames`).  ``cast`` turns one wire scalar into
     the field's and ``out`` (default ``cast``) back; ``many`` marks a
-    tuple of them; ``dtype`` is the little-endian column type in the
-    fleet block.  A ``cast`` that is a wire dataclass is inlined
-    (``Query.rect`` contributes ``lo``, ``hi``); a ``None`` default
-    makes the field optional; a field without this metadata
-    (``QueryResult.details``) never leaves its process.
+    tuple of them; ``dtype`` is the little-endian column type in a
+    fleet block (a query field without one is text, sent as an index
+    into the block's name table).  A ``cast`` that is a wire
+    dataclass is inlined (``Query.rect`` contributes ``lo``,
+    ``hi``); a ``None`` default makes the field optional; a field
+    without this metadata (``QueryResult.details``) never leaves its
+    process.
     """
     return {"wire": (cast, dtype, many, out or cast)}
 
@@ -143,12 +145,13 @@ class WireField(NamedTuple):
 
 class WireSchema:
     """A dataclass's wire ``fields``, flat and in declaration order, and
-    :meth:`build`, the way back from their values."""
+    :meth:`build` / :meth:`build_many`, the way back from their values."""
 
     def __init__(self, cls, path: str = "") -> None:
         self.cls = cls
         self.fields: List[WireField] = []
         self._takes: List[Callable] = []    # one per dataclass field
+        self._column_takes: List[Callable] = []     # ... for build_many
         declared = [f for f in fields(cls) if "wire" in f.metadata]
         if declared != list(fields(cls))[:len(declared)]:
             raise TypeError(f"{cls.__name__}: wire fields must lead")
@@ -158,16 +161,26 @@ class WireSchema:
                 inlined = WireSchema(cast, f"{path}{f.name}.")
                 self.fields += inlined.fields
                 self._takes.append(inlined.build)
+                self._column_takes.append(inlined.build_many)
                 continue
             self.fields.append(WireField(
                 f.name, cast, out, dtype, many, f.default is None,
                 attrgetter(path + f.name)))
             self._takes.append(next)
+            self._column_takes.append(next)
 
     def build(self, values: Iterator):
         """The dataclass from its wire field values, in ``fields``
         order (an inlined dataclass takes its run of them)."""
         return self.cls(*[take(values) for take in self._takes])
+
+    def build_many(self, columns: Iterator[Sequence]) -> list:
+        """:meth:`build` a whole block at once from its columns (one
+        sequence of values per wire field, in ``fields`` order): every
+        object still goes through the dataclass's constructor, without
+        a per-object Python frame around it."""
+        return list(map(self.cls, *[take(columns)
+                                    for take in self._column_takes]))
 
 
 @dataclass(frozen=True)
@@ -181,8 +194,8 @@ class Rectangle:
     clause is a degenerate interval).
     """
 
-    lo: Tuple[float, ...] = field(metadata=wire(float, many=True))
-    hi: Tuple[float, ...] = field(metadata=wire(float, many=True))
+    lo: Tuple[float, ...] = field(metadata=wire(float, "<f8", many=True))
+    hi: Tuple[float, ...] = field(metadata=wire(float, "<f8", many=True))
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
@@ -292,7 +305,8 @@ class Query:
     predicate_attrs: Tuple[str, ...] = field(
         metadata=wire(str, many=True))
     rect: Rectangle = field(metadata=wire(Rectangle))
-    param: Optional[float] = field(default=None, metadata=wire(float))
+    param: Optional[float] = field(default=None,
+                                   metadata=wire(float, "<f8"))
 
     def __post_init__(self) -> None:
         if len(self.predicate_attrs) != self.rect.dim:

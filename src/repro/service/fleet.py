@@ -64,9 +64,8 @@ from ..broker.frames import (HEADER, OP_DELETE, OP_ERR, OP_INSERT,
                              OP_PING, OP_QUERY, OP_REOPT, OP_SHUTDOWN,
                              OP_STATS, OP_SUMMARY, RESULT_DTYPE,
                              attach_sketch_frames, decode_result_block,
-                             decode_sketch_block, recv_frame,
-                             send_frame, split_reply)
-from ..broker.requests import encode_query
+                             decode_sketch_block, encode_query_block,
+                             recv_frame, send_frame, split_reply)
 from ..core.persist import read_sharded_manifest
 from ..core.queries import Query, QueryResult
 from ..core.routing import ShardSummary
@@ -398,8 +397,10 @@ class RemoteShard:
     def query(self, queries: Sequence[Query],
               obs: Optional[TraceContext] = None,
               parent: Optional[int] = None) -> List[QueryResult]:
-        """One sub-batch over the wire (broker codec out, a raw
-        :data:`~repro.broker.frames.RESULT_DTYPE` block back).
+        """One sub-batch over the wire: one query block out
+        (:func:`~repro.broker.frames.encode_query_block`, the queries'
+        dimensionality in the frame's meta), a raw
+        :data:`~repro.broker.frames.RESULT_DTYPE` block back.
 
         Traced requests stamp ``(trace_id, shard_execute span id)``
         into the frame header; the worker's reply spans come back as a
@@ -407,15 +408,14 @@ class RemoteShard:
         span.  ``parent`` is passed explicitly because fan-out runs on
         executor threads, where the thread-local parent stack is empty.
         """
-        payload = "\n".join(encode_query(qi, q)
-                            for qi, q in enumerate(queries)).encode()
+        dim, payload = encode_query_block(queries)
         with maybe_span(obs, "shard_execute", parent=parent,
                         shard=self.shard_id,
                         n_queries=len(queries)) as sp:
             trace = (obs.trace_id, sp["id"]) if obs is not None else None
             try:
                 n, body, span_blob = self.request(
-                    OP_QUERY, 0, [payload], trace=trace)
+                    OP_QUERY, dim, [payload], trace=trace)
             except _WorkerDied as exc:
                 raise FleetUnavailableError(
                     f"shard {self.shard_id} worker is down; the fleet "

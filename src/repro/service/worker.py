@@ -43,10 +43,10 @@ import numpy as np
 
 from ..broker.frames import (OP_DELETE, OP_ERR, OP_INSERT, OP_OK,
                              OP_PING, OP_QUERY, OP_REOPT, OP_SHUTDOWN,
-                             OP_STATS, OP_SUMMARY, encode_result_block,
-                             encode_sketch_block, extract_sketch_frames,
-                             pack_reply, recv_frame, send_frame)
-from ..broker.requests import decode
+                             OP_STATS, OP_SUMMARY, decode_query_block,
+                             encode_result_block, encode_sketch_block,
+                             extract_sketch_frames, pack_reply,
+                             recv_frame, send_frame)
 from ..core.persist import load_shard
 from ..core.sharded import LocalShard
 from ..obs.trace import encode_spans
@@ -101,7 +101,7 @@ class ShardWorker:
         elif opcode == OP_DELETE:
             self._handle_delete(payload)
         elif opcode == OP_QUERY:
-            self._handle_query(payload, trace_id, parent_span)
+            self._handle_query(meta, payload, trace_id, parent_span)
         elif opcode == OP_REOPT:
             self._handle_reopt()
         elif opcode == OP_SUMMARY:
@@ -151,9 +151,13 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     # queries and introspection
     # ------------------------------------------------------------------ #
-    def _handle_query(self, payload, trace_id: int = 0,
+    def _handle_query(self, dim: int, payload, trace_id: int = 0,
                       parent_span: int = 0) -> None:
-        """Broker-codec query records in, a RESULT_DTYPE block out.
+        """A query block of ``dim``-dimensional queries in
+        (:func:`~repro.broker.frames.decode_query_block`, which
+        rebuilds and so validates every query; a corrupt block is a
+        ``ValueError`` the frame loop returns as an ERR frame), a
+        RESULT_DTYPE block out.
 
         Answers that carry sketch blobs (the sketch aggregates) append
         a variable-length sidecar after the fixed block; the reply meta
@@ -164,8 +168,7 @@ class ShardWorker:
         before decoding and grafts the spans under its own
         ``shard_execute`` span.
         """
-        records = bytes(payload).decode("utf-8").split("\n")
-        queries = [decode(r).query for r in records]
+        queries = decode_query_block(dim, payload)
         t0 = time.perf_counter()
         results = self.shard.engine.query_many(queries)
         span_block = b""

@@ -1,13 +1,16 @@
 """Tests for the process-per-shard serving fleet (ISSUE 8).
 
-Four layers, matching the acceptance criteria:
+Five layers, matching the acceptance criteria:
 
 * the binary frame protocol and the ``RESULT_DTYPE`` answer codec
   round-trip exactly (pure unit tests, no processes);
 * a :class:`~repro.service.fleet.FleetCoordinator` answers **bit
   identically** to ``load_sharded`` of the same snapshot for all seven
   aggregates, routed and broadcast, through interleaved
-  insert/delete/reoptimize;
+  insert/delete/reoptimize, and again over a two-column template (the
+  query block's ``(d,)`` sub-arrays at d = 2, plus PERCENTILE / TOPK);
+* a corrupt OP_QUERY frame comes back as a ``ValueError`` naming the
+  query block, and the worker keeps serving;
 * a worker killed mid-life never yields a wrong or torn answer:
   mutations keep committing (journaled), queries needing the dead
   shard refuse explicitly, one supervision sweep restores the worker
@@ -25,15 +28,16 @@ import numpy as np
 import pytest
 
 from repro.broker.frames import (HEADER, MAX_PAYLOAD, OP_INSERT, OP_OK,
-                                 decode_result_block,
-                                 encode_result_block, pack_reply,
-                                 recv_frame, send_frame, split_reply)
+                                 OP_QUERY, decode_result_block,
+                                 encode_query_block, encode_result_block,
+                                 pack_reply, recv_frame, send_frame,
+                                 split_reply)
 from repro.core.janus import JanusConfig
 from repro.core.merge import MOMENTS_KEY, N_Q_KEY
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, Query, QueryResult, Rectangle
 from repro.core.sharded import ShardedJanusAQP
-from repro.datasets.synthetic import nyc_taxi
+from repro.datasets.synthetic import nasdaq_etf, nyc_taxi
 from repro.service import ServiceError, serve_background
 from repro.service.fleet import FleetCoordinator, FleetUnavailableError
 
@@ -41,6 +45,7 @@ N_ROWS = 8_000
 N_SEED = 6_000
 ALL_AGGS = (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN,
             AggFunc.MAX, AggFunc.VARIANCE, AggFunc.STDDEV)
+FULL_1D = Rectangle((-math.inf,), (math.inf,))
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +238,128 @@ class TestBitIdentity:
                 assert w["bytes_sent"] > 0
                 assert w["bytes_received"] > 0
                 assert w["p50_seconds"] >= 0.0
+
+
+class TestQueryFrameFaults:
+    """A corrupt OP_QUERY frame is refused, not fatal: the worker
+    answers ERR, the coordinator re-raises ``ValueError``, and the
+    next batch is still bit-identical to the twin."""
+
+    def test_bad_frames_leave_the_worker_serving(self, ds, snapshot):
+        queries = all_agg_queries(ds)
+        d, good = encode_query_block(queries[:3])
+        table_end = 4 + int.from_bytes(good[:4], "little")
+        underscore = good.index(b"_", 4)        # inside a column name
+        wide = Query(AggFunc.SUM, ds.agg_attr, ("a", "b"),
+                     Rectangle((0.0, 0.0), (1.0, 1.0)))
+        frames = {
+            "table cut short": good[:table_end - 1],
+            "partial record": good + b"\0",
+            "index past the table": good[:table_end] + b"\xff\xff"
+            + good[table_end + 2:],
+            "mixed dimensionalities": good + encode_query_block(
+                [wide])[1][-49:],
+            "newline in a name": good[:underscore] + b"\n"
+            + good[underscore + 1:]}
+        with FleetCoordinator(snapshot, supervise=False) as fleet:
+            twin = load_sharded(snapshot)
+            try:
+                worker = fleet.workers[0]
+                for label, payload in frames.items():
+                    with pytest.raises(ValueError,
+                                       match="query block") as err:
+                        worker.request(OP_QUERY, d, [payload])
+                    assert type(err.value) is ValueError, label
+                    assert worker.alive(), label
+                for unencodable in ([queries[0], wide],
+                                    [Query(AggFunc.SUM, "a\nb",
+                                           ds.predicate_attrs, FULL_1D)]):
+                    with pytest.raises(ValueError, match="query block"):
+                        worker.query(unencodable)
+                assert fleet.fleet_stats()["workers"]["0"]["restarts"] == 0
+                for got, want in zip(fleet.query_many(queries),
+                                     twin.query_many(queries)):
+                    assert_same(got, want, "after faults")
+            finally:
+                twin.close()
+
+
+# ------------------------------------------------------------------ #
+# a two-column template: the query block's (d,) sub-arrays at d = 2
+# ------------------------------------------------------------------ #
+#: bench_fig9_multidim.py's aggregation column and the first two of
+#: its predicate columns, from the nasdaq_etf schema; "close" is
+#: sketched for PERCENTILE / TOPK.
+ETF_AGG, ETF_PREDS, ETF_SKETCH = "volume", ("date", "open"), "close"
+ETF_ROWS, ETF_SEED = 6_000, 4_000
+
+
+@pytest.fixture(scope="module")
+def etf():
+    return nasdaq_etf(n=ETF_ROWS, seed=0)
+
+
+@pytest.fixture(scope="module")
+def snapshot_2d(etf, tmp_path_factory):
+    """A 2-shard snapshot over the two-column template."""
+    engine = ShardedJanusAQP(
+        etf.schema, ETF_AGG, ETF_PREDS, n_shards=2, sharding="attr",
+        config=JanusConfig(k=16, sample_rate=0.05, seed=0,
+                           repartition_every=1500,
+                           sketch_attrs=(ETF_SKETCH,)))
+    engine.insert_many(etf.data[:ETF_SEED])
+    engine.initialize()
+    path = tmp_path_factory.mktemp("fleet-snap-2d")
+    save_sharded(engine, path)
+    engine.close()
+    return path
+
+
+def two_column_queries(etf):
+    cols = [etf.column(attr) for attr in ETF_PREDS]
+    queries = []
+    for agg in ALL_AGGS:
+        for a, b in ((0.1, 0.6), (0.0, 0.3), (0.4, 1.0)):
+            lo, hi = zip(*(np.quantile(col, (a, b)) for col in cols))
+            queries.append(Query(agg, ETF_AGG, ETF_PREDS,
+                                 Rectangle(tuple(map(float, lo)),
+                                           tuple(map(float, hi)))))
+    full = Rectangle.unbounded(2)
+    queries += [Query(AggFunc.PERCENTILE, ETF_SKETCH, ETF_PREDS, full, 0.9),
+                Query(AggFunc.TOPK, ETF_SKETCH, ETF_PREDS, full, 3)]
+    return queries
+
+
+class TestTwoColumnTemplate:
+    def _check(self, fleet, twin, queries, tag):
+        for route in (True, False):
+            fa = fleet.query_many(queries, route=route)
+            ta = twin.query_many(queries, route=route)
+            for q, got, want in zip(queries, fa, ta):
+                assert_same(got, want, (tag, route, q.agg))
+                assert repr(got.details) == repr(want.details), \
+                    (tag, route, q.agg)
+
+    def test_identical_through_insert_delete_reoptimize(self, etf,
+                                                        snapshot_2d):
+        queries = two_column_queries(etf)
+        with FleetCoordinator(snapshot_2d, supervise=False) as fleet:
+            twin = load_sharded(snapshot_2d)
+            try:
+                self._check(fleet, twin, queries, "warm")
+                rows = etf.data[ETF_SEED:ETF_SEED + 1500]
+                tids = fleet.insert_many(rows)
+                assert tids == twin.insert_many(rows)
+                self._check(fleet, twin, queries, "insert")
+                fleet.delete_many(tids[:400])
+                twin.delete_many(tids[:400])
+                self._check(fleet, twin, queries, "delete")
+                fleet.reoptimize()
+                twin.reoptimize()
+                self._check(fleet, twin, queries, "reoptimize")
+                assert fleet.data_epoch == twin.data_epoch
+            finally:
+                twin.close()
 
 
 class TestCrashRecovery:

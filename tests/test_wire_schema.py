@@ -17,6 +17,7 @@ field metadata; the HTTP dict codec, the broker line codec
 import json
 import math
 import os
+import struct
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,8 @@ from repro.broker.frames import (RESULT_DTYPE, SketchFrame,
                                  attach_sketch_frames, decode_result_block,
                                  decode_sketch_block, encode_result_block,
                                  encode_sketch_block, extract_sketch_frames)
+from repro.broker.frames import (decode_query_block, encode_query_block,
+                                 query_dtype)
 from repro.broker.requests import (TOPK_KEY, QueryResponse, decode,
                                    decode_result, encode_query,
                                    encode_result, query_from_dict,
@@ -313,6 +316,189 @@ def test_details_declares_no_wire_metadata():
                         "exact", "n_covered", "n_partial"]
     assert [f.key for f in WireSchema(Query).fields] == \
         ["agg", "attr", "predicate_attrs", "lo", "hi", "param"]
+
+
+# ------------------------------------------------------------------ #
+# the query block: one fleet OP_QUERY frame per sub-batch
+# ------------------------------------------------------------------ #
+QUERY_FIELDS = WireSchema(Query).fields
+
+
+def query_bits(query: Query) -> list:
+    """Every wire field of ``query``, numbers as their IEEE-754 bytes
+    (so ``-0.0`` differs from ``0.0`` and NaN equals NaN)."""
+    def bits(value):
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        if isinstance(value, (int, float)):
+            return struct.pack("<d", value)
+        return value
+    return [bits(f.get(query)) for f in QUERY_FIELDS]
+
+
+def golden_query_groups():
+    """``golden_queries()`` one block per dimensionality: d = 1 holds
+    the PERCENTILE / TOPK params and the +-inf bounds, d = 3 ``-0.0``
+    and ``5e-324``."""
+    queries = golden_queries()
+    return {1: [queries[0], queries[2], queries[3]], 2: [queries[1]],
+            3: [queries[4]]}
+
+
+GOLDEN_QUERY_DTYPE = [                  # query_dtype(2)
+    ("agg", "<u2", (), 0), ("attr", "<u2", (), 2),
+    ("predicate_attrs", "<u2", (2,), 4), ("lo", "<f8", (2,), 8),
+    ("hi", "<f8", (2,), 24), ("has_param", "|i1", (), 40),
+    ("param", "<f8", (), 41)]
+
+GOLDEN_QUERY_BLOCK = {
+    1: "1f00000053554d0a50455243454e54494c450a544f504b0a666172650a7069"
+       "636b7570000003000400000000000000f83f00000000004034400000000000"
+       "00000000010003000400000000000000f0ff000000000000f07f0100000000"
+       "0000e03f020003000400000000000000f0ff000000000000f07f0100000000"
+       "00000840",
+    2: "16000000434f554e540a666172650a7069636b75700a646973740000010002"
+       "000300000000000000f0ff9a9999999999b93f000000000000f07f9c750088"
+       "3ce4377e000000000000000000",
+    3: "0d0000004156470a7469700a610a620a630000010002000300040000000000"
+       "00000080010000000000000048afbc9af2d77abe0000000000000000000000"
+       "000000f03f555555555555d53f000000000000000000"}
+
+
+class TestQueryBlock:
+    def test_dtype_layout(self):
+        dtype = query_dtype(2)
+        assert [(n, dtype.fields[n][0].base.str, dtype.fields[n][0].shape,
+                 dtype.fields[n][1]) for n in dtype.names] == \
+            GOLDEN_QUERY_DTYPE
+        assert [query_dtype(d).itemsize for d in range(4)] == \
+            [13, 31, 49, 67]
+
+    def test_block_bytes(self):
+        for d, group in golden_query_groups().items():
+            meta, payload = encode_query_block(group)
+            assert (meta, payload.hex()) == (d, GOLDEN_QUERY_BLOCK[d])
+            assert list(map(query_bits, decode_query_block(d, payload))) \
+                == list(map(query_bits, group))
+        assert encode_query_block([]) == (0, bytes(4))
+        assert decode_query_block(0, bytes(4)) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_batch_round_trips(self, data):
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        names = data.draw(st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\n"), max_size=8),
+            min_size=1, max_size=4))
+        params = {
+            AggFunc.PERCENTILE: st.one_of(
+                st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324])),
+            AggFunc.TOPK: st.integers(1, 2 ** 40).map(float)}
+        queries = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            agg = data.draw(st.sampled_from(list(AggFunc)))
+            bounds = [sorted(data.draw(st.tuples(floats, floats)))
+                      for _ in range(d)]
+            queries.append(Query(
+                agg, data.draw(st.sampled_from(names)),
+                tuple(data.draw(st.sampled_from(names)) for _ in range(d)),
+                Rectangle.from_bounds(bounds),
+                data.draw(params[agg]) if agg in params else None))
+        meta, payload = encode_query_block(queries)
+        assert meta == d
+        assert list(map(query_bits, decode_query_block(meta, payload))) \
+            == list(map(query_bits, queries))
+
+
+def corrupt(payload: bytes, at: int, patch: bytes) -> bytes:
+    return payload[:at] + patch + payload[at + len(patch):]
+
+
+class TestQueryBlockFaults:
+    """A corrupt query frame is a ``ValueError`` naming the query
+    block - never an ``IndexError``, ``struct.error`` or a wrong
+    query."""
+
+    GOOD = GOLDEN_QUERY_BLOCK[1]
+    TABLE_END = 4 + 0x1f                # names_len of the d = 1 golden
+
+    @pytest.mark.parametrize("d, payload, why", [
+        (1, bytes.fromhex(GOOD)[:3], "cut short before"),
+        (1, bytes.fromhex(GOOD)[:4 + 10], "name table cut short"),
+        (1, bytes.fromhex(GOOD) + b"\0", "not a multiple"),
+        (1, corrupt(bytes.fromhex(GOOD), TABLE_END, b"\xff\x00"),
+         "index 255 is out of range"),
+        (2, bytes.fromhex(GOOD), "not a multiple"),    # d = 1 records
+        (1, corrupt(bytes.fromhex(GOOD), 4, b"S\nM"), "no record uses"),
+        (1, corrupt(bytes.fromhex(GOOD), 4, b"\xff"), "not UTF-8")],
+        ids=["cut-before-table", "table-cut-short", "partial-record",
+             "index-past-table", "other-dimensionality",
+             "newline-in-name", "table-not-utf8"])
+    def test_corrupt_payload(self, d, payload, why):
+        with pytest.raises(ValueError, match=f"query block.*{why}") as err:
+            decode_query_block(d, payload)
+        assert type(err.value) is ValueError
+
+    def test_unencodable_batches(self):
+        one, two = golden_queries()[:2]
+        with pytest.raises(ValueError, match="query block mixes dim"):
+            encode_query_block([one, two])
+        with pytest.raises(ValueError, match="query block name 'a\\\\nb'"):
+            encode_query_block([Query(one.agg, "a\nb", one.predicate_attrs,
+                                      one.rect)])
+
+
+QUERY_PROBE = """
+import json
+from repro.broker import frames, requests
+from repro.core.queries import AggFunc, Query, Rectangle
+query = Query(AggFunc.PERCENTILE, "fare", ("x",),
+              Rectangle((-1.0,), (1.0,)), 0.5, probe={probe!r})
+plain = Query(AggFunc.SUM, "fare", ("x",), Rectangle((-1.0,), (1.0,)))
+payload = requests.query_to_dict(query)
+line = requests.encode_query(3, query)
+meta, block = frames.encode_query_block([query, plain])
+print(json.dumps({{
+    "payload": payload, "line": line,
+    "names": list(frames.query_dtype(1).names),
+    "back": [requests.query_from_dict(payload).probe,
+             requests.decode(line).query.probe,
+             *[q.probe for q in frames.decode_query_block(meta, block)]]}}))
+"""
+
+
+@pytest.mark.parametrize("declared, probe, spelled", [
+    ('wire(float, "<f8")', 2.5, "2.5"), ("wire(str)", "tag", "tag")])
+def test_a_declared_query_field_reaches_every_boundary(
+        tmp_path, declared, probe, spelled):
+    """The ``Query`` twin of the test above: one added line, and the
+    dict, line and query-block codecs all carry the field (a number as
+    an ``<f8`` column, text as a name-table index)."""
+    shutil.copytree(Path(repro.__file__).parent, tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "repro" / "core" / "queries.py"
+    anchor = ('    param: Optional[float] = field(default=None,\n'
+              '                                   metadata=wire(float, "<f8"))\n')
+    text = source.read_text()
+    assert text.count(anchor) == 1
+    source.write_text(text.replace(
+        anchor, anchor + f"    probe: Optional[{type(probe).__name__}] = "
+                         f"field(default=None, metadata={declared})\n"))
+    done = subprocess.run(
+        [sys.executable, "-c", QUERY_PROBE.format(probe=probe)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["payload"] == {
+        "agg": "PERCENTILE", "attr": "fare", "predicate_attrs": ["x"],
+        "lo": [-1.0], "hi": [1.0], "param": 0.5, "probe": probe}
+    assert seen["line"] == f"Q|3|PERCENTILE|fare|x|-1.0|1.0|0.5|{spelled}"
+    assert seen["names"] == [
+        "agg", "attr", "predicate_attrs", "lo", "hi", "has_param",
+        "param", "has_probe", "probe"]
+    assert seen["back"] == [probe, probe, probe, None]
 
 
 # ------------------------------------------------------------------ #
