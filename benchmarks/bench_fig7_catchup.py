@@ -127,5 +127,5 @@ def test_fig7_catchup_processing_rate(benchmark):
                       check_every=10 ** 9, seed=3)
     janus = JanusAQP(table, ds.agg_attr, ds.predicate_attrs, config=cfg)
     janus.initialize(catchup_goal=0)
-    row = ds.data[0]
-    benchmark(lambda: janus.dpt.add_catchup_row(row))
+    row = ds.data[:1]
+    benchmark(lambda: janus.dpt.add_catchup_rows(row))

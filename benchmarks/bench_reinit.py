@@ -167,8 +167,8 @@ def run_reoptimize(m):
         root_rect=region).tree if r_coords.shape[0] else None
     sub_old = DynamicPartitionTree(spec_r_old, ds.schema,
                                    ("pickup_time", "pickup_time_of_day"))
-    for tid in r_tids:                          # per-row scalar seeding
-        sub_old.add_catchup_row_subtree(sub_old.root, rows[int(tid)])
+    for tid in r_tids:                          # per-row seeding
+        sub_old.add_catchup_rows(rows[int(tid)][None], sub_old.node(0))
     t1 = time.perf_counter()
 
     t2 = time.perf_counter()
@@ -178,7 +178,7 @@ def run_reoptimize(m):
         root_rect=region).tree if n_coords.shape[0] else None
     sub_new = DynamicPartitionTree(spec_r_new, ds.schema,
                                    ("pickup_time", "pickup_time_of_day"))
-    sub_new.add_catchup_rows_subtree(sub_new.root, rows[n_tids])
+    sub_new.add_catchup_rows(rows[n_tids], sub_new.node(0))
     t3 = time.perf_counter()
 
     assert sorted(r_tids.tolist()) == sorted(n_tids.tolist())

@@ -6,7 +6,7 @@ then stream :meth:`insert`/:meth:`delete` and answer :class:`Query`
 objects with confidence intervals.  See ``examples/quickstart.py``.
 """
 
-from .core import (AggFunc, CatchupReport, CatchupRunner, DPTNode,
+from .core import (AggFunc, CatchupReport, CatchupRunner,
                    DynamicPartitionTree, HeuristicRouter, JanusAQP,
                    JanusConfig, Query, QueryResult, Rectangle, ReoptReport,
                    SKETCH_AGGS,
@@ -19,7 +19,7 @@ from .baselines import (DeepDBBaseline, ReservoirBaseline,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AggFunc", "CatchupReport", "CatchupRunner", "DPTNode",
+    "AggFunc", "CatchupReport", "CatchupRunner",
     "DynamicPartitionTree", "HeuristicRouter", "JanusAQP", "JanusConfig",
     "Query", "QueryResult", "Rectangle", "ReoptReport", "SKETCH_AGGS",
     "RepartitionTrigger", "ShardedJanusAQP", "StaticPartitionTree",

@@ -3,7 +3,6 @@
 from .queries import (AggFamily, AggFunc, Query, QueryResult, QueryTemplate,
                       Rectangle, SKETCH_AGGS, relative_error)
 from .table import Table, table_from_array
-from .node import DPTNode
 from .dpt import DynamicPartitionTree
 from .spt import StaticPartitionTree, build_spt
 from .catchup import CatchupReport, CatchupRunner, seed_from_reservoir
@@ -23,7 +22,7 @@ from .sharded import ShardedJanusAQP
 __all__ = [
     "AggFamily", "AggFunc", "Query", "QueryResult", "QueryTemplate",
     "Rectangle", "SKETCH_AGGS", "relative_error",
-    "Table", "table_from_array", "DPTNode", "DynamicPartitionTree",
+    "Table", "table_from_array", "DynamicPartitionTree",
     "StaticPartitionTree", "build_spt", "CatchupReport", "CatchupRunner",
     "seed_from_reservoir", "RepartitionTrigger", "TriggerAction",
     "TriggerConfig", "JanusAQP", "JanusConfig", "ReoptReport",

@@ -19,39 +19,35 @@ nodes (answered from node statistics, contributing catch-up variance
 nu_c) and partially covered leaves (answered from stratified samples,
 contributing nu_s); see :mod:`repro.core.estimators` for the formulas.
 
-Maintenance runs on one :class:`~repro.core.node.NodeTable`: every
-write entry point (:meth:`DynamicPartitionTree.insert_rows` /
-:meth:`~DynamicPartitionTree.delete_rows` /
-:meth:`~DynamicPartitionTree.add_catchup_rows`, their per-row and
-subtree forms) sends its ``(n, d)`` coordinates through the one router
-(:meth:`~DynamicPartitionTree._route`) and hands the resulting (node,
-row) pairs to the table's grouped-update kernel - O(depth) array
-operations per batch, however many nodes the rows touch.
+The tree is one :class:`~repro.core.node.NodeTable`: a node is a row,
+named outside the tree by a :class:`~repro.core.node.NodeRef`.  Every
+write entry point sends its ``(n, d)`` coordinates through the one router
+(:meth:`~DynamicPartitionTree._route`) and hands the (node, row) pairs to
+the table's grouped-update kernel - O(depth) array operations per batch.
 
-Query processing is batched the same way:
-:meth:`DynamicPartitionTree.query_many` computes the frontier of every
-query rectangle in one shared traversal (:meth:`~DynamicPartitionTree.
-frontier_many`) and evaluates each partial leaf's sample matrix against
-all of its queries' rectangles in one broadcasted comparison; the
-per-query :meth:`~DynamicPartitionTree.query` is a thin wrapper over the
-same path, so batched and sequential answers are identical.
+Queries are batched the same way: :meth:`DynamicPartitionTree.query_many`
+finds every query's frontier in one shared pass
+(:meth:`~DynamicPartitionTree.frontier_many`; a lone query walks the row
+lists) and tests each partial leaf's samples against all of its queries
+at once.  Node estimates are whole table columns, memoized until the
+table's next write; batched and sequential answers are identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..partitioning.spec import PartitionNode
 from . import estimators
-from .node import DPTNode, NodeTable
+from .node import NodeRef, NodeTable, inflate_rect  # noqa: F401 (re-export)
 from .queries import (AggFamily, AggFunc, Query, QueryResult,
                       QueryTemplate, Rectangle)
 
-LeafSamplesFn = Callable[[DPTNode], np.ndarray]
+LeafSamplesFn = Callable[[NodeRef], np.ndarray]
 
 #: Batches with fewer rows than this are routed one row at a time over
 #: the node table's list columns; larger ones level by level with array
@@ -59,12 +55,6 @@ LeafSamplesFn = Callable[[DPTNode], np.ndarray]
 #: overhead, the row walk ~10 us per row, so they cross near 16 rows
 #: (chosen by the microbench in ``.claude/skills/verify/SKILL.md``).
 LEVELWISE_MIN_ROWS = 16
-
-#: Query batches at least this large compute each node statistic for
-#: every node at once (:class:`_NodeMemo`), smaller ones per node read:
-#: a column costs ~5-15 us however few entries are used, an entry
-#: ~1 us, and ``query_many`` crosses at 8 queries (341 vs 338 us).
-WHOLE_COLUMN_MIN_QUERIES = 8
 
 
 class _LeafMoments(NamedTuple):
@@ -80,89 +70,26 @@ class _LeafMoments(NamedTuple):
 
 _NO_SAMPLES = _LeafMoments(0, 0, 0.0, 0.0, math.inf, -math.inf)
 
-# per-query moments provider for a partial leaf
-MomentsFn = Callable[[DPTNode], _LeafMoments]
-
-
-class _Entries(dict):
-    """A statistic column filled in entry by entry (row -> value)."""
-
-    def __init__(self, nodes: List[DPTNode], estimate, args) -> None:
-        self._make = nodes, estimate, args
-
-    def __missing__(self, row: int) -> float:
-        nodes, estimate, args = self._make
-        value = self[row] = estimate(nodes[row], *args)
-        return value
-
-
-class _NodeMemo:
-    """Per-batch memo of node statistic scalars.
-
-    Queries in one batch overlap heavily on covered nodes, so each
-    statistic is computed once per batch: as a whole column of the node
-    table's estimate methods read back as a list, or - below
-    :data:`WHOLE_COLUMN_MIN_QUERIES` queries, which read too few entries
-    to repay that - entry by entry through the nodes' own methods.  The
-    answer loops index either by node row; an entry is the number a
-    per-node evaluation yields and the per-query accumulation order is
-    untouched, so the float result is exactly what a solo
-    :meth:`DynamicPartitionTree.query` computes.
-    """
-
-    __slots__ = ("_tree", "_whole", "_totals", "_cols", "exact")
-
-    def __init__(self, tree: "DynamicPartitionTree", n_queries: int) -> None:
-        self._tree = tree
-        self._whole = n_queries >= WHOLE_COLUMN_MIN_QUERIES
-        self._totals = (tree.n0, tree.h_total)
-        self._cols: Dict[tuple, Sequence] = {}
-        self.exact: List[bool] = tree._table.exact.tolist()
-
-    def _col(self, estimate: str, *args, whole: bool = True) -> Sequence:
-        col = self._cols.get((estimate, args))
-        if col is None:
-            if whole and self._whole:
-                col = getattr(self._tree._table, estimate + "s")(
-                    *args).tolist()
-            else:
-                col = _Entries(self._tree._nodes,
-                               getattr(DPTNode, estimate), args)
-            self._cols[(estimate, args)] = col
-        return col
-
-    def counts(self) -> Sequence[float]:
-        return self._col("count_estimate", *self._totals)
-
-    def sums(self, pos: int, squares: bool = False) -> Sequence[float]:
-        return self._col("sum_estimate", pos, *self._totals, squares)
-
-    def varsums(self, pos: int) -> Sequence[float]:
-        return self._col("catchup_var_sum", pos, *self._totals)
-
-    def varbases(self, pos: int) -> Sequence[float]:
-        return self._col("catchup_var_base", pos)
-
-    def extremes(self, pos: int, is_max: bool
-                 ) -> Sequence[Tuple[Optional[float], bool]]:
-        """(estimate, exactness) pairs; heaps are per node, so never a
-        whole column."""
-        return self._col("max_estimate" if is_max else "min_estimate",
-                         pos, whole=False)
+# per-query moments provider for a partial leaf's row
+MomentsFn = Callable[[int], _LeafMoments]
 
 
 class DynamicPartitionTree:
-    """A partition-tree synopsis over one query template."""
+    """A partition-tree synopsis over one query template.
 
-    def __init__(self, spec: PartitionNode, schema: Sequence[str],
-                 predicate_attrs: Sequence[str],
+    ``spec`` is the partition hierarchy to build (its boundary edges
+    move to infinity, so every future tuple routes to a leaf), or a
+    :class:`~repro.core.node.NodeTable` to adopt as it is (a restored
+    snapshot's).
+    """
+
+    def __init__(self, spec: Union[PartitionNode, NodeTable],
+                 schema: Sequence[str], predicate_attrs: Sequence[str],
                  stat_attrs: Optional[Sequence[str]] = None,
                  minmax_attrs: Optional[Sequence[str]] = None,
                  minmax_k: int = 32) -> None:
         self.schema = tuple(schema)
         self.predicate_attrs = tuple(predicate_attrs)
-        if spec.rect.dim != len(self.predicate_attrs):
-            raise ValueError("spec dimensionality != #predicate attributes")
         self.stat_attrs = tuple(stat_attrs) if stat_attrs else self.schema
         #: What the tree alone answers (no sketches, no default column).
         self.template = QueryTemplate(None, self.predicate_attrs,
@@ -175,137 +102,96 @@ class DynamicPartitionTree:
                                    for a in self.stat_attrs])
         minmax_attrs = tuple(minmax_attrs) if minmax_attrs is not None \
             else self.stat_attrs
-        self._mm_pos = tuple(self._stat_pos[a] for a in minmax_attrs
-                             if a in self._stat_pos)
-        self._minmax_k = minmax_k
+        if isinstance(spec, NodeTable):
+            table = spec
+        else:
+            table = NodeTable.from_spec(
+                spec, len(self.stat_attrs),
+                tuple(self._stat_pos[a] for a in minmax_attrs
+                      if a in self._stat_pos), minmax_k, domain=spec.rect)
+        if table.lo.shape[1] != len(self.predicate_attrs):
+            raise ValueError("spec dimensionality != #predicate attributes")
+        #: The tree itself: one node per row (see :class:`NodeTable`).
+        self.table = table
+        self._next_id = len(table)
         self.n0 = 0                       # snapshot population at epoch start
-        self._nodes: List[DPTNode] = []
-        self._next_id = 0
-        self.root = self._build(spec, *self._fresh_rows(spec))
-        self._inflate_edges()
-        self.leaves: List[DPTNode] = []
-        self._index_leaves()
         self.n_updates = 0
+        self._index()
 
     # ------------------------------------------------------------------ #
-    # construction
+    # structure
     # ------------------------------------------------------------------ #
-    def _fresh_rows(self, spec: PartitionNode) -> Tuple[NodeTable, int]:
-        """A zeroed table for ``spec``'s nodes and the id of its row 0."""
-        return NodeTable(sum(1 for _ in spec.walk()),
-                         len(self.stat_attrs)), self._next_id
+    def _index(self) -> None:
+        """Every structure change ends here: the leaf records, and the
+        frontier traversal as flat arrays - ``_dfs_rows`` lists the rows
+        in the order the lone :meth:`frontier` stack visits them (last
+        child first), so batched classification emits each query's rows
+        in the identical order by walking positions ascending;
+        ``_dfs_lo`` / ``_dfs_hi`` / ``_dfs_leaf`` are the table's
+        rectangle columns in that order, ``_dfs_levels`` its
+        child->parent position links by depth."""
+        t = self.table
+        leaf_rows = np.flatnonzero(t.leaf_pos >= 0)
+        self.leaves: List[NodeRef] = [self.node(r)
+                                      for r in leaf_rows.tolist()]
+        self._leaf_ids = t.node_id[leaf_rows]
+        order, stack = [], [0]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(t.kids[order[-1]])
+        self._dfs_rows = order
+        rows = np.array(order, dtype=np.intp)
+        self._dfs_lo, self._dfs_hi = t.lo[rows], t.hi[rows]
+        self._dfs_leaf = t.leaf_pos[rows] >= 0
+        depth = [0] * len(t)
+        for row, up in enumerate(t.parent[1:].tolist(), 1):
+            depth[row] = depth[up] + 1      # preorder: parents come first
+        pos = np.empty(len(t), dtype=np.intp)
+        pos[rows] = np.arange(len(t))
+        by_pos = np.array(depth)[rows]
+        self._dfs_levels = [
+            (at, pos[t.parent[rows[at]]]) for at in
+            (np.flatnonzero(by_pos == d) for d in range(1, max(depth) + 1))]
 
-    def _build(self, spec: PartitionNode, table: NodeTable,
-               base: int) -> DPTNode:
-        node = DPTNode(self._next_id, spec.rect, len(self.stat_attrs),
-                       self._mm_pos, self._minmax_k, table,
-                       self._next_id - base)
-        self._next_id += 1
-        self._nodes.append(node)
-        for child_spec in spec.children:
-            child = self._build(child_spec, table, base)
-            child.parent = node
-            node.children.append(child)
-        return node
+    def node(self, row: int) -> NodeRef:
+        t = self.table
+        return NodeRef(row, int(t.node_id[row]),
+                       Rectangle(t.lo_rows[row], t.hi_rows[row]))
 
-    def replace_subtree(self, node: DPTNode,
-                        spec: PartitionNode) -> List[DPTNode]:
+    def nodes(self) -> List[NodeRef]:
+        """Every node, in row (canonical pre-) order."""
+        return [self.node(row) for row in range(len(self.table))]
+
+    def children(self, node: NodeRef) -> List[NodeRef]:
+        return [self.node(row) for row in self.table.kids[node.row]]
+
+    def parent(self, node: NodeRef) -> Optional[NodeRef]:
+        up = int(self.table.parent[node.row])
+        return None if up < 0 else self.node(up)
+
+    def subtree_leaves(self, node: NodeRef) -> List[NodeRef]:
+        """The leaves below ``node`` (itself, if a leaf), left to right."""
+        rows = self.table.subtree(node.row)
+        return [leaf for leaf in self.leaves if leaf.row in rows]
+
+    def replace_subtree(self, node: NodeRef,
+                        spec: PartitionNode) -> range:
         """Swap ``node``'s children for a freshly partitioned subtree.
 
-        The partial re-partitioning primitive of Appendix E: the subtree
-        below ``node`` is discarded and rebuilt from ``spec``'s children
-        (``spec.rect`` must cover the same region).  ``node`` itself and
-        everything outside the subtree keep their statistics.  Returns
-        the new subtree nodes (excluding ``node``); the caller is
-        responsible for seeding their statistics and re-routing strata.
+        The partial re-partitioning primitive of Appendix E: the rows
+        below ``node`` are spliced out for ``spec``'s children
+        (``spec.rect`` must cover the same region), new ids continuing
+        in preorder; ``node`` and everything outside its subtree keep
+        their rows' statistics.  Returns the new rows; the caller seeds
+        their statistics and re-routes strata.
         """
         if not node.rect.contains_rect(spec.rect) and \
                 not spec.rect.contains_rect(node.rect):
             raise ValueError("replacement spec does not cover the node")
-        node.children = []
-        before = len(self._nodes)
-        # _build appends to _nodes; rebuild the registry afterwards so
-        # discarded nodes disappear from iteration.
-        table, base = self._fresh_rows(spec)
-        for child_spec in spec.children:
-            child = self._build(child_spec, table, base)
-            child.parent = node
-            node.children.append(child)
-        new_nodes = self._nodes[before:]
-        self._nodes = self.subtree_nodes(self.root)
-        self._index_leaves()
-        return new_nodes
-
-    def _index_leaves(self) -> None:
-        """Every structure change ends here: lay the node table out
-        over the current nodes, then the leaf list and frontier mirrors."""
-        self._table = NodeTable.of(self._nodes, len(self.stat_attrs))
-        self.leaves = [n for n in self._nodes if n.is_leaf]
-        self._leaf_ids = np.array([n.node_id for n in self.leaves],
-                                  dtype=np.int64)
-        self._index_frontier_order()
-
-    def _index_frontier_order(self) -> None:
-        """Precompute the frontier traversal as flat arrays.
-
-        ``_dfs_nodes`` lists every node in the exact order the scalar
-        :meth:`frontier` stack visits them (children expanded last-in
-        first-out), so batched classification can emit per-query node
-        lists in the identical order by walking positions ascending;
-        ``_dfs_lo`` / ``_dfs_hi`` / ``_dfs_leaf`` are the node table's
-        rectangle columns in that order.  ``_dfs_levels`` groups
-        child->parent links by depth for the vectorized reachability
-        propagation.
-        """
-        order: List[DPTNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(node.children)
-        self._dfs_nodes = order
-        rows = np.array([n._i for n in order], dtype=np.intp)
-        pos = {n.node_id: i for i, n in enumerate(order)}
-        self._dfs_lo = self._table.lo[rows]
-        self._dfs_hi = self._table.hi[rows]
-        self._dfs_leaf = self._table.leaf_pos[rows] >= 0
-        depth_of: Dict[int, int] = {}
-        levels: List[Tuple[List[int], List[int]]] = []
-        for i, node in enumerate(order):
-            if node.parent is None:
-                depth_of[node.node_id] = 0
-                continue
-            depth = depth_of[node.parent.node_id] + 1
-            depth_of[node.node_id] = depth
-            while len(levels) < depth:
-                levels.append(([], []))
-            levels[depth - 1][0].append(i)
-            levels[depth - 1][1].append(pos[node.parent.node_id])
-        self._dfs_levels = [(np.array(c, dtype=np.intp),
-                             np.array(p, dtype=np.intp))
-                            for c, p in levels]
-
-    def subtree_nodes(self, node: DPTNode) -> List[DPTNode]:
-        """``node`` and everything below it, in the registry's walk
-        order."""
-        out: List[DPTNode] = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            stack.extend(n.children)
-        return out
-
-    def subtree_leaf_count(self, node: DPTNode) -> int:
-        return sum(n.is_leaf for n in self.subtree_nodes(node))
-
-    def _inflate_edges(self) -> None:
-        """Extend boundary partitions to infinity so every future tuple
-        routes to a leaf (new data may fall outside the build-time domain).
-        """
-        orig = self.root.rect
-        for node in self._nodes:
-            node.rect = inflate_rect(node.rect, orig)
+        fresh = self.table.splice(node.row, spec, self._next_id)
+        self._next_id += len(fresh)
+        self._index()
+        return fresh
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -315,16 +201,13 @@ class DynamicPartitionTree:
         return len(self.leaves)
 
     @property
-    def h_total(self) -> int:
-        return self.root.h
+    def h_total(self) -> float:
+        return float(self.table.h[0])
 
     @property
     def n_current(self) -> float:
         """Live population estimate: snapshot size plus exact net delta."""
-        return self.n0 + self.root.delta_count
-
-    def nodes(self) -> Iterator[DPTNode]:
-        return iter(self._nodes)
+        return self.n0 + int(self.table.delta_count[0])
 
     def stat_pos(self, attr: str) -> int:
         try:
@@ -339,9 +222,9 @@ class DynamicPartitionTree:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def route_leaf(self, coords: Sequence[float]) -> DPTNode:
+    def route_leaf(self, coords: Sequence[float]) -> NodeRef:
         """The leaf whose partition contains ``coords``."""
-        return self._nodes[self._walk(coords, 0)[-1]]
+        return self.leaves[self.table.leaf_pos[self._walk(coords, 0)[-1]]]
 
     def route_rows(self, coords: np.ndarray) -> np.ndarray:
         """Leaf positions (into :attr:`leaves`) of ``(n, d)`` points."""
@@ -362,8 +245,8 @@ class DynamicPartitionTree:
         coordinate is at distance 0 from everything, so an all-NaN point
         goes to the first child).
         """
-        kids, lo, hi = (self._table.kids, self._table.lo_rows,
-                        self._table.hi_rows)
+        kids, lo, hi = (self.table.kids, self.table.lo_rows,
+                        self.table.hi_rows)
         path = [node]
         while kids[node]:
             for child in kids[node]:
@@ -391,7 +274,7 @@ class DynamicPartitionTree:
         handful of array operations (see :data:`LEVELWISE_MIN_ROWS`).
         Both apply the same rule, so they produce the same paths.
         """
-        t = self._table
+        t = self.table
         n = coords.shape[0]
         first = 0 if keep_start else 1
         if n < LEVELWISE_MIN_ROWS:
@@ -440,12 +323,6 @@ class DynamicPartitionTree:
     # ------------------------------------------------------------------ #
     # maintenance (Figure 3)
     # ------------------------------------------------------------------ #
-    def insert_row(self, row: np.ndarray) -> DPTNode:
-        return self.leaves[int(self.insert_rows(np.asarray(row)[None])[0])]
-
-    def delete_row(self, row: np.ndarray) -> DPTNode:
-        return self.leaves[int(self.delete_rows(np.asarray(row)[None])[0])]
-
     def insert_rows(self, rows: np.ndarray) -> np.ndarray:
         """Insert an ``(n, n_attrs)`` row block: every node on a path
         receives its rows' delta statistics as one grouped accumulation.
@@ -460,71 +337,64 @@ class DynamicPartitionTree:
         rows = self._as_batch(rows)
         self.n_updates += rows.shape[0]
         ids, src, leaf_of = self._route(rows[:, self._pred_idx])
-        self._table.apply_delta(ids, rows[src[:, None], self._stat_idx],
+        self.table.apply_delta(ids, rows[src[:, None], self._stat_idx],
                                 sign)
         return leaf_of
 
-    def add_catchup_row(self, row: np.ndarray) -> DPTNode:
-        """Propagate one archival sample through the tree (Section 4.3)."""
-        return self.leaves[int(self.add_catchup_rows(np.asarray(row)[None])[0])]
-
     def add_catchup_rows(self, rows: np.ndarray,
-                         subtree_root: Optional[DPTNode] = None
+                         subtree_root: Optional[NodeRef] = None
                          ) -> np.ndarray:
-        """Catch-up for an ``(n, n_attrs)`` sample block, from the root
-        or - seeding a partially re-partitioned region (Appendix E) -
-        below ``subtree_root``, which then keeps its own statistics."""
+        """Catch-up for an ``(n, n_attrs)`` sample block (Section 4.3),
+        from the root or - seeding a partially re-partitioned region
+        (Appendix E) - below ``subtree_root``, which then keeps its own
+        statistics.  Returns per-row leaf positions."""
         rows = self._as_batch(rows)
         ids, src, leaf_of = self._route(
             rows[:, self._pred_idx],
-            0 if subtree_root is None else subtree_root._i,
+            0 if subtree_root is None else subtree_root.row,
             subtree_root is None)
-        self._table.add_catchup(ids, rows[src[:, None], self._stat_idx])
+        self.table.add_catchup(ids, rows[src[:, None], self._stat_idx])
         return leaf_of
-
-    def add_catchup_row_subtree(self, subtree_root: DPTNode,
-                                row: np.ndarray) -> None:
-        self.add_catchup_rows(np.asarray(row)[None], subtree_root)
-
-    def add_catchup_rows_subtree(self, subtree_root: DPTNode,
-                                 rows: np.ndarray) -> None:
-        self.add_catchup_rows(rows, subtree_root)
 
     # ------------------------------------------------------------------ #
     # query processing (Section 4.4)
     # ------------------------------------------------------------------ #
-    def frontier(self, rect: Rectangle
-                 ) -> Tuple[List[DPTNode], List[DPTNode]]:
-        """Step 1: ``(R_cover, R_partial)`` node sets for a predicate."""
-        cover: List[DPTNode] = []
-        partial: List[DPTNode] = []
-        stack = [self.root]
+    def frontier(self, rect: Rectangle) -> Tuple[List[int], List[int]]:
+        """Step 1: the ``(R_cover, R_partial)`` rows of a predicate, by a
+        stack walk over the table's row lists."""
+        kids, lo, hi = (self.table.kids, self.table.lo_rows,
+                        self.table.hi_rows)
+        qlo, qhi = rect.lo, rect.hi
+        cover: List[int] = []
+        partial: List[int] = []
+        stack = [0]
         while stack:
-            node = stack.pop()
-            if not rect.intersects(node.rect):
-                continue
-            if rect.contains_rect(node.rect):
-                cover.append(node)
-            elif node.is_leaf:
-                partial.append(node)
+            row = stack.pop()
+            nlo, nhi = lo[row], hi[row]
+            if not all(a <= d and c <= b for a, b, c, d in
+                       zip(qlo, qhi, nlo, nhi)):
+                continue                    # disjoint
+            if all(a <= c and d <= b for a, b, c, d in
+                   zip(qlo, qhi, nlo, nhi)):
+                cover.append(row)           # contained
+            elif kids[row]:
+                stack.extend(kids[row])
             else:
-                stack.extend(node.children)
+                partial.append(row)
         return cover, partial
 
     def frontier_many(self, rects: Sequence[Rectangle]
-                      ) -> Tuple[List[List[DPTNode]], List[List[DPTNode]]]:
+                      ) -> Tuple[List[List[int]], List[List[int]]]:
         """Step 1 for a whole query batch in one vectorized pass.
 
         Every (node, query) pair is classified at once: two broadcasted
         comparisons give the intersect/contain matrices, a level-wise
-        propagation marks which nodes each query's traversal would
-        actually reach (a node is reached iff its parent is reached,
-        intersecting and not contained), and one ``nonzero`` pass emits
-        each query's cover/partial nodes.  Positions ascend in the
-        scalar traversal's visit order (:meth:`_index_frontier_order`),
+        propagation marks which nodes each query's walk would reach (a
+        node is reached iff its parent is reached, intersecting and not
+        contained), and one ``nonzero`` pass emits each query's rows.
+        Positions ascend in the lone walk's visit order (:meth:`_index`)
         and a pruned DFS visits a subsequence of the unpruned one, so
-        each query's lists hold the same nodes in the same order as
-        :meth:`frontier` returns.
+        the lists are :meth:`frontier`'s, in its order.
         """
         nq = len(rects)
         lo = np.array([r.lo for r in rects], dtype=np.float64)
@@ -540,16 +410,16 @@ class DynamicPartitionTree:
         reach[0] = True
         for child_pos, parent_pos in self._dfs_levels:
             reach[child_pos] = reach[parent_pos] & descend[parent_pos]
-        nodes = self._dfs_nodes
-        covers: List[List[DPTNode]] = [[] for _ in range(nq)]
-        partials: List[List[DPTNode]] = [[] for _ in range(nq)]
+        rows = self._dfs_rows
+        covers: List[List[int]] = [[] for _ in range(nq)]
+        partials: List[List[int]] = [[] for _ in range(nq)]
         qi_arr, pos_arr = np.nonzero((reach & contain).T)
         for qi, p in zip(qi_arr.tolist(), pos_arr.tolist()):
-            covers[qi].append(nodes[p])
+            covers[qi].append(rows[p])
         qi_arr, pos_arr = np.nonzero(
             (reach & descend & self._dfs_leaf[:, None]).T)
         for qi, p in zip(qi_arr.tolist(), pos_arr.tolist()):
-            partials[qi].append(nodes[p])
+            partials[qi].append(rows[p])
         return covers, partials
 
     def query(self, query: Query, leaf_samples: LeafSamplesFn
@@ -567,11 +437,12 @@ class DynamicPartitionTree:
         """Answer a query batch with shared tree and sample passes.
 
         The frontier computation runs once for the whole batch
-        (:meth:`frontier_many`), each partial leaf's sample matrix is
-        tested against all of its queries' rectangles in one broadcasted
-        comparison (:meth:`_leaf_moments`), and only the final per-query
-        estimation - a pure function of that query's own frontier and
-        matched samples - runs per query.  Results are returned in
+        (:meth:`frontier_many`; a lone query walks the same rows in the
+        same order, :meth:`frontier`), each partial leaf's samples are
+        tested against all of its queries at once (:meth:`_leaf_moments`)
+        and node estimates are read from memoized whole columns; only
+        the final estimation - a pure function of the query's own
+        frontier and matched samples - runs per query.  Results come in
         request order and match :meth:`query` exactly.
         """
         queries = list(queries)
@@ -586,22 +457,20 @@ class DynamicPartitionTree:
             covers, partials = self.frontier_many(
                 [q.rect for q in queries])
         moments = self._leaf_moments(queries, partials, leaf_samples)
-        # Node statistics are memoized across the batch: overlapping
-        # cover sets pay one estimate computation per node.
-        memo = _NodeMemo(self, len(queries))
         results: List[QueryResult] = []
         for qi, query in enumerate(queries):
-            def moments_of(leaf: DPTNode, qi: int = qi) -> "_LeafMoments":
-                return moments[(leaf.node_id, qi)]
+            def moments_of(row: int, qi: int = qi) -> "_LeafMoments":
+                return moments[(row, qi)]
             results.append(self._ANSWER[query.agg.family](
-                self, query, covers[qi], partials[qi], moments_of, memo))
+                self, query, covers[qi], partials[qi], moments_of))
         return results
 
     def _leaf_moments(self, queries: List[Query],
-                      partials: List[List[DPTNode]],
+                      partials: List[List[int]],
                       leaf_samples: LeafSamplesFn
                       ) -> Dict[Tuple[int, int], "_LeafMoments"]:
-        """Matched-sample moments for every (partial leaf, query) pair.
+        """Matched-sample moments for every (partial leaf row, query)
+        pair.
 
         The batch's partial-leaf sample matrices are concatenated into
         one block, every query rectangle is tested against it in one
@@ -613,27 +482,27 @@ class DynamicPartitionTree:
         identical to what a single-query evaluation would produce.
         """
         moments: Dict[Tuple[int, int], _LeafMoments] = {}
-        leaf_seg: Dict[int, int] = {}     # leaf id -> segment (-1: empty)
+        leaf_seg: Dict[int, int] = {}     # leaf row -> segment (-1: empty)
         blocks: List[np.ndarray] = []
-        pair_lid: List[int] = []
+        pair_row: List[int] = []
         pair_qi: List[int] = []
         pair_seg: List[int] = []
+        leaf_pos = self.table.leaf_pos
         for qi, partial in enumerate(partials):
-            for leaf in partial:
-                lid = leaf.node_id
-                seg = leaf_seg.get(lid)
+            for row in partial:
+                seg = leaf_seg.get(row)
                 if seg is None:
-                    rows = leaf_samples(leaf)
+                    rows = leaf_samples(self.leaves[leaf_pos[row]])
                     if rows.shape[0] == 0:
                         seg = -1
                     else:
                         seg = len(blocks)
                         blocks.append(rows)
-                    leaf_seg[lid] = seg
+                    leaf_seg[row] = seg
                 if seg < 0:
-                    moments[(lid, qi)] = _NO_SAMPLES
+                    moments[(row, qi)] = _NO_SAMPLES
                 else:
-                    pair_lid.append(lid)
+                    pair_row.append(row)
                     pair_qi.append(qi)
                     pair_seg.append(seg)
         n_pairs = len(pair_qi)
@@ -674,34 +543,37 @@ class DynamicPartitionTree:
         vmax = np.maximum.reduceat(np.where(mask, vals, -math.inf),
                                    starts)
         for p in range(n_pairs):
-            moments[(pair_lid[p], pair_qi[p])] = _LeafMoments(
+            moments[(pair_row[p], pair_qi[p])] = _LeafMoments(
                 int(pair_m[p]), int(cnts[p]), float(s[p]), float(s2[p]),
                 float(vmin[p]), float(vmax[p]))
         return moments
 
-    def _answer_sum_count(self, query: Query, cover: List[DPTNode],
-                          partial: List[DPTNode], moments_of: "MomentsFn",
-                          memo: "_NodeMemo") -> QueryResult:
+    def _answer_sum_count(self, query: Query, cover: List[int],
+                          partial: List[int],
+                          moments_of: "MomentsFn") -> QueryResult:
         is_count = query.agg is AggFunc.COUNT
         pos = None if is_count else self.stat_pos(query.attr)
+        totals = (self.n0, self.h_total)
         agg = 0.0
         var_c = 0.0
         all_exact = True
-        counts = memo.counts()
+        counts, exact = (self.table.column("count_estimates", *totals),
+                         self.table.column("exact"))
         if not is_count:
-            sums, varsums = memo.sums(pos), memo.varsums(pos)
-        for node in cover:
+            sums = self.table.column("sum_estimates", pos, *totals)
+            varsums = self.table.column("catchup_var_sums", pos, *totals)
+        for row in cover:
             if is_count:
-                agg += counts[node._i]
+                agg += counts[row]
             else:
-                agg += sums[node._i]
-                var_c += varsums[node._i]
-            all_exact = all_exact and memo.exact[node._i]
+                agg += sums[row]
+                var_c += varsums[row]
+            all_exact = all_exact and exact[row]
         samp = 0.0
         var_s = 0.0
-        for leaf in partial:
-            mom = moments_of(leaf)
-            n_i = counts[leaf._i]
+        for row in partial:
+            mom = moments_of(row)
+            n_i = counts[row]
             if is_count:
                 c = float(mom.count)
                 est, var = estimators.sum_partial_moments(n_i, mom.m, c, c)
@@ -710,20 +582,21 @@ class DynamicPartitionTree:
                                                           mom.s, mom.s2)
             samp += est
             var_s += var
-        exact = all_exact and not partial
-        return QueryResult(agg + samp, var_c, var_s, exact,
+        exact_result = all_exact and not partial
+        return QueryResult(agg + samp, var_c, var_s, exact_result,
                            n_covered=len(cover), n_partial=len(partial))
 
-    def _answer_avg(self, query: Query, cover: List[DPTNode],
-                    partial: List[DPTNode], moments_of: "MomentsFn",
-                    memo: "_NodeMemo") -> QueryResult:
+    def _answer_avg(self, query: Query, cover: List[int],
+                    partial: List[int],
+                    moments_of: "MomentsFn") -> QueryResult:
         pos = self.stat_pos(query.attr)
+        totals = (self.n0, self.h_total)
         n_q = 0.0
-        counts = memo.counts()
-        for node in cover:
-            n_q += counts[node._i]
-        for leaf in partial:
-            n_q += counts[leaf._i]
+        counts = self.table.column("count_estimates", *totals)
+        for row in cover:
+            n_q += counts[row]
+        for row in partial:
+            n_q += counts[row]
         # The normalizer rides along in ``details`` so shard merging can
         # reweight per-shard means into the union estimator (merge.py).
         if n_q <= 0:
@@ -733,27 +606,30 @@ class DynamicPartitionTree:
         est = 0.0
         var_c = 0.0
         all_exact = True
-        sums, varbases = memo.sums(pos), memo.varbases(pos)
-        for node in cover:
-            est += sums[node._i] / n_q
-            w_i = counts[node._i] / n_q
-            var_c += (w_i * w_i) * varbases[node._i]
-            all_exact = all_exact and memo.exact[node._i]
+        sums, varbases, exact = (
+            self.table.column("sum_estimates", pos, *totals),
+            self.table.column("catchup_var_bases", pos),
+            self.table.column("exact"))
+        for row in cover:
+            est += sums[row] / n_q
+            w_i = counts[row] / n_q
+            var_c += (w_i * w_i) * varbases[row]
+            all_exact = all_exact and exact[row]
         var_s = 0.0
-        for leaf in partial:
-            mom = moments_of(leaf)
+        for row in partial:
+            mom = moments_of(row)
             c_est, c_var = estimators.avg_partial_moments(
-                counts[leaf._i], n_q, mom.m, mom.count, mom.s, mom.s2)
+                counts[row], n_q, mom.m, mom.count, mom.s, mom.s2)
             est += c_est
             var_s += c_var
-        exact = all_exact and not partial
-        return QueryResult(est, var_c, var_s, exact,
+        exact_result = all_exact and not partial
+        return QueryResult(est, var_c, var_s, exact_result,
                            n_covered=len(cover), n_partial=len(partial),
                            details={"n_q": n_q})
 
-    def _answer_variance(self, query: Query, cover: List[DPTNode],
-                         partial: List[DPTNode], moments_of: "MomentsFn",
-                         memo: "_NodeMemo") -> QueryResult:
+    def _answer_variance(self, query: Query, cover: List[int],
+                         partial: List[int],
+                         moments_of: "MomentsFn") -> QueryResult:
         """VARIANCE/STDDEV composed from COUNT, SUM and sum-of-squares.
 
         Section 6.6: "aggregate functions such as STDDEV that can be
@@ -764,23 +640,27 @@ class DynamicPartitionTree:
         this.
         """
         pos = self.stat_pos(query.attr)
+        totals = (self.n0, self.h_total)
         count_est = 0.0
         sum_est = 0.0
         sumsq_est = 0.0
         all_exact = True
-        counts, sums, sumsqs = (memo.counts(), memo.sums(pos),
-                                memo.sums(pos, squares=True))
-        for node in cover:
-            count_est += counts[node._i]
-            sum_est += sums[node._i]
-            sumsq_est += sumsqs[node._i]
-            all_exact = all_exact and memo.exact[node._i]
-        for leaf in partial:
-            mom = moments_of(leaf)
+        counts, sums, sumsqs, exact = (
+            self.table.column("count_estimates", *totals),
+            self.table.column("sum_estimates", pos, *totals),
+            self.table.column("sum_estimates", pos, *totals, True),
+            self.table.column("exact"))
+        for row in cover:
+            count_est += counts[row]
+            sum_est += sums[row]
+            sumsq_est += sumsqs[row]
+            all_exact = all_exact and exact[row]
+        for row in partial:
+            mom = moments_of(row)
             if mom.m <= 0:
                 continue
             count, total, totalsq = estimators.moments_partial(
-                counts[leaf._i], mom.m, mom.count, mom.s, mom.s2)
+                counts[row], mom.m, mom.count, mom.s, mom.s2)
             count_est += count
             sum_est += total
             sumsq_est += totalsq
@@ -797,22 +677,22 @@ class DynamicPartitionTree:
         variance = max(0.0, sumsq_est / count_est - mean * mean)
         est = variance if query.agg is AggFunc.VARIANCE else \
             math.sqrt(variance)
-        exact = all_exact and not partial
-        return QueryResult(est, 0.0, 0.0, exact,
+        exact_result = all_exact and not partial
+        return QueryResult(est, 0.0, 0.0, exact_result,
                            n_covered=len(cover), n_partial=len(partial),
                            details={"ci": "unavailable",
                                     "moments": moments})
 
-    def _answer_minmax(self, query: Query, cover: List[DPTNode],
-                       partial: List[DPTNode], moments_of: "MomentsFn",
-                       memo: "_NodeMemo") -> QueryResult:
+    def _answer_minmax(self, query: Query, cover: List[int],
+                       partial: List[int],
+                       moments_of: "MomentsFn") -> QueryResult:
         pos = self.stat_pos(query.attr)
         is_max = query.agg is AggFunc.MAX
         candidates: List[float] = []
         all_exact = True
-        extremes = memo.extremes(pos, is_max)
-        for node in cover:
-            value, exact = extremes[node._i]
+        extremes = self.table.column("extreme_estimates", pos, is_max)
+        for row in cover:
+            value, exact = extremes[row]
             if value is None:
                 # A covered node with no extremum information at all
                 # cannot prove the answer: its true MIN/MAX is unknown,
@@ -821,8 +701,8 @@ class DynamicPartitionTree:
                 continue
             candidates.append(value)
             all_exact = all_exact and exact
-        for leaf in partial:
-            mom = moments_of(leaf)
+        for row in partial:
+            mom = moments_of(row)
             if mom.count > 0:
                 candidates.append(mom.vmax if is_max else mom.vmin)
         if not candidates:
@@ -841,16 +721,6 @@ class DynamicPartitionTree:
                AggFamily.RATIO: _answer_avg,
                AggFamily.MOMENTS: _answer_variance,
                AggFamily.EXTREME: _answer_minmax}
-
-
-def inflate_rect(rect: Rectangle, domain: Rectangle) -> Rectangle:
-    """``rect`` with each edge it shares with ``domain`` moved to infinity
-    (the rectangle a tree built over ``domain`` gives that node)."""
-    return Rectangle(
-        tuple(-math.inf if a == o else a
-              for a, o in zip(rect.lo, domain.lo)),
-        tuple(math.inf if b == o else b
-              for b, o in zip(rect.hi, domain.hi)))
 
 
 def _rect_distance(lo: Sequence[float], hi: Sequence[float],

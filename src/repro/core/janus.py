@@ -56,7 +56,7 @@ from ..sketch.registry import (SKETCH_KIND, new_sketch, sketch_answer,
                                sketch_from_bytes)
 from .catchup import CatchupReport, CatchupRunner
 from .dpt import DynamicPartitionTree, inflate_rect
-from .node import DPTNode
+from .node import NodeRef
 from .queries import (AggFamily, AggFunc, Query, QueryResult,
                       QueryTemplate, Rectangle)
 from .table import Table
@@ -279,7 +279,7 @@ class JanusAQP:
 
     def _rebuild(self, catchup_goal: Optional[int] = None,
                  spec: Optional[PartitionNode] = None,
-                 scope: Optional[DPTNode] = None,
+                 scope: Optional[NodeRef] = None,
                  frozen: bool = False) -> ReoptReport:
         """The one re-initialization pipeline (Figure 4; Appendix E below
         ``scope``): snapshot the pool, build a partitioning from it
@@ -315,7 +315,7 @@ class JanusAQP:
             self._h_repartition.observe(seconds)
         return report
 
-    def _snapshot(self, scope: Optional[DPTNode],  # requires-lock: _lock
+    def _snapshot(self, scope: Optional[NodeRef],  # requires-lock: _lock
                   frozen: bool) -> tuple:
         """Stage 1, :meth:`_partition`'s arguments: copies of the pool
         items, leaf budget, root rectangle (the table domains, or
@@ -328,7 +328,7 @@ class JanusAQP:
                 tuple(lo for lo, _ in domains),
                 tuple(hi for _, hi in domains))
         else:
-            k, rect = self.dpt.subtree_leaf_count(scope), scope.rect
+            k, rect = len(self.dpt.subtree_leaves(scope)), scope.rect
         return (coords, values, tids, k, rect, max(len(self.table), 1),
                 None if frozen else self.sample_index)
 
@@ -368,7 +368,7 @@ class JanusAQP:
             index=index)
 
     def _install(self, spec: PartitionNode,  # requires-lock: _lock
-                 scope: Optional[DPTNode], catchup_goal: Optional[int]
+                 scope: Optional[NodeRef], catchup_goal: Optional[int]
                  ) -> Callable[[], CatchupReport]:
         """Stage 3, the blocking one: swap in a tree built from ``spec``
         (or ``scope``'s subtree), seed it from the pool, re-file the
@@ -383,26 +383,23 @@ class JanusAQP:
                 minmax_k=self.config.minmax_k)
             dpt.set_population(len(self.table))
             tids = np.asarray(self.reservoir.tids(), dtype=np.int64)
-            h_equiv = 0.0
+            h_equiv, fresh = 0.0, range(0)
         else:
             # h_equiv (see :mod:`repro.core.repartition`): the weight
             # the fresh subtree must carry to match its ancestor.
             dpt = self.dpt
-            h_equiv = (scope.count_estimate(dpt.n0, dpt.h_total) *
+            h_equiv = (dpt.table.column("count_estimates", dpt.n0,
+                                        dpt.h_total)[scope.row] *
                        dpt.h_total / dpt.n0
                        if dpt.n0 > 0 and dpt.h_total > 0 else 0.0)
-            dpt.replace_subtree(scope, spec)
+            fresh = dpt.replace_subtree(scope, spec)
             tids = self.sample_index.report(scope.rect)[2]
         # One vectorized gather: pool members are live table rows and
         # the synopsis-resident copies are verbatim.
         if tids.size:
             dpt.add_catchup_rows(self.table.rows_for(tids), scope)
         if tids.size and h_equiv > 0:
-            factor = h_equiv / tids.size
-            for node in dpt.subtree_nodes(scope)[1:]:
-                node.h *= factor
-                node.csum *= factor
-                node.csumsq *= factor
+            dpt.table.rescale(fresh, h_equiv / tids.size)
         self.dpt = dpt
         if scope is not None:
             # The pool stays: re-file it under the new leaves (a full
@@ -550,7 +547,7 @@ class JanusAQP:
         self._after_update([(self.dpt.leaves[int(pos)], int(c))
                             for pos, c in zip(uniq, counts)])
 
-    def _after_update(self, leaf_counts: List[Tuple[DPTNode, int]]) -> None:  # requires-lock: _lock
+    def _after_update(self, leaf_counts: List[Tuple[NodeRef, int]]) -> None:  # requires-lock: _lock
         """Run the trigger over a batch's ``(leaf, row count)`` pairs."""
         n_checks = self.trigger.state.n_checks
         action = self.trigger.on_update_batch(self.dpt, leaf_counts)
@@ -641,7 +638,7 @@ class JanusAQP:
                 out.append(sketch_at[qi] if qi in sketch_at else next(it))
             return out
 
-    def _leaf_samples(self, leaf: DPTNode) -> np.ndarray:
+    def _leaf_samples(self, leaf: NodeRef) -> np.ndarray:
         return self.pool.matrix(leaf.node_id)
 
     # ------------------------------------------------------------------ #
@@ -675,5 +672,5 @@ class JanusAQP:
         node_bytes = 0
         if self.dpt is not None:
             per_node = (6 * len(self.dpt.stat_attrs) + 4) * 8
-            node_bytes = sum(1 for _ in self.dpt.nodes()) * per_node
+            node_bytes = len(self.dpt.table) * per_node
         return sample_bytes + node_bytes

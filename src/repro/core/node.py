@@ -15,41 +15,63 @@ Each partition-tree node stores, per tracked attribute:
 
 A node's estimate of any statistic is (catch-up estimate or exact base)
 plus the net delta; its catch-up variance vanishes when the node is exact.
+A node is a row of one :class:`NodeTable`, which holds a whole tree.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from ..index.topk import MinMaxStats, TopKColumn
+from ..index.topk import TopK, TopKColumn
 from .queries import Rectangle
+
+if TYPE_CHECKING:
+    from ..partitioning.spec import PartitionNode
+
+
+class NodeRef(NamedTuple):
+    """A read-only node record: its table row (until the tree's shape
+    next changes), its id (for the node's life) and its rectangle."""
+
+    row: int
+    node_id: int
+    rect: Rectangle
 
 
 class NodeTable:
-    """Struct-of-arrays statistics of every node of one partition tree.
+    """Every node of one partition tree, a row each, in canonical
+    preorder: a parent before its children, first child first, so a
+    subtree is a contiguous row range (:meth:`subtree`).
 
-    Row ``i`` belongs to the tree's ``i``-th node (``nodes()`` order);
-    :class:`DPTNode` handles read and write it through views.  The
-    structure columns (:meth:`of`) drive the tree's router; the
-    statistics take a batch of (node row, data row) pairs per call
-    (:meth:`apply_delta`, :meth:`add_catchup`).  ``_lock`` below is the
-    owning engine's.
+    Structure columns: ``parent`` (-1 at the root), ``node_id``,
+    ``lo`` / ``hi`` (plus a sentinel row ``n`` - lo=+inf, hi=-inf - that
+    contains nothing), ``child`` (child rows padded with ``n``), list
+    forms ``kids`` / ``lo_rows`` / ``hi_rows`` for row-at-a-time walks,
+    and ``leaf_pos`` (a leaf's position in row order, -1 inside).  The
+    statistics (:attr:`FIELDS` plus MIN/MAX heap columns per tracked
+    attribute position) take a batch of (node row, data row) pairs per
+    call; estimates are whole columns, :meth:`column` memoizes them
+    until a mutator next runs.  ``_lock`` below is the owning engine's.
     """
 
     #: every statistics column (in a snapshot archive's key order)
     FIELDS = ("h", "delta_count", "base_count", "exact", "csum", "csumsq",
               "cmin", "cmax", "dsum", "dsumsq", "bsum", "bsumsq")
 
-    def __init__(self, n_nodes: int, n_stats: int) -> None:
-        shape = (n_nodes, n_stats)
+    def __init__(self, parent: Sequence[int], lo, hi, node_id,
+                 n_stats: int, minmax_pos: Sequence[int] = (),
+                 minmax_k: int = 32) -> None:
+        n = len(parent)
+        shape = (n, n_stats)
         # float: partial re-partitioning rescales h by a real factor
-        self.h = np.zeros(n_nodes)  # guarded-by: _lock
-        self.delta_count = np.zeros(n_nodes, dtype=np.int64)  # guarded-by: _lock
-        self.base_count = np.zeros(n_nodes, dtype=np.int64)  # guarded-by: _lock
-        self.exact = np.zeros(n_nodes, dtype=bool)  # guarded-by: _lock
+        self.h = np.zeros(n)  # guarded-by: _lock
+        self.delta_count = np.zeros(n, dtype=np.int64)  # guarded-by: _lock
+        self.base_count = np.zeros(n, dtype=np.int64)  # guarded-by: _lock
+        self.exact = np.zeros(n, dtype=bool)  # guarded-by: _lock
         self.csum = np.zeros(shape)  # guarded-by: _lock
         self.csumsq = np.zeros(shape)  # guarded-by: _lock
         self.cmin = np.full(shape, math.inf)  # guarded-by: _lock
@@ -59,54 +81,139 @@ class NodeTable:
         self.bsum = np.zeros(shape)  # guarded-by: _lock
         self.bsumsq = np.zeros(shape)  # guarded-by: _lock
         self._cols = np.arange(n_stats)
+        self._minmax_k = minmax_k
         # per tracked attribute position: (top-k column, bottom-k column)
-        self.columns: Dict[int, Tuple[TopKColumn, TopKColumn]] = {}
-
-    def bind_minmax(self, rows: Sequence[Dict[int, MinMaxStats]]) -> None:
-        """(Re)build the MIN/MAX columns over the nodes' heap pairs."""
-        self.columns = {
-            pos: (TopKColumn([mm[pos]._max for mm in rows]),
-                  TopKColumn([mm[pos]._min for mm in rows]))
-            for pos in (rows[0] if rows else ())}
+        self.columns: Dict[int, Tuple[TopKColumn, TopKColumn]] = {
+            pos: (TopKColumn([TopK(minmax_k, True) for _ in range(n)]),
+                  TopKColumn([TopK(minmax_k, False) for _ in range(n)]))
+            for pos in minmax_pos}
+        # (estimate, *args) -> its column as a list, until the next write
+        self._memo: Dict[tuple, list] = {}  # guarded-by: _lock
+        self._link(np.asarray(parent), np.asarray(lo, dtype=np.float64),
+                   np.asarray(hi, dtype=np.float64), np.asarray(node_id))
 
     @classmethod
-    def of(cls, nodes: Sequence["DPTNode"], n_stats: int) -> "NodeTable":
-        """One table over ``nodes`` in order: every node's statistics
-        row is gathered from the table it lives in today and the handle
-        re-pointed; structure columns are rebuilt from the handles."""
-        n = len(nodes)
-        table = cls(n, n_stats)
-        sources: Dict[int, Tuple["NodeTable", List[int], List[int]]] = {}
-        for i, node in enumerate(nodes):
-            _, rows, dst = sources.setdefault(id(node._t),
-                                              (node._t, [], []))
-            rows.append(node._i)
-            dst.append(i)
-        for src, rows, dst in sources.values():
-            for name in cls.FIELDS:
-                getattr(table, name)[dst] = getattr(src, name)[rows]
-        for i, node in enumerate(nodes):
-            node._t, node._i = table, i
-        table.bind_minmax([node.minmax for node in nodes])
-        # Structure: child table padded with the sentinel row ``n``
-        # (lo=+inf, hi=-inf: contains nothing), plus list copies for the
-        # row-at-a-time walk.
-        table.kids = [[c._i for c in node.children] for node in nodes]
-        table.parent = np.array(
-            [-1 if node.parent is None else node.parent._i
-             for node in nodes], dtype=np.int64)
-        table.child = np.full((n, max(map(len, table.kids)) or 1), n,
-                              dtype=np.intp)
-        for i, kids in enumerate(table.kids):
-            table.child[i, :len(kids)] = kids
-        dim = nodes[0].rect.dim
-        table.lo_rows = [node.rect.lo for node in nodes]
-        table.hi_rows = [node.rect.hi for node in nodes]
-        table.lo = np.array(table.lo_rows + [(math.inf,) * dim])
-        table.hi = np.array(table.hi_rows + [(-math.inf,) * dim])
-        is_leaf = table.child[:, 0] == n
-        table.leaf_pos = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
-        return table
+    def from_spec(cls, spec: "PartitionNode", n_stats: int,
+                  minmax_pos: Sequence[int] = (), minmax_k: int = 32,
+                  domain: Optional[Rectangle] = None) -> "NodeTable":
+        """A zeroed table over ``spec`` (ids = rows), its rectangles
+        inflated against ``domain`` when one is given."""
+        parents: List[int] = []
+        rects: List[Rectangle] = []
+        stack = [(spec, -1)]
+        while stack:
+            node, parent = stack.pop()
+            row = len(rects)
+            parents.append(parent)
+            rects.append(node.rect)
+            stack.extend((kid, row) for kid in node.children[::-1])
+        if domain is not None:
+            rects = [inflate_rect(r, domain) for r in rects]
+        return cls(parents, [r.lo for r in rects], [r.hi for r in rects],
+                   np.arange(len(parents)), n_stats, minmax_pos, minmax_k)
+
+    def _link(self, parent: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              node_id: np.ndarray) -> np.ndarray:
+        """Lay the structure out in canonical preorder over ``parent``
+        links in any row order - children in ascending row order, rows
+        with a parent below -1 dropped with their subtrees - and return
+        the rows taken, in order, for the caller's statistics."""
+        kids: List[List[int]] = [[] for _ in range(len(parent))]
+        for i, up in enumerate(parent.tolist()):
+            if up >= 0:
+                kids[up].append(i)
+        roots = np.flatnonzero(parent == -1)
+        if not roots.size:
+            raise ValueError("a tree needs a root node")
+        order, stack = [], [int(roots[-1])]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(reversed(kids[order[-1]]))
+        take = np.array(order, dtype=np.intp)
+        rank = np.empty(len(parent), dtype=np.int64)
+        rank[take] = np.arange(take.size)
+        n, dim = take.size, lo.shape[1]
+        self.parent = np.where(parent[take] < 0, -1, rank[parent[take]])
+        self.node_id, lo, hi = node_id[take], lo[take], hi[take]
+        new = rank.tolist()
+        self.kids = [[new[c] for c in kids[i]] for i in order]
+        self.child = np.full((n, max(map(len, self.kids)) or 1), n,
+                             dtype=np.intp)
+        for row, row_kids in enumerate(self.kids):
+            self.child[row, :len(row_kids)] = row_kids
+        self.lo_rows = [tuple(r) for r in lo.tolist()]
+        self.hi_rows = [tuple(r) for r in hi.tolist()]
+        self.lo = np.vstack([lo, np.full((1, dim), math.inf)])
+        self.hi = np.vstack([hi, np.full((1, dim), -math.inf)])
+        is_leaf = self.child[:, 0] == n
+        self.leaf_pos = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
+        return take
+
+    def __len__(self) -> int:
+        return len(self.kids)
+
+    def subtree(self, row: int) -> range:
+        """The rows of ``row``'s subtree (``row`` first)."""
+        last = row
+        while self.kids[last]:
+            last = self.kids[last][-1]
+        return range(row, last + 1)
+
+    # ------------------------------------------------------------------ #
+    # mutators: every one drops the estimate memo
+    # ------------------------------------------------------------------ #
+    def splice(self, row: int, spec: "PartitionNode",  # requires-lock: _lock
+               first_id: int) -> range:
+        """Replace the rows below ``row`` by ``spec``'s children: zeroed
+        statistics, fresh heaps, ids from ``first_id`` on in preorder.
+        ``row`` and every row outside its subtree keep their statistics.
+        Returns the new rows."""
+        fresh = NodeTable.from_spec(spec, len(self._cols),
+                                    tuple(self.columns), self._minmax_k)
+        n, m = len(self), len(fresh) - 1
+        # [self; fresh below its root], fresh's root standing for ``row``
+        up = fresh.parent[1:]
+        parent = np.concatenate([self.parent,
+                                 np.where(up == 0, row, up + n - 1)])
+        parent[self.kids[row]] = -2             # drop the old subtree
+        take = self._link(
+            parent, np.concatenate([self.lo[:n], fresh.lo[1:m + 1]]),
+            np.concatenate([self.hi[:n], fresh.hi[1:m + 1]]),
+            np.concatenate([self.node_id, np.arange(m) + first_id]))
+        for name in self.FIELDS:
+            setattr(self, name, np.concatenate(
+                [getattr(self, name), getattr(fresh, name)[1:]])[take])
+        order = take.tolist()
+        for pos, (top, bottom) in self.columns.items():
+            new_top, new_bottom = fresh.columns[pos]
+            both = (top.tops + new_top.tops[1:],
+                    bottom.tops + new_bottom.tops[1:])
+            self.columns[pos] = tuple(TopKColumn([tops[i] for i in order])
+                                      for tops in both)
+        self._memo.clear()
+        return range(row + 1, row + 1 + m)
+
+    def set_exact_base(self, row: int, count: int,  # requires-lock: _lock
+                       sums: np.ndarray, sumsqs: np.ndarray,
+                       mins: Optional[np.ndarray] = None,
+                       maxs: Optional[np.ndarray] = None) -> None:
+        """Populate a node's exact statistics from a full scan (SPT)."""
+        self.exact[row] = True
+        self.base_count[row] = int(count)
+        self.bsum[row], self.bsumsq[row] = sums, sumsqs
+        if mins is not None:
+            self.cmin[row] = mins
+        if maxs is not None:
+            self.cmax[row] = maxs
+        self._memo.clear()
+
+    def rescale(self, rows: range, factor: float) -> None:  # requires-lock: _lock
+        """Scale the catch-up accumulators of ``rows`` by ``factor``."""
+        at = slice(rows.start, rows.stop)
+        self.h[at] *= factor
+        self.csum[at] *= factor
+        self.csumsq[at] *= factor
+        self._memo.clear()
 
     # ------------------------------------------------------------------ #
     # the grouped-update kernel
@@ -145,6 +252,7 @@ class NodeTable:
             for column in columns:
                 (column.insert_many if sign > 0 else column.delete_many)(
                     ids, stats[:, pos])
+        self._memo.clear()
 
     def add_catchup(self, ids: np.ndarray, stats: np.ndarray) -> None:  # requires-lock: _lock
         """Accumulate a batch of catch-up sample pairs (Section 4.3)."""
@@ -154,12 +262,25 @@ class NodeTable:
         self.csumsq += totalsq
         np.minimum.at(self.cmin.reshape(-1), flat, stats.ravel())
         np.maximum.at(self.cmax.reshape(-1), flat, stats.ravel())
+        self._memo.clear()
 
     # ------------------------------------------------------------------ #
     # estimates, one column (every node) at a time - `h_total`/`n0` are
-    # the tree-level catch-up totals.  Elementwise IEEE arithmetic in
-    # the order of DPTNode's scalar methods: an entry is their number.
+    # the tree-level catch-up totals
     # ------------------------------------------------------------------ #
+    def column(self, name: str, *args) -> list:  # requires-lock: _lock
+        """An estimate method's column for ``args`` (or a stored column)
+        as a list, memoized until a mutator next runs."""
+        key = (name, *args)
+        col = self._memo.get(key)
+        if col is None:
+            col = getattr(self, name)
+            if callable(col):
+                col = col(*args)
+            col = self._memo[key] = \
+                col if isinstance(col, list) else col.tolist()
+        return col
+
     def count_estimates(self, n0: int, h_total: float) -> np.ndarray:  # requires-lock: _lock
         """N_i estimates: snapshot part plus exact net delta."""
         if h_total <= 0:
@@ -200,159 +321,34 @@ class NodeTable:
         # max(0.0, raw) of the live rows (a NaN clamps to 0.0 like max)
         return np.where(self.exact | (h <= 0) | ~(raw > 0.0), 0.0, raw)
 
+    def extreme_estimates(self, pos: int, is_max: bool  # requires-lock: _lock
+                          ) -> List[Tuple[Optional[float], bool]]:
+        """Per node, (MAX or MIN estimate, exactness) of the tracked
+        attribute at ``pos``: the more extreme of the catch-up extreme
+        (when finite) and the heap top (when the heap holds one) - for
+        sampled nodes an inner approximation - exact only if the node
+        is and its heap is; ``(None, False)`` with neither."""
+        seen = (self.cmax if is_max else self.cmin)[:, pos]
+        known = np.isfinite(seen)
+        value, exact = seen, self.exact
+        heaps = self.columns.get(pos)
+        if heaps is not None:
+            top, held, heap_exact = heaps[0 if is_max else 1].state()
+            beyond = top > seen if is_max else top < seen
+            value = np.where(held & (beyond | ~known), top, seen)
+            exact = exact & (heap_exact | ~held)
+            known = known | held
+        out = list(zip(value.tolist(), (exact & known).tolist()))
+        for row in np.flatnonzero(~known).tolist():
+            out[row] = (None, False)
+        return out
 
-def _field(name: str, cast=None) -> property:
-    """A :class:`DPTNode` field stored as row ``_i`` of table ``_t``."""
-    def get(self):
-        value = getattr(self._t, name)[self._i]
-        return value if cast is None else cast(value)
 
-    def put(self, value) -> None:
-        getattr(self._t, name)[self._i] = value
-    return property(get, put)
-
-
-class DPTNode:
-    """One node of a (dynamic or static) partition tree: a handle on a
-    :class:`NodeTable` row.  Array fields are row views (writes land in
-    the table), scalar fields read as Python scalars.  A node built on
-    its own owns a one-row table until a tree adopts it."""
-
-    __slots__ = ("node_id", "rect", "children", "parent", "minmax",
-                 "_t", "_i")
-
-    h = _field("h", float)
-    delta_count = _field("delta_count", int)
-    base_count = _field("base_count", int)
-    exact = _field("exact", bool)
-    csum, csumsq = _field("csum"), _field("csumsq")
-    cmin, cmax = _field("cmin"), _field("cmax")
-    dsum, dsumsq = _field("dsum"), _field("dsumsq")
-    bsum, bsumsq = _field("bsum"), _field("bsumsq")
-
-    def __init__(self, node_id: int, rect: Rectangle, n_stats: int,
-                 minmax_attrs: Tuple[int, ...] = (), minmax_k: int = 32,
-                 table: Optional[NodeTable] = None, row: int = 0) -> None:
-        self.node_id = node_id
-        self.rect = rect
-        self.children: List["DPTNode"] = []
-        self.parent: Optional["DPTNode"] = None
-        # MIN/MAX heaps per tracked attribute position
-        self.minmax: Dict[int, MinMaxStats] = {
-            pos: MinMaxStats(minmax_k) for pos in minmax_attrs}
-        self._t, self._i = table, row
-        if table is None:
-            self._t = NodeTable(1, n_stats)
-            self._t.bind_minmax([self.minmax])
-
-    # ------------------------------------------------------------------ #
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def _row(self) -> np.ndarray:
-        return np.array([self._i])
-
-    def add_catchup(self, stat_values: np.ndarray) -> None:
-        self._t.add_catchup(self._row(), np.asarray(stat_values)[None])
-
-    def apply_insert(self, stat_values: np.ndarray) -> None:
-        self._t.apply_delta(self._row(), np.asarray(stat_values)[None], 1)
-
-    def apply_delete(self, stat_values: np.ndarray) -> None:
-        self._t.apply_delta(self._row(), np.asarray(stat_values)[None], -1)
-
-    def set_exact_base(self, count: int, sums: np.ndarray,
-                       sumsqs: np.ndarray,
-                       mins: Optional[np.ndarray] = None,
-                       maxs: Optional[np.ndarray] = None) -> None:
-        """Populate exact statistics from a full scan (SPT construction)."""
-        self.exact = True
-        self.base_count = int(count)
-        self.bsum, self.bsumsq = sums, sumsqs
-        if mins is not None:
-            self.cmin = mins
-        if maxs is not None:
-            self.cmax = maxs
-
-    # ------------------------------------------------------------------ #
-    # estimates of this node alone: the arithmetic of one entry of the
-    # table's estimate columns (tests pin them equal) on Python scalars,
-    # cheaper than a column when only a few nodes are asked about
-    # ------------------------------------------------------------------ #
-    def count_estimate(self, n0: int, h_total: float) -> float:
-        t, i = self._t, self._i
-        delta = int(t.delta_count[i])
-        if t.exact[i]:
-            return float(int(t.base_count[i]) + delta)
-        if h_total <= 0:
-            return float(max(delta, 0))
-        return (float(t.h[i]) / h_total) * n0 + delta
-
-    def sum_estimate(self, pos: int, n0: int, h_total: float,
-                     squares: bool = False) -> float:
-        t, i = self._t, self._i
-        c, d, b = (t.csumsq, t.dsumsq, t.bsumsq) if squares \
-            else (t.csum, t.dsum, t.bsum)
-        if t.exact[i]:
-            return float(b[i, pos] + d[i, pos])
-        if h_total <= 0:
-            return float(d[i, pos])
-        return (n0 / h_total) * float(c[i, pos]) + float(d[i, pos])
-
-    def catchup_var_sum(self, pos: int, n0: int, h_total: float) -> float:
-        if h_total <= 0:
-            return 0.0
-        n_hat = (float(self._t.h[self._i]) / h_total) * n0
-        return self._catchup_var(pos, n_hat * n_hat)
-
-    def catchup_var_base(self, pos: int) -> float:
-        return self._catchup_var(pos, None)
-
-    def _catchup_var(self, pos: int, scale: Optional[float]) -> float:
-        t, i = self._t, self._i
-        h = float(t.h[i])
-        if t.exact[i] or h <= 0:
-            return 0.0
-        s, s2 = float(t.csum[i, pos]), float(t.csumsq[i, pos])
-        val, cube = h * s2 - s * s, h * h * h
-        return max(0.0, val / cube if scale is None else scale / cube * val)
-
-    def catchup_var_avg(self, pos: int, w_i: float) -> float:
-        """Appendix C: nu_c term for an AVG query given weight w_i."""
-        return (w_i * w_i) * self.catchup_var_base(pos)
-
-    def min_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
-        """(estimate, exactness) of the node MIN over the tracked attr."""
-        candidates = []
-        exact = self.exact
-        seen = float(self._t.cmin[self._i, pos])
-        if math.isfinite(seen):
-            candidates.append(seen)
-        mm = self.minmax.get(pos)
-        if mm is not None and mm.min_value is not None:
-            candidates.append(mm.min_value)
-            exact = exact and mm.min_exact
-        if not candidates:
-            return None, False
-        # Sampled nodes: the observed min is an inner approximation.
-        return min(candidates), exact
-
-    def max_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
-        candidates = []
-        exact = self.exact
-        seen = float(self._t.cmax[self._i, pos])
-        if math.isfinite(seen):
-            candidates.append(seen)
-        mm = self.minmax.get(pos)
-        if mm is not None and mm.max_value is not None:
-            candidates.append(mm.max_value)
-            exact = exact and mm.max_exact
-        if not candidates:
-            return None, False
-        return max(candidates), exact
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else "internal"
-        return (f"DPTNode({self.node_id}, {kind}, h={self.h}, "
-                f"delta={self.delta_count})")
+def inflate_rect(rect: Rectangle, domain: Rectangle) -> Rectangle:
+    """``rect`` with each edge it shares with ``domain`` moved to infinity
+    (the rectangle a tree built over ``domain`` gives that node)."""
+    return Rectangle(
+        tuple(-math.inf if a == o else a
+              for a, o in zip(rect.lo, domain.lo)),
+        tuple(math.inf if b == o else b
+              for b, o in zip(rect.hi, domain.hi)))

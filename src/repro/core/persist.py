@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -35,12 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..partitioning.spec import PartitionNode
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
-from .node import DPTNode, NodeTable
+from .node import NodeTable
 from .placement import PlacementMap, stagger_trigger
-from .queries import AggFunc, Rectangle
+from .queries import AggFunc
 from .routing import ShardSummary
 from .sharded import LocalShard, ShardedJanusAQP
 from .table import Table
@@ -120,14 +118,15 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
     dpt = janus.dpt
     if dpt is None:
         raise RuntimeError("cannot save an uninitialized synopsis")
-    nodes = list(dpt.nodes())
-    n = len(nodes)
-    table = dpt._table              # rows are in nodes() order
+    table = dpt.table              # rows in canonical preorder
+    n = len(table)
     minmax_payload: List[Dict] = [{
         str(pos): {
-            "max": mm._max.values(), "min": mm._min.values(),
-            "max_exact": mm._max.exact, "min_exact": mm._min.exact,
-        } for pos, mm in node.minmax.items()} for node in nodes]
+            "max": top.tops[i].values(), "min": bottom.tops[i].values(),
+            "max_exact": top.tops[i].exact,
+            "min_exact": bottom.tops[i].exact,
+        } for pos, (top, bottom) in table.columns.items()}
+        for i in range(n)]
 
     pool_tids = np.array(janus.reservoir.tids(), dtype=np.int64)
     pool_rows = janus.pool.rows(pool_tids)
@@ -143,8 +142,7 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
         n_repartitions=janus.n_repartitions,
         config=_config_dict(janus.config),
         minmax=minmax_payload,
-        minmax_attrs=[dpt.stat_attrs[p] for p in
-                      sorted(nodes[0].minmax)] if nodes else [],
+        minmax_attrs=[dpt.stat_attrs[p] for p in sorted(table.columns)],
         trigger_counts=[state.n_checks, state.n_candidates,
                         state.n_forced])
     payload = dict(
@@ -191,44 +189,28 @@ def load_synopsis(path: str, table: Table,
                          metrics=metrics, metrics_labels=metrics_labels)
         janus.n_repartitions = int(meta.n_repartitions)
 
-        # ---- rebuild the node graph ---------------------------------- #
-        parent = archive["parent"]
-        n = parent.shape[0]
+        # ---- install the node table ---------------------------------- #
+        # The table re-lays the archive's rows in canonical preorder,
+        # children in ascending archive-row order (how archives written
+        # before rows were kept in preorder always loaded); a node's id
+        # is its archive row.
         stat_attrs = tuple(meta.stat_attrs)
-        mm_pos = tuple(stat_attrs.index(a) for a in meta.minmax_attrs)
-        node_table = NodeTable(n, len(stat_attrs))
+        node_table = NodeTable(
+            archive["parent"], archive["rect_lo"], archive["rect_hi"],
+            np.arange(archive["parent"].shape[0]), len(stat_attrs),
+            tuple(stat_attrs.index(a) for a in meta.minmax_attrs),
+            config.minmax_k)
+        order = node_table.node_id
         for name in NodeTable.FIELDS:
-            getattr(node_table, name)[:] = archive[name]
-        rect_lo, rect_hi = archive["rect_lo"], archive["rect_hi"]
-        nodes: List[DPTNode] = []
-        for i in range(n):
-            node = DPTNode(i, Rectangle(tuple(rect_lo[i]),
-                                        tuple(rect_hi[i])),
-                           len(stat_attrs), mm_pos, config.minmax_k,
-                           node_table, i)
-            for pos_str, payload in meta.minmax[i].items():
-                mm = node.minmax[int(pos_str)]
-                mm._max.restore(payload["max"], payload["max_exact"])
-                mm._min.restore(payload["min"], payload["min_exact"])
-            nodes.append(node)
-        root = None
-        for i, node in enumerate(nodes):
-            p = int(parent[i])
-            if p < 0:
-                root = node
-            else:
-                node.parent = nodes[p]
-                nodes[p].children.append(node)
-        if root is None:
-            raise ValueError("snapshot has no root node")
-
-        # a tree over the root's rectangle, re-pointed at the restored graph
-        dpt = DynamicPartitionTree(
-            PartitionNode(root.rect), table.schema, meta.predicate_attrs,
-            stat_attrs, meta.minmax_attrs, config.minmax_k)
+            getattr(node_table, name)[:] = archive[name][order]
+        for row, i in enumerate(order.tolist()):
+            for pos, saved in meta.minmax[i].items():
+                top, bottom = node_table.columns[int(pos)]
+                top.restore(row, saved["max"], saved["max_exact"])
+                bottom.restore(row, saved["min"], saved["min_exact"])
+        dpt = DynamicPartitionTree(node_table, table.schema,
+                                   meta.predicate_attrs, stat_attrs)
         dpt.n0 = int(meta.n0)
-        dpt._nodes, dpt._next_id, dpt.root = nodes, n, root
-        dpt._index_leaves()
         janus.dpt = dpt
 
         # ---- restore the pooled sample ------------------------------- #

@@ -23,7 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .node import DPTNode
+from .dpt import DynamicPartitionTree
+from .node import NodeRef
 
 
 @dataclass
@@ -34,17 +35,19 @@ class PartialRepartitionReport:
     seconds: float
 
 
-def ancestor_at(leaf: DPTNode, psi: int) -> DPTNode:
+def ancestor_at(dpt: DynamicPartitionTree, leaf: NodeRef,
+                psi: int) -> NodeRef:
     """The ancestor ``psi`` levels above ``leaf`` (clamped at the root)."""
     node = leaf
     for _ in range(psi):
-        if node.parent is None:
+        up = dpt.parent(node)
+        if up is None:
             break
-        node = node.parent
+        node = up
     return node
 
 
-def partial_repartition(janus, leaf: DPTNode, psi: int = 2
+def partial_repartition(janus, leaf: NodeRef, psi: int = 2
                         ) -> PartialRepartitionReport:
     """Re-partition the neighbourhood of ``leaf`` on a JanusAQP system.
 
@@ -56,17 +59,17 @@ def partial_repartition(janus, leaf: DPTNode, psi: int = 2
     """
     t0 = time.perf_counter()
     with janus._lock:
-        scope = ancestor_at(leaf, psi)
-        if scope is janus.dpt.root:
+        scope = ancestor_at(janus.dpt, leaf, psi)
+        if scope.row == 0:
             scope = None            # degenerates to a full re-partition
         janus._rebuild(scope=scope)
-        u = scope or janus.dpt.root
+        u = scope or janus.dpt.node(0)
         return PartialRepartitionReport(
-            u.node_id, janus.dpt.subtree_leaf_count(u),
+            u.node_id, len(janus.dpt.subtree_leaves(u)),
             janus.sample_index.count(u.rect), time.perf_counter() - t0)
 
 
-def auto_partial_repartition(janus, leaf: DPTNode, max_psi: int = 6,
+def auto_partial_repartition(janus, leaf: NodeRef, max_psi: int = 6,
                              improvement: float = 0.8
                              ) -> PartialRepartitionReport:
     """Appendix E's automatic variant: grow ``psi`` until the region's
@@ -75,15 +78,15 @@ def auto_partial_repartition(janus, leaf: DPTNode, max_psi: int = 6,
     with janus._lock:
         oracle = janus.trigger.oracle
         for psi in range(1, max_psi + 1):
-            u = ancestor_at(leaf, psi)
-            if u is janus.dpt.root:
+            u = ancestor_at(janus.dpt, leaf, psi)
+            if u.row == 0:
                 break
             before = oracle.max_variance(u.rect).variance
             report = partial_repartition(janus, leaf, psi)
-            leaves = [n for n in janus.dpt.subtree_nodes(u) if n.is_leaf]
+            leaves = janus.dpt.subtree_leaves(u)
             after = max(oracle.max_variance(lf.rect).variance
                         for lf in leaves)
             if before <= 0 or after <= improvement * before:
                 return report
-            leaf = leaves[0]
+            leaf = leaves[-1]
         return partial_repartition(janus, leaf, max_psi)

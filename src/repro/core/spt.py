@@ -10,7 +10,7 @@ were exact at time zero) and for Table 3's partitioner comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -51,21 +51,20 @@ class StaticPartitionTree:
         leaf_rows: Dict[int, list] = {leaf.node_id: []
                                       for leaf in self._tree.leaves}
         coords = data[:, pred_idx]
-        for node in self._tree.nodes():
+        tree, zeros = self._tree, np.zeros(len(stat_idx))
+        for node in tree.nodes():
             mask = np.ones(data.shape[0], dtype=bool)
             for dim in range(coords.shape[1]):
                 mask &= (coords[:, dim] >= node.rect.lo[dim]) & \
                         (coords[:, dim] <= node.rect.hi[dim])
             sub = stats[mask]
             if sub.shape[0]:
-                node.set_exact_base(sub.shape[0], sub.sum(axis=0),
-                                    (sub * sub).sum(axis=0),
-                                    mins=sub.min(axis=0),
-                                    maxs=sub.max(axis=0))
+                tree.table.set_exact_base(
+                    node.row, sub.shape[0], sub.sum(axis=0),
+                    (sub * sub).sum(axis=0), sub.min(axis=0), sub.max(axis=0))
             else:
-                node.set_exact_base(0, np.zeros(len(stat_idx)),
-                                    np.zeros(len(stat_idx)))
-            if node.is_leaf and sub.shape[0]:
+                tree.table.set_exact_base(node.row, 0, zeros, zeros)
+            if not tree.children(node) and sub.shape[0]:
                 rows = data[mask]
                 want = max(1, int(round(sample_rate * rows.shape[0])))
                 pick = rng.choice(rows.shape[0], size=min(want,

@@ -31,7 +31,7 @@ from ..partitioning.maxvar import MaxVarOracle
 from ..sampling.pool import SamplePool
 from ..sampling.stratified import min_samples_per_stratum
 from .dpt import DynamicPartitionTree
-from .node import DPTNode
+from .node import NodeRef
 from .queries import Rectangle
 
 
@@ -79,7 +79,7 @@ class RepartitionTrigger:
         self.oracle = oracle
         self.pool = pool          # its strata are the leaves' samples
         self.state = TriggerState()
-        self._pos: Dict[DPTNode, int] = {}    # rebased tree's leaf -> row
+        self._pos: Dict[int, int] = {}    # rebased tree's leaf id -> row
         self._lo = self._hi = np.empty((0, 0))    # (k, d) leaf bounds
         # M_i' per row, None = dirty; ``_lock`` is the owning engine's.
         self._memo: List[Optional[float]] = []  # guarded-by: _lock
@@ -88,7 +88,7 @@ class RepartitionTrigger:
     # ------------------------------------------------------------------ #
     def rebase(self, dpt: DynamicPartitionTree) -> None:  # requires-lock: _lock
         """Record per-leaf baseline variances for a (new) tree."""
-        self._pos = {leaf: i for i, leaf in enumerate(dpt.leaves)}
+        self._pos = {leaf.node_id: i for i, leaf in enumerate(dpt.leaves)}
         self._lo = np.array([leaf.rect.lo for leaf in dpt.leaves])
         self._hi = np.array([leaf.rect.hi for leaf in dpt.leaves])
         self.pool_changed((None,))
@@ -121,9 +121,9 @@ class RepartitionTrigger:
                     self._memo[i] = None
         self._version = version
 
-    def leaf_variance(self, leaf: DPTNode) -> float:  # requires-lock: _lock
+    def leaf_variance(self, leaf: NodeRef) -> float:  # requires-lock: _lock
         """``M_i'``: the leaf's max variance under the current samples."""
-        i = self._pos.get(leaf)
+        i = self._pos.get(leaf.node_id)
         if i is None:                    # not a leaf of the rebased tree
             return self.oracle.max_variance(leaf.rect).variance
         if self.oracle.index.version != self._version:
@@ -141,12 +141,12 @@ class RepartitionTrigger:
 
     # ------------------------------------------------------------------ #
     def on_update(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
-                  leaf: DPTNode) -> TriggerAction:
+                  leaf: NodeRef) -> TriggerAction:
         """Called after every insert/delete routed to ``leaf``."""
         return self.on_update_batch(dpt, ((leaf, 1),))
 
     def on_update_batch(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
-                        leaf_counts: Iterable[Tuple[DPTNode, int]]
+                        leaf_counts: Iterable[Tuple[NodeRef, int]]
                         ) -> TriggerAction:
         """Account a whole update batch in one call.
 
@@ -179,14 +179,14 @@ class RepartitionTrigger:
                 return TriggerAction.CANDIDATE
         return TriggerAction.NONE
 
-    def _under_represented(self, leaf: DPTNode) -> bool:
+    def _under_represented(self, leaf: NodeRef) -> bool:
         floor = self.config.min_samples_floor
         if floor is None:
             floor = min_samples_per_stratum(
                 sample_rate=1.0, pool_size=max(len(self.oracle.index), 2))
         return self.pool.stratum_size(leaf.node_id) < floor
 
-    def _variance_drifted(self, leaf: DPTNode) -> bool:  # requires-lock: _lock
+    def _variance_drifted(self, leaf: NodeRef) -> bool:  # requires-lock: _lock
         baseline = self.state.baseline.get(leaf.node_id)
         if baseline is None:
             return False

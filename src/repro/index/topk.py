@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -117,18 +117,42 @@ class TopKColumn:
     """One direction's :class:`TopK` lists of all nodes of a tree, with
     their window edges as arrays: a batch of (node, value) pairs is
     filtered by one vector comparison and only the values that can
-    change a list reach it, in pair order."""
+    change a list reach it, in pair order.  :meth:`state` reads every
+    list's top the same way, as arrays."""
 
     def __init__(self, tops: Sequence[TopK]) -> None:
         self.tops = list(tops)
+        n = len(self.tops)
         self.largest = bool(self.tops) and self.tops[0].largest
         # rows: insert edges, delete edges, NaN (an edge nothing is beyond)
-        self._edges = np.full((3, len(self.tops)), math.nan)
-        self._refresh(range(len(self.tops)))
+        self._edges = np.full((3, n), math.nan)
+        # per list: top (NaN when empty), non-empty, exact - read lazily
+        self._top = np.full(n, math.nan)
+        self._held = np.zeros(n, dtype=bool)
+        self._exact = np.ones(n, dtype=bool)
+        self._moved: Set[int] = set()   # lists changed since state()
+        self._refresh(range(n))
 
     def _refresh(self, ids: Iterable[int]) -> None:
         for i in ids:
             self._edges[:2, i] = self.tops[i].edges()
+        self._moved.update(ids)
+
+    def restore(self, i: int, values: Iterable[float], exact: bool) -> None:
+        """Install list ``i``'s saved state (:mod:`repro.core.persist`)."""
+        self.tops[i].restore(values, exact)
+        self._refresh((i,))
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(top, held, exact)`` of every list: its :meth:`TopK.top`
+        (NaN when empty), whether it holds a value, its exactness."""
+        for i in self._moved:
+            value = self.tops[i].top()
+            self._held[i] = value is not None
+            self._top[i] = math.nan if value is None else value
+            self._exact[i] = self.tops[i].exact
+        self._moved.clear()
+        return self._top, self._held, self._exact
 
     def _apply(self, op, edge: np.ndarray, ids: np.ndarray,
                values: np.ndarray) -> None:

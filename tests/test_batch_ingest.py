@@ -43,16 +43,13 @@ def assert_same_state(a: JanusAQP, b: JanusAQP):
     assert list(a.table.live_tids()) == list(b.table.live_tids())
     np.testing.assert_array_equal(a.table.live_rows(), b.table.live_rows())
     assert a.reservoir.tids() == b.reservoir.tids()
-    nodes_a, nodes_b = list(a.dpt.nodes()), list(b.dpt.nodes())
-    assert len(nodes_a) == len(nodes_b)
-    for na, nb in zip(nodes_a, nodes_b):
-        assert na.node_id == nb.node_id
-        assert na.delta_count == nb.delta_count
-        assert na.h == nb.h
-        np.testing.assert_allclose(na.dsum, nb.dsum, rtol=1e-9, atol=1e-6)
-        np.testing.assert_allclose(na.dsumsq, nb.dsumsq, rtol=1e-9,
-                                   atol=1e-6)
-        np.testing.assert_allclose(na.csum, nb.csum, rtol=1e-9, atol=1e-6)
+    ta, tb = a.dpt.table, b.dpt.table
+    np.testing.assert_array_equal(ta.node_id, tb.node_id)
+    np.testing.assert_array_equal(ta.delta_count, tb.delta_count)
+    np.testing.assert_array_equal(ta.h, tb.h)
+    np.testing.assert_allclose(ta.dsum, tb.dsum, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(ta.dsumsq, tb.dsumsq, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(ta.csum, tb.csum, rtol=1e-9, atol=1e-6)
 
 
 def assert_same_answers(a: JanusAQP, b: JanusAQP, ds):
@@ -174,20 +171,20 @@ class TestDptBatchRouting:
         far[:, janus._pred_idx[0]] = [-1e12, 1e12, -1e6, 1e6]
         leaf_of = janus.dpt.insert_rows(far)
         assert leaf_of.shape == (4,)
-        assert janus.dpt.root.delta_count == 4
+        assert janus.dpt.table.delta_count[0] == 4
 
     def test_catchup_rows_match_per_row(self, ds):
         a = build_janus(ds, 6_000)
         b = build_janus(ds, 6_000)
         rows = ds.data[6_000:6_500]
         for row in rows:
-            a.dpt.add_catchup_row(row)
+            a.dpt.add_catchup_rows(row[None])
         b.dpt.add_catchup_rows(rows)
-        for na, nb in zip(a.dpt.nodes(), b.dpt.nodes()):
-            assert na.h == nb.h
-            np.testing.assert_allclose(na.csum, nb.csum, rtol=1e-9)
-            np.testing.assert_array_equal(na.cmin, nb.cmin)
-            np.testing.assert_array_equal(na.cmax, nb.cmax)
+        ta, tb = a.dpt.table, b.dpt.table
+        np.testing.assert_array_equal(ta.h, tb.h)
+        np.testing.assert_allclose(ta.csum, tb.csum, rtol=1e-9)
+        np.testing.assert_array_equal(ta.cmin, tb.cmin)
+        np.testing.assert_array_equal(ta.cmax, tb.cmax)
 
 
 class TestReservoirBatch:

@@ -86,8 +86,7 @@ class TestCatchupCoverage:
                 ("x", "a"), ("x",))
             dpt.set_population(n)
             pick = local.choice(n, size=400, replace=False)
-            for i in pick:
-                dpt.add_catchup_row(data[i])
+            dpt.add_catchup_rows(data[pick])
             res = dpt.query(q, lambda leaf: np.empty((0, 2)))
             lo, hi = res.ci(Z95)
             covered += (lo <= truth <= hi)
@@ -112,8 +111,8 @@ class TestCatchupCoverage:
                                         Rectangle((0.0,), (100.0,))),
                     ("x", "a"), ("x",))
                 dpt.set_population(n)
-                for i in rng.choice(n, size=h, replace=False):
-                    dpt.add_catchup_row(data[i])
+                dpt.add_catchup_rows(
+                    data[rng.choice(n, size=h, replace=False)])
                 draws.append(dpt.query(
                     q, lambda leaf: np.empty((0, 2))).variance)
             means[h] = float(np.mean(draws))

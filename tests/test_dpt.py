@@ -33,7 +33,7 @@ class TestConstruction:
         dpt = make_dpt()
         leaf_lo = dpt.route_leaf((-1e9,))
         leaf_hi = dpt.route_leaf((1e9,))
-        assert leaf_lo.is_leaf and leaf_hi.is_leaf
+        assert not dpt.children(leaf_lo) and not dpt.children(leaf_hi)
         assert leaf_lo is not leaf_hi
 
     def test_dim_mismatch_rejected(self):
@@ -64,33 +64,32 @@ class TestRouting:
 class TestMaintenance:
     def test_insert_updates_whole_path(self):
         dpt = make_dpt()
-        dpt.insert_row(np.array([10.0, 5.0]))
+        dpt.insert_rows(np.array([[10.0, 5.0]]))
         leaf = dpt.route_leaf((10.0,))
-        assert leaf.delta_count == 1
-        assert dpt.root.delta_count == 1
-        assert dpt.root.dsum[dpt.stat_pos("a")] == 5.0
+        assert dpt.table.delta_count[leaf.row] == 1
+        assert dpt.table.delta_count[0] == 1
+        assert dpt.table.dsum[0, dpt.stat_pos("a")] == 5.0
 
     def test_delete_reverses_insert(self):
         dpt = make_dpt()
-        row = np.array([10.0, 5.0])
-        dpt.insert_row(row)
-        dpt.delete_row(row)
-        assert dpt.root.delta_count == 0
-        assert dpt.root.dsum[dpt.stat_pos("a")] == 0.0
+        row = np.array([[10.0, 5.0]])
+        dpt.insert_rows(row)
+        dpt.delete_rows(row)
+        assert dpt.table.delta_count[0] == 0
+        assert dpt.table.dsum[0, dpt.stat_pos("a")] == 0.0
 
     def test_catchup_propagates(self):
         dpt = make_dpt()
-        dpt.add_catchup_row(np.array([60.0, 2.0]))
+        dpt.add_catchup_rows(np.array([[60.0, 2.0]]))
         assert dpt.h_total == 1
         leaf = dpt.route_leaf((60.0,))
-        assert leaf.h == 1
+        assert dpt.table.h[leaf.row] == 1
 
     def test_n_current(self):
         dpt = make_dpt()
         dpt.set_population(100)
-        dpt.insert_row(np.array([1.0, 1.0]))
-        dpt.insert_row(np.array([2.0, 1.0]))
-        dpt.delete_row(np.array([1.0, 1.0]))
+        dpt.insert_rows(np.array([[1.0, 1.0], [2.0, 1.0]]))
+        dpt.delete_rows(np.array([[1.0, 1.0]]))
         assert dpt.n_current == 101
 
 
@@ -99,9 +98,8 @@ class TestFrontier:
         dpt = make_dpt()
         # query [0, 50] covers two leaves exactly (cuts at 25, 50)
         cover, partial = dpt.frontier(Rectangle((-math.inf,), (50.0,)))
-        covered_leaves = sum(1 for n in cover for _ in ([n] if n.is_leaf
-                                                        else n.children))
         assert cover and not partial
+        assert [dpt.node(row).rect.hi for row in cover] == [(50.0,)]
 
     def test_partial_leaf_detected(self):
         dpt = make_dpt()
@@ -114,7 +112,8 @@ class TestFrontier:
         cover, partial = dpt.frontier(Rectangle((30.0,), (80.0,)))
         # middle leaves [25,50] partial at 30, [50,75] covered, partial at 80
         assert len(partial) == 2
-        assert sum(n.count_estimate(0, 0) >= 0 for n in cover) == len(cover)
+        counts = dpt.table.count_estimates(0, 0)
+        assert all(counts[row] >= 0 for row in cover)
 
     def test_disjoint_query(self):
         dpt = make_dpt((25.0,), domain=(0.0, 50.0))
@@ -127,7 +126,7 @@ def populate_exact(dpt, data):
     """Treat rows as both exact deltas (so stats are exact)."""
     dpt.set_population(0)
     for row in data:
-        dpt.insert_row(row)
+        dpt.insert_rows(row[None])
 
 
 class TestQueriesExactPath:
@@ -203,8 +202,7 @@ class TestQueriesSampledPath:
         dpt = make_dpt(cuts=tuple(np.linspace(12.5, 87.5, 7)))
         dpt.set_population(4000)
         catchup_pick = rng.choice(4000, size=800, replace=False)
-        for i in catchup_pick:
-            dpt.add_catchup_row(data[i])
+        dpt.add_catchup_rows(data[catchup_pick])
         # leaf samples: uniform pool routed by leaf
         pool = rng.choice(4000, size=400, replace=False)
         leaf_rows = {}
@@ -268,8 +266,7 @@ class TestMultiDim:
         spec = PartitionNode(root_rect, [PartitionNode(l),
                                          PartitionNode(r)])
         dpt = DynamicPartitionTree(spec, ("x", "y", "a"), ("x", "y"))
-        dpt.insert_row(np.array([2.0, 3.0, 7.0]))
-        dpt.insert_row(np.array([8.0, 3.0, 9.0]))
+        dpt.insert_rows(np.array([[2.0, 3.0, 7.0], [8.0, 3.0, 9.0]]))
         q = Query(AggFunc.SUM, "a", ("x", "y"),
                   Rectangle((-math.inf, -math.inf), (math.inf, math.inf)))
         res = dpt.query(q, lambda leaf: np.empty((0, 3)))

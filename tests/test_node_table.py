@@ -8,8 +8,11 @@ here - node write methods, the five descent loops, the bounded heaps,
 copied verbatim from the parent commit - and driven beside the live one
 through hypothesis-generated sequences of insert / delete / catch-up /
 subtree catch-up batches of 1..200 rows, with a ``replace_subtree`` and
-a snapshot round trip in the middle.  After every step ``leaf_of``,
-every column of the node table and every heap must agree exactly.
+a snapshot round trip in the middle.  After every step the routed
+leaves, every column of the node table and every heap must agree
+exactly, the frozen nodes taken in preorder (the table's row order).
+The frozen per-node estimates (``FrozenNode.count_estimate`` & co.)
+are the reference the table's estimate columns are pinned to.
 
 Two places where the frozen tree's answer depended on an accident of
 its implementation are pinned as what they now are, not copied:
@@ -45,6 +48,7 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.persist import load_synopsis, save_synopsis
 from repro.core.queries import Rectangle
 from repro.core.table import Table
+from repro.index.topk import MinMaxStats
 from repro.partitioning.spec import PartitionNode, tree_from_intervals
 
 # +-inf coordinates are statistic values too: inf - inf in a sum warns
@@ -174,6 +178,76 @@ class FrozenNode:
         for pos, mm in self.minmax.items():
             for v in stat_batch[:, pos]:
                 mm.delete(float(v))
+
+    # the per-node estimates, frozen at 563bc84 (they read a handle's
+    # table ``_t`` at row ``_i``: see ``row_handle``)
+    def count_estimate(self, n0: int, h_total: float) -> float:
+        t, i = self._t, self._i
+        delta = int(t.delta_count[i])
+        if t.exact[i]:
+            return float(int(t.base_count[i]) + delta)
+        if h_total <= 0:
+            return float(max(delta, 0))
+        return (float(t.h[i]) / h_total) * n0 + delta
+
+    def sum_estimate(self, pos: int, n0: int, h_total: float,
+                     squares: bool = False) -> float:
+        t, i = self._t, self._i
+        c, d, b = (t.csumsq, t.dsumsq, t.bsumsq) if squares \
+            else (t.csum, t.dsum, t.bsum)
+        if t.exact[i]:
+            return float(b[i, pos] + d[i, pos])
+        if h_total <= 0:
+            return float(d[i, pos])
+        return (n0 / h_total) * float(c[i, pos]) + float(d[i, pos])
+
+    def catchup_var_sum(self, pos: int, n0: int, h_total: float) -> float:
+        if h_total <= 0:
+            return 0.0
+        n_hat = (float(self._t.h[self._i]) / h_total) * n0
+        return self._catchup_var(pos, n_hat * n_hat)
+
+    def catchup_var_base(self, pos: int) -> float:
+        return self._catchup_var(pos, None)
+
+    def _catchup_var(self, pos: int, scale: Optional[float]) -> float:
+        t, i = self._t, self._i
+        h = float(t.h[i])
+        if t.exact[i] or h <= 0:
+            return 0.0
+        s, s2 = float(t.csum[i, pos]), float(t.csumsq[i, pos])
+        val, cube = h * s2 - s * s, h * h * h
+        return max(0.0, val / cube if scale is None else scale / cube * val)
+
+    def min_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
+        """(estimate, exactness) of the node MIN over the tracked attr."""
+        candidates = []
+        exact = self.exact
+        seen = float(self._t.cmin[self._i, pos])
+        if math.isfinite(seen):
+            candidates.append(seen)
+        mm = self.minmax.get(pos)
+        if mm is not None and mm.min_value is not None:
+            candidates.append(mm.min_value)
+            exact = exact and mm.min_exact
+        if not candidates:
+            return None, False
+        # Sampled nodes: the observed min is an inner approximation.
+        return min(candidates), exact
+
+    def max_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
+        candidates = []
+        exact = self.exact
+        seen = float(self._t.cmax[self._i, pos])
+        if math.isfinite(seen):
+            candidates.append(seen)
+        mm = self.minmax.get(pos)
+        if mm is not None and mm.max_value is not None:
+            candidates.append(mm.max_value)
+            exact = exact and mm.max_exact
+        if not candidates:
+            return None, False
+        return max(candidates), exact
 
 
 def _frozen_distances(rect, points):
@@ -520,29 +594,51 @@ def heaps(node):
             for pos, mm in node.minmax.items()}
 
 
+def table_heaps(table, row):
+    return {pos: (repr(top.tops[row]._values), repr(bottom.tops[row]._values),
+                  top.tops[row].exact, bottom.tops[row].exact)
+            for pos, (top, bottom) in table.columns.items()}
+
+
+def preorder(frozen: FrozenTree) -> List[FrozenNode]:
+    """The frozen tree's nodes parent first, first child first: the
+    live table's row order."""
+    out, stack = [], [frozen.root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def leaf_rects(leaves, leaf_of) -> list:
+    """Routed leaves by rectangle (the trees number leaves apart once
+    a subtree is replaced: the frozen one in its registry's walk order)."""
+    return [leaves[i].rect for i in np.asarray(leaf_of).tolist()]
+
+
 FIELDS = ("csum", "csumsq", "cmin", "cmax", "dsum", "dsumsq", "bsum",
           "bsumsq")
 
 
 def assert_same(frozen: FrozenTree, tree: DynamicPartitionTree, step):
-    old_nodes, new_nodes = list(frozen.nodes()), list(tree.nodes())
+    old_nodes, new_nodes = preorder(frozen), tree.nodes()
     assert len(old_nodes) == len(new_nodes), step
-    table = tree._table
+    table = tree.table
     for i, (old, new) in enumerate(zip(old_nodes, new_nodes)):
-        assert new._t is table and new._i == i, step
+        assert new.row == i, step
         assert old.rect == new.rect, step
         assert [c.rect for c in old.children] == \
-            [c.rect for c in new.children], step
+            [c.rect for c in tree.children(new)], step
         assert (old.h, old.delta_count, old.base_count, old.exact) == \
-            (new.h, new.delta_count, new.base_count, new.exact), (step, i)
+            (table.h[i], table.delta_count[i], table.base_count[i],
+             table.exact[i]), (step, i)
         for field in FIELDS:
             a, b = getattr(old, field), getattr(table, field)[i]
             assert np.array_equal(a, b, equal_nan=True), \
                 (step, i, field, a, b)
-            # the handle's view is the table row
-            assert np.shares_memory(getattr(new, field), b), field
-        assert heaps(old) == heaps(new), (step, i)
-    assert [n.rect for n in frozen.leaves] == \
+        assert heaps(old) == table_heaps(table, i), (step, i)
+    assert [n.rect for n in old_nodes if n.is_leaf] == \
         [n.rect for n in tree.leaves], step
 
 
@@ -622,64 +718,60 @@ def run_sequence(world, ops, nan):
         where = (step, kind, n, seed)
         if kind == "insert":
             inserted.append(rows)
-            assert np.array_equal(old_way(frozen.insert_rows, rows),
-                                  tree.insert_rows(rows)), where
+            assert leaf_rects(frozen.leaves,
+                              old_way(frozen.insert_rows, rows)) == \
+                leaf_rects(tree.leaves, tree.insert_rows(rows)), where
         elif kind == "delete":
             if inserted and rng.random() < 0.8:   # mostly tracked values
                 pool = np.concatenate(inserted)
                 rows = pool[rng.integers(0, len(pool), n)]
-            assert np.array_equal(old_way(frozen.delete_rows, rows),
-                                  tree.delete_rows(rows)), where
+            assert leaf_rects(frozen.leaves,
+                              old_way(frozen.delete_rows, rows)) == \
+                leaf_rects(tree.leaves, tree.delete_rows(rows)), where
         elif kind == "catchup":
             old_way(frozen.add_catchup_rows, rows)
             tree.add_catchup_rows(rows)
         elif kind in ("subtree", "subtree_row"):
-            inner = [i for i, node in enumerate(frozen.nodes())
-                     if not node.is_leaf]
+            order = preorder(frozen)
+            inner = [i for i, node in enumerate(order) if not node.is_leaf]
             at = inner[int(rng.integers(len(inner)))]
-            old_u, new_u = frozen._nodes[at], tree._nodes[at]
+            old_u, new_u = order[at], tree.node(at)
             if not nan:
                 rows = rows_inside(old_u.rect, rng, n, world, cuts)
             if rows.shape[0] == 0:
                 continue
             if kind == "subtree":
                 old_way(frozen.add_catchup_rows_subtree, rows, old_u)
-                tree.add_catchup_rows_subtree(new_u, rows)
+                tree.add_catchup_rows(rows, new_u)
             else:
                 frozen.add_catchup_row_subtree(old_u, rows[0])
-                tree.add_catchup_row_subtree(new_u, rows[0])
+                tree.add_catchup_rows(rows[:1], new_u)
         elif kind == "replace":
-            inner = [i for i, node in enumerate(frozen.nodes())
+            order = preorder(frozen)
+            inner = [i for i, node in enumerate(order)
                      if not node.is_leaf and node.parent is not None]
             at = inner[int(rng.integers(len(inner)))] if inner else 0
-            spec = replacement_spec(frozen._nodes[at])
+            spec = replacement_spec(order[at])
             if spec is None or not inner:
                 continue
-            old_u, new_u = frozen._nodes[at], tree._nodes[at]
+            old_u, new_u = order[at], tree.node(at)
             old_new = frozen.replace_subtree(old_u, spec)
             new_new = tree.replace_subtree(new_u, spec)
-            assert [n.rect for n in old_new] == [n.rect for n in new_new]
+            assert [n.rect for n in old_new] == \
+                [tree.node(row).rect for row in new_new]
             # seed and rescale the fresh subtree the way
             # partial_repartition does (h turns real-valued)
             if not nan:
                 rows = rows_inside(spec.rect, rng, n, world, cuts)
             old_way(frozen.add_catchup_rows_subtree, rows, old_u)
-            tree.add_catchup_rows_subtree(new_u, rows)
-            for fresh in (old_new, new_new):
-                for node in fresh:
-                    node.h *= 1.375
-                    node.csum *= 1.375
-                    node.csumsq *= 1.375
+            tree.add_catchup_rows(rows, new_u)
+            for node in old_new:
+                node.h *= 1.375
+                node.csum *= 1.375
+                node.csumsq *= 1.375
+            tree.table.rescale(new_new, 1.375)
         else:
             tree = roundtrip(tree, world)
-            # A loaded tree lists children in archive (= nodes()) order,
-            # which below a replaced subtree is the reverse of the
-            # order they were built in - so it was before this PR too.
-            # Siblings are disjoint, so only NaN tie-breaks could tell;
-            # the frozen tree follows suit to stay comparable.
-            for old, new in zip(frozen.nodes(), tree.nodes()):
-                rank = {c.rect: i for i, c in enumerate(new.children)}
-                old.children.sort(key=lambda c: rank[c.rect])
         assert_same(frozen, tree, where)
 
 
@@ -723,7 +815,7 @@ def test_row_walk_and_level_walk_take_identical_paths(world, n, seed,
     rng = np.random.default_rng(seed)
     rows = draw_rows(rng, n, world, cut_values(frozen), nan=True)
     coords = rows[:, tree._pred_idx]
-    inner = [node._i for node in tree.nodes() if not node.is_leaf]
+    inner = [node.row for node in tree.nodes() if tree.children(node)]
     start = inner[int(rng.integers(len(inner)))] if subtree else 0
     saved = dpt_module.LEVELWISE_MIN_ROWS
     try:
@@ -766,9 +858,9 @@ def test_one_column_sums_like_any_other():
         two.insert_rows(rows)
         one.add_catchup_rows(rows)
         two.add_catchup_rows(rows)
-    assert np.array_equal(one._table.dsum[:, 0], two._table.dsum[:, 1])
-    assert np.array_equal(one._table.csumsq[:, 0],
-                          two._table.csumsq[:, 1])
+    assert np.array_equal(one.table.dsum[:, 0], two.table.dsum[:, 1])
+    assert np.array_equal(one.table.csumsq[:, 0],
+                          two.table.csumsq[:, 1])
     # the root saw every row: its sum is the running row-order sum
     expect = 0.0
     rng = np.random.default_rng(0)
@@ -778,7 +870,7 @@ def test_one_column_sums_like_any_other():
         for v in rng.normal(size=n) * 1e3:
             batch += v
         expect += batch
-    assert one.root.dsum[0] == expect
+    assert one.table.dsum[0, 0] == expect
 
 
 # ---------------------------------------------------------------------- #
@@ -877,29 +969,46 @@ def test_sampled_rows_do_not_descend_twice(monkeypatch):
 # ---------------------------------------------------------------------- #
 # estimates: a column entry is the node's own number
 # ---------------------------------------------------------------------- #
+def row_handle(table, row) -> FrozenNode:
+    """A frozen node over ``table``'s row ``row``, read the way the
+    per-node estimates read a tree node's handle."""
+    node = FrozenNode.__new__(FrozenNode)
+    node._t, node._i = table, row
+    node.exact = bool(table.exact[row])
+    node.minmax = {}
+    for pos, (top, bottom) in table.columns.items():
+        mm = node.minmax[pos] = MinMaxStats()
+        mm._max, mm._min = top.tops[row], bottom.tops[row]
+    return node
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), h_total_zero=st.booleans())
 def test_estimate_columns_equal_per_node_estimates(seed, h_total_zero):
-    """``NodeTable.count_estimates`` & co. evaluate the formulas of
-    ``DPTNode.count_estimate`` & co. for every node at once; the query
-    path uses whichever is cheaper for the batch, so they must agree to
-    the bit - exact nodes, empty nodes and rescaled ``h`` included."""
+    """``NodeTable.count_estimates`` & co. evaluate the formulas of the
+    frozen per-node ``count_estimate`` & co. for every node at once, to
+    the bit - exact nodes, empty nodes, rescaled ``h`` and drained
+    (inexact) MIN/MAX heaps included."""
     _, tree = build_pair("2d")
     rng = np.random.default_rng(seed)
     cuts = cut_values(tree)
     tree.set_population(int(rng.integers(0, 10 ** 6)))
-    tree.insert_rows(draw_rows(rng, 150, "2d", cuts, nan=False))
+    rows = draw_rows(rng, 150, "2d", cuts, nan=False)
+    tree.insert_rows(rows)
     if not h_total_zero:
         tree.add_catchup_rows(draw_rows(rng, 120, "2d", cuts, nan=False))
+    tree.delete_rows(rows[:120])
     tree.delete_rows(draw_rows(rng, 40, "2d", cuts, nan=False))
-    nodes = list(tree.nodes())
+    nodes = tree.nodes()
     for node in nodes[::5]:
-        node.set_exact_base(17, rng.normal(size=3), rng.uniform(1, 2, 3))
+        tree.table.set_exact_base(node.row, 17, rng.normal(size=3),
+                            rng.uniform(1, 2, 3))
     for node in nodes[1::7]:
-        node.h *= 1.375
-        node.csum *= 1.375
-    table, totals = tree._table, (tree.n0, tree.h_total)
+        tree.table.rescale(range(node.row, node.row + 1), 1.375)
+    table, totals = tree.table, (tree.n0, tree.h_total)
+    handles = [row_handle(table, node.row) for node in nodes]
     assert (tree.h_total <= 0) == h_total_zero
+    assert not all(top.exact for top in table.columns[2][0].tops)
     with np.errstate(all="ignore"):
         for pos in range(3):
             columns = {
@@ -913,38 +1022,14 @@ def test_estimate_columns_equal_per_node_estimates(seed, h_total_zero):
                            lambda n: n.catchup_var_sum(pos, *totals)),
                 "varbase": (table.catchup_var_bases(pos),
                             lambda n: n.catchup_var_base(pos)),
+                "min": (table.extreme_estimates(pos, False),
+                        lambda n: n.min_estimate(pos)),
+                "max": (table.extreme_estimates(pos, True),
+                        lambda n: n.max_estimate(pos)),
             }
             for name, (column, entry) in columns.items():
-                assert column.dtype == np.float64, name
-                assert repr(column.tolist()) == \
-                    repr([entry(n) for n in nodes]), (name, pos)
-
-
-def test_answers_do_not_depend_on_the_memo_mode(monkeypatch):
-    """Whole columns or per-node entries: same ``QueryResult``s."""
-    from repro.core.queries import AggFunc, Query
-    rng = np.random.default_rng(9)
-    table = Table(("x", "a"), capacity=9000)
-    table.insert_many(np.column_stack([rng.uniform(0, 100, 6000),
-                                       rng.normal(50, 20, 6000)]))
-    engine = JanusAQP(table, "a", ("x",), config=JanusConfig(
-        k=32, sample_rate=0.05, catchup_rate=0.05, check_every=10 ** 9,
-        seed=2))
-    engine.initialize()
-    engine.insert_many(np.column_stack([rng.uniform(0, 100, 500),
-                                        rng.normal(50, 20, 500)]))
-    queries = []
-    for agg in AggFunc:
-        if agg.value in ("SUM", "COUNT", "AVG", "MIN", "MAX", "VARIANCE",
-                         "STDDEV"):
-            for _ in range(6):
-                lo = rng.uniform(0, 70)
-                queries.append(Query(agg, "a", ("x",), Rectangle(
-                    (lo,), (lo + rng.uniform(1, 30),))))
-    monkeypatch.setattr(dpt_module, "WHOLE_COLUMN_MIN_QUERIES", 0)
-    whole = engine.query_many(queries)
-    monkeypatch.setattr(dpt_module, "WHOLE_COLUMN_MIN_QUERIES", 10 ** 9)
-    per_node = engine.query_many(queries)
-    assert [repr(r) for r in whole] == [repr(r) for r in per_node]
-    assert [repr(engine.query(q)) for q in queries] == \
-        [repr(r) for r in whole]
+                if name not in ("min", "max"):
+                    assert column.dtype == np.float64, name
+                    column = column.tolist()
+                assert repr(column) == repr([entry(n) for n in handles]), \
+                    (name, pos)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.janus import JanusAQP, JanusConfig
+from repro.core.node import NodeTable
 from repro.core.persist import load_synopsis, save_synopsis
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
@@ -137,10 +138,12 @@ FROZEN_KEYS = {
 
 
 def frozen_node_arrays(janus):
-    """The per-node gather ``_synopsis_payload`` ran before PR 18,
-    verbatim: one fresh array per field, filled node by node."""
+    """The per-node gather ``_synopsis_payload`` ran before PR 18, over
+    the tree's nodes in row order: one fresh array per field, filled
+    node by node."""
     dpt = janus.dpt
-    nodes = list(dpt.nodes())
+    table = dpt.table
+    nodes = dpt.nodes()
     index_of = {node.node_id: i for i, node in enumerate(nodes)}
     n = len(nodes)
     d = len(dpt.predicate_attrs)
@@ -161,18 +164,19 @@ def frozen_node_arrays(janus):
     bsum = np.empty((n, s))
     bsumsq = np.empty((n, s))
     for i, node in enumerate(nodes):
-        if node.parent is not None:
-            parent[i] = index_of[node.parent.node_id]
+        up, row = dpt.parent(node), node.row
+        if up is not None:
+            parent[i] = index_of[up.node_id]
         rect_lo[i] = node.rect.lo
         rect_hi[i] = node.rect.hi
-        h[i] = node.h
-        delta_count[i] = node.delta_count
-        base_count[i] = node.base_count
-        exact[i] = node.exact
-        csum[i], csumsq[i] = node.csum, node.csumsq
-        cmin[i], cmax[i] = node.cmin, node.cmax
-        dsum[i], dsumsq[i] = node.dsum, node.dsumsq
-        bsum[i], bsumsq[i] = node.bsum, node.bsumsq
+        h[i] = table.h[row]
+        delta_count[i] = table.delta_count[row]
+        base_count[i] = table.base_count[row]
+        exact[i] = table.exact[row]
+        csum[i], csumsq[i] = table.csum[row], table.csumsq[row]
+        cmin[i], cmax[i] = table.cmin[row], table.cmax[row]
+        dsum[i], dsumsq[i] = table.dsum[row], table.dsumsq[row]
+        bsum[i], bsumsq[i] = table.bsum[row], table.bsumsq[row]
     return dict(parent=parent, rect_lo=rect_lo, rect_hi=rect_hi, h=h,
                 delta_count=delta_count, base_count=base_count,
                 exact=exact, csum=csum, csumsq=csumsq, cmin=cmin,
@@ -182,7 +186,7 @@ def frozen_node_arrays(janus):
 
 def churn(janus, ds):
     """Deltas, deletes and a partial re-partition: every field of the
-    node table non-trivial, ``nodes()`` order no longer pre-order."""
+    node table non-trivial, and a spliced subtree with fresh ids."""
     from repro.core.repartition import partial_repartition
     janus.insert_many(ds.data[12_000:13_000])
     janus.delete_many([int(t) for t in janus.table.live_tids()[:300]])
@@ -216,7 +220,7 @@ class TestArchiveFormat:
             assert new.tobytes() == old.tobytes(), key
             # fresh arrays: compression runs after the lock is released
             assert not np.shares_memory(new, getattr(
-                janus.dpt._table, key, np.empty(0)))
+                janus.dpt.table, key, np.empty(0)))
 
     def test_archive_from_the_frozen_writer_loads_bit_identically(
             self, world):
@@ -229,21 +233,20 @@ class TestArchiveFormat:
         payload.update(frozen_node_arrays(janus))
         np.savez_compressed(path, **payload)
         restored = load_synopsis(path, table)
-        for a, b in zip(janus.dpt.nodes(), restored.dpt.nodes()):
-            assert (a.h, a.delta_count, a.base_count, a.exact) == \
-                (b.h, b.delta_count, b.base_count, b.exact)
-            for field in ("csum", "csumsq", "cmin", "cmax", "dsum",
-                          "dsumsq", "bsum", "bsumsq"):
-                assert getattr(a, field).tobytes() == \
-                    getattr(b, field).tobytes(), field
-            assert a.rect == b.rect
-            assert {p: (m._max.values(), m._min.values(), m.max_exact,
-                        m.min_exact) for p, m in a.minmax.items()} == \
-                {p: (m._max.values(), m._min.values(), m.max_exact,
-                     m.min_exact) for p, m in b.minmax.items()}
-        # same answers as an archive today's writer produced (sample
-        # rows are re-filed on load, so the live engine itself only
-        # agrees to the last few bits - as before this PR)
+        live, back = janus.dpt.table, restored.dpt.table
+        for field in NodeTable.FIELDS:
+            assert getattr(live, field).tobytes() == \
+                getattr(back, field).tobytes(), field
+        assert [n.rect for n in janus.dpt.nodes()] == \
+            [n.rect for n in restored.dpt.nodes()]
+
+        def heaps(t):
+            return {p: [[(top.values(), top.exact) for top in heap.tops]
+                        for heap in pair] for p, pair in t.columns.items()}
+        assert heaps(back) == heaps(live)
+        # same answers as an archive today's writer produced (the pool
+        # re-files its leaf blocks on load, so the live engine itself
+        # only agrees to the last few bits)
         save_synopsis(janus, path)
         twin = load_synopsis(path, table)
         queries = [q.with_agg(agg) for q in workload(ds, n=12)
@@ -258,5 +261,23 @@ class TestArchiveFormat:
         more = ds.data[13_400:13_600]
         janus.dpt.insert_rows(more)
         restored.dpt.insert_rows(more)
-        assert restored.dpt._table.dsum.tobytes() == \
-            janus.dpt._table.dsum.tobytes()
+        assert restored.dpt.table.dsum.tobytes() == \
+            janus.dpt.table.dsum.tobytes()
+
+    def test_reload_keeps_the_live_frontier_order(self, world):
+        """Save -> load after a partial re-partition lists every node's
+        children in the live order, so each probe's covered and partial
+        nodes - the order its float sums accumulate in - come back as
+        they were (a spliced subtree used to reload mirrored)."""
+        janus, table, ds, path = world
+        churn(janus, ds)
+        save_synopsis(janus, path)
+        restored = load_synopsis(path, table)
+
+        def frontiers(dpt):
+            return [[[dpt.node(row).rect for row in rows]
+                     for rows in dpt.frontier(q.rect)]
+                    for q in workload(ds, n=60)]
+        assert frontiers(restored.dpt) == frontiers(janus.dpt)
+        assert [leaf.rect for leaf in restored.dpt.leaves] == \
+            [leaf.rect for leaf in janus.dpt.leaves]

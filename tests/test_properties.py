@@ -55,7 +55,7 @@ class TestExactDPTMatchesBruteForce:
         dpt.set_population(0)
         rows = {}
         for x, a in zip(xs, vals):
-            dpt.insert_row(np.array([x, a]))
+            dpt.insert_rows(np.array([[x, a]]))
             leaf = dpt.route_leaf((x,))
             rows.setdefault(leaf.node_id, []).append([x, a])
 
@@ -124,7 +124,7 @@ class TestExactDPTMatchesBruteForce:
         for rank in sorted(set(delete_ranks), reverse=True):
             if rank < len(live):
                 x, a = live.pop(rank)
-                dpt.delete_row(np.array([x, a]))
+                dpt.delete_rows(np.array([[x, a]]))
         rows = {}
         for x, a in live:
             leaf = dpt.route_leaf((x,))

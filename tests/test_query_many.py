@@ -145,11 +145,7 @@ class TestBatchEquivalence:
         rects = [q.rect for q in queries]
         covers, partials = janus.dpt.frontier_many(rects)
         for rect, cover_b, partial_b in zip(rects, covers, partials):
-            cover_s, partial_s = janus.dpt.frontier(rect)
-            assert [n.node_id for n in cover_s] == \
-                [n.node_id for n in cover_b]
-            assert [n.node_id for n in partial_s] == \
-                [n.node_id for n in partial_b]
+            assert janus.dpt.frontier(rect) == (cover_b, partial_b)
 
 
 class TestMixedTemplates:
@@ -216,16 +212,17 @@ class TestMinMaxExactness:
 
     def test_covered_node_without_extremum_clears_exact(self):
         dpt = self._two_leaf_tree()
-        left, mid = dpt.root.children[0], dpt.root.children[1]
+        left, mid = dpt.children(dpt.node(0))[:2]
         pos = dpt.stat_pos("a")
         # Left leaf: exact statistics with a known extremum.
-        left.set_exact_base(2, np.array([7.0, 9.0]),
-                            np.array([25.0, 41.0]),
-                            mins=np.array([3.0, 4.0]),
-                            maxs=np.array([4.0, 5.0]))
+        dpt.table.set_exact_base(left.row, 2, np.array([7.0, 9.0]),
+                           np.array([25.0, 41.0]),
+                           mins=np.array([3.0, 4.0]),
+                           maxs=np.array([4.0, 5.0]))
         # Mid leaf: exact but empty - no extremum information at all.
-        mid.set_exact_base(0, np.zeros(2), np.zeros(2))
-        assert mid.min_estimate(pos) == (None, False)
+        dpt.table.set_exact_base(mid.row, 0, np.zeros(2), np.zeros(2))
+        assert dpt.table.column("extreme_estimates", pos, False)[mid.row] == \
+            (None, False)
         query = Query(AggFunc.MIN, "a", ("x",),
                       Rectangle((-math.inf,), (20.0,)))
         result = dpt.query(query, self._no_samples)
@@ -240,9 +237,8 @@ class TestMinMaxExactness:
 
     def test_all_candidates_missing_is_nan_not_exact(self):
         dpt = self._two_leaf_tree()
-        for node in dpt.root.children[:2]:
-            node.set_exact_base(0, np.zeros(2), np.zeros(2))
-        dpt.root.set_exact_base(0, np.zeros(2), np.zeros(2))
+        for node in dpt.nodes()[:3]:
+            dpt.table.set_exact_base(node.row, 0, np.zeros(2), np.zeros(2))
         query = Query(AggFunc.MAX, "a", ("x",),
                       Rectangle((-math.inf,), (20.0,)))
         result = dpt.query(query, self._no_samples)
@@ -251,12 +247,12 @@ class TestMinMaxExactness:
 
     def test_fully_known_cover_stays_exact(self):
         dpt = self._two_leaf_tree()
-        left, mid = dpt.root.children[0], dpt.root.children[1]
-        left.set_exact_base(2, np.array([7.0, 9.0]),
-                            np.array([25.0, 41.0]),
-                            mins=np.array([3.0, 4.0]),
-                            maxs=np.array([4.0, 5.0]))
-        mid.set_exact_base(1, np.array([15.0, 1.0]),
+        left, mid = dpt.children(dpt.node(0))[:2]
+        dpt.table.set_exact_base(left.row, 2, np.array([7.0, 9.0]),
+                           np.array([25.0, 41.0]),
+                           mins=np.array([3.0, 4.0]),
+                           maxs=np.array([4.0, 5.0]))
+        dpt.table.set_exact_base(mid.row, 1, np.array([15.0, 1.0]),
                            np.array([225.0, 1.0]),
                            mins=np.array([15.0, 1.0]),
                            maxs=np.array([15.0, 1.0]))

@@ -28,10 +28,11 @@ def world():
 class TestAncestorAt:
     def test_walks_up(self, world):
         janus, _, _ = world
-        leaf = janus.dpt.leaves[0]
-        assert ancestor_at(leaf, 0) is leaf
-        assert ancestor_at(leaf, 1) is leaf.parent
-        assert ancestor_at(leaf, 100) is janus.dpt.root
+        dpt = janus.dpt
+        leaf = dpt.leaves[0]
+        assert ancestor_at(dpt, leaf, 0) is leaf
+        assert ancestor_at(dpt, leaf, 1) == dpt.parent(leaf)
+        assert ancestor_at(dpt, leaf, 100) == dpt.node(0)
 
 
 class TestPartialRepartition:
@@ -39,8 +40,8 @@ class TestPartialRepartition:
         janus, _, _ = world
         k_before = janus.dpt.k
         leaf = janus.dpt.leaves[len(janus.dpt.leaves) // 2]
-        u = ancestor_at(leaf, 2)
-        l_u = janus.dpt.subtree_leaf_count(u)
+        u = ancestor_at(janus.dpt, leaf, 2)
+        l_u = len(janus.dpt.subtree_leaves(u))
         report = partial_repartition(janus, leaf, psi=2)
         assert report.n_leaves == l_u
         assert janus.dpt.k == k_before
@@ -51,9 +52,10 @@ class TestPartialRepartition:
         partial_repartition(janus, leaf, psi=2)
         # every node's children partition it: disjoint siblings
         for node in janus.dpt.nodes():
-            for i, a in enumerate(node.children):
+            children = janus.dpt.children(node)
+            for i, a in enumerate(children):
                 assert node.rect.contains_rect(a.rect)
-                for b in node.children[i + 1:]:
+                for b in children[i + 1:]:
                     assert not a.rect.intersects(b.rect)
 
     def test_node_registry_consistent(self, world):
@@ -62,13 +64,13 @@ class TestPartialRepartition:
         partial_repartition(janus, leaf, psi=2)
         ids = [n.node_id for n in janus.dpt.nodes()]
         assert len(ids) == len(set(ids))
-        assert all(leaf.is_leaf for leaf in janus.dpt.leaves)
+        assert not any(janus.dpt.children(leaf) for leaf in janus.dpt.leaves)
 
     def test_outside_estimates_unchanged(self, world):
         """Nodes outside the subtree keep their exact statistics."""
         janus, table, ds = world
         leaf = janus.dpt.leaves[0]
-        u = ancestor_at(leaf, 2)
+        u = ancestor_at(janus.dpt, leaf, 2)
         # a query region far from the re-partitioned subtree
         far_lo = u.rect.hi[0] if math.isfinite(u.rect.hi[0]) else 0.0
         q = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
@@ -82,7 +84,7 @@ class TestPartialRepartition:
         """Queries over the re-partitioned region stay close to truth."""
         janus, table, ds = world
         leaf = janus.dpt.leaves[len(janus.dpt.leaves) // 2]
-        u = ancestor_at(leaf, 3)
+        u = ancestor_at(janus.dpt, leaf, 3)
         rect = u.rect
         lo = rect.lo[0] if math.isfinite(rect.lo[0]) else \
             table.domain(ds.predicate_attrs[0])[0]

@@ -545,13 +545,16 @@ class TestShardEdgeCases:
         # Force shard 1 into the PR 2 regression shape: a covered node
         # with no extremum information at all.
         shard = sharded.shards[1]
-        pos = shard.dpt.stat_pos(ds.agg_attr)
-        for node in shard.dpt.nodes():
-            node.minmax = {}
-            node.cmin.fill(math.inf)
-            node.cmax.fill(-math.inf)
-            node.exact = True
-        value, exact = shard.dpt.root.min_estimate(pos)
+        dpt = shard.dpt
+        pos = dpt.stat_pos(ds.agg_attr)
+        dpt.table.columns = {}
+        n_stats = len(dpt.stat_attrs)
+        for node in dpt.nodes():
+            dpt.table.set_exact_base(node.row, 0, np.zeros(n_stats),
+                               np.zeros(n_stats),
+                               mins=np.full(n_stats, math.inf),
+                               maxs=np.full(n_stats, -math.inf))
+        value, exact = dpt.table.column("extreme_estimates", pos, False)[0]
         assert value is None and not exact
         full = Rectangle((-math.inf,), (math.inf,))
         q = Query(AggFunc.MIN, ds.agg_attr, ds.predicate_attrs, full)

@@ -75,8 +75,8 @@ class TestOnUpdate:
             oracle, pool)
         trig.rebase(dpt)
         # an artificial leaf id with no samples at all
-        from repro.core.node import DPTNode
-        ghost = DPTNode(9999, Rectangle((200.0,), (300.0,)), 1)
+        from repro.core.node import NodeRef
+        ghost = NodeRef(-1, 9999, Rectangle((200.0,), (300.0,)))
         action = trig.on_update(dpt, ghost)
         assert action is TriggerAction.CANDIDATE
 

@@ -42,7 +42,7 @@ class TestExactPath:
         dpt = DynamicPartitionTree(spec, SCHEMA, ("x",))
         dpt.set_population(0)
         for row in data:
-            dpt.insert_row(row)
+            dpt.insert_rows(row[None])
         return dpt, data
 
     def test_variance_covered_exact(self, loaded):
@@ -65,7 +65,7 @@ class TestExactPath:
     def test_tracks_deletions(self, loaded):
         dpt, data = loaded
         for row in data[:100]:
-            dpt.delete_row(row)
+            dpt.delete_rows(row[None])
         q = Query(AggFunc.VARIANCE, "a", ("x",),
                   Rectangle((-math.inf,), (math.inf,)))
         res = dpt.query(q, no_samples)

@@ -44,11 +44,9 @@ EPOCH_LAYER = (
 #: a function "mutating" and therefore subject to the bump requirement.
 MUTATORS = {
     "insert_many", "delete_many",
-    "insert_rows", "delete_rows",
-    "add_catchup_rows", "add_catchup_rows_subtree",
-    "add_catchup_row", "add_catchup_row_subtree",
-    # the node table's grouped-update kernel and its per-node handles
-    "apply_delta", "add_catchup", "apply_insert", "apply_delete",
+    "insert_rows", "delete_rows", "add_catchup_rows",
+    # the node table's grouped-update kernel and its row-range writes
+    "apply_delta", "add_catchup", "rescale", "set_exact_base", "splice",
     "replace_subtree", "seed_from_reservoir",
     "_install", "resample", "reroute", "rebalance_range",
 }
