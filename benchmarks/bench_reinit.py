@@ -62,11 +62,8 @@ def make_pool(m):
     return ds, rows, coords, values, tids, Rectangle(lo, hi)
 
 
-def tree_signature(node):
-    if not node.children:
-        return ("leaf", tuple(node.rect.lo), tuple(node.rect.hi))
-    return (tuple(node.rect.lo), tuple(node.rect.hi),
-            tuple(tree_signature(c) for c in node.children))
+def tree_signature(spec):
+    return [(node.rect, len(node.children)) for node in spec.walk()]
 
 
 def build_queries(rect, n, seed=5):

@@ -41,7 +41,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from ..partitioning.spec import PartitionNode
+from ..partitioning.spec import TreeSpec
 from . import estimators
 from .node import NodeRef, NodeTable, inflate_rect  # noqa: F401 (re-export)
 from .queries import (AggFamily, AggFunc, Query, QueryResult,
@@ -83,7 +83,7 @@ class DynamicPartitionTree:
     snapshot's).
     """
 
-    def __init__(self, spec: Union[PartitionNode, NodeTable],
+    def __init__(self, spec: Union[TreeSpec, NodeTable],
                  schema: Sequence[str], predicate_attrs: Sequence[str],
                  stat_attrs: Optional[Sequence[str]] = None,
                  minmax_attrs: Optional[Sequence[str]] = None,
@@ -108,7 +108,7 @@ class DynamicPartitionTree:
             table = NodeTable.from_spec(
                 spec, len(self.stat_attrs),
                 tuple(self._stat_pos[a] for a in minmax_attrs
-                      if a in self._stat_pos), minmax_k, domain=spec.rect)
+                      if a in self._stat_pos), minmax_k)
         if table.lo.shape[1] != len(self.predicate_attrs):
             raise ValueError("spec dimensionality != #predicate attributes")
         #: The tree itself: one node per row (see :class:`NodeTable`).
@@ -174,20 +174,18 @@ class DynamicPartitionTree:
         rows = self.table.subtree(node.row)
         return [leaf for leaf in self.leaves if leaf.row in rows]
 
-    def replace_subtree(self, node: NodeRef,
-                        spec: PartitionNode) -> range:
+    def replace_subtree(self, node: NodeRef, spec: TreeSpec) -> range:
         """Swap ``node``'s children for a freshly partitioned subtree.
 
         The partial re-partitioning primitive of Appendix E: the rows
-        below ``node`` are spliced out for ``spec``'s children
-        (``spec.rect`` must cover the same region), new ids continuing
-        in preorder; ``node`` and everything outside its subtree keep
-        their rows' statistics.  Returns the new rows; the caller seeds
-        their statistics and re-routes strata.
+        below ``node`` are spliced out for ``spec``'s children (``spec``
+        rooted at ``node.rect`` itself, so they tile the same region),
+        new ids continuing in preorder; ``node`` and everything outside
+        its subtree keep their rows' statistics.  Returns the new rows;
+        the caller seeds their statistics and re-routes strata.
         """
-        if not node.rect.contains_rect(spec.rect) and \
-                not spec.rect.contains_rect(node.rect):
-            raise ValueError("replacement spec does not cover the node")
+        if spec.rect != node.rect:
+            raise ValueError(f"spec rooted at {spec.rect}, not {node.rect}")
         fresh = self.table.splice(node.row, spec, self._next_id)
         self._next_id += len(fresh)
         self._index()

@@ -49,7 +49,7 @@ from ..obs.trace import TraceContext, maybe_span
 from ..partitioning.kdtree import KDTreePartitioner, KDTreeResult
 from ..partitioning.maxvar import MaxVarOracle
 from ..partitioning.onedim import OneDimPartitioner, OneDimResult
-from ..partitioning.spec import PartitionNode
+from ..partitioning.spec import TreeSpec
 from ..sampling.pool import IndexReports, SamplePool
 from ..sketch.counted import CountedSketch
 from ..sketch.registry import (SKETCH_KIND, new_sketch, sketch_answer,
@@ -278,7 +278,7 @@ class JanusAQP:
         return thread
 
     def _rebuild(self, catchup_goal: Optional[int] = None,
-                 spec: Optional[PartitionNode] = None,
+                 spec: Optional[TreeSpec] = None,
                  scope: Optional[NodeRef] = None,
                  frozen: bool = False) -> ReoptReport:
         """The one re-initialization pipeline (Figure 4; Appendix E below
@@ -332,7 +332,7 @@ class JanusAQP:
         return (coords, values, tids, k, rect, max(len(self.table), 1),
                 None if frozen else self.sample_index)
 
-    def _compute_partitioning(self) -> PartitionNode:  # requires-lock: _lock
+    def _compute_partitioning(self) -> TreeSpec:  # requires-lock: _lock
         """Stages 1-2 over the live pool."""
         return self._partition(*self._snapshot(None, False)).tree
 
@@ -350,7 +350,7 @@ class JanusAQP:
             raise RuntimeError("cannot partition: empty sample pool")
         inside = np.flatnonzero(rect.contains_points(coords))
         if inside.size == 0:
-            return KDTreeResult(PartitionNode(rect), 0.0)  # one leaf
+            return KDTreeResult(TreeSpec.of([-1], [rect]), 0.0)  # one leaf
         focus, delta = self.config.focus_agg, self.config.delta
         if len(self.predicate_attrs) == 1:
             # Canonical tid order: with duplicate keys the stable
@@ -367,7 +367,7 @@ class JanusAQP:
             coords, values, tids, k, n_population=n_pop, root_rect=rect,
             index=index)
 
-    def _install(self, spec: PartitionNode,  # requires-lock: _lock
+    def _install(self, spec: TreeSpec,  # requires-lock: _lock
                  scope: Optional[NodeRef], catchup_goal: Optional[int]
                  ) -> Callable[[], CatchupReport]:
         """Stage 3, the blocking one: swap in a tree built from ``spec``
@@ -564,7 +564,7 @@ class JanusAQP:
             return                       # no drift check came due
         self._c_checks[outcome].inc()
 
-    def _candidate_spec(self) -> Tuple[str, Optional[PartitionNode]]:  # requires-lock: _lock
+    def _candidate_spec(self) -> Tuple[str, Optional[TreeSpec]]:  # requires-lock: _lock
         """A fresh partitioning R' against the commit rule ``M(R') <
         M(R) / beta`` (Section 5.4): ``("committed", spec)``,
         ``("rejected", None)`` or, the partitioner having raised,

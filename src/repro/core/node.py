@@ -30,7 +30,7 @@ from ..index.topk import TopK, TopKColumn
 from .queries import Rectangle
 
 if TYPE_CHECKING:
-    from ..partitioning.spec import PartitionNode
+    from ..partitioning.spec import TreeSpec
 
 
 class NodeRef(NamedTuple):
@@ -90,34 +90,25 @@ class NodeTable:
         # (estimate, *args) -> its column as a list, until the next write
         self._memo: Dict[tuple, list] = {}  # guarded-by: _lock
         self._link(np.asarray(parent), np.asarray(lo, dtype=np.float64),
-                   np.asarray(hi, dtype=np.float64), np.asarray(node_id))
+                   np.asarray(hi, dtype=np.float64), node_id)
 
     @classmethod
-    def from_spec(cls, spec: "PartitionNode", n_stats: int,
-                  minmax_pos: Sequence[int] = (), minmax_k: int = 32,
-                  domain: Optional[Rectangle] = None) -> "NodeTable":
-        """A zeroed table over ``spec`` (ids = rows), its rectangles
-        inflated against ``domain`` when one is given."""
-        parents: List[int] = []
-        rects: List[Rectangle] = []
-        stack = [(spec, -1)]
-        while stack:
-            node, parent = stack.pop()
-            row = len(rects)
-            parents.append(parent)
-            rects.append(node.rect)
-            stack.extend((kid, row) for kid in node.children[::-1])
-        if domain is not None:
-            rects = [inflate_rect(r, domain) for r in rects]
-        return cls(parents, [r.lo for r in rects], [r.hi for r in rects],
-                   np.arange(len(parents)), n_stats, minmax_pos, minmax_k)
+    def from_spec(cls, spec: "TreeSpec", n_stats: int,
+                  minmax_pos: Sequence[int] = (),
+                  minmax_k: int = 32) -> "NodeTable":
+        """A zeroed table over ``spec`` (ids = rows), each rectangle edge
+        it shares with the root's moved to infinity (:func:`inflate_rect`)."""
+        lo, hi = spec.lo, spec.hi
+        return cls(spec.parent, np.where(lo == lo[0], -math.inf, lo),
+                   np.where(hi == hi[0], math.inf, hi), None, n_stats,
+                   minmax_pos, minmax_k)
 
     def _link(self, parent: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              node_id: np.ndarray) -> np.ndarray:
+              node_id: Optional[np.ndarray]) -> np.ndarray:
         """Lay the structure out in canonical preorder over ``parent``
         links in any row order - children in ascending row order, rows
-        with a parent below -1 dropped with their subtrees - and return
-        the rows taken, in order, for the caller's statistics."""
+        with a parent below -1 dropped with their subtrees, ids the new
+        rows unless given - and return the rows taken, in order."""
         kids: List[List[int]] = [[] for _ in range(len(parent))]
         for i, up in enumerate(parent.tolist()):
             if up >= 0:
@@ -134,7 +125,8 @@ class NodeTable:
         rank[take] = np.arange(take.size)
         n, dim = take.size, lo.shape[1]
         self.parent = np.where(parent[take] < 0, -1, rank[parent[take]])
-        self.node_id, lo, hi = node_id[take], lo[take], hi[take]
+        self.node_id = np.arange(n) if node_id is None else node_id[take]
+        lo, hi = lo[take], hi[take]
         new = rank.tolist()
         self.kids = [[new[c] for c in kids[i]] for i in order]
         self.child = np.full((n, max(map(len, self.kids)) or 1), n,
@@ -162,14 +154,15 @@ class NodeTable:
     # ------------------------------------------------------------------ #
     # mutators: every one drops the estimate memo
     # ------------------------------------------------------------------ #
-    def splice(self, row: int, spec: "PartitionNode",  # requires-lock: _lock
+    def splice(self, row: int, spec: "TreeSpec",  # requires-lock: _lock
                first_id: int) -> range:
         """Replace the rows below ``row`` by ``spec``'s children: zeroed
         statistics, fresh heaps, ids from ``first_id`` on in preorder.
         ``row`` and every row outside its subtree keep their statistics.
         Returns the new rows."""
-        fresh = NodeTable.from_spec(spec, len(self._cols),
-                                    tuple(self.columns), self._minmax_k)
+        fresh = NodeTable(spec.parent, spec.lo, spec.hi, None,
+                          len(self._cols), tuple(self.columns),
+                          self._minmax_k)
         n, m = len(self), len(fresh) - 1
         # [self; fresh below its root], fresh's root standing for ``row``
         up = fresh.parent[1:]

@@ -18,16 +18,16 @@ from ..partitioning.dp import DPPartitioner
 from ..partitioning.equidepth import equidepth_tree
 from ..partitioning.onedim import OneDimPartitioner
 from ..partitioning.kdtree import KDTreePartitioner
-from ..partitioning.spec import PartitionNode
+from ..partitioning.spec import TreeSpec
 from ..index.range_index import RangeIndex
 from .dpt import DynamicPartitionTree
-from .queries import AggFunc, Query, QueryResult
+from .queries import AggFunc, Query, QueryResult, Rectangle
 
 
 class StaticPartitionTree:
     """Exact-statistics partition tree with frozen leaf samples."""
 
-    def __init__(self, spec: PartitionNode, schema: Sequence[str],
+    def __init__(self, spec: TreeSpec, schema: Sequence[str],
                  predicate_attrs: Sequence[str], data: np.ndarray,
                  sample_rate: float = 0.01, seed: int = 0,
                  stat_attrs: Optional[Sequence[str]] = None) -> None:
@@ -101,10 +101,18 @@ def build_spt(data: np.ndarray, schema: Sequence[str], agg_attr: str,
 
     ``partitioner`` selects the optimization algorithm: ``"bs"`` (the
     paper's binary-search algorithm), ``"dp"`` (the PASS dynamic
-    program), ``"equidepth"`` or ``"kd"`` (any dimensionality).
+    program), ``"equidepth"`` or ``"kd"`` (any dimensionality).  The
+    first three are one-dimensional; above one predicate attribute
+    ``"bs"`` (the default) selects ``"kd"`` and the other two raise.
     Partitioning runs over at most ``max_partition_samples`` uniform
     samples of the data, like the real systems do.
     """
+    d = len(predicate_attrs)
+    if partitioner not in ("bs", "dp", "equidepth", "kd"):
+        raise ValueError(f"unknown partitioner {partitioner!r}")
+    if d > 1 and partitioner in ("dp", "equidepth"):
+        raise ValueError(f"partitioner {partitioner!r} is one-dimensional; "
+                         f"got {d} predicate attributes")
     data = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = data.shape[0]
@@ -113,17 +121,14 @@ def build_spt(data: np.ndarray, schema: Sequence[str], agg_attr: str,
     sample = data[pick]
     pred_idx = [list(schema).index(a) for a in predicate_attrs]
     agg_idx = list(schema).index(agg_attr)
-    d = len(predicate_attrs)
     if partitioner == "kd" or d > 1:
         index = RangeIndex(d, seed=seed)
         index.add_many(np.arange(sample.shape[0]), sample[:, pred_idx],
                        sample[:, agg_idx])
         lo = tuple(float(x) for x in data[:, pred_idx].min(axis=0))
         hi = tuple(float(x) for x in data[:, pred_idx].max(axis=0))
-        from .queries import Rectangle
-        result = KDTreePartitioner(focus_agg).partition(
-            index, k, n_population=n, root_rect=Rectangle(lo, hi))
-        spec = result.tree
+        spec = KDTreePartitioner(focus_agg).partition(
+            index, k, n_population=n, root_rect=Rectangle(lo, hi)).tree
     else:
         keys = sample[:, pred_idx[0]]
         values = sample[:, agg_idx]
@@ -135,10 +140,8 @@ def build_spt(data: np.ndarray, schema: Sequence[str], agg_attr: str,
         elif partitioner == "dp":
             spec = DPPartitioner(focus_agg).partition(
                 keys, values, k, n_population=n, domain=domain).tree
-        elif partitioner == "equidepth":
-            spec = equidepth_tree(keys, k, domain=domain)
         else:
-            raise ValueError(f"unknown partitioner {partitioner!r}")
+            spec = equidepth_tree(keys, k, domain=domain)
     return StaticPartitionTree(spec, schema, predicate_attrs, data,
                                sample_rate=sample_rate, seed=seed,
                                stat_attrs=stat_attrs)

@@ -1,6 +1,6 @@
 """Partition optimization: max-variance oracle and four partitioners."""
 
-from .spec import PartitionNode, tree_from_intervals
+from .spec import TreeSpec, tree_from_intervals
 from .maxvar import MaxVarOracle, MaxVarResult, PrefixStats, \
     avg_query_variance, count_query_variance, sum_query_variance
 from .onedim import OneDimPartitioner, OneDimResult
@@ -8,7 +8,7 @@ from .dp import DPPartitioner
 from .kdtree import KDTreePartitioner, KDTreeResult
 from .equidepth import equidepth_boundaries, equidepth_tree
 
-__all__ = ["PartitionNode", "tree_from_intervals", "MaxVarOracle",
+__all__ = ["TreeSpec", "tree_from_intervals", "MaxVarOracle",
            "MaxVarResult", "PrefixStats", "avg_query_variance",
            "count_query_variance", "sum_query_variance",
            "OneDimPartitioner", "OneDimResult",

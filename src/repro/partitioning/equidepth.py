@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.queries import Rectangle
-from .spec import PartitionNode, tree_from_intervals
+from .spec import TreeSpec, tree_from_intervals
 
 
 def equidepth_boundaries(keys: np.ndarray, k: int) -> List[float]:
@@ -34,7 +34,7 @@ def equidepth_boundaries(keys: np.ndarray, k: int) -> List[float]:
 
 def equidepth_tree(keys: np.ndarray, k: int,
                    domain: Optional[Tuple[float, float]] = None
-                   ) -> PartitionNode:
+                   ) -> TreeSpec:
     """A balanced binary partition tree with equal-depth leaves."""
     keys = np.asarray(keys, dtype=np.float64)
     lo, hi = domain if domain is not None else (float(keys.min()),

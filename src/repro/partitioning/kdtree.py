@@ -30,25 +30,26 @@ for SUM/COUNT and 2*log^{(d+1)/2} m for AVG.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.queries import AggFunc, Rectangle
 from ..index.range_index import RangeIndex
 from .maxvar import MaxVarOracle
-from .spec import PartitionNode
+from .spec import TreeSpec
 
 
 @dataclass
 class KDTreeResult:
-    tree: PartitionNode
+    tree: TreeSpec
     max_error: float
 
-    def leaf_rects(self) -> List[Rectangle]:
-        return [leaf.rect for leaf in self.tree.leaves()]
+    def leaf_rects(self) -> Iterator[Rectangle]:
+        """Leaf rectangles in tree order, each built as it is read: a
+        commit test stops at the first leaf that decides it."""
+        return (leaf.rect for leaf in self.tree.leaves())
 
 
 class KDTreePartitioner:
@@ -101,51 +102,41 @@ class KDTreePartitioner:
                 rect, coords[members], values[members],
                 tids[members]).variance
 
-        root = PartitionNode(root_rect)
-        root_members = np.flatnonzero(root_rect.contains_points(coords))
-        members_of: Dict[int, np.ndarray] = {id(root): root_members}
-        counter = itertools.count()          # heap tie-breaker
-        heap: List[Tuple[float, int, PartitionNode, int, np.ndarray]] = []
-        heapq.heappush(heap, (-probe(root_rect, root_members),
-                              next(counter), root, 0, root_members))
-        n_leaves = 1
-        while n_leaves < k and heap:
-            neg_var, _, node, depth, members = heapq.heappop(heap)
-            split = self._split_members(dim, node, depth, coords,
-                                        members)
+        parent, rects = [-1], [root_rect]
+        members = [np.flatnonzero(root_rect.contains_points(coords))]
+        # (-M(R), row, depth): rows grow in push order, so they break ties
+        heap = [(-probe(root_rect, members[0]), 0, 0)]
+        while len(rects) < 2 * k - 1 and heap:      # k leaves: 2k-1 rows
+            _, node, depth = heapq.heappop(heap)
+            split = self._split_members(dim, rects[node], depth, coords,
+                                        members[node])
             if split is None:
                 continue                     # unsplittable leaf: skip it
-            (left, left_members), (right, right_members) = split
-            node.children = [left, right]
-            n_leaves += 1
-            for child, child_members in ((left, left_members),
-                                         (right, right_members)):
-                members_of[id(child)] = child_members
-                if child_members.size >= 2 * self.min_leaf_samples:
-                    heapq.heappush(heap, (-probe(child.rect, child_members),
-                                          next(counter), child,
-                                          depth + 1, child_members))
-        max_err = 0.0
-        for leaf in root.leaves():
-            mm = members_of[id(leaf)]
-            max_err = max(max_err, oracle.max_variance_rows(
-                leaf.rect, coords[mm], values[mm], tids[mm]).error)
-        return KDTreeResult(root, max_err)
+            for rect, inside in split:
+                parent.append(node)
+                rects.append(rect)
+                members.append(inside)
+                if inside.size >= 2 * self.min_leaf_samples:
+                    heapq.heappush(heap, (-probe(rect, inside),
+                                          len(rects) - 1, depth + 1))
+        inner, max_err = set(parent), 0.0
+        for row, (rect, mm) in enumerate(zip(rects, members)):
+            if row not in inner:
+                max_err = max(max_err, oracle.max_variance_rows(
+                    rect, coords[mm], values[mm], tids[mm]).error)
+        return KDTreeResult(TreeSpec.of(parent, rects), max_err)
 
     # ------------------------------------------------------------------ #
-    def _split_members(self, n_dims: int, node: PartitionNode, depth: int,
+    def _split_members(self, n_dims: int, rect: Rectangle, depth: int,
                        coords: np.ndarray, members: np.ndarray
-                       ) -> Optional[Tuple[Tuple[PartitionNode, np.ndarray],
-                                           Tuple[PartitionNode, np.ndarray]]]:
+                       ) -> Optional[Tuple[Tuple[Rectangle, np.ndarray],
+                                           Tuple[Rectangle, np.ndarray]]]:
         """Median split on the round-robin dimension (with fallbacks)."""
         m_b = members.size
         if m_b < 2 * self.min_leaf_samples:
             return None
         sub = coords[members]
-        dims = list(range(n_dims))
-        start = depth % n_dims
-        ordered = dims[start:] + dims[:start]
-        for dim in ordered:
+        for dim in [(depth + i) % n_dims for i in range(n_dims)]:
             col = sub[:, dim]
             lo, hi = float(col.min()), float(col.max())
             if hi <= lo:
@@ -153,7 +144,7 @@ class KDTreePartitioner:
             median = float(np.median(col))
             if median >= hi:                 # duplicate-heavy column
                 median = (lo + hi) / 2.0
-            left_rect, right_rect = node.rect.split(dim, median)
+            left_rect, right_rect = rect.split(dim, median)
             left_sel = col <= median
             n_left = int(left_sel.sum())
             if n_left == 0 or n_left == m_b:
@@ -161,8 +152,8 @@ class KDTreePartitioner:
             # rect.split puts the cut plane in the left child only (the
             # right child starts at nextafter(median)), so the boolean
             # complement is exactly geometric membership per child.
-            return ((PartitionNode(left_rect), members[left_sel]),
-                    (PartitionNode(right_rect), members[~left_sel]))
+            return ((left_rect, members[left_sel]),
+                    (right_rect, members[~left_sel]))
         return None
 
 
@@ -192,43 +183,31 @@ class ReferenceKDTreePartitioner:
         oracle = MaxVarOracle(index, self.agg, n_population / m,
                               delta=self.delta)
         root_rect = root_rect or Rectangle.unbounded(index.dim)
-        root = PartitionNode(root_rect)
-        counter = itertools.count()
-        heap: List[Tuple[float, int, PartitionNode, int]] = []
-        var0 = oracle.max_variance(root_rect).variance
-        heapq.heappush(heap, (-var0, next(counter), root, 0))
-        n_leaves = 1
-        while n_leaves < k and heap:
-            neg_var, _, node, depth = heapq.heappop(heap)
-            split = self._split_node(index, node, depth)
+        parent, rects = [-1], [root_rect]
+        heap = [(-oracle.max_variance(root_rect).variance, 0, 0)]
+        while len(rects) < 2 * k - 1 and heap:      # k leaves: 2k-1 rows
+            _, node, depth = heapq.heappop(heap)
+            split = self._split_node(index, rects[node], depth)
             if split is None:
                 continue
-            left, right = split
-            node.children = [left, right]
-            n_leaves += 1
-            for child in (left, right):
-                if index.count(child.rect) >= 2 * self.min_leaf_samples:
-                    var = oracle.max_variance(child.rect).variance
-                    heapq.heappush(heap, (-var, next(counter), child,
-                                          depth + 1))
-        max_err = 0.0
-        for leaf in root.leaves():
-            max_err = max(max_err,
-                          oracle.max_variance(leaf.rect).error)
-        return KDTreeResult(root, max_err)
+            for rect in split:
+                parent.append(node)
+                rects.append(rect)
+                if index.count(rect) >= 2 * self.min_leaf_samples:
+                    var = oracle.max_variance(rect).variance
+                    heapq.heappush(heap, (-var, len(rects) - 1, depth + 1))
+        spec = TreeSpec.of(parent, rects)
+        return KDTreeResult(spec, max([0.0] + [
+            oracle.max_variance(leaf.rect).error for leaf in spec.leaves()]))
 
     # ------------------------------------------------------------------ #
-    def _split_node(self, index, node: PartitionNode,
-                    depth: int) -> Optional[Tuple[PartitionNode,
-                                                  PartitionNode]]:
-        coords, _, _ = index.report(node.rect)
+    def _split_node(self, index, rect: Rectangle, depth: int
+                    ) -> Optional[Tuple[Rectangle, Rectangle]]:
+        coords, _, _ = index.report(rect)
         m_b = coords.shape[0]
         if m_b < 2 * self.min_leaf_samples:
             return None
-        dims = list(range(index.dim))
-        start = depth % index.dim
-        ordered = dims[start:] + dims[:start]
-        for dim in ordered:
+        for dim in [(depth + i) % index.dim for i in range(index.dim)]:
             col = coords[:, dim]
             lo, hi = float(col.min()), float(col.max())
             if hi <= lo:
@@ -236,9 +215,9 @@ class ReferenceKDTreePartitioner:
             median = float(np.median(col))
             if median >= hi:                 # duplicate-heavy column
                 median = (lo + hi) / 2.0
-            left_rect, right_rect = node.rect.split(dim, median)
+            left_rect, right_rect = rect.split(dim, median)
             n_left = int((col <= median).sum())
             if n_left == 0 or n_left == m_b:
                 continue
-            return (PartitionNode(left_rect), PartitionNode(right_rect))
+            return left_rect, right_rect
         return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.queries import AggFunc, Rectangle
 from .maxvar import PrefixStats
-from .spec import PartitionNode, leaf_intervals, tree_from_intervals
+from .spec import TreeSpec, leaf_intervals, tree_from_intervals
 
 
 @dataclass
@@ -41,7 +41,7 @@ class OneDimResult:
     buckets: Sequence[Tuple[float, float]] = ()
 
     @functools.cached_property
-    def tree(self) -> PartitionNode:
+    def tree(self) -> TreeSpec:
         """Built on first use: a rejected candidate never needs one."""
         return tree_from_intervals(self.boundaries, self.rect)
 

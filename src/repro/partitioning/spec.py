@@ -1,4 +1,4 @@
-"""Partition specifications: the hierarchical rectangle trees partitioners emit.
+"""Partition specifications: the rectangle hierarchies partitioners emit.
 
 A partitioner's job (Section 5) is to produce a hierarchy of rectangles
 satisfying the partition-tree invariants of Section 2.3.1: every child is
@@ -9,55 +9,72 @@ parent.  The DPT/SPT then attach statistics and samples to this skeleton.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from ..core.queries import Rectangle
 
 
-@dataclass
-class PartitionNode:
-    """One node of a partition hierarchy (leaf when ``children`` is empty)."""
+class SpecNode(NamedTuple):
+    """A read-only view of one spec row."""
 
+    row: int
     rect: Rectangle
-    children: List["PartitionNode"] = field(default_factory=list)
+    children: Tuple[int, ...]        # child rows, ascending
+
+
+class TreeSpec(NamedTuple):
+    """A partition hierarchy as arrays, a row per node: ``parent`` (-1
+    at the root, which is row 0) and the ``(n, d)`` corners ``lo`` /
+    ``hi``.  Rows may come in any order after the root; a node's
+    children are its child rows in ascending order."""
+
+    parent: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, parent: Sequence[int],
+           rects: Sequence[Rectangle]) -> "TreeSpec":
+        return cls(np.asarray(parent, dtype=np.intp),
+                   np.array([r.lo for r in rects], dtype=np.float64),
+                   np.array([r.hi for r in rects], dtype=np.float64))
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def rect(self) -> Rectangle:
+        """The root's rectangle."""
+        return Rectangle(tuple(self.lo[0].tolist()),
+                         tuple(self.hi[0].tolist()))
 
-    def leaves(self) -> Iterator["PartitionNode"]:
-        if self.is_leaf:
-            yield self
-            return
-        for child in self.children:
-            yield from child.leaves()
+    def walk(self) -> Iterator[SpecNode]:
+        """Every node, a parent before its children, first child first."""
+        return self._visit(False)
 
-    def walk(self) -> Iterator["PartitionNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def leaves(self) -> Iterator[SpecNode]:
+        """The leaves, in :meth:`walk` order."""
+        return self._visit(True)
 
-    def n_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
+    def _visit(self, leaves_only: bool) -> Iterator[SpecNode]:
+        kids: List[List[int]] = [[] for _ in self.parent]
+        for row, up in enumerate(self.parent[1:].tolist(), 1):
+            kids[up].append(row)
+        lo, hi, stack = self.lo.tolist(), self.hi.tolist(), [0]
+        while stack:
+            row = stack.pop()
+            stack += kids[row][::-1]
+            if not (leaves_only and kids[row]):
+                yield SpecNode(row, Rectangle(tuple(lo[row]), tuple(hi[row])),
+                               tuple(kids[row]))
 
-    def height(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + max(child.height() for child in self.children)
 
-    def validate(self) -> None:
-        """Check the partition-tree invariants; raises on violation."""
-        for node in self.walk():
-            if node.is_leaf:
-                continue
-            for child in node.children:
-                if not node.rect.contains_rect(child.rect):
-                    raise AssertionError("child escapes its parent")
-            for i, a in enumerate(node.children):
-                for b in node.children[i + 1:]:
-                    if a.rect.intersects(b.rect):
-                        raise AssertionError("siblings overlap")
+def _leaf_edges(boundaries: Sequence[float],
+                full: Rectangle) -> Tuple[List[float], List[float]]:
+    # Duplicate cuts and cuts at (or beyond) the domain edges would
+    # create empty leaf intervals.
+    cuts = sorted({c for c in boundaries if full.lo[0] <= c < full.hi[0]})
+    return ([full.lo[0]] + [math.nextafter(c, math.inf) for c in cuts],
+            cuts + [full.hi[0]])
 
 
 def leaf_intervals(boundaries: Sequence[float],
@@ -65,35 +82,24 @@ def leaf_intervals(boundaries: Sequence[float],
     """Consecutive 1-D leaf intervals for interior cuts ``c_1 < ... <
     c_{k-1}``: leaf i covers ``(c_{i-1}, c_i]`` (with the full
     rectangle's ends at the extremes)."""
-    # Duplicate cuts and cuts at (or beyond) the domain edges would
-    # create empty leaf intervals.
-    cuts = sorted({c for c in boundaries if full.lo[0] <= c < full.hi[0]})
-    los = [full.lo[0]] + [math.nextafter(c, math.inf) for c in cuts]
     return [Rectangle((lo,), (hi,))
-            for lo, hi in zip(los, cuts + [full.hi[0]])]
+            for lo, hi in zip(*_leaf_edges(boundaries, full))]
 
 
 def tree_from_intervals(boundaries: Sequence[float],
-                        full: Rectangle) -> PartitionNode:
+                        full: Rectangle) -> TreeSpec:
     """A balanced binary hierarchy over :func:`leaf_intervals` (the
-    paper's "128 leaf nodes in a balanced binary tree" setting)."""
-    return _balanced_merge([PartitionNode(rect)
-                            for rect in leaf_intervals(boundaries, full)])
-
-
-def _balanced_merge(leaves: List[PartitionNode]) -> PartitionNode:
-    """Pairwise-merge contiguous runs into a balanced binary hierarchy."""
-    if not leaves:
-        raise ValueError("cannot build a tree with no leaves")
-    level = list(leaves)
-    while len(level) > 1:
-        merged: List[PartitionNode] = []
-        for i in range(0, len(level) - 1, 2):
-            a, b = level[i], level[i + 1]
-            lo = tuple(min(x, y) for x, y in zip(a.rect.lo, b.rect.lo))
-            hi = tuple(max(x, y) for x, y in zip(a.rect.hi, b.rect.hi))
-            merged.append(PartitionNode(Rectangle(lo, hi), [a, b]))
-        if len(level) % 2 == 1:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
+    paper's "128 leaf nodes in a balanced binary tree" setting), rows in
+    preorder.  The node over leaves ``[a, b)`` splits at ``a`` plus the
+    largest power of two below ``b - a``: the tree that merging
+    neighbours pairwise, level by level, builds."""
+    los, his = _leaf_edges(boundaries, full)
+    rows, stack = [], [(0, len(los), -1)]        # rows: (parent, lo, hi)
+    while stack:
+        a, b, up = stack.pop()
+        rows.append((up, los[a], his[b - 1]))
+        if b - a > 1:
+            mid = a + (1 << ((b - a - 1).bit_length() - 1))
+            stack += [(mid, b, len(rows) - 1), (a, mid, len(rows) - 1)]
+    parent, lo, hi = np.array(rows, dtype=np.float64).T
+    return TreeSpec(parent.astype(np.intp), lo[:, None], hi[:, None])

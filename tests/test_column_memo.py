@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
-from repro.partitioning.spec import PartitionNode, tree_from_intervals
+from repro.partitioning.spec import TreeSpec, tree_from_intervals
 
 SCHEMA = ("x", "a", "b")
 AGGS = (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN, AggFunc.MAX,
@@ -96,8 +96,8 @@ def apply(tree: DynamicPartitionTree, kind: str, seed: int,
         lo, hi = max(node.rect.lo[0], -10.0), min(node.rect.hi[0], 110.0)
         mid = lo + float(rng.uniform(0.2, 0.8)) * (hi - lo)
         left, right = node.rect.split(0, mid)
-        tree.replace_subtree(node, PartitionNode(
-            node.rect, [PartitionNode(left), PartitionNode(right)]))
+        tree.replace_subtree(node, TreeSpec.of([-1, 0, 0],
+                                               [node.rect, left, right]))
     elif kind == "exact":
         vals = draw(rng, n)
         tree.table.set_exact_base(pick.row, n, vals.sum(axis=0),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
-from repro.partitioning.spec import tree_from_intervals
+from repro.partitioning.spec import TreeSpec, tree_from_intervals
 
 SCHEMA = ("x", "a")
 
@@ -258,13 +258,29 @@ class TestQueriesSampledPath:
         assert math.isnan(res.estimate)
 
 
+class TestReplaceSubtree:
+    def test_spec_must_be_rooted_at_the_node(self):
+        """A spec narrower (or wider) than the node is refused: rows in
+        the part of the node no new leaf covers would route to the
+        nearest leaf, and a COUNT over them answer 0.0 flagged exact."""
+        dpt = make_dpt((50.0,))
+        node = dpt.route_leaf((0.0,))               # [-inf, 50]
+        for lo, hi in ((-math.inf, 10.0), (-math.inf, 100.0)):
+            with pytest.raises(ValueError):
+                dpt.replace_subtree(node, tree_from_intervals(
+                    [5.0], Rectangle((lo,), (hi,))))
+        dpt.replace_subtree(node, tree_from_intervals([5.0], node.rect))
+        dpt.insert_rows(np.array([[30.0, 1.0], [40.0, 1.0]]))
+        res = dpt.query(Query(AggFunc.COUNT, "a", ("x",),
+                              Rectangle((20.0,), (45.0,))), no_samples)
+        assert res.n_partial == 1 and not res.exact
+
+
 class TestMultiDim:
     def test_2d_tree(self):
-        from repro.partitioning.spec import PartitionNode
         root_rect = Rectangle((0.0, 0.0), (10.0, 10.0))
-        l, r = root_rect.split(0, 5.0)
-        spec = PartitionNode(root_rect, [PartitionNode(l),
-                                         PartitionNode(r)])
+        spec = TreeSpec.of([-1, 0, 0], [root_rect,
+                                        *root_rect.split(0, 5.0)])
         dpt = DynamicPartitionTree(spec, ("x", "y", "a"), ("x", "y"))
         dpt.insert_rows(np.array([[2.0, 3.0, 7.0], [8.0, 3.0, 9.0]]))
         q = Query(AggFunc.SUM, "a", ("x", "y"),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.node import NodeTable
 from repro.core.queries import Rectangle
-from repro.partitioning.spec import PartitionNode
+from repro.partitioning.spec import TreeSpec
 
 ROW = np.array([0])
 
@@ -18,8 +18,8 @@ class Node:
 
     def __init__(self):
         self.t = NodeTable.from_spec(
-            PartitionNode(Rectangle((0.0,), (10.0,))), 1, minmax_pos=(0,),
-            minmax_k=4)
+            TreeSpec.of([-1], [Rectangle((0.0,), (10.0,))]), 1,
+            minmax_pos=(0,), minmax_k=4)
 
     def add_catchup(self, v):
         self.t.add_catchup(ROW, np.array([[v]]))

@@ -49,7 +49,7 @@ from repro.core.persist import load_synopsis, save_synopsis
 from repro.core.queries import Rectangle
 from repro.core.table import Table
 from repro.index.topk import MinMaxStats
-from repro.partitioning.spec import PartitionNode, tree_from_intervals
+from repro.partitioning.spec import TreeSpec, tree_from_intervals
 
 # +-inf coordinates are statistic values too: inf - inf in a sum warns
 # (in the frozen tree and the live one alike) and compares equal as NaN
@@ -292,19 +292,20 @@ class FrozenTree:
         self._minmax_k = minmax_k
         self._nodes: List[FrozenNode] = []
         self._next_id = 0
-        self.root = self._build(spec, self._mm_pos, minmax_k)
+        self.root = self._build({n.row: n for n in spec.walk()}, 0,
+                                self._mm_pos, minmax_k)
         orig = self.root.rect
         for node in self._nodes:
             node.rect = inflate_rect(node.rect, orig)
         self._index_leaves()
 
-    def _build(self, spec, mm_pos, minmax_k):
-        node = FrozenNode(self._next_id, spec.rect, len(self.stat_attrs),
+    def _build(self, nodes, row, mm_pos, minmax_k):
+        node = FrozenNode(self._next_id, nodes[row].rect, len(self.stat_attrs),
                           minmax_attrs=mm_pos, minmax_k=minmax_k)
         self._next_id += 1
         self._nodes.append(node)
-        for child_spec in spec.children:
-            child = self._build(child_spec, mm_pos, minmax_k)
+        for kid in nodes[row].children:
+            child = self._build(nodes, kid, mm_pos, minmax_k)
             child.parent = node
             node.children.append(child)
         return node
@@ -312,8 +313,9 @@ class FrozenTree:
     def replace_subtree(self, node, spec):
         node.children = []
         before = len(self._nodes)
-        for child_spec in spec.children:
-            child = self._build(child_spec, self._mm_pos, self._minmax_k)
+        nodes = {n.row: n for n in spec.walk()}
+        for kid in nodes[0].children:
+            child = self._build(nodes, kid, self._mm_pos, self._minmax_k)
             child.parent = node
             node.children.append(child)
         new_nodes = self._nodes[before:]
@@ -491,38 +493,38 @@ class FrozenTree:
 # ---------------------------------------------------------------------- #
 # worlds: a 1-D 64-leaf tree, an uneven 2-D k-d tree, a wide 1-D tree
 # ---------------------------------------------------------------------- #
-def spec_1d() -> PartitionNode:
+def spec_1d() -> TreeSpec:
     cuts = np.linspace(0.0, 100.0, 65)[1:-1]
     return tree_from_intervals(cuts, Rectangle((0.0,), (100.0,)))
 
 
-def spec_2d() -> PartitionNode:
+def spec_2d() -> TreeSpec:
     """Median-ish k-d splits, one branch left shallow on purpose so
     rows finish their descent at different levels."""
-    def grow(rect, depth, dim):
-        node = PartitionNode(rect)
-        if depth == 0 or (rect.lo[0] >= 50.0 and depth <= 2):
-            return node
-        cut = rect.lo[dim] + 0.4375 * (rect.hi[dim] - rect.lo[dim])
-        node.children = [grow(half, depth - 1, 1 - dim)
-                         for half in rect.split(dim, cut)]
-        return node
-    return grow(Rectangle((0.0, 0.0), (100.0, 100.0)), 5, 0)
+    parent, rects = [], []
+    stack = [(Rectangle((0.0, 0.0), (100.0, 100.0)), 5, 0, -1)]
+    while stack:
+        rect, depth, dim, up = stack.pop()
+        parent.append(up)
+        rects.append(rect)
+        if depth and not (rect.lo[0] >= 50.0 and depth <= 2):
+            cut = rect.lo[dim] + 0.4375 * (rect.hi[dim] - rect.lo[dim])
+            stack += [(half, depth - 1, 1 - dim, len(rects) - 1)
+                      for half in rect.split(dim, cut)[::-1]]
+    return TreeSpec.of(parent, rects)
 
 
-def spec_wide() -> PartitionNode:
-    """Fan-out 5 at the root, 3 below: a ragged child table."""
-    def leaves(lo, hi, k):
-        cuts = np.linspace(lo, hi, k + 1)
-        out, start = [], lo
-        for cut in cuts[1:]:
-            out.append(PartitionNode(Rectangle((start,), (float(cut),))))
+def spec_wide() -> TreeSpec:
+    """Fan-out 5 at the root, 3 below: a ragged child table, its rows
+    in build order (not preorder)."""
+    parent, rects = [-1], [Rectangle((0.0,), (100.0,))]
+    for up, k in ((0, 5), (2, 3), (5, 2)):
+        start = rects[up].lo[0]
+        for cut in np.linspace(start, rects[up].hi[0], k + 1)[1:]:
+            parent.append(up)
+            rects.append(Rectangle((start,), (float(cut),)))
             start = math.nextafter(float(cut), math.inf)
-        return out
-    kids = leaves(0.0, 100.0, 5)
-    kids[1].children = leaves(kids[1].rect.lo[0], kids[1].rect.hi[0], 3)
-    kids[4].children = leaves(kids[4].rect.lo[0], kids[4].rect.hi[0], 2)
-    return PartitionNode(Rectangle((0.0,), (100.0,)), kids)
+    return TreeSpec.of(parent, rects)
 
 
 WORLDS = {
@@ -666,7 +668,7 @@ def roundtrip(tree: DynamicPartitionTree, world) -> DynamicPartitionTree:
         return load_synopsis(path, engine.table).dpt
 
 
-def replacement_spec(node) -> Optional[PartitionNode]:
+def replacement_spec(node) -> Optional[TreeSpec]:
     """Three leaves, two levels, tiling ``node.rect`` along dim 0."""
     lo = max(node.rect.lo[0], -10.0)
     hi = min(node.rect.hi[0], 110.0)
@@ -677,10 +679,8 @@ def replacement_spec(node) -> Optional[PartitionNode]:
         far_left, near_left = left.split(0, lo + 0.25 * (hi - lo))
     except ValueError:
         return None
-    return PartitionNode(node.rect, [
-        PartitionNode(left, [PartitionNode(far_left),
-                             PartitionNode(near_left)]),
-        PartitionNode(right)])
+    return TreeSpec.of([-1, 0, 1, 1, 0],
+                       [node.rect, left, far_left, near_left, right])
 
 
 # batch sizes straddle the small-batch cut-over of the router

@@ -14,7 +14,8 @@ from repro.partitioning.equidepth import (equidepth_boundaries,
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.partitioning.maxvar import PrefixStats
 from repro.partitioning.onedim import OneDimPartitioner
-from repro.partitioning.spec import PartitionNode, tree_from_intervals
+from repro.partitioning.spec import (TreeSpec, leaf_intervals,
+                                     tree_from_intervals)
 
 
 def sample_data(n=200, seed=0):
@@ -22,6 +23,33 @@ def sample_data(n=200, seed=0):
     keys = rng.uniform(0, 100, n)
     values = rng.lognormal(0, 1, n)
     return keys, values
+
+
+def assert_valid(spec):
+    """The partition-tree invariants (Section 2.3.1): every inner node's
+    children, in row order, tile it along one dimension - meeting at
+    ``nextafter`` - and equal it in every other, so each lies inside it,
+    siblings are disjoint and together they cover it."""
+    nodes = list(spec.walk())
+    rects = {node.row: node.rect for node in nodes}
+    for node in nodes:
+        kids = [rects[row] for row in node.children]
+        if not kids:
+            continue
+        lo, hi = node.rect.lo, node.rect.hi
+        axes = {j for kid in kids for j in range(len(lo))
+                if (kid.lo[j], kid.hi[j]) != (lo[j], hi[j])}
+        assert len(axes) <= 1, "children differ in two dimensions"
+        j = axes.pop() if axes else 0
+        assert (kids[0].lo[j], kids[-1].hi[j]) == (lo[j], hi[j]), \
+            "children do not reach the parent's ends"
+        for a, b in zip(kids, kids[1:]):
+            assert b.lo[j] == math.nextafter(a.hi[j], math.inf), \
+                "siblings overlap or leave a gap"
+
+
+def n_leaves(spec):
+    return sum(1 for _ in spec.leaves())
 
 
 def leaves_cover_all(tree, keys):
@@ -36,36 +64,60 @@ class TestSpec:
     def test_tree_from_intervals(self):
         full = Rectangle((0.0,), (10.0,))
         tree = tree_from_intervals([3.0, 7.0], full)
-        assert tree.n_leaves() == 3
-        tree.validate()
+        assert n_leaves(tree) == 3
+        assert_valid(tree)
         leaves = list(tree.leaves())
         assert leaves[0].rect.lo[0] == 0.0
         assert leaves[-1].rect.hi[0] == 10.0
 
     def test_single_leaf(self):
         tree = tree_from_intervals([], Rectangle((0.0,), (1.0,)))
-        assert tree.n_leaves() == 1
+        assert n_leaves(tree) == 1
 
     def test_balanced_height(self):
         tree = tree_from_intervals(list(range(1, 64)),
                                    Rectangle((0.0,), (64.0,)))
-        assert tree.n_leaves() == 64
-        assert tree.height() <= 8                 # log2(64)+1 = 7
+        assert n_leaves(tree) == 64
+        depth = [1] * len(tree.parent)            # rows come in preorder
+        for row, up in enumerate(tree.parent.tolist()[1:], 1):
+            depth[row] = depth[up] + 1
+        assert max(depth) <= 8                    # log2(64)+1 = 7
+
+    @pytest.mark.parametrize("k", sorted(set(range(1, 301)) | {
+        2 ** e + d for e in range(1, 11) for d in (-1, 0, 1)}))
+    def test_closed_form_split(self, k):
+        """Leaves ``[a, b)`` split at ``a + 2^floor(log2(b - a - 1))``,
+        whatever duplicate and out-of-domain cuts come along."""
+        full = Rectangle((0.0,), (100.0,))
+        cuts = np.linspace(0.0, 100.0, k + 1)[1:-1].tolist()
+        boundaries = cuts[::-1] + cuts[:k // 3] + [-5.0, 100.0, 250.0]
+        tree = tree_from_intervals(boundaries, full)
+        nodes = list(tree.walk())
+        size = {}
+        for node in reversed(nodes):
+            size[node.row] = sum(size[c] for c in node.children) or 1
+        for node in nodes:
+            if node.children:
+                left, _ = node.children
+                assert size[left] == \
+                    2 ** math.floor(math.log2(size[node.row] - 1))
+        assert [n.rect for n in tree.leaves()] == \
+            leaf_intervals(boundaries, full)
+        assert size[0] == k and tree.rect == full
+        assert_valid(tree)
 
     def test_validate_catches_overlap(self):
-        bad = PartitionNode(
-            Rectangle((0.0,), (10.0,)),
-            [PartitionNode(Rectangle((0.0,), (6.0,))),
-             PartitionNode(Rectangle((5.0,), (10.0,)))])
+        bad = TreeSpec.of([-1, 0, 0], [Rectangle((0.0,), (10.0,)),
+                                       Rectangle((0.0,), (6.0,)),
+                                       Rectangle((5.0,), (10.0,))])
         with pytest.raises(AssertionError):
-            bad.validate()
+            assert_valid(bad)
 
     def test_validate_catches_escape(self):
-        bad = PartitionNode(
-            Rectangle((0.0,), (10.0,)),
-            [PartitionNode(Rectangle((0.0,), (12.0,)))])
+        bad = TreeSpec.of([-1, 0], [Rectangle((0.0,), (10.0,)),
+                                    Rectangle((0.0,), (12.0,))])
         with pytest.raises(AssertionError):
-            bad.validate()
+            assert_valid(bad)
 
 
 class TestOneDim:
@@ -74,14 +126,14 @@ class TestOneDim:
     def test_partitions_cover_samples(self, agg):
         keys, values = sample_data()
         result = OneDimPartitioner(agg).partition(keys, values, k=16)
-        assert result.tree.n_leaves() <= 16
-        result.tree.validate()
+        assert n_leaves(result.tree) <= 16
+        assert_valid(result.tree)
         leaves_cover_all(result.tree, keys)
 
     def test_k_leaves_created(self):
         keys, values = sample_data()
         result = OneDimPartitioner(AggFunc.SUM).partition(keys, values, 8)
-        assert result.tree.n_leaves() == 8
+        assert n_leaves(result.tree) == 8
 
     def test_respects_domain(self):
         keys, values = sample_data()
@@ -118,7 +170,7 @@ class TestOneDim:
     def test_k_larger_than_m(self):
         keys, values = sample_data(n=5)
         result = OneDimPartitioner(AggFunc.SUM).partition(keys, values, 50)
-        assert result.tree.n_leaves() <= 5
+        assert n_leaves(result.tree) <= 5
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 10),
@@ -129,7 +181,7 @@ class TestOneDim:
         keys = np.array([p for p, _ in pairs])
         values = np.array([v for _, v in pairs])
         result = OneDimPartitioner(AggFunc.SUM).partition(keys, values, k)
-        result.tree.validate()
+        assert_valid(result.tree)
         leaves_cover_all(result.tree, keys)
 
 
@@ -155,7 +207,7 @@ class TestDP:
     def test_all_aggregates(self, agg):
         keys, values = sample_data(n=40)
         result = DPPartitioner(agg).partition(keys, values, 4)
-        result.tree.validate()
+        assert_valid(result.tree)
         leaves_cover_all(result.tree, keys)
 
     def test_count_equal_depth_optimality(self):
@@ -184,8 +236,8 @@ class TestKDTree:
         root_rect = Rectangle((0.0, 0.0), (100.0, 100.0))
         result = KDTreePartitioner(agg).partition(idx, 16,
                                                   root_rect=root_rect)
-        assert result.tree.n_leaves() == 16
-        result.tree.validate()
+        assert n_leaves(result.tree) == 16
+        assert_valid(result.tree)
 
     def test_all_points_covered(self):
         idx, pts, _ = self.make_index()
@@ -205,15 +257,15 @@ class TestKDTree:
             idx.insert(tid, (p,), float(rng.normal()))
         result = KDTreePartitioner(AggFunc.SUM).partition(
             idx, 8, root_rect=Rectangle((0.0,), (10.0,)))
-        assert result.tree.n_leaves() == 8
+        assert n_leaves(result.tree) == 8
 
     def test_five_dimensional(self):
         idx, _, _ = self.make_index(n=400, dim=5, seed=3)
         root_rect = Rectangle((0.0,) * 5, (100.0,) * 5)
         result = KDTreePartitioner(AggFunc.SUM).partition(
             idx, 32, root_rect=root_rect)
-        assert result.tree.n_leaves() == 32
-        result.tree.validate()
+        assert n_leaves(result.tree) == 32
+        assert_valid(result.tree)
 
     def test_empty_index_raises(self):
         idx = RangeIndex(2)
@@ -251,8 +303,8 @@ class TestEquidepth:
     def test_tree(self):
         keys = np.arange(100.0)
         tree = equidepth_tree(keys, 8)
-        assert tree.n_leaves() == 8
-        tree.validate()
+        assert n_leaves(tree) == 8
+        assert_valid(tree)
 
     def test_duplicate_keys_deduped(self):
         keys = np.array([1.0] * 50 + [2.0] * 50)

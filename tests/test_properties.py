@@ -21,6 +21,7 @@ from repro.broker.requests import (decode, encode_query,
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.partitioning.spec import tree_from_intervals
+from test_partitioners import assert_valid
 
 SCHEMA = ("x", "a")
 
@@ -147,7 +148,7 @@ class TestPartitionTiling:
                     max_size=30))
     def test_leaves_tile_domain(self, cuts, probes):
         tree = tree_from_intervals(cuts, Rectangle((0.0,), (100.0,)))
-        tree.validate()
+        assert_valid(tree)
         for x in probes:
             hits = sum(1 for leaf in tree.leaves()
                        if leaf.rect.contains_point((x,)))

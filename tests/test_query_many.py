@@ -22,7 +22,7 @@ from repro.core.stream import StreamClient, StreamDriver
 from repro.core.table import Table
 from repro.core.templates import HeuristicRouter, SynopsisManager
 from repro.datasets.synthetic import nyc_taxi
-from repro.partitioning.spec import PartitionNode
+from repro.partitioning.spec import TreeSpec
 
 
 # Sketch aggregates take no predicate rectangle; the range workloads
@@ -200,9 +200,7 @@ class TestMinMaxExactness:
         left = Rectangle((0.0,), (10.0,))
         mid = Rectangle((math.nextafter(10.0, math.inf),), (20.0,))
         right = Rectangle((math.nextafter(20.0, math.inf),), (30.0,))
-        spec = PartitionNode(root, [PartitionNode(left),
-                                    PartitionNode(mid),
-                                    PartitionNode(right)])
+        spec = TreeSpec.of([-1, 0, 0, 0], [root, left, mid, right])
         return DynamicPartitionTree(spec, ("x", "a"), ("x",),
                                     minmax_attrs=("a",))
 

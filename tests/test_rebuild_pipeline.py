@@ -30,7 +30,7 @@ from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.partitioning.onedim import OneDimPartitioner
-from repro.partitioning.spec import PartitionNode
+from repro.partitioning.spec import TreeSpec
 
 DS = nyc_taxi(n=12_000, seed=0)
 N_SEED = 9000
@@ -140,7 +140,7 @@ def frozen_partition_region(janus, rect, k):
     d = len(janus.predicate_attrs)
     coords, values, tids = janus.sample_index.report(rect)
     if coords.shape[0] == 0:
-        return PartitionNode(rect)
+        return TreeSpec.of([-1], [rect])
     if d == 1:
         lo = rect.lo[0]
         hi = rect.hi[0]

@@ -61,12 +61,9 @@ def random_rects(dim, seed, n=20):
     return rects
 
 
-def tree_signature(node):
-    """(rect, children) nesting - equal iff same cuts and leaf rects."""
-    if not node.children:
-        return ("leaf", tuple(node.rect.lo), tuple(node.rect.hi))
-    return (tuple(node.rect.lo), tuple(node.rect.hi),
-            tuple(tree_signature(c) for c in node.children))
+def tree_signature(spec):
+    """Preorder (rect, fan-out) - equal iff same cuts and leaf rects."""
+    return [(node.rect, len(node.children)) for node in spec.walk()]
 
 
 POOLS = [

@@ -44,9 +44,13 @@ class TestConstruction:
         assert s.k <= 8
 
     def test_unknown_partitioner(self, data):
-        with pytest.raises(ValueError):
-            build_spt(data[:100], SCHEMA, "a", ("x",), k=4,
-                      partitioner="magic")
+        """Unknown names raise at every d, the 1-D-only ones above it."""
+        data3 = np.column_stack([data[:100], data[:100, 0]])
+        for pred, name in ((("x",), "magic"), (("x", "y"), "magic"),
+                           (("x", "y"), "dp"), (("x", "y"), "equidepth")):
+            with pytest.raises(ValueError):
+                build_spt(data3, ("x", "a", "y"), "a", pred, k=4,
+                          partitioner=name)
 
     def test_multidim_build(self):
         rng = np.random.default_rng(1)
