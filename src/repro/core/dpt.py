@@ -36,6 +36,7 @@ table's next write; batched and sequential answers are identical.
 from __future__ import annotations
 
 import math
+from operator import le
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -369,11 +370,9 @@ class DynamicPartitionTree:
         while stack:
             row = stack.pop()
             nlo, nhi = lo[row], hi[row]
-            if not all(a <= d and c <= b for a, b, c, d in
-                       zip(qlo, qhi, nlo, nhi)):
+            if not (all(map(le, qlo, nhi)) and all(map(le, nlo, qhi))):
                 continue                    # disjoint
-            if all(a <= c and d <= b for a, b, c, d in
-                   zip(qlo, qhi, nlo, nhi)):
+            if all(map(le, qlo, nlo)) and all(map(le, nhi, qhi)):
                 cover.append(row)           # contained
             elif kids[row]:
                 stack.extend(kids[row])
@@ -437,8 +436,9 @@ class DynamicPartitionTree:
         The frontier computation runs once for the whole batch
         (:meth:`frontier_many`; a lone query walks the same rows in the
         same order, :meth:`frontier`), each partial leaf's samples are
-        tested against all of its queries at once (:meth:`_leaf_moments`)
-        and node estimates are read from memoized whole columns; only
+        tested against all of its queries at once (:meth:`_leaf_moments`;
+        a lone query's, one block at a time, :meth:`_lone_moments`) and
+        node estimates are read from memoized whole columns; only
         the final estimation - a pure function of the query's own
         frontier and matched samples - runs per query.  Results come in
         request order and match :meth:`query` exactly.
@@ -451,10 +451,11 @@ class DynamicPartitionTree:
         if len(queries) == 1:
             cover, partial = self.frontier(queries[0].rect)
             covers, partials = [cover], [partial]
+            moments = self._lone_moments(queries[0], partial, leaf_samples)
         else:
             covers, partials = self.frontier_many(
                 [q.rect for q in queries])
-        moments = self._leaf_moments(queries, partials, leaf_samples)
+            moments = self._leaf_moments(queries, partials, leaf_samples)
         results: List[QueryResult] = []
         for qi, query in enumerate(queries):
             def moments_of(row: int, qi: int = qi) -> "_LeafMoments":
@@ -544,6 +545,34 @@ class DynamicPartitionTree:
             moments[(pair_row[p], pair_qi[p])] = _LeafMoments(
                 int(pair_m[p]), int(cnts[p]), float(s[p]), float(s2[p]),
                 float(vmin[p]), float(vmax[p]))
+        return moments
+
+    def _lone_moments(self, query: Query, partial: List[int],
+                      leaf_samples: LeafSamplesFn
+                      ) -> Dict[Tuple[int, int], "_LeafMoments"]:
+        """:meth:`_leaf_moments` for one query, straight from each partial
+        leaf's own sample block.  Sums are one-segment ``reduceat``s: they
+        add in the batch's order, ``np.add.reduce`` does not."""
+        col = self.schema.index(query.attr) if query.agg.reads_column else 0
+        bounds = list(zip(self._pred_idx, map(float, query.rect.lo),
+                          map(float, query.rect.hi)))
+        moments: Dict[Tuple[int, int], _LeafMoments] = {}
+        for row in partial:
+            rows = leaf_samples(self.leaves[self.table.leaf_pos[row]])
+            if rows.shape[0] == 0:
+                moments[(row, 0)] = _NO_SAMPLES
+                continue
+            mask = np.ones(rows.shape[0], dtype=bool)
+            for c, a, b in bounds:
+                mask &= (rows[:, c] >= a) & (rows[:, c] <= b)
+            vals = rows[:, col]
+            mvals = np.where(mask, vals, 0.0)
+            moments[(row, 0)] = _LeafMoments(
+                rows.shape[0], int(np.count_nonzero(mask)),
+                float(np.add.reduceat(mvals, [0])[0]),
+                float(np.add.reduceat(mvals * mvals, [0])[0]),
+                float(np.where(mask, vals, math.inf).min()),
+                float(np.where(mask, vals, -math.inf).max()))
         return moments
 
     def _answer_sum_count(self, query: Query, cover: List[int],

@@ -45,7 +45,9 @@ shard-queries pruned, and a shards-touched histogram - surfaced through
 
 from __future__ import annotations
 
+import operator
 import threading
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,8 +70,8 @@ class ShardSummary:
     Thread safety: mutators and :meth:`refresh` serialize on an internal
     lock.  The planner reads without the lock - every field it reads is
     replaced atomically (numpy array rebinds; the bin edges, the
-    histogram and its prefix sums rebind together, as one tuple) and
-    both signals are
+    histogram and its prefix sums rebind together, as one tuple; their
+    list forms as a second) and both signals are
     one-sided, so a torn read can only make the router *less* eager,
     never unsound, provided the coordinator orders maintenance
     conservatively (count rows before they die, after they are born).
@@ -108,10 +110,13 @@ class ShardSummary:
         per-attribute prefix sums (``csum[j, i]`` = rows in bins
         ``< i``): the upkeep pays one ``cumsum`` per mutation so the
         planner pays none per call, and the planner takes edges, counts
-        and sums from a single rebind - never sums over other edges."""
+        and sums from a single rebind - never sums over other edges
+        (:meth:`may_contain` reads list forms, also one rebind)."""
         csum = np.zeros((self.n_attrs, self.n_bins + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=csum[:, 1:])
         self._hist = (self.edges, counts, csum)  # guarded-by: _lock
+        inner = None if self.edges is None else self.edges[:, 1:-1].tolist()
+        self._hist_lists = (inner, csum.tolist())  # guarded-by: _lock
 
     def _bin_of(self, coords: np.ndarray) -> np.ndarray:  # requires-lock: _lock
         """Bin index per (row, attr), clamped into the edge bins."""
@@ -239,10 +244,27 @@ class ShardSummary:
             may &= csum[j, i1 + 1] > csum[j, i0]
         return may
 
+    def may_contain(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+        """:meth:`may_contain_many` for one rectangle, by float compares
+        and ``bisect`` over list forms of the edges and sums - none of
+        the batch's array set-up."""
+        if self.n_live <= 0:  # lock-free-read: one-sided planner probe
+            return False
+        inner, csum = self._hist_lists  # lock-free-read: atomic rebind snapshot
+        if self.tainted or inner is None:  # lock-free-read: one-sided planner probe
+            return True
+        lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+        if not (all(map(operator.ge, hi, self.lo.tolist())) and  # lock-free-read: one-sided planner probe
+                all(map(operator.le, lo, self.hi.tolist()))):  # lock-free-read: one-sided planner probe
+            return False
+        return all(sums[bisect_right(edges, b) + 1] >
+                   sums[bisect_right(edges, a)]
+                   for edges, sums, a, b in zip(inner, csum, lo, hi))
+
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> str:
         """EXPLAIN-only reason code for one query rectangle.
 
-        Mirrors :meth:`may_contain_many`'s decision on a single
+        Mirrors :meth:`may_contain`'s decision on a single
         ``(n_attrs,)`` rectangle, but reports *which* signal decided:
         ``"no-live-rows"``, ``"unsummarized"`` (tainted or no edges
         yet - never pruned), ``"bounds-disjoint"``,
@@ -256,7 +278,7 @@ class ShardSummary:
             return "no-live-rows"
         if self.tainted or self.edges is None:  # lock-free-read: one-sided planner probe
             return "unsummarized"
-        if not self.may_contain_many(lo[None, :], hi[None, :])[0]:
+        if not self.may_contain(lo, hi):
             if ((hi < self.lo) | (lo > self.hi)).any():  # lock-free-read: one-sided planner probe
                 return "bounds-disjoint"
             return "histogram-empty"
@@ -391,8 +413,13 @@ def plan_query_subsets(queries: Sequence,
 
     The queries are on the coordinator's template (its ``query_many``
     checked them), so every rectangle is in ``predicate_attrs`` order,
-    the order the summaries are kept in.
+    the order the summaries are kept in.  A lone query takes
+    :meth:`ShardSummary.may_contain`, a batch the vectorized test.
     """
+    if len(queries) == 1:
+        rect = queries[0].rect
+        return [[s for s in live if summaries[s] is None
+                 or summaries[s].may_contain(rect.lo, rect.hi)]]
     lo = np.empty((len(queries), len(predicate_attrs)))
     hi = np.empty_like(lo)
     for qi, q in enumerate(queries):

@@ -8,6 +8,7 @@ Plus regression pins for the MIN/MAX exactness fix and the empty-batch
 shape audit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.dpt import DynamicPartitionTree
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
                                 SKETCH_AGGS)
+from repro.core.sharded import ShardedJanusAQP
 from repro.core.stream import StreamClient, StreamDriver
 from repro.core.table import Table
 from repro.core.templates import HeuristicRouter, SynopsisManager
@@ -59,6 +61,31 @@ def random_queries(rng, table, agg_attr, predicate_attrs, n):
     return queries
 
 
+def assert_same_fields(a: QueryResult, b: QueryResult) -> None:
+    """Every field of two results equal, ``details`` included."""
+    for f in dataclasses.fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+def edge_queries(engines, agg_attr, predicate_attrs, seed=0, n=4):
+    """Rectangles uniform bounds never draw, each under every aggregate:
+    both bounds on resident sample values, ``lo == hi`` on a sample row,
+    and ``(-inf, x]`` sides ending on one."""
+    pts = np.concatenate([
+        e._leaf_samples(leaf)[:, [e.table.schema.index(a)
+                                  for a in predicate_attrs]]
+        for e in engines for leaf in e.dpt.leaves])
+    rng = np.random.default_rng(seed)
+    rects = []
+    for _ in range(n):
+        a, b, p = pts[rng.integers(len(pts), size=3)]
+        rects += [(np.minimum(a, b), np.maximum(a, b)), (p, p),
+                  (np.full(p.shape, -math.inf), p)]
+    return [Query(agg, agg_attr, tuple(predicate_attrs),
+                  Rectangle(tuple(lo.tolist()), tuple(hi.tolist())))
+            for lo, hi in rects for agg in ALL_AGGS]
+
+
 @pytest.fixture
 def janus_1d():
     ds = nyc_taxi(n=20_000, seed=0)
@@ -71,12 +98,25 @@ def janus_1d():
     return janus, ds
 
 
+@pytest.fixture
+def janus_2d():
+    ds = nyc_taxi(n=8_000, seed=4)
+    table = Table(ds.schema, capacity=ds.n + 16)
+    table.insert_many(ds.data)
+    pred_attrs = ("pickup_time", "pickup_time_of_day")
+    cfg = JanusConfig(k=16, sample_rate=0.03, check_every=10 ** 9, seed=4)
+    janus = JanusAQP(table, ds.agg_attr, pred_attrs, config=cfg)
+    janus.initialize()
+    return janus, ds
+
+
 class TestBatchEquivalence:
     def test_all_aggregates_match_sequential_loop(self, janus_1d):
         janus, ds = janus_1d
         rng = np.random.default_rng(1)
         queries = random_queries(rng, janus.table, ds.agg_attr,
-                                 ds.predicate_attrs, 140)
+                                 ds.predicate_attrs, 140) + \
+            edge_queries([janus], ds.agg_attr, ds.predicate_attrs)
         sequential = [janus.query(q) for q in queries]
         batched = janus.query_many(queries)
         assert len(batched) == len(queries)
@@ -113,18 +153,13 @@ class TestBatchEquivalence:
                         janus.query_many(queries)):
             assert_same_result(a, b)
 
-    def test_multidim_template(self):
-        ds = nyc_taxi(n=8_000, seed=4)
-        table = Table(ds.schema, capacity=ds.n + 16)
-        table.insert_many(ds.data)
-        pred_attrs = ("pickup_time", "pickup_time_of_day")
-        cfg = JanusConfig(k=16, sample_rate=0.03, check_every=10 ** 9,
-                          seed=4)
-        janus = JanusAQP(table, ds.agg_attr, pred_attrs, config=cfg)
-        janus.initialize()
+    def test_multidim_template(self, janus_2d):
+        janus, ds = janus_2d
+        pred_attrs = janus.predicate_attrs
         rng = np.random.default_rng(5)
-        queries = random_queries(rng, table, ds.agg_attr,
-                                 pred_attrs, 105)
+        queries = random_queries(rng, janus.table, ds.agg_attr,
+                                 pred_attrs, 105) + \
+            edge_queries([janus], ds.agg_attr, pred_attrs)
         for a, b in zip([janus.query(q) for q in queries],
                         janus.query_many(queries)):
             assert_same_result(a, b)
@@ -136,6 +171,33 @@ class TestBatchEquivalence:
                                 ds.predicate_attrs, 14):
             assert_same_result(janus.query(q), janus.query_many([q])[0])
 
+    @pytest.mark.parametrize("engine", ["janus_1d", "janus_2d"])
+    def test_partial_leaf_with_empty_stratum(self, engine, request):
+        """A lone query over a partial leaf whose sample block is empty
+        answers as the same query inside a batch does."""
+        janus, ds = request.getfixturevalue(engine)
+        dpt, attrs = janus.dpt, janus.predicate_attrs
+        leaf = next(lf for lf in dpt.leaves
+                    if np.isfinite(lf.rect.lo + lf.rect.hi).all())
+        lo, hi = np.array(leaf.rect.lo), np.array(leaf.rect.hi)
+        mid, width = (lo + hi) / 2, hi - lo
+        rects = [Rectangle(tuple(mid), tuple(hi + width)),
+                 Rectangle(tuple(lo - width), tuple(mid))]
+        for rect in rects:
+            assert leaf.row in dpt.frontier(rect)[1]
+        empty = np.empty((0, len(dpt.schema)))
+
+        def samples(lf):
+            return empty if lf.row == leaf.row else janus._leaf_samples(lf)
+
+        rng = np.random.default_rng(8)
+        queries = [Query(agg, ds.agg_attr, attrs, rect)
+                   for rect in rects for agg in ALL_AGGS] + \
+            random_queries(rng, janus.table, ds.agg_attr, attrs, 14)
+        batched = dpt.query_many(queries, samples)
+        for q, b in zip(queries, batched):
+            assert_same_fields(dpt.query_many([q], samples)[0], b)
+
     def test_frontier_many_matches_scalar(self, janus_1d):
         """Same nodes in the same order as the scalar traversal."""
         janus, ds = janus_1d
@@ -146,6 +208,37 @@ class TestBatchEquivalence:
         covers, partials = janus.dpt.frontier_many(rects)
         for rect, cover_b, partial_b in zip(rects, covers, partials):
             assert janus.dpt.frontier(rect) == (cover_b, partial_b)
+
+
+class TestShardedLone:
+    def test_lone_answer_equals_its_batched_answer_when_routed(self):
+        """``query_many([q])[0]`` of the routed coordinator equals ``q``'s
+        answer inside a batch, field for field, for every tree
+        aggregate - lone reads take the one-rectangle planner and the
+        lone engine paths, a batch the vectorized ones."""
+        ds = nyc_taxi(n=12_000, seed=14)
+        fleet = ShardedJanusAQP(
+            ds.schema, ds.agg_attr, ds.predicate_attrs, n_shards=4,
+            sharding="attr", config=JanusConfig(
+                k=16, sample_rate=0.05, check_every=10 ** 9, seed=14))
+        fleet.insert_many(ds.data[:10_000])
+        fleet.initialize()
+        rng = np.random.default_rng(15)
+        engines = [shard.engine for shard in fleet._shards]
+        for step in range(2):
+            queries = random_queries(rng, fleet.table, ds.agg_attr,
+                                     ds.predicate_attrs, 70) + \
+                edge_queries(engines, ds.agg_attr, ds.predicate_attrs,
+                             seed=step)
+            batched = fleet.query_many(queries, route=True)
+            for q, b in zip(queries, batched):
+                assert_same_fields(fleet.query_many([q], route=True)[0], b)
+            fleet.insert_many(ds.data[10_000 + 500 * step:
+                                      10_500 + 500 * step])
+            fleet.delete_many(list(range(step, 3_000, 7)))
+        hist = fleet.routing_stats()["shards_touched_hist"]
+        assert hist[1] > 0 and sum(hist[2:]) > 0, hist
+        fleet.close()
 
 
 class TestMixedTemplates:

@@ -196,6 +196,37 @@ def frozen_may_contain_many(s, lo, hi):
     return may
 
 
+def frozen_classify(s, lo, hi):
+    """:meth:`ShardSummary.classify` as it stood when it asked the batch
+    planner: the reason codes the one-rectangle test must keep."""
+    if s.n_live <= 0:
+        return "no-live-rows"
+    if s.tainted or s.edges is None:
+        return "unsummarized"
+    if not frozen_may_contain_many(s, lo[None, :], hi[None, :])[0]:
+        if ((hi < s.lo) | (lo > s.hi)).any():
+            return "bounds-disjoint"
+        return "histogram-empty"
+    return "contributing"
+
+
+def assert_lone_router_matches(s, lo, hi):
+    """Every probe row, asked alone - through :meth:`may_contain` and
+    through a one-query :func:`plan_query_subsets` - decides as the
+    frozen batch reference does, and ``classify`` keeps its reason."""
+    want = frozen_may_contain_many(s, lo, hi)
+    attrs = tuple(f"x{j}" for j in range(s.n_attrs))
+    for a, b, keep in zip(lo, hi, want.tolist()):
+        assert s.may_contain(a, b) is keep, (a, b)
+        assert s.may_contain(a.tolist(), b.tolist()) is keep, (a, b)
+        assert s.classify(a, b) == frozen_classify(s, a, b), (a, b)
+        if (a <= b).all():
+            q = Query(AggFunc.COUNT, "y", attrs,
+                      Rectangle(tuple(a.tolist()), tuple(b.tolist())))
+            assert plan_query_subsets([q], attrs, [s], [0]) == \
+                [[0] if keep else []], (a, b)
+
+
 def probe_rectangles(rng, s, live, n=24):
     """Rectangles that stress the bin arithmetic: random spans, +-inf
     sides, and bounds sitting exactly on bin edges / live values."""
@@ -254,6 +285,7 @@ class TestPlannerPrefixSums:
             lo, hi = probe_rectangles(rng, s, live)
             assert np.array_equal(s.may_contain_many(lo, hi),
                                   frozen_may_contain_many(s, lo, hi))
+            assert_lone_router_matches(s, lo, hi)
 
     def test_planner_reads_stay_one_sided_while_writers_churn(self):
         """A reader hammering the lock-free planner during add / remove
@@ -294,6 +326,10 @@ class TestPlannerPrefixSums:
                                                [0, 1])
                     for plan, keep in zip(plans, must_keep):
                         assert set(keep) <= set(plan), (plan, keep)
+                    for q, keep in zip(probes, must_keep):
+                        [plan] = plan_query_subsets([q], ("x",), summaries,
+                                                    [0, 1])
+                        assert set(keep) <= set(plan), (plan, keep)
             except Exception as exc:
                 errors.append(exc)
 
@@ -319,8 +355,58 @@ class TestPlannerPrefixSums:
             lo, hi = probe_rectangles(rng, s, rows, n=64)
             assert np.array_equal(s.may_contain_many(lo, hi),
                                   frozen_may_contain_many(s, lo, hi))
+            assert_lone_router_matches(s, lo, hi)
         assert plan_query_subsets(probes, ("x",), summaries, [0, 1]) == \
             [[0], [0], [1], [1], [0, 1], [], []]
+        assert [plan_query_subsets([q], ("x",), summaries, [0, 1])[0]
+                for q in probes] == [[0], [0], [1], [1], [0, 1], [], []]
+
+    @pytest.mark.parametrize("case", ["fresh", "drained", "overdrawn",
+                                      "tainted", "no-edges", "finite"])
+    def test_lone_router_branches(self, case):
+        """Each branch the one-rectangle test takes - no live rows,
+        unsummarized (tainted, or counted rows but no edges yet), and
+        the bounds and histogram compares - probed with sides on bin
+        edges, on the live min/max and at +-inf."""
+        rng = np.random.default_rng(11)
+        rows = np.column_stack([rng.uniform(0, 100, 60),
+                                rng.uniform(-5, 5, 60)])
+        s = ShardSummary(2, n_bins=8)
+        if case != "fresh":
+            s.add(rows)
+        if case == "drained":
+            s.remove(rows)
+        elif case == "overdrawn":
+            s.remove(rows)
+            s.remove(rows[:3])
+        elif case == "tainted":
+            s.add(np.array([[50.0, math.nan]]))
+        elif case == "no-edges":
+            arrays = ShardSummary(2, n_bins=8).state_arrays()
+            arrays["meta"][2] = 60
+            s = ShardSummary.from_state_arrays(arrays)
+        elif case == "finite":
+            s.remove(rows[(rows[:, 0] > 35) & (rows[:, 0] < 65)])
+        expect = {"fresh": "no-live-rows", "drained": "no-live-rows",
+                  "overdrawn": "no-live-rows", "tainted": "unsummarized",
+                  "no-edges": "unsummarized"}
+        if case in expect:
+            assert s.classify(np.zeros(2), np.ones(2)) == expect[case]
+        sides = np.concatenate([rows[:, 0].min(keepdims=True),
+                                rows[:, 0].max(keepdims=True),
+                                [-math.inf, math.inf, 45.0, 55.0]])
+        if s.edges is not None:
+            sides = np.concatenate([sides, s.edges[0]])
+        a, b = np.meshgrid(sides, sides)
+        lo = np.column_stack([np.minimum(a, b).ravel(),
+                              np.full(a.size, -math.inf)])
+        hi = np.column_stack([np.maximum(a, b).ravel(),
+                              np.full(a.size, math.inf)])
+        assert_lone_router_matches(s, lo, hi)
+        assert_lone_router_matches(s, *probe_rectangles(rng, s, rows, 64))
+        if case == "finite":
+            assert {s.classify(x, y) for x, y in zip(lo, hi)} == {
+                "contributing", "bounds-disjoint", "histogram-empty"}
 
 
 class TestRoutingStats:
