@@ -36,9 +36,9 @@ table's next write; batched and sequential answers are identical.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import le
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,22 +57,12 @@ LeafSamplesFn = Callable[[NodeRef], np.ndarray]
 #: (chosen by the microbench in ``.claude/skills/verify/SKILL.md``).
 LEVELWISE_MIN_ROWS = 16
 
-
-class _LeafMoments(NamedTuple):
-    """Matched-sample moments of one (partial leaf, query) pair."""
-
-    m: int        # stratum size m_i
-    count: int    # number of matched sample rows
-    s: float      # sum of matched aggregation values
-    s2: float     # sum of squares of matched aggregation values
-    vmin: float   # min of matched values (+inf when none matched)
-    vmax: float   # max of matched values (-inf when none matched)
-
-
-_NO_SAMPLES = _LeafMoments(0, 0, 0.0, 0.0, math.inf, -math.inf)
-
-# per-query moments provider for a partial leaf's row
-MomentsFn = Callable[[int], _LeafMoments]
+#: Matched-sample moments of a batch's (query, partial leaf) pairs as
+#: six flat lists ``(m, count, s, s2, vmin, vmax)``: stratum size m_i,
+#: matched rows, their aggregation values' sum, sum of squares, min
+#: (+inf when none matched) and max (-inf).  Pair p is the p-th (query,
+#: partial row) in request order, each query's rows in frontier order.
+Moments = Tuple[list, list, list, list, list, list]
 
 
 class DynamicPartitionTree:
@@ -140,8 +130,7 @@ class DynamicPartitionTree:
         while stack:
             order.append(stack.pop())
             stack.extend(t.kids[order[-1]])
-        self._dfs_rows = order
-        rows = np.array(order, dtype=np.intp)
+        self._dfs_rows = rows = np.array(order, dtype=np.intp)
         self._dfs_lo, self._dfs_hi = t.lo[rows], t.hi[rows]
         self._dfs_leaf = t.leaf_pos[rows] >= 0
         depth = [0] * len(t)
@@ -388,14 +377,13 @@ class DynamicPartitionTree:
         comparisons give the intersect/contain matrices, a level-wise
         propagation marks which nodes each query's walk would reach (a
         node is reached iff its parent is reached, intersecting and not
-        contained), and one ``nonzero`` pass emits each query's rows.
+        contained), and one ``flatnonzero`` pass emits the rows of all
+        queries, cut at the query boundaries (:func:`_cut_rows`).
         Positions ascend in the lone walk's visit order (:meth:`_index`)
         and a pruned DFS visits a subsequence of the unpruned one, so
         the lists are :meth:`frontier`'s, in its order.
         """
-        nq = len(rects)
-        lo = np.array([r.lo for r in rects], dtype=np.float64)
-        hi = np.array([r.hi for r in rects], dtype=np.float64)
+        lo, hi = _corners(rects, self._dfs_lo.shape[1])
         nlo = self._dfs_lo[:, None, :]                 # (n_nodes, 1, d)
         nhi = self._dfs_hi[:, None, :]
         qlo = lo[None, :, :]                           # (1, nq, d)
@@ -407,17 +395,9 @@ class DynamicPartitionTree:
         reach[0] = True
         for child_pos, parent_pos in self._dfs_levels:
             reach[child_pos] = reach[parent_pos] & descend[parent_pos]
-        rows = self._dfs_rows
-        covers: List[List[int]] = [[] for _ in range(nq)]
-        partials: List[List[int]] = [[] for _ in range(nq)]
-        qi_arr, pos_arr = np.nonzero((reach & contain).T)
-        for qi, p in zip(qi_arr.tolist(), pos_arr.tolist()):
-            covers[qi].append(rows[p])
-        qi_arr, pos_arr = np.nonzero(
-            (reach & descend & self._dfs_leaf[:, None]).T)
-        for qi, p in zip(qi_arr.tolist(), pos_arr.tolist()):
-            partials[qi].append(rows[p])
-        return covers, partials
+        return (_cut_rows(self._dfs_rows, reach & contain),
+                _cut_rows(self._dfs_rows,
+                          reach & descend & self._dfs_leaf[:, None]))
 
     def query(self, query: Query, leaf_samples: LeafSamplesFn
               ) -> QueryResult:
@@ -441,13 +421,18 @@ class DynamicPartitionTree:
         node estimates are read from memoized whole columns; only
         the final estimation - a pure function of the query's own
         frontier and matched samples - runs per query.  Results come in
-        request order and match :meth:`query` exactly.
+        request order and match :meth:`query` exactly.  A query off
+        :attr:`template` is a ``ValueError`` for the whole batch.
         """
         queries = list(queries)
-        if not queries:
-            return []
         for query in queries:
             self.template.check(query)
+        return self._answer_many(queries, leaf_samples) if queries else []
+
+    def _answer_many(self, queries: List[Query],
+                     leaf_samples: LeafSamplesFn) -> List[QueryResult]:
+        """:meth:`query_many` for a non-empty batch already checked
+        against a template at least as strict as :attr:`template`."""
         if len(queries) == 1:
             cover, partial = self.frontier(queries[0].rect)
             covers, partials = [cover], [partial]
@@ -457,19 +442,17 @@ class DynamicPartitionTree:
                 [q.rect for q in queries])
             moments = self._leaf_moments(queries, partials, leaf_samples)
         results: List[QueryResult] = []
-        for qi, query in enumerate(queries):
-            def moments_of(row: int, qi: int = qi) -> "_LeafMoments":
-                return moments[(row, qi)]
+        first = 0                         # the query's first pair
+        for query, cover, partial in zip(queries, covers, partials):
             results.append(self._ANSWER[query.agg.family](
-                self, query, covers[qi], partials[qi], moments_of))
+                self, query, cover, partial, first, moments))
+            first += len(partial)
         return results
 
     def _leaf_moments(self, queries: List[Query],
                       partials: List[List[int]],
-                      leaf_samples: LeafSamplesFn
-                      ) -> Dict[Tuple[int, int], "_LeafMoments"]:
-        """Matched-sample moments for every (partial leaf row, query)
-        pair.
+                      leaf_samples: LeafSamplesFn) -> Moments:
+        """The :data:`Moments` of every (query, partial leaf row) pair.
 
         The batch's partial-leaf sample matrices are concatenated into
         one block, every query rectangle is tested against it in one
@@ -479,105 +462,90 @@ class DynamicPartitionTree:
         (``reduceat``) over the leaf boundaries.  A segment reduction
         depends only on that leaf's own rows, so every moment is
         identical to what a single-query evaluation would produce.
+        Pairs on an empty stratum stay out of the segments (a
+        zero-length ``reduceat`` segment yields its start element, not
+        the identity) and keep the identity moments.
         """
-        moments: Dict[Tuple[int, int], _LeafMoments] = {}
-        leaf_seg: Dict[int, int] = {}     # leaf row -> segment (-1: empty)
-        blocks: List[np.ndarray] = []
-        pair_row: List[int] = []
-        pair_qi: List[int] = []
-        pair_seg: List[int] = []
-        leaf_pos = self.table.leaf_pos
-        for qi, partial in enumerate(partials):
-            for row in partial:
-                seg = leaf_seg.get(row)
-                if seg is None:
-                    rows = leaf_samples(self.leaves[leaf_pos[row]])
-                    if rows.shape[0] == 0:
-                        seg = -1
-                    else:
-                        seg = len(blocks)
-                        blocks.append(rows)
-                    leaf_seg[row] = seg
-                if seg < 0:
-                    moments[(row, qi)] = _NO_SAMPLES
-                else:
-                    pair_row.append(row)
-                    pair_qi.append(qi)
-                    pair_seg.append(seg)
-        n_pairs = len(pair_qi)
-        if n_pairs == 0:
-            return moments
-        seg_sizes = np.array([b.shape[0] for b in blocks], dtype=np.intp)
-        seg_starts = np.zeros(len(blocks), dtype=np.intp)
-        np.cumsum(seg_sizes[:-1], out=seg_starts[1:])
-        pool = np.concatenate(blocks, axis=0)
-        # Ragged element layout: pair p owns a run of its leaf's m_p rows.
-        seg_arr = np.asarray(pair_seg, dtype=np.intp)
-        pair_m = seg_sizes[seg_arr]
-        bounds = np.zeros(n_pairs + 1, dtype=np.intp)
-        np.cumsum(pair_m, out=bounds[1:])
-        starts = bounds[:-1]
-        idx = (np.arange(int(bounds[-1])) - np.repeat(starts, pair_m) +
-               np.repeat(seg_starts[seg_arr], pair_m))
-        qlo = np.array([queries[qi].rect.lo for qi in pair_qi])
-        qhi = np.array([queries[qi].rect.hi for qi in pair_qi])
-        mask = np.ones(idx.shape[0], dtype=bool)
-        for dim, col in enumerate(self._pred_idx):
-            v = pool[idx, col]
-            mask &= (v >= np.repeat(qlo[:, dim], pair_m)) & \
-                    (v <= np.repeat(qhi[:, dim], pair_m))
-        cnts = np.add.reduceat(mask.astype(np.float64), starts)
-        # Aggregation values, each element using its own pair's query
-        # attribute (COUNT pairs borrow column 0; their values are never
-        # read).
-        attr_cols = np.array(
-            [self.schema.index(queries[qi].attr)
-             if queries[qi].agg.reads_column else 0 for qi in pair_qi],
-            dtype=np.intp)
-        vals = pool[idx, np.repeat(attr_cols, pair_m)]
-        mvals = np.where(mask, vals, 0.0)
-        s = np.add.reduceat(mvals, starts)
-        s2 = np.add.reduceat(mvals * mvals, starts)
-        vmin = np.minimum.reduceat(np.where(mask, vals, math.inf), starts)
-        vmax = np.maximum.reduceat(np.where(mask, vals, -math.inf),
-                                   starts)
-        for p in range(n_pairs):
-            moments[(pair_row[p], pair_qi[p])] = _LeafMoments(
-                int(pair_m[p]), int(cnts[p]), float(s[p]), float(s2[p]),
-                float(vmin[p]), float(vmax[p]))
-        return moments
+        flat = [row for partial in partials for row in partial]
+        n_pairs, leaf_pos = len(flat), self.table.leaf_pos
+        blocks = {row: leaf_samples(self.leaves[leaf_pos[row]])
+                  for row in dict.fromkeys(flat)}
+        sizes = [b.shape[0] for b in blocks.values()]
+        size = np.zeros(len(self.table), dtype=np.intp)   # per node row
+        start = np.zeros(len(self.table), dtype=np.intp)
+        at = list(blocks)
+        size[at], start[at] = sizes, np.cumsum(sizes) - sizes
+        pair_row = np.array(flat, dtype=np.intp)
+        out = (size[pair_row], np.zeros(n_pairs, dtype=np.intp),
+               np.zeros(n_pairs), np.zeros(n_pairs),
+               np.full(n_pairs, math.inf), np.full(n_pairs, -math.inf))
+        live = np.flatnonzero(out[0])
+        if live.size:
+            # Ragged element layout: pair p owns a run of its leaf's m_p
+            # rows of the concatenated block.
+            m = out[0][live]
+            starts = np.cumsum(m) - m
+            idx = np.arange(int(starts[-1] + m[-1])) - \
+                np.repeat(starts - start[pair_row[live]], m)
+            pool = np.concatenate(list(blocks.values()), axis=0)
+            qi = np.repeat(np.arange(len(queries)),
+                           [len(p) for p in partials])[live]
+            qlo, qhi = (corner[qi] for corner in _corners(
+                [q.rect for q in queries], len(self._pred_idx)))
+            mask = np.ones(idx.shape[0], dtype=bool)
+            for dim, col in enumerate(self._pred_idx):
+                v = pool[idx, col]
+                mask &= (v >= np.repeat(qlo[:, dim], m)) & \
+                        (v <= np.repeat(qhi[:, dim], m))
+            # Aggregation values, each element using its own pair's query
+            # attribute (COUNT pairs borrow column 0; their values are
+            # never read).
+            cols = np.array([self.schema.index(q.attr)
+                             if q.agg.reads_column else 0 for q in queries],
+                            dtype=np.intp)[qi]
+            vals = pool[idx, np.repeat(cols, m)]
+            mvals = np.where(mask, vals, 0.0)
+            out[1][live] = np.add.reduceat(mask.astype(np.intp), starts)
+            out[2][live] = np.add.reduceat(mvals, starts)
+            out[3][live] = np.add.reduceat(mvals * mvals, starts)
+            out[4][live] = np.minimum.reduceat(
+                np.where(mask, vals, math.inf), starts)
+            out[5][live] = np.maximum.reduceat(
+                np.where(mask, vals, -math.inf), starts)
+        return tuple(col.tolist() for col in out)
 
     def _lone_moments(self, query: Query, partial: List[int],
-                      leaf_samples: LeafSamplesFn
-                      ) -> Dict[Tuple[int, int], "_LeafMoments"]:
+                      leaf_samples: LeafSamplesFn) -> Moments:
         """:meth:`_leaf_moments` for one query, straight from each partial
         leaf's own sample block.  Sums are one-segment ``reduceat``s: they
         add in the batch's order, ``np.add.reduce`` does not."""
         col = self.schema.index(query.attr) if query.agg.reads_column else 0
         bounds = list(zip(self._pred_idx, map(float, query.rect.lo),
                           map(float, query.rect.hi)))
-        moments: Dict[Tuple[int, int], _LeafMoments] = {}
+        per_pair = []
         for row in partial:
             rows = leaf_samples(self.leaves[self.table.leaf_pos[row]])
             if rows.shape[0] == 0:
-                moments[(row, 0)] = _NO_SAMPLES
+                per_pair.append((0, 0, 0.0, 0.0, math.inf, -math.inf))
                 continue
             mask = np.ones(rows.shape[0], dtype=bool)
             for c, a, b in bounds:
                 mask &= (rows[:, c] >= a) & (rows[:, c] <= b)
             vals = rows[:, col]
             mvals = np.where(mask, vals, 0.0)
-            moments[(row, 0)] = _LeafMoments(
+            per_pair.append((
                 rows.shape[0], int(np.count_nonzero(mask)),
                 float(np.add.reduceat(mvals, [0])[0]),
                 float(np.add.reduceat(mvals * mvals, [0])[0]),
                 float(np.where(mask, vals, math.inf).min()),
-                float(np.where(mask, vals, -math.inf).max()))
-        return moments
+                float(np.where(mask, vals, -math.inf).max())))
+        return tuple(map(list, zip(*per_pair))) or ([],) * 6
 
+    # The estimators: ``moments[k][first + j]`` is the k-th moment of the
+    # query's j-th partial row (see :data:`Moments`).
     def _answer_sum_count(self, query: Query, cover: List[int],
-                          partial: List[int],
-                          moments_of: "MomentsFn") -> QueryResult:
+                          partial: List[int], first: int,
+                          moments: Moments) -> QueryResult:
         is_count = query.agg is AggFunc.COUNT
         pos = None if is_count else self.stat_pos(query.attr)
         totals = (self.n0, self.h_total)
@@ -598,15 +566,15 @@ class DynamicPartitionTree:
             all_exact = all_exact and exact[row]
         samp = 0.0
         var_s = 0.0
-        for row in partial:
-            mom = moments_of(row)
+        m, count, s, s2 = moments[:4]
+        for p, row in enumerate(partial, first):
             n_i = counts[row]
             if is_count:
-                c = float(mom.count)
-                est, var = estimators.sum_partial_moments(n_i, mom.m, c, c)
+                c = float(count[p])
+                est, var = estimators.sum_partial_moments(n_i, m[p], c, c)
             else:
-                est, var = estimators.sum_partial_moments(n_i, mom.m,
-                                                          mom.s, mom.s2)
+                est, var = estimators.sum_partial_moments(n_i, m[p],
+                                                          s[p], s2[p])
             samp += est
             var_s += var
         exact_result = all_exact and not partial
@@ -614,8 +582,8 @@ class DynamicPartitionTree:
                            n_covered=len(cover), n_partial=len(partial))
 
     def _answer_avg(self, query: Query, cover: List[int],
-                    partial: List[int],
-                    moments_of: "MomentsFn") -> QueryResult:
+                    partial: List[int], first: int,
+                    moments: Moments) -> QueryResult:
         pos = self.stat_pos(query.attr)
         totals = (self.n0, self.h_total)
         n_q = 0.0
@@ -643,10 +611,10 @@ class DynamicPartitionTree:
             var_c += (w_i * w_i) * varbases[row]
             all_exact = all_exact and exact[row]
         var_s = 0.0
-        for row in partial:
-            mom = moments_of(row)
+        m, count, s, s2 = moments[:4]
+        for p, row in enumerate(partial, first):
             c_est, c_var = estimators.avg_partial_moments(
-                counts[row], n_q, mom.m, mom.count, mom.s, mom.s2)
+                counts[row], n_q, m[p], count[p], s[p], s2[p])
             est += c_est
             var_s += c_var
         exact_result = all_exact and not partial
@@ -655,8 +623,8 @@ class DynamicPartitionTree:
                            details={"n_q": n_q})
 
     def _answer_variance(self, query: Query, cover: List[int],
-                         partial: List[int],
-                         moments_of: "MomentsFn") -> QueryResult:
+                         partial: List[int], first: int,
+                         moments: Moments) -> QueryResult:
         """VARIANCE/STDDEV composed from COUNT, SUM and sum-of-squares.
 
         Section 6.6: "aggregate functions such as STDDEV that can be
@@ -682,24 +650,24 @@ class DynamicPartitionTree:
             sum_est += sums[row]
             sumsq_est += sumsqs[row]
             all_exact = all_exact and exact[row]
-        for row in partial:
-            mom = moments_of(row)
-            if mom.m <= 0:
+        m, count, s, s2 = moments[:4]
+        for p, row in enumerate(partial, first):
+            if m[p] <= 0:
                 continue
-            count, total, totalsq = estimators.moments_partial(
-                counts[row], mom.m, mom.count, mom.s, mom.s2)
-            count_est += count
+            n, total, totalsq = estimators.moments_partial(
+                counts[row], m[p], count[p], s[p], s2[p])
+            count_est += n
             sum_est += total
             sumsq_est += totalsq
         # Plug-in moments ride along in ``details`` so shard merging can
         # re-compose the union's VARIANCE/STDDEV exactly (merge.py).
-        moments = (count_est, sum_est, sumsq_est)
+        plug_in = (count_est, sum_est, sumsq_est)
         if count_est <= 0:
             return QueryResult(math.nan, 0.0, 0.0, False,
                                n_covered=len(cover),
                                n_partial=len(partial),
                                details={"ci": "unavailable",
-                                        "moments": moments})
+                                        "moments": plug_in})
         mean = sum_est / count_est
         variance = max(0.0, sumsq_est / count_est - mean * mean)
         est = variance if query.agg is AggFunc.VARIANCE else \
@@ -708,11 +676,11 @@ class DynamicPartitionTree:
         return QueryResult(est, 0.0, 0.0, exact_result,
                            n_covered=len(cover), n_partial=len(partial),
                            details={"ci": "unavailable",
-                                    "moments": moments})
+                                    "moments": plug_in})
 
     def _answer_minmax(self, query: Query, cover: List[int],
-                       partial: List[int],
-                       moments_of: "MomentsFn") -> QueryResult:
+                       partial: List[int], first: int,
+                       moments: Moments) -> QueryResult:
         pos = self.stat_pos(query.attr)
         is_max = query.agg is AggFunc.MAX
         candidates: List[float] = []
@@ -728,10 +696,10 @@ class DynamicPartitionTree:
                 continue
             candidates.append(value)
             all_exact = all_exact and exact
-        for row in partial:
-            mom = moments_of(row)
-            if mom.count > 0:
-                candidates.append(mom.vmax if is_max else mom.vmin)
+        count, best = moments[1], moments[5 if is_max else 4]
+        for p in range(first, first + len(partial)):
+            if count[p] > 0:
+                candidates.append(best[p])
         if not candidates:
             # Every candidate source was missing: no estimate exists,
             # and the answer is certainly not exact.
@@ -748,6 +716,30 @@ class DynamicPartitionTree:
                AggFamily.RATIO: _answer_avg,
                AggFamily.MOMENTS: _answer_variance,
                AggFamily.EXTREME: _answer_minmax}
+
+
+def _corners(rects: Sequence[Rectangle], d: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(n, d)`` lo and hi corners of ``d``-dimensional rectangles
+    (``fromiter`` over the flat bounds: half the cost of ``np.array``
+    over a list of tuples)."""
+    n = len(rects) * d
+    return tuple(np.fromiter(chain.from_iterable(side), np.float64, n)
+                 .reshape(-1, d) for side in
+                 ((r.lo for r in rects), (r.hi for r in rects)))
+
+
+def _cut_rows(rows: np.ndarray, hit: np.ndarray) -> List[List[int]]:
+    """Each column's rows where an ``(n_nodes, nq)`` ``hit`` matrix is
+    set, in position order: one ``tolist`` cut at the column bounds.
+    (``flatnonzero`` of the transpose copies it to C order first, which
+    is cheaper than ``nonzero`` striding over the view.)"""
+    n = hit.shape[0]
+    at = np.flatnonzero(hit.T)              # column-major positions
+    flat = rows[at % n].tolist()
+    ends = np.searchsorted(at, np.arange(n, n * hit.shape[1] + 1,
+                                         n)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _rect_distance(lo: Sequence[float], hi: Sequence[float],

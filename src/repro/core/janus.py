@@ -624,19 +624,21 @@ class JanusAQP:
                              q, self._sketches[q.attr][SKETCH_KIND[q.agg]])
                          for qi, q in enumerate(queries)
                          if q.agg.family is AggFamily.SKETCH}
+            if not sketch_at:
+                return self._tree_answers(queries)
             tree_queries = [q for qi, q in enumerate(queries)
                             if qi not in sketch_at]
-            tree_results: List[QueryResult] = []
-            if tree_queries:
-                if self.dpt is None:
-                    raise RuntimeError("synopsis not initialized")
-                tree_results = self.dpt.query_many(tree_queries,
-                                                   self._leaf_samples)
-            out: List[QueryResult] = []
-            it = iter(tree_results)
-            for qi in range(len(queries)):
-                out.append(sketch_at[qi] if qi in sketch_at else next(it))
-            return out
+            it = iter(self._tree_answers(tree_queries) if tree_queries
+                      else ())
+            return [sketch_at[qi] if qi in sketch_at else next(it)
+                    for qi in range(len(queries))]
+
+    def _tree_answers(self, queries: List[Query]) -> List[QueryResult]:  # requires-lock: _lock
+        # :attr:`template` is the tree's plus the sketch columns, so the
+        # batch is checked already: straight to the tree's batch body.
+        if self.dpt is None:
+            raise RuntimeError("synopsis not initialized")
+        return self.dpt._answer_many(queries, self._leaf_samples)
 
     def _leaf_samples(self, leaf: NodeRef) -> np.ndarray:
         return self.pool.matrix(leaf.node_id)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -347,6 +347,13 @@ class QueryTemplate:
             return (f"predicate attributes {list(query.predicate_attrs)} "
                     f"do not match this synopsis (template: "
                     f"{list(self.predicate_attrs)})")
+        rect = query.rect
+        # A NaN bound compares false both ways, so every node and shard
+        # would look disjoint and SUM/COUNT would answer an exact zero.
+        # Rectangle rejects lo > hi, so lo <= hi fails only on a NaN.
+        if not all(map(le, rect.lo, rect.hi)):
+            return (f"predicate rectangle has a NaN bound "
+                    f"(lo={list(rect.lo)}, hi={list(rect.hi)})")
         agg = query.agg
         if agg.family is AggFamily.SKETCH:
             if query.attr not in self.sketch_attrs:

@@ -290,6 +290,44 @@ def test_off_template_queries_get_one_verdict_everywhere(
             engine.close()
 
 
+@pytest.mark.parametrize("open_engine",
+                         [open_single, open_local, open_remote],
+                         ids=["single", "local", "remote"])
+def test_nan_bound_is_rejected_not_answered_as_zero(ds, snapshot,
+                                                    open_engine):
+    """A NaN bound compares false both ways: unchecked, every node and
+    every shard looks disjoint and SUM / COUNT answer an exact 0.0.
+    It is off-template instead - the same verdict as the cases above,
+    before any shard is asked, and a 400 over ``/query`` (JSON parses
+    ``NaN``)."""
+    engine = open_engine(snapshot)
+    shards = getattr(engine, "_shards", None)
+    good = workload(ds)[0]
+    nans = [Query(agg, ds.agg_attr, ds.predicate_attrs, rect)
+            for agg in (AggFunc.SUM, AggFunc.COUNT)
+            for rect in (Rectangle((math.nan,), (1e9,)),
+                         Rectangle((0.0,), (math.nan,)))]
+    try:
+        for query in nans:
+            if shards is not None:
+                engine._shards = None   # touching a shard: a TypeError
+            with pytest.raises(ValueError, match="NaN bound") as err:
+                engine.query_many([good, query])
+            assert str(err.value) == engine.template.problem(query)
+            if shards is not None:
+                engine._shards = shards
+        with serve_background(engine, port=0) as handle, \
+                ServiceClient(handle.host, handle.port) as client:
+            for query in nans:
+                with pytest.raises(ServiceError, match="NaN bound") as err:
+                    client.query(query)
+                assert err.value.status == 400
+    finally:
+        if shards is not None:
+            engine._shards = shards
+            engine.close()
+
+
 class DeadShard(LocalShard):
     """A shard whose worker is gone, without a process to kill."""
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broker.broker import Broker, decode_rows, encode_rows
 from repro.core.dpt import DynamicPartitionTree
@@ -179,20 +180,16 @@ class TestBatchEquivalence:
         dpt, attrs = janus.dpt, janus.predicate_attrs
         leaf = next(lf for lf in dpt.leaves
                     if np.isfinite(lf.rect.lo + lf.rect.hi).all())
-        lo, hi = np.array(leaf.rect.lo), np.array(leaf.rect.hi)
-        mid, width = (lo + hi) / 2, hi - lo
-        rects = [Rectangle(tuple(mid), tuple(hi + width)),
-                 Rectangle(tuple(lo - width), tuple(mid))]
-        for rect in rects:
-            assert leaf.row in dpt.frontier(rect)[1]
+        cutting, inside = leaf_queries(dpt, leaf, ds.agg_attr)
+        for q in cutting + inside:
+            assert leaf.row in dpt.frontier(q.rect)[1]
         empty = np.empty((0, len(dpt.schema)))
 
         def samples(lf):
             return empty if lf.row == leaf.row else janus._leaf_samples(lf)
 
         rng = np.random.default_rng(8)
-        queries = [Query(agg, ds.agg_attr, attrs, rect)
-                   for rect in rects for agg in ALL_AGGS] + \
+        queries = cutting + inside + \
             random_queries(rng, janus.table, ds.agg_attr, attrs, 14)
         batched = dpt.query_many(queries, samples)
         for q, b in zip(queries, batched):
@@ -208,6 +205,139 @@ class TestBatchEquivalence:
         covers, partials = janus.dpt.frontier_many(rects)
         for rect, cover_b, partial_b in zip(rects, covers, partials):
             assert janus.dpt.frontier(rect) == (cover_b, partial_b)
+
+
+def leaf_queries(dpt, leaf, agg_attr):
+    """Queries with ``leaf`` as a partial leaf, under every aggregate:
+    two rectangles cutting it partway, and one strictly inside it (its
+    only partial leaf)."""
+    lo, hi = np.array(leaf.rect.lo), np.array(leaf.rect.hi)
+    mid, width = (lo + hi) / 2, hi - lo
+
+    def each(lo, hi):
+        return [Query(agg, agg_attr, dpt.predicate_attrs,
+                      Rectangle(tuple(lo), tuple(hi))) for agg in ALL_AGGS]
+    return (each(mid, hi + width) + each(lo - width, mid),
+            each(lo + width / 4, hi - width / 4))
+
+
+def churned_engine(dim, churn, rng):
+    """A fresh small engine (1-D or 2-D template) driven through
+    ``churn``: ``(insert?, n)`` steps inserting the next ``n`` rows or
+    deleting ``n`` random live ones."""
+    ds = nyc_taxi(n=6_000, seed=3)
+    attrs = ds.predicate_attrs if dim == 1 else \
+        ("pickup_time", "pickup_time_of_day")
+    table = Table(ds.schema, capacity=ds.n + 16)
+    live = table.insert_many(ds.data[:4_000])
+    janus = JanusAQP(table, ds.agg_attr, attrs, config=JanusConfig(
+        k=16, sample_rate=0.05, check_every=10 ** 9, seed=3))
+    janus.initialize()
+    at = 4_000
+    for insert, n in churn:
+        if insert:
+            live += janus.insert_many(ds.data[at:at + n])
+            at += n
+        else:
+            gone = set(rng.choice(len(live), size=n, replace=False)
+                       .tolist())
+            janus.delete_many([t for i, t in enumerate(live) if i in gone])
+            live = [t for i, t in enumerate(live) if i not in gone]
+    return janus, ds
+
+
+class TestBatchProperty:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=20, deadline=None)
+    @given(churn=st.lists(st.tuples(st.booleans(), st.integers(1, 400)),
+                          max_size=4),
+           size=st.integers(1, 80), empty=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_equals_its_lone_answers(self, dim, churn, size, empty,
+                                           seed):
+        """``query_many(batch)[i]`` equals ``query_many([q_i])[0]`` field
+        for field, for every tree aggregate, through insert / delete
+        churn: batches of 1-80 queries with duplicates, rectangles on
+        sample values and, with ``empty``, a leaf whose stratum is
+        emptied, rectangles cutting it in front and rectangles inside
+        it at the end (its pair is the batch's last)."""
+        rng = np.random.default_rng(seed)
+        janus, ds = churned_engine(dim, churn, rng)
+        dpt, attrs = janus.dpt, janus.predicate_attrs
+        finite = [lf for lf in dpt.leaves
+                  if np.isfinite(lf.rect.lo + lf.rect.hi).all()]
+        gone = finite[rng.integers(len(finite))] if empty else None
+        none = np.empty((0, len(dpt.schema)))
+
+        def samples(leaf):
+            return none if gone is not None and leaf.row == gone.row \
+                else janus._leaf_samples(leaf)
+
+        pool = random_queries(rng, janus.table, ds.agg_attr, attrs, 20) + \
+            edge_queries([janus], ds.agg_attr, attrs, seed=seed, n=2)
+        batch = [pool[i] for i in rng.integers(len(pool), size=size)]
+        if gone is not None:
+            cutting, inside = leaf_queries(dpt, gone, ds.agg_attr)
+            batch = (cutting + batch)[:80 - len(inside)] + inside
+        for got, q in zip(dpt.query_many(batch, samples), batch):
+            assert_same_fields(got, dpt.query_many([q], samples)[0])
+        for got, q in zip(janus.query_many(batch), batch):
+            assert_same_fields(got, janus.query_many([q])[0])
+
+
+class TestFlatMoments:
+    """``_leaf_moments`` / ``_lone_moments`` against numpy on the
+    leaf blocks, on a hand-built three-leaf tree: pairs (left, mid,
+    right, left) with the mid stratum empty, a point box on a sample
+    value and a ``(-inf, x]`` side.  Values are dyadic, so every sum
+    is exact in any order."""
+
+    BLOCKS = {1: np.array([[1.0, 1.5], [4.0, -2.25], [6.0, 3.0],
+                           [9.0, 0.5]]),
+              2: np.empty((0, 2)),
+              3: np.array([[25.0, 4.0], [21.0, -1.0], [25.0, 7.5]])}
+
+    def tree(self):
+        root = Rectangle((0.0,), (30.0,))
+        left = Rectangle((0.0,), (10.0,))
+        mid = Rectangle((math.nextafter(10.0, math.inf),), (20.0,))
+        right = Rectangle((math.nextafter(20.0, math.inf),), (30.0,))
+        return DynamicPartitionTree(
+            TreeSpec.of([-1, 0, 0, 0], [root, left, mid, right]),
+            ("x", "a"), ("x",), minmax_attrs=("a",))
+
+    def test_six_lists_equal_numpy_on_the_blocks(self):
+        dpt = self.tree()
+        rects = [Rectangle((3.0,), (7.0,)),           # left
+                 Rectangle((12.0,), (15.0,)),         # mid: empty
+                 Rectangle((25.0,), (25.0,)),         # point on right
+                 Rectangle((-math.inf,), (4.0,))]     # (-inf, x] left
+        queries = [Query(AggFunc.SUM, "a", ("x",), r) for r in rects]
+
+        def samples(leaf):
+            return self.BLOCKS[leaf.row]
+
+        want = []
+        for rect in rects:
+            partial = dpt.frontier(rect)[1]
+            assert len(partial) == 1
+            block = self.BLOCKS[partial[0]]
+            hit = (block[:, 0] >= rect.lo[0]) & (block[:, 0] <= rect.hi[0])
+            vals = block[hit, 1]
+            want.append((block.shape[0], int(hit.sum()),
+                         float(vals.sum()), float((vals * vals).sum()),
+                         float(vals.min()) if vals.size else math.inf,
+                         float(vals.max()) if vals.size else -math.inf))
+        assert [w[0] for w in want] == [4, 0, 3, 4]
+        assert [w[1] for w in want] == [2, 0, 2, 2]
+        columns = [list(c) for c in zip(*want)]
+        partials = dpt.frontier_many(rects)[1]
+        got = dpt._leaf_moments(queries, partials, samples)
+        assert repr([list(c) for c in got]) == repr(columns)
+        for q, w in zip(queries, want):
+            lone = dpt._lone_moments(q, dpt.frontier(q.rect)[1], samples)
+            assert repr([list(c) for c in lone]) == \
+                repr([[v] for v in w])
 
 
 class TestShardedLone:
