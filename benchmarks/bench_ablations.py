@@ -21,14 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
-from repro.bench.harness import evaluate, make_workload
+from lib.harness import evaluate, make_workload
+from lib.spt import build_spt
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.repartition import partial_repartition
-from repro.core.spt import build_spt
 from repro.core.table import Table
 from repro.datasets import synthetic
-from repro.index.topk import MinMaxStats
+from repro.index.topk import TopK
 
 N_ROWS = 40_000
 N_QUERIES = 250
@@ -100,15 +100,15 @@ def run_heap_ablation():
         trials_exact = 0
         trials = 40
         for trial in range(trials):
-            mm = MinMaxStats(k=k)
+            top = TopK(k, largest=True)
             local_rng = np.random.default_rng(trial)
             vals = list(local_rng.choice(values, size=200, replace=False))
             for v in vals:
-                mm.insert(float(v))
+                top.insert(float(v))
             # adversarial churn: delete the largest 30% of values
             for v in sorted(vals, reverse=True)[:60]:
-                mm.delete(float(v))
-            trials_exact += mm.max_exact
+                top.delete(float(v))
+            trials_exact += top.exact
         results[k] = trials_exact / trials
     return results
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
-from repro.bench.harness import evaluate, make_workload
+from lib.harness import evaluate, make_workload
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc
 from repro.core.table import Table

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit, emit_json
-from repro.baselines.deepdb import DeepDBBaseline
+from lib.deepdb import DeepDBBaseline
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.table import Table
 from repro.datasets import synthetic

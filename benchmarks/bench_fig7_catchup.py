@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
-from repro.baselines.rs import ReservoirBaseline
-from repro.bench.harness import evaluate, make_workload
+from lib.harness import evaluate, make_workload
+from lib.rs import ReservoirBaseline
 from repro.broker.broker import Topic, encode_rows
 from repro.core.catchup import CatchupRunner
 from repro.core.janus import JanusAQP, JanusConfig

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
-from repro.baselines.deepdb import DeepDBBaseline
-from repro.bench.harness import evaluate, make_workload
+from lib.deepdb import DeepDBBaseline
+from lib.harness import evaluate, make_workload
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc
 from repro.core.table import Table

@@ -4,12 +4,12 @@ The ISSUE-3 acceptance benchmark.  One frozen pooled sample (2-D
 nyc_taxi predicates) is pushed through both generations of the
 re-initialization pipeline (paper Figure 4):
 
-* **old path** - per-insert :class:`PyRangeIndex` snapshot build, the
-  report-per-split :class:`ReferenceKDTreePartitioner`, and per-row
-  reservoir seeding (``np.asarray`` + ``np.stack`` per sample);
+* **old path** - per-insert :class:`PyRangeIndex` snapshot build and
+  the report-per-split :class:`ReferenceKDTreePartitioner`;
 * **new path** - one ``add_many`` bulk index build (vectorized
-  wholesale rebuild), the flat-matrix :class:`KDTreePartitioner`, and
-  one vectorized table-gather seed.
+  wholesale rebuild) and the flat-matrix :class:`KDTreePartitioner`.
+
+Both seed their tree from the pool matrix with one ``add_catchup_rows``.
 
 Correctness gates run before any timing is reported: the two paths must
 produce **identical partition trees** (same cuts, same leaf rects) and
@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from conftest import emit, emit_json
-from repro.core.catchup import seed_from_reservoir
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.index.range_index import RangeIndex
@@ -108,7 +107,7 @@ def run_reoptimize(m):
     dpt_old = DynamicPartitionTree(spec_old, ds.schema,
                                    ("pickup_time", "pickup_time_of_day"))
     dpt_old.set_population(n_pop)
-    seed_from_reservoir(dpt_old, (r for r in rows))   # per-row legacy path
+    dpt_old.add_catchup_rows(rows)
     t3 = time.perf_counter()
     result["old"] = {"index_build_s": t1 - t0, "partition_s": t2 - t1,
                      "seed_s": t3 - t2, "total_s": t3 - t0}
@@ -126,7 +125,7 @@ def run_reoptimize(m):
     dpt_new = DynamicPartitionTree(spec_new, ds.schema,
                                    ("pickup_time", "pickup_time_of_day"))
     dpt_new.set_population(n_pop)
-    seed_from_reservoir(dpt_new, rows)                # one-matrix path
+    dpt_new.add_catchup_rows(rows)
     t3 = time.perf_counter()
     result["new"] = {"index_build_s": t1 - t0, "partition_s": t2 - t1,
                      "seed_s": t3 - t2, "total_s": t3 - t0}

@@ -22,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
-from repro.bench.harness import evaluate, make_workload
+from lib.harness import evaluate, make_workload
+from lib.spt import StaticPartitionTree, build_spt
 from repro.core.queries import AggFunc
-from repro.core.spt import StaticPartitionTree, build_spt
 from repro.core.table import Table
 from repro.datasets import synthetic
 from repro.partitioning.dp import DPPartitioner

@@ -1,9 +1,9 @@
 """DeepDB-style learned baseline (paper Section 6.1.3).
 
-Wraps the :mod:`repro.baselines.spn` sum-product network as an AQP
-synopsis with the evaluation protocol the paper uses: train on 10% of the
-current data, answer COUNT/SUM/AVG from the model, and *re-train from
-scratch* on re-optimization ("the re-optimization cost of DeepDB is the
+Wraps the :mod:`lib.spn` sum-product network as an AQP synopsis with
+the evaluation protocol the paper uses: train on 10% of the current
+data, answer COUNT/SUM/AVG from the model, and *re-train from scratch*
+on re-optimization ("the re-optimization cost of DeepDB is the
 cost of re-training instead of incremental training", Section 6.3).
 Inserts and deletes only touch the base table; the model's resolution is
 frozen until the next retrain - which is exactly why its accuracy stays
@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.queries import AggFunc, Query, QueryResult
-from ..core.table import Table
+from repro.core.queries import AggFunc, Query, QueryResult
+from repro.core.table import Table
 from .spn import learn_spn
 
 

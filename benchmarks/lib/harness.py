@@ -17,10 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.queries import AggFunc, Query
-from ..core.table import Table
-from ..datasets.synthetic import Dataset
-from ..datasets.workload import generate_workload
+from repro.core.queries import AggFunc, Query
+from repro.core.table import Table
+from repro.datasets.synthetic import Dataset
+from repro.datasets.workload import generate_workload
 from .metrics import (LatencyMeter, median_relative_error,
                       p95_relative_error, relative_errors)
 

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.queries import relative_error
+from repro.core.queries import relative_error
 
 
 def relative_errors(estimates: Sequence[float],

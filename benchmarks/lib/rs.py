@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.estimators import uniform_scan
-from ..core.queries import Query, QueryResult
-from ..core.table import Table
-from ..sampling.pool import SamplePool
+from repro.core.estimators import uniform_scan
+from repro.core.queries import Query, QueryResult
+from repro.core.table import Table
+from repro.sampling.pool import SamplePool
 
 
 class ReservoirBaseline:

@@ -6,22 +6,28 @@ node statistics computed by a full scan at construction time, and no
 update support.  JanusAQP's experiments use it as the accuracy reference
 (the "DPT without re-optimization" baseline is an SPT whose statistics
 were exact at time zero) and for Table 3's partitioner comparison.
+
+It is a client of :class:`~repro.core.dpt.DynamicPartitionTree`: the
+scan goes into the tree's exact-delta columns, as if every row had been
+inserted after an empty epoch (no catch-up, ``n0 = 0``), so the tree's
+own estimators answer with no catch-up variance.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..partitioning.dp import DPPartitioner
-from ..partitioning.equidepth import equidepth_tree
-from ..partitioning.onedim import OneDimPartitioner
-from ..partitioning.kdtree import KDTreePartitioner
-from ..partitioning.spec import TreeSpec
-from ..index.range_index import RangeIndex
-from .dpt import DynamicPartitionTree
-from .queries import AggFunc, Query, QueryResult, Rectangle
+from repro.core.dpt import DynamicPartitionTree
+from repro.core.queries import AggFunc, Query, QueryResult, Rectangle
+from repro.index.range_index import RangeIndex
+from repro.partitioning.dp import DPPartitioner
+from repro.partitioning.equidepth import equidepth_tree
+from repro.partitioning.kdtree import KDTreePartitioner
+from repro.partitioning.onedim import OneDimPartitioner
+from repro.partitioning.spec import TreeSpec
 
 
 class StaticPartitionTree:
@@ -35,45 +41,36 @@ class StaticPartitionTree:
                                           stat_attrs=stat_attrs)
         data = np.asarray(data, dtype=np.float64)
         self.n = data.shape[0]
-        self._tree.set_population(self.n)
+        self._empty = np.empty((0, len(self._tree.schema)))
         self._leaf_rows: Dict[int, np.ndarray] = {}
         self._populate(data, sample_rate, np.random.default_rng(seed))
 
     # ------------------------------------------------------------------ #
     def _populate(self, data: np.ndarray, sample_rate: float,
                   rng: np.random.Generator) -> None:
-        """Full-scan exact statistics plus per-leaf stratified samples."""
-        schema = self._tree.schema
-        pred_idx = [schema.index(a) for a in self._tree.predicate_attrs]
-        stat_idx = [schema.index(a) for a in self._tree.stat_attrs]
-        stats = data[:, stat_idx]
-        # Assign every row to its leaf, then roll statistics up the tree.
-        leaf_rows: Dict[int, list] = {leaf.node_id: []
-                                      for leaf in self._tree.leaves}
-        coords = data[:, pred_idx]
-        tree, zeros = self._tree, np.zeros(len(stat_idx))
-        for node in tree.nodes():
-            mask = np.ones(data.shape[0], dtype=bool)
-            for dim in range(coords.shape[1]):
-                mask &= (coords[:, dim] >= node.rect.lo[dim]) & \
-                        (coords[:, dim] <= node.rect.hi[dim])
+        """Every node's full-scan count, sum, sum of squares, min and max
+        (each row in every node whose closed rectangle holds it), plus
+        per-leaf stratified samples."""
+        tree = self._tree
+        schema, t = tree.schema, tree.table
+        coords = data[:, [schema.index(a) for a in tree.predicate_attrs]]
+        stats = data[:, [schema.index(a) for a in tree.stat_attrs]]
+        for row in range(len(t)):
+            mask = ((coords >= t.lo[row]) & (coords <= t.hi[row])).all(axis=1)
             sub = stats[mask]
-            if sub.shape[0]:
-                tree.table.set_exact_base(
-                    node.row, sub.shape[0], sub.sum(axis=0),
-                    (sub * sub).sum(axis=0), sub.min(axis=0), sub.max(axis=0))
-            else:
-                tree.table.set_exact_base(node.row, 0, zeros, zeros)
-            if not tree.children(node) and sub.shape[0]:
+            if not sub.shape[0]:
+                continue
+            t.delta_count[row] = sub.shape[0]
+            t.dsum[row], t.dsumsq[row] = sub.sum(axis=0), \
+                (sub * sub).sum(axis=0)
+            t.cmin[row], t.cmax[row] = sub.min(axis=0), sub.max(axis=0)
+            if t.leaf_pos[row] >= 0:
                 rows = data[mask]
                 want = max(1, int(round(sample_rate * rows.shape[0])))
                 pick = rng.choice(rows.shape[0], size=min(want,
                                                           rows.shape[0]),
                                   replace=False)
-                leaf_rows[node.node_id] = rows[pick]
-        self._leaf_rows = {k: (np.asarray(v) if len(v) else
-                               np.empty((0, len(schema))))
-                           for k, v in leaf_rows.items()}
+                self._leaf_rows[int(t.node_id[row])] = rows[pick]
 
     # ------------------------------------------------------------------ #
     @property
@@ -85,9 +82,13 @@ class StaticPartitionTree:
         return self._tree
 
     def query(self, query: Query) -> QueryResult:
-        return self._tree.query(
-            query, lambda leaf: self._leaf_rows.get(
-                leaf.node_id, np.empty((0, len(self._tree.schema)))))
+        """The tree's answer; exact when no leaf was only partly covered
+        (every covered node's statistics are exact) and it is a number."""
+        result = self._tree.query(query, lambda leaf: self._leaf_rows.get(
+            leaf.node_id, self._empty))
+        result.exact = result.n_partial == 0 and \
+            not math.isnan(result.estimate)
+        return result
 
 
 def build_spt(data: np.ndarray, schema: Sequence[str], agg_attr: str,

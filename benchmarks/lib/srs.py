@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import estimators
-from ..core.queries import AggFunc, Query, QueryResult
-from ..core.table import Table
-from ..partitioning.equidepth import equidepth_boundaries
-from ..sampling.pool import SamplePool
+from repro.core import estimators
+from repro.core.queries import AggFunc, Query, QueryResult
+from repro.core.table import Table
+from repro.partitioning.equidepth import equidepth_boundaries
+from repro.sampling.pool import SamplePool
 
 
 class StratifiedReservoirBaseline:

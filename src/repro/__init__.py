@@ -9,12 +9,9 @@ objects with confidence intervals.  See ``examples/quickstart.py``.
 from .core import (AggFunc, CatchupReport, CatchupRunner,
                    DynamicPartitionTree, HeuristicRouter, JanusAQP,
                    JanusConfig, Query, QueryResult, Rectangle, ReoptReport,
-                   SKETCH_AGGS,
-                   RepartitionTrigger, ShardedJanusAQP, StaticPartitionTree,
-                   SynopsisManager, Table, TriggerConfig, build_spt,
-                   relative_error, table_from_array)
-from .baselines import (DeepDBBaseline, ReservoirBaseline,
-                        StratifiedReservoirBaseline)
+                   SKETCH_AGGS, RepartitionTrigger, ShardedJanusAQP,
+                   SynopsisManager, Table, TriggerConfig, relative_error,
+                   table_from_array)
 
 __version__ = "1.0.0"
 
@@ -22,9 +19,7 @@ __all__ = [
     "AggFunc", "CatchupReport", "CatchupRunner",
     "DynamicPartitionTree", "HeuristicRouter", "JanusAQP", "JanusConfig",
     "Query", "QueryResult", "Rectangle", "ReoptReport", "SKETCH_AGGS",
-    "RepartitionTrigger", "ShardedJanusAQP", "StaticPartitionTree",
-    "SynopsisManager",
-    "Table", "TriggerConfig", "build_spt", "relative_error",
-    "table_from_array", "DeepDBBaseline", "ReservoirBaseline",
-    "StratifiedReservoirBaseline", "__version__",
+    "RepartitionTrigger", "ShardedJanusAQP", "SynopsisManager",
+    "Table", "TriggerConfig", "relative_error", "table_from_array",
+    "__version__",
 ]

@@ -4,8 +4,7 @@ from .queries import (AggFamily, AggFunc, Query, QueryResult, QueryTemplate,
                       Rectangle, SKETCH_AGGS, relative_error)
 from .table import Table, table_from_array
 from .dpt import DynamicPartitionTree
-from .spt import StaticPartitionTree, build_spt
-from .catchup import CatchupReport, CatchupRunner, seed_from_reservoir
+from .catchup import CatchupReport, CatchupRunner
 from .triggers import RepartitionTrigger, TriggerAction, TriggerConfig
 from .janus import JanusAQP, JanusConfig, ReoptReport
 from .persist import (load_sharded, load_synopsis, save_sharded,
@@ -22,10 +21,9 @@ from .sharded import ShardedJanusAQP
 __all__ = [
     "AggFamily", "AggFunc", "Query", "QueryResult", "QueryTemplate",
     "Rectangle", "SKETCH_AGGS", "relative_error",
-    "Table", "table_from_array", "DynamicPartitionTree",
-    "StaticPartitionTree", "build_spt", "CatchupReport", "CatchupRunner",
-    "seed_from_reservoir", "RepartitionTrigger", "TriggerAction",
-    "TriggerConfig", "JanusAQP", "JanusConfig", "ReoptReport",
+    "Table", "table_from_array", "DynamicPartitionTree", "CatchupReport",
+    "CatchupRunner", "RepartitionTrigger", "TriggerAction", "TriggerConfig",
+    "JanusAQP", "JanusConfig", "ReoptReport",
     "HeuristicRouter", "SynopsisManager", "PartialRepartitionReport",
     "ancestor_at", "auto_partial_repartition", "partial_repartition",
     "StreamClient", "StreamDriver", "StreamStats",

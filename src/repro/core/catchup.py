@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Iterable, Optional
+from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
@@ -127,27 +127,3 @@ class CatchupRunner:
         report.n_processed = len(rows)
         return report
 
-
-def seed_from_reservoir(dpt: DynamicPartitionTree,
-                        rows: Iterable[np.ndarray]) -> int:
-    """Step 2 of the re-initialization pipeline (Figure 4).
-
-    Populates approximate node statistics from the pooled reservoir
-    sample - "the only blocking step in the re-initialization routine".
-    Returns the number of rows seeded.
-
-    The main path hands the pool over as one ``(n, n_attrs)`` matrix
-    (a single vectorized table gather), which flows straight into the
-    batched catch-up routing; re-wrapping and stacking per-row arrays
-    is kept only for iterable callers.
-    """
-    if isinstance(rows, np.ndarray):
-        if rows.shape[0] == 0:
-            return 0
-        dpt.add_catchup_rows(np.asarray(rows, dtype=np.float64))
-        return int(rows.shape[0])
-    block = [np.asarray(row, dtype=np.float64) for row in rows]
-    if not block:
-        return 0
-    dpt.add_catchup_rows(np.stack(block))
-    return len(block)

@@ -551,9 +551,7 @@ class DynamicPartitionTree:
         totals = (self.n0, self.h_total)
         agg = 0.0
         var_c = 0.0
-        all_exact = True
-        counts, exact = (self.table.column("count_estimates", *totals),
-                         self.table.column("exact"))
+        counts = self.table.column("count_estimates", *totals)
         if not is_count:
             sums = self.table.column("sum_estimates", pos, *totals)
             varsums = self.table.column("catchup_var_sums", pos, *totals)
@@ -563,7 +561,6 @@ class DynamicPartitionTree:
             else:
                 agg += sums[row]
                 var_c += varsums[row]
-            all_exact = all_exact and exact[row]
         samp = 0.0
         var_s = 0.0
         m, count, s, s2 = moments[:4]
@@ -577,8 +574,7 @@ class DynamicPartitionTree:
                                                           s[p], s2[p])
             samp += est
             var_s += var
-        exact_result = all_exact and not partial
-        return QueryResult(agg + samp, var_c, var_s, exact_result,
+        return QueryResult(agg + samp, var_c, var_s, False,
                            n_covered=len(cover), n_partial=len(partial))
 
     def _answer_avg(self, query: Query, cover: List[int],
@@ -600,16 +596,12 @@ class DynamicPartitionTree:
                                details={"n_q": n_q})
         est = 0.0
         var_c = 0.0
-        all_exact = True
-        sums, varbases, exact = (
-            self.table.column("sum_estimates", pos, *totals),
-            self.table.column("catchup_var_bases", pos),
-            self.table.column("exact"))
+        sums, varbases = (self.table.column("sum_estimates", pos, *totals),
+                          self.table.column("catchup_var_bases", pos))
         for row in cover:
             est += sums[row] / n_q
             w_i = counts[row] / n_q
             var_c += (w_i * w_i) * varbases[row]
-            all_exact = all_exact and exact[row]
         var_s = 0.0
         m, count, s, s2 = moments[:4]
         for p, row in enumerate(partial, first):
@@ -617,8 +609,7 @@ class DynamicPartitionTree:
                 counts[row], n_q, m[p], count[p], s[p], s2[p])
             est += c_est
             var_s += c_var
-        exact_result = all_exact and not partial
-        return QueryResult(est, var_c, var_s, exact_result,
+        return QueryResult(est, var_c, var_s, False,
                            n_covered=len(cover), n_partial=len(partial),
                            details={"n_q": n_q})
 
@@ -639,17 +630,14 @@ class DynamicPartitionTree:
         count_est = 0.0
         sum_est = 0.0
         sumsq_est = 0.0
-        all_exact = True
-        counts, sums, sumsqs, exact = (
+        counts, sums, sumsqs = (
             self.table.column("count_estimates", *totals),
             self.table.column("sum_estimates", pos, *totals),
-            self.table.column("sum_estimates", pos, *totals, True),
-            self.table.column("exact"))
+            self.table.column("sum_estimates", pos, *totals, True))
         for row in cover:
             count_est += counts[row]
             sum_est += sums[row]
             sumsq_est += sumsqs[row]
-            all_exact = all_exact and exact[row]
         m, count, s, s2 = moments[:4]
         for p, row in enumerate(partial, first):
             if m[p] <= 0:
@@ -672,8 +660,7 @@ class DynamicPartitionTree:
         variance = max(0.0, sumsq_est / count_est - mean * mean)
         est = variance if query.agg is AggFunc.VARIANCE else \
             math.sqrt(variance)
-        exact_result = all_exact and not partial
-        return QueryResult(est, 0.0, 0.0, exact_result,
+        return QueryResult(est, 0.0, 0.0, False,
                            n_covered=len(cover), n_partial=len(partial),
                            details={"ci": "unavailable",
                                     "moments": plug_in})
@@ -683,31 +670,17 @@ class DynamicPartitionTree:
                        moments: Moments) -> QueryResult:
         pos = self.stat_pos(query.attr)
         is_max = query.agg is AggFunc.MAX
-        candidates: List[float] = []
-        all_exact = True
         extremes = self.table.column("extreme_estimates", pos, is_max)
-        for row in cover:
-            value, exact = extremes[row]
-            if value is None:
-                # A covered node with no extremum information at all
-                # cannot prove the answer: its true MIN/MAX is unknown,
-                # so the result must not be reported as exact.
-                all_exact = False
-                continue
-            candidates.append(value)
-            all_exact = all_exact and exact
+        # a covered node with no extremum information adds no candidate
+        candidates = [extremes[row] for row in cover
+                      if extremes[row] is not None]
         count, best = moments[1], moments[5 if is_max else 4]
         for p in range(first, first + len(partial)):
             if count[p] > 0:
                 candidates.append(best[p])
-        if not candidates:
-            # Every candidate source was missing: no estimate exists,
-            # and the answer is certainly not exact.
-            return QueryResult(math.nan, 0.0, 0.0, False,
-                               n_covered=len(cover), n_partial=len(partial))
-        est = max(candidates) if is_max else min(candidates)
-        exact = all_exact and not partial
-        return QueryResult(est, 0.0, 0.0, exact,
+        est = (max(candidates) if is_max else min(candidates)) \
+            if candidates else math.nan
+        return QueryResult(est, 0.0, 0.0, False,
                            n_covered=len(cover), n_partial=len(partial))
 
     #: The estimator of each family a tree answers (the sketch family

@@ -2,8 +2,6 @@
 
 Each partition-tree node stores, per tracked attribute:
 
-* **base statistics** - exact SUM/COUNT/sum-of-squares when the node was
-  populated by a full scan (the SPT case), empty otherwise;
 * **catch-up accumulators** - ``h_i`` (number of catch-up samples routed
   through the node) and the running ``sum a`` / ``sum a^2`` of those
   samples.  Scaled by ``N0 / h`` these give unbiased estimates of the
@@ -13,8 +11,8 @@ Each partition-tree node stores, per tracked attribute:
 * **MIN/MAX heaps** - top-k/bottom-k of post-epoch inserted values plus
   the extremes seen among catch-up samples.
 
-A node's estimate of any statistic is (catch-up estimate or exact base)
-plus the net delta; its catch-up variance vanishes when the node is exact.
+A node's estimate of any statistic is its catch-up estimate plus the
+net delta; only the catch-up part carries variance.
 A node is a row of one :class:`NodeTable`, which holds a whole tree.
 """
 
@@ -59,8 +57,8 @@ class NodeTable:
     """
 
     #: every statistics column (in a snapshot archive's key order)
-    FIELDS = ("h", "delta_count", "base_count", "exact", "csum", "csumsq",
-              "cmin", "cmax", "dsum", "dsumsq", "bsum", "bsumsq")
+    FIELDS = ("h", "delta_count", "csum", "csumsq", "cmin", "cmax",
+              "dsum", "dsumsq")
 
     def __init__(self, parent: Sequence[int], lo, hi, node_id,
                  n_stats: int, minmax_pos: Sequence[int] = (),
@@ -70,16 +68,12 @@ class NodeTable:
         # float: partial re-partitioning rescales h by a real factor
         self.h = np.zeros(n)  # guarded-by: _lock
         self.delta_count = np.zeros(n, dtype=np.int64)  # guarded-by: _lock
-        self.base_count = np.zeros(n, dtype=np.int64)  # guarded-by: _lock
-        self.exact = np.zeros(n, dtype=bool)  # guarded-by: _lock
         self.csum = np.zeros(shape)  # guarded-by: _lock
         self.csumsq = np.zeros(shape)  # guarded-by: _lock
         self.cmin = np.full(shape, math.inf)  # guarded-by: _lock
         self.cmax = np.full(shape, -math.inf)  # guarded-by: _lock
         self.dsum = np.zeros(shape)  # guarded-by: _lock
         self.dsumsq = np.zeros(shape)  # guarded-by: _lock
-        self.bsum = np.zeros(shape)  # guarded-by: _lock
-        self.bsumsq = np.zeros(shape)  # guarded-by: _lock
         self._cols = np.arange(n_stats)
         self._minmax_k = minmax_k
         # per tracked attribute position: (top-k column, bottom-k column)
@@ -186,20 +180,6 @@ class NodeTable:
         self._memo.clear()
         return range(row + 1, row + 1 + m)
 
-    def set_exact_base(self, row: int, count: int,  # requires-lock: _lock
-                       sums: np.ndarray, sumsqs: np.ndarray,
-                       mins: Optional[np.ndarray] = None,
-                       maxs: Optional[np.ndarray] = None) -> None:
-        """Populate a node's exact statistics from a full scan (SPT)."""
-        self.exact[row] = True
-        self.base_count[row] = int(count)
-        self.bsum[row], self.bsumsq[row] = sums, sumsqs
-        if mins is not None:
-            self.cmin[row] = mins
-        if maxs is not None:
-            self.cmax[row] = maxs
-        self._memo.clear()
-
     def rescale(self, rows: range, factor: float) -> None:  # requires-lock: _lock
         """Scale the catch-up accumulators of ``rows`` by ``factor``."""
         at = slice(rows.start, rows.stop)
@@ -280,18 +260,15 @@ class NodeTable:
             sampled = np.maximum(self.delta_count, 0)
         else:
             sampled = (self.h / h_total) * n0 + self.delta_count
-        return np.where(self.exact, self.base_count + self.delta_count,
-                        sampled).astype(np.float64)
+        return sampled.astype(np.float64)
 
     def sum_estimates(self, pos: int, n0: int, h_total: float,  # requires-lock: _lock
                       squares: bool = False) -> np.ndarray:
         """Estimates of sum(a), or of sum(a^2) (for VARIANCE/STDDEV)."""
-        c, d, b = (self.csumsq, self.dsumsq, self.bsumsq) if squares \
-            else (self.csum, self.dsum, self.bsum)
+        c, d = (self.csumsq, self.dsumsq) if squares \
+            else (self.csum, self.dsum)
         d = d[:, pos]
-        return np.where(self.exact, b[:, pos] + d,
-                        (n0 / h_total) * c[:, pos] + d if h_total > 0
-                        else d)
+        return (n0 / h_total) * c[:, pos] + d if h_total > 0 else d
 
     def catchup_var_sums(self, pos: int, n0: int,  # requires-lock: _lock
                          h_total: float) -> np.ndarray:
@@ -312,28 +289,26 @@ class NodeTable:
             val, cube = h * s2 - s * s, h * h * h
             raw = val / cube if scale is None else scale / cube * val
         # max(0.0, raw) of the live rows (a NaN clamps to 0.0 like max)
-        return np.where(self.exact | (h <= 0) | ~(raw > 0.0), 0.0, raw)
+        return np.where((h <= 0) | ~(raw > 0.0), 0.0, raw)
 
     def extreme_estimates(self, pos: int, is_max: bool  # requires-lock: _lock
-                          ) -> List[Tuple[Optional[float], bool]]:
-        """Per node, (MAX or MIN estimate, exactness) of the tracked
-        attribute at ``pos``: the more extreme of the catch-up extreme
-        (when finite) and the heap top (when the heap holds one) - for
-        sampled nodes an inner approximation - exact only if the node
-        is and its heap is; ``(None, False)`` with neither."""
+                          ) -> List[Optional[float]]:
+        """Per node, the MAX or MIN estimate of the tracked attribute at
+        ``pos``: the more extreme of the catch-up extreme (when finite)
+        and the heap top (when the heap holds one) - for sampled nodes
+        an inner approximation; ``None`` with neither."""
         seen = (self.cmax if is_max else self.cmin)[:, pos]
         known = np.isfinite(seen)
-        value, exact = seen, self.exact
+        value = seen
         heaps = self.columns.get(pos)
         if heaps is not None:
-            top, held, heap_exact = heaps[0 if is_max else 1].state()
+            top, held = heaps[0 if is_max else 1].state()
             beyond = top > seen if is_max else top < seen
             value = np.where(held & (beyond | ~known), top, seen)
-            exact = exact & (heap_exact | ~held)
             known = known | held
-        out = list(zip(value.tolist(), (exact & known).tolist()))
+        out = value.tolist()
         for row in np.flatnonzero(~known).tolist():
-            out[row] = (None, False)
+            out[row] = None
         return out
 
 

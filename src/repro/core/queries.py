@@ -386,8 +386,10 @@ class QueryResult:
     ``variance_catchup`` and ``variance_sample`` are the two error sources
     of Section 4.4.1 (nu_c from approximate node statistics, nu_s from the
     stratified leaf samples).  ``ci(z)`` combines them under the normal
-    approximation.  ``exact`` is set when the synopsis can prove the answer
-    has no approximation error (all touched nodes exact and fully covered).
+    approximation.  ``exact`` is set when the answer provably has no
+    approximation error: a sketch in its exact regime, a merge over no
+    live shard, a static tree's full cover.  A dynamic tree's answer is
+    never exact (its nodes hold catch-up estimates).
     ``details`` (merge bookkeeping, diagnostics) declares no :func:`wire`
     metadata, so no codec carries it wholesale.
     """

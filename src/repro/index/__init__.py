@@ -2,6 +2,6 @@
 
 from .range_index import RangeIndex
 from .reference import PyRangeIndex
-from .topk import MinMaxStats, TopK
+from .topk import TopK
 
-__all__ = ["RangeIndex", "PyRangeIndex", "MinMaxStats", "TopK"]
+__all__ = ["RangeIndex", "PyRangeIndex", "TopK"]

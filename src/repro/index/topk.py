@@ -126,10 +126,9 @@ class TopKColumn:
         self.largest = bool(self.tops) and self.tops[0].largest
         # rows: insert edges, delete edges, NaN (an edge nothing is beyond)
         self._edges = np.full((3, n), math.nan)
-        # per list: top (NaN when empty), non-empty, exact - read lazily
+        # per list: top (NaN when empty), non-empty - read lazily
         self._top = np.full(n, math.nan)
         self._held = np.zeros(n, dtype=bool)
-        self._exact = np.ones(n, dtype=bool)
         self._moved: Set[int] = set()   # lists changed since state()
         self._refresh(range(n))
 
@@ -143,16 +142,15 @@ class TopKColumn:
         self.tops[i].restore(values, exact)
         self._refresh((i,))
 
-    def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(top, held, exact)`` of every list: its :meth:`TopK.top`
-        (NaN when empty), whether it holds a value, its exactness."""
+    def state(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(top, held)`` of every list: its :meth:`TopK.top` (NaN when
+        empty) and whether it holds a value."""
         for i in self._moved:
             value = self.tops[i].top()
             self._held[i] = value is not None
             self._top[i] = math.nan if value is None else value
-            self._exact[i] = self.tops[i].exact
         self._moved.clear()
-        return self._top, self._held, self._exact
+        return self._top, self._held
 
     def _apply(self, op, edge: np.ndarray, ids: np.ndarray,
                values: np.ndarray) -> None:
@@ -171,34 +169,3 @@ class TopKColumn:
     def delete_many(self, ids: np.ndarray, values: np.ndarray) -> None:
         self._apply(TopK.delete, self._edges[1], ids, values)
 
-
-class MinMaxStats:
-    """Paired bottom-k / top-k tracking a node's MIN and MAX (Section 4.1)."""
-
-    def __init__(self, k: int = 32) -> None:
-        self._max = TopK(k, largest=True)
-        self._min = TopK(k, largest=False)
-
-    def insert(self, value: float) -> None:
-        self._max.insert(value)
-        self._min.insert(value)
-
-    def delete(self, value: float) -> None:
-        self._max.delete(value)
-        self._min.delete(value)
-
-    @property
-    def max_value(self) -> Optional[float]:
-        return self._max.top()
-
-    @property
-    def min_value(self) -> Optional[float]:
-        return self._min.top()
-
-    @property
-    def max_exact(self) -> bool:
-        return self._max.exact
-
-    @property
-    def min_exact(self) -> bool:
-        return self._min.exact

@@ -1,16 +1,23 @@
 """Tests for the RS / SRS / DeepDB baselines."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from repro.baselines.deepdb import DeepDBBaseline
-from repro.baselines.rs import ReservoirBaseline
-from repro.baselines.srs import StratifiedReservoirBaseline
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
+
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.deepdb import DeepDBBaseline  # noqa: E402
+from lib.rs import ReservoirBaseline  # noqa: E402
+from lib.srs import StratifiedReservoirBaseline  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -1,19 +1,26 @@
-"""Tests for the benchmark harness helpers (repro.bench)."""
+"""Tests for the benchmark harness helpers (benchmarks/lib)."""
 
 import math
+import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import (EvalResult, ProgressRun, evaluate,
-                                 fmt_row, make_workload)
-from repro.bench.metrics import (LatencyMeter, ThroughputMeter,
-                                 median_relative_error,
-                                 p95_relative_error, relative_errors)
 from repro.core.queries import AggFunc, Query, QueryResult, Rectangle
 from repro.core.table import table_from_array
 from repro.datasets.synthetic import nyc_taxi
+
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.harness import (EvalResult, ProgressRun,  # noqa: E402
+                         evaluate, fmt_row, make_workload)
+from lib.metrics import (LatencyMeter,  # noqa: E402
+                         ThroughputMeter, median_relative_error,
+                         p95_relative_error, relative_errors)
 
 
 class TestRelativeErrors:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from repro.broker.broker import Topic, encode_rows
-from repro.core.catchup import (CATCHUP_CHUNK, CatchupRunner,
-                                seed_from_reservoir)
+from repro.core.catchup import CATCHUP_CHUNK, CatchupRunner
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table, table_from_array
@@ -137,7 +136,5 @@ class TestRunFromTopic:
 class TestSeedFromReservoir:
     def test_seeding(self, table):
         dpt = make_dpt(len(table))
-        rows = [table.row(int(t)) for t in table.live_tids()[:100]]
-        n = seed_from_reservoir(dpt, rows)
-        assert n == 100
+        dpt.add_catchup_rows(table.rows_for(table.live_tids()[:100]))
         assert dpt.h_total == 100

@@ -3,11 +3,11 @@
 A tree reads node estimates as whole columns, memoized on its
 :class:`~repro.core.node.NodeTable` until the next write.  Two trees
 take the same random sequence of writes - insert, delete, catch-up,
-subtree catch-up, rescale, ``replace_subtree``, SPT exact-base writes,
-``set_population`` - and after every step answer lone queries and a
-64-query batch over all seven tree aggregates; one keeps its memo, the
-other's is emptied before every read.  Their answers must agree to the
-bit, so a mutator that leaves a stale column behind fails here.
+subtree catch-up, rescale, ``replace_subtree``, ``set_population`` -
+and after every step answer lone queries and a 64-query batch over all
+seven tree aggregates; one keeps its memo, the other's is emptied
+before every read.  Their answers must agree to the bit, so a mutator
+that leaves a stale column behind fails here.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ SCHEMA = ("x", "a", "b")
 AGGS = (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN, AggFunc.MAX,
         AggFunc.VARIANCE, AggFunc.STDDEV)
 KINDS = ("insert", "delete", "catchup", "subtree", "rescale", "replace",
-         "exact", "population")
+         "population")
 
 
 def build() -> DynamicPartitionTree:
@@ -98,11 +98,6 @@ def apply(tree: DynamicPartitionTree, kind: str, seed: int,
         left, right = node.rect.split(0, mid)
         tree.replace_subtree(node, TreeSpec.of([-1, 0, 0],
                                                [node.rect, left, right]))
-    elif kind == "exact":
-        vals = draw(rng, n)
-        tree.table.set_exact_base(pick.row, n, vals.sum(axis=0),
-                            (vals * vals).sum(axis=0),
-                            mins=vals.min(axis=0), maxs=vals.max(axis=0))
     else:
         tree.set_population(int(rng.integers(0, 10 ** 5)))
 

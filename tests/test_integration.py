@@ -8,17 +8,24 @@ beating plain uniform sampling (Table 2's ordering).
 """
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from repro.baselines.rs import ReservoirBaseline
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
 from repro.datasets.workload import generate_workload
-from repro.bench.metrics import median_relative_error
+
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.metrics import median_relative_error  # noqa: E402
+from lib.rs import ReservoirBaseline  # noqa: E402
 
 
 def median_err(system, queries, table):

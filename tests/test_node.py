@@ -42,12 +42,6 @@ class Node:
     def extreme(self, is_max):
         return self.t.extreme_estimates(0, is_max)[0]
 
-    def set_exact_base(self, count, total, totalsq, lo=None, hi=None):
-        self.t.set_exact_base(0, count, np.array([total]),
-                              np.array([totalsq]),
-                              None if lo is None else np.array([lo]),
-                              None if hi is None else np.array([hi]))
-
 
 class TestCatchup:
     def test_accumulators(self):
@@ -131,43 +125,21 @@ class TestDeltas:
         assert n.sum(0, 0) == 3.0
 
 
-class TestExactBase:
-    def test_exact_mode(self):
-        n = Node()
-        n.set_exact_base(50, 500.0, 6000.0, lo=1.0, hi=40.0)
-        assert n.t.exact[0]
-        assert n.count(999, 999) == 50.0
-        assert n.sum(999, 999) == 500.0
-        assert n.var_sum(999, 999) == 0.0
-
-    def test_exact_plus_deltas(self):
-        n = Node()
-        n.set_exact_base(50, 500.0, 6000.0)
-        n.insert(10.0)
-        assert n.count(0, 0) == 51.0
-        assert n.sum(0, 0) == 510.0
-
-
 class TestMinMax:
     def test_insert_tracks_extremes(self):
         n = Node()
         for v in [5.0, 1.0, 9.0]:
             n.insert(v)
-        assert n.extreme(True)[0] == 9.0 and n.extreme(False)[0] == 1.0
+        assert n.extreme(True) == 9.0 and n.extreme(False) == 1.0
 
     def test_combines_catchup_extremes(self):
         n = Node()
         n.add_catchup(100.0)
         n.insert(5.0)
-        assert n.extreme(True)[0] == 100.0
+        assert n.extreme(True) == 100.0
 
     def test_none_when_empty(self):
-        assert Node().extreme(True) == (None, False)
-
-    def test_exact_flag_from_exact_base(self):
-        n = Node()
-        n.set_exact_base(10, 50.0, 600.0, lo=2.0, hi=8.0)
-        assert n.extreme(True) == (8.0, True)
+        assert Node().extreme(True) is None
 
 
 class TestAvgVariance:

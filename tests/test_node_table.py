@@ -36,7 +36,7 @@ import bisect
 import math
 import sys
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -48,7 +48,6 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.persist import load_synopsis, save_synopsis
 from repro.core.queries import Rectangle
 from repro.core.table import Table
-from repro.index.topk import MinMaxStats
 from repro.partitioning.spec import TreeSpec, tree_from_intervals
 
 # +-inf coordinates are statistic values too: inf - inf in a sum warns
@@ -115,10 +114,6 @@ class FrozenNode:
         self.delta_count = 0
         self.dsum = np.zeros(n_stats)
         self.dsumsq = np.zeros(n_stats)
-        self.base_count = 0
-        self.bsum = np.zeros(n_stats)
-        self.bsumsq = np.zeros(n_stats)
-        self.exact = False
         self.minmax: Dict[int, FrozenMinMax] = {
             pos: FrozenMinMax(minmax_k) for pos in minmax_attrs}
 
@@ -184,8 +179,6 @@ class FrozenNode:
     def count_estimate(self, n0: int, h_total: float) -> float:
         t, i = self._t, self._i
         delta = int(t.delta_count[i])
-        if t.exact[i]:
-            return float(int(t.base_count[i]) + delta)
         if h_total <= 0:
             return float(max(delta, 0))
         return (float(t.h[i]) / h_total) * n0 + delta
@@ -193,10 +186,7 @@ class FrozenNode:
     def sum_estimate(self, pos: int, n0: int, h_total: float,
                      squares: bool = False) -> float:
         t, i = self._t, self._i
-        c, d, b = (t.csumsq, t.dsumsq, t.bsumsq) if squares \
-            else (t.csum, t.dsum, t.bsum)
-        if t.exact[i]:
-            return float(b[i, pos] + d[i, pos])
+        c, d = (t.csumsq, t.dsumsq) if squares else (t.csum, t.dsum)
         if h_total <= 0:
             return float(d[i, pos])
         return (n0 / h_total) * float(c[i, pos]) + float(d[i, pos])
@@ -213,41 +203,37 @@ class FrozenNode:
     def _catchup_var(self, pos: int, scale: Optional[float]) -> float:
         t, i = self._t, self._i
         h = float(t.h[i])
-        if t.exact[i] or h <= 0:
+        if h <= 0:
             return 0.0
         s, s2 = float(t.csum[i, pos]), float(t.csumsq[i, pos])
         val, cube = h * s2 - s * s, h * h * h
         return max(0.0, val / cube if scale is None else scale / cube * val)
 
-    def min_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
-        """(estimate, exactness) of the node MIN over the tracked attr."""
+    def min_estimate(self, pos: int) -> Optional[float]:
+        """The node MIN over the tracked attr (None when unknown)."""
         candidates = []
-        exact = self.exact
         seen = float(self._t.cmin[self._i, pos])
         if math.isfinite(seen):
             candidates.append(seen)
-        mm = self.minmax.get(pos)
-        if mm is not None and mm.min_value is not None:
-            candidates.append(mm.min_value)
-            exact = exact and mm.min_exact
+        mm = self.minmax.get(pos)               # (top-k, bottom-k)
+        if mm is not None and mm[1].top() is not None:
+            candidates.append(mm[1].top())
         if not candidates:
-            return None, False
+            return None
         # Sampled nodes: the observed min is an inner approximation.
-        return min(candidates), exact
+        return min(candidates)
 
-    def max_estimate(self, pos: int) -> Tuple[Optional[float], bool]:
+    def max_estimate(self, pos: int) -> Optional[float]:
         candidates = []
-        exact = self.exact
         seen = float(self._t.cmax[self._i, pos])
         if math.isfinite(seen):
             candidates.append(seen)
         mm = self.minmax.get(pos)
-        if mm is not None and mm.max_value is not None:
-            candidates.append(mm.max_value)
-            exact = exact and mm.max_exact
+        if mm is not None and mm[0].top() is not None:
+            candidates.append(mm[0].top())
         if not candidates:
-            return None, False
-        return max(candidates), exact
+            return None
+        return max(candidates)
 
 
 def _frozen_distances(rect, points):
@@ -619,8 +605,7 @@ def leaf_rects(leaves, leaf_of) -> list:
     return [leaves[i].rect for i in np.asarray(leaf_of).tolist()]
 
 
-FIELDS = ("csum", "csumsq", "cmin", "cmax", "dsum", "dsumsq", "bsum",
-          "bsumsq")
+FIELDS = ("csum", "csumsq", "cmin", "cmax", "dsum", "dsumsq")
 
 
 def assert_same(frozen: FrozenTree, tree: DynamicPartitionTree, step):
@@ -632,9 +617,8 @@ def assert_same(frozen: FrozenTree, tree: DynamicPartitionTree, step):
         assert old.rect == new.rect, step
         assert [c.rect for c in old.children] == \
             [c.rect for c in tree.children(new)], step
-        assert (old.h, old.delta_count, old.base_count, old.exact) == \
-            (table.h[i], table.delta_count[i], table.base_count[i],
-             table.exact[i]), (step, i)
+        assert (old.h, old.delta_count) == \
+            (table.h[i], table.delta_count[i]), (step, i)
         for field in FIELDS:
             a, b = getattr(old, field), getattr(table, field)[i]
             assert np.array_equal(a, b, equal_nan=True), \
@@ -974,11 +958,8 @@ def row_handle(table, row) -> FrozenNode:
     per-node estimates read a tree node's handle."""
     node = FrozenNode.__new__(FrozenNode)
     node._t, node._i = table, row
-    node.exact = bool(table.exact[row])
-    node.minmax = {}
-    for pos, (top, bottom) in table.columns.items():
-        mm = node.minmax[pos] = MinMaxStats()
-        mm._max, mm._min = top.tops[row], bottom.tops[row]
+    node.minmax = {pos: (top.tops[row], bottom.tops[row])
+                   for pos, (top, bottom) in table.columns.items()}
     return node
 
 
@@ -987,8 +968,8 @@ def row_handle(table, row) -> FrozenNode:
 def test_estimate_columns_equal_per_node_estimates(seed, h_total_zero):
     """``NodeTable.count_estimates`` & co. evaluate the formulas of the
     frozen per-node ``count_estimate`` & co. for every node at once, to
-    the bit - exact nodes, empty nodes, rescaled ``h`` and drained
-    (inexact) MIN/MAX heaps included."""
+    the bit - empty nodes, rescaled ``h`` and drained (inexact) MIN/MAX
+    heaps included."""
     _, tree = build_pair("2d")
     rng = np.random.default_rng(seed)
     cuts = cut_values(tree)
@@ -1000,9 +981,6 @@ def test_estimate_columns_equal_per_node_estimates(seed, h_total_zero):
     tree.delete_rows(rows[:120])
     tree.delete_rows(draw_rows(rng, 40, "2d", cuts, nan=False))
     nodes = tree.nodes()
-    for node in nodes[::5]:
-        tree.table.set_exact_base(node.row, 17, rng.normal(size=3),
-                            rng.uniform(1, 2, 3))
     for node in nodes[1::7]:
         tree.table.rescale(range(node.row, node.row + 1), 1.375)
     table, totals = tree.table, (tree.n0, tree.h_total)

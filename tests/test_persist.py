@@ -126,15 +126,19 @@ class TestValidation:
 # node by node - the archive itself must not change)
 # ---------------------------------------------------------------------- #
 #: Every key ``save_synopsis`` wrote before the node table, with the
-#: dtype and rank of its array (frozen; sketch blobs ride beside these).
+#: dtype and rank of its array (frozen; sketch blobs ride beside these),
+#: less the static tree's exact-base columns (:data:`RETIRED`).
 FROZEN_KEYS = {
     "meta": ("U", 0), "parent": ("i8", 1), "rect_lo": ("f8", 2),
     "rect_hi": ("f8", 2), "h": ("f8", 1), "delta_count": ("i8", 1),
-    "base_count": ("i8", 1), "exact": ("b1", 1), "csum": ("f8", 2),
-    "csumsq": ("f8", 2), "cmin": ("f8", 2), "cmax": ("f8", 2),
-    "dsum": ("f8", 2), "dsumsq": ("f8", 2), "bsum": ("f8", 2),
-    "bsumsq": ("f8", 2), "pool_tids": ("i8", 1), "pool_rows": ("f8", 2),
+    "csum": ("f8", 2), "csumsq": ("f8", 2), "cmin": ("f8", 2),
+    "cmax": ("f8", 2), "dsum": ("f8", 2), "dsumsq": ("f8", 2),
+    "pool_tids": ("i8", 1), "pool_rows": ("f8", 2),
 }
+#: The exact-base columns archives carried until the node table dropped
+#: them, each after the key it followed (every engine wrote them empty).
+RETIRED = {"delta_count": ("base_count", "exact"),
+           "dsumsq": ("bsum", "bsumsq")}
 
 
 def frozen_node_arrays(janus):
@@ -153,16 +157,12 @@ def frozen_node_arrays(janus):
     rect_hi = np.empty((n, d))
     h = np.empty(n)
     delta_count = np.empty(n, dtype=np.int64)
-    base_count = np.empty(n, dtype=np.int64)
-    exact = np.zeros(n, dtype=bool)
     csum = np.empty((n, s))
     csumsq = np.empty((n, s))
     cmin = np.empty((n, s))
     cmax = np.empty((n, s))
     dsum = np.empty((n, s))
     dsumsq = np.empty((n, s))
-    bsum = np.empty((n, s))
-    bsumsq = np.empty((n, s))
     for i, node in enumerate(nodes):
         up, row = dpt.parent(node), node.row
         if up is not None:
@@ -171,17 +171,12 @@ def frozen_node_arrays(janus):
         rect_hi[i] = node.rect.hi
         h[i] = table.h[row]
         delta_count[i] = table.delta_count[row]
-        base_count[i] = table.base_count[row]
-        exact[i] = table.exact[row]
         csum[i], csumsq[i] = table.csum[row], table.csumsq[row]
         cmin[i], cmax[i] = table.cmin[row], table.cmax[row]
         dsum[i], dsumsq[i] = table.dsum[row], table.dsumsq[row]
-        bsum[i], bsumsq[i] = table.bsum[row], table.bsumsq[row]
     return dict(parent=parent, rect_lo=rect_lo, rect_hi=rect_hi, h=h,
-                delta_count=delta_count, base_count=base_count,
-                exact=exact, csum=csum, csumsq=csumsq, cmin=cmin,
-                cmax=cmax, dsum=dsum, dsumsq=dsumsq, bsum=bsum,
-                bsumsq=bsumsq)
+                delta_count=delta_count, csum=csum, csumsq=csumsq,
+                cmin=cmin, cmax=cmax, dsum=dsum, dsumsq=dsumsq)
 
 
 def churn(janus, ds):
@@ -263,6 +258,35 @@ class TestArchiveFormat:
         restored.dpt.insert_rows(more)
         assert restored.dpt.table.dsum.tobytes() == \
             janus.dpt.table.dsum.tobytes()
+
+    def test_archive_with_the_retired_columns_answers_the_same(
+            self, world):
+        """An archive in the older layout - the four exact-base columns
+        present, zeros and ``False`` - loads to the same answers as
+        today's archive of the same engine."""
+        from repro.core.persist import _synopsis_payload
+        janus, table, ds, path = world
+        churn(janus, ds)
+        save_synopsis(janus, path)
+        n, s = janus.dpt.table.csum.shape
+        empty = {"base_count": np.zeros(n, dtype=np.int64),
+                 "exact": np.zeros(n, dtype=bool),
+                 "bsum": np.zeros((n, s)), "bsumsq": np.zeros((n, s))}
+        older = {}
+        for key, value in _synopsis_payload(janus).items():
+            older[key] = value
+            older.update((name, empty[name]) for name in RETIRED.get(key, ()))
+        old_path = path.replace(".npz", "_older.npz")
+        np.savez_compressed(old_path, **older)
+        with np.load(old_path, allow_pickle=False) as archive:
+            assert set(archive.keys()) - set(FROZEN_KEYS) == set(empty)
+        queries = [q.with_agg(agg) for q in workload(ds, n=12)
+                   for agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG,
+                               AggFunc.MIN, AggFunc.MAX, AggFunc.VARIANCE,
+                               AggFunc.STDDEV)]
+        want = load_synopsis(path, table).query_many(queries)
+        got = load_synopsis(old_path, table).query_many(queries)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
 
     def test_reload_keeps_the_live_frontier_order(self, world):
         """Save -> load after a partial re-partition lists every node's

@@ -413,7 +413,8 @@ class TestMixedTemplates:
 
 
 class TestMinMaxExactness:
-    """Regression pins for the covered-node MIN/MAX exactness fix."""
+    """A covered node with no extremum information adds no MIN/MAX
+    candidate, and a tree's MIN/MAX answer is never exact."""
 
     def _two_leaf_tree(self):
         # Three leaves so a finite-interior query can fully cover two of
@@ -433,23 +434,18 @@ class TestMinMaxExactness:
 
     def test_covered_node_without_extremum_clears_exact(self):
         dpt = self._two_leaf_tree()
-        left, mid = dpt.children(dpt.node(0))[:2]
+        mid = dpt.children(dpt.node(0))[1]
         pos = dpt.stat_pos("a")
-        # Left leaf: exact statistics with a known extremum.
-        dpt.table.set_exact_base(left.row, 2, np.array([7.0, 9.0]),
-                           np.array([25.0, 41.0]),
-                           mins=np.array([3.0, 4.0]),
-                           maxs=np.array([4.0, 5.0]))
-        # Mid leaf: exact but empty - no extremum information at all.
-        dpt.table.set_exact_base(mid.row, 0, np.zeros(2), np.zeros(2))
-        assert dpt.table.column("extreme_estimates", pos, False)[mid.row] == \
-            (None, False)
+        # Left leaf: two rows, so its heap knows the extremum.
+        dpt.insert_rows(np.array([[3.0, 4.0], [4.0, 5.0]]))
+        # Mid leaf: empty - no extremum information at all.
+        assert dpt.table.column("extreme_estimates", pos, False)[mid.row] \
+            is None
         query = Query(AggFunc.MIN, "a", ("x",),
                       Rectangle((-math.inf,), (20.0,)))
         result = dpt.query(query, self._no_samples)
-        # The left leaf's exact MIN is the only candidate, but the mid
-        # node contributed nothing, so the answer must not claim
-        # exactness (pre-fix it reported exact=True).
+        # The left leaf's MIN is the only candidate; the mid node adds
+        # none, and the answer does not claim exactness.
         assert result.estimate == 4.0
         assert result.n_covered == 2 and result.n_partial == 0
         assert not result.exact
@@ -458,30 +454,11 @@ class TestMinMaxExactness:
 
     def test_all_candidates_missing_is_nan_not_exact(self):
         dpt = self._two_leaf_tree()
-        for node in dpt.nodes()[:3]:
-            dpt.table.set_exact_base(node.row, 0, np.zeros(2), np.zeros(2))
         query = Query(AggFunc.MAX, "a", ("x",),
                       Rectangle((-math.inf,), (20.0,)))
         result = dpt.query(query, self._no_samples)
         assert math.isnan(result.estimate)
         assert not result.exact
-
-    def test_fully_known_cover_stays_exact(self):
-        dpt = self._two_leaf_tree()
-        left, mid = dpt.children(dpt.node(0))[:2]
-        dpt.table.set_exact_base(left.row, 2, np.array([7.0, 9.0]),
-                           np.array([25.0, 41.0]),
-                           mins=np.array([3.0, 4.0]),
-                           maxs=np.array([4.0, 5.0]))
-        dpt.table.set_exact_base(mid.row, 1, np.array([15.0, 1.0]),
-                           np.array([225.0, 1.0]),
-                           mins=np.array([15.0, 1.0]),
-                           maxs=np.array([15.0, 1.0]))
-        query = Query(AggFunc.MIN, "a", ("x",),
-                      Rectangle((-math.inf,), (20.0,)))
-        result = dpt.query(query, self._no_samples)
-        assert result.estimate == 1.0
-        assert result.exact
 
 
 class TestEmptyBatches:

@@ -13,7 +13,6 @@ rectangles) and unchanged post-reoptimize query answers.
 import numpy as np
 import pytest
 
-from repro.core.catchup import seed_from_reservoir
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
@@ -249,17 +248,17 @@ class TestReoptimizePipeline:
         spec_new = janus._compute_partitioning()
         assert tree_signature(spec_old) == tree_signature(spec_new)
 
-        # Seeding: old per-row generator vs one vectorized table gather.
+        # Seeding: one vectorized table gather into either tree.
         pool_tids = np.asarray(janus.reservoir.tids(), dtype=np.int64)
         rows = janus.table.rows_for(pool_tids)
         schema = janus.table.schema
         pred = janus.predicate_attrs
         dpt_old = DynamicPartitionTree(spec_old, schema, pred)
         dpt_old.set_population(n_pop)
-        seed_from_reservoir(dpt_old, (r for r in rows))   # legacy path
+        dpt_old.add_catchup_rows(rows)
         dpt_new = DynamicPartitionTree(spec_new, schema, pred)
         dpt_new.set_population(n_pop)
-        seed_from_reservoir(dpt_new, rows)                # matrix path
+        dpt_new.add_catchup_rows(rows)
 
         def leaf_samples_for(dpt):
             leaf_of = dpt.route_rows(rows[:, janus._pred_idx])

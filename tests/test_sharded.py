@@ -537,8 +537,8 @@ class TestShardEdgeCases:
 
     def test_minmax_none_estimate_shard_clears_exact(self):
         """End-to-end: one shard's covered node answers MIN with a None
-        extremum (empty-but-exact node) while the shard still holds
-        rows elsewhere - the merged answer must not claim exactness."""
+        extremum while the other shard still holds rows - the merged
+        answer is the other shard's, and not exact."""
         ds, sharded = self._engine(n_shards=2, sharding="hash")
         sharded.insert_many(ds.data[:1_000])
         sharded.initialize()
@@ -548,14 +548,9 @@ class TestShardEdgeCases:
         dpt = shard.dpt
         pos = dpt.stat_pos(ds.agg_attr)
         dpt.table.columns = {}
-        n_stats = len(dpt.stat_attrs)
-        for node in dpt.nodes():
-            dpt.table.set_exact_base(node.row, 0, np.zeros(n_stats),
-                               np.zeros(n_stats),
-                               mins=np.full(n_stats, math.inf),
-                               maxs=np.full(n_stats, -math.inf))
-        value, exact = dpt.table.column("extreme_estimates", pos, False)[0]
-        assert value is None and not exact
+        dpt.table.cmin[:] = math.inf
+        dpt.table.cmax[:] = -math.inf
+        assert dpt.table.column("extreme_estimates", pos, False)[0] is None
         full = Rectangle((-math.inf,), (math.inf,))
         q = Query(AggFunc.MIN, ds.agg_attr, ds.predicate_attrs, full)
         # With its leaf samples still present the shard answers from

@@ -1,10 +1,17 @@
 """Tests for the sum-product network substrate."""
 
+import os
+import sys
 import numpy as np
 import pytest
 
-from repro.baselines.spn import (HistogramLeaf, ProductNode, SumNode,
-                                 learn_spn)
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.spn import (HistogramLeaf, ProductNode, SumNode,  # noqa: E402
+                     learn_spn)
+
 
 
 class TestHistogramLeaf:

@@ -1,12 +1,19 @@
 """Tests for the static partition tree (PASS)."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.queries import AggFunc, Query, Rectangle
-from repro.core.spt import build_spt
+
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.spt import build_spt  # noqa: E402
 
 SCHEMA = ("x", "a")
 

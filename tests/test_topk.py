@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.index.topk import MinMaxStats, TopK
+from repro.index.topk import TopK
 
 
 class TestTopKMax:
@@ -82,22 +82,13 @@ class TestTopKMin:
             t.insert(v)
         assert t.values() == [1.0, 5.0]
 
-
-class TestMinMaxStats:
-    def test_pairs(self):
-        mm = MinMaxStats(k=4)
-        for v in [3, 7, 1, 9]:
-            mm.insert(v)
-        assert mm.min_value == 1.0 and mm.max_value == 9.0
-
-    def test_delete_extremes(self):
-        mm = MinMaxStats(k=4)
-        for v in [3, 7, 1, 9]:
-            mm.insert(v)
-        mm.delete(1)
-        mm.delete(9)
-        assert mm.min_value == 3.0 and mm.max_value == 7.0
-        assert mm.min_exact and mm.max_exact
+    def test_delete_min_falls_back(self):
+        t = TopK(k=3, largest=False)
+        for v in [5, 1, 9, 3]:
+            t.insert(v)
+        t.delete(1)
+        assert t.top() == 3.0
+        assert t.exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,16 +189,18 @@ class TestSaturationContract:
         """Exact or not, reported MAX >= true max and MIN <= true min
         of the surviving multiset (while any row survives)."""
         rng = np.random.default_rng(seed)
-        mm = MinMaxStats(k=k)
+        top, bottom = TopK(k, largest=True), TopK(k, largest=False)
         live = [float(v) for v in values]
         for v in live:
-            mm.insert(v)
+            top.insert(v)
+            bottom.insert(v)
         order = rng.permutation(len(live))
         for i in order[:len(live) - 1]:      # keep one row alive
-            mm.delete(live[i])
+            top.delete(live[i])
+            bottom.delete(live[i])
         survivors = [live[i] for i in order[len(live) - 1:]]
-        assert mm.max_value >= max(survivors) - 1e-12
-        assert mm.min_value <= min(survivors) + 1e-12
+        assert top.top() >= max(survivors) - 1e-12
+        assert bottom.top() <= min(survivors) + 1e-12
 
 
 class TestBatchMatchesSequential:

@@ -16,8 +16,8 @@ engine object that owns an epoch counter:
   engine's ``_lock``; route them through ``JanusAQP.bump_epoch()``.
 
 Modules below the engine layer (``dpt.py``, ``table.py``, sampling,
-index, datasets, baselines, benches) are exempt by design: they *are*
-the primitives.  Epoch discipline is the calling layer's job.
+index, datasets) are exempt by design: they *are* the primitives.
+Epoch discipline is the calling layer's job.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ MUTATORS = {
     "insert_many", "delete_many",
     "insert_rows", "delete_rows", "add_catchup_rows",
     # the node table's grouped-update kernel and its row-range writes
-    "apply_delta", "add_catchup", "rescale", "set_exact_base", "splice",
-    "replace_subtree", "seed_from_reservoir",
+    "apply_delta", "add_catchup", "rescale", "splice", "replace_subtree",
     "_install", "resample", "reroute", "rebalance_range",
 }
 
