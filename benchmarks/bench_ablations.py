@@ -52,7 +52,7 @@ def run_partitioner_ablation():
     pick = rng.choice(ds.n, size=2000, replace=False)
     pred = list(ds.schema).index(ds.predicate_attrs[0])
     agg = list(ds.schema).index(ds.agg_attr)
-    held_out = RangeIndex(1, seed=0)
+    held_out = RangeIndex(1)
     for i, row_i in enumerate(pick):
         held_out.insert(i, (ds.data[row_i, pred],), ds.data[row_i, agg])
     oracle = MaxVarOracle(held_out, AggFunc.SUM, pop_ratio=ds.n / 2000)

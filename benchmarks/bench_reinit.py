@@ -5,9 +5,10 @@ nyc_taxi predicates) is pushed through both generations of the
 re-initialization pipeline (paper Figure 4):
 
 * **old path** - per-insert :class:`PyRangeIndex` snapshot build and
-  the report-per-split :class:`ReferenceKDTreePartitioner`;
-* **new path** - one ``add_many`` bulk index build (vectorized
-  wholesale rebuild) and the flat-matrix :class:`KDTreePartitioner`.
+  the report-per-split :class:`ReferenceKDTreePartitioner`, both from
+  ``lib.reference``;
+* **new path** - the flat-matrix :class:`KDTreePartitioner` straight
+  off the pool arrays (SUM focus needs no index at all).
 
 Both seed their tree from the pool matrix with one ``add_catchup_rows``.
 
@@ -29,12 +30,11 @@ import time
 import numpy as np
 
 from conftest import emit, emit_json
+from lib.reference import PyRangeIndex, ReferenceKDTreePartitioner
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.index.range_index import RangeIndex
-from repro.index.reference import PyRangeIndex
-from repro.partitioning.kdtree import (KDTreePartitioner,
-                                       ReferenceKDTreePartitioner)
+from repro.partitioning.kdtree import KDTreePartitioner
 from repro.datasets import synthetic
 
 SMOKE = os.environ.get("JANUS_BENCH_SMOKE", "") not in ("", "0")
@@ -97,7 +97,7 @@ def run_reoptimize(m):
 
     # ---- old path ---------------------------------------------------- #
     t0 = time.perf_counter()
-    old_index = PyRangeIndex(2, seed=3)
+    old_index = PyRangeIndex(2)
     for i in range(m):
         old_index.insert(int(tids[i]), coords[i], float(values[i]))
     t1 = time.perf_counter()
@@ -142,12 +142,12 @@ def run_reoptimize(m):
 
     # ---- partial re-partitioning primitives (Appendix E) ------------- #
     # Both generations run partial re-partitioning against their *live*
-    # pool index (maintained incrementally in the running system); here
-    # the new-generation index is built once with bulk add_many, and
-    # its cost is recorded for reference - it is what a reservoir reset
-    # (re-initialization phase 4) pays to rebuild the pool index.
+    # pool index; here the new-generation index is filled once with
+    # bulk add_many, and its cost is recorded for reference - it is what
+    # a reservoir reset (re-initialization phase 4) pays to refill the
+    # pool index: one array append, no tree.
     t0 = time.perf_counter()
-    new_index = RangeIndex(2, seed=3)
+    new_index = RangeIndex(2)
     new_index.add_many(tids, coords, values)
     result["new"]["pool_index_rebuild_s"] = time.perf_counter() - t0
 

@@ -1,36 +1,37 @@
-"""Pure-Python reference implementation of the sample-pool range index.
+"""The pre-vectorization re-initialization path, kept as a baseline.
 
-This is the original list-of-tuples :class:`RangeIndex` hot core, frozen
-verbatim when the index was rebuilt over contiguous numpy arrays (see
-:mod:`repro.index.range_index`).  It is *not* used by the system at
-runtime; it exists so that
+:class:`PyRangeIndex` is the original list-of-tuples sample index: a
+k-d tree grown point by point, with per-node ``(count, sum, sum of
+squares)`` and tight bounding boxes, answering ``report`` / ``count``
+by pruned Python recursion.  :class:`ReferenceKDTreePartitioner` is
+the original report-per-split k-d partitioner.  Neither is used by the
+engine; they are
 
-* the equivalence suite (``tests/test_reinit_fastpath.py``) can pin the
-  vectorized index, oracle and partitioner against an independent
-  implementation, and
-* ``benchmarks/bench_reinit.py`` can measure the re-initialization
-  pipeline's old-path latency against the vectorized path on the same
-  inputs.
+* the old path ``bench_reinit.py`` times against the vectorized one on
+  the same pool (identical trees and answers, >= 5x at 50k samples),
+  and
+* the partitioner reference ``tests/test_reinit_fastpath.py`` pins
+  :class:`~repro.partitioning.kdtree.KDTreePartitioner` against.
 
-Both classes expose the identical public surface (``insert`` / ``delete``
-/ ``delete_many`` / ``range_stats`` / ``report`` / ``small_cells`` /
-``coordinate_quantile`` / ``all_items``), so every consumer - including
-:class:`~repro.partitioning.maxvar.MaxVarOracle` and the partitioners -
-runs unmodified over either.
+Only the surface those callers use is kept: ``insert``, ``report``,
+``count`` and ``len``.
 """
 
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.queries import Rectangle
+from repro.core.queries import AggFunc, Rectangle
+from repro.partitioning.kdtree import KDTreeResult
+from repro.partitioning.maxvar import MaxVarOracle
+from repro.partitioning.spec import TreeSpec
 
 _LEAF_SIZE = 16
-_REBUILD_DEAD_FRACTION = 0.30
 _REBUILD_GROWTH_FACTOR = 2.0
 
 # bbox-vs-query relations
@@ -94,29 +95,22 @@ class _KDNode:
                 contained = False
         return _CONTAINED if contained else _PARTIAL
 
-    def bbox_rect(self) -> Optional[Rectangle]:
-        if self.bbox_lo is None:
-            return None
-        return Rectangle(tuple(self.bbox_lo), tuple(self.bbox_hi))
 
 
 class PyRangeIndex:
     """A dynamic point index over ``(coords, value)`` samples keyed by tid."""
 
-    def __init__(self, dim: int, leaf_size: int = _LEAF_SIZE,
-                 seed: int = 0) -> None:
+    def __init__(self, dim: int, leaf_size: int = _LEAF_SIZE) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.leaf_size = leaf_size
-        self._rng = np.random.default_rng(seed)
         self._coords: List[Tuple[float, ...]] = []
         self._values: List[float] = []
         self._tids: List[int] = []
         self._alive: List[bool] = []
         self._idx_of: Dict[int, int] = {}
         self._n_live = 0
-        self._n_dead = 0
         self._size_at_build = 0
         self._root = _KDNode()
 
@@ -143,42 +137,6 @@ class PyRangeIndex:
         self._insert_into_tree(idx)
         self._maybe_rebuild()
 
-    def delete(self, tid: int) -> bool:
-        idx = self._idx_of.pop(tid, None)
-        if idx is None:
-            return False
-        self._alive[idx] = False
-        self._n_live -= 1
-        self._n_dead += 1
-        self._remove_from_tree(idx)
-        self._maybe_rebuild()
-        return True
-
-    def delete_many(self, tids) -> int:
-        """Bulk delete; returns how many tids were actually indexed.
-
-        Tombstones all members first and runs the amortized-rebuild
-        check once per batch, so a large eviction sweep cannot trigger
-        (and pay for) several intermediate rebuilds.
-        """
-        removed = 0
-        for tid in tids:
-            idx = self._idx_of.pop(int(tid), None)
-            if idx is None:
-                continue
-            self._alive[idx] = False
-            self._n_live -= 1
-            self._n_dead += 1
-            self._remove_from_tree(idx)
-            removed += 1
-        if removed:
-            self._maybe_rebuild()
-        return removed
-
-    def get(self, tid: int) -> Tuple[np.ndarray, float]:
-        idx = self._idx_of[tid]
-        return np.asarray(self._coords[idx]), self._values[idx]
-
     # ------------------------------------------------------------------ #
     # tree maintenance
     # ------------------------------------------------------------------ #
@@ -196,21 +154,6 @@ class PyRangeIndex:
                 if node.count > self.leaf_size:
                     self._split_leaf(node)
                 return
-            if point[node.split_dim] <= node.split_val:
-                node = node.left
-            else:
-                node = node.right
-
-    def _remove_from_tree(self, idx: int) -> None:
-        point = self._coords[idx]
-        value = self._values[idx]
-        node = self._root
-        while True:
-            node.count -= 1
-            node.sum_a -= value
-            node.sum_a2 -= value * value
-            if node.is_leaf:
-                return  # tombstone stays in the list until rebuild
             if point[node.split_dim] <= node.split_val:
                 node = node.left
             else:
@@ -248,11 +191,8 @@ class PyRangeIndex:
         node.left, node.right = left, right
 
     def _maybe_rebuild(self) -> None:
-        total = len(self._coords)
-        dead_heavy = total > 64 and self._n_dead > _REBUILD_DEAD_FRACTION * total
-        grew = (self._size_at_build > 0 and
-                self._n_live > _REBUILD_GROWTH_FACTOR * self._size_at_build)
-        if dead_heavy or grew:
+        if (self._size_at_build > 0 and
+                self._n_live > _REBUILD_GROWTH_FACTOR * self._size_at_build):
             self.rebuild()
 
     def rebuild(self) -> None:
@@ -263,7 +203,6 @@ class PyRangeIndex:
         self._tids = [self._tids[i] for i in live]
         self._alive = [True] * len(live)
         self._idx_of = {t: i for i, t in enumerate(self._tids)}
-        self._n_dead = 0
         self._n_live = len(live)
         self._size_at_build = len(live)
         self._root = self._build(list(range(len(live))))
@@ -304,10 +243,6 @@ class PyRangeIndex:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def range_stats(self, rect: Rectangle) -> Tuple[int, float, float]:
-        """``(count, sum_a, sum_a2)`` over live points inside ``rect``."""
-        return self._range_stats(self._root, rect.lo, rect.hi)
-
     def _range_stats(self, node: _KDNode, qlo: Tuple[float, ...],
                      qhi: Tuple[float, ...]) -> Tuple[int, float, float]:
         if node.count == 0:
@@ -342,7 +277,7 @@ class PyRangeIndex:
         return cl + cr, sl + sr, s2l + s2r
 
     def count(self, rect: Rectangle) -> int:
-        return self.range_stats(rect)[0]
+        return self._range_stats(self._root, rect.lo, rect.hi)[0]
 
     def report(self, rect: Rectangle) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All live points in ``rect`` as ``(coords, values, tids)`` arrays."""
@@ -398,46 +333,68 @@ class PyRangeIndex:
         self._collect_all(node.left, out)
         self._collect_all(node.right, out)
 
-    def small_cells(self, rect: Rectangle,
-                    max_count: int) -> Iterator[Tuple[Rectangle, int, float, float]]:
-        """Maximal tree cells fully inside ``rect`` with <= ``max_count`` points.
 
-        Yields ``(cell_rect, count, sum_a, sum_a2)``.  This mirrors the
-        paper's structure T of canonical rectangles holding at most
-        ``delta*m`` samples (Appendix D.1): the AVG oracle scans these for
-        the one maximizing the sum of squared aggregation values.  The
-        yielded rectangle is the node's point bounding box - a genuine
-        witness rectangle, since siblings' cells are disjoint.
-        """
-        yield from self._small_cells(self._root, rect.lo, rect.hi,
-                                     max_count)
+class ReferenceKDTreePartitioner:
+    """The original report-per-split build, kept as the reference.
 
-    def _small_cells(self, node: _KDNode, qlo, qhi, max_count: int
-                     ) -> Iterator[Tuple[Rectangle, int, float, float]]:
-        if node.count == 0:
-            return
-        rel = node.relation(qlo, qhi)
-        if rel == _DISJOINT:
-            return
-        if rel == _CONTAINED:
-            if node.count <= max_count or node.is_leaf:
-                yield (node.bbox_rect(), node.count, node.sum_a,
-                       node.sum_a2)
-                return
-        if node.is_leaf:
-            return
-        yield from self._small_cells(node.left, qlo, qhi, max_count)
-        yield from self._small_cells(node.right, qlo, qhi, max_count)
+    Functionally identical to :class:`KDTreePartitioner` (the
+    equivalence suite pins matching cuts and leaf rectangles); every
+    heap step pays one ``index.report``/``index.count`` scan per node
+    probed, which is the old-path cost that
+    ``benchmarks/bench_reinit.py`` baselines against.
+    """
 
-    def coordinate_quantile(self, rect: Rectangle, dim: int, k: int) -> float:
-        """The k-th smallest (0-based) coordinate along ``dim`` in ``rect``."""
-        coords, _, _ = self.report(rect)
-        if coords.shape[0] == 0:
-            raise ValueError("empty rectangle")
-        if not 0 <= k < coords.shape[0]:
-            raise IndexError("rank out of range")
-        return float(np.partition(coords[:, dim], k)[k])
+    def __init__(self, agg: AggFunc = AggFunc.SUM, delta: float = 0.05,
+                 min_leaf_samples: int = 4) -> None:
+        self.agg = agg
+        self.delta = delta
+        self.min_leaf_samples = min_leaf_samples
 
-    def all_items(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All live points: ``(coords, values, tids)``."""
-        return self.report(Rectangle.unbounded(self.dim))
+    def partition(self, index, k: int,
+                  n_population: Optional[int] = None,
+                  root_rect: Optional[Rectangle] = None) -> KDTreeResult:
+        m = len(index)
+        if m == 0:
+            raise ValueError("cannot partition an empty sample index")
+        n_population = n_population if n_population is not None else m
+        oracle = MaxVarOracle(index, self.agg, n_population / m,
+                              delta=self.delta)
+        root_rect = root_rect or Rectangle.unbounded(index.dim)
+        parent, rects = [-1], [root_rect]
+        heap = [(-oracle.max_variance(root_rect).variance, 0, 0)]
+        while len(rects) < 2 * k - 1 and heap:      # k leaves: 2k-1 rows
+            _, node, depth = heapq.heappop(heap)
+            split = self._split_node(index, rects[node], depth)
+            if split is None:
+                continue
+            for rect in split:
+                parent.append(node)
+                rects.append(rect)
+                if index.count(rect) >= 2 * self.min_leaf_samples:
+                    var = oracle.max_variance(rect).variance
+                    heapq.heappush(heap, (-var, len(rects) - 1, depth + 1))
+        spec = TreeSpec.of(parent, rects)
+        return KDTreeResult(spec, max([0.0] + [
+            oracle.max_variance(leaf.rect).error for leaf in spec.leaves()]))
+
+    # ------------------------------------------------------------------ #
+    def _split_node(self, index, rect: Rectangle, depth: int
+                    ) -> Optional[Tuple[Rectangle, Rectangle]]:
+        coords, _, _ = index.report(rect)
+        m_b = coords.shape[0]
+        if m_b < 2 * self.min_leaf_samples:
+            return None
+        for dim in [(depth + i) % index.dim for i in range(index.dim)]:
+            col = coords[:, dim]
+            lo, hi = float(col.min()), float(col.max())
+            if hi <= lo:
+                continue
+            median = float(np.median(col))
+            if median >= hi:                 # duplicate-heavy column
+                median = (lo + hi) / 2.0
+            left_rect, right_rect = rect.split(dim, median)
+            n_left = int((col <= median).sum())
+            if n_left == 0 or n_left == m_b:
+                continue
+            return left_rect, right_rect
+        return None

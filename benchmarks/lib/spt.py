@@ -123,7 +123,7 @@ def build_spt(data: np.ndarray, schema: Sequence[str], agg_attr: str,
     pred_idx = [list(schema).index(a) for a in predicate_attrs]
     agg_idx = list(schema).index(agg_attr)
     if partitioner == "kd" or d > 1:
-        index = RangeIndex(d, seed=seed)
+        index = RangeIndex(d)
         index.add_many(np.arange(sample.shape[0]), sample[:, pred_idx],
                        sample[:, agg_idx])
         lo = tuple(float(x) for x in data[:, pred_idx].min(axis=0))

@@ -215,8 +215,7 @@ class JanusAQP:
         self.pool = SamplePool(
             table, self.config.sample_rate, self.config.min_pool,
             seed=self.config.seed + 1,
-            index_on=(self._pred_idx, self._agg_idx),
-            index_seed=self.config.seed + 2)
+            index_on=(self._pred_idx, self._agg_idx))
         self.reservoir = self.pool.reservoir
 
         self.dpt: Optional[DynamicPartitionTree] = None

@@ -1,7 +1,6 @@
-"""Geometric index substrates: k-d range index, top-k heaps."""
+"""Geometric index substrates: the sample point index, top-k heaps."""
 
 from .range_index import RangeIndex
-from .reference import PyRangeIndex
 from .topk import TopK
 
-__all__ = ["RangeIndex", "PyRangeIndex", "TopK"]
+__all__ = ["RangeIndex", "TopK"]

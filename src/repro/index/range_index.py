@@ -1,46 +1,38 @@
-"""Dynamic multi-dimensional range index over contiguous numpy arrays.
+"""Multi-dimensional point index over contiguous numpy arrays.
 
 This is the geometric substrate behind the max-variance oracle and the
 k-d partitioner (paper Sections 5.3 and D.1).  The paper's theory uses
-multi-level dynamic range trees; we implement the same *interface* with
-an array-backed store plus a k-d skeleton:
+multi-level dynamic range trees; we implement the same *interface* over
+the point set itself:
 
 * **Columnar sample pool** - all points live in one contiguous
   ``(n, dim)`` float64 coordinate matrix with parallel value / tid
-  vectors and a liveness mask.  ``range_stats`` / ``count`` / ``report``
-  / ``all_items`` are single vectorized mask-and-gather passes over
-  these arrays: on the pool sizes the re-initialization pipeline sees
-  (tens of thousands of samples), one fused numpy scan beats a pruned
-  Python-recursion tree walk by well over an order of magnitude, and it
-  returns ``report`` results as array slices instead of materializing
-  Python tuples per point.
-* **k-d skeleton** - the same incremental k-d tree as the pure-Python
-  reference implementation (:class:`~repro.index.reference.
-  PyRangeIndex`), with ``(count, sum_a, sum_a2)`` aggregates and tight
-  bounding boxes per node.  It is kept because ``small_cells`` - the
-  analogue of the paper's weighted-rectangle structure T for the AVG
-  oracle - needs canonical tree cells; its per-node split and rebuild
-  decisions are byte-for-byte the reference's, so both implementations
-  grow identical trees from identical update sequences.
+  vectors and a liveness mask.  ``count`` / ``report`` / ``all_items``
+  are single vectorized mask-and-gather passes over these arrays: on
+  the pool sizes the re-initialization pipeline sees (tens of thousands
+  of samples), one fused numpy scan beats a pruned Python-recursion
+  tree walk by well over an order of magnitude, and it returns
+  ``report`` results as array slices instead of materializing Python
+  tuples per point.  A write appends or tombstones; dead slots are
+  compacted away once they pass 30% of the store.
+* **k-d cells on demand** - ``small_cells``, the analogue of the
+  paper's weighted-rectangle structure T for the AVG oracle, needs
+  canonical tree cells.  The first call after a write roots a balanced
+  k-d tree over the live points; each node is built (vectorized
+  bounding box) and split (median of its widest axis) the first time a
+  walk reaches it, and the tree is kept until the next write.  Every
+  split is a median and a comparison of coordinates, so the tree - and
+  every cell and count it yields - is a function of the live point
+  *set*, whatever order the points arrived in.  SUM- and COUNT-focus
+  engines never ask, so they never build it.
 
 All higher layers use only:
 
 * ``insert(tid, coords, value)`` / ``delete(tid)``
-* ``add_many(tids, coords, values)`` / ``delete_many(tids)`` - bulk
-  variants with one amortized-rebuild check per batch; batches that are
-  large relative to the pool skip per-point tree walks entirely and
-  rebuild the skeleton wholesale with the vectorized builder
-* ``range_stats(rect)``  - (count, sum, sum of squares), vectorized
-* ``report(rect)``       - materialize points in a rectangle
+* ``add_many(tids, coords, values)`` / ``delete_many(tids)``
+* ``count(rect)`` / ``report(rect)`` / ``all_items()``
 * ``small_cells(rect, max_count)`` - canonical cells fully inside
   ``rect`` holding at most ``max_count`` live points
-* ``coordinate_quantile(rect, dim, k)`` - k-th order statistic along one
-  dimension among points in ``rect`` (median splits)
-
-Rebuilds (amortized static-to-dynamic compaction [5, 34]) are fully
-vectorized: dead-slot compaction is one boolean gather, and node
-statistics / bounding boxes come from ``np.sum`` / ``min`` / ``max``
-reductions over index blocks instead of per-point Python loops.
 """
 
 from __future__ import annotations
@@ -53,58 +45,31 @@ import numpy as np
 from ..core.queries import Rectangle
 
 _LEAF_SIZE = 16
-_REBUILD_DEAD_FRACTION = 0.30
-_REBUILD_GROWTH_FACTOR = 2.0
-# Bulk mutations covering at least this fraction of the live pool skip
-# per-point tree walks and rebuild the skeleton wholesale (vectorized).
-_BULK_REBUILD_FRACTION = 0.25
-_MIN_BULK_REBUILD = 64
+_COMPACT_DEAD_FRACTION = 0.30
 
 # bbox-vs-query relations
 _DISJOINT, _PARTIAL, _CONTAINED = 0, 1, 2
 
 
 class _KDNode:
-    __slots__ = ("split_dim", "split_val", "left", "right",
-                 "indices", "count", "sum_a", "sum_a2",
-                 "bbox_lo", "bbox_hi")
+    """A k-d tree node: its slots, their count and tight bounding box,
+    and its two children once a walk first needs them (``()`` for a
+    leaf)."""
 
-    def __init__(self) -> None:
-        self.split_dim: int = -1
-        self.split_val: float = math.nan
-        self.left: Optional["_KDNode"] = None
-        self.right: Optional["_KDNode"] = None
-        self.indices: Optional[List[int]] = []   # leaf storage (may hold dead)
-        self.count = 0        # live points
-        self.sum_a = 0.0
-        self.sum_a2 = 0.0
-        # Tight bounding box of points routed through this node (lists of
-        # floats; None until the first point arrives).
-        self.bbox_lo: Optional[List[float]] = None
-        self.bbox_hi: Optional[List[float]] = None
+    __slots__ = ("indices", "count", "bbox_lo", "bbox_hi", "children")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.indices is not None
-
-    def grow_bbox(self, point: Sequence[float]) -> None:
-        lo, hi = self.bbox_lo, self.bbox_hi
-        if lo is None:
-            self.bbox_lo = [float(x) for x in point]
-            self.bbox_hi = [float(x) for x in point]
-            return
-        for d, x in enumerate(point):
-            if x < lo[d]:
-                lo[d] = x
-            elif x > hi[d]:
-                hi[d] = x
+    def __init__(self, indices: np.ndarray, bbox_lo: List[float],
+                 bbox_hi: List[float]) -> None:
+        self.indices = indices
+        self.count = int(indices.size)
+        self.bbox_lo = bbox_lo
+        self.bbox_hi = bbox_hi
+        self.children: Optional[Tuple["_KDNode", ...]] = None
 
     def relation(self, qlo: Tuple[float, ...],
                  qhi: Tuple[float, ...]) -> int:
         """How the query box relates to this node's bounding box."""
         lo, hi = self.bbox_lo, self.bbox_hi
-        if lo is None:
-            return _DISJOINT
         contained = True
         for d in range(len(qlo)):
             if hi[d] < qlo[d] or lo[d] > qhi[d]:
@@ -113,14 +78,17 @@ class _KDNode:
                 contained = False
         return _CONTAINED if contained else _PARTIAL
 
-    def bbox_rect(self) -> Optional[Rectangle]:
-        if self.bbox_lo is None:
-            return None
-        return Rectangle(tuple(self.bbox_lo), tuple(self.bbox_hi))
+    def cell(self) -> Tuple[Rectangle, int]:
+        return (Rectangle(tuple(self.bbox_lo), tuple(self.bbox_hi)),
+                self.count)
 
 
 class RangeIndex:
-    """A dynamic point index over ``(coords, value)`` samples keyed by tid."""
+    """A point index over ``(coords, value)`` samples keyed by tid.
+
+    ``seed`` is accepted and ignored: nothing here is random, and the
+    end-to-end benchmark's ledger still passes one.
+    """
 
     def __init__(self, dim: int, leaf_size: int = _LEAF_SIZE,
                  seed: int = 0) -> None:
@@ -128,7 +96,6 @@ class RangeIndex:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.leaf_size = leaf_size
-        self._rng = np.random.default_rng(seed)
         cap = 64
         self._coords = np.empty((cap, dim), dtype=np.float64)
         self._values = np.empty(cap, dtype=np.float64)
@@ -138,11 +105,12 @@ class RangeIndex:
         self._idx_of: Dict[int, int] = {}
         self._n_live = 0
         self._n_dead = 0
-        self._size_at_build = 0
-        self._root = _KDNode()
         #: Bumped once by every call that changes the point set, so a
         #: cache over query results can tell it missed a mutation.
         self.version = 0
+        # The k-d tree small_cells last built, and the version it is of.
+        self._tree: Optional[_KDNode] = None
+        self._tree_version = -1
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -169,35 +137,15 @@ class RangeIndex:
         self._tids, self._alive = tids, alive
 
     def insert(self, tid: int, coords: Sequence[float], value: float) -> None:
-        tid = int(tid)
-        if tid in self._idx_of:
-            raise KeyError(f"tid {tid} already indexed")
         point = np.asarray(coords, dtype=np.float64).reshape(-1)
         if point.shape[0] != self.dim:
             raise ValueError("coords arity mismatch")
-        self._ensure_capacity(1)
-        idx = self._n_slots
-        self._coords[idx] = point
-        self._values[idx] = float(value)
-        self._tids[idx] = tid
-        self._alive[idx] = True
-        self._n_slots += 1
-        self._idx_of[tid] = idx
-        self._n_live += 1
-        self.version += 1
-        self._insert_into_tree(idx)
-        self._maybe_rebuild()
+        self.add_many([tid], point[None], [value])
 
     def add_many(self, tids, coords, values) -> int:
         """Bulk insert; returns the number of points added.
 
-        One contiguous array append, one duplicate check, and one
-        amortized-rebuild decision per batch.  Batches at least
-        ``_BULK_REBUILD_FRACTION`` of the resulting pool skip the
-        per-point tree walks and rebuild the skeleton with the
-        vectorized builder instead - this is how re-initialization
-        snapshots and reservoir resets build a fresh 50k-sample index
-        without 50k Python tree descents.
+        One duplicate check and one contiguous array append per batch.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 1:
@@ -213,14 +161,14 @@ class RangeIndex:
         if values.shape[0] != n or tid_arr.shape[0] != n:
             raise ValueError("tids/coords/values length mismatch")
         # Reject duplicates (within the batch or vs the pool) before any
-        # state changes, mirroring the per-point insert contract.  The
-        # pool check goes through the tid dict - O(batch), independent
-        # of pool size, so steady streaming ingest never pays an O(m)
-        # pool scan per accepted batch.
-        if np.unique(tid_arr).size != n:
+        # state changes.  The pool check goes through the tid dict -
+        # O(batch), independent of pool size, so steady streaming
+        # ingest never pays an O(m) pool scan per accepted batch.
+        if n > 1 and np.unique(tid_arr).size != n:
             raise KeyError("duplicate tid within batch")
         idx_of = self._idx_of
-        for t in tid_arr.tolist():
+        tid_list = tid_arr.tolist()
+        for t in tid_list:
             if t in idx_of:
                 raise KeyError(f"tid {t} already indexed")
         self._ensure_capacity(n)
@@ -231,41 +179,18 @@ class RangeIndex:
         self._alive[lo:lo + n] = True
         self._n_slots += n
         self._n_live += n
+        idx_of.update(zip(tid_list, range(lo, lo + n)))
         self.version += 1
-        if n >= max(_MIN_BULK_REBUILD,
-                    int(_BULK_REBUILD_FRACTION * self._n_live)):
-            self.rebuild()          # rebuilds the tid map itself
-        else:
-            idx_of = self._idx_of
-            for offset, t in enumerate(tid_arr.tolist()):
-                idx_of[t] = lo + offset
-            for idx in range(lo, lo + n):
-                self._insert_into_tree(idx)
-            self._maybe_rebuild()
         return n
 
     def delete(self, tid: int) -> bool:
-        idx = self._idx_of.pop(int(tid), None)
-        if idx is None:
-            return False
-        self._alive[idx] = False
-        self._n_live -= 1
-        self._n_dead += 1
-        self.version += 1
-        self._remove_from_tree(idx)
-        self._maybe_rebuild()
-        return True
+        return self.delete_many([tid]) == 1
 
     def delete_many(self, tids) -> int:
         """Bulk delete; returns how many tids were actually indexed.
 
-        Tombstones all members first and runs the amortized-rebuild
-        check once per batch, so a large eviction sweep cannot trigger
-        (and pay for) several intermediate rebuilds.  Per-point skeleton
-        walks are kept (they only decrement aggregates) so the k-d
-        skeleton evolves exactly like the pure-Python reference's; the
-        rebuild a heavy sweep eventually triggers is the vectorized
-        one.
+        Tombstones all members first and checks for compaction once per
+        batch, so a large eviction sweep compacts at most once.
         """
         removed = 0
         for tid in tids:
@@ -273,114 +198,18 @@ class RangeIndex:
             if idx is None:
                 continue
             self._alive[idx] = False
-            self._n_live -= 1
-            self._n_dead += 1
-            self._remove_from_tree(idx)
             removed += 1
         if removed:
+            self._n_live -= removed
+            self._n_dead += removed
             self.version += 1
-            self._maybe_rebuild()
+            if self._n_slots > 64 and \
+                    self._n_dead > _COMPACT_DEAD_FRACTION * self._n_slots:
+                self._compact()
         return removed
 
-    def get(self, tid: int) -> Tuple[np.ndarray, float]:
-        idx = self._idx_of[tid]
-        return self._coords[idx].copy(), float(self._values[idx])
-
-    # ------------------------------------------------------------------ #
-    # tree maintenance (k-d skeleton; decisions match PyRangeIndex)
-    # ------------------------------------------------------------------ #
-    def _insert_into_tree(self, idx: int) -> None:
-        # Plain floats for the walk: scalar indexing into a numpy row
-        # costs ~10x a tuple access, and this loop runs per insert.
-        point = tuple(self._coords[idx].tolist())
-        value = float(self._values[idx])
-        node = self._root
-        while True:
-            node.count += 1
-            node.sum_a += value
-            node.sum_a2 += value * value
-            node.grow_bbox(point)
-            if node.is_leaf:
-                node.indices.append(idx)
-                if node.count > self.leaf_size:
-                    self._split_leaf(node)
-                return
-            if point[node.split_dim] <= node.split_val:
-                node = node.left
-            else:
-                node = node.right
-
-    def _remove_from_tree(self, idx: int) -> None:
-        point = tuple(self._coords[idx].tolist())
-        value = float(self._values[idx])
-        node = self._root
-        while True:
-            node.count -= 1
-            node.sum_a -= value
-            node.sum_a2 -= value * value
-            if node.is_leaf:
-                return  # tombstone stays in the list until rebuild
-            if point[node.split_dim] <= node.split_val:
-                node = node.left
-            else:
-                node = node.right
-
-    def _leaf_child(self, live: np.ndarray) -> _KDNode:
-        node = _KDNode()
-        node.indices = live.tolist()
-        node.count = int(live.size)
-        vals = self._values[live]
-        node.sum_a = float(vals.sum())
-        node.sum_a2 = float((vals * vals).sum())
-        pts = self._coords[live]
-        node.bbox_lo = pts.min(axis=0).tolist()
-        node.bbox_hi = pts.max(axis=0).tolist()
-        return node
-
-    def _split_leaf(self, node: _KDNode) -> None:
-        idx_arr = np.asarray(node.indices, dtype=np.intp)
-        live = idx_arr[self._alive[idx_arr]]
-        if live.size <= self.leaf_size:
-            node.indices = live.tolist()  # compact dead slots instead
-            return
-        pts = self._coords[live]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        widths = hi - lo
-        dim = int(np.argmax(widths))
-        if widths[dim] == 0:
-            return  # all points identical along every axis: keep fat leaf
-        col = pts[:, dim]
-        mid = live.size // 2
-        split_val = float(np.partition(col, mid)[mid])
-        if split_val >= hi[dim]:
-            split_val = (float(lo[dim]) + float(hi[dim])) / 2.0
-        left_sel = col <= split_val
-        left_live = live[left_sel]
-        right_live = live[~left_sel]
-        if left_live.size == 0 or right_live.size == 0:
-            return  # degenerate split: keep as leaf
-        node.indices = None
-        node.split_dim = dim
-        node.split_val = split_val
-        node.left = self._leaf_child(left_live)
-        node.right = self._leaf_child(right_live)
-
-    def _maybe_rebuild(self) -> None:
-        total = self._n_slots
-        dead_heavy = total > 64 and self._n_dead > _REBUILD_DEAD_FRACTION * total
-        grew = (self._size_at_build > 0 and
-                self._n_live > _REBUILD_GROWTH_FACTOR * self._size_at_build)
-        if dead_heavy or grew:
-            self.rebuild()
-
-    def rebuild(self) -> None:
-        """Compact dead slots and rebuild a balanced tree bottom-up.
-
-        Both steps are vectorized: compaction is one boolean gather per
-        array, and the recursive builder computes node statistics and
-        bounding boxes with numpy reductions over index blocks.
-        """
+    def _compact(self) -> None:
+        """Drop dead slots: one boolean gather per array."""
         keep = np.flatnonzero(self._alive[:self._n_slots])
         n = keep.size
         cap = max(64, n + (n >> 1))
@@ -395,51 +224,8 @@ class RangeIndex:
         self._coords, self._values = coords, values
         self._tids, self._alive = tids, alive
         self._n_slots = n
-        self._idx_of = {int(t): i for i, t in enumerate(tids[:n])}
+        self._idx_of = dict(zip(tids[:n].tolist(), range(n)))
         self._n_dead = 0
-        self._n_live = n
-        self._size_at_build = n
-        self._root = self._build(np.arange(n, dtype=np.intp))
-
-    def _build(self, indices: np.ndarray) -> _KDNode:
-        node = _KDNode()
-        m = indices.size
-        node.count = int(m)
-        vals = self._values[indices]
-        node.sum_a = float(vals.sum())
-        node.sum_a2 = float((vals * vals).sum())
-        if m == 0:
-            node.indices = []
-            return node
-        pts = self._coords[indices]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        node.bbox_lo = lo.tolist()
-        node.bbox_hi = hi.tolist()
-        if m <= self.leaf_size:
-            node.indices = indices.tolist()
-            return node
-        widths = hi - lo
-        dim = int(np.argmax(widths))
-        if widths[dim] == 0:
-            node.indices = indices.tolist()
-            return node
-        col = pts[:, dim]
-        split_val = float(np.partition(col, m // 2)[m // 2])
-        if split_val >= hi[dim]:
-            split_val = (float(lo[dim]) + float(hi[dim])) / 2.0
-        left_sel = col <= split_val
-        left_idx = indices[left_sel]
-        right_idx = indices[~left_sel]
-        if left_idx.size == 0 or right_idx.size == 0:
-            node.indices = indices.tolist()
-            return node
-        node.indices = None
-        node.split_dim = dim
-        node.split_val = split_val
-        node.left = self._build(left_idx)
-        node.right = self._build(right_idx)
-        return node
 
     # ------------------------------------------------------------------ #
     # queries (vectorized flat scans over the columnar pool)
@@ -458,13 +244,6 @@ class RangeIndex:
                 mask &= col <= hi
         return mask
 
-    def range_stats(self, rect: Rectangle) -> Tuple[int, float, float]:
-        """``(count, sum_a, sum_a2)`` over live points inside ``rect``."""
-        mask = self._mask_for(rect.lo, rect.hi)
-        vals = self._values[:self._n_slots][mask]
-        return (int(vals.size), float(vals.sum()),
-                float((vals * vals).sum()))
-
     def count(self, rect: Rectangle) -> int:
         return int(np.count_nonzero(self._mask_for(rect.lo, rect.hi)))
 
@@ -472,7 +251,7 @@ class RangeIndex:
         """All live points in ``rect`` as ``(coords, values, tids)`` arrays.
 
         One vectorized containment mask and three gathers; rows come
-        back in storage order (insertion order between rebuilds).
+        back in storage order.
         """
         idx = np.flatnonzero(self._mask_for(rect.lo, rect.hi))
         if idx.size == 0:
@@ -485,44 +264,68 @@ class RangeIndex:
         keep = np.flatnonzero(self._alive[:self._n_slots])
         return self._coords[keep], self._values[keep], self._tids[keep]
 
+    # ------------------------------------------------------------------ #
+    # canonical cells (k-d tree over the live points, built on demand)
+    # ------------------------------------------------------------------ #
     def small_cells(self, rect: Rectangle,
-                    max_count: int) -> Iterator[Tuple[Rectangle, int, float, float]]:
+                    max_count: int) -> Iterator[Tuple[Rectangle, int]]:
         """Maximal tree cells fully inside ``rect`` with <= ``max_count`` points.
 
-        Yields ``(cell_rect, count, sum_a, sum_a2)``.  This mirrors the
-        paper's structure T of canonical rectangles holding at most
-        ``delta*m`` samples (Appendix D.1): the AVG oracle scans these for
-        the one maximizing the sum of squared aggregation values.  The
-        yielded rectangle is the node's point bounding box - a genuine
-        witness rectangle, since siblings' cells are disjoint.  This is
-        the one query the k-d skeleton is kept for: canonical cells have
-        no flat-scan analogue.
+        Yields ``(cell_rect, count)``.  This mirrors the paper's
+        structure T of canonical rectangles holding at most ``delta*m``
+        samples (Appendix D.1): the AVG oracle scans these for the one
+        maximizing the sum of squared aggregation values.  The yielded
+        rectangle is the node's point bounding box - a genuine witness
+        rectangle, since siblings' cells are disjoint - so the live
+        points inside it are exactly the node's ``count`` points.
         """
-        yield from self._small_cells(self._root, rect.lo, rect.hi,
-                                     max_count)
+        if self._tree_version != self.version:
+            keep = np.flatnonzero(self._alive[:self._n_slots])
+            self._tree = self._build(keep) if keep.size else None
+            self._tree_version = self.version
+        if self._tree is not None:
+            yield from self._small_cells(self._tree, rect.lo, rect.hi,
+                                         max_count)
 
     def _small_cells(self, node: _KDNode, qlo, qhi, max_count: int
-                     ) -> Iterator[Tuple[Rectangle, int, float, float]]:
-        if node.count == 0:
-            return
+                     ) -> Iterator[Tuple[Rectangle, int]]:
         rel = node.relation(qlo, qhi)
         if rel == _DISJOINT:
             return
-        if rel == _CONTAINED:
-            if node.count <= max_count or node.is_leaf:
-                yield (node.bbox_rect(), node.count, node.sum_a,
-                       node.sum_a2)
-                return
-        if node.is_leaf:
+        if rel == _CONTAINED and node.count <= max_count:
+            yield node.cell()
             return
-        yield from self._small_cells(node.left, qlo, qhi, max_count)
-        yield from self._small_cells(node.right, qlo, qhi, max_count)
+        if node.children is None:
+            node.children = self._split(node)
+        if rel == _CONTAINED and not node.children:     # a fat leaf
+            yield node.cell()
+            return
+        for child in node.children:
+            yield from self._small_cells(child, qlo, qhi, max_count)
 
-    def coordinate_quantile(self, rect: Rectangle, dim: int, k: int) -> float:
-        """The k-th smallest (0-based) coordinate along ``dim`` in ``rect``."""
-        coords, _, _ = self.report(rect)
-        if coords.shape[0] == 0:
-            raise ValueError("empty rectangle")
-        if not 0 <= k < coords.shape[0]:
-            raise IndexError("rank out of range")
-        return float(np.partition(coords[:, dim], k)[k])
+    def _build(self, indices: np.ndarray) -> _KDNode:
+        """The k-d node over the (non-empty) slots ``indices``; its
+        children are split off when a walk first descends into it."""
+        pts = self._coords[indices]
+        return _KDNode(indices, pts.min(axis=0).tolist(),
+                       pts.max(axis=0).tolist())
+
+    def _split(self, node: _KDNode) -> Tuple[_KDNode, ...]:
+        """Split the widest axis at its median, points on the cut going
+        left; ``()`` when the node is a leaf."""
+        m = node.count
+        if m <= self.leaf_size:
+            return ()
+        lo, hi = node.bbox_lo, node.bbox_hi
+        dim = max(range(self.dim), key=lambda d: hi[d] - lo[d])
+        if hi[dim] == lo[dim]:
+            return ()
+        col = self._coords[node.indices, dim]
+        split_val = float(np.partition(col, m // 2)[m // 2])
+        if split_val >= hi[dim]:
+            split_val = (lo[dim] + hi[dim]) / 2.0
+        left = col <= split_val
+        if not 0 < np.count_nonzero(left) < m:
+            return ()
+        return (self._build(node.indices[left]),
+                self._build(node.indices[~left]))

@@ -17,11 +17,6 @@ scans against the index.  ``Rectangle.split`` makes children disjoint
 (the cut plane belongs to the left child only), so one boolean mask and
 its complement reproduce geometric membership per child exactly.
 
-:class:`ReferenceKDTreePartitioner` keeps the original
-report-per-split implementation; it produces identical trees (the
-equivalence suite pins this) and exists as the correctness reference
-and the old-path baseline for ``benchmarks/bench_reinit.py``.
-
 The paper shows this yields a near-optimal partitioning with respect to
 the optimal tree using the same splitting criterion - factor 2*sqrt(k)
 for SUM/COUNT and 2*log^{(d+1)/2} m for AVG.
@@ -154,70 +149,4 @@ class KDTreePartitioner:
             # complement is exactly geometric membership per child.
             return ((left_rect, members[left_sel]),
                     (right_rect, members[~left_sel]))
-        return None
-
-
-class ReferenceKDTreePartitioner:
-    """The original report-per-split build, kept as the reference.
-
-    Functionally identical to :class:`KDTreePartitioner` (the
-    equivalence suite pins matching cuts and leaf rectangles); every
-    heap step pays one ``index.report``/``index.count`` scan per node
-    probed, which is the old-path cost that
-    ``benchmarks/bench_reinit.py`` baselines against.
-    """
-
-    def __init__(self, agg: AggFunc = AggFunc.SUM, delta: float = 0.05,
-                 min_leaf_samples: int = 4) -> None:
-        self.agg = agg
-        self.delta = delta
-        self.min_leaf_samples = min_leaf_samples
-
-    def partition(self, index, k: int,
-                  n_population: Optional[int] = None,
-                  root_rect: Optional[Rectangle] = None) -> KDTreeResult:
-        m = len(index)
-        if m == 0:
-            raise ValueError("cannot partition an empty sample index")
-        n_population = n_population if n_population is not None else m
-        oracle = MaxVarOracle(index, self.agg, n_population / m,
-                              delta=self.delta)
-        root_rect = root_rect or Rectangle.unbounded(index.dim)
-        parent, rects = [-1], [root_rect]
-        heap = [(-oracle.max_variance(root_rect).variance, 0, 0)]
-        while len(rects) < 2 * k - 1 and heap:      # k leaves: 2k-1 rows
-            _, node, depth = heapq.heappop(heap)
-            split = self._split_node(index, rects[node], depth)
-            if split is None:
-                continue
-            for rect in split:
-                parent.append(node)
-                rects.append(rect)
-                if index.count(rect) >= 2 * self.min_leaf_samples:
-                    var = oracle.max_variance(rect).variance
-                    heapq.heappush(heap, (-var, len(rects) - 1, depth + 1))
-        spec = TreeSpec.of(parent, rects)
-        return KDTreeResult(spec, max([0.0] + [
-            oracle.max_variance(leaf.rect).error for leaf in spec.leaves()]))
-
-    # ------------------------------------------------------------------ #
-    def _split_node(self, index, rect: Rectangle, depth: int
-                    ) -> Optional[Tuple[Rectangle, Rectangle]]:
-        coords, _, _ = index.report(rect)
-        m_b = coords.shape[0]
-        if m_b < 2 * self.min_leaf_samples:
-            return None
-        for dim in [(depth + i) % index.dim for i in range(index.dim)]:
-            col = coords[:, dim]
-            lo, hi = float(col.min()), float(col.max())
-            if hi <= lo:
-                continue
-            median = float(np.median(col))
-            if median >= hi:                 # duplicate-heavy column
-                median = (lo + hi) / 2.0
-            left_rect, right_rect = rect.split(dim, median)
-            n_left = int((col <= median).sum())
-            if n_left == 0 or n_left == m_b:
-                continue
-            return left_rect, right_rect
         return None

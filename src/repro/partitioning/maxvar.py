@@ -19,7 +19,11 @@ constructions, which we reproduce:
   correctness argument needs): (a) maximal index cells fully inside R
   with <= delta*m samples - the analogue of the paper's canonical-
   rectangle structure T; (b) contiguous windows of delta*m samples along
-  each coordinate axis, computed with prefix sums.
+  each coordinate axis, computed with prefix sums.  Both families and
+  every cell's statistics come from the live point set alone, so AVG
+  ``M(R)`` is bit-equal however the points arrived; it is still not
+  ``rect_local`` (the window is ``delta*|S|`` and the cells come from a
+  tree over the whole pool).
 
 The module exposes both an index-backed oracle (:class:`MaxVarOracle`,
 used by the k-d partitioner and the re-partitioning triggers) and pure
@@ -209,7 +213,9 @@ class MaxVarOracle:
     @property
     def rect_local(self) -> bool:
         """Whether ``M(R)`` depends on the pool only through the points
-        inside ``R`` (AVG also reads the pool size and the index cells)."""
+        inside ``R``.  AVG is a function of the whole live point set:
+        its window is ``delta*|S|`` and its cells come from a k-d tree
+        over every point, not just those inside ``R``."""
         return self.agg is not AggFunc.AVG
 
     def max_variance(self, rect: Rectangle) -> MaxVarResult:
@@ -240,13 +246,13 @@ class MaxVarOracle:
     def _max_var_rows(self, rect: Rectangle, coords: np.ndarray,
                       values: np.ndarray, tids: np.ndarray) -> MaxVarResult:
         # Canonical tid order first: ``report`` order is an
-        # implementation detail (tree traversal vs storage order), and
-        # with duplicate coordinates the stable by-coordinate argsorts
-        # below would otherwise tie-break differently.  After this sort
-        # the oracle is a pure function of the point *set*.  Member
-        # blocks from the k-d partitioner (and most storage-order
-        # reports) arrive already ascending, so probe the cheap O(n)
-        # check before paying the sort and two gathers.
+        # implementation detail (storage order), and with duplicate
+        # coordinates the stable by-coordinate argsorts below would
+        # otherwise tie-break differently.  After this sort the oracle
+        # is a pure function of the point *set*.  Member blocks from the
+        # k-d partitioner (and most storage-order reports) arrive
+        # already ascending, so probe the cheap O(n) check before paying
+        # the sort and two gathers.
         if tids.shape[0] > 1 and np.any(tids[1:] < tids[:-1]):
             order = np.argsort(tids, kind="stable")
             coords, values = coords[order], values[order]
@@ -290,14 +296,12 @@ class MaxVarOracle:
         w = min(self._window(), m_b)
         best_var, best_witness = 0.0, rect
         # Candidate family (a): canonical index cells with <= w samples.
-        for cell, count, _, sumsq in self.index.small_cells(rect, w):
-            if count <= 0:
-                continue
-            # Lemma D.1 bound uses sum-of-squares; the (sum)^2 term only
-            # lowers the variance, so recompute exactly from cell stats.
-            c, s, s2 = self.index.range_stats(
-                rect.intersection(cell) or cell)
-            var = avg_query_variance(m_b, c, s, s2)
+        # A cell lies inside ``rect``, so its points are the member
+        # rows inside it: exact stats, summed in tid order.
+        for cell, _ in self.index.small_cells(rect, w):
+            vals = values[cell.contains_points(coords)]
+            var = avg_query_variance(m_b, vals.shape[0], float(vals.sum()),
+                                     float((vals * vals).sum()))
             if var > best_var:
                 best_var = var
                 best_witness = cell

@@ -55,8 +55,8 @@ class SamplePool:
 
     def __init__(self, table: Table, sample_rate: float, min_pool: int = 128,
                  seed: int = 0,
-                 index_on: Optional[Tuple[Sequence[int], int]] = None,
-                 index_seed: int = 0) -> None:
+                 index_on: Optional[Tuple[Sequence[int], int]] = None
+                 ) -> None:
         """``index_on = (predicate columns, value column)`` keeps a range
         index over the members; without it the pool holds rows only."""
         self.table = table
@@ -65,7 +65,6 @@ class SamplePool:
         self.reservoir = DynamicReservoir(table, self.target(), seed=seed)
         self._n_cols = len(table.schema)
         self._index_on = index_on
-        self._index_seed = index_seed
         self.index = self._fresh_index()  # guarded-by: _lock
         self._route: Optional[RouteRows] = None  # guarded-by: _lock
         self._mat: Dict[int, np.ndarray] = {}  # guarded-by: _lock
@@ -204,9 +203,7 @@ class SamplePool:
             tids = np.asarray(change.added, dtype=np.int64)
             rows = self.table.rows_for(tids)    # a gather: our own copy
             if self.index is not None:
-                # One duplicate check, one array append and one rebuild
-                # decision per block; a redraw therefore builds its
-                # index with the vectorized builder.
+                # One duplicate check and one array append per block.
                 self.index.add_many(tids, self._coords(rows),
                                     rows[:, self._index_on[1]])
                 if not change.reset:
@@ -221,7 +218,7 @@ class SamplePool:
     def _fresh_index(self) -> Optional[RangeIndex]:
         if self._index_on is None:
             return None
-        return RangeIndex(len(self._index_on[0]), seed=self._index_seed)
+        return RangeIndex(len(self._index_on[0]))
 
     def _clear(self) -> None:  # requires-lock: _lock
         """Drop every resident row (the index is not touched)."""

@@ -94,3 +94,39 @@ class TestAsyncReoptimize:
         truth = table.ground_truth(q)
         est = janus.query(q).estimate
         assert abs(est - truth) / abs(truth) < 0.15
+
+
+def churned_avg_engine(seed, dim=2, n=6000):
+    """An AVG-focus engine whose pool saw many small writes."""
+    rng = np.random.default_rng(seed)
+    schema = ["a"] + [f"p{j}" for j in range(dim)]
+    data = np.column_stack([rng.lognormal(1, 1, n),
+                            *(rng.uniform(0, 100, n) for _ in range(dim))])
+    table = Table(schema, capacity=n + 16)
+    table.insert_many(data[:n // 2])
+    cfg = JanusConfig(k=16, sample_rate=0.1, catchup_rate=0.05,
+                      check_every=10 ** 9, seed=seed,
+                      focus_agg=AggFunc.AVG)
+    janus = JanusAQP(table, "a", schema[1:], config=cfg)
+    janus.initialize()
+    for at in range(n // 2, n, 60):
+        janus.insert_many(data[at:at + 60])
+        janus.delete_many(rng.choice(table.live_tids(), 25,
+                                     replace=False).tolist())
+    return janus
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_avg_twins_reoptimize_to_the_same_tree(seed):
+    """The AVG oracle's cells come from the live point set, so the
+    locked build (live pool index) and the async one (an index over the
+    frozen snapshot) install the same tree."""
+    locked, unlocked = churned_avg_engine(seed), churned_avg_engine(seed)
+    locked.reoptimize()
+    unlocked.reoptimize_async().join(timeout=60)
+
+    def tree_signature(janus):
+        dpt = janus.dpt
+        return [(node.rect, len(dpt.children(node))) for node in dpt.nodes()]
+
+    assert tree_signature(locked) == tree_signature(unlocked)

@@ -111,7 +111,7 @@ class TestPrefixStats:
 # index-backed oracle
 # ---------------------------------------------------------------------- #
 def build_index(points, values, dim=1):
-    idx = RangeIndex(dim, seed=2, leaf_size=4)
+    idx = RangeIndex(dim, leaf_size=4)
     for tid, (p, v) in enumerate(zip(points, values)):
         coords = (p,) if dim == 1 else tuple(p)
         idx.insert(tid, coords, v)
@@ -137,10 +137,11 @@ class TestMaxVarOracle:
         assert res.variance > 0
         assert rect.contains_rect(res.witness)
         # witness variance is reproducible from its own stats
-        c, s, s2 = idx.range_stats(res.witness)
+        _, w_vals, _ = idx.report(res.witness)
         m_b = idx.count(rect)
         assert res.variance == pytest.approx(
-            sum_query_variance(2.0, m_b, s, s2), rel=1e-9)
+            sum_query_variance(2.0, m_b, w_vals.sum(),
+                               (w_vals * w_vals).sum()), rel=1e-9)
 
     def test_sum_underestimates_brute_force(self):
         rng = np.random.default_rng(4)
@@ -167,7 +168,7 @@ class TestMaxVarOracle:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 100, size=(60, 2))
         vals = rng.lognormal(1, 1, 60)
-        idx = RangeIndex(2, seed=0, leaf_size=4)
+        idx = RangeIndex(2, leaf_size=4)
         for tid in range(60):
             idx.insert(tid, pts[tid], vals[tid])
         oracle = MaxVarOracle(idx, AggFunc.AVG, pop_ratio=3.0, delta=0.1)

@@ -224,7 +224,7 @@ class TestKDTree:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 100, size=(n, dim))
         vals = rng.lognormal(0, 1, n)
-        idx = RangeIndex(dim, seed=1, leaf_size=8)
+        idx = RangeIndex(dim, leaf_size=8)
         for tid in range(n):
             idx.insert(tid, pts[tid], vals[tid])
         return idx, pts, vals
@@ -251,7 +251,7 @@ class TestKDTree:
 
     def test_one_dimensional(self):
         rng = np.random.default_rng(2)
-        idx = RangeIndex(1, seed=0)
+        idx = RangeIndex(1)
         pts = rng.uniform(0, 10, 100)
         for tid, p in enumerate(pts):
             idx.insert(tid, (p,), float(rng.normal()))
@@ -275,7 +275,7 @@ class TestKDTree:
     def test_splits_high_variance_regions_more(self):
         """Leaves should be denser where values vary wildly."""
         rng = np.random.default_rng(5)
-        idx = RangeIndex(1, seed=0, leaf_size=8)
+        idx = RangeIndex(1, leaf_size=8)
         # left half: constant values; right half: huge variance
         tid = 0
         for x in rng.uniform(0, 50, 200):

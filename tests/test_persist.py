@@ -11,6 +11,7 @@ from repro.core.persist import load_synopsis, save_synopsis
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
+from test_async_reopt import churned_avg_engine
 
 
 @pytest.fixture
@@ -305,3 +306,19 @@ class TestArchiveFormat:
         assert frontiers(restored.dpt) == frontiers(janus.dpt)
         assert [leaf.rect for leaf in restored.dpt.leaves] == \
             [leaf.rect for leaf in janus.dpt.leaves]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reload_keeps_avg_max_variance_bit_equal(dim, tmp_path):
+    """A churned AVG-focus engine's drift oracle reads the same M(R) for
+    every leaf after a save / load, although the reloaded pool index saw
+    one bulk load instead of the original write history."""
+    janus = churned_avg_engine(3, dim)
+    path = str(tmp_path / "synopsis.npz")
+    save_synopsis(janus, path)
+    restored = load_synopsis(path, janus.table)
+    before = janus.trigger.oracle
+    after = restored.trigger.oracle
+    for leaf in janus.dpt.leaves:
+        assert after.max_variance(leaf.rect).variance == \
+            before.max_variance(leaf.rect).variance

@@ -1,14 +1,18 @@
 """Equivalence suite for the vectorized re-initialization fast path.
 
-Pins the array-backed :class:`RangeIndex`, the row-based
-:class:`MaxVarOracle` entry points and the flat-matrix
-:class:`KDTreePartitioner` build against the frozen pure-Python
-reference (:class:`PyRangeIndex` + :class:`ReferenceKDTreePartitioner`)
-across dimensions 1-3, duplicates-heavy keys and delete-heavy pools:
-identical ``report``/``count`` results, matching ``range_stats`` and
-``max_variance``, identical partition trees (same cuts, same leaf
-rectangles) and unchanged post-reoptimize query answers.
+Pins the array-backed :class:`RangeIndex` against brute force and
+against itself: two indexes that reach one live point set through
+different insert / delete orders and compactions yield bit-identical
+canonical cells and oracle values.  The flat-matrix
+:class:`KDTreePartitioner` build is pinned against the report-per-split
+reference (``benchmarks/lib/reference.py``) over the same index, across
+dimensions 1-3, duplicates-heavy keys and delete-heavy pools: identical
+partition trees (same cuts, same leaf rectangles) and unchanged
+post-reoptimize query answers.
 """
+
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,36 +22,63 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.index.range_index import RangeIndex
-from repro.index.reference import PyRangeIndex
 from repro.partitioning.dp import DPPartitioner
-from repro.partitioning.kdtree import (KDTreePartitioner,
-                                       ReferenceKDTreePartitioner)
+from repro.partitioning.kdtree import KDTreePartitioner
 from repro.partitioning.maxvar import MaxVarOracle, PrefixStats
 from repro.partitioning.onedim import OneDimPartitioner
 
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.reference import ReferenceKDTreePartitioner  # noqa: E402
+
 
 def make_pool(dim, n, seed, duplicates=False, delete_frac=0.0):
-    """Identical insert/delete sequences applied to both index classes."""
+    """An index after per-tid inserts and deletes, with its points and
+    the liveness of every tid."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 100, size=(n, dim))
     if duplicates:
         pts = np.round(pts, 0)       # heavy coordinate collisions
     vals = rng.lognormal(0.5, 1.0, n)
-    new = RangeIndex(dim, seed=1)
-    old = PyRangeIndex(dim, seed=1)
+    index = RangeIndex(dim)
     for tid in range(n):
-        new.insert(tid, pts[tid], vals[tid])
-        old.insert(tid, pts[tid], vals[tid])
+        index.insert(tid, pts[tid], vals[tid])
+    live = np.ones(n, dtype=bool)
     if delete_frac:
         doomed = rng.choice(n, size=int(delete_frac * n), replace=False)
         # exercise both the bulk and the per-tid delete paths
         cut = doomed.size // 2
-        new.delete_many(doomed[:cut])
-        old.delete_many(doomed[:cut])
+        index.delete_many(doomed[:cut])
         for tid in doomed[cut:]:
-            new.delete(int(tid))
-            old.delete(int(tid))
-    return new, old, pts, vals
+            index.delete(int(tid))
+        live[doomed] = False
+    return index, pts, vals, live
+
+
+def churned_twin(pts, vals, live, seed):
+    """The live set of :func:`make_pool` reached another way: shuffled
+    bulk inserts mixed with transient points whose deletion forces
+    compactions, the real deletes in another order, and ``small_cells``
+    asked between writes so a stale cached tree would show."""
+    rng = np.random.default_rng(seed)
+    n, dim = pts.shape
+    twin, extra = RangeIndex(dim), n
+    everything = Rectangle((-1.0,) * dim, (101.0,) * dim)
+    for chunk in np.array_split(rng.permutation(n), 5):
+        junk = np.arange(extra, extra + chunk.size // 2)
+        extra += junk.size
+        twin.add_many(np.concatenate([junk, chunk]),
+                      np.concatenate([rng.uniform(0, 100, (junk.size, dim)),
+                                      pts[chunk]]),
+                      np.concatenate([rng.lognormal(0, 1, junk.size),
+                                      vals[chunk]]))
+        list(twin.small_cells(everything, 40))
+        twin.delete_many(rng.permutation(junk))
+    for tid in rng.permutation(np.flatnonzero(~live)):
+        twin.delete(int(tid))
+    return twin
 
 
 def random_rects(dim, seed, n=20):
@@ -81,67 +112,59 @@ POOLS = [
                          f"{'-del' if p['delete_frac'] else ''}")
 class TestIndexEquivalence:
     def test_counts_reports_stats(self, pool):
-        new, old, _, _ = make_pool(n=900, seed=11, **pool)
-        assert len(new) == len(old)
+        index, pts, vals, live = make_pool(n=900, seed=11, **pool)
+        assert len(index) == int(live.sum())
         for rect in random_rects(pool["dim"], seed=5):
-            assert new.count(rect) == old.count(rect)
-            cn, sn, s2n = new.range_stats(rect)
-            co, so, s2o = old.range_stats(rect)
-            assert cn == co
-            assert sn == pytest.approx(so, rel=1e-9, abs=1e-9)
-            assert s2n == pytest.approx(s2o, rel=1e-9, abs=1e-9)
-            _, _, tids_n = new.report(rect)
-            _, _, tids_o = old.report(rect)
-            assert sorted(tids_n.tolist()) == sorted(tids_o.tolist())
+            want = np.flatnonzero(rect.contains_points(pts) & live)
+            assert index.count(rect) == want.size
+            coords, values, tids = index.report(rect)
+            order = np.argsort(tids)
+            assert np.array_equal(tids[order], want)
+            assert np.array_equal(coords[order], pts[want])
+            assert np.array_equal(values[order], vals[want])
 
     def test_small_cells_identical_structure(self, pool):
-        """Same update sequence => identical k-d skeletons and cells."""
-        new, old, _, _ = make_pool(n=900, seed=11, **pool)
+        """One live set => bit-identical cells, whatever the history."""
+        index, pts, vals, live = make_pool(n=900, seed=11, **pool)
+        twin = churned_twin(pts, vals, live, seed=3)
         for rect in random_rects(pool["dim"], seed=6, n=6):
-            cells_n = list(new.small_cells(rect, 40))
-            cells_o = list(old.small_cells(rect, 40))
-            assert len(cells_n) == len(cells_o)
-            for (rn, cn, sn, s2n), (ro, co, so, s2o) in zip(cells_n,
-                                                            cells_o):
-                assert tuple(map(float, rn.lo)) == tuple(map(float, ro.lo))
-                assert tuple(map(float, rn.hi)) == tuple(map(float, ro.hi))
-                assert cn == co
-                assert sn == pytest.approx(so, rel=1e-9, abs=1e-9)
-                assert s2n == pytest.approx(s2o, rel=1e-9, abs=1e-9)
+            cells = list(index.small_cells(rect, 40))
+            assert cells == list(twin.small_cells(rect, 40))
+            for cell, count in cells:
+                assert rect.contains_rect(cell)
+                assert count == int(
+                    (cell.contains_points(pts) & live).sum())
+        full = Rectangle((0.0,) * pool["dim"], (100.0,) * pool["dim"])
+        assert sum(c for _, c in index.small_cells(full, 40)) == len(index)
 
     def test_max_variance_equivalent(self, pool):
-        new, old, _, _ = make_pool(n=900, seed=11, **pool)
-        n_pop = 20 * len(new)
+        """One live set => bit-identical M(R) and witness for all three
+        oracles, whatever the history."""
+        index, pts, vals, live = make_pool(n=900, seed=11, **pool)
+        twin = churned_twin(pts, vals, live, seed=4)
+        n_pop = 20 * len(index)
         for agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG):
-            oracle_n = MaxVarOracle(new, agg, n_pop / max(len(new), 1))
-            oracle_o = MaxVarOracle(old, agg, n_pop / max(len(old), 1))
+            oracle = MaxVarOracle(index, agg, n_pop / len(index))
+            oracle_t = MaxVarOracle(twin, agg, n_pop / len(twin))
             for rect in random_rects(pool["dim"], seed=7, n=8):
-                rn = oracle_n.max_variance(rect)
-                ro = oracle_o.max_variance(rect)
-                assert rn.variance == pytest.approx(ro.variance,
-                                                    rel=1e-9, abs=1e-12)
-                if agg in (AggFunc.SUM, AggFunc.COUNT):
-                    # canonical tid ordering makes these bit-identical
-                    assert rn.variance == ro.variance
-                    assert tuple(rn.witness.lo) == tuple(ro.witness.lo)
-                    assert tuple(rn.witness.hi) == tuple(ro.witness.hi)
+                got, want = oracle_t.max_variance(rect), \
+                    oracle.max_variance(rect)
+                assert got.variance == want.variance
+                assert got.witness == want.witness
 
     def test_bulk_build_matches_point_queries(self, pool):
-        """add_many (wholesale rebuild) answers like the per-insert build."""
-        new, _, pts, vals = make_pool(n=900, seed=11, **pool)
-        coords, values, tids = new.all_items()
-        bulk = RangeIndex(pool["dim"], seed=1)
+        """add_many answers like the per-insert build."""
+        index, _, _, _ = make_pool(n=900, seed=11, **pool)
+        coords, values, tids = index.all_items()
+        bulk = RangeIndex(pool["dim"])
         bulk.add_many(tids, coords, values)
-        assert len(bulk) == len(new)
+        assert len(bulk) == len(index)
         for rect in random_rects(pool["dim"], seed=8, n=10):
-            assert bulk.count(rect) == new.count(rect)
-            cn, sn, s2n = bulk.range_stats(rect)
-            co, so, s2o = new.range_stats(rect)
-            assert cn == co
-            assert sn == pytest.approx(so, rel=1e-9, abs=1e-9)
-            _, _, tids_b = bulk.report(rect)
-            _, _, tids_n = new.report(rect)
-            assert sorted(tids_b.tolist()) == sorted(tids_n.tolist())
+            assert bulk.count(rect) == index.count(rect)
+            _, vals_b, tids_b = bulk.report(rect)
+            _, vals_n, tids_n = index.report(rect)
+            assert np.array_equal(tids_b, tids_n)
+            assert np.array_equal(vals_b, vals_n)
 
 
 @pytest.mark.parametrize("pool", [p for p in POOLS if p["dim"] > 1],
@@ -151,12 +174,12 @@ class TestIndexEquivalence:
 @pytest.mark.parametrize("agg", [AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG])
 class TestPartitionerEquivalence:
     def test_identical_trees(self, pool, agg):
-        new, old, _, _ = make_pool(n=1200, seed=23, **pool)
+        index, _, _, _ = make_pool(n=1200, seed=23, **pool)
         rect = Rectangle((0.0,) * pool["dim"], (100.0,) * pool["dim"])
         fast = KDTreePartitioner(agg).partition(
-            new, 48, n_population=20 * len(new), root_rect=rect)
+            index, 48, n_population=20 * len(index), root_rect=rect)
         ref = ReferenceKDTreePartitioner(agg).partition(
-            old, 48, n_population=20 * len(old), root_rect=rect)
+            index, 48, n_population=20 * len(index), root_rect=rect)
         assert tree_signature(fast.tree) == tree_signature(ref.tree)
         assert fast.max_error == pytest.approx(ref.max_error, rel=1e-9,
                                                abs=1e-12)
@@ -223,26 +246,21 @@ def _build_janus(dim, n_rows, seed=0, k=32):
 
 
 class TestReoptimizePipeline:
-    """Old-path vs fast-path over one frozen pool: identical trees and
+    """Reference vs fast partitioner over one pool: identical trees and
     identical post-reoptimize query answers."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_spec_and_answers_unchanged(self, dim):
         janus = _build_janus(dim, n_rows=3000, seed=1)
-        coords, values, tids = janus.sample_index.all_items()
         n_pop = len(janus.table)
         lo = tuple(janus.table.domain(a)[0] for a in janus.predicate_attrs)
         hi = tuple(janus.table.domain(a)[1] for a in janus.predicate_attrs)
         rect = Rectangle(lo, hi)
 
-        # Old path: per-insert PyRangeIndex + report-per-split build.
-        old_index = PyRangeIndex(dim, seed=janus.config.seed + 3)
-        order = np.argsort(tids, kind="stable")
-        for i in order:
-            old_index.insert(int(tids[i]), coords[i], float(values[i]))
+        # Reference: the report-per-split build over the pool index.
         spec_old = ReferenceKDTreePartitioner(
             janus.config.focus_agg, delta=janus.config.delta).partition(
-                old_index, janus.config.k, n_population=n_pop,
+                janus.sample_index, janus.config.k, n_population=n_pop,
                 root_rect=rect).tree
         # Fast path: exactly what _reinitialize computes.
         spec_new = janus._compute_partitioning()

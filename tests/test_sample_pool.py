@@ -47,7 +47,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.table = Table(("x", "a"))
         self.table.insert_many(self._fresh_rows(40))
         self.pool = SamplePool(self.table, RATE, MIN_POOL, seed=1,
-                               index_on=([0], 1), index_seed=2)
+                               index_on=([0], 1))
         self.route = None
         #: every row ever inserted (deleted members' coordinates are
         #: checked after the table dropped them)

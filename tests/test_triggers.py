@@ -26,7 +26,7 @@ def build_world(n=2000, seed=0):
     dpt = DynamicPartitionTree(spec, SCHEMA, ("x",))
     dpt.set_population(n)
     pool = SamplePool(table, sample_rate=0.05, min_pool=200, seed=2,
-                      index_on=([0], 1), index_seed=1)
+                      index_on=([0], 1))
     pool.initialize(dpt.leaf_ids_of)
     index, reservoir = pool.index, pool.reservoir
     oracle = MaxVarOracle(index, AggFunc.SUM, pop_ratio=n / 200)
