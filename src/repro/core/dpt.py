@@ -221,7 +221,13 @@ class DynamicPartitionTree:
     def leaf_ids_of(self, rows: np.ndarray) -> np.ndarray:
         """Leaf ``node_id`` of each full-schema ``(n, n_attrs)`` row:
         the stratum key the pooled sample is filed under."""
-        return self._leaf_ids[self.route_rows(rows[:, self._pred_idx])]
+        return self.leaf_ids_at(self.route_rows(rows[:, self._pred_idx]))
+
+    def leaf_ids_at(self, leaf_pos: np.ndarray) -> np.ndarray:
+        """Leaf ``node_id`` at each leaf position (what
+        :meth:`insert_rows` returns): its rows' stratum keys, no
+        second descent."""
+        return self._leaf_ids[leaf_pos]
 
     def _walk(self, point: Sequence[float], node: int) -> List[int]:
         """Table rows on one point's path from row ``node`` to its leaf.

@@ -492,7 +492,11 @@ class JanusAQP:
         and call this on each."""
         with self._lock:
             leaf_of = self.dpt.insert_rows(rows) if self.dpt else None
-            self._pool_changed(self.pool.insert_many(tids))
+            # The descent above found every row's leaf: the pool files
+            # its accepted rows there instead of routing them again.
+            self._pool_changed(self.pool.insert_many(
+                tids, None if leaf_of is None
+                else self.dpt.leaf_ids_at(leaf_of)))
             for sketch, vals in self._sketch_columns(rows):
                 sketch.insert_many(vals)
             self.data_epoch += 1

@@ -242,30 +242,6 @@ def load_synopsis(path: str, table: Table,
 # ---------------------------------------------------------------------- #
 # sharded fleets: per-shard archives plus a manifest
 # ---------------------------------------------------------------------- #
-def _restore_table(table: Table, tids: np.ndarray, rows: np.ndarray,
-                   next_tid: int) -> None:
-    """Rebuild a table's columnar state from ``(tid, row)`` pairs.
-
-    Dead slots are not reproduced (they carry no information); tid
-    numbering and the tid-to-slot map are exact, so reservoirs and
-    synopses referencing these tids restore verbatim and future inserts
-    continue from the preserved ``next_tid``.
-    """
-    n = int(tids.shape[0])
-    cap = max(16, n)
-    table._data = np.empty((cap, len(table.schema)))
-    table._data[:n] = rows
-    table._live = np.zeros(cap, dtype=bool)
-    table._live[:n] = True
-    table._tids = np.full(cap, -1, dtype=np.int64)
-    table._tids[:n] = tids
-    table._tid_slot = np.full(max(int(next_tid), 16), -1, dtype=np.int64)
-    table._tid_slot[tids] = np.arange(n, dtype=np.int64)
-    table._n_slots = n
-    table._n_live = n
-    table._next_tid = int(next_tid)
-
-
 def save_sharded(sharded: ShardedJanusAQP,
                  dir_path: Union[str, Path]) -> None:
     """Serialize a sharded fleet into ``dir_path``.
@@ -435,8 +411,9 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             # One shard at a time, so only one table's decompressed
             # arrays are ever in flight.
             restored[s] = Table(schema)
-            _restore_table(restored[s], archive[f"table{s}_tids"],
-                           archive[f"table{s}_rows"], table_next_tids[s])
+            restored[s].restore(archive[f"table{s}_tids"],
+                                archive[f"table{s}_rows"],
+                                table_next_tids[s])
         return ShardedManifest(
             schema=schema,
             agg_attr=meta.agg_attr,

@@ -68,7 +68,6 @@ engine fed the identical stream.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -215,16 +214,14 @@ class _TableView:
         return len(self._owner)
 
     def domain(self, attr: str) -> Tuple[float, float]:
-        lo = math.inf
-        hi = -math.inf
-        for table in self._owner.tables:
-            if len(table) == 0:
-                continue
-            a, b = table.domain(attr)
-            lo, hi = min(lo, a), max(hi, b)
-        if lo > hi:
+        """:meth:`Table.domain` over the union: shards without a
+        non-NaN value in ``attr`` are skipped, not folded in as
+        ``(0.0, 0.0)``."""
+        found = [b for b in (t.bounds(attr) for t in self._owner.tables)
+                 if b is not None]
+        if not found:
             return (0.0, 0.0)
-        return (lo, hi)
+        return (min(lo for lo, _ in found), max(hi for _, hi in found))
 
     def ground_truth(self, query: Query) -> float:
         return self._owner.ground_truth(query)

@@ -13,6 +13,11 @@ archival interface (``sample_tids`` / ``row``), never per query.
 Storage is columnar numpy with a liveness mask; deleted rows become dead
 slots that are compacted on demand, so ground-truth evaluation over
 thousands of queries stays vectorized.
+
+Each column :meth:`Table.domain` has been asked about keeps its live
+``(min, max)`` current through every write, so a synopsis reading its
+root rectangle pays O(1), not a scan of the table.  The arrays are
+therefore private: every mutation goes through a method.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ class Table:
     plain int64 array (-1 = not live) instead of a dict: ``rows_for``
     and ``live_mask`` become single vectorized gathers, which is what
     the catch-up and re-initialization pipelines lean on.
+
+    ``_bounds`` maps a column to its live non-NaN ``(min, max)`` -
+    ``(inf, -inf)`` when it has none - for every column whose bounds are
+    current: an insert folds its batch in, a delete that may have
+    removed an extreme drops the entry, and :meth:`bounds` recomputes a
+    missing one with a single scan.  Like every other member, they
+    assume one caller at a time (an engine's lock).
     """
 
     _GROWTH = 1.6
@@ -52,6 +64,7 @@ class Table:
         self._n_slots = 0
         self._n_live = 0
         self._next_tid = 0
+        self._bounds: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -72,6 +85,7 @@ class Table:
         self._n_slots += 1
         self._n_live += 1
         self._next_tid += 1
+        self._fold(self._data[slot:slot + 1])
         return tid
 
     def insert_many(self, rows: np.ndarray) -> List[int]:
@@ -95,6 +109,7 @@ class Table:
         self._n_slots = hi
         self._n_live += n
         self._next_tid += n
+        self._fold(rows)
         return tids
 
     def delete(self, tid: int) -> np.ndarray:
@@ -103,6 +118,7 @@ class Table:
         self._tid_slot[tid] = -1
         self._live[slot] = False
         self._n_live -= 1
+        self._shed(self._data[slot:slot + 1])
         return self._data[slot].copy()
 
     def delete_many(self, tids: Iterable[int]) -> np.ndarray:
@@ -128,7 +144,55 @@ class Table:
         self._tid_slot[tid_arr] = -1
         self._live[slot_arr] = False
         self._n_live -= tid_arr.size
-        return self._data[slot_arr].copy()
+        removed = self._data[slot_arr]
+        self._shed(removed)
+        return removed
+
+    def restore(self, tids: np.ndarray, rows: np.ndarray,
+                next_tid: int) -> None:
+        """Replace the whole state with the live ``(tid, row)`` pairs of
+        a snapshot.
+
+        Dead slots are not reproduced (they carry no information); tid
+        numbering and the tid-to-slot map are exact, so reservoirs and
+        synopses referencing these tids restore verbatim and future
+        inserts continue from ``next_tid``.
+        """
+        tids = np.asarray(tids, dtype=np.int64)
+        n = int(tids.shape[0])
+        cap = max(16, n)
+        self._data = np.empty((cap, len(self.schema)))
+        self._data[:n] = rows
+        self._live = np.zeros(cap, dtype=bool)
+        self._live[:n] = True
+        self._tids = np.full(cap, -1, dtype=np.int64)
+        self._tids[:n] = tids
+        self._tid_slot = np.full(max(int(next_tid), 16), -1, dtype=np.int64)
+        self._tid_slot[tids] = np.arange(n, dtype=np.int64)
+        self._n_slots = n
+        self._n_live = n
+        self._next_tid = int(next_tid)
+        self._bounds = {}
+
+    def _fold(self, rows: np.ndarray) -> None:
+        """Widen every current column bound over inserted ``rows``."""
+        for j, (lo, hi) in self._bounds.items():
+            vals = rows[:, j]
+            a, b = vals.min(), vals.max()
+            if a != a:                          # a NaN: skip them
+                vals = vals[~np.isnan(vals)]
+                if not vals.size:
+                    continue
+                a, b = vals.min(), vals.max()
+            self._bounds[j] = (min(lo, float(a)), max(hi, float(b)))
+
+    def _shed(self, rows: np.ndarray) -> None:
+        """Drop the bounds deleted ``rows`` may have held up (an extreme
+        or a NaN among them, which the comparison cannot rule out)."""
+        for j, (lo, hi) in list(self._bounds.items()):
+            vals = rows[:, j]
+            if not (vals.min() > lo and vals.max() < hi):
+                del self._bounds[j]
 
     def _grow(self) -> None:
         new_cap = int(self._data.shape[0] * self._GROWTH) + 16
@@ -189,11 +253,23 @@ class Table:
         j = self._col_of[attr]
         return self._data[:self._n_slots, j][self._live[:self._n_slots]]
 
+    def bounds(self, attr: str) -> Optional[Tuple[float, float]]:
+        """The live column's ``(min, max)`` ignoring NaN, ``None`` when
+        it holds no other value (or no rows).  O(1) after the first call
+        unless a delete has since removed an extreme."""
+        j = self._col_of[attr]
+        found = self._bounds.get(j)
+        if found is None:
+            col = self.column(attr)
+            col = col[~np.isnan(col)]
+            found = self._bounds[j] = (
+                (float(col.min()), float(col.max())) if col.size
+                else (math.inf, -math.inf))
+        return found if found[0] <= found[1] else None
+
     def domain(self, attr: str) -> Tuple[float, float]:
-        col = self.column(attr)
-        if col.size == 0:
-            return (0.0, 0.0)
-        return (float(col.min()), float(col.max()))
+        """:meth:`bounds`, ``(0.0, 0.0)`` for a column without values."""
+        return self.bounds(attr) or (0.0, 0.0)
 
     # ------------------------------------------------------------------ #
     # archival interface (offline access only - Section 2.1)

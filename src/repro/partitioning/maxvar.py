@@ -265,8 +265,8 @@ class MaxVarOracle:
         m_b = values.shape[0]
         if m_b <= 1:
             return MaxVarResult(0.0, witness=rect)
-        widths = coords.max(axis=0) - coords.min(axis=0)
-        dim = int(np.argmax(widths))
+        dim = 0 if coords.shape[1] == 1 else int(np.argmax(
+            coords.max(axis=0) - coords.min(axis=0)))
         order = np.argsort(coords[:, dim], kind="stable")
         vals = values[order]
         mid = m_b // 2

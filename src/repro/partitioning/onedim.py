@@ -20,13 +20,13 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.queries import AggFunc, Rectangle
 from .maxvar import PrefixStats
-from .spec import TreeSpec, leaf_intervals, tree_from_intervals
+from .spec import TreeSpec, leaf_edges, tree_from_intervals
 
 
 @dataclass
@@ -45,16 +45,20 @@ class OneDimResult:
         """Built on first use: a rejected candidate never needs one."""
         return tree_from_intervals(self.boundaries, self.rect)
 
-    def leaf_rects(self) -> List[Rectangle]:
-        """The leaf rectangles of :attr:`tree`, worst bucket first."""
-        rects = leaf_intervals(self.boundaries, self.rect)
-        edges = [rect.hi[0] for rect in rects[:-1]]
-        worst = [0.0] * len(rects)
+    def leaf_rects(self) -> Iterator[Rectangle]:
+        """The leaf rectangles of :attr:`tree`, worst bucket first.
+
+        Ranked on the edges alone and built one at a time, so a
+        commit test that stops at its first rejecting leaf builds only
+        the rectangles it reads."""
+        los, his = leaf_edges(self.boundaries, self.rect)
+        edges = his[:-1]
+        worst = [0.0] * len(his)
         for edge, err in self.buckets:
             at = bisect.bisect_left(edges, edge)
             worst[at] = max(worst[at], err)
-        ranked = sorted(zip(worst, rects), key=lambda pair: -pair[0])
-        return [rect for _, rect in ranked]
+        for at in sorted(range(len(his)), key=lambda i: -worst[i]):
+            yield Rectangle((los[at],), (his[at],))
 
 
 class OneDimPartitioner:

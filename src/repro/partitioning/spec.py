@@ -68,8 +68,11 @@ class TreeSpec(NamedTuple):
                                tuple(kids[row]))
 
 
-def _leaf_edges(boundaries: Sequence[float],
-                full: Rectangle) -> Tuple[List[float], List[float]]:
+def leaf_edges(boundaries: Sequence[float],
+               full: Rectangle) -> Tuple[List[float], List[float]]:
+    """The leaf intervals of interior cuts ``c_1 < ... < c_{k-1}`` as
+    ``(lo, hi)`` edge lists: leaf i covers ``(c_{i-1}, c_i]`` (with the
+    full rectangle's ends at the extremes)."""
     # Duplicate cuts and cuts at (or beyond) the domain edges would
     # create empty leaf intervals.
     cuts = sorted({c for c in boundaries if full.lo[0] <= c < full.hi[0]})
@@ -77,23 +80,14 @@ def _leaf_edges(boundaries: Sequence[float],
             cuts + [full.hi[0]])
 
 
-def leaf_intervals(boundaries: Sequence[float],
-                   full: Rectangle) -> List[Rectangle]:
-    """Consecutive 1-D leaf intervals for interior cuts ``c_1 < ... <
-    c_{k-1}``: leaf i covers ``(c_{i-1}, c_i]`` (with the full
-    rectangle's ends at the extremes)."""
-    return [Rectangle((lo,), (hi,))
-            for lo, hi in zip(*_leaf_edges(boundaries, full))]
-
-
 def tree_from_intervals(boundaries: Sequence[float],
                         full: Rectangle) -> TreeSpec:
-    """A balanced binary hierarchy over :func:`leaf_intervals` (the
+    """A balanced binary hierarchy over :func:`leaf_edges` (the
     paper's "128 leaf nodes in a balanced binary tree" setting), rows in
     preorder.  The node over leaves ``[a, b)`` splits at ``a`` plus the
     largest power of two below ``b - a``: the tree that merging
     neighbours pairwise, level by level, builds."""
-    los, his = _leaf_edges(boundaries, full)
+    los, his = leaf_edges(boundaries, full)
     rows, stack = [], [(0, len(los), -1)]        # rows: (parent, lo, hi)
     while stack:
         a, b, up = stack.pop()

@@ -165,15 +165,24 @@ class SamplePool:
         self._clear()
         self._file(tids, rows)
 
-    def insert_many(self, tids: Sequence[int]) -> IndexReports:  # requires-lock: _lock
+    def insert_many(self, tids: Sequence[int],  # requires-lock: _lock
+                    keys: Optional[np.ndarray] = None) -> IndexReports:
         """Account rows just inserted into the table, then let the pool
         track :meth:`target` as the table grows.
+
+        ``keys``, when given, are the stratum keys of ``tids``' rows, in
+        the same order (``tids`` ascending, as the table assigns them):
+        the caller's own descent already found them, so the accepted
+        rows are filed under them instead of routed again.
 
         Growth is applied by resampling (a grown target filled only by
         future arrivals would bias the pool), amortized by the 25%
         hysteresis so steady insertion costs O(1) per tuple.
         """
-        reports = self._apply(self.reservoir.on_insert_many(tids))
+        change = self.reservoir.on_insert_many(tids)
+        if keys is not None and change.added:
+            keys = keys[np.searchsorted(np.asarray(tids), change.added)]
+        reports = self._apply(change, keys)
         want = self.target()
         if want > 1.25 * self.reservoir.target_size:
             reports += self._apply(self.reservoir.set_target(want))
@@ -184,8 +193,10 @@ class SamplePool:
         return self._apply(self.reservoir.on_delete_many(tids))
 
     # ------------------------------------------------------------------ #
-    def _apply(self, change: PoolChange) -> IndexReports:  # requires-lock: _lock
-        """Bring rows, strata and index in line with the reservoir."""
+    def _apply(self, change: PoolChange,  # requires-lock: _lock
+               keys: Optional[np.ndarray] = None) -> IndexReports:
+        """Bring rows, strata and index in line with the reservoir
+        (``keys``: the added rows' stratum keys, if already known)."""
         reports: IndexReports = []
         if change.reset:
             # A fresh index (oracles hold the old one: ``None`` tells
@@ -208,7 +219,7 @@ class SamplePool:
                                     rows[:, self._index_on[1]])
                 if not change.reset:
                     reports.append(self._coords(rows))
-            self._file(tids, rows)
+            self._file(tids, rows, keys)
         return reports
 
     def _coords(self, rows: np.ndarray) -> np.ndarray:
@@ -230,14 +241,17 @@ class SamplePool:
         self._loc_key = np.full(64, -1, dtype=np.int64)
         self._loc_row = np.zeros(64, dtype=np.int64)
 
-    def _file(self, tids: np.ndarray, rows: np.ndarray) -> None:  # requires-lock: _lock
-        """Route a row block once and append it to its strata."""
+    def _file(self, tids: np.ndarray, rows: np.ndarray,  # requires-lock: _lock
+              keys: Optional[np.ndarray] = None) -> None:
+        """Append a row block to its strata, routing it once unless its
+        ``keys`` are given."""
         if tids.size == 0:
             return
         if self._route is None:
             self._add_block(0, tids, rows)
             return
-        keys = self._route(rows)
+        if keys is None:
+            keys = self._route(rows)
         for key in np.unique(keys):
             sel = np.flatnonzero(keys == key)
             self._add_block(int(key), tids[sel], rows[sel])

@@ -14,7 +14,7 @@ from repro.partitioning.equidepth import (equidepth_boundaries,
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.partitioning.maxvar import PrefixStats
 from repro.partitioning.onedim import OneDimPartitioner
-from repro.partitioning.spec import (TreeSpec, leaf_intervals,
+from repro.partitioning.spec import (TreeSpec, leaf_edges,
                                      tree_from_intervals)
 
 
@@ -101,8 +101,9 @@ class TestSpec:
                 left, _ = node.children
                 assert size[left] == \
                     2 ** math.floor(math.log2(size[node.row] - 1))
-        assert [n.rect for n in tree.leaves()] == \
-            leaf_intervals(boundaries, full)
+        assert [n.rect for n in tree.leaves()] == [
+            Rectangle((lo,), (hi,))
+            for lo, hi in zip(*leaf_edges(boundaries, full))]
         assert size[0] == k and tree.rect == full
         assert_valid(tree)
 

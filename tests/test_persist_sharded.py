@@ -9,6 +9,7 @@ from repro.core.janus import JanusConfig
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.sharded import ShardedJanusAQP
+from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
 
 ALL_AGGS = (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN,
@@ -66,6 +67,25 @@ class TestRoundtrip:
             assert a.exact == b.exact
         sharded.close()
         restored.close()
+
+    def test_archived_table_loads_over_kept_bounds(self, ds, tmp_path):
+        """A table whose domain was read before an archive is loaded
+        into it reports the archive's domain, not the stale one."""
+        sharded = build(ds)
+        save_sharded(sharded, tmp_path / "fleet")
+        with np.load(tmp_path / "fleet" / "manifest.npz") as archive:
+            tids, rows = archive["table1_tids"], archive["table1_rows"]
+        table = Table(ds.schema)
+        table.insert_many(ds.data[10_000:] * 100.0)
+        for attr in ds.schema:
+            table.domain(attr)
+        table.restore(tids, rows, int(tids.max()) + 1)
+        for j, attr in enumerate(ds.schema):
+            assert table.domain(attr) == (rows[:, j].min(),
+                                          rows[:, j].max())
+            assert table.domain(attr) == \
+                sharded.tables[1].domain(attr)
+        sharded.close()
 
     def test_manifest_restores_coordinator_state(self, ds, tmp_path):
         sharded = build(ds, sharding="range")

@@ -221,6 +221,22 @@ class TestShardedLifecycle:
         assert sharded.insert(ds.data[3_000]) == 3_000
         sharded.close()
 
+    def test_domain_skips_shards_without_a_value(self):
+        """A shard holding only NaN in the column (or nothing) adds
+        nothing to the union's domain - not a ``(0.0, 0.0)``."""
+        sharded = ShardedJanusAQP(("x", "a"), "a", ("x",), n_shards=4,
+                                  sharding="hash")
+        nan = math.nan
+        # tid t -> shard t % 4: x is [nan, 10] / [nan, nan] / [3] / [5]
+        sharded.insert_many(np.array(
+            [[nan, 1], [nan, 1], [3, 1], [5, 1], [10, 1], [nan, 1]]))
+        assert sharded.shard_sizes() == [2, 2, 1, 1]
+        assert sharded.table.domain("x") == (3.0, 10.0)
+        assert sharded.table.domain("a") == (1.0, 1.0)
+        sharded.delete(2)                       # shard 2 is empty now
+        assert sharded.table.domain("x") == (5.0, 10.0)
+        sharded.close()
+
     def test_closed_engines_are_freed_without_a_gc_pass(self):
         """No reference cycle runs through an engine (nothing it owns
         points back at it), so a dropped engine dies with its last

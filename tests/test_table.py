@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table, table_from_array
@@ -79,6 +80,88 @@ class TestAccess:
     def test_live_rows_shape(self, small_table):
         small_table.delete(3)
         assert small_table.live_rows().shape == (3, 2)
+
+
+def expected_domain(table, attr):
+    col = table.column(attr)
+    col = col[~np.isnan(col)]
+    return (col.min(), col.max()) if col.size else (0.0, 0.0)
+
+
+#: Values that stress the kept bounds: NaN, both infinities, both zeros
+#: and a few small repeats (duplicated extremes).
+EDGY = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                        1.0, -1.0, 2.5])
+ROW = st.tuples(EDGY, EDGY)
+WRITE = st.one_of(
+    st.tuples(st.just("insert"), ROW),
+    st.tuples(st.just("insert_many"), st.lists(ROW, max_size=6)),
+    st.tuples(st.just("delete"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("delete_many"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("delete_all"), st.just(0)))
+
+
+class TestDomain:
+    """The table keeps each read column's live bounds through writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ROW, max_size=8), st.lists(WRITE, max_size=25))
+    def test_kept_bounds_match_a_scan(self, seed_rows, writes):
+        t = Table(("x", "y"))
+        t.insert_many(np.array(seed_rows, dtype=np.float64))
+        for step, (op, arg) in enumerate(writes):
+            live = t.live_tids()
+            if op == "insert":
+                t.insert(arg)
+            elif op == "insert_many":
+                t.insert_many(np.array(arg, dtype=np.float64))
+            elif op == "delete" and live.size:
+                t.delete(int(live[arg % live.size]))
+            elif op == "delete_many":
+                k = arg % (live.size + 1)
+                t.delete_many(np.random.default_rng(arg).choice(
+                    live, k, replace=False))
+            elif op == "delete_all":
+                t.delete_many(live)
+            # "y" is read only now and then: its bounds start and stop
+            # being kept mid-sequence
+            for attr in ("x", "y") if step % 3 else ("x",):
+                assert t.domain(attr) == expected_domain(t, attr)
+
+    def test_nan_is_ignored(self):
+        t = Table(("x",))
+        t.insert_many(np.array([[3.0], [math.nan], [-1.0]]))
+        assert t.domain("x") == (-1.0, 3.0)
+        t.insert((math.nan,))
+        t.insert((7.0,))
+        assert t.domain("x") == (-1.0, 7.0)
+
+    def test_no_value_but_nan(self):
+        t = Table(("x",))
+        t.insert_many(np.array([[math.nan], [math.nan]]))
+        assert t.domain("x") == (0.0, 0.0)
+        assert t.bounds("x") is None
+        t.insert((5.0,))
+        assert t.domain("x") == (5.0, 5.0)
+
+    def test_deleting_an_extreme_rescans(self):
+        t = Table(("x",))
+        t.insert_many(np.array([[1.0], [2.0], [3.0], [3.0]]))
+        assert t.domain("x") == (1.0, 3.0)
+        t.delete(3)                 # one of two equal maxima
+        assert t.domain("x") == (1.0, 3.0)
+        t.delete_many([0, 2])
+        assert t.domain("x") == (2.0, 2.0)
+
+    def test_restore_forgets_the_old_bounds(self):
+        t = Table(("x", "a"))
+        t.insert_many(np.array([[-50.0, 1.0], [50.0, 2.0]]))
+        assert t.domain("x") == (-50.0, 50.0)
+        t.restore(np.array([3, 7]), np.array([[1.0, 0.0], [2.0, 0.0]]), 9)
+        assert t.domain("x") == (1.0, 2.0)
+        assert t.live_tids().tolist() == [3, 7]
+        assert t.insert((4.0, 0.0)) == 9
+        assert t.domain("x") == (1.0, 4.0)
 
 
 class TestArchival:
