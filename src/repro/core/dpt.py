@@ -22,8 +22,9 @@ contributing nu_s); see :mod:`repro.core.estimators` for the formulas.
 The tree is one :class:`~repro.core.node.NodeTable`: a node is a row,
 named outside the tree by a :class:`~repro.core.node.NodeRef`.  Every
 write entry point sends its ``(n, d)`` coordinates through the one router
-(:meth:`~DynamicPartitionTree._route`) and hands the (node, row) pairs to
-the table's grouped-update kernel - O(depth) array operations per batch.
+(:meth:`~DynamicPartitionTree._route`), which finds each row's leaf (in
+1-D by one ``searchsorted``) and hands the (node, row) pairs of the
+leaves' paths to the table's grouped-update kernel.
 
 Queries are batched the same way: :meth:`DynamicPartitionTree.query_many`
 finds every query's frontier in one shared pass
@@ -50,11 +51,10 @@ from .queries import (AggFamily, AggFunc, Query, QueryResult,
 
 LeafSamplesFn = Callable[[NodeRef], np.ndarray]
 
-#: Batches with fewer rows than this are routed one row at a time over
-#: the node table's list columns; larger ones level by level with array
-#: operations.  The level-wise walk costs ~0.16 ms of fixed array-call
-#: overhead, the row walk ~10 us per row, so they cross near 16 rows
-#: (chosen by the microbench in ``.claude/skills/verify/SKILL.md``).
+#: Without the 1-D search, batches with fewer rows than this walk one row
+#: at a time over the node table's list columns, larger ones level by
+#: level with array operations: ~0.16 ms of fixed array-call overhead
+#: against ~10 us a row, crossing near 16 rows (the write-path bench).
 LEVELWISE_MIN_ROWS = 16
 
 #: Matched-sample moments of a batch's (query, partial leaf) pairs as
@@ -113,16 +113,15 @@ class DynamicPartitionTree:
     # structure
     # ------------------------------------------------------------------ #
     def _index(self) -> None:
-        """Every structure change ends here: the leaf records, and the
-        frontier traversal as flat arrays - ``_dfs_rows`` lists the rows
-        in the order the lone :meth:`frontier` stack visits them (last
-        child first), so batched classification emits each query's rows
-        in the identical order by walking positions ascending;
-        ``_dfs_lo`` / ``_dfs_hi`` / ``_dfs_leaf`` are the table's
-        rectangle columns in that order, ``_dfs_levels`` its
-        child->parent position links by depth."""
+        """Every structure change ends here: the leaf records, the
+        router's tables, and the frontier traversal as flat arrays -
+        ``_dfs_rows``, the rows in the order the lone :meth:`frontier`
+        stack visits them (last child first, so batched classification
+        keeps each query's rows in that order), their rectangles and
+        leaf flags, and ``_dfs_levels``, child->parent links by depth."""
         t = self.table
-        leaf_rows = np.flatnonzero(t.leaf_pos >= 0)
+        is_leaf = t.leaf_pos >= 0
+        leaf_rows = np.flatnonzero(is_leaf)
         self.leaves: List[NodeRef] = [self.node(r)
                                       for r in leaf_rows.tolist()]
         self._leaf_ids = t.node_id[leaf_rows]
@@ -133,8 +132,9 @@ class DynamicPartitionTree:
         self._dfs_rows = rows = np.array(order, dtype=np.intp)
         self._dfs_lo, self._dfs_hi = t.lo[rows], t.hi[rows]
         self._dfs_leaf = t.leaf_pos[rows] >= 0
-        depth = [0] * len(t)
-        for row, up in enumerate(t.parent[1:].tolist(), 1):
+        parent = t.parent.tolist()
+        self._depth = depth = [0] * len(t)
+        for row, up in enumerate(parent[1:], 1):
             depth[row] = depth[up] + 1      # preorder: parents come first
         pos = np.empty(len(t), dtype=np.intp)
         pos[rows] = np.arange(len(t))
@@ -142,6 +142,14 @@ class DynamicPartitionTree:
         self._dfs_levels = [
             (at, pos[t.parent[rows[at]]]) for at in
             (np.flatnonzero(by_pos == d) for d in range(1, max(depth) + 1))]
+        # For the router: each leaf's path (its depth-L ancestor at L, -1
+        # past the leaf), first leaves, right edges (if searchable).
+        self._first_leaf = (np.cumsum(is_leaf) - is_leaf).tolist()
+        self._paths = np.full((max(depth) + 1, leaf_rows.size), -1)
+        for i, row in enumerate(leaf_rows.tolist()):
+            while row >= 0:
+                self._paths[depth[row], i], row = row, parent[row]
+        self._leaf_hi = t.hi[leaf_rows, 0] if _searchable(t) else None
 
     def node(self, row: int) -> NodeRef:
         t = self.table
@@ -212,7 +220,7 @@ class DynamicPartitionTree:
     # ------------------------------------------------------------------ #
     def route_leaf(self, coords: Sequence[float]) -> NodeRef:
         """The leaf whose partition contains ``coords``."""
-        return self.leaves[self.table.leaf_pos[self._walk(coords, 0)[-1]]]
+        return self.leaves[self.table.leaf_pos[self._walk(coords, 0)]]
 
     def route_rows(self, coords: np.ndarray) -> np.ndarray:
         """Leaf positions (into :attr:`leaves`) of ``(n, d)`` points."""
@@ -229,8 +237,8 @@ class DynamicPartitionTree:
         second descent."""
         return self._leaf_ids[leaf_pos]
 
-    def _walk(self, point: Sequence[float], node: int) -> List[int]:
-        """Table rows on one point's path from row ``node`` to its leaf.
+    def _walk(self, point: Sequence[float], node: int) -> int:
+        """The table row of one point's leaf below row ``node``.
 
         The routing rule, which :meth:`_route` applies to whole batches:
         the first child (in order) whose closed rectangle contains the
@@ -241,7 +249,6 @@ class DynamicPartitionTree:
         """
         kids, lo, hi = (self.table.kids, self.table.lo_rows,
                         self.table.hi_rows)
-        path = [node]
         while kids[node]:
             for child in kids[node]:
                 if all(a <= x <= b for a, x, b in
@@ -251,8 +258,7 @@ class DynamicPartitionTree:
                 child = min(kids[node], key=lambda c: _rect_distance(
                     lo[c], hi[c], point))
             node = child
-            path.append(node)
-        return path
+        return node
 
     def _route(self, coords: np.ndarray, start: int = 0,
                keep_start: bool = True
@@ -260,35 +266,52 @@ class DynamicPartitionTree:
         """The router: descend an ``(n, d)`` batch from row ``start``.
 
         Returns ``(ids, rows, leaf_of)``: the (node row, data row) pairs
-        of every node on some row's path - each node's pairs in
-        ascending data-row order, the start node's left out unless
-        ``keep_start`` - and each row's leaf as a position in
-        :attr:`leaves`.  Small batches take :meth:`_walk` per row;
-        larger ones move all rows down one level per step with a
-        handful of array operations (see :data:`LEVELWISE_MIN_ROWS`).
-        Both apply the same rule, so they produce the same paths.
+        of every node on some row's path (:meth:`_expand`) and each row's
+        leaf position in :attr:`leaves`, by :meth:`_search_leaves` (1-D),
+        a :meth:`_walk` per row (small batches) or :meth:`_walk_levels`.
         """
+        if self._leaf_hi is not None:
+            leaf = self._search_leaves(coords[:, 0], start)
+        elif coords.shape[0] < LEVELWISE_MIN_ROWS:
+            leaf = self.table.leaf_pos[[self._walk(point, start)
+                                        for point in coords.tolist()]]
+        else:
+            leaf = self._walk_levels(coords, start)
+        return (*self._expand(leaf, start, keep_start), leaf)
+
+    def _expand(self, leaf: np.ndarray, start: int, keep_start: bool
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs of the paths from ``start`` (if ``keep_start``) to
+        ``leaf``, read level-major: each node's data rows ascend."""
+        paths = self._paths[self._depth[start] + (not keep_start):, leaf]
+        on = paths >= 0
+        return paths[on], on.nonzero()[1]
+
+    def _search_leaves(self, x: np.ndarray, start: int) -> np.ndarray:
+        """1-D leaves below row ``start``: the first whose right edge
+        reaches ``x`` from ``start``'s first on (:func:`_searchable`).
+        A NaN, or a point outside ``start`` (nearest child), walks."""
+        leaf = self._leaf_hi.searchsorted(x)
+        if self._first_leaf[start]:
+            np.maximum(leaf, self._first_leaf[start], out=leaf)
+        (lo,), (hi,) = self.table.lo_rows[start], self.table.hi_rows[start]
+        stray = ~((x >= lo) & (x <= hi))
+        for i in np.flatnonzero(stray).tolist():
+            leaf[i] = self.table.leaf_pos[self._walk((x[i],), start)]
+        return leaf
+
+    def _walk_levels(self, coords: np.ndarray, start: int) -> np.ndarray:
+        """Leaf positions of an ``(n, d)`` batch, a level a step."""
         t = self.table
-        n = coords.shape[0]
-        first = 0 if keep_start else 1
-        if n < LEVELWISE_MIN_ROWS:
-            paths = [self._walk(point, start) for point in coords.tolist()]
-            ids = np.array([i for path in paths for i in path[first:]],
-                           dtype=np.intp)
-            rows = np.repeat(np.arange(n),
-                             [len(path) - first for path in paths])
-            return ids, rows, t.leaf_pos[[path[-1] for path in paths]]
-        cur = np.full(n, start, dtype=np.intp)
-        rows, x = np.arange(n), coords
-        levels = [(cur.copy(), rows)]
+        cur = np.full(coords.shape[0], start, dtype=np.intp)
+        rows, x = np.arange(coords.shape[0]), coords
         while True:
             kids = t.child[cur[rows]]                     # (m, fanout)
             inner = kids[:, 0] < len(t.kids)              # not at a leaf
             if not inner.all():
-                if not inner.any():
-                    break
-                rows, kids = rows[inner], kids[inner]
-                x = coords[rows]
+                rows, kids, x = rows[inner], kids[inner], coords[rows[inner]]
+            if not rows.size:
+                return t.leaf_pos[cur]
             pt = x[:, None, :]
             inside = ((t.lo[kids] <= pt) & (pt <= t.hi[kids])).all(axis=2)
             slot = inside.argmax(axis=1)
@@ -296,13 +319,7 @@ class DynamicPartitionTree:
             if lost.any():
                 slot[lost] = _nearest_slot(t.lo[kids[lost]],
                                            t.hi[kids[lost]], pt[lost])
-            below = kids[np.arange(rows.size), slot]
-            cur[rows] = below
-            levels.append((below, rows))
-        levels = levels[first:] or [(cur[:0], cur[:0])]    # leaf start
-        return (np.concatenate([ids for ids, _ in levels]),
-                np.concatenate([rows for _, rows in levels]),
-                t.leaf_pos[cur])
+            cur[rows] = kids[np.arange(rows.size), slot]
 
     def _as_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -719,6 +736,21 @@ def _cut_rows(rows: np.ndarray, hit: np.ndarray) -> List[List[int]]:
     ends = np.searchsorted(at, np.arange(n, n * hit.shape[1] + 1,
                                          n)).tolist()
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _searchable(t: NodeTable) -> bool:
+    """Whether 1-D walks end at the first leaf reaching ``x``: a child
+    starts by its parent's (first) or its sibling's end (just past), a
+    last child ends with its parent, leaf right edges never decrease."""
+    if t.lo.shape[1] != 1:
+        return False
+    lo, hi = t.lo[:, 0].tolist(), t.hi[:, 0].tolist()
+    ends = [hi[row] for row, kids in enumerate(t.kids) if not kids]
+    return all(a <= b for a, b in zip(ends, ends[1:])) and all(
+        lo[kids[0]] <= lo[up] and hi[kids[-1]] == hi[up] and
+        all(lo[b] <= math.nextafter(hi[a], math.inf)
+            for a, b in zip(kids, kids[1:]))
+        for up, kids in enumerate(t.kids) if kids)
 
 
 def _rect_distance(lo: Sequence[float], hi: Sequence[float],

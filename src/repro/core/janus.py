@@ -317,10 +317,15 @@ class JanusAQP:
     def _snapshot(self, scope: Optional[NodeRef],  # requires-lock: _lock
                   frozen: bool) -> tuple:
         """Stage 1, :meth:`_partition`'s arguments: copies of the pool
-        items, leaf budget, root rectangle (the table domains, or
+        items (in 1-D the index's key-ordered view, which no write
+        touches), leaf budget, root rectangle (the table domains, or
         ``scope``'s own), ``|D|``, and - unless the build will run
         without the lock - the live pool index."""
-        coords, values, tids = self.sample_index.all_items()
+        if len(self.predicate_attrs) == 1:
+            keys, values, tids = self.sample_index.key_order()
+            coords = keys[:, None]
+        else:
+            coords, values, tids = self.sample_index.all_items()
         if scope is None:
             domains = [self.table.domain(a) for a in self.predicate_attrs]
             k, rect = self.config.k, Rectangle(
@@ -347,24 +352,26 @@ class JanusAQP:
         """
         if coords.shape[0] == 0:
             raise RuntimeError("cannot partition: empty sample pool")
-        inside = np.flatnonzero(rect.contains_points(coords))
-        if inside.size == 0:
-            return KDTreeResult(TreeSpec.of([-1], [rect]), 0.0)  # one leaf
         focus, delta = self.config.focus_agg, self.config.delta
         if len(self.predicate_attrs) == 1:
-            # Canonical tid order: with duplicate keys the stable
-            # by-key argsort would otherwise tie-break by pool storage
-            # order, an implementation detail.
-            order = inside[np.argsort(tids[inside], kind="stable")]
-            return OneDimPartitioner(focus, delta=delta).partition(
-                coords[order, 0], values[order], k, n_population=n_pop,
-                domain=(rect.lo[0], rect.hi[0]))
-        if index is None and focus is AggFunc.AVG:
-            index = RangeIndex(len(self.predicate_attrs))
-            index.add_many(tids, coords, values)
-        return KDTreePartitioner(focus, delta=delta).partition_rows(
-            coords, values, tids, k, n_population=n_pop, root_rect=rect,
-            index=index)
+            # The snapshot is in (key, tid) order, NaN keys last: the
+            # items inside ``rect`` are one slice of it, and ties are
+            # broken by tid, not by pool storage order.
+            keys, lo, hi = coords[:, 0], rect.lo[0], rect.hi[0]
+            a, b = keys.searchsorted(lo, "left"), keys.searchsorted(hi,
+                                                                   "right")
+            if lo <= hi and a < b:
+                return OneDimPartitioner(focus, delta=delta).partition(
+                    keys[a:b], values[a:b], k, n_population=n_pop,
+                    domain=(lo, hi))
+        elif rect.contains_points(coords).any():
+            if index is None and focus is AggFunc.AVG:
+                index = RangeIndex(len(self.predicate_attrs))
+                index.add_many(tids, coords, values)
+            return KDTreePartitioner(focus, delta=delta).partition_rows(
+                coords, values, tids, k, n_population=n_pop,
+                root_rect=rect, index=index)
+        return KDTreeResult(TreeSpec.of([-1], [rect]), 0.0)  # one leaf
 
     def _install(self, spec: TreeSpec,  # requires-lock: _lock
                  scope: Optional[NodeRef], catchup_goal: Optional[int]

@@ -15,6 +15,12 @@ the point set itself:
   ``report`` results as array slices instead of materializing Python
   tuples per point.  A write appends or tombstones; dead slots are
   compacted away once they pass 30% of the store.
+* **A key-ordered view (1-D)** - ``key_order`` sorts the live points
+  by ``(key, tid)`` once per ``version`` (one sort), and
+  ``key_range(rect)`` slices it with two binary searches: the points
+  ``report(rect)`` returns, in the order the SUM oracle and the 1-D
+  partitioner sort them into.  The arrays are replaced, never written,
+  so a reader may keep them past the next write.
 * **k-d cells on demand** - ``small_cells``, the analogue of the
   paper's weighted-rectangle structure T for the AVG oracle, needs
   canonical tree cells.  The first call after a write roots a balanced
@@ -31,6 +37,7 @@ All higher layers use only:
 * ``insert(tid, coords, value)`` / ``delete(tid)``
 * ``add_many(tids, coords, values)`` / ``delete_many(tids)``
 * ``count(rect)`` / ``report(rect)`` / ``all_items()``
+* ``key_order()`` / ``key_range(rect)`` (1-D)
 * ``small_cells(rect, max_count)`` - canonical cells fully inside
   ``rect`` holding at most ``max_count`` live points
 """
@@ -87,7 +94,8 @@ class RangeIndex:
     """A point index over ``(coords, value)`` samples keyed by tid.
 
     ``seed`` is accepted and ignored: nothing here is random, and the
-    end-to-end benchmark's ledger still passes one.
+    end-to-end benchmark's ledger still passes one.  The index has no
+    lock of its own; ``_lock`` below is its owner's.
     """
 
     def __init__(self, dim: int, leaf_size: int = _LEAF_SIZE,
@@ -111,6 +119,9 @@ class RangeIndex:
         # The k-d tree small_cells last built, and the version it is of.
         self._tree: Optional[_KDNode] = None
         self._tree_version = -1
+        # The view key_order last built, and the version it is of.
+        self._view: Optional[Tuple[np.ndarray, ...]] = None  # guarded-by: _lock
+        self._view_version = -1  # guarded-by: _lock
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -263,6 +274,41 @@ class RangeIndex:
         """All live points: ``(coords, values, tids)``."""
         keep = np.flatnonzero(self._alive[:self._n_slots])
         return self._coords[keep], self._values[keep], self._tids[keep]
+
+    def key_order(self  # requires-lock: _lock
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1-D: every live point as ``(keys, values, tids)`` in ``(key,
+        tid)`` order, NaN keys last - built once per :attr:`version`."""
+        if self._view_version != self.version:
+            keep = np.flatnonzero(self._alive[:self._n_slots])
+            keys, tids = self._coords[keep, 0], self._tids[keep]
+            # Distinct keys have one order, which the unstable sort
+            # finds several times faster; ties (two NaNs included) need
+            # the tid as a second key.
+            order = keys.argsort()
+            ranked = keys[order]
+            if keys.size > 1 and (ranked[-2] != ranked[-2] or
+                                  (ranked[1:] == ranked[:-1]).any()):
+                order = np.lexsort((tids, keys))
+            self._view = (keys[order], self._values[keep[order]],
+                          tids[order])
+            self._view_version = self.version
+        return self._view
+
+    def key_range(self, rect: Rectangle  # requires-lock: _lock
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1-D :meth:`report` in :meth:`key_order`: a slice of the view.
+
+        The same points as the mask - which skips a comparison against
+        an infinite bound, so NaN keys fall inside ``(-inf, inf)`` only
+        - sorted by key, then tid."""
+        keys, values, tids = self.key_order()
+        lo, hi = rect.lo[0], rect.hi[0]
+        if lo == -math.inf and hi == math.inf:
+            return keys, values, tids
+        a = keys.searchsorted(lo, "left")
+        b = keys.searchsorted(hi, "right") if lo <= hi else a
+        return keys[a:b], values[a:b], tids[a:b]
 
     # ------------------------------------------------------------------ #
     # canonical cells (k-d tree over the live points, built on demand)

@@ -138,21 +138,32 @@ class PrefixStats:
 
     def max_var_sum_many(self, i: np.ndarray, j: np.ndarray,
                          pop_ratio: float) -> np.ndarray:
-        """:meth:`max_var_sum` over int64 index arrays: the same IEEE
-        operations in the same order, so every entry is bit-equal to
-        the scalar call (``m_b ** 3`` is exact in int64 below 2**21)."""
+        """:meth:`max_var_sum` over int64 index arrays (``i`` may
+        broadcast against ``j``): the same IEEE operations on the same
+        operands - in place, and each prefix entry gathered once - so
+        every entry is bit-equal to the scalar call (``m_b ** 3`` is
+        exact in int64 below 2**21)."""
         m_b = j - i
-        mid = i + m_b // 2
+        mid = m_b // 2
+        mid += i
         p1, p2 = self.p1, self.p2
         with np.errstate(all="ignore"):      # 0/0 where m_b == 0, inf-inf
-            n_b = pop_ratio * m_b
-            scale = (n_b * n_b) / (m_b ** 3)
-            s, s2 = p1[mid] - p1[i], p2[mid] - p2[i]
-            left = scale * (m_b * s2 - s * s)
-            s, s2 = p1[j] - p1[mid], p2[j] - p2[mid]
-            right = scale * (m_b * s2 - s * s)
+            scale = pop_ratio * m_b
+            scale *= scale
+            scale /= m_b ** 3
+            at_mid = np.take(p1, mid), np.take(p2, mid)
+            halves = []
+            for s, s2 in ((at_mid[0] - np.take(p1, i),
+                           at_mid[1] - np.take(p2, i)),
+                          (np.take(p1, j) - at_mid[0],
+                           np.take(p2, j) - at_mid[1])):
+                s2 *= m_b                    # scale * (m_b * s2 - s * s)
+                s *= s
+                s2 -= s
+                s2 *= scale
+                halves.append(s2)
             # Python's max(0.0, left, right) skips NaNs: so does fmax.
-            var = np.fmax(left, right)
+            var = np.fmax(*halves, out=halves[0])
             return np.where((m_b > 1) & (var > 0.0), var, 0.0)
 
     def max_var_avg(self, i: int, j: int, window: int) -> float:
@@ -219,6 +230,14 @@ class MaxVarOracle:
         return self.agg is not AggFunc.AVG
 
     def max_variance(self, rect: Rectangle) -> MaxVarResult:
+        if self.index.dim == 1 and self.agg is not AggFunc.AVG:
+            # The rectangle's points are a slice of the key-ordered
+            # view: already in the (key, tid) order sorted for below.
+            keys, values, _ = self.index.key_range(rect)
+            if self.agg is AggFunc.COUNT:
+                return MaxVarResult(count_query_variance(
+                    self.pop_ratio, values.shape[0]), witness=rect)
+            return self._best_half(rect, 0, keys, values)
         if self.agg is AggFunc.COUNT:
             m_b = self.index.count(rect)
             return MaxVarResult(count_query_variance(self.pop_ratio, m_b),
@@ -262,16 +281,23 @@ class MaxVarOracle:
 
     def _max_var_sum(self, rect: Rectangle, coords: np.ndarray,
                      values: np.ndarray) -> MaxVarResult:
-        m_b = values.shape[0]
-        if m_b <= 1:
+        if values.shape[0] <= 1:
             return MaxVarResult(0.0, witness=rect)
         dim = 0 if coords.shape[1] == 1 else int(np.argmax(
             coords.max(axis=0) - coords.min(axis=0)))
         order = np.argsort(coords[:, dim], kind="stable")
-        vals = values[order]
+        return self._best_half(rect, dim, coords[order, dim], values[order])
+
+    def _best_half(self, rect: Rectangle, dim: int, keys: np.ndarray,
+                   vals: np.ndarray) -> MaxVarResult:
+        """The SUM oracle over members sorted along ``dim``: the half of
+        ``rect`` cut at the median member with the larger variance."""
+        m_b = vals.shape[0]
+        if m_b <= 1:
+            return MaxVarResult(0.0, witness=rect)
         mid = m_b // 2
         best_var, best_witness = -1.0, rect
-        cut = float(coords[order[mid - 1], dim])
+        cut = float(keys[mid - 1])
         halves = ((0, mid), (mid, m_b))
         for idx, (lo, hi) in enumerate(halves):
             seg = vals[lo:hi]

@@ -7,7 +7,9 @@
   puts the rows, for both router walks, NaN coordinates and a growth
   resample.
 * A write that does not commit reads neither the table's columns nor
-  the router a second time (counted by monkeypatching).
+  the router a second time, and in 1-D never masks the pool: its oracle
+  calls and its candidate read slices of the key-ordered view, built
+  once per pool version (counted by monkeypatching).
 """
 
 import math
@@ -20,6 +22,7 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
+from repro.index.range_index import RangeIndex
 
 
 @pytest.fixture(scope="module")
@@ -121,13 +124,21 @@ def test_a_write_that_does_not_commit_rereads_nothing(monkeypatch, taxi):
     engine = taxi_engine(taxi, taxi.data[:19_000], check_every=80,
                          beta=1e12)
     lo, hi = engine.table.domain("pickup_time")
-    calls = {"column": 0, "live_rows": 0, "leaf_ids_of": 0}
+    calls = {"column": 0, "live_rows": 0, "leaf_ids_of": 0, "report": 0}
     for cls, name in ((Table, "column"), (Table, "live_rows"),
-                      (DynamicPartitionTree, "leaf_ids_of")):
+                      (DynamicPartitionTree, "leaf_ids_of"),
+                      (RangeIndex, "report")):
         def counted(self, *args, _name=name, _orig=getattr(cls, name)):
             calls[_name] += 1
             return _orig(self, *args)
         monkeypatch.setattr(cls, name, counted)
+    builds, key_order = [], RangeIndex.key_order
+
+    def counted_key_order(self):
+        if self._view_version != self.version:
+            builds.append((id(self), self.version))
+        return key_order(self)
+    monkeypatch.setattr(RangeIndex, "key_order", counted_key_order)
     rejected = engine._c_checks["rejected"].value
     rng = np.random.default_rng(3)
     inner = taxi.data[19_000:]
@@ -140,5 +151,9 @@ def test_a_write_that_does_not_commit_rereads_nothing(monkeypatch, taxi):
         engine.delete_many(rng.choice(interior, 20, replace=False))
     assert engine._c_checks["rejected"].value - rejected >= 10
     assert engine.n_repartitions == 0
-    assert calls == {"column": 0, "live_rows": 0, "leaf_ids_of": 0}
+    assert calls == {"column": 0, "live_rows": 0, "leaf_ids_of": 0,
+                     "report": 0}
+    # the view serves every oracle call and candidate of a pool version
+    assert len(builds) >= 10
+    assert len(set(builds)) == len(builds)
     assert engine.table.domain("pickup_time") == (lo, hi)

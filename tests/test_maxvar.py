@@ -106,6 +106,41 @@ class TestPrefixStats:
         for agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG):
             assert p.max_var(0, 1, agg, 1.0, 3) == 0.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e150, -1e150,
+                                1e-150, -1e-150, 7e153, 1e-160]),
+               st.floats(-1e6, 1e6),
+               st.floats(1e140, 1e160) | st.floats(-1e160, -1e140)),
+               min_size=1, max_size=40),
+           pop_ratio=st.sampled_from([1.0, 3.7, 1e6, 1e-6]),
+           seed=st.integers(0, 2 ** 16))
+    def test_sum_many_is_bit_equal_to_scalar(self, values, pop_ratio,
+                                             seed):
+        """The vector kernel the 1-D fail table runs on: every entry
+        equals the scalar oracle's IEEE double, over every bucket
+        ``[i, j)`` (``m_b`` = 0, 1, 2, ... included) and in the fail
+        table's ``(depth, start)`` broadcast shape."""
+        rng = np.random.default_rng(seed)
+        values = np.array(values)
+        values = values[rng.permutation(values.size)]
+        with np.errstate(all="ignore"):
+            p = PrefixStats(values)
+            m = p.m
+            i, j = np.triu_indices(m + 1)
+            flat = p.max_var_sum_many(i, j, pop_ratio)
+            probes = rng.integers(0, m + 1, (3, m + 1))
+            start = np.arange(m + 1)
+            probes = np.maximum(probes, start)
+            grid = p.max_var_sum_many(start, probes, pop_ratio)
+        assert flat.shape == i.shape and grid.shape == probes.shape
+        for a, b, got in zip(i.tolist(), j.tolist(), flat.tolist()):
+            assert repr(got) == repr(p.max_var_sum(a, b, pop_ratio)), \
+                (a, b)
+        for (d, a), b in np.ndenumerate(probes):
+            assert repr(float(grid[d, a])) == \
+                repr(p.max_var_sum(a, int(b), pop_ratio)), (a, b)
+
 
 # ---------------------------------------------------------------------- #
 # index-backed oracle

@@ -787,43 +787,150 @@ def test_scripted_sequence_covers_every_step_kind():
 
 
 # ---------------------------------------------------------------------- #
-# the router: two walks, one rule
+# the router: two walks and a 1-D search, one rule
 # ---------------------------------------------------------------------- #
+def leaf_finders(tree):
+    """The router's ways to find an ``(n, d)`` batch's leaves below a
+    start row, called directly: both walks, and the 1-D search where
+    the tree allows it."""
+    finders = {"rows": lambda coords, start: tree.table.leaf_pos[
+                   [tree._walk(point, start) for point in coords.tolist()]],
+               "levels": tree._walk_levels}
+    if tree._leaf_hi is not None:
+        finders["search"] = lambda coords, start: tree._search_leaves(
+            coords[:, 0], start)
+    return finders
+
+
+def reference_pairs(tree, leaf, start, keep_start):
+    """(node, data row) pairs from each leaf's parent links, sorted."""
+    pairs = []
+    for i, pos in enumerate(leaf.tolist()):
+        row = tree.leaves[pos].row
+        while True:
+            if row != start or keep_start:
+                pairs.append((row, i))
+            if row == start:
+                break
+            row = int(tree.table.parent[row])
+            assert row >= 0, "the leaf is not below the start row"
+    return sorted(pairs)
+
+
+def assert_one_route(tree, coords, start, keep_start):
+    """Every leaf finder, expanded, gives the same ``(ids, rows,
+    leaf_of)``, each node's rows ascending, the pairs those of the
+    leaves' paths, and ``_route`` is one of them."""
+    routes = {}
+    for name, find in leaf_finders(tree).items():
+        leaf = find(coords, start)
+        routes[name] = (*tree._expand(leaf, start, keep_start), leaf)
+    ids, src, leaf = routes["rows"]
+    for name, route in routes.items():
+        for got, want in zip(route, (ids, src, leaf)):
+            assert np.array_equal(got, want), name
+    # within a node, pairs come in ascending data-row order
+    assert all(np.all(np.diff(src[ids == node]) > 0)
+               for node in np.unique(ids))
+    assert sorted(zip(ids.tolist(), src.tolist())) == \
+        reference_pairs(tree, leaf, start, keep_start)
+    routed = tree._route(coords, start, keep_start)
+    assert all(np.array_equal(got, want)
+               for got, want in zip(routed, (ids, src, leaf)))
+    return leaf
+
+
 @pytest.mark.parametrize("world", ["1d", "2d", "wide"])
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 31 - 1),
-       subtree=st.booleans())
+       subtree=st.booleans(), replace=st.booleans())
 def test_row_walk_and_level_walk_take_identical_paths(world, n, seed,
-                                                      subtree):
+                                                      subtree, replace):
     frozen, tree = build_pair(world)
+    assert (tree._leaf_hi is not None) == (world != "2d")
     rng = np.random.default_rng(seed)
-    rows = draw_rows(rng, n, world, cut_values(frozen), nan=True)
+    if replace:
+        order = preorder(frozen)
+        inner = [i for i, node in enumerate(order)
+                 if not node.is_leaf and node.parent is not None]
+        at = inner[int(rng.integers(len(inner)))]
+        spec = replacement_spec(order[at])
+        if spec is not None:
+            frozen.replace_subtree(order[at], spec)
+            tree.replace_subtree(tree.node(at), spec)
+            assert (tree._leaf_hi is not None) == (world != "2d")
+    rows = draw_rows(rng, n, world, cut_values(tree), nan=True)
     coords = rows[:, tree._pred_idx]
+    coords[rng.random(coords.shape) < 0.05] = -0.0
     inner = [node.row for node in tree.nodes() if tree.children(node)]
     start = inner[int(rng.integers(len(inner)))] if subtree else 0
-    saved = dpt_module.LEVELWISE_MIN_ROWS
-    try:
-        dpt_module.LEVELWISE_MIN_ROWS = 10 ** 9
-        by_row = tree._route(coords, start, not subtree)
-        dpt_module.LEVELWISE_MIN_ROWS = 0
-        by_level = tree._route(coords, start, not subtree)
-    finally:
-        dpt_module.LEVELWISE_MIN_ROWS = saved
-    assert np.array_equal(by_row[2], by_level[2])
-    for ids, src, _ in (by_row, by_level):
-        order = np.argsort(ids, kind="stable")
-        # within a node, pairs come in ascending data-row order
-        assert all(np.all(np.diff(src[ids == node]) > 0)
-                   for node in np.unique(ids))
-        ids[:], src[:] = ids[order], src[order]
-    assert np.array_equal(by_row[0], by_level[0])
-    assert np.array_equal(by_row[1], by_level[1])
+    leaf = assert_one_route(tree, coords, start, not subtree)
     if not subtree:
         # ... and they are the paths route_leaf / the frozen _path take
         for i in rng.integers(0, n, min(n, 10)):
-            leaf = tree.leaves[int(by_row[2][i])]
-            assert tree.route_leaf(tuple(coords[i])) is leaf
-            assert frozen._path(coords[i])[-1].rect == leaf.rect
+            ref = tree.leaves[int(leaf[i])]
+            assert tree.route_leaf(tuple(coords[i])) is ref
+            assert frozen._path(coords[i])[-1].rect == ref.rect
+
+
+def closed_tiling(cuts) -> TreeSpec:
+    """Halving splits whose children both hold their cut, unlike
+    ``Rectangle.split``'s and :func:`tree_from_intervals`'s."""
+    parent, rects = [-1], [Rectangle((-4.0,), (4.0,))]
+    stack = [(0, list(cuts))]
+    while stack:
+        up, inner = stack.pop()
+        if inner:
+            mid, rect = len(inner) // 2, rects[up]
+            halves = (Rectangle(rect.lo, (inner[mid],)),
+                      Rectangle((inner[mid],), rect.hi))
+            for half, part in zip(halves, (inner[:mid], inner[mid + 1:])):
+                parent.append(up)
+                rects.append(half)
+                stack.append((len(rects) - 1, part))
+    return TreeSpec.of(parent, rects)
+
+
+def test_the_search_walks_every_edge_case():
+    """Cuts at -0.0 / 0.0 and at the build domain's own edges (the
+    inflated outer leaves then overlap), children that share their cut,
+    points on every cut, just beside it, at +-0, +-inf and NaN, from
+    every start row."""
+    edges = [-4.0, -1.0, -0.0, math.nextafter(0.0, 1.0), 2.0, 4.0]
+    points = [math.nan, -math.inf, math.inf, -0.0, 0.0, 1e308, -1e308]
+    for e in edges:
+        points += [e, math.nextafter(e, -math.inf),
+                   math.nextafter(e, math.inf)]
+    coords = np.array(points)[:, None]
+    domain = Rectangle((-4.0,), (4.0,))
+    specs = [tree_from_intervals(cuts, domain) for cuts in
+             (edges[1:-1], edges, [-4.0, -4.0, 0.0, 4.0, 4.0])]
+    specs += [closed_tiling(cuts) for cuts in
+              ([-1.0, -0.0, 2.0], [-3.0, -1.0, 0.0, 2.0, 3.0])]
+    for spec in specs:
+        tree = DynamicPartitionTree(spec, ("x", "a"), ("x",))
+        assert tree._leaf_hi is not None
+        for start in range(len(tree.table)):
+            if tree.table.kids[start]:
+                for keep_start in (True, False):
+                    assert_one_route(tree, coords, start, keep_start)
+
+
+def test_the_search_steps_aside_for_trees_it_cannot_read():
+    """A 1-D tree whose children are out of key order (or leave a gap)
+    routes by the walks, which still agree."""
+    spec = TreeSpec.of([-1, 0, 0], [Rectangle((0.0,), (10.0,)),
+                                     Rectangle((5.0,), (10.0,)),
+                                     Rectangle((0.0,), (5.0,))])
+    gap = TreeSpec.of([-1, 0, 0], [Rectangle((0.0,), (10.0,)),
+                                    Rectangle((0.0,), (4.0,)),
+                                    Rectangle((6.0,), (10.0,))])
+    for spec in (spec, gap):
+        tree = DynamicPartitionTree(spec, ("x", "a"), ("x",))
+        assert tree._leaf_hi is None
+        coords = np.array([[-1.0], [0.0], [4.0], [5.0], [5.5], [10.0],
+                           [math.nan], [math.inf]])
+        assert_one_route(tree, coords, 0, True)
 
 
 def test_one_column_sums_like_any_other():
