@@ -53,8 +53,8 @@ def run_partitioner_ablation():
     pred = list(ds.schema).index(ds.predicate_attrs[0])
     agg = list(ds.schema).index(ds.agg_attr)
     held_out = RangeIndex(1)
-    for i, row_i in enumerate(pick):
-        held_out.insert(i, (ds.data[row_i, pred],), ds.data[row_i, agg])
+    held_out.add_many(np.arange(pick.size), ds.data[pick, pred],
+                      ds.data[pick, agg])
     oracle = MaxVarOracle(held_out, AggFunc.SUM, pop_ratio=ds.n / 2000)
     out = {}
     for partitioner in ("equidepth", "bs", "dp", "kd"):

@@ -28,7 +28,7 @@ from typing import Callable, ContextManager, Optional
 import numpy as np
 
 from ..broker.broker import Topic
-from ..broker.samplers import SequentialSampler, SingletonSampler
+from ..broker.samplers import choose_sampler
 from .dpt import DynamicPartitionTree
 from .table import Table
 
@@ -109,13 +109,9 @@ class CatchupRunner:
         """
         report = CatchupReport(goal=goal)
         if sampler is None:
-            rate = goal / max(topic.end_offset, 1)
-            if rate > 0.10:
-                sampler = SequentialSampler(topic, poll_size,
-                                            seed=int(self._rng.integers(2**31)))
-            else:
-                sampler = SingletonSampler(
-                    topic, seed=int(self._rng.integers(2**31)))
+            sampler = choose_sampler(topic, goal / max(topic.end_offset, 1),
+                                     int(self._rng.integers(2**31)),
+                                     poll_size)
         before = sampler.stats.loading_seconds
         rows = sampler.sample(goal)
         report.loading_seconds = sampler.stats.loading_seconds - before

@@ -67,12 +67,10 @@ def sum_partial(n_i: float, m_i: int, matched_values: np.ndarray
 
 def count_partial(n_i: float, m_i: int, n_matched: int
                   ) -> PartialContribution:
-    """COUNT contribution of a partial leaf."""
-    if m_i <= 0:
-        return PartialContribution(0.0, 0.0, 0)
+    """COUNT contribution of a partial leaf: SUM over ones, whose sum
+    and sum of squares are both the match count."""
     c = float(n_matched)
-    est = (n_i / m_i) * c
-    var = (n_i * n_i) / (m_i ** 3) * max(0.0, m_i * c - c * c)
+    est, var = sum_partial_moments(n_i, m_i, c, c)
     return PartialContribution(est, var, n_matched)
 
 

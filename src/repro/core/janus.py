@@ -3,10 +3,11 @@
 :class:`JanusAQP` wires together every substrate:
 
 * a :class:`~repro.core.table.Table` playing archival storage,
-* a :class:`~repro.sampling.pool.SamplePool`: the pooled sample, its
-  synopsis-resident rows and a :class:`~repro.index.range_index.
-  RangeIndex` over their predicate coordinates, held once (the "store S
-  only once in a dynamic range tree" of Section 5.5),
+* a :class:`~repro.sampling.pool.SamplePool`: the pooled sample's
+  synopsis-resident rows, held once (the "store S only once in a
+  dynamic range tree" of Section 5.5), and the read-only
+  :class:`~repro.index.range_index.RangeIndex` view over their
+  predicate coordinates it builds when read,
 * a :class:`~repro.core.dpt.DynamicPartitionTree` whose leaf strata are
   virtual partitions of the pool (its rows are filed by leaf),
 * the partitioners of Section 5 (binary-search in 1-D, greedy k-d tree in
@@ -50,7 +51,7 @@ from ..partitioning.kdtree import KDTreePartitioner, KDTreeResult
 from ..partitioning.maxvar import MaxVarOracle
 from ..partitioning.onedim import OneDimPartitioner, OneDimResult
 from ..partitioning.spec import TreeSpec
-from ..sampling.pool import IndexReports, SamplePool
+from ..sampling.pool import SamplePool, StrataReports
 from ..sketch.counted import CountedSketch
 from ..sketch.registry import (SKETCH_KIND, new_sketch, sketch_answer,
                                sketch_from_bytes)
@@ -210,8 +211,8 @@ class JanusAQP:
                 sketch.insert_many(seed_vals)
             self._sketches[attr] = bank
 
-        #: The pooled sample S, stored once: reservoir policy, resident
-        #: rows filed by leaf, and the range index over them.
+        #: The pooled sample S, stored once: reservoir policy and
+        #: resident rows filed by leaf, with a range index view.
         self.pool = SamplePool(
             table, self.config.sample_rate, self.config.min_pool,
             seed=self.config.seed + 1,
@@ -233,7 +234,8 @@ class JanusAQP:
 
     @property
     def sample_index(self) -> RangeIndex:
-        """The pool's range index (a pool redraw replaces it)."""
+        """The pool's members as a read-only range index: the view of
+        the current pool version (any pool change makes a new one)."""
         return self.pool.index
 
     def bump_epoch(self) -> int:
@@ -271,29 +273,28 @@ class JanusAQP:
         ``join()`` the returned thread, then read :attr:`last_reopt`.
         """
         thread = threading.Thread(
-            target=self._rebuild, args=(catchup_goal,),
-            kwargs={"frozen": True}, daemon=True, name="janus-reoptimize")
+            target=self._rebuild, args=(catchup_goal,), daemon=True,
+            name="janus-reoptimize")
         thread.start()
         return thread
 
     def _rebuild(self, catchup_goal: Optional[int] = None,
                  spec: Optional[TreeSpec] = None,
-                 scope: Optional[NodeRef] = None,
-                 frozen: bool = False) -> ReoptReport:
+                 scope: Optional[NodeRef] = None) -> ReoptReport:
         """The one re-initialization pipeline (Figure 4; Appendix E below
         ``scope``): snapshot the pool, build a partitioning from it
         (unless a committing candidate evaluation hands its ``spec``
         in), install and seed it - the blocking stage - then catch up
         from archival storage.  Each stage takes the re-entrant lock
         itself: a caller that holds it runs the pipeline as one critical
-        section; the ``frozen`` caller (:meth:`reoptimize_async`) does
-        not, so its build runs beside traffic and its catch-up yields
-        between chunks.
+        section; :meth:`reoptimize_async`'s thread does not, so its
+        build runs beside traffic and its catch-up yields between
+        chunks.
         """
         t0 = time.perf_counter()
         if spec is None:
             with self._lock:
-                snapshot = self._snapshot(scope, frozen)
+                snapshot = self._snapshot(scope)
             spec = self._partition(*snapshot).tree
         t1 = time.perf_counter()
         with self._lock:
@@ -315,12 +316,13 @@ class JanusAQP:
         return report
 
     def _snapshot(self, scope: Optional[NodeRef],  # requires-lock: _lock
-                  frozen: bool) -> tuple:
-        """Stage 1, :meth:`_partition`'s arguments: copies of the pool
-        items (in 1-D the index's key-ordered view, which no write
-        touches), leaf budget, root rectangle (the table domains, or
-        ``scope``'s own), ``|D|``, and - unless the build will run
-        without the lock - the live pool index."""
+                  frozen: bool = False) -> tuple:
+        """Stage 1, :meth:`_partition`'s arguments: the pool items (in
+        1-D the index's key-ordered view), leaf budget, root rectangle
+        (the table domains, or ``scope``'s own), ``|D|`` and the pool
+        index.  The index is read-only, so a build that runs without
+        the lock reads it like one that holds it: ``frozen`` (such a
+        build) changes nothing."""
         if len(self.predicate_attrs) == 1:
             keys, values, tids = self.sample_index.key_order()
             coords = keys[:, None]
@@ -334,7 +336,7 @@ class JanusAQP:
         else:
             k, rect = len(self.dpt.subtree_leaves(scope)), scope.rect
         return (coords, values, tids, k, rect, max(len(self.table), 1),
-                None if frozen else self.sample_index)
+                self.sample_index)
 
     def _compute_partitioning(self) -> TreeSpec:  # requires-lock: _lock
         """Stages 1-2 over the live pool."""
@@ -342,13 +344,12 @@ class JanusAQP:
 
     def _partition(self, coords: np.ndarray, values: np.ndarray,
                    tids: np.ndarray, k: int, rect: Rectangle, n_pop: int,
-                   index: Optional[RangeIndex]
+                   index: RangeIndex
                    ) -> Union[OneDimResult, KDTreeResult]:
         """Stage 2, the engine's only partitioner call: ``k`` leaves
-        over the items inside ``rect``.  Reads no engine state, so a
-        frozen snapshot is partitioned without the lock; the AVG oracle
-        then takes its canonical cells from a throwaway index over the
-        items (one vectorized ``add_many``) instead of ``index``.
+        over the items inside ``rect`` (``index``: theirs, for the AVG
+        oracle's canonical cells).  Reads no engine state, so a frozen
+        snapshot is partitioned without the lock.
         """
         if coords.shape[0] == 0:
             raise RuntimeError("cannot partition: empty sample pool")
@@ -365,9 +366,6 @@ class JanusAQP:
                     keys[a:b], values[a:b], k, n_population=n_pop,
                     domain=(lo, hi))
         elif rect.contains_points(coords).any():
-            if index is None and focus is AggFunc.AVG:
-                index = RangeIndex(len(self.predicate_attrs))
-                index.add_many(tids, coords, values)
             return KDTreePartitioner(focus, delta=delta).partition_rows(
                 coords, values, tids, k, n_population=n_pop,
                 root_rect=rect, index=index)
@@ -441,9 +439,8 @@ class JanusAQP:
         once the pool its baselines describe is in place (a
         re-initialization resamples it after this).
         """
-        oracle = MaxVarOracle(self.sample_index, self.config.focus_agg,
-                              len(self.table) / max(len(self.sample_index),
-                                                    1),
+        oracle = MaxVarOracle(self.pool, self.config.focus_agg,
+                              len(self.table) / max(len(self.pool), 1),
                               delta=self.config.delta)
         trig_cfg = TriggerConfig(
             beta=self.config.beta, check_every=self.config.check_every,
@@ -453,12 +450,10 @@ class JanusAQP:
         else:
             self.trigger.config, self.trigger.oracle = trig_cfg, oracle
 
-    def _pool_changed(self, reports: IndexReports) -> None:  # requires-lock: _lock
-        """Pass what a pool call did to its index on to the trigger's
+    def _pool_changed(self, reports: StrataReports) -> None:  # requires-lock: _lock
+        """Pass the strata a pool call touched on to the trigger's
         per-leaf variance memo."""
         if self.trigger is not None:
-            # a redraw (a ``None`` report) put the pool in a fresh index
-            self.trigger.oracle.index = self.pool.index
             self.trigger.pool_changed(reports)
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,6 @@ Figure 10 experiment uses.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,11 +65,13 @@ class RepartitionTrigger:
     Each leaf's current ``M_i'`` is memoised between pool changes, so a
     check costs oracle calls for the leaves the pool changed under, not
     for all k.  The SUM and COUNT oracles are pure functions of the pool
-    points in the leaf's closed rectangle: :meth:`pool_changed` drops
-    the entries whose rectangle contains a changed point.  The AVG
-    oracle is not ``rect_local``, so any change drops them all - as does
-    an index mutation nobody reported (``index.version`` ran ahead).  A
-    memoised value is thus always bit-equal to a fresh oracle call.
+    points in the leaf's closed rectangle, and the leaves tile with
+    disjoint closed rectangles, so the one leaf whose rectangle holds a
+    point is the stratum the pool files it under: :meth:`pool_changed`
+    drops the entries of the strata a change touched.  The AVG oracle is
+    not ``rect_local``, so any change drops them all - as does a pool
+    change nobody reported (``pool.version`` ran ahead).  A memoised
+    value is thus always bit-equal to a fresh oracle call.
     """
 
     def __init__(self, config: TriggerConfig, oracle: MaxVarOracle,
@@ -80,17 +81,14 @@ class RepartitionTrigger:
         self.pool = pool          # its strata are the leaves' samples
         self.state = TriggerState()
         self._pos: Dict[int, int] = {}    # rebased tree's leaf id -> row
-        self._lo = self._hi = np.empty((0, 0))    # (k, d) leaf bounds
         # M_i' per row, None = dirty; ``_lock`` is the owning engine's.
         self._memo: List[Optional[float]] = []  # guarded-by: _lock
-        self._version = -1                    # index.version memo is for
+        self._version = -1                    # pool.version memo is for
 
     # ------------------------------------------------------------------ #
     def rebase(self, dpt: DynamicPartitionTree) -> None:  # requires-lock: _lock
         """Record per-leaf baseline variances for a (new) tree."""
         self._pos = {leaf.node_id: i for i, leaf in enumerate(dpt.leaves)}
-        self._lo = np.array([leaf.rect.lo for leaf in dpt.leaves])
-        self._hi = np.array([leaf.rect.hi for leaf in dpt.leaves])
         self.pool_changed((None,))
         self.state.baseline = {leaf.node_id: self.leaf_variance(leaf)
                                for leaf in dpt.leaves}
@@ -99,26 +97,23 @@ class RepartitionTrigger:
 
     def pool_changed(self, reports: Sequence[Optional[np.ndarray]]  # requires-lock: _lock
                      ) -> None:
-        """Account the mutating calls made on ``oracle.index`` since the
-        last report: per call, the ``(n, d)`` points it added or removed
-        (what :class:`~repro.sampling.pool.SamplePool` returns).  A
-        ``None`` among them (index replaced, tree changed) drops the
-        memo, as does a version that moved by more calls than reported.
+        """Account the mutating calls made on :attr:`pool` since the
+        last report: per call, the stratum keys it touched (what
+        :class:`~repro.sampling.pool.SamplePool` returns).  A ``None``
+        among them (a redraw, or the tree changed) drops the memo, as
+        does a version that moved by more calls than reported.
         """
-        version = self.oracle.index.version
+        version = self.pool.version
         if version != self._version + len(reports) or \
                 not self.oracle.rect_local or \
-                any(coords is None for coords in reports):
+                any(keys is None for keys in reports):
             self._memo = [None] * len(self._pos)
         else:
-            for coords in reports:
-                # "not outside" rather than "inside": a NaN coordinate
-                # then dirties every leaf, a superset of what report()
-                # returns.
-                pts = coords[:, None, :]
-                outside = ((pts < self._lo) | (pts > self._hi)).any(axis=2)
-                for i in np.flatnonzero(~outside.all(axis=0)).tolist():
-                    self._memo[i] = None
+            for keys in reports:
+                for key in set(keys.tolist()):
+                    i = self._pos.get(key)
+                    if i is not None:
+                        self._memo[i] = None
         self._version = version
 
     def leaf_variance(self, leaf: NodeRef) -> float:  # requires-lock: _lock
@@ -126,7 +121,7 @@ class RepartitionTrigger:
         i = self._pos.get(leaf.node_id)
         if i is None:                    # not a leaf of the rebased tree
             return self.oracle.max_variance(leaf.rect).variance
-        if self.oracle.index.version != self._version:
+        if self.pool.version != self._version:
             self.pool_changed((None,))
         var = self._memo[i]
         if var is None:
@@ -183,7 +178,7 @@ class RepartitionTrigger:
         floor = self.config.min_samples_floor
         if floor is None:
             floor = min_samples_per_stratum(
-                sample_rate=1.0, pool_size=max(len(self.oracle.index), 2))
+                sample_rate=1.0, pool_size=max(len(self.pool), 2))
         return self.pool.stratum_size(leaf.node_id) < floor
 
     def _variance_drifted(self, leaf: NodeRef) -> bool:  # requires-lock: _lock

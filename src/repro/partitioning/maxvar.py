@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.queries import AggFunc, Rectangle
 from ..index.range_index import RangeIndex
+from ..sampling.pool import SamplePool
 
 
 @dataclass
@@ -195,6 +196,8 @@ class PrefixStats:
 class MaxVarOracle:
     """M(R) over a :class:`RangeIndex` of the pooled sample.
 
+    ``index`` is the index, or a :class:`~repro.sampling.pool.
+    SamplePool` whose current view (``pool.index``) every call reads.
     ``pop_ratio`` (N/m) converts sample counts to population estimates;
     ``delta`` is the minimum-support fraction for AVG queries (Section
     5.3.1, default 5%).
@@ -202,24 +205,29 @@ class MaxVarOracle:
     For SUM and COUNT the rows-based entry point
     (:meth:`max_variance_rows`) never touches the index, so ``index``
     may be ``None`` when the caller supplies member blocks itself (the
-    k-d partitioner over a frozen snapshot); AVG still needs the index
-    for its canonical-cell candidate family.
+    k-d partitioner); AVG still needs the index for its canonical-cell
+    candidate family.
     """
 
-    def __init__(self, index: Optional[RangeIndex], agg: AggFunc,
-                 pop_ratio: float, delta: float = 0.05) -> None:
+    def __init__(self, index: Optional[Union[RangeIndex, SamplePool]],
+                 agg: AggFunc, pop_ratio: float,
+                 delta: float = 0.05) -> None:
         if agg not in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG):
             raise ValueError(f"no max-variance oracle for {agg}")
         if index is None and agg is AggFunc.AVG:
             raise ValueError("the AVG oracle needs a sample index for "
                              "its canonical-cell candidates")
-        self.index = index
+        self._points = index
         self.agg = agg
         self.pop_ratio = pop_ratio
         self.delta = delta
 
-    def _window(self) -> int:
-        return max(4, int(self.delta * max(len(self.index), 1)))
+    @property
+    def index(self) -> Optional[RangeIndex]:
+        """The point set a call reads: the index given, or the pool's
+        current view."""
+        points = self._points
+        return points.index if isinstance(points, SamplePool) else points
 
     @property
     def rect_local(self) -> bool:
@@ -230,20 +238,20 @@ class MaxVarOracle:
         return self.agg is not AggFunc.AVG
 
     def max_variance(self, rect: Rectangle) -> MaxVarResult:
-        if self.index.dim == 1 and self.agg is not AggFunc.AVG:
+        index = self.index
+        if index.dim == 1 and self.agg is not AggFunc.AVG:
             # The rectangle's points are a slice of the key-ordered
             # view: already in the (key, tid) order sorted for below.
-            keys, values, _ = self.index.key_range(rect)
+            keys, values, _ = index.key_range(rect)
             if self.agg is AggFunc.COUNT:
                 return MaxVarResult(count_query_variance(
                     self.pop_ratio, values.shape[0]), witness=rect)
             return self._best_half(rect, 0, keys, values)
         if self.agg is AggFunc.COUNT:
-            m_b = self.index.count(rect)
+            m_b = index.count(rect)
             return MaxVarResult(count_query_variance(self.pop_ratio, m_b),
                                 witness=rect)
-        coords, values, tids = self.index.report(rect)
-        return self._max_var_rows(rect, coords, values, tids)
+        return self._max_var_rows(rect, *index.report(rect))
 
     def max_variance_rows(self, rect: Rectangle, coords: np.ndarray,
                           values: np.ndarray,
@@ -265,7 +273,7 @@ class MaxVarOracle:
     def _max_var_rows(self, rect: Rectangle, coords: np.ndarray,
                       values: np.ndarray, tids: np.ndarray) -> MaxVarResult:
         # Canonical tid order first: ``report`` order is an
-        # implementation detail (storage order), and with duplicate
+        # implementation detail (join order), and with duplicate
         # coordinates the stable by-coordinate argsorts below would
         # otherwise tie-break differently.  After this sort the oracle
         # is a pure function of the point *set*.  Member blocks from the
@@ -319,12 +327,13 @@ class MaxVarOracle:
         m_b = values.shape[0]
         if m_b <= 1:
             return MaxVarResult(0.0, witness=rect)
-        w = min(self._window(), m_b)
+        index = self.index
+        w = min(max(4, int(self.delta * max(len(index), 1))), m_b)
         best_var, best_witness = 0.0, rect
         # Candidate family (a): canonical index cells with <= w samples.
         # A cell lies inside ``rect``, so its points are the member
         # rows inside it: exact stats, summed in tid order.
-        for cell, _ in self.index.small_cells(rect, w):
+        for cell, _ in index.small_cells(rect, w):
             vals = values[cell.contains_points(coords)]
             var = avg_query_variance(m_b, vals.shape[0], float(vals.sum()),
                                      float((vals * vals).sum()))

@@ -12,13 +12,14 @@ range tree".  :class:`SamplePool` is that one store.  It owns
   ``(m_i, n_schema)`` block per stratum (a DPT leaf, an equi-depth
   bucket, or a single stratum when nothing routes) - the blocks are what
   the query path reads, so there is no second copy to keep in step;
-* optionally a :class:`~repro.index.range_index.RangeIndex` over the
-  members' predicate coordinates, for the partitioner and the trigger.
+* optionally a read-only :class:`~repro.index.range_index.RangeIndex`
+  over the members, built from the blocks when read (:attr:`SamplePool.
+  index`), for the partitioner and the oracle.
 
 Nothing subscribes to anything: every mutating call asks the reservoir
-for its net membership change, applies it to rows, strata and index, and
-returns what it did to the index so the caller can tell whoever caches
-over it (:meth:`~repro.core.triggers.RepartitionTrigger.pool_changed`).
+for its net membership change, applies it to rows and strata, and
+returns the strata it touched so the caller can tell whoever caches
+over them (:meth:`~repro.core.triggers.RepartitionTrigger.pool_changed`).
 
 The pool has no lock of its own; ``_lock`` below is its owner's.
 """
@@ -36,40 +37,43 @@ from .reservoir import DynamicReservoir, PoolChange
 #: Full-schema ``(n, n_schema)`` rows -> their ``(n,)`` integer stratum keys.
 RouteRows = Callable[[np.ndarray], np.ndarray]
 
-#: What one mutating call did to the index: one ``(n, d)`` block of
-#: predicate coordinates per index mutation (points it removed, points it
-#: added), or ``None`` for an index that was replaced by a redraw.
-IndexReports = List[Optional[np.ndarray]]
+#: What one mutating call did: per change, the stratum key of each member
+#: it removed or added, or ``None`` for a redraw (every member refiled).
+StrataReports = List[Optional[np.ndarray]]
 
 
 class SamplePool:
     """A uniform pooled sample of a :class:`Table`, filed by stratum.
 
     Blocks grow by capacity doubling and a removal swaps the last row
-    into the hole, so pool churn costs O(1) row copies.  Bookkeeping is
-    array-native: per-stratum row-to-tid maps are int64 arrays grown
-    beside the blocks, and the reverse tid location map is a pair of
-    tid-indexed arrays (tids are dense table ids), so bulk compaction
-    after an eviction sweep is pure fancy indexing.
+    into the hole, so pool churn costs O(1) row copies.  Per-stratum
+    row-to-tid maps are int64 arrays grown beside the blocks, and the
+    reverse maps are tid-indexed arrays (tids are dense table ids), so
+    bulk compaction after an eviction sweep is pure fancy indexing.
     """
 
     def __init__(self, table: Table, sample_rate: float, min_pool: int = 128,
                  seed: int = 0,
                  index_on: Optional[Tuple[Sequence[int], int]] = None
                  ) -> None:
-        """``index_on = (predicate columns, value column)`` keeps a range
-        index over the members; without it the pool holds rows only."""
+        """``index_on = (predicate columns, value column)``: what
+        :attr:`index` holds (without it the pool holds rows only)."""
         self.table = table
         self.sample_rate = sample_rate
         self.min_pool = min_pool
         self.reservoir = DynamicReservoir(table, self.target(), seed=seed)
         self._n_cols = len(table.schema)
         self._index_on = index_on
-        self.index = self._fresh_index()  # guarded-by: _lock
+        #: Bumped once per membership change (and per report of one).
+        self.version = 0  # guarded-by: _lock
+        self._view: Tuple[int, Optional[RangeIndex]] = (-1, None)  # guarded-by: _lock
         self._route: Optional[RouteRows] = None  # guarded-by: _lock
         self._mat: Dict[int, np.ndarray] = {}  # guarded-by: _lock
         self._size: Dict[int, int] = {}  # guarded-by: _lock
+        # Per stratum, each block row's (tid, filing stamp): members file
+        # in the order they join, so the stamps order them that way.
         self._tid_at: Dict[int, np.ndarray] = {}  # guarded-by: _lock
+        self._n_filed = 0  # guarded-by: _lock
         self._loc_key = np.full(64, -1, dtype=np.int64)  # guarded-by: _lock
         self._loc_row = np.zeros(64, dtype=np.int64)  # guarded-by: _lock
 
@@ -95,7 +99,7 @@ class SamplePool:
         tid_at = self._tid_at.get(key)
         if tid_at is None:
             return []
-        return tid_at[:self._size[key]].tolist()
+        return tid_at[:self._size[key], 0].tolist()
 
     def stratum_size(self, key: int) -> int:  # requires-lock: _lock
         return self._size.get(key, 0)
@@ -104,19 +108,12 @@ class SamplePool:
         """Member count of every non-empty stratum."""
         return {key: n for key, n in self._size.items() if n}
 
-    def row(self, tid: int) -> np.ndarray:  # requires-lock: _lock
-        """A member's resident row (a view into its block)."""
-        if tid not in self:
-            raise KeyError(tid)
-        return self._mat[int(self._loc_key[tid])][self._loc_row[tid]]
-
     def rows(self, tids: Optional[Sequence[int]] = None  # requires-lock: _lock
              ) -> np.ndarray:
         """Resident rows as one ``(n, n_schema)`` array: of ``tids`` in
         the order given, or of the whole pool stratum by stratum."""
         if tids is None:
-            return np.concatenate([self.matrix(key) for key in self._mat]
-                                  or [np.empty((0, self._n_cols))])
+            return self._members()[2]
         tid_arr = np.asarray(tids, dtype=np.int64)
         out = np.empty((tid_arr.shape[0], self._n_cols))
         keys, at = self._loc_key[tid_arr], self._loc_row[tid_arr]
@@ -124,6 +121,28 @@ class SamplePool:
             sel = keys == key
             out[sel] = self._mat[int(key)][at[sel]]
         return out
+
+    def _members(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:  # requires-lock: _lock
+        """Every member's tid, filing stamp and resident row, stratum
+        by stratum."""
+        blocks = [(self._tid_at[key][:n], self._mat[key][:n])
+                  for key, n in self._size.items()]
+        stamped = np.concatenate([np.empty((0, 2), dtype=np.int64)] +
+                                 [tids for tids, _ in blocks])
+        return stamped[:, 0], stamped[:, 1], np.concatenate(
+            [np.empty((0, self._n_cols))] + [rows for _, rows in blocks])
+
+    @property
+    def index(self) -> Optional[RangeIndex]:  # requires-lock: _lock
+        """The members' ``index_on`` columns as a read-only
+        :class:`RangeIndex` listing them in the order they joined, built
+        when first read after a change (one per :attr:`version`)."""
+        if self._index_on is not None and self._view[0] != self.version:
+            tids, stamps, rows = self._members()
+            cols, value = self._index_on
+            self._view = (self.version, RangeIndex.of(
+                rows[:, cols], rows[:, value].copy(), tids, stamps))
+        return self._view[1]
 
     def target(self) -> int:
         """The paper's standing pool size ``2m = 2 * rate * |D|``."""
@@ -134,13 +153,13 @@ class SamplePool:
     # membership
     # ------------------------------------------------------------------ #
     def initialize(self, route_rows: Optional[RouteRows] = None  # requires-lock: _lock
-                   ) -> IndexReports:
+                   ) -> StrataReports:
         """Draw a fresh pool at the current target size, filed under
         ``route_rows`` (``None``: one stratum, key 0)."""
         self._route = route_rows
         return self._apply(self.reservoir.initialize())
 
-    def resample(self, route_rows: Optional[RouteRows]) -> IndexReports:  # requires-lock: _lock
+    def resample(self, route_rows: Optional[RouteRows]) -> StrataReports:  # requires-lock: _lock
         """Re-size to :meth:`target` for the *current* data and redraw
         ("the system resamples a uniform sample of data from archival
         storage to be the new pooled reservoir sample")."""
@@ -148,7 +167,7 @@ class SamplePool:
         return self._apply(self.reservoir.set_target(self.target()))
 
     def restore(self, tids: Sequence[int],  # requires-lock: _lock
-                route_rows: Optional[RouteRows]) -> IndexReports:
+                route_rows: Optional[RouteRows]) -> StrataReports:
         """Adopt a snapshot's membership; rows come from the table."""
         self._route = route_rows
         return self._apply(self.reservoir.restore(tids))
@@ -158,15 +177,14 @@ class SamplePool:
         below it).  Members are re-filed in the order they joined, so a
         block's row order does not depend on where its rows sat before.
         """
-        tids = np.fromiter(self.reservoir, dtype=np.int64,
-                           count=len(self.reservoir))
-        rows = self.rows(tids)
+        tids, stamps, rows = self._members()
+        order = np.argsort(stamps)
         self._route = route_rows
         self._clear()
-        self._file(tids, rows)
+        self._file(tids[order], rows[order])
 
     def insert_many(self, tids: Sequence[int],  # requires-lock: _lock
-                    keys: Optional[np.ndarray] = None) -> IndexReports:
+                    keys: Optional[np.ndarray] = None) -> StrataReports:
         """Account rows just inserted into the table, then let the pool
         track :meth:`target` as the table grows.
 
@@ -188,51 +206,33 @@ class SamplePool:
             reports += self._apply(self.reservoir.set_target(want))
         return reports
 
-    def delete_many(self, tids: Sequence[int]) -> IndexReports:  # requires-lock: _lock
+    def delete_many(self, tids: Sequence[int]) -> StrataReports:  # requires-lock: _lock
         """Account rows just deleted from the table."""
         return self._apply(self.reservoir.on_delete_many(tids))
 
     # ------------------------------------------------------------------ #
     def _apply(self, change: PoolChange,  # requires-lock: _lock
-               keys: Optional[np.ndarray] = None) -> IndexReports:
-        """Bring rows, strata and index in line with the reservoir
-        (``keys``: the added rows' stratum keys, if already known)."""
-        reports: IndexReports = []
+               keys: Optional[np.ndarray] = None) -> StrataReports:
+        """Bring rows and strata in line with the reservoir (``keys``:
+        the added rows' stratum keys, if already known)."""
         if change.reset:
-            # A fresh index (oracles hold the old one: ``None`` tells
-            # the caller to re-point them), built below in one add_many.
             self._clear()
-            self.index = self._fresh_index()
-            reports.append(None)
-        elif change.removed:
-            if self.index is not None:
-                gone = self._coords(self.rows(change.removed))
-                if self.index.delete_many(change.removed):
-                    reports.append(gone)
-            self._remove_many(np.asarray(change.removed, dtype=np.int64))
+        touched = []
+        if change.removed:
+            gone = np.asarray(change.removed, dtype=np.int64)
+            touched.append(self._loc_key[gone])
+            self._remove_many(gone)
         if change.added:
             tids = np.asarray(change.added, dtype=np.int64)
             rows = self.table.rows_for(tids)    # a gather: our own copy
-            if self.index is not None:
-                # One duplicate check and one array append per block.
-                self.index.add_many(tids, self._coords(rows),
-                                    rows[:, self._index_on[1]])
-                if not change.reset:
-                    reports.append(self._coords(rows))
-            self._file(tids, rows, keys)
+            touched.append(self._file(tids, rows, keys))
+        reports = [None] if change.reset else \
+            [np.concatenate(touched)] if touched else []
+        self.version += len(reports)
         return reports
 
-    def _coords(self, rows: np.ndarray) -> np.ndarray:
-        """The indexed (predicate) columns of full-schema rows."""
-        return rows[:, self._index_on[0]]
-
-    def _fresh_index(self) -> Optional[RangeIndex]:
-        if self._index_on is None:
-            return None
-        return RangeIndex(len(self._index_on[0]))
-
     def _clear(self) -> None:  # requires-lock: _lock
-        """Drop every resident row (the index is not touched)."""
+        """Drop every resident row."""
         self._mat, self._size, self._tid_at = {}, {}, {}
         # Fresh small location arrays instead of a fill(-1) memset:
         # capacity tracks the highest tid ever pooled, so on a
@@ -242,22 +242,24 @@ class SamplePool:
         self._loc_row = np.zeros(64, dtype=np.int64)
 
     def _file(self, tids: np.ndarray, rows: np.ndarray,  # requires-lock: _lock
-              keys: Optional[np.ndarray] = None) -> None:
+              keys: Optional[np.ndarray] = None) -> np.ndarray:
         """Append a row block to its strata, routing it once unless its
-        ``keys`` are given."""
+        ``keys`` are given; returns the keys."""
         if tids.size == 0:
-            return
+            return tids
         if self._route is None:
-            self._add_block(0, tids, rows)
-            return
-        if keys is None:
+            keys = np.zeros(tids.shape[0], dtype=np.int64)
+        elif keys is None:
             keys = self._route(rows)
+        stamps = self._n_filed + np.arange(tids.shape[0])
+        self._n_filed += tids.shape[0]
         for key in np.unique(keys):
             sel = np.flatnonzero(keys == key)
-            self._add_block(int(key), tids[sel], rows[sel])
+            self._add_block(int(key), tids[sel], rows[sel], stamps[sel])
+        return keys
 
     def _add_block(self, key: int, tids: np.ndarray,  # requires-lock: _lock
-                   rows: np.ndarray) -> None:
+                   rows: np.ndarray, stamps: np.ndarray) -> None:
         n = tids.shape[0]
         mat = self._mat.get(key)
         size = self._size.get(key, 0)
@@ -265,17 +267,18 @@ class SamplePool:
         if mat is None:
             cap = max(4, 2 * need)
             mat = self._mat[key] = np.empty((cap, self._n_cols))
-            self._tid_at[key] = np.empty(cap, dtype=np.int64)
+            self._tid_at[key] = np.empty((cap, 2), dtype=np.int64)
         elif need > mat.shape[0]:
             cap = max(2 * mat.shape[0], need)
             grown = np.empty((cap, self._n_cols))
             grown[:size] = mat[:size]
             mat = self._mat[key] = grown
-            tids_grown = np.empty(cap, dtype=np.int64)
+            tids_grown = np.empty((cap, 2), dtype=np.int64)
             tids_grown[:size] = self._tid_at[key][:size]
             self._tid_at[key] = tids_grown
         mat[size:need] = rows
-        self._tid_at[key][size:need] = tids
+        self._tid_at[key][size:need, 0] = tids
+        self._tid_at[key][size:need, 1] = stamps
         cap = self._loc_key.shape[0]
         top = int(tids.max())
         if top >= cap:
@@ -297,17 +300,14 @@ class SamplePool:
         tid_at = self._tid_at[key]
         if row != last:
             mat[row] = mat[last]
-            moved = int(tid_at[last])
-            tid_at[row] = moved
-            self._loc_row[moved] = row
+            tid_at[row] = tid_at[last]
+            self._loc_row[int(tid_at[row, 0])] = row
         self._size[key] = last
 
     def _remove_many(self, tids: np.ndarray) -> None:  # requires-lock: _lock
         """One pass per touched stratum: a few removals swap-delete in
         the order given; a sweep (a bulk delete's evictions) compacts
-        the block and its row-to-tid map with single boolean-mask
-        copies, then restores the reverse map with one vectorized
-        ``_loc_row`` assignment over the survivors."""
+        the block, its row-to-tid map and ``_loc_row`` with masks."""
         keys = self._loc_key[tids]
         for k in np.unique(keys):
             key = int(k)
@@ -326,5 +326,5 @@ class SamplePool:
             tid_at = self._tid_at[key]
             kept = tid_at[keep]
             tid_at[:keep.size] = kept
-            self._loc_row[kept] = np.arange(keep.size, dtype=np.int64)
+            self._loc_row[kept[:, 0]] = np.arange(keep.size, dtype=np.int64)
             self._size[key] = int(keep.size)

@@ -135,7 +135,8 @@ class TestDynamics:
         for tid in janus.reservoir.tids():
             assert tid in table
             assert tid in janus.pool
-            assert tid in janus.sample_index
+        assert janus.sample_index.all_items()[2].tolist() == \
+            list(janus.reservoir)
 
 
 class TestReoptimize:

@@ -5,9 +5,9 @@ slice of the live points in ``(key, tid)`` order instead of masking the
 whole pool and sorting what falls inside.  The contract is bit identity
 with the mask-and-sort computation they replaced, which stays in the
 package as the d >= 2 path (``report`` + ``_max_var_rows``) and is
-driven here beside the view: churned pools with duplicate keys (the tid
-breaks the tie), NaN and infinite keys, rectangles with infinite edges
-and the both-infinite root, and deletes that compact the store.
+driven here beside the view: churned point sets with duplicate keys
+(the tid breaks the tie), NaN and infinite keys, and rectangles with
+infinite edges and the both-infinite root.
 """
 
 import math
@@ -72,37 +72,29 @@ OPS = st.lists(st.tuples(st.sampled_from(["add", "add", "spread",
 @settings(max_examples=60, deadline=None)
 @given(ops=OPS)
 def test_the_oracle_reads_the_view_like_the_mask(ops):
-    index, live, next_tid = RangeIndex(1), [], 0
+    live, next_tid = {}, 0                  # tid -> (key, value)
     for kind, n, seed in ops:
         rng = np.random.default_rng(seed)
         if kind != "delete":
-            # tids out of storage order, so a tie left to storage order
-            # would differ from one broken by tid; "spread" keys are
-            # distinct (the view's sort needs no second key)
-            tids = next_tid + rng.permutation(n)
-            next_tid += n
+            # "spread" keys are distinct (the view's sort needs no
+            # second key)
             keys = rng.choice(KEYS, n) if kind == "add" else \
                 rng.uniform(-10.0, 10.0, n)
             values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
             values[rng.random(n) < 0.3] = 1.0
-            index.add_many(tids, keys, values)
-            live += tids.tolist()
+            live.update(zip(range(next_tid, next_tid + n), zip(keys, values)))
+            next_tid += n
         elif live:
-            gone = rng.choice(live, min(n, len(live)), replace=False)
-            index.delete_many(gone.tolist())
-            live = sorted(set(live) - set(gone.tolist()))
+            for tid in rng.choice(list(live), min(n, len(live)),
+                                  replace=False).tolist():
+                del live[tid]
+        # tids loaded out of order, so a tie left to load order would
+        # differ from one broken by tid
+        tids = rng.permutation(list(live)).astype(np.int64)
+        index = RangeIndex(1)
+        index.add_many(tids, [live[t][0] for t in tids.tolist()],
+                       [live[t][1] for t in tids.tolist()])
         assert_view_is_the_mask(index)
-
-
-def test_deletes_that_compact_keep_the_view():
-    rng = np.random.default_rng(5)
-    index = RangeIndex(1)
-    index.add_many(rng.permutation(400), rng.choice(KEYS, 400),
-                   rng.normal(size=400))
-    slots = index._n_slots
-    index.delete_many(range(0, 400, 2))      # past 30% dead: compacts
-    assert index._n_slots < slots
-    assert_view_is_the_mask(index)
 
 
 def test_distinct_keys_and_one_nan_are_ordered_by_key():
@@ -138,10 +130,20 @@ def test_the_view_is_built_once_per_version_and_never_written():
     kept = [a.copy() for a in view]
     assert index.key_order() is view
     index.add_many([3], [0.5], [4.0])
-    index.delete_many([1])
     assert index.key_order() is not view
     assert all(np.array_equal(a, b) for a, b in zip(view, kept))
-    assert index.key_order()[2].tolist() == [3, 2, 0]
+    assert index.key_order()[2].tolist() == [3, 1, 2, 0]
+    # the engine's: one index, sorted once, per pool version
+    janus = churned_engine(0, n=600)
+    index = janus.sample_index
+    view = index.key_order()
+    kept = [a.copy() for a in view]
+    assert janus.sample_index is index and index.key_order() is view
+    version = janus.pool.version
+    janus.delete_many(janus.reservoir.tids()[:3])
+    assert janus.pool.version == version + 1
+    assert janus.sample_index is not index
+    assert all(np.array_equal(a, b) for a, b in zip(view, kept))
 
 
 # ---------------------------------------------------------------------- #

@@ -147,9 +147,7 @@ class TestPrefixStats:
 # ---------------------------------------------------------------------- #
 def build_index(points, values, dim=1):
     idx = RangeIndex(dim, leaf_size=4)
-    for tid, (p, v) in enumerate(zip(points, values)):
-        coords = (p,) if dim == 1 else tuple(p)
-        idx.insert(tid, coords, v)
+    idx.add_many(range(len(values)), points, values)
     return idx
 
 
@@ -204,8 +202,7 @@ class TestMaxVarOracle:
         pts = rng.uniform(0, 100, size=(60, 2))
         vals = rng.lognormal(1, 1, 60)
         idx = RangeIndex(2, leaf_size=4)
-        for tid in range(60):
-            idx.insert(tid, pts[tid], vals[tid])
+        idx.add_many(range(60), pts, vals)
         oracle = MaxVarOracle(idx, AggFunc.AVG, pop_ratio=3.0, delta=0.1)
         rect = Rectangle((0.0, 0.0), (100.0, 100.0))
         res = oracle.max_variance(rect)

@@ -226,8 +226,7 @@ class TestKDTree:
         pts = rng.uniform(0, 100, size=(n, dim))
         vals = rng.lognormal(0, 1, n)
         idx = RangeIndex(dim, leaf_size=8)
-        for tid in range(n):
-            idx.insert(tid, pts[tid], vals[tid])
+        idx.add_many(range(n), pts, vals)
         return idx, pts, vals
 
     @pytest.mark.parametrize("agg", [AggFunc.SUM, AggFunc.COUNT,
@@ -254,8 +253,7 @@ class TestKDTree:
         rng = np.random.default_rng(2)
         idx = RangeIndex(1)
         pts = rng.uniform(0, 10, 100)
-        for tid, p in enumerate(pts):
-            idx.insert(tid, (p,), float(rng.normal()))
+        idx.add_many(range(100), pts, rng.normal(size=100))
         result = KDTreePartitioner(AggFunc.SUM).partition(
             idx, 8, root_rect=Rectangle((0.0,), (10.0,)))
         assert n_leaves(result.tree) == 8
@@ -278,13 +276,9 @@ class TestKDTree:
         rng = np.random.default_rng(5)
         idx = RangeIndex(1, leaf_size=8)
         # left half: constant values; right half: huge variance
-        tid = 0
-        for x in rng.uniform(0, 50, 200):
-            idx.insert(tid, (x,), 1.0)
-            tid += 1
-        for x in rng.uniform(50, 100, 200):
-            idx.insert(tid, (x,), float(rng.lognormal(3, 2)))
-            tid += 1
+        idx.add_many(range(200), rng.uniform(0, 50, 200), np.ones(200))
+        idx.add_many(range(200, 400), rng.uniform(50, 100, 200),
+                     rng.lognormal(3, 2, 200))
         result = KDTreePartitioner(AggFunc.SUM).partition(
             idx, 16, root_rect=Rectangle((0.0,), (100.0,)))
         left = sum(1 for leaf in result.tree.leaves()

@@ -1,4 +1,4 @@
-"""Tests for the sample point index against brute force."""
+"""Tests for the sample point set against brute force."""
 
 import numpy as np
 import pytest
@@ -32,12 +32,14 @@ def populated():
     pts = rng.uniform(0, 100, size=(500, 2))
     vals = rng.normal(0, 10, 500)
     idx = RangeIndex(2)
-    for tid in range(500):
-        idx.insert(tid, pts[tid], vals[tid])
+    idx.add_many(range(500), pts, vals)
     return idx, pts, vals
 
 
 class TestInsertDelete:
+    """Loading points: an index's one write (the pool, which inserts
+    and deletes, builds a fresh index per change)."""
+
     def test_len(self, populated):
         idx, _, _ = populated
         assert len(idx) == 500
@@ -45,32 +47,22 @@ class TestInsertDelete:
     def test_duplicate_tid_rejected(self, populated):
         idx, pts, vals = populated
         with pytest.raises(KeyError):
-            idx.insert(0, pts[0], vals[0])
-
-    def test_delete(self, populated):
-        idx, _, _ = populated
-        assert idx.delete(10)
-        assert not idx.delete(10)
-        assert len(idx) == 499
-        assert 10 not in idx
+            idx.add_many([0], pts[:1], vals[:1])
+        with pytest.raises(KeyError):
+            RangeIndex(2).add_many([7, 7], pts[:2], vals[:2])
+        assert len(idx) == 500
 
     def test_arity_check(self):
         idx = RangeIndex(2)
         with pytest.raises(ValueError):
-            idx.insert(0, (1.0,), 1.0)
+            idx.add_many([0], [(1.0,)], [1.0])
 
-    def test_massive_deletion_triggers_rebuild(self, populated):
-        """Deleting past 30% of the slots compacts the store."""
-        idx, pts, vals = populated
-        for tid in range(300):
-            idx.delete(tid)
-        assert len(idx) == 200
-        assert idx._n_slots < 500
-        rect = Rectangle((0.0, 0.0), (100.0, 100.0))
-        c, s, s2 = scan_stats(idx, rect)
-        bc, bs, bs2 = brute_stats(pts[300:], vals[300:], rect)
-        assert c == bc
-        assert s == pytest.approx(bs, rel=1e-9)
+    def test_arrays_are_read_only(self, populated):
+        idx, _, _ = populated
+        for arr in (*idx.all_items(), *RangeIndex.of(
+                np.zeros((3, 2)), np.ones(3), np.arange(3)).all_items()):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestRangeStats:
@@ -88,28 +80,42 @@ class TestRangeStats:
             assert s2 == pytest.approx(bs2, abs=1e-6)
 
     def test_after_mixed_updates(self, populated):
-        idx, pts, vals = populated
+        """The points a stream of inserts and deletes left live."""
+        _, pts, vals = populated
         rng = np.random.default_rng(6)
         live = dict(enumerate(zip(pts, vals)))
         next_tid = 500
         for _ in range(400):
             if live and rng.random() < 0.45:
-                tid = int(rng.choice(list(live)))
-                idx.delete(tid)
-                del live[tid]
+                del live[int(rng.choice(list(live)))]
             else:
-                p = rng.uniform(0, 100, 2)
-                v = float(rng.normal(0, 10))
-                idx.insert(next_tid, p, v)
-                live[next_tid] = (p, v)
+                live[next_tid] = (rng.uniform(0, 100, 2),
+                                  float(rng.normal(0, 10)))
                 next_tid += 1
-        rect = Rectangle((20.0, 20.0), (70.0, 70.0))
+        idx = RangeIndex(2)
         pts2 = [p for p, _ in live.values()]
         vals2 = [v for _, v in live.values()]
+        idx.add_many(list(live), pts2, vals2)
+        rect = Rectangle((20.0, 20.0), (70.0, 70.0))
         c, s, s2 = scan_stats(idx, rect)
         bc, bs, bs2 = brute_stats(pts2, vals2, rect)
         assert c == bc
         assert s == pytest.approx(bs, abs=1e-6)
+
+    def test_loaded_in_batches(self, populated):
+        """Batch after batch, a reader keeps what it was handed."""
+        _, pts, vals = populated
+        idx = RangeIndex(2)
+        rect = Rectangle((20.0, 20.0), (70.0, 70.0))
+        for at in range(0, 500, 100):
+            before = idx.report(rect)
+            idx.add_many(range(at, at + 100), pts[at:at + 100],
+                         vals[at:at + 100])
+            assert scan_stats(idx, rect)[0] == \
+                brute_stats(pts[:at + 100], vals[:at + 100], rect)[0]
+            assert before[2].size == \
+                brute_stats(pts[:at], vals[:at], rect)[0]
+        assert idx.all_items()[2].tolist() == list(range(500))
 
 
 class TestReport:
@@ -164,8 +170,8 @@ class TestSmallCells:
                  st.floats(0, 6), st.floats(0, 6)))
 def test_property_range_stats(points, window):
     idx = RangeIndex(2, leaf_size=4)
-    for tid, (x, y, v) in enumerate(points):
-        idx.insert(tid, (x, y), v)
+    idx.add_many(range(len(points)), [(x, y) for x, y, _ in points],
+                 [v for _, _, v in points])
     lx, ly, wx, wy = window
     rect = Rectangle((lx, ly), (lx + wx, ly + wy))
     c, s, s2 = scan_stats(idx, rect)

@@ -1,9 +1,9 @@
 """Equivalence suite for the vectorized re-initialization fast path.
 
 Pins the array-backed :class:`RangeIndex` against brute force and
-against itself: two indexes that reach one live point set through
-different insert / delete orders and compactions yield bit-identical
-canonical cells and oracle values.  The flat-matrix
+against itself: two indexes that load one live point set in different
+orders and batches yield bit-identical canonical cells and oracle
+values.  The flat-matrix
 :class:`KDTreePartitioner` build is pinned against the report-per-split
 reference (``benchmarks/lib/reference.py``) over the same index, across
 dimensions 1-3, duplicates-heavy keys and delete-heavy pools: identical
@@ -35,49 +35,33 @@ from lib.reference import ReferenceKDTreePartitioner  # noqa: E402
 
 
 def make_pool(dim, n, seed, duplicates=False, delete_frac=0.0):
-    """An index after per-tid inserts and deletes, with its points and
-    the liveness of every tid."""
+    """An index over the points left live after deletes, with all the
+    points and the liveness of every tid."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 100, size=(n, dim))
     if duplicates:
         pts = np.round(pts, 0)       # heavy coordinate collisions
     vals = rng.lognormal(0.5, 1.0, n)
-    index = RangeIndex(dim)
-    for tid in range(n):
-        index.insert(tid, pts[tid], vals[tid])
     live = np.ones(n, dtype=bool)
     if delete_frac:
-        doomed = rng.choice(n, size=int(delete_frac * n), replace=False)
-        # exercise both the bulk and the per-tid delete paths
-        cut = doomed.size // 2
-        index.delete_many(doomed[:cut])
-        for tid in doomed[cut:]:
-            index.delete(int(tid))
-        live[doomed] = False
+        live[rng.choice(n, size=int(delete_frac * n), replace=False)] = \
+            False
+    index = RangeIndex(dim)
+    index.add_many(np.flatnonzero(live), pts[live], vals[live])
     return index, pts, vals, live
 
 
 def churned_twin(pts, vals, live, seed):
-    """The live set of :func:`make_pool` reached another way: shuffled
-    bulk inserts mixed with transient points whose deletion forces
-    compactions, the real deletes in another order, and ``small_cells``
-    asked between writes so a stale cached tree would show."""
+    """The live set of :func:`make_pool` loaded another way: shuffled,
+    in five batches, with ``small_cells`` asked between them so a stale
+    cached tree would show."""
     rng = np.random.default_rng(seed)
-    n, dim = pts.shape
-    twin, extra = RangeIndex(dim), n
+    dim = pts.shape[1]
+    twin = RangeIndex(dim)
     everything = Rectangle((-1.0,) * dim, (101.0,) * dim)
-    for chunk in np.array_split(rng.permutation(n), 5):
-        junk = np.arange(extra, extra + chunk.size // 2)
-        extra += junk.size
-        twin.add_many(np.concatenate([junk, chunk]),
-                      np.concatenate([rng.uniform(0, 100, (junk.size, dim)),
-                                      pts[chunk]]),
-                      np.concatenate([rng.lognormal(0, 1, junk.size),
-                                      vals[chunk]]))
+    for chunk in np.array_split(rng.permutation(np.flatnonzero(live)), 5):
+        twin.add_many(chunk, pts[chunk], vals[chunk])
         list(twin.small_cells(everything, 40))
-        twin.delete_many(rng.permutation(junk))
-    for tid in rng.permutation(np.flatnonzero(~live)):
-        twin.delete(int(tid))
     return twin
 
 
@@ -153,11 +137,9 @@ class TestIndexEquivalence:
                 assert got.witness == want.witness
 
     def test_bulk_build_matches_point_queries(self, pool):
-        """add_many answers like the per-insert build."""
+        """An index over arrays answers like the add_many build."""
         index, _, _, _ = make_pool(n=900, seed=11, **pool)
-        coords, values, tids = index.all_items()
-        bulk = RangeIndex(pool["dim"])
-        bulk.add_many(tids, coords, values)
+        bulk = RangeIndex.of(*(a.copy() for a in index.all_items()))
         assert len(bulk) == len(index)
         for rect in random_rects(pool["dim"], seed=8, n=10):
             assert bulk.count(rect) == index.count(rect)

@@ -13,9 +13,9 @@ spread over five stores and an observer protocol:
   key the routing function gives those rows;
 * the stratum sizes add up to the pool size;
 * the index holds exactly the members, at their coordinates and values;
-* what a call returns - one block of predicate coordinates per index
-  mutation, ``None`` for a redraw - is the symmetric difference it
-  actually applied.
+* what a call returns - the stratum keys of the members it removed and
+  added, ``None`` for a redraw - is the symmetric difference it actually
+  applied, and ``version`` moved by one per report.
 """
 
 import numpy as np
@@ -49,10 +49,6 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool = SamplePool(self.table, RATE, MIN_POOL, seed=1,
                                index_on=([0], 1))
         self.route = None
-        #: every row ever inserted (deleted members' coordinates are
-        #: checked after the table dropped them)
-        self.seen = {int(t): self.table.row(int(t)).copy()
-                     for t in self.table.live_tids()}
 
     def _fresh_rows(self, n):
         return np.column_stack([self.rng.uniform(0, 12, n),
@@ -61,24 +57,27 @@ class PoolMachine(RuleBasedStateMachine):
     def members(self):
         return self.pool.reservoir.tids()
 
-    def _insert(self, n):
-        rows = self._fresh_rows(n)
-        tids = self.table.insert_many(rows)
-        self.seen.update(zip(tids, rows))
-        return tids
+    def filed(self):
+        """Every member's stratum key."""
+        return {t: key for key in self.pool.sizes()
+                for t in self.pool.tids(key)}
 
-    def _check_reports(self, before, reports):
-        """Returned coordinates == the symmetric difference applied."""
-        after = set(self.members())
-        if any(block is None for block in reports):
+    def _insert(self, n):
+        return self.table.insert_many(self._fresh_rows(n))
+
+    def _check_reports(self, before, version, reports):
+        """Returned strata == those of the symmetric difference applied
+        (``before``: :meth:`filed` before the call)."""
+        assert self.pool.version == version + len(reports)
+        if any(keys is None for keys in reports):
             assert reports[-1] is None      # a redraw ends the call
             return
-        changed = before ^ after
-        got = np.concatenate(reports) if reports else np.empty((0, 1))
-        assert got.shape == (len(changed), 1)
-        assert sorted(got[:, 0].tolist()) == \
-            sorted(self.seen[t][0] for t in changed)
-        assert len(reports) == bool(before - after) + bool(after - before)
+        after = self.filed()
+        want = [before[t] for t in before.keys() - after.keys()] + \
+            [after[t] for t in after.keys() - before.keys()]
+        assert len(reports) == bool(want)
+        got = np.concatenate(reports) if reports else np.empty(0)
+        assert sorted(got.tolist()) == sorted(want)
 
     # ------------------------------------------------------------------ #
     @initialize(n_buckets=st.sampled_from([None, 1, 3, 5]))
@@ -88,9 +87,10 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(n=st.integers(1, 12))
     def insert_batch(self, n):
-        before, target = set(self.members()), self.pool.reservoir.target_size
+        before, version = self.filed(), self.pool.version
+        target = self.pool.reservoir.target_size
         reports = self.pool.insert_many(self._insert(n))
-        self._check_reports(before, reports)
+        self._check_reports(before, version, reports)
         grew = self.pool.reservoir.target_size > target
         assert grew == any(block is None for block in reports)
 
@@ -101,10 +101,10 @@ class PoolMachine(RuleBasedStateMachine):
         n = data.draw(st.integers(1, 6))
         picks = data.draw(st.lists(st.sampled_from(live), min_size=n,
                                    max_size=n, unique=True))
-        before = set(self.members())
+        before, version = self.filed(), self.pool.version
         self.table.delete_many(picks)
         reports = self.pool.delete_many(picks)
-        self._check_reports(before, reports)
+        self._check_reports(before, version, reports)
 
     @precondition(lambda self: len(self.table) - len(self.pool)
                   >= self.pool.reservoir.min_size <= len(self.pool))
@@ -124,11 +124,12 @@ class PoolMachine(RuleBasedStateMachine):
         """Insert until the target rule asks for > 1.25x: one redraw."""
         res = self.pool.reservoir
         need = int(1.25 * res.target_size / (2 * RATE)) + 2 - len(self.table)
-        before, target = set(self.members()), res.target_size
+        before, version, target = self.filed(), self.pool.version, \
+            res.target_size
         reports = self.pool.insert_many(self._insert(max(need, 1)))
         assert reports[-1] is None and res.target_size > target
         assert res.target_size == self.pool.target() == len(res)
-        self._check_reports(before, reports)
+        self._check_reports(before, version, reports)
 
     @rule()
     def resample(self):
@@ -137,11 +138,11 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(n_buckets=st.sampled_from([None, 1, 2, 4, 7]))
     def reroute(self, n_buckets):
-        members, version = self.members(), self.pool.index.version
+        members, view = self.members(), self.pool.index
         self.route = None if n_buckets is None else bucket_route(n_buckets)
         self.pool.reroute(self.route)
         assert self.members() == members            # membership kept,
-        assert self.pool.index.version == version   # index untouched,
+        assert self.pool.index is view              # index untouched,
         joined = list(self.pool.reservoir)          # re-filed in join order
         for key in self.pool.sizes():
             tids = self.pool.tids(key)
@@ -178,11 +179,9 @@ class PoolMachine(RuleBasedStateMachine):
                               self.table.rows_for(members))
         assert sorted(map(tuple, pool.rows())) == \
             sorted(map(tuple, self.table.rows_for(members)))
-        assert np.array_equal(pool.row(members[0]),
-                              self.table.row(members[0]))
         assert all(t in pool for t in members)
         coords, values, tids = pool.index.all_items()
-        assert sorted(tids.tolist()) == sorted(members)
+        assert tids.tolist() == list(pool.reservoir)
         rows = self.table.rows_for(tids)
         assert np.array_equal(coords[:, 0], rows[:, 0])
         assert np.array_equal(values, rows[:, 1])
@@ -195,16 +194,19 @@ TestSamplePool = PoolMachine.TestCase
 
 def test_pool_without_index_holds_rows_only():
     """The baselines' configuration: one stratum, no index, the calls
-    still report (a redraw) or stay silent."""
+    still report (a redraw, or stratum 0 once per changed member)."""
     table = Table(("x", "a"))
     table.insert_many(np.random.default_rng(3).uniform(0, 1, (200, 2)))
     pool = SamplePool(table, 0.1, MIN_POOL, seed=4)
     assert pool.index is None and is_redraw(pool.initialize())
     assert pool.reservoir.target_size == 40 == len(pool)
+    before = set(pool.tids(0))
     tids = table.insert_many(np.ones((30, 2)))
-    assert pool.insert_many(tids) == []
+    (keys,) = pool.insert_many(tids)
+    assert keys.tolist() == [0] * len(before ^ set(pool.tids(0)))
     assert np.array_equal(pool.rows(),
                           table.rows_for(pool.tids(0)))
     gone = pool.tids(0)[:5]
     table.delete_many(gone)
-    assert pool.delete_many(gone) == [] and len(pool) == 35
+    assert pool.delete_many(gone)[0].tolist() == [0] * 5
+    assert len(pool) == 35

@@ -3,7 +3,9 @@
 * Property: through any sequence of pool adds / removes / resets (and
   the re-partitions they trigger) a memoised value equals a fresh
   ``oracle.max_variance`` call bit for bit - checked on *every* read the
-  engine makes, and for every leaf after every operation.
+  engine makes, and for every leaf after every operation.  Rows land on
+  cuts, outside the root, and at NaN, +-inf and -0.0 coordinates, where
+  a point's stratum and the leaf rectangles holding it could part.
 * Count guard (no wall clock): on a fixed 60-batch trace a rejected
   candidate builds no ``DynamicPartitionTree`` and calls
   ``index.report`` at most once per dirty leaf plus once per R' leaf the
@@ -27,6 +29,8 @@ from repro.index.range_index import RangeIndex
 
 DS = nyc_taxi(n=12_000, seed=1)
 FARE = DS.schema.index("fare")
+#: Predicate values a write may carry that no comparison orders.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0]
 
 
 def _same(a: float, b: float) -> bool:
@@ -57,7 +61,8 @@ def _engine(pred_attrs, agg, n_seed, **cfg):
 # ---------------------------------------------------------------------- #
 OPS = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.integers(1, 40),
-              st.sampled_from(["plain", "on_cut", "outside", "hot"])),
+              st.sampled_from(["plain", "on_cut", "outside", "hot",
+                               "edge"])),
     st.tuples(st.just("delete"), st.integers(1, 40), st.just("")),
     st.tuples(st.sampled_from(["reset", "partial", "reoptimize"]),
               st.just(0), st.just(""))),
@@ -70,7 +75,9 @@ OPS = st.lists(st.one_of(
                              (("pickup_time",), AggFunc.COUNT),
                              (("pickup_time",), AggFunc.AVG),
                              (("pickup_time", "trip_distance"),
-                              AggFunc.SUM)]))
+                              AggFunc.SUM),
+                             (("pickup_time", "trip_distance"),
+                              AggFunc.COUNT)]))
 def test_memo_equals_fresh_oracle(ops, seed, case):
     pred_attrs, agg = case
     # a small table under a large pool: every batch churns the pool
@@ -93,6 +100,11 @@ def test_memo_equals_fresh_oracle(ops, seed, case):
                 rows[:, pred_idx] = rng.choice([-1e5, 1e7])
             elif where == "hot":
                 rows[:, FARE] += 5000.0
+            elif where == "edge":   # some coordinates, so NaN meets finite
+                pred = rows[:, pred_idx]
+                edge = rng.random(pred.shape) < 0.5
+                pred[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+                rows[:, pred_idx] = pred
             live.extend(engine.insert_many(rows))
         elif kind == "delete" and len(live) > 200:
             picks = rng.choice(len(live), size=min(n, len(live) - 200),
@@ -111,15 +123,20 @@ def test_memo_equals_fresh_oracle(ops, seed, case):
             engine.trigger.leaf_variance(leaf)      # asserts inside
 
 
-def test_unreported_index_mutation_drops_the_memo():
-    """A caller that mutates the index behind the trigger's back (no
-    ``pool_changed``) must not be served stale values."""
+def test_unreported_pool_change_drops_the_memo():
+    """A caller that changes the pool behind the trigger's back (no
+    ``_pool_changed``) must not be served stale values: the pool's
+    ``version`` ran ahead of the reports."""
     engine = _engine(("pickup_time",), AggFunc.SUM, 3000, k=8,
                      sample_rate=0.05)
     trigger, leaf = engine.trigger, engine.dpt.leaves[2]
     before = trigger.leaf_variance(leaf)
-    x = (leaf.rect.lo[0] + leaf.rect.hi[0]) / 2
-    engine.sample_index.insert(10 ** 9, (x,), 1e6)
+    row = DS.data[3000].copy()
+    row[0], row[FARE] = (leaf.rect.lo[0] + leaf.rect.hi[0]) / 2, 1e6
+    tids = engine.table.insert_many(row[None])
+    engine.pool.delete_many(engine.reservoir.tids()[:1])
+    engine.pool.insert_many(tids, np.array([leaf.node_id]))
+    assert tids[0] in engine.pool       # below target: taken as it came
     after = trigger.leaf_variance(leaf)
     assert after != before
     assert _same(after, trigger.oracle.max_variance(leaf.rect).variance)

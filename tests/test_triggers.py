@@ -29,7 +29,7 @@ def build_world(n=2000, seed=0):
                       index_on=([0], 1))
     pool.initialize(dpt.leaf_ids_of)
     index, reservoir = pool.index, pool.reservoir
-    oracle = MaxVarOracle(index, AggFunc.SUM, pop_ratio=n / 200)
+    oracle = MaxVarOracle(pool, AggFunc.SUM, pop_ratio=n / 200)
     return table, dpt, index, reservoir, pool, oracle
 
 
@@ -89,9 +89,10 @@ class TestOnUpdate:
         leaf = dpt.leaves[0]
         # inject extreme values into the leaf's sample region to blow up
         # its max variance by much more than beta
-        tid0 = 10 ** 6
-        for i in range(30):
-            index.insert(tid0 + i, (leaf.rect.hi[0] - 0.5,), 1e6)
+        tids = table.insert_many(np.tile([leaf.rect.hi[0] - 0.5, 1e6],
+                                         (30, 1)))
+        trig.pool_changed(pool.restore(reservoir.tids() + tids,
+                                       dpt.leaf_ids_of))
         action = trig.on_update(dpt, leaf)
         assert action is TriggerAction.CANDIDATE
 
