@@ -22,12 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import emit
+from lib.dp import DPPartitioner
 from lib.harness import evaluate, make_workload
 from lib.spt import StaticPartitionTree, build_spt
 from repro.core.queries import AggFunc
 from repro.core.table import Table
 from repro.datasets import synthetic
-from repro.partitioning.dp import DPPartitioner
 from repro.partitioning.onedim import OneDimPartitioner
 
 N_ROWS = 40_000

@@ -21,9 +21,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.queries import AggFunc, Rectangle
-from .maxvar import PrefixStats
-from .onedim import OneDimResult
+from repro.core.queries import AggFunc, Rectangle
+from repro.partitioning.maxvar import PrefixStats
+from repro.partitioning.onedim import OneDimResult
 
 
 class DPPartitioner:

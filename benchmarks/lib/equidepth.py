@@ -12,8 +12,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.queries import Rectangle
-from .spec import TreeSpec, tree_from_intervals
+from repro.core.queries import Rectangle
+from repro.partitioning.spec import TreeSpec, tree_from_intervals
 
 
 def equidepth_boundaries(keys: np.ndarray, k: int) -> List[float]:

@@ -23,11 +23,12 @@ import numpy as np
 from repro.core.dpt import DynamicPartitionTree
 from repro.core.queries import AggFunc, Query, QueryResult, Rectangle
 from repro.index.range_index import RangeIndex
-from repro.partitioning.dp import DPPartitioner
-from repro.partitioning.equidepth import equidepth_tree
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.partitioning.onedim import OneDimPartitioner
 from repro.partitioning.spec import TreeSpec
+
+from .dp import DPPartitioner
+from .equidepth import equidepth_tree
 
 
 class StaticPartitionTree:

@@ -19,8 +19,9 @@ import numpy as np
 from repro.core import estimators
 from repro.core.queries import AggFunc, Query, QueryResult
 from repro.core.table import Table
-from repro.partitioning.equidepth import equidepth_boundaries
 from repro.sampling.pool import SamplePool
+
+from .equidepth import equidepth_boundaries
 
 
 class StratifiedReservoirBaseline:

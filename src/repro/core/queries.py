@@ -249,14 +249,6 @@ class Rectangle:
                    for a, b, c, d in
                    zip(self.lo, self.hi, other.lo, other.hi))
 
-    def intersection(self, other: "Rectangle") -> Optional["Rectangle"]:
-        """The overlap box, or ``None`` when the rectangles are disjoint."""
-        lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
-        hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
-        if any(a > b for a, b in zip(lo, hi)):
-            return None
-        return Rectangle(lo, hi)
-
     def split(self, dim: int, x: float) -> Tuple["Rectangle", "Rectangle"]:
         """Split into left (``coord <= x``) and right (``coord > x``) halves.
 

@@ -3,10 +3,12 @@
 A template is ``(aggregation function, aggregation attribute, predicate
 attributes)``.  The paper offers two designs, both implemented here:
 
-* **Method 1** (:class:`SynopsisManager`) - one global pooled sample plus
-  one partition tree per template.  Space is O(m + L*k); every supported
-  template keeps its full error guarantees.  Templates can be added
-  lazily when a query from an unseen template arrives.
+* **Method 1** (:class:`SynopsisManager`) - one partition tree per
+  template, each with its full error guarantees.  The paper shares one
+  global pooled sample under every tree, O(m + L*k); here each template
+  is a whole engine with its own pool, O(L*m) - one shared pool is the
+  open step (ROADMAP.md item 6).  Templates can be added lazily when a
+  query from an unseen template arrives.
 * **Method 2** (:class:`HeuristicRouter`) - a single tree.  A different
   aggregation *function* is free (SUM/COUNT statistics are maintained in
   every node); a different aggregation *attribute* is free too when the

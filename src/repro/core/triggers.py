@@ -21,6 +21,7 @@ Figure 10 experiment uses.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from ..partitioning.maxvar import MaxVarOracle
 from ..sampling.pool import SamplePool
-from ..sampling.stratified import min_samples_per_stratum
 from .dpt import DynamicPartitionTree
 from .node import NodeRef
 from .queries import Rectangle
@@ -45,7 +45,6 @@ class TriggerConfig:
     beta: float = 10.0
     check_every: int = 256        # updates between drift checks
     every_n_updates: Optional[int] = None   # periodic forcing, if set
-    min_samples_floor: Optional[float] = None  # default: log(pool size)
 
 
 @dataclass
@@ -135,11 +134,6 @@ class RepartitionTrigger:
                    default=0.0)
 
     # ------------------------------------------------------------------ #
-    def on_update(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
-                  leaf: NodeRef) -> TriggerAction:
-        """Called after every insert/delete routed to ``leaf``."""
-        return self.on_update_batch(dpt, ((leaf, 1),))
-
     def on_update_batch(self, dpt: DynamicPartitionTree,  # requires-lock: _lock
                         leaf_counts: Iterable[Tuple[NodeRef, int]]
                         ) -> TriggerAction:
@@ -149,10 +143,10 @@ class RepartitionTrigger:
         rows routed to it; the ``check_every`` counters advance by the
         batch total.  When a drift check comes due, every touched leaf
         is examined in one consolidated check (a superset of the
-        single-leaf checks the per-row path would have run inside the
+        single-leaf checks one row at a time would have run inside the
         batch), and the counter keeps its remainder so the check cadence
         stays one per ``check_every`` updates across batch boundaries.
-        At batch size 1 this is exactly the per-row rule.
+        A one-row update is ``[(leaf, 1)]``.
         """
         leaf_counts = list(leaf_counts)
         total = sum(count for _, count in leaf_counts)
@@ -175,10 +169,10 @@ class RepartitionTrigger:
         return TriggerAction.NONE
 
     def _under_represented(self, leaf: NodeRef) -> bool:
-        floor = self.config.min_samples_floor
-        if floor is None:
-            floor = min_samples_per_stratum(
-                sample_rate=1.0, pool_size=max(len(self.pool), 2))
+        """Section 5.4's robustness floor: a leaf holding fewer than
+        ``log |S|`` pooled rows (the ``(1/alpha) log m`` population floor
+        over the population-to-sample ratio ``1/alpha``)."""
+        floor = math.log(max(len(self.pool), 2))
         return self.pool.stratum_size(leaf.node_id) < floor
 
     def _variance_drifted(self, leaf: NodeRef) -> bool:  # requires-lock: _lock

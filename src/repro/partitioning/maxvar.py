@@ -28,7 +28,8 @@ constructions, which we reproduce:
 The module exposes both an index-backed oracle (:class:`MaxVarOracle`,
 used by the k-d partitioner and the re-partitioning triggers) and pure
 prefix-sum kernels over sorted 1-D arrays (used by the 1-D binary-search
-and DP partitioners, where every candidate bucket is a contiguous run).
+partitioner and the benchmarks' DP baseline, where every candidate
+bucket is a contiguous run).
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ the caller (:class:`~repro.sampling.pool.SamplePool`) applies it to
 whatever is stored per member - the paper's "virtual partitions of a
 single global sample".
 
-Bulk streams use :meth:`DynamicReservoir.on_insert_many` /
+Streams use :meth:`DynamicReservoir.on_insert_many` /
 :meth:`DynamicReservoir.on_delete_many`: one vectorized acceptance draw
-and one net change per batch; the per-tid methods are wrappers over the
-batch path.
+and one net change per batch (a single row is a batch of one).
 """
 
 from __future__ import annotations
@@ -103,20 +102,16 @@ class DynamicReservoir:
         self._pos = {t: i for i, t in enumerate(self._members)}
         return PoolChange([], list(self._members), reset=True)
 
-    def on_insert(self, tid: int) -> PoolChange:
-        """Notify the reservoir that ``tid`` was inserted into the table."""
-        return self.on_insert_many((tid,))
-
     def on_insert_many(self, tids: Sequence[int]) -> PoolChange:
         """Notify the reservoir of a bulk insert in one call.
 
         ``tids`` must already be live in the table (call after
-        :meth:`Table.insert_many`).  Statistically equivalent to calling
-        :meth:`on_insert` per tid in arrival order: the acceptance
-        probability of the i-th tid uses the live count as of *its*
-        insertion, reconstructed from the final table size - but the
-        whole batch takes one vectorized acceptance draw and returns
-        one net membership change.
+        :meth:`Table.insert_many`).  Statistically equivalent to one
+        call per tid in arrival order: the acceptance probability of
+        the i-th tid uses the live count as of *its* insertion,
+        reconstructed from the final table size - but the whole batch
+        takes one vectorized acceptance draw and returns one net
+        membership change.
         """
         tids = [int(t) for t in tids]
         added: List[int] = []
@@ -153,21 +148,13 @@ class DynamicReservoir:
         return PoolChange([t for t in removed if t not in added_set],
                           [t for t in added if t not in evicted])
 
-    def on_delete(self, tid: int) -> PoolChange:
-        """Notify the reservoir that ``tid`` was deleted from the table.
-
-        Call *after* the table delete so a triggered resample cannot
-        re-draw the deleted row.
-        """
-        return self.on_delete_many((tid,))
-
     def on_delete_many(self, tids: Sequence[int]) -> PoolChange:
         """Notify the reservoir of a bulk delete in one call.
 
-        Sampled members are evicted; the shrink-below-``m`` resample
-        check runs once after the whole batch (the per-tid path checks
-        after every eviction, which is identical at batch size 1) and
-        turns the change into a reset.
+        Call *after* the table delete so a triggered resample cannot
+        re-draw a deleted row.  Sampled members are evicted; the
+        shrink-below-``m`` resample check runs once after the whole
+        batch and turns the change into a reset.
         """
         removed: List[int] = []
         for tid in tids:

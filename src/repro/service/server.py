@@ -583,7 +583,9 @@ class AQPServer:
                            headers) -> dict:
         t_req = time.perf_counter()
         raw, single, parse = self._read_body(route, payload)
-        explain = bool(payload.get("explain", False))
+        explain = payload.get("explain", False)
+        if not isinstance(explain, bool):
+            raise _HTTPError(400, "'explain' must be true or false")
         if explain:
             self._c_explain.inc()
         ctx = self._trace_context(headers, force=explain)
@@ -641,10 +643,12 @@ class AQPServer:
     async def _handle_delete(self, payload: dict, _headers) -> dict:
         if "tids" not in payload:
             raise _HTTPError(400, "expected 'tids'")
-        try:
-            tids = [int(t) for t in payload["tids"]]
-        except (TypeError, ValueError) as exc:
-            raise _HTTPError(400, f"bad tids: {exc}") from exc
+        tids = payload["tids"]
+        # JSON integers only: int() would read "12" as tids 1 and 2,
+        # 7.9 as 7 and true as 1.
+        if not isinstance(tids, list) or \
+                not all(type(t) is int for t in tids):
+            raise _HTTPError(400, "'tids' must be a list of integers")
         loop = asyncio.get_running_loop()
         try:
             await loop.run_in_executor(

@@ -1,6 +1,13 @@
-"""Tests for the four partitioners: BS, DP, k-d tree, equi-depth."""
+"""Tests for the engine's partitioners: BS (1-D) and the k-d tree.
+
+The PASS dynamic program and the equi-depth split are benchmark
+baselines (``benchmarks/lib``, tested in ``benchmarks/lib/test_dp.py``);
+the DP is the optimal reference BS is held to here.
+"""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,14 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.queries import AggFunc, Rectangle
 from repro.index.range_index import RangeIndex
-from repro.partitioning.dp import DPPartitioner
-from repro.partitioning.equidepth import (equidepth_boundaries,
-                                          equidepth_tree)
 from repro.partitioning.kdtree import KDTreePartitioner
-from repro.partitioning.maxvar import PrefixStats
 from repro.partitioning.onedim import OneDimPartitioner
 from repro.partitioning.spec import (TreeSpec, leaf_edges,
                                      tree_from_intervals)
+
+# the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
+sys.path.insert(0, os.path.abspath(os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks")))
+
+from lib.dp import DPPartitioner  # noqa: E402
 
 
 def sample_data(n=200, seed=0):
@@ -186,40 +195,6 @@ class TestOneDim:
         leaves_cover_all(result.tree, keys)
 
 
-class TestDP:
-    def test_dp_is_optimal_for_oracle(self):
-        """DP's max bucket error <= BS's (it searches exhaustively)."""
-        keys, values = sample_data(n=80, seed=7)
-        for k in (2, 4, 8):
-            dp = DPPartitioner(AggFunc.SUM).partition(keys, values, k)
-            bs = OneDimPartitioner(AggFunc.SUM).partition(keys, values, k)
-            assert dp.max_error <= bs.max_error + 1e-9
-
-    def test_boundaries_are_monotone(self):
-        keys, values = sample_data(n=50)
-        result = DPPartitioner(AggFunc.SUM).partition(keys, values, 5)
-        assert result.bucket_index_bounds == \
-            sorted(result.bucket_index_bounds)
-        assert result.bucket_index_bounds[0] == 0
-        assert result.bucket_index_bounds[-1] == 50
-
-    @pytest.mark.parametrize("agg", [AggFunc.SUM, AggFunc.COUNT,
-                                     AggFunc.AVG])
-    def test_all_aggregates(self, agg):
-        keys, values = sample_data(n=40)
-        result = DPPartitioner(agg).partition(keys, values, 4)
-        assert_valid(result.tree)
-        leaves_cover_all(result.tree, keys)
-
-    def test_count_equal_depth_optimality(self):
-        """For COUNT the optimum is equal-size buckets (paper D.2)."""
-        keys = np.sort(sample_data(n=64)[0])
-        values = np.ones(64)
-        dp = DPPartitioner(AggFunc.COUNT).partition(keys, values, 4)
-        sizes = np.diff(dp.bucket_index_bounds)
-        assert sizes.max() - sizes.min() <= 1
-
-
 class TestKDTree:
     def make_index(self, n=300, dim=2, seed=0):
         rng = np.random.default_rng(seed)
@@ -286,25 +261,3 @@ class TestKDTree:
         right = sum(1 for leaf in result.tree.leaves()
                     if leaf.rect.lo[0] >= 50.0 - 1e-9)
         assert right > left
-
-
-class TestEquidepth:
-    def test_boundaries_equalize_counts(self):
-        keys = np.arange(100.0)
-        cuts = equidepth_boundaries(keys, 4)
-        assert len(cuts) == 3
-        assert cuts == [24.0, 49.0, 74.0]
-
-    def test_tree(self):
-        keys = np.arange(100.0)
-        tree = equidepth_tree(keys, 8)
-        assert n_leaves(tree) == 8
-        assert_valid(tree)
-
-    def test_duplicate_keys_deduped(self):
-        keys = np.array([1.0] * 50 + [2.0] * 50)
-        cuts = equidepth_boundaries(keys, 10)
-        assert len(cuts) <= 2
-
-    def test_empty(self):
-        assert equidepth_boundaries(np.array([]), 4) == []

@@ -183,27 +183,6 @@ class TestCodecRoundtrip:
 
 
 class TestRectangleAlgebra:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=8,
-                    max_size=8),
-           st.lists(st.floats(0, 10, allow_nan=False), min_size=2,
-                    max_size=2))
-    def test_intersection_is_set_intersection(self, bounds, point):
-        a_lo = [min(bounds[0], bounds[1]), min(bounds[2], bounds[3])]
-        a_hi = [max(bounds[0], bounds[1]), max(bounds[2], bounds[3])]
-        b_lo = [min(bounds[4], bounds[5]), min(bounds[6], bounds[7])]
-        b_hi = [max(bounds[4], bounds[5]), max(bounds[6], bounds[7])]
-        a = Rectangle(tuple(a_lo), tuple(a_hi))
-        b = Rectangle(tuple(b_lo), tuple(b_hi))
-        inter = a.intersection(b)
-        in_both = a.contains_point(point) and b.contains_point(point)
-        if inter is None:
-            assert not in_both
-        else:
-            assert inter.contains_point(point) == in_both
-            # commutativity
-            assert b.intersection(a) == inter
-
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
     def test_split_preserves_membership(self, lo, hi, x):

@@ -47,13 +47,6 @@ class TestRectangle:
         assert a.intersects(b)                    # touching counts
         assert not a.intersects(c)
 
-    def test_intersection(self):
-        a = Rectangle((0.0, 0.0), (5.0, 5.0))
-        b = Rectangle((3.0, 3.0), (8.0, 8.0))
-        inter = a.intersection(b)
-        assert inter == Rectangle((3.0, 3.0), (5.0, 5.0))
-        assert a.intersection(Rectangle((6.0, 6.0), (7.0, 7.0))) is None
-
     def test_split_partitions_parent(self):
         r = Rectangle((0.0, 0.0), (10.0, 10.0))
         left, right = r.split(0, 4.0)

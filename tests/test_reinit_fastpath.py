@@ -22,9 +22,8 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.index.range_index import RangeIndex
-from repro.partitioning.dp import DPPartitioner
 from repro.partitioning.kdtree import KDTreePartitioner
-from repro.partitioning.maxvar import MaxVarOracle, PrefixStats
+from repro.partitioning.maxvar import MaxVarOracle
 from repro.partitioning.onedim import OneDimPartitioner
 
 # the paper-figure benchmarks' library (benchmarks/lib) imports as ``lib``
@@ -186,29 +185,6 @@ class TestOneDimCanonical:
                                domain=(0.0, 50.0))
         assert res_a.boundaries == res_b.boundaries
         assert res_a.max_error == res_b.max_error
-
-
-class TestDPAvgVectorized:
-    def test_cost_row_bit_identical_to_scalar_oracle(self):
-        rng = np.random.default_rng(3)
-        values = rng.lognormal(0, 1, 150)
-        prefix = PrefixStats(values)
-        for window in (4, 9, 60, 149, 500):
-            for i in (1, 2, 7, 83, 150):
-                new = DPPartitioner._avg_cost_row(prefix.p1, prefix.p2,
-                                                  i, window)
-                old = np.array([prefix.max_var_avg(int(lo), i, window)
-                                for lo in range(i)])
-                assert np.array_equal(new, old)
-
-    def test_dp_avg_partition_unchanged(self):
-        rng = np.random.default_rng(9)
-        keys = np.sort(rng.uniform(0, 10, 120))
-        vals = rng.lognormal(0, 1, 120)
-        res = DPPartitioner(AggFunc.AVG).partition(keys, vals, 8,
-                                                   n_population=1200)
-        assert len(res.boundaries) <= 7
-        assert res.max_error >= 0.0
 
 
 def _build_janus(dim, n_rows, seed=0, k=32):

@@ -55,7 +55,7 @@ class TestInsertion:
         r = DynamicReservoir(t, target_size=10, seed=0)
         r.initialize()
         tid = t.insert((99.0,))
-        r.on_insert(tid)
+        r.on_insert_many((tid,))
         assert tid in r                           # always added when short
 
     def test_replacement_keeps_size(self):
@@ -64,7 +64,7 @@ class TestInsertion:
         r.initialize()
         for _ in range(500):
             tid = t.insert((0.0,))
-            r.on_insert(tid)
+            r.on_insert_many((tid,))
         assert len(r) == 50
 
     def test_acceptance_rate_matches_theory(self):
@@ -77,7 +77,7 @@ class TestInsertion:
         for _ in range(trials):
             tid = t.insert((0.0,))
             before = tid in r
-            r.on_insert(tid)
+            r.on_insert_many((tid,))
             accepted += (tid in r)
         # expected rate ~ 100/|D| which shrinks 1000->4000: mean ~ 0.04
         rate = accepted / trials
@@ -91,7 +91,7 @@ class TestDeletion:
         r.initialize()
         outside = [tid for tid in range(100) if tid not in r][0]
         t.delete(outside)
-        r.on_delete(outside)
+        r.on_delete_many((outside,))
         assert len(r) == 20
 
     def test_delete_member_removes(self):
@@ -100,7 +100,7 @@ class TestDeletion:
         r.initialize()
         victim = r.tids()[0]
         t.delete(victim)
-        r.on_delete(victim)
+        r.on_delete_many((victim,))
         assert victim not in r
         assert len(r) == 19
 
@@ -112,7 +112,7 @@ class TestDeletion:
         while r.n_resamples == 0:
             victim = r.tids()[0]
             t.delete(victim)
-            r.on_delete(victim)
+            r.on_delete_many((victim,))
         assert len(r) == 40                      # refreshed to 2m
         assert all(tid in t for tid in r.tids())
 
@@ -126,10 +126,10 @@ class TestDeletion:
             if rng.random() < 0.4 and len(t) > 40:
                 victim = int(rng.choice(t.live_tids()))
                 t.delete(victim)
-                r.on_delete(victim)
+                r.on_delete_many((victim,))
             else:
                 tid = t.insert((float(rng.random()),))
-                r.on_insert(tid)
+                r.on_insert_many((tid,))
             assert r.min_size <= len(r) <= r.target_size
             assert all(tid in t for tid in r.tids())
 
@@ -144,7 +144,7 @@ class TestUniformity:
             r.initialize()
             for i in range(200):
                 tid = t.insert((float(i),))
-                r.on_insert(tid)
+                r.on_insert_many((tid,))
             for tid in r.tids():
                 hits[tid] += 1
         # 60 trials x 60 slots over 400 tuples: expect 9 hits per tuple.
@@ -164,7 +164,7 @@ class TestObservers:
         live = replay(set(), change)
         for _ in range(200):
             tid = t.insert((1.0,))
-            live = replay(live, r.on_insert(tid))
+            live = replay(live, r.on_insert_many((tid,)))
         assert live == set(r.tids())
 
     def test_batch_change_is_net_of_the_batch(self):

@@ -617,6 +617,29 @@ class TestProtocolErrors:
             client.delete_many([10 ** 9])
         assert err.value.status == 400
 
+    def test_delete_takes_only_json_integer_tids(self, served):
+        """A string is not iterated into tids, a float is not truncated
+        and a bool is not read as 0 / 1: each is a 400 and nothing is
+        deleted."""
+        handle, client = served
+        before = len(handle.server.engine.table)
+        for bad in ("12", [7.9], [True], ["3"], {"1": 2}):
+            with pytest.raises(ServiceError) as err:
+                client._json("POST", "/delete", {"tids": bad})
+            assert err.value.status == 400, bad
+        assert len(handle.server.engine.table) == before
+
+    def test_explain_takes_only_a_json_boolean(self, served, ds):
+        """``"explain": "no"`` is a 400, not a traced EXPLAIN report."""
+        _, client = served
+        stmt = sql_for(workload(ds, n=1)[0])
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(ServiceError) as err:
+                client._json("POST", "/sql", {"sql": stmt, "explain": bad})
+            assert err.value.status == 400, bad
+        assert "explain" not in client._json(
+            "POST", "/sql", {"sql": stmt, "explain": False})
+
     def test_bad_requests_counted(self, served):
         handle, client = served
         before = handle.server.n_bad_requests

@@ -1,13 +1,9 @@
-"""Tests for the pool's virtual strata and the allocation checks."""
-
-import math
+"""Tests for the pool's virtual strata."""
 
 import numpy as np
 
 from repro.core.table import Table
 from repro.sampling.pool import SamplePool
-from repro.sampling.stratified import (min_samples_per_stratum,
-                                       proportional_allocation_ok)
 
 
 def setup(n=300, seed=0):
@@ -75,24 +71,3 @@ class TestRouting:
         assert sum(pool.sizes().values()) == len(pool)
         assert members(pool) == set(pool.reservoir.tids()) != before
 
-
-class TestAllocation:
-    def test_large_stratum_ok(self):
-        # alpha = 1%, k = 64: floor = 1600*log(64) ~ 6655
-        assert proportional_allocation_ok(5_000, 0.01, 64) is False
-        assert proportional_allocation_ok(10_000, 0.01, 64) is True
-
-    def test_zero_rate(self):
-        assert proportional_allocation_ok(10_000, 0.0, 8) is False
-
-    def test_floor_formula(self):
-        assert min_samples_per_stratum(0.01, 1000) == \
-            math.log(1000)
-
-    def test_appendix_b_example(self):
-        """The paper's worked example: N=4M, alpha=1% supports k<=303."""
-        n, alpha = 4_000_000, 0.01
-        # every stratum in an equal split of size N/k must pass
-        for k in (64, 128, 303):
-            assert proportional_allocation_ok(n / k, alpha, k)
-        assert not proportional_allocation_ok(n / 3000, alpha, 3000)

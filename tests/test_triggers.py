@@ -1,5 +1,7 @@
 """Tests for the re-partitioning triggers (Section 5.4 rules)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,8 @@ class TestOnUpdate:
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
         for _ in range(99):
-            assert trig.on_update(dpt, leaf) is TriggerAction.NONE
+            assert trig.on_update_batch(dpt, [(leaf, 1)]) is \
+                TriggerAction.NONE
 
     def test_forced_periodic(self):
         _, dpt, _, _, pool, oracle = build_world()
@@ -64,27 +67,26 @@ class TestOnUpdate:
             oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
-        actions = [trig.on_update(dpt, leaf) for _ in range(10)]
+        actions = [trig.on_update_batch(dpt, [(leaf, 1)])
+                   for _ in range(10)]
         assert actions[-1] is TriggerAction.FORCED
         assert trig.state.n_forced == 1
 
     def test_under_represented_leaf_fires(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(
-            TriggerConfig(check_every=1, min_samples_floor=5.0),
-            oracle, pool)
+        trig = RepartitionTrigger(TriggerConfig(check_every=1), oracle,
+                                  pool)
         trig.rebase(dpt)
         # an artificial leaf id with no samples at all
         from repro.core.node import NodeRef
         ghost = NodeRef(-1, 9999, Rectangle((200.0,), (300.0,)))
-        action = trig.on_update(dpt, ghost)
+        action = trig.on_update_batch(dpt, [(ghost, 1)])
         assert action is TriggerAction.CANDIDATE
 
     def test_variance_drift_fires(self):
         table, dpt, index, reservoir, pool, oracle = build_world()
-        trig = RepartitionTrigger(
-            TriggerConfig(check_every=1, beta=2.0, min_samples_floor=0.0),
-            oracle, pool)
+        trig = RepartitionTrigger(TriggerConfig(check_every=1, beta=2.0),
+                                  oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
         # inject extreme values into the leaf's sample region to blow up
@@ -93,18 +95,34 @@ class TestOnUpdate:
                                          (30, 1)))
         trig.pool_changed(pool.restore(reservoir.tids() + tids,
                                        dpt.leaf_ids_of))
-        action = trig.on_update(dpt, leaf)
+        action = trig.on_update_batch(dpt, [(leaf, 1)])
         assert action is TriggerAction.CANDIDATE
 
     def test_stable_leaf_no_candidate(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(
-            TriggerConfig(check_every=1, beta=10.0,
-                          min_samples_floor=0.0),
-            oracle, pool)
+        trig = RepartitionTrigger(TriggerConfig(check_every=1, beta=10.0),
+                                  oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[1]
-        assert trig.on_update(dpt, leaf) is TriggerAction.NONE
+        assert trig.on_update_batch(dpt, [(leaf, 1)]) is TriggerAction.NONE
+
+    def test_default_floor_is_log_pool_size(self):
+        """Under the default config a leaf holding fewer than ``log |S|``
+        pooled rows is a candidate, and one at or above it is not."""
+        _, dpt, _, reservoir, pool, oracle = build_world()
+        leaf = dpt.leaves[0]
+        inside = sorted(pool.tids(leaf.node_id))
+        rest = sorted(set(reservoir.tids()) - set(inside))
+        verdicts = {}
+        for held in (5, 6):
+            pool.restore(rest + inside[:held], dpt.leaf_ids_of)
+            trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
+            trig.rebase(dpt)              # no drift: only the floor can fire
+            verdicts[held] = (held < math.log(len(pool)),
+                              trig.on_update_batch(
+                                  dpt, [(leaf, trig.config.check_every)]))
+        assert verdicts == {5: (True, TriggerAction.CANDIDATE),
+                            6: (False, TriggerAction.NONE)}
 
 
 class TestConfirm:
