@@ -111,11 +111,12 @@ def drive_series(handle, pool, n_clients):
     """One concurrency level: per-request latencies + server deltas."""
     streams = client_streams(pool, n_clients)
     barrier = threading.Barrier(n_clients)
-    stats0 = handle.server.batcher.stats
-    batches0, queries0 = stats0.n_batches, stats0.n_queries
-    stats0.max_batch_size = 0       # per-series high-water mark
-    cache0 = handle.server.cache.stats
-    hits0, misses0 = cache0.hits, cache0.misses
+    stats0 = handle.server.batcher.stats()
+    batches0, queries0 = stats0["n_batches"], stats0["n_queries"]
+    # per-series high-water mark
+    handle.server.metrics.gauge("janus_service_batch_max_size").set(0)
+    cache0 = handle.server.cache.stats()
+    hits0, misses0 = cache0["hits"], cache0["misses"]
 
     def run_client(stream):
         latencies = []
@@ -133,12 +134,12 @@ def drive_series(handle, pool, n_clients):
     wall = time.perf_counter() - t0
 
     latencies = np.array([l for run in latency_runs for l in run])
-    stats = handle.server.batcher.stats
-    cache = handle.server.cache.stats
-    hits = cache.hits - hits0
-    misses = cache.misses - misses0
-    batches = stats.n_batches - batches0
-    engine_queries = stats.n_queries - queries0
+    stats = handle.server.batcher.stats()
+    cache = handle.server.cache.stats()
+    hits = cache["hits"] - hits0
+    misses = cache["misses"] - misses0
+    batches = stats["n_batches"] - batches0
+    engine_queries = stats["n_queries"] - queries0
     return {
         "clients": n_clients,
         "queries_issued": int(latencies.size),
@@ -148,7 +149,7 @@ def drive_series(handle, pool, n_clients):
         "engine_batches": batches,
         "engine_queries": engine_queries,
         "avg_batch_size": engine_queries / batches if batches else 0.0,
-        "max_batch_size": stats.max_batch_size,
+        "max_batch_size": stats["max_batch_size"],
         "cache_hits": hits,
         "cache_misses": misses,
         "cache_hit_ratio": hits / (hits + misses)

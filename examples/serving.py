@@ -72,7 +72,7 @@ def main(n: int = 40_000) -> None:
 
         # 6. A concurrent burst: 16 clients issue one query each; the
         #    admission layer coalesces them into query_many batches.
-        stats_before = handle.server.batcher.stats.n_batches
+        stats_before = handle.server.batcher.stats()["n_batches"]
 
         def one(i: int) -> float:
             with ServiceClient(handle.host, handle.port) as c:
@@ -82,10 +82,11 @@ def main(n: int = 40_000) -> None:
                              f"AND {lo + 120}").estimate
         with ThreadPoolExecutor(max_workers=16) as pool:
             estimates = list(pool.map(one, range(16)))
-        batch_stats = handle.server.batcher.stats
+        batch_stats = handle.server.batcher.stats()
         print(f"\nburst of 16 concurrent queries -> "
-              f"{batch_stats.n_batches - stats_before} engine batch(es), "
-              f"largest batch {batch_stats.max_batch_size} queries "
+              f"{batch_stats['n_batches'] - stats_before} engine "
+              f"batch(es), largest batch {batch_stats['max_batch_size']} "
+              f"queries "
               f"(sum of estimates {sum(estimates):,.0f})")
 
         # 7. Counters, as an operator would scrape them.

@@ -376,9 +376,6 @@ class ShardedJanusAQP:
                                            metrics=self.metrics)
         self._h_rebalance = self.metrics.histogram(
             "janus_engine_rebalance_seconds")
-        #: Default :meth:`query_many` mode; ``route=...`` overrides per
-        #: call (the benchmark's broadcast baseline passes ``False``).
-        self.route_queries = True
         self._pool_lock = threading.Lock()
         self._max_workers = max_workers or min(self.n_shards,
                                                os.cpu_count() or 1)
@@ -654,7 +651,7 @@ class ShardedJanusAQP:
         per-shard :class:`~repro.core.routing.ShardSummary` bounds and
         histograms, yielding the *contributing subset*: the shards not
         proven to hold zero live rows in the region.  With ``route``
-        (default :attr:`route_queries`) each shard receives one
+        (default ``None``: routed) each shard receives one
         sub-batch holding only the queries that touch it; with
         ``route=False`` every live shard still answers the whole batch
         (the honest broadcast baseline).  Either way the merge runs
@@ -684,7 +681,7 @@ class ShardedJanusAQP:
             return []
         for query in queries:
             self.template.check(query)
-        route = self.route_queries if route is None else bool(route)
+        route = route is None or bool(route)
         shards = self._shards
         live = [s for s, shard in enumerate(shards) if shard.initialized]
         if not live:

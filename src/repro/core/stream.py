@@ -174,23 +174,20 @@ class StreamDriver:
         self._FLUSH[kind](self, pending)
 
     def _flush_inserts(self, pending: List[InsertRequest]) -> None:
-        if not pending:
+        """A row of the wrong width is one bad request; the rest of the
+        run is inserted in one call (the records are already consumed,
+        so raising would drop them)."""
+        width = len(self.janus.table.schema)
+        good = [request for request in pending
+                if len(request.values) == width]
+        self.stats.n_bad_requests += len(pending) - len(good)
+        if not good:
             return
-        values = [request.values for request in pending]
-        arity = len(values[0])
-        if any(len(v) != arity for v in values):
-            # Heterogeneous batch: apply row-wise so error behavior
-            # matches the per-record path exactly.
-            for request in pending:
-                tid = self.janus.insert(request.values)
-                self._tid_of_key[request.key] = tid
-                self.stats.n_inserts += 1
-            return
-        tids = self.janus.insert_many(
-            np.asarray(values, dtype=np.float64))
-        for request, tid in zip(pending, tids):
+        tids = self.janus.insert_many(np.asarray(
+            [request.values for request in good], dtype=np.float64))
+        for request, tid in zip(good, tids):
             self._tid_of_key[request.key] = tid
-        self.stats.n_inserts += len(pending)
+        self.stats.n_inserts += len(good)
 
     def _flush_deletes(self, pending: List[DeleteRequest]) -> None:
         tids: List[int] = []
@@ -206,24 +203,17 @@ class StreamDriver:
 
     def _flush_queries(self, pending: List[QueryRequest]) -> None:
         """Answer a run through the batched engine (one lock round-trip,
-        one shared frontier pass) and publish it in one bulk produce."""
-        if not pending:
+        one shared frontier pass) and publish it in one bulk produce.
+        A query off the engine's template is one bad request, counted
+        before the call it would otherwise fail as a whole."""
+        template = self.janus.template
+        good = [request for request in pending
+                if template.problem(request.query) is None]
+        self.stats.n_bad_requests += len(pending) - len(good)
+        if not good:
             return
-        try:
-            answered = list(zip(pending, self.janus.query_many(
-                [request.query for request in pending])))
-        except ValueError:
-            # An off-template query fails its whole batch: re-run per
-            # query so every other co-batched request is still answered,
-            # and count the bad ones - the records are already consumed,
-            # so raising would drop the rest.
-            answered = []
-            for request in pending:
-                try:
-                    answered.append((request,
-                                     self.janus.query(request.query)))
-                except ValueError:
-                    self.stats.n_bad_requests += 1
+        answered = list(zip(good, self.janus.query_many(
+            [request.query for request in good])))
         self.broker.topic(self.RESULTS).produce_many(
             [encode_result(request.query_id, result)
              for request, result in answered])

@@ -28,16 +28,16 @@ client-facing AQP service, stdlib only:
 ``docs/ARCHITECTURE.md`` for the request data flow.
 """
 
-from .batcher import BatcherStats, MicroBatcher
-from .cache import CacheStats, ResultCache
+from .batcher import MicroBatcher
+from .cache import ResultCache
 from .client import ServiceClient, ServiceError
 from .fleet import FleetCoordinator, FleetUnavailableError
 from .server import AQPServer, ServiceHandle, serve_background
 from .sqlfront import ParsedSQL, SQLError, compile_sql, parse_sql
 
 __all__ = [
-    "AQPServer", "BatcherStats", "CacheStats", "FleetCoordinator",
-    "FleetUnavailableError", "MicroBatcher", "ParsedSQL",
-    "ResultCache", "SQLError", "ServiceClient", "ServiceError",
-    "ServiceHandle", "compile_sql", "parse_sql", "serve_background",
+    "AQPServer", "FleetCoordinator", "FleetUnavailableError",
+    "MicroBatcher", "ParsedSQL", "ResultCache", "SQLError",
+    "ServiceClient", "ServiceError", "ServiceHandle", "compile_sql",
+    "parse_sql", "serve_background",
 ]

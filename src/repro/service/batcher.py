@@ -39,107 +39,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..core.queries import Query, QueryResult
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["BatcherStats", "MicroBatcher"]
+__all__ = ["MicroBatcher"]
 
 ExecuteFn = Callable[[List[Query]], List[QueryResult]]
 #: A parked query: the query, its future, and when it parked.
 Parked = Tuple[Query, asyncio.Future, float]
-
-
-class BatcherStats:
-    """Flush accounting reported by ``/stats`` and ``/metrics``.
-
-    Registry-backed: counts live in ``janus_service_batch*``
-    instruments; the historical attribute surface stays as properties
-    (``max_batch_size`` keeps its setter - the latency benchmark
-    resets it between phases).
-    """
-
-    __slots__ = ("_c_batches", "_c_queries", "_g_max", "_c_reason",
-                 "_h_wait")
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._c_batches = registry.counter("janus_service_batches_total")
-        self._c_queries = registry.counter(
-            "janus_service_batched_queries_total")
-        self._g_max = registry.gauge("janus_service_batch_max_size")
-        #: Why each batch left (see the module docstring); "isolated"
-        #: counts queries re-run solo after a poisoned batch.
-        self._c_reason = {
-            "full": registry.counter(
-                "janus_service_batch_flush_full_total"),
-            "linger": registry.counter(
-                "janus_service_batch_flush_linger_total"),
-            "idle": registry.counter(
-                "janus_service_batch_flush_idle_total"),
-            "drain": registry.counter(
-                "janus_service_batch_flush_drain_total"),
-            "isolated": registry.counter(
-                "janus_service_batch_isolated_total"),
-        }
-        self._h_wait = registry.histogram(
-            "janus_service_batch_wait_seconds")
-
-    def record(self, reason: str, waits: Sequence[float]) -> None:
-        """One executed batch: why it left and how long each member
-        sat parked before its engine call started."""
-        self._c_batches.inc()
-        self._c_queries.inc(len(waits))
-        self._g_max.set(max(self._g_max.value, len(waits)))
-        self._c_reason[reason].inc()
-        for wait in waits:
-            self._h_wait.observe(wait)
-
-    @property
-    def n_batches(self) -> int:
-        return int(self._c_batches.value)
-
-    @property
-    def n_queries(self) -> int:
-        return int(self._c_queries.value)
-
-    @property
-    def max_batch_size(self) -> int:
-        return int(self._g_max.value)
-
-    @max_batch_size.setter
-    def max_batch_size(self, value: int) -> None:
-        self._g_max.set(int(value))
-
-    @property
-    def n_flush_full(self) -> int:
-        return int(self._c_reason["full"].value)
-
-    @property
-    def n_flush_linger(self) -> int:
-        return int(self._c_reason["linger"].value)
-
-    @property
-    def n_flush_idle(self) -> int:
-        return int(self._c_reason["idle"].value)
-
-    @property
-    def n_flush_drain(self) -> int:
-        return int(self._c_reason["drain"].value)
-
-    @property
-    def n_isolated(self) -> int:
-        return int(self._c_reason["isolated"].value)
-
-    @property
-    def avg_batch_size(self) -> float:
-        return self.n_queries / self.n_batches if self.n_batches else 0.0
-
-    def to_dict(self) -> dict:
-        return {"n_batches": self.n_batches, "n_queries": self.n_queries,
-                "max_batch_size": self.max_batch_size,
-                "avg_batch_size": self.avg_batch_size,
-                "n_flush_full": self.n_flush_full,
-                "n_flush_linger": self.n_flush_linger,
-                "n_flush_idle": self.n_flush_idle,
-                "n_flush_drain": self.n_flush_drain,
-                "n_isolated": self.n_isolated}
 
 
 class MicroBatcher:
@@ -169,7 +73,43 @@ class MicroBatcher:
         self._departure: Optional[asyncio.Handle] = None
         self._inflight: set = set()
         self._closed = False
-        self.stats = BatcherStats(metrics)
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._c_batches = registry.counter("janus_service_batches_total")
+        self._c_queries = registry.counter(
+            "janus_service_batched_queries_total")
+        self._g_max = registry.gauge("janus_service_batch_max_size")
+        #: Why each batch left (see the module docstring); "isolated"
+        #: counts queries re-run solo after a poisoned batch.
+        self._c_reason = {
+            "full": registry.counter(
+                "janus_service_batch_flush_full_total"),
+            "linger": registry.counter(
+                "janus_service_batch_flush_linger_total"),
+            "idle": registry.counter(
+                "janus_service_batch_flush_idle_total"),
+            "drain": registry.counter(
+                "janus_service_batch_flush_drain_total"),
+            "isolated": registry.counter(
+                "janus_service_batch_isolated_total"),
+        }
+        self._h_wait = registry.histogram(
+            "janus_service_batch_wait_seconds")
+
+    def stats(self) -> dict:
+        """The ``/stats`` ``batcher`` section, read off the registry."""
+        n_batches = int(self._c_batches.value)
+        n_queries = int(self._c_queries.value)
+        reasons = {reason: int(c.value)
+                   for reason, c in self._c_reason.items()}
+        return {"n_batches": n_batches, "n_queries": n_queries,
+                "max_batch_size": int(self._g_max.value),
+                "avg_batch_size": n_queries / n_batches
+                if n_batches else 0.0,
+                "n_flush_full": reasons["full"],
+                "n_flush_linger": reasons["linger"],
+                "n_flush_idle": reasons["idle"],
+                "n_flush_drain": reasons["drain"],
+                "n_isolated": reasons["isolated"]}
 
     # ------------------------------------------------------------------ #
     # admission
@@ -238,8 +178,12 @@ class MicroBatcher:
 
         results = await asyncio.get_running_loop().run_in_executor(
             self._executor, call)
-        self.stats.record(reason, [started[0] - parked
-                                   for _, _, parked in batch])
+        self._c_batches.inc()
+        self._c_queries.inc(len(batch))
+        self._g_max.set(max(self._g_max.value, len(batch)))
+        self._c_reason[reason].inc()
+        for _, _, parked in batch:
+            self._h_wait.observe(started[0] - parked)
         return results
 
     async def _run(self, batch: List[Parked], reason: str) -> None:
@@ -249,7 +193,7 @@ class MicroBatcher:
             # A poisoned batch (one malformed query fails the whole
             # engine call): isolate by re-running per query so one
             # client's bad request cannot fail its co-batched
-            # neighbours, exactly like the stream driver's fallback.
+            # neighbours.
             for member in batch:
                 future = member[1]
                 try:

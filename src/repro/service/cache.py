@@ -38,7 +38,7 @@ from ..core.queries import Query, QueryResult
 from ..core.templates import TemplateKey, template_key
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["CacheStats", "ResultCache", "cache_key"]
+__all__ = ["ResultCache", "cache_key"]
 
 #: (agg, aggregation attr, parameter, rectangle bounds) - the
 #: per-template part of a key; the epoch is prepended by the cache
@@ -53,79 +53,6 @@ def cache_key(query: Query) -> QueryKey:
     """Canonical hashable identity of one query within its template."""
     return (query.agg.value, query.attr, query.param,
             query.rect.lo, query.rect.hi)
-
-
-class CacheStats:
-    """Counters reported by ``/stats`` and ``/metrics``.
-
-    Registry-backed: the counts live in ``janus_service_cache_*``
-    instruments (shared with the server's ``/metrics`` page when the
-    owning cache is given the server's registry); the historical
-    attribute surface (``stats.hits`` etc.) remains as read-only
-    properties.
-    """
-
-    __slots__ = ("_hits", "_misses", "_stores", "_rejected", "_evicted")
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._hits = registry.counter("janus_service_cache_hits_total")
-        self._misses = registry.counter(
-            "janus_service_cache_misses_total")
-        self._stores = registry.counter(
-            "janus_service_cache_stores_total")
-        # epoch moved while query in flight
-        self._rejected = registry.counter(
-            "janus_service_cache_rejected_stores_total")
-        self._evicted = registry.counter(
-            "janus_service_cache_evictions_total")
-
-    def note_hit(self) -> None:
-        self._hits.inc()
-
-    def note_miss(self) -> None:
-        self._misses.inc()
-
-    def note_store(self) -> None:
-        self._stores.inc()
-
-    def note_rejected_store(self) -> None:
-        self._rejected.inc()
-
-    def note_eviction(self) -> None:
-        self._evicted.inc()
-
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @property
-    def stores(self) -> int:
-        return int(self._stores.value)
-
-    @property
-    def rejected_stores(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evicted.value)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores,
-                "rejected_stores": self.rejected_stores,
-                "evictions": self.evictions,
-                "hit_ratio": self.hit_ratio}
 
 
 class ResultCache:
@@ -144,7 +71,18 @@ class ResultCache:
             raise ValueError("per_template must be >= 1")
         self.per_template = int(per_template)
         self.enabled = bool(enabled)
-        self.stats = CacheStats(metrics)  # thread-safe instruments
+        # thread-safe instruments
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._c_hits = registry.counter("janus_service_cache_hits_total")
+        self._c_misses = registry.counter(
+            "janus_service_cache_misses_total")
+        self._c_stores = registry.counter(
+            "janus_service_cache_stores_total")
+        # epoch moved while query in flight
+        self._c_rejected = registry.counter(
+            "janus_service_cache_rejected_stores_total")
+        self._c_evicted = registry.counter(
+            "janus_service_cache_evictions_total")
         self._lock = threading.Lock()
         self._lru: Dict[TemplateKey,  # guarded-by: _lock
                         "OrderedDict[Tuple[int, QueryKey], QueryResult]"
@@ -153,6 +91,17 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return sum(len(lru) for lru in self._lru.values())
+
+    def stats(self) -> dict:
+        """The ``/stats`` ``cache`` section, read off the registry."""
+        hits, misses = int(self._c_hits.value), int(self._c_misses.value)
+        return {"hits": hits, "misses": misses,
+                "stores": int(self._c_stores.value),
+                "rejected_stores": int(self._c_rejected.value),
+                "evictions": int(self._c_evicted.value),
+                "hit_ratio": hits / (hits + misses) if hits + misses
+                else 0.0,
+                "enabled": self.enabled, "entries": len(self)}
 
     def lookup(self, query: Query, epoch: int) -> Optional[QueryResult]:
         """The cached answer at exactly ``epoch``, or ``None``.
@@ -167,10 +116,10 @@ class ResultCache:
             lru = self._lru.get(template_key(query))
             result = lru.get(key) if lru is not None else None
             if result is None:
-                self.stats.note_miss()
+                self._c_misses.inc()
                 return None
             lru.move_to_end(key)
-            self.stats.note_hit()
+            self._c_hits.inc()
             return result
 
     def store(self, query: Query, result: QueryResult,
@@ -185,17 +134,17 @@ class ResultCache:
         if not self.enabled:
             return False
         if int(epoch_before) != int(epoch_after):
-            self.stats.note_rejected_store()
+            self._c_rejected.inc()
             return False
         key = (int(epoch_after), cache_key(query))
         with self._lock:
             lru = self._lru.setdefault(template_key(query), OrderedDict())
             lru[key] = result
             lru.move_to_end(key)
-            self.stats.note_store()
+            self._c_stores.inc()
             while len(lru) > self.per_template:
                 lru.popitem(last=False)
-                self.stats.note_eviction()
+                self._c_evicted.inc()
         return True
 
     def clear(self) -> None:

@@ -210,16 +210,6 @@ class AQPServer:
         }
         self._known_paths = frozenset(p for _, p in self._routes)
 
-    @property
-    def request_counts(self) -> Dict[str, int]:
-        """Requests served by route (reads the registry counters)."""
-        return {route: int(c.value)
-                for route, c in self._route_counters.items()}
-
-    @property
-    def n_bad_requests(self) -> int:
-        return int(self._c_bad.value)
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -682,14 +672,13 @@ class AQPServer:
         memo = self.bind_sql.cache_info()
         return {
             "engine": engine_stats,
-            "batcher": self.batcher.stats.to_dict(),
-            "cache": dict(self.cache.stats.to_dict(),
-                          enabled=self.cache.enabled,
-                          entries=len(self.cache)),
+            "batcher": self.batcher.stats(),
+            "cache": self.cache.stats(),
             "statements": {"hits": memo.hits, "misses": memo.misses,
                            "size": memo.currsize},
-            "requests": dict(self.request_counts),
-            "n_bad_requests": self.n_bad_requests,
+            "requests": {route: int(c.value)
+                         for route, c in self._route_counters.items()},
+            "n_bad_requests": int(self._c_bad.value),
             "uptime_seconds": time.time() - self._started_at,
         }
 

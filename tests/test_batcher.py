@@ -60,13 +60,12 @@ def test_lone_submit_on_an_idle_batcher_does_not_wait_for_the_deadline():
         batcher = MicroBatcher(lane, max_linger_ms=NEVER_MS)
         result = await asyncio.wait_for(batcher.submit("q"), 1.0)
         await batcher.close()
-        return result, batcher.stats
+        return result, batcher.stats()
 
     result, stats = asyncio.run(scenario())
     assert result == "ok:q"
     assert lane.calls == [["q"]]
-    assert (stats.n_flush_idle, stats.n_flush_linger) == (1, 0)
-    assert stats.to_dict()["n_flush_idle"] == 1
+    assert (stats["n_flush_idle"], stats["n_flush_linger"]) == (1, 0)
 
 
 def test_same_tick_submits_share_one_batch():
@@ -78,12 +77,12 @@ def test_same_tick_submits_share_one_batch():
                  for q in "abcd"]
         results = await asyncio.wait_for(asyncio.gather(*tasks), WAIT)
         await batcher.close()
-        return results, batcher.stats
+        return results, batcher.stats()
 
     results, stats = asyncio.run(scenario())
     assert results == ["ok:a", "ok:b", "ok:c", "ok:d"]
     assert lane.calls == [["a", "b", "c", "d"]]
-    assert (stats.n_batches, stats.n_flush_idle) == (1, 1)
+    assert (stats["n_batches"], stats["n_flush_idle"]) == (1, 1)
 
 
 def test_queries_parked_behind_a_batch_leave_together_when_it_lands():
@@ -101,14 +100,14 @@ def test_queries_parked_behind_a_batch_leave_together_when_it_lands():
         results = await asyncio.wait_for(asyncio.gather(first, *later),
                                          WAIT)
         await batcher.close()
-        return results, batcher.stats
+        return results, batcher.stats()
 
     results, stats = asyncio.run(scenario())
     assert results == ["ok:first"] + [f"ok:{i}" for i in range(10)]
     assert lane.calls == [["first"], list(range(10))]
-    assert (stats.n_flush_idle, stats.n_flush_drain) == (1, 1)
-    assert stats.n_flush_linger == 0
-    assert stats.max_batch_size == 10
+    assert (stats["n_flush_idle"], stats["n_flush_drain"]) == (1, 1)
+    assert stats["n_flush_linger"] == 0
+    assert stats["max_batch_size"] == 10
 
 
 def test_max_batch_still_splits_and_counts_full():
@@ -120,14 +119,14 @@ def test_max_batch_still_splits_and_counts_full():
         results = await asyncio.wait_for(
             batcher.submit_many(list(range(10))), WAIT)
         await batcher.close()
-        return results, batcher.stats
+        return results, batcher.stats()
 
     results, stats = asyncio.run(scenario())
     assert results == [f"ok:{i}" for i in range(10)]
     assert sorted(lane.calls) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert stats.n_flush_full == 2
-    assert stats.n_batches == 3 and stats.n_queries == 10
-    assert stats.max_batch_size == 4
+    assert stats["n_flush_full"] == 2
+    assert stats["n_batches"] == 3 and stats["n_queries"] == 10
+    assert stats["max_batch_size"] == 4
 
 
 def test_linger_deadline_bounds_the_wait_behind_a_stuck_lane():
@@ -145,11 +144,11 @@ def test_linger_deadline_bounds_the_wait_behind_a_stuck_lane():
         results = await asyncio.wait_for(asyncio.gather(stuck, late),
                                          WAIT)
         await batcher.close()
-        return results, batcher.stats
+        return results, batcher.stats()
 
     results, stats = asyncio.run(scenario())
     assert results == ["ok:stuck", "ok:late"]
-    assert (stats.n_flush_idle, stats.n_flush_linger) == (1, 1)
+    assert (stats["n_flush_idle"], stats["n_flush_linger"]) == (1, 1)
 
 
 def test_close_drains_parked_and_in_flight_work():

@@ -18,12 +18,14 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.core.janus import JanusConfig
+from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.persist import save_sharded
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.sharded import ShardedJanusAQP
+from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
-from repro.service import serve_background
+from repro.obs.metrics import parse_exposition
+from repro.service import ServiceClient, serve_background
 from repro.service.fleet import FleetCoordinator
 
 N_ROWS = 8_000
@@ -371,6 +373,122 @@ def test_worker_restart_emits_log_event(ds, snapshot2):
     restarts = [e for e in events if e["event"] == "worker_restart"]
     assert len(restarts) == 1
     assert restarts[0]["shard"] == 1
+
+
+# ---------------------------------------------------------------------- #
+# /stats batcher and cache sections == their /metrics series
+# ---------------------------------------------------------------------- #
+
+#: ``/stats`` key -> the ``janus_service_*`` series that holds its count.
+BATCHER_SERIES = {
+    "n_batches": "janus_service_batches_total",
+    "n_queries": "janus_service_batched_queries_total",
+    "max_batch_size": "janus_service_batch_max_size",
+    "n_flush_full": "janus_service_batch_flush_full_total",
+    "n_flush_linger": "janus_service_batch_flush_linger_total",
+    "n_flush_idle": "janus_service_batch_flush_idle_total",
+    "n_flush_drain": "janus_service_batch_flush_drain_total",
+    "n_isolated": "janus_service_batch_isolated_total",
+}
+CACHE_SERIES = {
+    "hits": "janus_service_cache_hits_total",
+    "misses": "janus_service_cache_misses_total",
+    "stores": "janus_service_cache_stores_total",
+    "rejected_stores": "janus_service_cache_rejected_stores_total",
+    "evictions": "janus_service_cache_evictions_total",
+}
+
+
+class ScriptedEngine:
+    """A ``JanusAQP`` whose next ``query_many`` can be made to fail
+    once (a poisoned batch) or to move the data epoch while it runs (a
+    write racing the query, so its cache store is rejected)."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self._epoch_shift = 0
+        self.poison_next = False
+        self.race_next = False
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    @property
+    def data_epoch(self):
+        return self._engine.data_epoch + self._epoch_shift
+
+    def query_many(self, queries, obs=None):
+        if self.poison_next:
+            self.poison_next = False
+            raise RuntimeError("poisoned batch")
+        results = self._engine.query_many(queries, obs=obs)
+        if self.race_next:
+            self.race_next = False
+            self._epoch_shift += 1
+        return results
+
+
+def test_stats_sections_equal_their_metrics_series(ds):
+    table = Table(ds.schema, capacity=ds.n + 16)
+    table.insert_many(ds.data[:N_SEED])
+    janus = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                     config=JanusConfig(k=16, sample_rate=0.04,
+                                        check_every=10 ** 9, seed=0))
+    janus.initialize()
+    engine = ScriptedEngine(janus)
+
+    def q(lo, hi):
+        return Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
+                     Rectangle((float(lo),), (float(hi),)))
+
+    # cache_size=2: the third distinct range evicts; max_batch=2 and a
+    # linger no test waits out: a 3-query request leaves as one full
+    # flush plus one drain flush when it lands.
+    with serve_background(engine, port=0, cache_size=2, max_batch=2,
+                          max_linger_ms=60_000.0) as handle:
+        with ServiceClient(handle.host, handle.port) as client:
+            client.query(q(0, 100))                     # miss, idle
+            client.query(q(0, 100))                     # hit
+            client.query(q(0, 200))
+            client.query(q(0, 300))                     # evicts
+            client.query_many([q(1, 10), q(2, 20), q(3, 30)])
+            engine.poison_next = True
+            client.query(q(4, 40))                      # isolated
+            engine.race_next = True
+            client.query(q(5, 50))                      # rejected
+            stats = client.stats()
+        status, text = get_text(handle, "/metrics")
+    assert status == 200
+    families = parse_exposition(text)
+
+    def series(name):
+        (value,) = [v for sample, _, v in families[name]["samples"]
+                    if sample in (name, f"{name}_count")]
+        return value
+
+    batcher, cache = stats["batcher"], stats["cache"]
+    assert list(batcher) == ["n_batches", "n_queries", "max_batch_size",
+                             "avg_batch_size", "n_flush_full",
+                             "n_flush_linger", "n_flush_idle",
+                             "n_flush_drain", "n_isolated"]
+    assert list(cache) == ["hits", "misses", "stores", "rejected_stores",
+                           "evictions", "hit_ratio", "enabled",
+                           "entries"]
+    for key, name in BATCHER_SERIES.items():
+        assert batcher[key] == series(name), key
+    for key, name in CACHE_SERIES.items():
+        assert cache[key] == series(name), key
+    assert series("janus_service_batch_wait_seconds") == \
+        batcher["n_queries"]
+    # every event the script set out to produce happened
+    assert batcher == {"n_batches": 7, "n_queries": 8,
+                       "max_batch_size": 2, "avg_batch_size": 8 / 7,
+                       "n_flush_full": 1, "n_flush_linger": 0,
+                       "n_flush_idle": 4, "n_flush_drain": 1,
+                       "n_isolated": 1}
+    assert cache == {"hits": 1, "misses": 8, "stores": 7,
+                     "rejected_stores": 1, "evictions": 5,
+                     "hit_ratio": 1 / 9, "enabled": True, "entries": 2}
 
 
 def test_cli_exposes_observability_flags():

@@ -45,14 +45,15 @@ class TestKeying:
         assert not cache.store(query, make_result(), 5, 6)
         assert cache.lookup(query, 5) is None
         assert cache.lookup(query, 6) is None
-        assert cache.stats.rejected_stores == 1
+        assert cache.stats()["rejected_stores"] == 1
 
     def test_disabled_cache_is_a_noop(self):
         cache = ResultCache(enabled=False)
         query = make_query()
         assert not cache.store(query, make_result(), 1, 1)
         assert cache.lookup(query, 1) is None
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 class TestLRU:
@@ -64,7 +65,7 @@ class TestLRU:
         assert cache.lookup(q1, 1) is None        # evicted
         assert cache.lookup(q2, 1) is not None
         assert cache.lookup(q3, 1) is not None
-        assert cache.stats.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_lookup_refreshes_recency(self):
         cache = ResultCache(per_template=2)
@@ -101,7 +102,7 @@ class TestLRU:
         cache.lookup(query, 1)
         cache.store(query, make_result(), 1, 1)
         cache.lookup(query, 1)
-        stats = cache.stats.to_dict()
+        stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_ratio"] == pytest.approx(0.5)
         cache.clear()

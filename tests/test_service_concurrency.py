@@ -147,8 +147,8 @@ def test_threaded_writers_never_tear_reads_or_serve_stale_hits(ds):
             assert warm.estimate == want.estimate
             assert warm.variance == want.variance
 
-        stats = handle.server.cache.stats
-        assert stats.hits >= len(checks)    # the warm pass hit
+        stats = handle.server.cache.stats()
+        assert stats["hits"] >= len(checks)     # the warm pass hit
 
     # the observed runtime lock-order graph must be deadlock-free
     assert recorder.cycles() == [], recorder.edges

@@ -121,6 +121,23 @@ class TestStreamDriver:
         stats = driver.drain()
         assert stats.n_bad_requests == 2
 
+    def test_wrong_width_insert_costs_only_itself(self, world):
+        """A well-formed insert of the wrong width between two valid
+        ones in one poll: it is one bad request and both valid rows
+        are inserted."""
+        broker, janus, table, ds = world
+        driver = StreamDriver(broker, janus)
+        n_before = len(table)
+        topic = broker.topic(Broker.INSERT)
+        topic.produce_many([encode_insert(0, ds.data[8000]),
+                            encode_insert(1, [0.3]),
+                            encode_insert(2, ds.data[8001])])
+        stats = driver.drain()
+        assert (stats.n_inserts, stats.n_bad_requests) == (2, 1)
+        assert len(table) == n_before + 2
+        assert np.array_equal(table.row(driver._tid_of_key[2]),
+                              ds.data[8001])
+
     def test_mixed_workload_consistency(self, world):
         broker, janus, table, ds = world
         client = StreamClient(broker)
