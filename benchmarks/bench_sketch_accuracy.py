@@ -15,9 +15,9 @@ wall-clock independent, unlike the throughput benches):
   within the sketch's own DKW bound ``rank_eps(delta)``; the bound
   itself must be non-vacuous (< 0.1).
 * **COUNT(DISTINCT)** - relative error within ``rel_error_bound(3.0)``
-  = ``3 * 1.04 / sqrt(2^bits)`` (~6.9% at the default 11 bits).
+  = ``3 * 1.04 / sqrt(2^HLL_BITS)`` (~6.9% at 11 bits).
 * **TOPK** - ``exact`` on the capped-zipf column (its support fits
-  ``topk_capacity``) and the item list equals the true top-k.
+  ``TOPK_CAPACITY``) and the item list equals the true top-k.
 * **Identity** - every sharded answer (estimate, exactness and the
   canonical blob) is bit-identical to the single engine's: sketch
   merging introduces no error whatsoever, at any shard count.
@@ -47,7 +47,7 @@ N_SEED = N_TOTAL // 2
 SHARD_COUNTS = (2, 4)
 FRACTIONS = (0.05, 0.25, 0.5, 0.75, 0.95)
 TOP_K = 10
-ZIPF_SUPPORT = 30            # < topk_capacity: TOPK must stay exact
+ZIPF_SUPPORT = 30            # < TOPK_CAPACITY: TOPK must stay exact
 DKW_DELTA = 0.01             # quantile bound confidence 1 - delta
 HLL_Z = 3.0                  # distinct bound at 3 standard errors
 MAX_RANK_EPS = 0.10          # the DKW bound must be non-vacuous

@@ -10,8 +10,7 @@ from .core import (AggFunc, CatchupReport, CatchupRunner,
                    DynamicPartitionTree, HeuristicRouter, JanusAQP,
                    JanusConfig, Query, QueryResult, Rectangle, ReoptReport,
                    SKETCH_AGGS, RepartitionTrigger, ShardedJanusAQP,
-                   SynopsisManager, Table, TriggerConfig, relative_error,
-                   table_from_array)
+                   SynopsisManager, Table, relative_error, table_from_array)
 
 __version__ = "1.0.0"
 
@@ -20,6 +19,6 @@ __all__ = [
     "DynamicPartitionTree", "HeuristicRouter", "JanusAQP", "JanusConfig",
     "Query", "QueryResult", "Rectangle", "ReoptReport", "SKETCH_AGGS",
     "RepartitionTrigger", "ShardedJanusAQP", "SynopsisManager",
-    "Table", "TriggerConfig", "relative_error", "table_from_array",
+    "Table", "relative_error", "table_from_array",
     "__version__",
 ]

@@ -5,7 +5,7 @@ from .queries import (AggFamily, AggFunc, Query, QueryResult, QueryTemplate,
 from .table import Table, table_from_array
 from .dpt import DynamicPartitionTree
 from .catchup import CatchupReport, CatchupRunner
-from .triggers import RepartitionTrigger, TriggerAction, TriggerConfig
+from .triggers import RepartitionTrigger, TriggerAction
 from .janus import JanusAQP, JanusConfig, ReoptReport
 from .persist import (load_sharded, load_synopsis, save_sharded,
                       save_synopsis)
@@ -22,7 +22,7 @@ __all__ = [
     "AggFamily", "AggFunc", "Query", "QueryResult", "QueryTemplate",
     "Rectangle", "SKETCH_AGGS", "relative_error",
     "Table", "table_from_array", "DynamicPartitionTree", "CatchupReport",
-    "CatchupRunner", "RepartitionTrigger", "TriggerAction", "TriggerConfig",
+    "CatchupRunner", "RepartitionTrigger", "TriggerAction",
     "JanusAQP", "JanusConfig", "ReoptReport",
     "HeuristicRouter", "SynopsisManager", "PartialRepartitionReport",
     "ancestor_at", "auto_partial_repartition", "partial_repartition",

@@ -53,15 +53,14 @@ from ..partitioning.onedim import OneDimPartitioner, OneDimResult
 from ..partitioning.spec import TreeSpec
 from ..sampling.pool import SamplePool, StrataReports
 from ..sketch.counted import CountedSketch
-from ..sketch.registry import (SKETCH_KIND, new_sketch, sketch_answer,
-                               sketch_from_bytes)
+from ..sketch.registry import SKETCH_KIND, new_sketch, sketch_answer
 from .catchup import CatchupReport, CatchupRunner
 from .dpt import DynamicPartitionTree, inflate_rect
 from .node import NodeRef
 from .queries import (AggFamily, AggFunc, Query, QueryResult,
                       QueryTemplate, Rectangle)
 from .table import Table
-from .triggers import RepartitionTrigger, TriggerAction, TriggerConfig
+from .triggers import RepartitionTrigger, TriggerAction
 
 
 @dataclass
@@ -72,9 +71,10 @@ class JanusConfig:
     sample size as a fraction of the data (the pool targets twice that,
     the paper's 2m); ``catchup_rate`` - catch-up goal as a fraction of
     the snapshot; ``focus_agg`` - the aggregation function the
-    partitioner optimizes for; ``beta``/``check_every`` - trigger
-    parameters; ``auto_repartition`` - act on trigger candidates;
-    ``repartition_every`` - optional periodic forcing (Figure 10).
+    partitioner optimizes for; ``beta``/``check_every`` - parameters the
+    trigger reads off this object; ``auto_repartition`` - act on trigger
+    candidates; ``repartition_every`` - optional periodic forcing
+    (Figure 10).
     """
 
     k: int = 128
@@ -93,9 +93,6 @@ class JanusConfig:
     #: named attribute gets one quantile, one distinct and one heavy-
     #: hitter sketch per engine, kept in lockstep with the live rows.
     sketch_attrs: Tuple[str, ...] = ()
-    sketch_height: int = 4       # quantile sample level (2^-h of values)
-    hll_bits: int = 11           # HLL registers = 2^bits
-    topk_capacity: int = 64      # heavy-hitter exact-answer threshold
 
     def __post_init__(self) -> None:
         # JSON snapshots round-trip tuples as lists; normalize so a
@@ -201,10 +198,7 @@ class JanusAQP:
         for attr in self.config.sketch_attrs:
             if attr not in table.schema:
                 raise ValueError(f"sketch attr {attr!r} not in schema")
-            bank = {kind: new_sketch(
-                        kind, sketch_height=self.config.sketch_height,
-                        hll_bits=self.config.hll_bits,
-                        topk_capacity=self.config.topk_capacity)
+            bank = {kind: new_sketch(kind)
                     for kind in sorted(set(SKETCH_KIND.values()))}
             seed_vals = table.column(attr)
             for sketch in bank.values():
@@ -442,13 +436,10 @@ class JanusAQP:
         oracle = MaxVarOracle(self.pool, self.config.focus_agg,
                               len(self.table) / max(len(self.pool), 1),
                               delta=self.config.delta)
-        trig_cfg = TriggerConfig(
-            beta=self.config.beta, check_every=self.config.check_every,
-            every_n_updates=self.config.repartition_every)
         if self.trigger is None:
-            self.trigger = RepartitionTrigger(trig_cfg, oracle, self.pool)
+            self.trigger = RepartitionTrigger(self.config, oracle, self.pool)
         else:
-            self.trigger.config, self.trigger.oracle = trig_cfg, oracle
+            self.trigger.oracle = oracle
 
     def _pool_changed(self, reports: StrataReports) -> None:  # requires-lock: _lock
         """Pass the strata a pool call touched on to the trigger's
@@ -655,21 +646,6 @@ class JanusAQP:
     def pool_size(self) -> int:
         """Current pooled-sample size (the paper's ``|S|``)."""
         return len(self.reservoir)
-
-    def restore_sketch_blobs(self, blobs: Dict[str, List[bytes]]) -> None:
-        """Replace sketch state from snapshot blobs (persist restore).
-
-        Only attributes already configured in ``sketch_attrs`` are
-        restored; the blob's own kind byte routes it to the right slot.
-        """
-        with self._lock:
-            for attr, blob_list in blobs.items():
-                bank = self._sketches.get(attr)
-                if bank is None:
-                    continue
-                for blob in blob_list:
-                    sketch = sketch_from_bytes(blob)
-                    bank[sketch.KIND] = sketch
 
     def storage_cost_bytes(self) -> int:
         """Synopsis footprint: the pooled rows (held once, in the

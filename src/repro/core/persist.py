@@ -11,9 +11,11 @@ What is saved: the tree structure (parent links + rectangles), every
 node's catch-up accumulators / exact deltas / base statistics, the
 MIN/MAX heap contents, the epoch population ``n0``, the pooled sample
 (tids + rows), the trigger's lifetime counts and the configuration.
-What is *not* saved: the trigger baselines (recomputed on load) and any
-in-flight catch-up progress beyond the accumulators (already folded into
-the statistics).
+What is *not* saved: the trigger baselines (recomputed on load), the
+sketches (functions of the live rows: the engine re-derives them from
+the restored table, and ignores the blobs older archives carry) and any
+in-flight catch-up progress beyond the accumulators (already folded
+into the statistics).
 
 A sharded fleet persists as a *directory*: one synopsis archive per
 initialized shard plus a manifest (:func:`save_sharded` /
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+from ..sketch.registry import HLL_BITS, SKETCH_HEIGHT, TOPK_CAPACITY
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
 from .node import NodeTable
@@ -99,8 +102,16 @@ def _config_dict(config: JanusConfig) -> dict:
 
 
 def _config_from(config: dict) -> JanusConfig:
-    return JanusConfig(**dict(config,
-                              focus_agg=AggFunc(config["focus_agg"])))
+    config = dict(config, focus_agg=AggFunc(config["focus_agg"]))
+    # Earlier builds stored the sketch parameters, now constants.
+    for key, value in (("sketch_height", SKETCH_HEIGHT),
+                       ("hll_bits", HLL_BITS),
+                       ("topk_capacity", TOPK_CAPACITY)):
+        saved = config.pop(key, value)
+        if saved != value:
+            raise ValueError(f"snapshot config has {key}={saved!r}; this "
+                             f"build's sketches use {key}={value}")
+    return JanusConfig(**config)
 
 
 def save_synopsis(janus: JanusAQP, path: str) -> None:
@@ -145,23 +156,12 @@ def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
         minmax_attrs=[dpt.stat_attrs[p] for p in sorted(table.columns)],
         trigger_counts=[state.n_checks, state.n_candidates,
                         state.n_forced])
-    payload = dict(
+    return dict(
         meta=json.dumps(dataclasses.asdict(meta)),
         parent=table.parent.copy(),
         rect_lo=table.lo[:n].copy(), rect_hi=table.hi[:n].copy(),
         **{name: getattr(table, name).copy() for name in NodeTable.FIELDS},
         pool_tids=pool_tids, pool_rows=pool_rows)
-    # Canonical sketch blobs ride as uint8 arrays keyed by the attr's
-    # position in config.sketch_attrs and the per-attr kind order -
-    # deterministic keys, no new meta entries.  ``_sketches`` is read
-    # directly (like the reservoir above): the caller already holds the
-    # engine lock for the whole snapshot gather.
-    for i, attr in enumerate(janus.config.sketch_attrs):
-        bank = janus._sketches[attr]
-        for j, kind in enumerate(sorted(bank)):
-            payload[f"sketch{i}_{j}"] = np.frombuffer(
-                bank[kind].to_bytes(), dtype=np.uint8)
-    return payload
 
 
 def load_synopsis(path: str, table: Table,
@@ -216,21 +216,6 @@ def load_synopsis(path: str, table: Table,
         # ---- restore the pooled sample ------------------------------- #
         janus.pool.restore([int(t) for t in archive["pool_tids"]
                             if int(t) in table], dpt.leaf_ids_of)
-
-        # ---- restore sketch state from the archived blobs ------------ #
-        # Construction above already re-seeded the sketches from the
-        # restored table (canonical state, so the bytes agree); the
-        # archived blobs are still installed verbatim so a snapshot is
-        # authoritative even for archives the engine cannot re-derive.
-        blobs: Dict[str, List[bytes]] = {}
-        for i, attr in enumerate(config.sketch_attrs):
-            j = 0
-            while f"sketch{i}_{j}" in archive:
-                blobs.setdefault(attr, []).append(
-                    archive[f"sketch{i}_{j}"].tobytes())
-                j += 1
-        if blobs:
-            janus.restore_sketch_blobs(blobs)
     janus._install_support_structures()
     janus.trigger.rebase(janus.dpt)
     state = janus.trigger.state     # lifetime counts survive a restart

@@ -14,7 +14,7 @@ Either condition only makes the leaf a *candidate*: the system then
 computes a fresh partitioning R' over the current samples and commits it
 only when ``M(R') < M(R) / beta`` - otherwise the current tree is still
 within a beta-factor of the best achievable and is kept.  Users may also
-force periodic re-partitioning (``every_n_updates``), which is what the
+force periodic re-partitioning (``repartition_every``), which is what the
 Figure 10 experiment uses.
 """
 
@@ -23,7 +23,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -33,18 +34,14 @@ from .dpt import DynamicPartitionTree
 from .node import NodeRef
 from .queries import Rectangle
 
+if TYPE_CHECKING:
+    from .janus import JanusConfig
+
 
 class TriggerAction(enum.Enum):
     NONE = "none"
     CANDIDATE = "candidate"       # compute R' and compare against R
     FORCED = "forced"             # periodic/user-forced re-partition
-
-
-@dataclass
-class TriggerConfig:
-    beta: float = 10.0
-    check_every: int = 256        # updates between drift checks
-    every_n_updates: Optional[int] = None   # periodic forcing, if set
 
 
 @dataclass
@@ -73,7 +70,7 @@ class RepartitionTrigger:
     value is thus always bit-equal to a fresh oracle call.
     """
 
-    def __init__(self, config: TriggerConfig, oracle: MaxVarOracle,
+    def __init__(self, config: "JanusConfig", oracle: MaxVarOracle,
                  pool: SamplePool) -> None:
         self.config = config
         self.oracle = oracle
@@ -153,8 +150,9 @@ class RepartitionTrigger:
         self.state.updates_since_check += total
         self.state.updates_since_repartition += total
         cfg = self.config
-        if (cfg.every_n_updates is not None and
-                self.state.updates_since_repartition >= cfg.every_n_updates):
+        if (cfg.repartition_every is not None and
+                self.state.updates_since_repartition >=
+                cfg.repartition_every):
             self.state.n_forced += 1
             return TriggerAction.FORCED
         if self.state.updates_since_check < cfg.check_every:

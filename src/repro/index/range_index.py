@@ -95,12 +95,10 @@ class RangeIndex:
     end-to-end benchmark's ledger still passes one.
     """
 
-    def __init__(self, dim: int, leaf_size: int = _LEAF_SIZE,
-                 seed: int = 0) -> None:
+    def __init__(self, dim: int, seed: int = 0) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self.leaf_size = leaf_size
         self._load(np.empty((0, dim)), np.empty(0),
                    np.empty(0, dtype=np.int64))
 
@@ -114,7 +112,7 @@ class RangeIndex:
         query depends on an order, so the pool hands over its blocks'
         order and their filing stamps and only those two pay a sort."""
         index = cls.__new__(cls)
-        index.dim, index.leaf_size = coords.shape[1], _LEAF_SIZE
+        index.dim = coords.shape[1]
         index._load(coords, values, tids, rank)
         return index
 
@@ -281,7 +279,7 @@ class RangeIndex:
         """Split the widest axis at its median, points on the cut going
         left; ``()`` when the node is a leaf."""
         m = node.count
-        if m <= self.leaf_size:
+        if m <= _LEAF_SIZE:
             return ()
         lo, hi = node.bbox_lo, node.bbox_hi
         dim = max(range(self.dim), key=lambda d: hi[d] - lo[d])

@@ -18,8 +18,8 @@ Three instrument kinds:
 ``Histogram``
     Fixed cumulative buckets plus a bounded window of raw
     observations, so ``percentile(0.99)`` is *exact* over the last
-    ``window`` samples instead of bucket-interpolated - the property
-    the stall-gate benchmark relies on.
+    :data:`DEFAULT_WINDOW` samples instead of bucket-interpolated - the
+    property the stall-gate benchmark relies on.
 
 A registry hands out **the same instrument** for repeated
 ``(name, labels)`` registrations, which is what lets a restarted fleet
@@ -156,7 +156,7 @@ CATALOG = {
         ("histogram", "Broker round-trip latency per fleet worker."),
 }
 
-#: Default histogram buckets (seconds): 100us .. 5s, the range every
+#: Every histogram's buckets (seconds): 100us .. 5s, the range every
 #: latency in this stack lives in.
 DEFAULT_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
                    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
@@ -234,21 +234,18 @@ class Histogram:
     """Fixed cumulative buckets + bounded raw window.
 
     ``observe`` is O(n_buckets); ``percentile`` sorts the raw window
-    (bounded at ``window`` samples) so p50/p95/p99 readouts are exact
+    (bounded at :data:`DEFAULT_WINDOW`) so p50/p95/p99 readouts are exact
     over recent history rather than bucket-interpolated.
     """
 
-    __slots__ = ("_lock", "buckets", "_counts", "_sum", "_count",
-                 "_window")
+    __slots__ = ("_lock", "_counts", "_sum", "_count", "_window")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-                 window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        self._counts = [0] * len(self.buckets)
+        self._counts = [0] * len(DEFAULT_BUCKETS)
         self._sum = 0.0
         self._count = 0
-        self._window: deque = deque(maxlen=window)
+        self._window: deque = deque(maxlen=DEFAULT_WINDOW)
 
     def observe(self, value: float) -> None:
         v = float(value)
@@ -256,7 +253,7 @@ class Histogram:
             self._sum += v
             self._count += 1
             self._window.append(v)
-            for i, bound in enumerate(self.buckets):
+            for i, bound in enumerate(DEFAULT_BUCKETS):
                 if v <= bound:
                     self._counts[i] += 1
 
@@ -323,12 +320,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._child(name, "gauge", labels, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-                  window: int = DEFAULT_WINDOW,
-                  **labels: str) -> Histogram:
-        return self._child(name, "histogram", labels,
-                           lambda: Histogram(buckets, window))
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._child(name, "histogram", labels, Histogram)
 
     def _child(self, name, kind, labels, factory):
         entry = CATALOG.get(name)
@@ -391,7 +384,7 @@ def render_exposition(*registries: MetricsRegistry) -> str:
             child = family.children[key]
             if family.kind == "histogram":
                 counts, total, count = child.snapshot()
-                for bound, cumulative in zip(child.buckets, counts):
+                for bound, cumulative in zip(DEFAULT_BUCKETS, counts):
                     labelled = _render_labels(
                         list(key) + [("le", _format_value(bound))])
                     lines.append(

@@ -35,6 +35,9 @@ from ..index.range_index import RangeIndex
 from .maxvar import MaxVarOracle
 from .spec import TreeSpec
 
+#: A leaf holding fewer than twice this many samples is not split.
+_MIN_LEAF_SAMPLES = 4
+
 
 @dataclass
 class KDTreeResult:
@@ -50,11 +53,10 @@ class KDTreeResult:
 class KDTreePartitioner:
     """Median-split greedy partitioner driven by the max-variance oracle."""
 
-    def __init__(self, agg: AggFunc = AggFunc.SUM, delta: float = 0.05,
-                 min_leaf_samples: int = 4) -> None:
+    def __init__(self, agg: AggFunc = AggFunc.SUM,
+                 delta: float = 0.05) -> None:
         self.agg = agg
         self.delta = delta
-        self.min_leaf_samples = min_leaf_samples
 
     def partition(self, index: RangeIndex, k: int,
                   n_population: Optional[int] = None,
@@ -111,7 +113,7 @@ class KDTreePartitioner:
                 parent.append(node)
                 rects.append(rect)
                 members.append(inside)
-                if inside.size >= 2 * self.min_leaf_samples:
+                if inside.size >= 2 * _MIN_LEAF_SAMPLES:
                     heapq.heappush(heap, (-probe(rect, inside),
                                           len(rects) - 1, depth + 1))
         inner, max_err = set(parent), 0.0
@@ -128,7 +130,7 @@ class KDTreePartitioner:
                                            Tuple[Rectangle, np.ndarray]]]:
         """Median split on the round-robin dimension (with fallbacks)."""
         m_b = members.size
-        if m_b < 2 * self.min_leaf_samples:
+        if m_b < 2 * _MIN_LEAF_SAMPLES:
             return None
         sub = coords[members]
         for dim in [(depth + i) % n_dims for i in range(n_dims)]:

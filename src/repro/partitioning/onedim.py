@@ -28,6 +28,9 @@ from ..core.queries import AggFunc, Rectangle
 from .maxvar import PrefixStats
 from .spec import TreeSpec, leaf_edges, tree_from_intervals
 
+#: The error ladder's ratio: Section D.2's rho = 2.
+_RHO = 2.0
+
 
 @dataclass
 class OneDimResult:
@@ -64,12 +67,9 @@ class OneDimResult:
 class OneDimPartitioner:
     """Greedy-feasibility binary search over the error ladder."""
 
-    def __init__(self, agg: AggFunc = AggFunc.SUM, rho: float = 2.0,
+    def __init__(self, agg: AggFunc = AggFunc.SUM,
                  delta: float = 0.05) -> None:
-        if rho <= 1.0:
-            raise ValueError("rho must be > 1")
         self.agg = agg
-        self.rho = rho
         self.delta = delta
 
     # ------------------------------------------------------------------ #
@@ -152,13 +152,13 @@ class OneDimPartitioner:
         # Lower end of the ladder: a tiny fraction of the 1-bucket error
         # stands in for the paper's L/sqrt(2) bound (both are poly bounds
         # used only to bound the ladder length).
-        t_hi = math.ceil(math.log(hi_err, self.rho))
+        t_hi = math.ceil(math.log(hi_err, _RHO))
         t_lo = t_hi - 64                       # ~ rho^-64 relative floor
         best_bounds: Optional[List[int]] = None
         lo, hi = t_lo, t_hi
         while lo <= hi:
             mid = (lo + hi) // 2
-            e = self.rho ** mid
+            e = _RHO ** mid
             bounds = self._feasible(m, k, e, bucket_error, fails)
             if bounds is not None:
                 best_bounds = bounds
@@ -166,7 +166,7 @@ class OneDimPartitioner:
             else:
                 lo = mid + 1
         if best_bounds is None:
-            best_bounds = self._feasible(m, k, self.rho ** (t_hi + 1),
+            best_bounds = self._feasible(m, k, _RHO ** (t_hi + 1),
                                          bucket_error, fails)
         if best_bounds is None:                 # paranoid fallback
             best_bounds = self._equal_count_bounds(m, k)

@@ -42,6 +42,10 @@ __all__ = ["CountedSketch", "DistinctSketch", "HeavyHitters",
 _BLOB_HEADER = struct.Struct("<BBIqq")
 _BLOB_VERSION = 1
 
+#: The one key every NaN is counted under (as ``np.unique`` counts
+#: them): a NaN under its own float object is a key no delete finds.
+_NAN = math.nan
+
 
 class CountedSketch:
     """Shared multiset core: value -> live count, plus the row total.
@@ -69,6 +73,8 @@ class CountedSketch:
         counts = self.counts
         for raw in values:
             value = float(raw)
+            if value != value:
+                value = _NAN
             self.n_total += 1
             if self._keeps(value):
                 counts[value] = counts.get(value, 0) + 1
@@ -77,6 +83,8 @@ class CountedSketch:
         counts = self.counts
         for raw in values:
             value = float(raw)
+            if value != value:
+                value = _NAN
             self.n_total -= 1
             if self.n_total < 0:
                 raise ValueError("sketch delete underflow: more rows "
@@ -138,7 +146,7 @@ class CountedSketch:
                                offset=offset)
         counts = np.frombuffer(blob, dtype="<i8", count=n_entries,
                                offset=offset + 8 * n_entries)
-        sketch.counts = {float(v): int(c)
+        sketch.counts = {_NAN if v != v else float(v): int(c)
                          for v, c in zip(values, counts)}
         sketch.n_total = int(n_total)
         return sketch

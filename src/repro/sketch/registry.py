@@ -24,9 +24,10 @@ from ..core.queries import AggFunc, Query, QueryResult
 from .counted import (CountedSketch, DistinctSketch, HeavyHitters,
                       QuantileSketch)
 
-__all__ = ["KIND_DISTINCT", "KIND_HEAVY", "KIND_QUANTILE", "SKETCH_KEY",
-           "SKETCH_KIND", "merge_sketch_blobs", "new_sketch",
-           "sketch_answer", "sketch_empty_answer", "sketch_from_bytes"]
+__all__ = ["HLL_BITS", "KIND_DISTINCT", "KIND_HEAVY", "KIND_QUANTILE",
+           "SKETCH_HEIGHT", "SKETCH_KEY", "SKETCH_KIND", "TOPK_CAPACITY",
+           "merge_sketch_blobs", "new_sketch", "sketch_answer",
+           "sketch_empty_answer", "sketch_from_bytes"]
 
 #: ``QueryResult.details`` key carrying a canonical sketch blob.
 SKETCH_KEY = "sketch"
@@ -47,15 +48,21 @@ SKETCH_KIND = {AggFunc.PERCENTILE: KIND_QUANTILE,
                AggFunc.TOPK: KIND_HEAVY}
 
 
-def new_sketch(kind: int, *, sketch_height: int, hll_bits: int,
-               topk_capacity: int) -> CountedSketch:
-    """Construct an empty sketch of ``kind`` from the config knobs."""
+#: The parameters every engine builds its sketches with (a blob's
+#: header carries its sketch's; only equal parameters merge).
+SKETCH_HEIGHT = 4            # quantile sample: 2**-4 of the values
+HLL_BITS = 11                # HLL: 2**11 registers, ~2.3% error
+TOPK_CAPACITY = 64           # TOPK exact up to 64 live values
+
+
+def new_sketch(kind: int) -> CountedSketch:
+    """Construct an empty sketch of ``kind`` with the engine parameters."""
     if kind == KIND_QUANTILE:
-        return QuantileSketch(sketch_height)
+        return QuantileSketch(SKETCH_HEIGHT)
     if kind == KIND_DISTINCT:
-        return DistinctSketch(hll_bits)
+        return DistinctSketch(HLL_BITS)
     if kind == KIND_HEAVY:
-        return HeavyHitters(topk_capacity)
+        return HeavyHitters(TOPK_CAPACITY)
     raise ValueError(f"unknown sketch kind {kind}")
 
 

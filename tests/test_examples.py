@@ -7,6 +7,7 @@ and every fenced ``python`` block in the README is executed as written
 environment), so documentation drift fails CI instead of rotting.
 """
 
+import dataclasses
 import importlib.util
 import io
 import re
@@ -15,6 +16,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from repro.core.janus import JanusConfig
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples"
@@ -70,3 +73,12 @@ def test_examples_have_reduced_n_entry_points():
         source = path.read_text()
         assert re.search(r"def main\(n: int = \d", source), \
             f"{path.name} must expose main(n=...) for the smoke test"
+
+
+def test_api_doc_lists_every_janus_config_field():
+    """docs/API.md's JanusConfig table names exactly the dataclass's
+    fields, in declaration order."""
+    text = (REPO / "docs" / "API.md").read_text()
+    section = text.split("\n## JanusConfig\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \(", section, flags=re.MULTILINE)
+    assert documented == [f.name for f in dataclasses.fields(JanusConfig)]

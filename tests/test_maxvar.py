@@ -146,7 +146,7 @@ class TestPrefixStats:
 # index-backed oracle
 # ---------------------------------------------------------------------- #
 def build_index(points, values, dim=1):
-    idx = RangeIndex(dim, leaf_size=4)
+    idx = RangeIndex(dim)
     idx.add_many(range(len(values)), points, values)
     return idx
 
@@ -199,10 +199,12 @@ class TestMaxVarOracle:
 
     def test_avg_witness_valid(self):
         rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 100, size=(60, 2))
-        vals = rng.lognormal(1, 1, 60)
-        idx = RangeIndex(2, leaf_size=4)
-        idx.add_many(range(60), pts, vals)
+        # Enough points that the index's 16-point k-d leaves fall under
+        # the delta*m cell bound: both candidate families run.
+        pts = rng.uniform(0, 100, size=(240, 2))
+        vals = rng.lognormal(1, 1, 240)
+        idx = RangeIndex(2)
+        idx.add_many(range(240), pts, vals)
         oracle = MaxVarOracle(idx, AggFunc.AVG, pop_ratio=3.0, delta=0.1)
         rect = Rectangle((0.0, 0.0), (100.0, 100.0))
         res = oracle.max_variance(rect)

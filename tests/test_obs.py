@@ -18,6 +18,7 @@ from repro.obs import (CATALOG, Counter, Gauge, Histogram,
                        MetricsRegistry, TraceContext, Tracer,
                        decode_spans, encode_spans, log_event,
                        maybe_span, parse_exposition, render_exposition)
+from repro.obs.metrics import DEFAULT_WINDOW
 
 # ---------------------------------------------------------------------- #
 # registry + instruments
@@ -64,7 +65,7 @@ def test_gauge_sets_and_counter_only_counts():
 
 
 def test_histogram_exact_percentiles_over_window():
-    h = Histogram(buckets=(0.1, 1.0), window=100)
+    h = Histogram()
     for v in range(1, 101):          # 0.01 .. 1.00
         h.observe(v / 100.0)
     assert h.count == 100
@@ -76,12 +77,14 @@ def test_histogram_exact_percentiles_over_window():
 
 
 def test_histogram_window_is_bounded():
-    h = Histogram(window=8)
-    for _ in range(100):
-        h.observe(100.0)
+    h = Histogram()
     h.observe(1.0)
-    # The window forgot the early observations; count/sum did not.
-    assert h.count == 101
+    for _ in range(DEFAULT_WINDOW):
+        h.observe(100.0)
+    # The window forgot the early observation; count/sum did not.
+    assert h.count == DEFAULT_WINDOW + 1
+    assert h.percentile(0.0) == 100.0
+    h.observe(1.0)
     assert h.percentile(0.0) == 1.0
 
 

@@ -156,8 +156,7 @@ class TestOneDim:
         """BS result within the paper's 2*rho*sqrt(2) of the DP optimum."""
         keys, values = sample_data(n=60, seed=3)
         k = 4
-        bs = OneDimPartitioner(AggFunc.SUM, rho=2.0).partition(
-            keys, values, k)
+        bs = OneDimPartitioner(AggFunc.SUM).partition(keys, values, k)
         dp = DPPartitioner(AggFunc.SUM).partition(keys, values, k)
         factor = 2 * 2.0 * math.sqrt(2)
         assert bs.max_error <= factor * max(dp.max_error, 1e-12) + 1e-9
@@ -172,10 +171,6 @@ class TestOneDim:
         with pytest.raises(ValueError):
             OneDimPartitioner(AggFunc.SUM).partition(
                 np.array([]), np.array([]), 4)
-
-    def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            OneDimPartitioner(AggFunc.SUM, rho=1.0)
 
     def test_k_larger_than_m(self):
         keys, values = sample_data(n=5)
@@ -196,11 +191,13 @@ class TestOneDim:
 
 
 class TestKDTree:
-    def make_index(self, n=300, dim=2, seed=0):
+    def make_index(self, n=600, dim=2, seed=0):
+        # Enough points that the AVG oracle's k-d cells over 16-point
+        # index leaves are several levels deep.
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 100, size=(n, dim))
         vals = rng.lognormal(0, 1, n)
-        idx = RangeIndex(dim, leaf_size=8)
+        idx = RangeIndex(dim)
         idx.add_many(range(n), pts, vals)
         return idx, pts, vals
 
@@ -249,7 +246,7 @@ class TestKDTree:
     def test_splits_high_variance_regions_more(self):
         """Leaves should be denser where values vary wildly."""
         rng = np.random.default_rng(5)
-        idx = RangeIndex(1, leaf_size=8)
+        idx = RangeIndex(1)
         # left half: constant values; right half: huge variance
         idx.add_many(range(200), rng.uniform(0, 50, 200), np.ones(200))
         idx.add_many(range(200, 400), rng.uniform(50, 100, 200),

@@ -169,7 +169,7 @@ class TestSmallCells:
        st.tuples(st.floats(0, 5), st.floats(0, 5),
                  st.floats(0, 6), st.floats(0, 6)))
 def test_property_range_stats(points, window):
-    idx = RangeIndex(2, leaf_size=4)
+    idx = RangeIndex(2)
     idx.add_many(range(len(points)), [(x, y) for x, y, _ in points],
                  [v for _, _, v in points])
     lx, ly, wx, wy = window

@@ -19,6 +19,7 @@ that ends at the same multiset ends at byte-identical canonical blobs.
   against the exact ground truth.
 """
 
+import json
 import math
 
 import numpy as np
@@ -34,9 +35,9 @@ from repro.core.queries import AggFunc, Query, Rectangle, SKETCH_AGGS
 from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
 from repro.service.fleet import FleetCoordinator
-from repro.sketch import (SKETCH_KEY, DistinctSketch, HeavyHitters,
-                          QuantileSketch, merge_sketch_blobs,
-                          sketch_from_bytes)
+from repro.sketch import (SKETCH_KEY, SKETCH_KIND, DistinctSketch,
+                          HeavyHitters, QuantileSketch, merge_sketch_blobs,
+                          new_sketch, sketch_from_bytes)
 
 UNBOUNDED = Rectangle((-math.inf,), (math.inf,))
 
@@ -175,13 +176,15 @@ def engine_config(seed=0, n_shards=1):
     return JanusConfig(k=max(2, 16 // n_shards), sample_rate=0.05,
                        catchup_rate=0.1, check_every=10 ** 9,
                        auto_repartition=False, seed=seed,
-                       sketch_attrs=("v",), sketch_height=3,
-                       hll_bits=8, topk_capacity=32)
+                       sketch_attrs=("v",))
 
 
 def make_rows(rng, n):
+    """``v`` has 120 distinct values: past TOPK_CAPACITY (64), so the
+    heavy hitters saturate, and 9 of them survive the quantile sketch's
+    2**-SKETCH_HEIGHT sampling."""
     return np.column_stack([rng.uniform(0.0, 100.0, n),
-                            rng.integers(0, 60, n).astype(float)])
+                            rng.integers(0, 120, n).astype(float)])
 
 
 def make_single(rows):
@@ -267,6 +270,95 @@ def test_sketch_blobs_survive_persistence(tmp_path):
         assert_bit_identical(got, w, ("sharded", q.agg.value))
     sharded.close()
     reloaded.close()
+
+
+def store_sketches(path, engine=None, **params):
+    """Rewrite the archive at ``path`` as builds that stored sketch
+    state wrote it: the sketch parameters as config keys (defaults, or
+    ``params``) and, for a synopsis archive, ``engine``'s blobs."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = dict(archive)
+    meta = json.loads(str(arrays["meta"]))
+    meta["config"].update(dict(sketch_height=4, hll_bits=11,
+                               topk_capacity=64), **params)
+    arrays["meta"] = json.dumps(meta)
+    if engine is not None:
+        for i, attr in enumerate(engine.config.sketch_attrs):
+            bank = engine._sketches[attr]
+            for j, kind in enumerate(sorted(bank)):
+                arrays[f"sketch{i}_{j}"] = np.frombuffer(
+                    bank[kind].to_bytes(), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+
+
+def test_archives_with_stored_sketches_still_load(tmp_path):
+    """Archives and manifests carrying the sketch parameters and blobs
+    load and answer bit-identically to the saved engines; a sketch
+    parameter this build does not use is refused by name."""
+    rng = np.random.default_rng(29)
+    rows = make_rows(rng, 3_000)
+    queries = sketch_queries() + [
+        Query(agg, "v", ("x",), Rectangle((10.0,), (60.0,)))
+        for agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG)]
+    single = make_single(rows)
+    path = str(tmp_path / "single.npz")
+    save_synopsis(single, path)
+    store_sketches(path, single)
+    restored = load_synopsis(path, single.table)
+    for q, got, w in zip(queries, restored.query_many(queries),
+                         single.query_many(queries)):
+        assert_bit_identical(got, w, ("single", q.agg.value))
+
+    sharded = ShardedJanusAQP(["x", "v"], "v", ("x",), n_shards=3,
+                              config=engine_config(n_shards=3))
+    sharded.insert_many(rows)
+    sharded.initialize()
+    fleet = tmp_path / "fleet"
+    save_sharded(sharded, fleet)
+    for s, shard in enumerate(sharded.shards):
+        store_sketches(fleet / f"shard{s}.npz", shard)
+    store_sketches(fleet / "manifest.npz")
+    reloaded = load_sharded(fleet)
+    for q, got, w in zip(queries, reloaded.query_many(queries),
+                         sharded.query_many(queries)):
+        assert_bit_identical(got, w, ("sharded", q.agg.value))
+    sharded.close()
+    reloaded.close()
+
+    store_sketches(path, hll_bits=8)
+    with pytest.raises(ValueError, match="hll_bits"):
+        load_synopsis(path, single.table)
+    store_sketches(fleet / "manifest.npz", hll_bits=8)
+    with pytest.raises(ValueError, match="hll_bits"):
+        load_sharded(fleet)
+
+
+def test_nan_rows_delete_cleanly():
+    """Every NaN is one sketch value: deleting one of two NaN rows
+    neither raises nor leaves the engine half-updated, and the blobs
+    equal fresh sketches over the live column."""
+    rng = np.random.default_rng(41)
+    rows = make_rows(rng, 600)
+    sharded = ShardedJanusAQP(["x", "v"], "v", ("x",), n_shards=2,
+                              config=engine_config(n_shards=2))
+    sharded.insert_many(rows)
+    sharded.initialize()
+    for engine, tables in ((make_single(rows), None),
+                           (sharded, sharded.tables)):
+        tids = engine.insert_many(np.array([[5.0, np.nan],
+                                            [60.0, np.nan]]))
+        epoch = engine.data_epoch
+        engine.delete_many(tids[:1])
+        assert engine.data_epoch > epoch
+        live = np.concatenate([t.column("v") for t in
+                               (tables or [engine.table])])
+        assert np.isnan(live).sum() == 1
+        queries = sketch_queries()
+        for q, got in zip(queries, engine.query_many(queries)):
+            fresh = new_sketch(SKETCH_KIND[q.agg])
+            fresh.insert_many(live)
+            assert got.details[SKETCH_KEY] == fresh.to_bytes(), q.agg
+    sharded.close()
 
 
 def test_fleet_wire_carries_sketches(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.dpt import DynamicPartitionTree
+from repro.core.janus import JanusConfig
 from repro.core.queries import AggFunc, Rectangle
-from repro.core.triggers import (RepartitionTrigger, TriggerAction,
-                                 TriggerConfig)
+from repro.core.triggers import RepartitionTrigger, TriggerAction
 from repro.core.table import table_from_array
 from repro.partitioning.maxvar import MaxVarOracle
 from repro.partitioning.spec import tree_from_intervals
@@ -38,21 +38,21 @@ def build_world(n=2000, seed=0):
 class TestBaseline:
     def test_rebase_records_all_leaves(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
+        trig = RepartitionTrigger(JanusConfig(), oracle, pool)
         trig.rebase(dpt)
         assert set(trig.state.baseline) == \
             {leaf.node_id for leaf in dpt.leaves}
 
     def test_current_max_variance_positive(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
+        trig = RepartitionTrigger(JanusConfig(), oracle, pool)
         assert trig.current_max_variance(dpt) > 0
 
 
 class TestOnUpdate:
     def test_no_action_below_check_every(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(check_every=100),
+        trig = RepartitionTrigger(JanusConfig(check_every=100),
                                   oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
@@ -63,7 +63,7 @@ class TestOnUpdate:
     def test_forced_periodic(self):
         _, dpt, _, _, pool, oracle = build_world()
         trig = RepartitionTrigger(
-            TriggerConfig(every_n_updates=10, check_every=1000),
+            JanusConfig(repartition_every=10, check_every=1000),
             oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
@@ -74,7 +74,7 @@ class TestOnUpdate:
 
     def test_under_represented_leaf_fires(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(check_every=1), oracle,
+        trig = RepartitionTrigger(JanusConfig(check_every=1), oracle,
                                   pool)
         trig.rebase(dpt)
         # an artificial leaf id with no samples at all
@@ -85,7 +85,7 @@ class TestOnUpdate:
 
     def test_variance_drift_fires(self):
         table, dpt, index, reservoir, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(check_every=1, beta=2.0),
+        trig = RepartitionTrigger(JanusConfig(check_every=1, beta=2.0),
                                   oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[0]
@@ -100,7 +100,7 @@ class TestOnUpdate:
 
     def test_stable_leaf_no_candidate(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(check_every=1, beta=10.0),
+        trig = RepartitionTrigger(JanusConfig(check_every=1, beta=10.0),
                                   oracle, pool)
         trig.rebase(dpt)
         leaf = dpt.leaves[1]
@@ -116,7 +116,7 @@ class TestOnUpdate:
         verdicts = {}
         for held in (5, 6):
             pool.restore(rest + inside[:held], dpt.leaf_ids_of)
-            trig = RepartitionTrigger(TriggerConfig(), oracle, pool)
+            trig = RepartitionTrigger(JanusConfig(), oracle, pool)
             trig.rebase(dpt)              # no drift: only the floor can fire
             verdicts[held] = (held < math.log(len(pool)),
                               trig.on_update_batch(
@@ -128,7 +128,7 @@ class TestOnUpdate:
 class TestConfirm:
     def test_commit_rule(self):
         _, dpt, _, _, pool, oracle = build_world()
-        trig = RepartitionTrigger(TriggerConfig(beta=10.0), oracle, pool)
+        trig = RepartitionTrigger(JanusConfig(beta=10.0), oracle, pool)
         assert trig.confirm(new_max_variance=0.5, old_max_variance=100.0)
         assert not trig.confirm(new_max_variance=50.0,
                                 old_max_variance=100.0)
@@ -142,7 +142,7 @@ class TestLifetimeCounters:
     restart from 0 at every install)."""
 
     def _engine(self, **cfg):
-        from repro.core.janus import JanusAQP, JanusConfig
+        from repro.core.janus import JanusAQP
         from repro.core.table import Table
         from repro.datasets.synthetic import nyc_taxi
         ds = nyc_taxi(n=12_000, seed=1)
@@ -159,6 +159,7 @@ class TestLifetimeCounters:
         from repro.core.repartition import partial_repartition
         engine, ds = self._engine()
         trigger = engine.trigger
+        assert trigger.config is engine.config      # one configuration
         seen = [(0, 0)]
 
         def step():
