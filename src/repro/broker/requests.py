@@ -96,7 +96,8 @@ def _field_codec(f: WireField, spell: Callable, parse: Callable,
 def _dict_codec(schema: WireSchema):
     """``(to_dict(obj), from_dict(payload))``: the schema's JSON-safe
     ``{wire key: value}`` form; ``from_dict`` raises ``ValueError``
-    when a required key is missing or a value has the wrong shape."""
+    when a required key is missing, a value has the wrong shape or a
+    number overflows its field's type."""
     rows = [(f.key, f.get, f.optional,
              *_field_codec(f, f.out, f.cast, list, iter))
             for f in schema.fields]
@@ -109,7 +110,7 @@ def _dict_codec(schema: WireSchema):
             return schema.build(iter([
                 read(payload.get(key) if optional else payload[key])
                 for key, _, optional, _, read in rows]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed {schema.cls.__name__.lower()} "
                              f"payload: {exc}") from exc
 

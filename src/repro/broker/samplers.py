@@ -29,6 +29,9 @@ import numpy as np
 
 from .broker import Topic, decode_row
 
+#: The batch :func:`choose_sampler`'s sequential sampler polls.
+CATCHUP_POLL_SIZE = 10_000
+
 
 @dataclass
 class SampleStats:
@@ -104,8 +107,7 @@ class SequentialSampler:
         return out
 
 
-def choose_sampler(topic: Topic, sample_rate: float, seed: int = 0,
-                   poll_size: int = 10_000):
+def choose_sampler(topic: Topic, sample_rate: float, seed: int = 0):
     """The paper's policy: singleton for rates <~10%, sequential above.
 
     "Because the sample rate we use during initialization is no larger
@@ -114,5 +116,5 @@ def choose_sampler(topic: Topic, sample_rate: float, seed: int = 0,
     we will prefer to use a sequential sampler" (Appendix A).
     """
     if sample_rate > 0.10:
-        return SequentialSampler(topic, poll_size, seed=seed)
+        return SequentialSampler(topic, CATCHUP_POLL_SIZE, seed=seed)
     return SingletonSampler(topic, seed=seed)

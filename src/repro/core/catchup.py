@@ -99,19 +99,17 @@ class CatchupRunner:
         return report
 
     # ------------------------------------------------------------------ #
-    def run_from_topic(self, topic: Topic, goal: int,
-                       sampler: Optional[object] = None,
-                       poll_size: int = 10_000) -> CatchupReport:
-        """Catch up by sampling serialized records from a broker topic.
+    def run_from_topic(self, topic: Topic, goal: int) -> CatchupReport:
+        """Catch up by sampling serialized records from a broker topic,
+        through the sampler :func:`~repro.broker.samplers.choose_sampler`
+        picks for the goal's rate.
 
         Loading time (polling, transfer, parsing) is reported separately
         from processing time (tree statistic updates) - Figure 7 (right).
         """
         report = CatchupReport(goal=goal)
-        if sampler is None:
-            sampler = choose_sampler(topic, goal / max(topic.end_offset, 1),
-                                     int(self._rng.integers(2**31)),
-                                     poll_size)
+        sampler = choose_sampler(topic, goal / max(topic.end_offset, 1),
+                                 int(self._rng.integers(2**31)))
         before = sampler.stats.loading_seconds
         rows = sampler.sample(goal)
         report.loading_seconds = sampler.stats.loading_seconds - before

@@ -19,10 +19,10 @@ into the statistics).
 
 A sharded fleet persists as a *directory*: one synopsis archive per
 initialized shard plus a manifest (:func:`save_sharded` /
-:func:`load_sharded`) carrying the placement mode, ``range_block``, the
-global-to-(shard, local)-tid maps and each shard's archival table
-contents, so a serving tier can warm-start the whole fleet instead of
-re-ingesting and re-partitioning.
+:func:`load_sharded`) carrying the placement mode, the global-to-(shard,
+local)-tid maps and each shard's archival table contents, so a serving
+tier can warm-start the whole fleet instead of re-ingesting and
+re-partitioning.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class _ManifestMeta:
     stat_attrs: List[str]
     n_shards: int
     sharding: str
-    range_block: int
     next_tid: int
     initialized: List[bool]
     table_next_tids: List[int]
@@ -234,9 +233,9 @@ def save_sharded(sharded: ShardedJanusAQP,
     Layout: ``shard<i>.npz`` (one :func:`save_synopsis` archive per
     *initialized* shard) plus ``manifest.npz`` holding the coordinator
     state - placement mode (including ``route_attr``/``attr_bounds``
-    for ``"attr"`` placement), ``range_block``, the global tid maps,
-    the per-shard table contents (tids + rows + tid counter), the
-    per-shard routing summaries and the construction template.
+    for ``"attr"`` placement), the global tid maps, the per-shard table
+    contents (tids + rows + tid counter), the per-shard routing
+    summaries and the construction template.
     Uninitialized shards (never held a row) save no archive and come
     back uninitialized.  Needs the rows in hand, so it saves an
     in-process engine, not a worker fleet.
@@ -290,7 +289,6 @@ def save_sharded(sharded: ShardedJanusAQP,
             stat_attrs=list(sharded.stat_attrs),
             n_shards=sharded.n_shards,
             sharding=sharded.sharding,
-            range_block=sharded.range_block,
             next_tid=int(shard_of.shape[0]),
             initialized=initialized,
             table_next_tids=[t._next_tid for t in sharded.tables],
@@ -331,8 +329,8 @@ class ShardedManifest:
     predicate_attrs: Tuple[str, ...]
     stat_attrs: Tuple[str, ...]
     config: JanusConfig
-    route_attr: str
-    #: Placement mode, bounds and the restored global tid maps.
+    #: Placement mode, routing column, bounds and the restored global
+    #: tid maps.
     placement: PlacementMap
     initialized: List[bool]
     #: Per shard: the archival table's next local tid / live row count.
@@ -354,14 +352,18 @@ def read_sharded_manifest(dir_path: Union[str, Path],
     here, so the coordinator state they rebuild cannot drift apart.  No
     engine is built.  ``tables`` names the shards whose archival tables
     to restore (``None`` = every shard); the default restores none,
-    which is all a coordinator over worker processes needs.
+    which is all a coordinator over worker processes needs.  An earlier
+    build's ``range_block`` key is dropped; its ``sharding="range"``
+    raises ``ValueError`` (this build cannot place its new rows).
     """
     src = Path(dir_path)
     manifest = src / _MANIFEST
     if not manifest.exists():
         raise FileNotFoundError(f"no {_MANIFEST} under {src}")
     with np.load(manifest, allow_pickle=False) as archive:
-        meta = _ManifestMeta(**json.loads(str(archive["meta"])))
+        raw = json.loads(str(archive["meta"]))
+        raw.pop("range_block", None)
+        meta = _ManifestMeta(**raw)
         version = int(meta.version)
         if version not in (1, _SHARDED_FORMAT_VERSION):
             raise ValueError(f"unsupported sharded snapshot version "
@@ -372,11 +374,9 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             raise ValueError("manifest tid maps do not match next_tid")
         schema = tuple(meta.schema)
         predicate_attrs = tuple(meta.predicate_attrs)
-        route_attr = meta.route_attr or predicate_attrs[0]
         placement = PlacementMap(
             n_shards, meta.sharding,
-            range_block=int(meta.range_block),
-            route_col=schema.index(route_attr),
+            route_col=schema.index(meta.route_attr or predicate_attrs[0]),
             attr_bounds=(
                 np.asarray(archive["attr_bounds"], dtype=np.float64).copy()
                 if version >= 2 and meta.has_attr_bounds else None))
@@ -405,7 +405,6 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             predicate_attrs=predicate_attrs,
             stat_attrs=tuple(meta.stat_attrs),
             config=_config_from(meta.config),
-            route_attr=route_attr,
             placement=placement,
             initialized=[bool(b) for b in meta.initialized],
             table_next_tids=table_next_tids,
@@ -479,8 +478,7 @@ def load_sharded(dir_path: Union[str, Path]) -> ShardedJanusAQP:
     m = read_sharded_manifest(src, tables=None)
     sharded = ShardedJanusAQP.__new__(ShardedJanusAQP)
     sharded._assemble(m.schema, m.agg_attr, m.predicate_attrs,
-                      m.stat_attrs, m.config, m.route_attr, m.placement,
-                      m.summaries,
+                      m.stat_attrs, m.config, m.placement, m.summaries,
                       lambda s: _restore_shard(src, m, s, sharded.metrics))
     if m.summaries is None:
         # v1 snapshots predate the router: rebuild each summary

@@ -7,10 +7,10 @@ new row* and *which shard currently owns a global tid*.  The logic
 lives here once:
 
 * :class:`PlacementMap` - the lock-guarded owner of the placement
-  rule (``hash`` / ``range`` / ``attr`` modes, with ``attr`` cuts
-  struck lazily from the first batch that carries finite routing
-  values), the global-tid-to-(shard, local-tid) maps and the tid
-  counter.  The coordinator holds exactly one;
+  rule (``hash`` / ``attr`` modes, with ``attr`` cuts struck lazily
+  from the first batch that carries finite routing values), the
+  global-tid-to-(shard, local-tid) maps and the tid counter.  The
+  coordinator holds exactly one;
 * :func:`stagger_trigger` - the phase-offset of per-shard forced
   repartition counters (the one-shard-rebuilds-at-a-time cadence).
 """
@@ -65,12 +65,13 @@ class PlacementMap:
     holds a shard or summary lock ever waits on it.
     """
 
-    def __init__(self, n_shards: int, sharding: str,
-                 range_block: int = 8192, route_col: int = 0,
+    def __init__(self, n_shards: int, sharding: str, route_col: int = 0,
                  attr_bounds: Optional[np.ndarray] = None) -> None:
+        if sharding not in ("hash", "attr"):
+            raise ValueError(f"unknown sharding mode {sharding!r}: rows "
+                             f"are placed by 'hash' or 'attr'")
         self.n_shards = int(n_shards)
         self.sharding = sharding
-        self.range_block = int(range_block)
         self.route_col = int(route_col)
         self.lock = threading.RLock()
         self.attr_bounds = attr_bounds  # guarded-by: lock
@@ -120,7 +121,7 @@ class PlacementMap:
                rows: np.ndarray) -> np.ndarray:
         """Initial shard placement for a new batch (vectorized).
 
-        ``hash``/``range`` place by tid; ``attr`` places by the routing
+        ``hash`` places by tid; ``attr`` places by the routing
         attribute's value against :attr:`attr_bounds`.  Values past the
         outer bounds land on the edge shards; NaNs sort past every
         bound onto the last shard - placement never affects
@@ -131,8 +132,6 @@ class PlacementMap:
         """
         if self.sharding == "hash":
             return tids % self.n_shards
-        if self.sharding == "range":
-            return (tids // self.range_block) % self.n_shards
         vals = rows[:, self.route_col]
         if self.attr_bounds is None:
             finite = vals[np.isfinite(vals)]

@@ -26,6 +26,11 @@ from dataclasses import dataclass
 from .dpt import DynamicPartitionTree
 from .node import NodeRef
 
+#: :func:`auto_partial_repartition` grows ``psi`` up to this level ...
+AUTO_MAX_PSI = 6
+#: ... until the region's max-variance falls to this factor of before.
+AUTO_IMPROVEMENT = 0.8
+
 
 @dataclass
 class PartialRepartitionReport:
@@ -69,15 +74,15 @@ def partial_repartition(janus, leaf: NodeRef, psi: int = 2
             janus.sample_index.count(u.rect), time.perf_counter() - t0)
 
 
-def auto_partial_repartition(janus, leaf: NodeRef, max_psi: int = 6,
-                             improvement: float = 0.8
+def auto_partial_repartition(janus, leaf: NodeRef
                              ) -> PartialRepartitionReport:
     """Appendix E's automatic variant: grow ``psi`` until the region's
-    max-variance improves by the requested factor (or the root is hit).
+    max-variance improves by :data:`AUTO_IMPROVEMENT` (or the root, or
+    :data:`AUTO_MAX_PSI`, is hit).
     """
     with janus._lock:
         oracle = janus.trigger.oracle
-        for psi in range(1, max_psi + 1):
+        for psi in range(1, AUTO_MAX_PSI + 1):
             u = ancestor_at(janus.dpt, leaf, psi)
             if u.row == 0:
                 break
@@ -86,7 +91,7 @@ def auto_partial_repartition(janus, leaf: NodeRef, max_psi: int = 6,
             leaves = janus.dpt.subtree_leaves(u)
             after = max(oracle.max_variance(lf.rect).variance
                         for lf in leaves)
-            if before <= 0 or after <= improvement * before:
+            if before <= 0 or after <= AUTO_IMPROVEMENT * before:
                 return report
             leaf = leaves[-1]
-        return partial_repartition(janus, leaf, max_psi)
+        return partial_repartition(janus, leaf, AUTO_MAX_PSI)

@@ -1,7 +1,7 @@
 """Horizontally sharded synopsis engine.
 
 :class:`ShardedJanusAQP` scales JanusAQP past one partition tree: tids
-are hash-, range- or value-sharded across N independent
+are hash- or value-sharded across N independent
 :class:`~repro.core.janus.JanusAQP` synopses over disjoint row sets, and
 every operation fans out per shard:
 
@@ -248,23 +248,15 @@ class ShardedJanusAQP:
         total synopsis budget is ``n_shards`` times the per-shard one.
     sharding:
         ``"hash"`` places tid t on shard ``t % n_shards`` (fine-grained
-        round-robin, balanced under any workload); ``"range"`` stripes
-        contiguous blocks of ``range_block`` tids (placement-local, the
-        natural unit for :meth:`rebalance_range`); ``"attr"`` places
-        rows by the *value* of ``route_attr``, cutting its domain at
-        ``attr_bounds`` - the placement that makes the query router
-        effective, since a range predicate on the routing attribute
-        then lands on the 1-2 shards whose value stripe it overlaps.
-    route_attr:
-        The predicate attribute ``"attr"`` placement keys on (default:
-        the first predicate attribute).  Must be one of
-        ``predicate_attrs`` - placement by a column queries never
-        constrain would route nothing.
-    attr_bounds:
-        ``n_shards - 1`` ascending cut values for ``"attr"`` placement.
-        When omitted, the bounds are struck from the quantiles of the
-        first insert batch (the documented seed-then-initialize flow),
-        so a representative seed yields balanced shards.
+        round-robin, balanced under any workload); ``"attr"`` places
+        rows by the *value* of :attr:`route_attr`, the first predicate
+        attribute, cutting its domain at :attr:`attr_bounds` - the
+        quantiles of the first insert batch (the documented
+        seed-then-initialize flow), so a representative seed yields
+        balanced shards.  It is the placement that makes the query
+        router effective, since a range predicate on the routing
+        attribute then lands on the 1-2 shards whose value stripe it
+        overlaps.
     max_workers:
         Thread-pool width for the pooled fan-outs - the first builds of
         :meth:`initialize`, and every data-path call of a coordinator
@@ -280,29 +272,15 @@ class ShardedJanusAQP:
                  predicate_attrs: Sequence[str], n_shards: int = 2,
                  config: Optional[JanusConfig] = None,
                  stat_attrs: Optional[Sequence[str]] = None,
-                 sharding: str = "hash", range_block: int = 8192,
-                 route_attr: Optional[str] = None,
-                 attr_bounds: Optional[Sequence[float]] = None,
+                 sharding: str = "hash",
                  max_workers: Optional[int] = None) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if sharding not in ("hash", "range", "attr"):
-            raise ValueError(f"unknown sharding mode {sharding!r}")
         schema = tuple(schema)
         predicate_attrs = tuple(predicate_attrs)
         config = config or JanusConfig()
-        route_attr = route_attr or predicate_attrs[0]
-        if route_attr not in predicate_attrs:
-            raise ValueError(
-                f"route_attr {route_attr!r} is not a predicate "
-                f"attribute {predicate_attrs}")
-        if attr_bounds is not None:
-            attr_bounds = np.asarray(attr_bounds, dtype=np.float64)
-            if attr_bounds.shape != (n_shards - 1,):
-                raise ValueError(
-                    f"attr_bounds needs {n_shards - 1} cut values")
-            if attr_bounds.size and (np.diff(attr_bounds) < 0).any():
-                raise ValueError("attr_bounds must be ascending")
+        placement = PlacementMap(n_shards, sharding,
+                                 route_col=schema.index(predicate_attrs[0]))
 
         def fresh_shard(s: int) -> LocalShard:
             return LocalShard(JanusAQP(
@@ -313,11 +291,7 @@ class ShardedJanusAQP:
 
         self._assemble(
             schema, agg_attr, predicate_attrs,
-            tuple(stat_attrs) if stat_attrs else schema, config,
-            route_attr,
-            PlacementMap(n_shards, sharding, range_block=range_block,
-                         route_col=schema.index(route_attr),
-                         attr_bounds=attr_bounds),
+            tuple(stat_attrs) if stat_attrs else schema, config, placement,
             [ShardSummary(len(predicate_attrs))
              for _ in range(n_shards)],
             fresh_shard, max_workers)
@@ -325,7 +299,7 @@ class ShardedJanusAQP:
     def _assemble(self, schema: Tuple[str, ...], agg_attr: str,
                   predicate_attrs: Tuple[str, ...],
                   stat_attrs: Tuple[str, ...], config: JanusConfig,
-                  route_attr: str, placement: PlacementMap,
+                  placement: PlacementMap,
                   summaries: List[ShardSummary],
                   make_shard: Callable[[int], object],
                   max_workers: Optional[int] = None) -> None:
@@ -351,10 +325,10 @@ class ShardedJanusAQP:
         #: off-template query before any shard or worker is asked.
         self.template = QueryTemplate(agg_attr, predicate_attrs,
                                       stat_attrs, self.sketch_attrs)
-        self.route_attr = route_attr
+        #: The attribute ``"attr"`` placement keys on.
+        self.route_attr = schema[placement.route_col]
         self.n_shards = placement.n_shards
         self.sharding = placement.sharding
-        self.range_block = placement.range_block
         self._placement = placement
         #: Schema column indices of the predicate attributes, the
         #: coordinate order of the per-shard routing summaries.
@@ -745,8 +719,7 @@ class ShardedJanusAQP:
     # ------------------------------------------------------------------ #
     # rebalancing (LocalShard-only: the rows must be in hand)
     # ------------------------------------------------------------------ #
-    def rebalance_range(self, lo_tid: int, hi_tid: int, dst: int,
-                        reoptimize_dst: bool = True) -> int:
+    def rebalance_range(self, lo_tid: int, hi_tid: int, dst: int) -> int:
         """Move every live tid in ``[lo_tid, hi_tid)`` onto shard ``dst``.
 
         The move is an ordinary delete on each source shard followed by
@@ -754,10 +727,10 @@ class ShardedJanusAQP:
         consistent through the standard exact-delta maintenance, so the
         fleet stays query-correct at every point.  Global tids are
         stable across the move (only the private local tids change).
-        With ``reoptimize_dst`` (default) the destination runs its full
-        re-initialization pipeline afterwards - partition
-        re-optimization, pool resample and background catch-up - so its
-        tree re-converges to the post-move data distribution.
+        The destination then runs its full re-initialization pipeline -
+        partition re-optimization, pool resample and background
+        catch-up - so its tree re-converges to the post-move data
+        distribution.
 
         Returns the number of rows moved.
         """
@@ -799,8 +772,7 @@ class ShardedJanusAQP:
                 shard = self._shards[s]
                 with shard.lock:  # lock-order: canonical (one shard at a time, released before the next)
                     self._refresh_summary(s)
-        if reoptimize_dst:
-            self._shards[dst].reoptimize()
+        self._shards[dst].reoptimize()
         self._h_rebalance.observe(time.perf_counter() - t0)
         return int(moving.size)
 

@@ -46,6 +46,9 @@ if TYPE_CHECKING:   # typing-only; avoids a load-order dependency
 #: Anything the driver can feed: one synopsis or a shard coordinator.
 SynopsisEngine = Union[JanusAQP, "ShardedJanusAQP"]
 
+#: Records :meth:`StreamDriver.drain` polls from a topic at a time.
+DRAIN_BATCH = 1024
+
 
 @dataclass
 class StreamStats:
@@ -133,7 +136,7 @@ class StreamDriver:
         self.stats = StreamStats()
 
     # ------------------------------------------------------------------ #
-    def drain(self, batch_size: int = 1024) -> StreamStats:
+    def drain(self) -> StreamStats:
         """Process everything currently queued, data before queries."""
         while (self._insert_consumer.lag or self._delete_consumer.lag or
                self._query_consumer.lag):
@@ -141,12 +144,12 @@ class StreamDriver:
             # reference a key whose insert was produced earlier, so this
             # order never orphans a delete that is already queued.
             while self._insert_consumer.lag:
-                self._apply_batch(self._insert_consumer.poll(batch_size),
+                self._apply_batch(self._insert_consumer.poll(DRAIN_BATCH),
                                   InsertRequest)
             while self._delete_consumer.lag:
-                self._apply_batch(self._delete_consumer.poll(batch_size),
+                self._apply_batch(self._delete_consumer.poll(DRAIN_BATCH),
                                   DeleteRequest)
-            self._apply_batch(self._query_consumer.poll(batch_size),
+            self._apply_batch(self._query_consumer.poll(DRAIN_BATCH),
                               QueryRequest)
         return self.stats
 

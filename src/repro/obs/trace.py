@@ -44,6 +44,9 @@ __all__ = ["Tracer", "TraceContext", "maybe_span", "encode_spans",
 
 _UNSET = object()
 
+#: Completed traces a :class:`Tracer` keeps for ``/debug/traces``.
+TRACE_CAPACITY = 256
+
 
 def encode_spans(spans: List[dict]) -> bytes:
     """Compact JSON codec for the reply-frame span sidecar."""
@@ -183,24 +186,20 @@ class Tracer:
 
     ``sample_every=0`` disables sampling entirely; forced traces
     (``"explain": true`` or an ``X-Janus-Trace`` header) still run.
-    The ring holds fully-built trace dicts only - ``record`` appends
-    one finished object under the lock and ``snapshot`` copies the
-    deque under the same lock, so ``/debug/traces`` can never tear
-    mid-write.
+    The ring holds the last :data:`TRACE_CAPACITY` fully-built trace
+    dicts only - ``record`` appends one finished object under the lock
+    and ``snapshot`` copies the deque under the same lock, so
+    ``/debug/traces`` can never tear mid-write.
     """
 
-    def __init__(self, sample_every: int = 64,
-                 capacity: int = 256) -> None:
+    def __init__(self, sample_every: int = 64) -> None:
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.sample_every = int(sample_every)
-        self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._seen = 0
         self._minted = 0
-        self._traces: deque = deque(maxlen=capacity)
+        self._traces: deque = deque(maxlen=TRACE_CAPACITY)
 
     def _mint_id(self) -> int:
         # pid-salted so ids from concurrently tested servers differ;

@@ -76,6 +76,12 @@ from ..obs.trace import TraceContext, decode_spans, maybe_span
 
 __all__ = ["FleetCoordinator", "FleetUnavailableError", "RemoteShard"]
 
+#: Seconds between the supervisor's health sweeps (ping + restart).
+SUPERVISE_INTERVAL = 1.0
+#: Per-round-trip socket timeout; a worker that exceeds it is treated
+#: as crashed.
+REQUEST_TIMEOUT = 120.0
+
 
 class FleetUnavailableError(RuntimeError):
     """A query needs a shard whose worker is down.
@@ -125,11 +131,10 @@ class RemoteShard:
 
     def __init__(self, snapshot: Union[str, Path], shard_id: int,
                  next_local: int, n_live: int, initialized: bool,
-                 n_pred_attrs: int, timeout: float = 120.0,
+                 n_pred_attrs: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.snapshot = Path(snapshot)
         self.shard_id = int(shard_id)
-        self.timeout = float(timeout)
         self._n_pred_attrs = int(n_pred_attrs)
         #: Journal append + frame send + respawn happen under this
         #: lock, so journal order always equals worker-applied order
@@ -180,7 +185,7 @@ class RemoteShard:
              "--shard", str(self.shard_id)],
             pass_fds=(child.fileno(),), env=env)
         child.close()
-        parent.settimeout(self.timeout)
+        parent.settimeout(REQUEST_TIMEOUT)
         self._sock = parent
         self._down = False
 
@@ -466,13 +471,9 @@ class FleetCoordinator(ShardedJanusAQP):
     max_workers:
         Coordinator-side fan-out thread width (default: shard count
         capped at ``os.cpu_count()``, as for the in-process engine).
-    supervise_interval:
-        Seconds between supervisor health sweeps (ping + restart).
-    request_timeout:
-        Per-round-trip socket timeout; a worker that exceeds it is
-        treated as crashed.
     supervise:
-        Disableable for tests that drive :meth:`check_workers`
+        Sweep the workers every :data:`SUPERVISE_INTERVAL` seconds;
+        disableable for tests that drive :meth:`check_workers`
         manually.
     log_stream:
         Destination for structured one-line JSON event logs (worker
@@ -481,8 +482,6 @@ class FleetCoordinator(ShardedJanusAQP):
 
     def __init__(self, snapshot_dir: Union[str, Path],
                  max_workers: Optional[int] = None,
-                 supervise_interval: float = 1.0,
-                 request_timeout: float = 120.0,
                  supervise: bool = True,
                  log_stream=None) -> None:
         m = read_sharded_manifest(snapshot_dir)
@@ -496,18 +495,16 @@ class FleetCoordinator(ShardedJanusAQP):
             shard = RemoteShard(
                 self.snapshot_dir, s, m.table_next_tids[s],
                 m.table_sizes[s], m.initialized[s],
-                len(m.predicate_attrs), timeout=request_timeout,
-                metrics=self.metrics)
+                len(m.predicate_attrs), metrics=self.metrics)
             shard.spawn()
             return shard
 
         self._assemble(m.schema, m.agg_attr, m.predicate_attrs,
-                       m.stat_attrs, m.config, m.route_attr, m.placement,
-                       m.summaries, spawn_worker, max_workers)
+                       m.stat_attrs, m.config, m.placement, m.summaries,
+                       spawn_worker, max_workers)
         #: The per-shard worker handles.
         self.workers: List[RemoteShard] = self._shards
         self._stop_event = threading.Event()
-        self._supervise_interval = float(supervise_interval)
         self._supervisor: Optional[threading.Thread] = None
         if supervise:
             self._supervisor = threading.Thread(
@@ -519,7 +516,7 @@ class FleetCoordinator(ShardedJanusAQP):
     # supervision and recovery
     # ------------------------------------------------------------------ #
     def _supervise(self) -> None:
-        while not self._stop_event.wait(self._supervise_interval):
+        while not self._stop_event.wait(SUPERVISE_INTERVAL):
             self.check_workers()
 
     def check_workers(self) -> int:
@@ -587,7 +584,6 @@ class FleetCoordinator(ShardedJanusAQP):
         """Stop supervision, drain the workers, shut the pool down."""
         self._stop_event.set()
         if self._supervisor is not None:
-            self._supervisor.join(timeout=2 * self._supervise_interval
-                                  + 5.0)
+            self._supervisor.join(timeout=2 * SUPERVISE_INTERVAL + 5.0)
             self._supervisor = None
         super().close()

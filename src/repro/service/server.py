@@ -71,7 +71,7 @@ from ..broker.requests import TOPK_KEY, query_from_dict, result_to_dict
 from ..core.queries import AggFamily, AggFunc, Query, QueryResult
 from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry, render_exposition
-from ..obs.trace import TraceContext, Tracer
+from ..obs.trace import TRACE_CAPACITY, TraceContext, Tracer
 from ..sketch.registry import SKETCH_KEY, sketch_from_bytes
 from .batcher import MicroBatcher
 from .cache import ResultCache
@@ -82,6 +82,12 @@ __all__ = ["AQPServer", "ServiceHandle", "serve_background"]
 
 _MAX_BODY = 64 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024       # total across one request's headers
+#: Threads executing engine calls; the engine's own locks serialize
+#: what must be serialized.
+EXECUTOR_WORKERS = 4
+#: Seconds a connection may sit between requests before the server
+#: closes it (bounds slowloris-style fd exhaustion).
+IDLE_TIMEOUT = 120.0
 
 
 class _HTTPError(Exception):
@@ -129,16 +135,10 @@ class AQPServer:
         also bounds the ``/sql`` statement memo (:attr:`bind_sql`),
         which stays on either way: a memoized ``Query`` equals a
         fresh compile.
-    executor_workers:
-        Threads executing engine calls; the engine's own locks
-        serialize what must be serialized.
-    idle_timeout:
-        Seconds a connection may sit between requests before the
-        server closes it (bounds slowloris-style fd exhaustion).
-    trace_sample, trace_capacity:
+    trace_sample:
         Trace 1-in-``trace_sample`` read requests (0 disables; forced
-        traces always run) and keep the last ``trace_capacity``
-        completed traces for ``/debug/traces``.
+        traces always run); ``/debug/traces`` keeps the last
+        :data:`~repro.obs.trace.TRACE_CAPACITY` completed traces.
     slow_query_ms:
         When set, any ``/query`` / ``/sql`` request slower than this
         many milliseconds is counted and logged as a structured
@@ -150,20 +150,16 @@ class AQPServer:
     def __init__(self, engine, host: str = "127.0.0.1", port: int = 0,
                  max_batch: int = 64, max_linger_ms: float = 2.0,
                  cache_size: int = 256, cache_enabled: bool = True,
-                 executor_workers: int = 4,
-                 idle_timeout: float = 120.0,
-                 trace_sample: int = 64, trace_capacity: int = 256,
+                 trace_sample: int = 64,
                  slow_query_ms: Optional[float] = None,
                  log_stream=None) -> None:
         self.engine = engine
         self._host = host
         self._port = port
-        self._idle_timeout = idle_timeout
         self._max_batch = max_batch
         self._max_linger_ms = max_linger_ms
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(sample_every=trace_sample,
-                             capacity=trace_capacity)
+        self.tracer = Tracer(sample_every=trace_sample)
         self.slow_query_ms = slow_query_ms
         self._log_stream = log_stream
         self.cache = ResultCache(per_template=cache_size,
@@ -175,9 +171,8 @@ class AQPServer:
         #: every bad statement re-compiles to the same positioned 400.
         self.bind_sql = lru_cache(maxsize=cache_size)(
             partial(_bind_sql, engine))
-        self._executor_workers = executor_workers
         self._executor: Optional[ThreadPoolExecutor] = \
-            ThreadPoolExecutor(max_workers=executor_workers,
+            ThreadPoolExecutor(max_workers=EXECUTOR_WORKERS,
                                thread_name_prefix="janus-service")
         self.batcher: Optional[MicroBatcher] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -232,7 +227,7 @@ class AQPServer:
             raise RuntimeError("server already started")
         if self._executor is None:      # restarted after stop()
             self._executor = ThreadPoolExecutor(
-                max_workers=self._executor_workers,
+                max_workers=EXECUTOR_WORKERS,
                 thread_name_prefix="janus-service")
         self.batcher = MicroBatcher(
             self._engine_execute, max_batch=self._max_batch,
@@ -397,9 +392,11 @@ class AQPServer:
                 raise _HTTPError(
                     400, f"bad X-Janus-Trace header {raw!r} "
                          f"(expected hex)") from None
-            if tid <= 0:
+            # The fleet's frame header carries it as a u64.
+            if not 0 < tid < 2 ** 64:
                 raise _HTTPError(
-                    400, "X-Janus-Trace must be a positive hex id")
+                    400, "X-Janus-Trace must be a positive hex id of "
+                         "at most 64 bits")
         return self.tracer.sample(force=force or tid is not None,
                                   trace_id=tid)
 
@@ -605,7 +602,7 @@ class AQPServer:
         """Array conversion, validation and ingest, off the loop."""
         try:
             rows = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _HTTPError(400, f"bad rows: {exc}") from exc
         if rows.size and rows.ndim != 2:
             raise _HTTPError(400, "rows must be a list of equal-length "
@@ -635,10 +632,11 @@ class AQPServer:
             raise _HTTPError(400, "expected 'tids'")
         tids = payload["tids"]
         # JSON integers only: int() would read "12" as tids 1 and 2,
-        # 7.9 as 7 and true as 1.
-        if not isinstance(tids, list) or \
-                not all(type(t) is int for t in tids):
-            raise _HTTPError(400, "'tids' must be a list of integers")
+        # 7.9 as 7 and true as 1.  The engines hold tids as int64.
+        if not isinstance(tids, list) or not all(
+                type(t) is int and -2 ** 63 <= t < 2 ** 63 for t in tids):
+            raise _HTTPError(400, "'tids' must be a list of 64-bit "
+                                  "integers")
         loop = asyncio.get_running_loop()
         try:
             await loop.run_in_executor(
@@ -686,7 +684,7 @@ class AQPServer:
         traces = self.tracer.snapshot()
         return {"n": len(traces),
                 "sample_every": self.tracer.sample_every,
-                "capacity": self.tracer.capacity,
+                "capacity": TRACE_CAPACITY,
                 "traces": traces}
 
     def _sample_gauges(self) -> None:
@@ -732,7 +730,7 @@ class AQPServer:
                     # forever.
                     request = await asyncio.wait_for(
                         self._read_request(reader),
-                        timeout=self._idle_timeout)
+                        timeout=IDLE_TIMEOUT)
                 except asyncio.TimeoutError:
                     break
                 except _HTTPError as exc:

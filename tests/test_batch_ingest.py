@@ -280,15 +280,15 @@ class TestStreamBatchPath:
         broker_a = Broker()
         client_a = StreamClient(broker_a)
         driver_a = StreamDriver(broker_a, a)
-        for row in rows:
+        for row in rows:                # one record per drain
             client_a.insert(row)
-        driver_a.drain(batch_size=1)    # forces the per-record path
+            driver_a.drain()
 
         broker_b = Broker()
         client_b = StreamClient(broker_b)
         driver_b = StreamDriver(broker_b, b)
         client_b.insert_many(rows)
-        driver_b.drain(batch_size=256)
+        driver_b.drain()
         assert_same_state(a, b)
         assert_same_answers(a, b, ds)
 

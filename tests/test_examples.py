@@ -7,8 +7,11 @@ and every fenced ``python`` block in the README is executed as written
 environment), so documentation drift fails CI instead of rotting.
 """
 
+import ast
 import dataclasses
+import importlib
 import importlib.util
+import inspect
 import io
 import re
 import sys
@@ -82,3 +85,29 @@ def test_api_doc_lists_every_janus_config_field():
     section = text.split("\n## JanusConfig\n", 1)[1].split("\n## ", 1)[0]
     documented = re.findall(r"^\| `(\w+)` \(", section, flags=re.MULTILINE)
     assert documented == [f.name for f in dataclasses.fields(JanusConfig)]
+
+
+def _documented_signature(name: str):
+    """``[(parameter, default)]`` of the ``name(...)`` row docs/API.md
+    prints (``inspect.Parameter.empty`` where it shows no default)."""
+    text = (REPO / "docs" / "API.md").read_text()
+    row = re.search(rf"^\| `{name}\((.*?)\)`", text, flags=re.MULTILINE)
+    assert row, f"docs/API.md prints no {name}(...) row"
+    args = ast.parse(f"def f({row.group(1)}): pass").body[0].args
+    defaults = [inspect.Parameter.empty] * (
+        len(args.args) - len(args.defaults)) + [
+        ast.literal_eval(d) for d in args.defaults]
+    return [(a.arg, d) for a, d in zip(args.args, defaults)]
+
+
+@pytest.mark.parametrize("name, module", [
+    ("AQPServer", "repro.service.server"),
+    ("ShardedJanusAQP", "repro.core.sharded"),
+    ("FleetCoordinator", "repro.service.fleet")])
+def test_api_doc_prints_constructor_signatures(name, module):
+    """The constructor signatures docs/API.md prints equal the code's:
+    parameter names and defaults, in order."""
+    cls = getattr(importlib.import_module(module), name)
+    actual = [(p.name, p.default)
+              for p in inspect.signature(cls).parameters.values()]
+    assert _documented_signature(name) == actual

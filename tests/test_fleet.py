@@ -431,11 +431,12 @@ class TestCrashRecovery:
             fleet.close()
             ghost.close()
 
-    def test_supervisor_thread_restarts_automatically(self, ds,
-                                                      snapshot):
+    def test_supervisor_thread_restarts_automatically(self, ds, snapshot,
+                                                      monkeypatch):
         import time
-        with FleetCoordinator(snapshot,
-                              supervise_interval=0.1) as fleet:
+        from repro.service import fleet as fleet_module
+        monkeypatch.setattr(fleet_module, "SUPERVISE_INTERVAL", 0.1)
+        with FleetCoordinator(snapshot) as fleet:
             fleet.workers[0]._proc.kill()
             fleet.workers[0]._proc.wait()
             deadline = time.monotonic() + 30.0

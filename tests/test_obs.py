@@ -19,6 +19,7 @@ from repro.obs import (CATALOG, Counter, Gauge, Histogram,
                        decode_spans, encode_spans, log_event,
                        maybe_span, parse_exposition, render_exposition)
 from repro.obs.metrics import DEFAULT_WINDOW
+from repro.obs.trace import TRACE_CAPACITY
 
 # ---------------------------------------------------------------------- #
 # registry + instruments
@@ -212,12 +213,13 @@ def test_sampler_honours_supplied_trace_id():
 
 
 def test_trace_ring_is_bounded_and_snapshot_is_stable():
-    tracer = Tracer(sample_every=0, capacity=4)
-    for i in range(10):
+    tracer = Tracer(sample_every=0)
+    n = TRACE_CAPACITY + 6
+    for i in range(n):
         tracer.sample(force=True, trace_id=i + 1).finish(seq=i)
     traces = tracer.snapshot()
-    assert len(traces) == 4
-    assert [t["seq"] for t in traces] == [6, 7, 8, 9]
+    assert len(traces) == TRACE_CAPACITY
+    assert [t["seq"] for t in traces] == list(range(6, n))
 
 
 def test_span_nesting_and_explicit_parent():

@@ -25,6 +25,7 @@ from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
 from repro.obs.metrics import parse_exposition
+from repro.obs.trace import TRACE_CAPACITY
 from repro.service import ServiceClient, serve_background
 from repro.service.fleet import FleetCoordinator
 
@@ -292,13 +293,34 @@ def test_client_trace_ids_survive_concurrent_fleet_fanout(ds, snapshot2):
                 assert spans[span["parent"]]["name"] == "shard_execute"
 
 
+def test_trace_ids_past_64_bits_are_a_400_on_a_fleet(ds, snapshot2):
+    """A fleet's frame header carries the trace id as a u64, so a
+    longer id is refused up front (as on every engine), and the fleet
+    keeps serving: the largest 64-bit id still traces."""
+    stmt = {"sql": sql_between(ds, *WIDE)}
+    with FleetCoordinator(snapshot2, supervise=False) as fleet:
+        with serve_background(fleet, port=0, cache_enabled=False,
+                              trace_sample=0) as handle:
+            status, body = post(handle, "/sql", stmt,
+                                headers={"X-Janus-Trace": "1" + "0" * 16})
+            assert status == 400, body
+            assert "64 bits" in body["error"]
+            status, body = post(handle, "/sql", stmt,
+                                headers={"X-Janus-Trace": "f" * 16})
+            assert status == 200, body
+            status, health = get(handle, "/health")
+            assert status == 200 and health["status"] == "ok", health
+            status, debug = get(handle, "/debug/traces")
+    assert [t["trace_id"] for t in debug["traces"]] == ["f" * 16]
+
+
 def test_debug_traces_never_tears_under_load(ds):
     engine = build_sharded4(ds)
     stop = threading.Event()
     failures = []
 
-    with serve_background(engine, port=0, cache_enabled=False,
-                          trace_capacity=16) as handle:
+    with serve_background(engine, port=0,
+                          cache_enabled=False) as handle:
 
         def writer():
             stmt = sql_between(ds, *MID)
@@ -328,7 +350,7 @@ def test_debug_traces_never_tears_under_load(ds):
 
         status, debug = get(handle, "/debug/traces")
         # Ring stayed bounded at its capacity.
-        assert debug["n"] <= debug["capacity"] == 16
+        assert debug["n"] <= debug["capacity"] == TRACE_CAPACITY
     engine.close()
 
 

@@ -529,7 +529,7 @@ class TestRoutedEquivalence:
         fleet.initialize()
         return fleet, tids, rng
 
-    @pytest.mark.parametrize("sharding", ["attr", "hash", "range"])
+    @pytest.mark.parametrize("sharding", ["attr", "hash"])
     def test_routed_identical_to_broadcast(self, sharding):
         fleet, tids, rng = self.build(sharding=sharding)
         queries = range_queries(rng, 70)
@@ -623,24 +623,24 @@ class TestAttrPlacement:
         fleet.close()
 
     def test_explicit_bounds_respected(self):
+        """A seed batch whose tertiles are 10 and 20 cuts there, and
+        later rows are placed against those cuts."""
         fleet = ShardedJanusAQP(("x", "y"), "y", ("x",), n_shards=3,
-                                config=small_config(), sharding="attr",
-                                attr_bounds=[10.0, 20.0])
+                                config=small_config(), sharding="attr")
+        fleet.insert_many(np.array([[10.0, 1.0], [10.0, 1.0],
+                                    [20.0, 1.0], [20.0, 1.0]]))
+        np.testing.assert_array_equal(fleet.attr_bounds, [10.0, 20.0])
+        assert fleet.shard_sizes() == [0, 2, 2]
         fleet.insert_many(np.array([[5.0, 1.0], [15.0, 1.0],
                                     [25.0, 1.0], [10.0, 1.0]]))
-        assert fleet.shard_sizes() == [1, 2, 1]   # cut value 10.0 -> shard 1
+        # cut value 10.0 -> shard 1
+        assert fleet.shard_sizes() == [1, 4, 3]
         fleet.close()
 
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedJanusAQP(("x", "y"), "y", ("x",), n_shards=3,
-                            sharding="attr", attr_bounds=[20.0, 10.0])
-        with pytest.raises(ValueError):
-            ShardedJanusAQP(("x", "y"), "y", ("x",), n_shards=3,
-                            sharding="attr", attr_bounds=[10.0])
-        with pytest.raises(ValueError):
-            ShardedJanusAQP(("x", "y"), "y", ("x",), sharding="attr",
-                            route_attr="y")   # not a predicate attr
+    def test_range_sharding_rejected(self):
+        """Tid-striped placement is gone; the name is an error."""
+        with pytest.raises(ValueError, match="range"):
+            ShardedJanusAQP(("x", "y"), "y", ("x",), sharding="range")
 
     def test_tid_maps_unchanged_by_attr_mode(self):
         rng = np.random.default_rng(13)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.requests import query_to_dict
 from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.sharded import ShardedJanusAQP
@@ -629,6 +630,30 @@ class TestProtocolErrors:
             assert err.value.status == 400, bad
         assert len(handle.server.engine.table) == before
 
+    @pytest.mark.parametrize("case", ["bound", "param", "row", "tid"])
+    def test_numbers_no_engine_holds_400(self, served, ds, case):
+        """A 401-digit JSON integer as a rectangle bound, a ``param`` or
+        a row value overflows a float, and a tid of 2**63 an int64:
+        each is a 400 with nothing applied, and the server stays up."""
+        handle, client = served
+        huge = 10 ** 400
+        query = query_to_dict(workload(ds, n=1)[0])
+        if case == "bound":
+            route, body = "/query", {"query": dict(query, hi=[huge])}
+        elif case == "param":
+            route, body = "/query", {"query": dict(query, param=huge)}
+        elif case == "row":
+            route, body = "/insert", {"rows": [[0.5, huge, 1.0, 1.0,
+                                                1.0, 1.0]]}
+        else:
+            route, body = "/delete", {"tids": [2 ** 63]}
+        epoch = handle.server.engine.data_epoch
+        with pytest.raises(ServiceError) as err:
+            client._json("POST", route, body)
+        assert err.value.status == 400, str(err.value)
+        assert handle.server.engine.data_epoch == epoch
+        assert client.health()
+
     def test_explain_takes_only_a_json_boolean(self, served, ds):
         """``"explain": "no"`` is a 400, not a traced EXPLAIN report."""
         _, client = served
@@ -808,14 +833,16 @@ class TestStatsOffTheLoop:
 
 
 class TestLifecycle:
-    def test_idle_connections_are_closed_after_timeout(self, ds):
+    def test_idle_connections_are_closed_after_timeout(self, ds,
+                                                       monkeypatch):
         """A connection that never sends a request must not park a
         handler task forever."""
         import socket
         import time
+        from repro.service import server
+        monkeypatch.setattr(server, "IDLE_TIMEOUT", 0.3)
         engine = build_single(ds)
-        with serve_background(engine, port=0,
-                              idle_timeout=0.3) as handle:
+        with serve_background(engine, port=0) as handle:
             with socket.create_connection((handle.host, handle.port),
                                           timeout=10) as sock:
                 deadline = time.time() + 10

@@ -91,8 +91,7 @@ def assert_equivalent(query, sharded_res, single_res, truth, z=3.0):
             assert sharded_res.estimate <= truth + 1e-9
 
 
-def make_pair(n_rows=20_000, n_shards=4, seed=0, k=32, sharding="hash",
-              range_block=8192):
+def make_pair(n_rows=20_000, n_shards=4, seed=0, k=32, sharding="hash"):
     """A single-instance engine and a sharded fleet over the same rows."""
     ds = nyc_taxi(n=n_rows, seed=seed)
     table = Table(ds.schema, capacity=ds.n + 16)
@@ -105,8 +104,19 @@ def make_pair(n_rows=20_000, n_shards=4, seed=0, k=32, sharding="hash",
         config=JanusConfig(k=max(2, k // n_shards), sample_rate=0.02,
                            catchup_rate=0.10, check_every=10 ** 9,
                            seed=seed),
-        sharding=sharding, range_block=range_block)
+        sharding=sharding)
     return ds, single, sharded
+
+
+def one_value_batch(ds, n):
+    """The first ``n`` rows with every routing value set above the
+    data's: as an ``"attr"`` engine's first batch it strikes every cut
+    at that one value, so all of its rows land on the last shard and
+    every later row of ``ds`` on shard 0."""
+    col = ds.schema.index(ds.predicate_attrs[0])
+    rows = ds.data[:n].copy()
+    rows[:, col] = ds.data[:, col].max() + 1.0
+    return rows
 
 
 class TestShardedEquivalence:
@@ -172,18 +182,18 @@ class TestShardedEquivalence:
         self._check(queries, sharded, single)
         sharded.close()
 
-    def test_range_sharding_and_rebalance(self):
-        ds, single, sharded = make_pair(sharding="range",
-                                        range_block=1024)
+    def test_rebalance_range_keeps_global_tids(self):
+        ds, single, sharded = make_pair()
         single.table.insert_many(ds.data[:16_000])
         single.initialize()
         sharded.insert_many(ds.data[:16_000])
         sharded.initialize()
         queries = self._workload(ds, single, 70, seed=3)
         self._check(queries, sharded, single)
-        # move two blocks onto shard 0 and re-converge it
+        # move a tid range onto shard 0 and re-converge it: the
+        # quarter of it hash placement already put there stays
         moved = sharded.rebalance_range(1024, 3072, dst=0)
-        assert moved == 2048
+        assert moved == 1536
         assert all(sharded.shard_of(t) == 0 for t in range(1024, 3072))
         assert len(sharded) == 16_000
         self._check(queries, sharded, single)
@@ -262,23 +272,21 @@ class TestShardedLifecycle:
             gc.enable()
 
     def test_lazy_shard_initialization(self):
-        """Range placement can leave shards empty; they come up lazily."""
-        # block of 4000: the first 4000 tids -> shard 0 only
-        ds, _, sharded = make_pair(n_rows=4_000, sharding="range",
-                                   range_block=4_000)
-        sharded.insert_many(ds.data[:2_000])
+        """Attr placement can leave shards empty; they come up lazily."""
+        ds, _, sharded = make_pair(n_rows=4_000, sharding="attr")
+        sharded.insert_many(one_value_batch(ds, 2_000))   # -> shard 3
         sharded.initialize()
-        assert sharded.shards[0].dpt is not None
-        assert all(s.dpt is None for s in sharded.shards[1:])
+        assert sharded.shards[3].dpt is not None
+        assert all(s.dpt is None for s in sharded.shards[:3])
         q = Query(AggFunc.SUM, ds.agg_attr, ds.predicate_attrs,
                   Rectangle((-math.inf,), (math.inf,)))
         est_before = sharded.query(q).estimate
         assert math.isfinite(est_before)
-        # the next block of tids lands on shard 1 and initializes it
-        sharded.insert_many(ds.data[2_000:4_000])
-        assert sharded.shards[1].dpt is None
-        sharded.insert(ds.data[0])
-        assert sharded.shards[1].dpt is not None
+        # the first row below the cuts lands on shard 0 and builds it
+        assert sharded.insert(ds.data[2_000]) == 2_000
+        assert sharded.shard_of(2_000) == 0
+        assert sharded.shards[0].dpt is not None
+        assert all(s.dpt is None for s in sharded.shards[1:3])
         assert math.isfinite(sharded.query(q).estimate)
         sharded.close()
 
@@ -488,21 +496,22 @@ class TestMergeRules:
 class TestShardEdgeCases:
     """Estimator merging across degenerate shards (ISSUE 4 satellite)."""
 
-    def _engine(self, n_shards=3, sharding="range", block=1024):
+    def _engine(self, n_shards=3, sharding="attr"):
         ds = nyc_taxi(n=4_000, seed=7)
         sharded = ShardedJanusAQP(
             ds.schema, ds.agg_attr, ds.predicate_attrs,
             n_shards=n_shards,
             config=JanusConfig(k=4, sample_rate=0.05, check_every=10 ** 9,
                                seed=7),
-            sharding=sharding, range_block=block)
+            sharding=sharding)
         return ds, sharded
 
     def test_empty_shard(self):
         """A shard that never held a row: skipped, provably empty."""
-        ds, sharded = self._engine(block=8192)   # all rows -> shard 0
-        sharded.insert_many(ds.data[:2_000])
+        ds, sharded = self._engine()
+        sharded.insert_many(one_value_batch(ds, 2_000))   # -> shard 2
         sharded.initialize()
+        assert sharded.shard_sizes() == [0, 0, 2_000]
         full = Rectangle((-math.inf,), (math.inf,))
         count = sharded.query(Query(AggFunc.COUNT, ds.agg_attr,
                                     ds.predicate_attrs, full))
@@ -515,8 +524,9 @@ class TestShardEdgeCases:
         sharded.close()
 
     def test_single_row_shard(self):
-        ds, sharded = self._engine(n_shards=2, block=1)
-        # block=1 alternates tids; insert 3 rows -> shard 1 holds 1 row
+        ds, sharded = self._engine(n_shards=2)
+        # 3 distinct routing values cut at their median: the smallest
+        # row goes to shard 0, the other two to shard 1
         sharded.insert_many(ds.data[:3])
         sharded.initialize()
         assert sorted(sharded.shard_sizes()) == [1, 2]
