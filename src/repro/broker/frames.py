@@ -33,7 +33,9 @@ Frame layout (little-endian)::
 
 ``meta`` is an opcode-specific small integer (column count for
 INSERT, the queries' dimensionality for QUERY, result count for a
-QUERY reply, flag bits elsewhere).
+QUERY reply, flag bits elsewhere).  A QUERY reply's body is
+:func:`encode_answers`'s: the result block, then the answers' sketch
+blobs - the one place that knows where those blobs ride.
 ``trace_id`` is 0 for untraced traffic; on a traced *request* it
 carries the request's trace id and ``span`` the coordinator-side
 parent span id, so the worker can parent its own spans under the
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import (Callable, Dict, Iterable, List, Sequence, Set,
@@ -67,10 +68,9 @@ from ..sketch.registry import SKETCH_KEY
 __all__ = [
     "HEADER", "MAX_PAYLOAD", "OP_DELETE", "OP_ERR", "OP_INSERT",
     "OP_OK", "OP_PING", "OP_QUERY", "OP_REOPT", "OP_SHUTDOWN",
-    "OP_STATS", "OP_SUMMARY", "RESULT_DTYPE", "SketchFrame",
-    "attach_sketch_frames", "decode_query_block", "decode_result_block",
-    "decode_sketch_block", "encode_query_block", "encode_result_block",
-    "encode_sketch_block", "extract_sketch_frames", "pack_reply",
+    "OP_STATS", "OP_SUMMARY", "RESULT_DTYPE", "decode_answers",
+    "decode_query_block", "decode_result_block", "encode_answers",
+    "encode_query_block", "encode_result_block", "pack_reply",
     "query_dtype", "recv_frame", "send_frame", "split_reply",
 ]
 
@@ -399,9 +399,8 @@ def decode_result_block(payload) -> List[QueryResult]:
     """Unpack a :data:`RESULT_DTYPE` block back into answer objects.
 
     ``payload`` must hold exactly the fixed-size block: an OP_QUERY
-    reply carrying a sketch sidecar is sliced by the caller at
-    ``n * RESULT_DTYPE.itemsize`` first (see
-    :func:`decode_sketch_block`).
+    reply body, which may carry sketch blobs after it, is read with
+    :func:`decode_answers`.
     """
     block = np.frombuffer(payload, dtype=_DECODE_DTYPE)
     results = _SCHEMA.build_many(iter([block[f.key].tolist()
@@ -417,71 +416,47 @@ def decode_result_block(payload) -> List[QueryResult]:
 
 
 # ---------------------------------------------------------------------- #
-# sketch sidecar codec
+# OP_QUERY reply body: the result block, then the sketch blobs
 # ---------------------------------------------------------------------- #
-#: ``index:u32 | blob_len:u32`` per sidecar entry, little-endian.
-_SKETCH_FRAME_HEADER = struct.Struct("<II")
+#: ``index:u32 | blob_len:u32`` ahead of each sketch blob, little-endian.
+_BLOB_HEADER = struct.Struct("<II")
 
 
-@dataclass(frozen=True)
-class SketchFrame:
-    """One variable-length sketch blob riding beside a result block.
-
-    The fixed :data:`RESULT_DTYPE` records cannot carry the canonical
-    sketch blobs (they are variable length), so an OP_QUERY reply
-    appends a sidecar after the fixed block: one frame per result that
-    answered a sketch aggregate.  ``index`` is the result's position in
-    the block; ``blob`` is the canonical bytes the coordinator feeds to
-    :func:`~repro.core.merge.merge_sketch` - byte-identical to what the
-    in-process engine would have put in ``details["sketch"]``.
-    """
-
-    index: int
-    blob: bytes
+def encode_answers(results: Sequence[QueryResult]) -> List[object]:
+    """An OP_QUERY reply body: the :data:`RESULT_DTYPE` block, then a
+    sidecar of ``index:u32 | blob_len:u32 | blob`` for every answer
+    carrying a canonical sketch blob (``details["sketch"]``, variable
+    length, so not a block column).  ``index`` is the answer's
+    position in the block."""
+    sidecar = []
+    for i, result in enumerate(results):
+        blob = result.details.get(SKETCH_KEY)
+        if blob is not None:
+            sidecar += (_BLOB_HEADER.pack(i, len(blob)), blob)
+    return [encode_result_block(results), b"".join(sidecar)]
 
 
-def encode_sketch_block(frames: Sequence[SketchFrame]) -> bytes:
-    """Pack sidecar frames: ``index:u32 | blob_len:u32 | blob`` each."""
-    parts: List[bytes] = []
-    for frame in frames:
-        parts.append(_SKETCH_FRAME_HEADER.pack(frame.index,
-                                               len(frame.blob)))
-        parts.append(frame.blob)
-    return b"".join(parts)
-
-
-def decode_sketch_block(payload) -> List[SketchFrame]:
-    """Unpack a sketch sidecar back into frames."""
-    buf = bytes(payload)
-    frames: List[SketchFrame] = []
+def decode_answers(payload, n: int) -> List[QueryResult]:
+    """:func:`encode_answers` of ``n`` answers back into answer objects,
+    each sketch blob byte-identical to the one the worker's engine put
+    in ``details["sketch"]``.  A sidecar cut short or indexing past the
+    block is a ``ValueError``."""
+    fixed_end = n * RESULT_DTYPE.itemsize
+    results = decode_result_block(payload[:fixed_end])
+    sidecar = bytes(payload[fixed_end:])
     offset = 0
-    while offset < len(buf):
-        if offset + _SKETCH_FRAME_HEADER.size > len(buf):
+    while offset < len(sidecar):
+        if offset + _BLOB_HEADER.size > len(sidecar):
             raise ValueError("sketch sidecar truncated mid-header")
-        index, blob_len = _SKETCH_FRAME_HEADER.unpack_from(buf, offset)
-        offset += _SKETCH_FRAME_HEADER.size
-        if offset + blob_len > len(buf):
+        index, blob_len = _BLOB_HEADER.unpack_from(sidecar, offset)
+        offset += _BLOB_HEADER.size
+        if offset + blob_len > len(sidecar):
             raise ValueError("truncated sketch sidecar frame")
-        frames.append(SketchFrame(index=int(index),
-                                  blob=buf[offset:offset + blob_len]))
-        offset += blob_len
-    return frames
-
-
-def extract_sketch_frames(results: Sequence[QueryResult]
-                          ) -> List[SketchFrame]:
-    """Sidecar frames for every result carrying a sketch blob."""
-    return [SketchFrame(i, result.details[SKETCH_KEY])
-            for i, result in enumerate(results)
-            if SKETCH_KEY in result.details]
-
-
-def attach_sketch_frames(results: Sequence[QueryResult],
-                         frames: Sequence[SketchFrame]) -> None:
-    """Re-attach decoded sidecar blobs onto their results (in place)."""
-    for frame in frames:
-        if frame.index >= len(results):
+        if index >= len(results):
             raise ValueError(
-                f"sketch sidecar frame indexes result {frame.index} of "
-                f"a {len(results)}-result block")
-        results[frame.index].details[SKETCH_KEY] = frame.blob
+                f"sketch sidecar frame indexes result {index} of a "
+                f"{len(results)}-result block")
+        results[index].details[SKETCH_KEY] = \
+            sidecar[offset:offset + blob_len]
+        offset += blob_len
+    return results

@@ -90,8 +90,9 @@ class JanusConfig:
     seed: int = 0
     min_pool: int = 128
     #: Columns maintained as sketch state (:mod:`repro.sketch`): each
-    #: named attribute gets one quantile, one distinct and one heavy-
-    #: hitter sketch per engine, kept in lockstep with the live rows.
+    #: named attribute gets one quantile sketch and one exact-count
+    #: sketch (COUNT DISTINCT and TOPK) per engine, kept in lockstep
+    #: with the live rows.
     sketch_attrs: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -537,8 +538,8 @@ class JanusAQP:
                 yield sketch, vals
 
     def _after_update_batch(self, leaf_of: np.ndarray) -> None:  # requires-lock: _lock
-        if self.trigger is None:
-            return
+        if self.trigger is None or not len(self.pool):
+            return      # an empty pool has nothing to partition
         uniq, counts = np.unique(leaf_of, return_counts=True)
         self._after_update([(self.dpt.leaves[int(pos)], int(c))
                             for pos, c in zip(uniq, counts)])

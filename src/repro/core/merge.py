@@ -49,8 +49,8 @@ merging only the shards that can contribute yields the same answer as
 the full fan-out.  The query router (:mod:`repro.core.routing`) relies
 on this to skip provably-empty shards; ``tests/test_routing.py`` pins
 the subset/full equivalence per aggregate, including the degenerate
-merge over no results at all (SUM/COUNT: exact 0; everything else:
-NaN, not exact).
+merge over no results at all (SUM/COUNT: exact 0; a sketch aggregate:
+the empty sketch's answer; everything else: NaN, not exact).
 """
 
 from __future__ import annotations
@@ -197,19 +197,21 @@ def merge_sketch(query: Query,
     cannot matter) and re-rendered through the same
     :func:`~repro.sketch.registry.sketch_answer` the shards themselves
     used - which is what makes a merged answer byte-identical to the
-    single engine's answer over the union of the rows.
+    single engine's answer over the union of the rows.  With no
+    contributors that answer is the one an engine renders from its own
+    empty sketch.
     """
-    from ..sketch.registry import (SKETCH_KEY, merge_sketch_blobs,
-                                   sketch_answer, sketch_empty_answer)
+    from ..sketch.registry import (SKETCH_KEY, SKETCH_KIND,
+                                   merge_sketch_blobs, new_sketch,
+                                   sketch_answer)
     blobs = [r.details[SKETCH_KEY] for r in results
              if SKETCH_KEY in r.details]
     if len(blobs) != len(results):
         raise ValueError(
             f"{query.agg.value} merge needs a sketch blob from every "
             f"contributing shard ({len(blobs)} of {len(results)})")
-    if not blobs:
-        return sketch_empty_answer(query)
-    return sketch_answer(query, merge_sketch_blobs(blobs))
+    return sketch_answer(query, merge_sketch_blobs(blobs) if blobs
+                         else new_sketch(SKETCH_KIND[query.agg]))
 
 
 #: Each family's combination rule, as ``(query, results, empty_ok)``.

@@ -378,32 +378,23 @@ class RoutingStats:
         }
 
 
-def plan_contributors(summaries: Sequence[Optional[ShardSummary]],
+def plan_contributors(summaries: Sequence[ShardSummary],
                       shard_ids: Sequence[int],
                       lo: np.ndarray, hi: np.ndarray) -> List[List[int]]:
     """Per-query contributing shard subsets for a rectangle batch.
 
-    ``summaries[s]`` may be ``None`` (no summary - e.g. a foreign shard
-    type), which conservatively keeps shard ``s`` in every subset.
     Returns, per query, the ids from ``shard_ids`` the router could not
     prove empty, preserving ``shard_ids`` order so downstream merges
     stay deterministic.
     """
-    masks = []
-    nq = lo.shape[0]
-    for s in shard_ids:
-        summary = summaries[s]
-        if summary is None:
-            masks.append(np.ones(nq, dtype=bool))
-        else:
-            masks.append(summary.may_contain_many(lo, hi))
+    masks = [summaries[s].may_contain_many(lo, hi) for s in shard_ids]
     return [[s for s, mask in zip(shard_ids, masks) if mask[qi]]
-            for qi in range(nq)]
+            for qi in range(lo.shape[0])]
 
 
 def plan_query_subsets(queries: Sequence,
                        predicate_attrs: Tuple[str, ...],
-                       summaries: Sequence[Optional[ShardSummary]],
+                       summaries: Sequence[ShardSummary],
                        live: Sequence[int]) -> List[List[int]]:
     """Contributing shard subsets for a :class:`~repro.core.queries.Query`
     batch - the planning step both the in-process
@@ -418,8 +409,8 @@ def plan_query_subsets(queries: Sequence,
     """
     if len(queries) == 1:
         rect = queries[0].rect
-        return [[s for s in live if summaries[s] is None
-                 or summaries[s].may_contain(rect.lo, rect.hi)]]
+        return [[s for s in live
+                 if summaries[s].may_contain(rect.lo, rect.hi)]]
     lo = np.empty((len(queries), len(predicate_attrs)))
     hi = np.empty_like(lo)
     for qi, q in enumerate(queries):

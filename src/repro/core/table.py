@@ -351,7 +351,7 @@ def _lower_quantile(vals: np.ndarray, p: float) -> float:
 
 def _top_mass(vals: np.ndarray, k: float) -> float:
     # Total row mass of the k most frequent values (ties broken count
-    # desc, value asc - the HeavyHitters sketch ordering; boundary ties
+    # desc, value asc - ExactCountSketch.top's ordering; boundary ties
     # have equal counts, so the mass is unique).
     uniques, counts = np.unique(vals, return_counts=True)
     order = np.lexsort((uniques, -counts))

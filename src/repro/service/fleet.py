@@ -62,10 +62,9 @@ import numpy as np
 
 from ..broker.frames import (HEADER, OP_DELETE, OP_ERR, OP_INSERT,
                              OP_PING, OP_QUERY, OP_REOPT, OP_SHUTDOWN,
-                             OP_STATS, OP_SUMMARY, RESULT_DTYPE,
-                             attach_sketch_frames, decode_result_block,
-                             decode_sketch_block, encode_query_block,
-                             recv_frame, send_frame, split_reply)
+                             OP_STATS, OP_SUMMARY, decode_answers,
+                             encode_query_block, recv_frame, send_frame,
+                             split_reply)
 from ..core.persist import read_sharded_manifest
 from ..core.queries import Query, QueryResult
 from ..core.routing import ShardSummary
@@ -404,8 +403,8 @@ class RemoteShard:
               parent: Optional[int] = None) -> List[QueryResult]:
         """One sub-batch over the wire: one query block out
         (:func:`~repro.broker.frames.encode_query_block`, the queries'
-        dimensionality in the frame's meta), a raw
-        :data:`~repro.broker.frames.RESULT_DTYPE` block back.
+        dimensionality in the frame's meta), the answers back
+        (:func:`~repro.broker.frames.decode_answers`).
 
         Traced requests stamp ``(trace_id, shard_execute span id)``
         into the frame header; the worker's reply spans come back as a
@@ -429,15 +428,11 @@ class RemoteShard:
             if obs is not None and span_blob:
                 obs.add_foreign_spans(decode_spans(span_blob),
                                       default_parent=sp["id"])
-        # The fixed block is exactly n records; whatever follows is the
-        # variable-length sketch sidecar of answers that carry blobs.
-        fixed_end = n * RESULT_DTYPE.itemsize
-        results = decode_result_block(body[:fixed_end])
+        results = decode_answers(body, n)
         if len(results) != len(queries):
             raise RuntimeError(
                 f"worker {self.shard_id} answered {len(results)} of "
                 f"{len(queries)} queries")
-        attach_sketch_frames(results, decode_sketch_block(body[fixed_end:]))
         return results
 
     def counters(self) -> Dict[str, object]:

@@ -44,9 +44,8 @@ import numpy as np
 from ..broker.frames import (OP_DELETE, OP_ERR, OP_INSERT, OP_OK,
                              OP_PING, OP_QUERY, OP_REOPT, OP_SHUTDOWN,
                              OP_STATS, OP_SUMMARY, decode_query_block,
-                             encode_result_block, encode_sketch_block,
-                             extract_sketch_frames, pack_reply,
-                             recv_frame, send_frame)
+                             encode_answers, pack_reply, recv_frame,
+                             send_frame)
 from ..core.persist import load_shard
 from ..core.sharded import LocalShard
 from ..obs.trace import encode_spans
@@ -156,16 +155,12 @@ class ShardWorker:
         """A query block of ``dim``-dimensional queries in
         (:func:`~repro.broker.frames.decode_query_block`, which
         rebuilds and so validates every query; a corrupt block is a
-        ``ValueError`` the frame loop returns as an ERR frame), a
-        RESULT_DTYPE block out.
-
-        Answers that carry sketch blobs (the sketch aggregates) append
-        a variable-length sidecar after the fixed block; the reply meta
-        still counts results, so the coordinator knows where the fixed
-        block ends.  A traced request (``trace_id != 0``) additionally
-        appends a JSON span sidecar and reports its byte length in the
-        reply header's ``span`` field - the coordinator strips it
-        before decoding and grafts the spans under its own
+        ``ValueError`` the frame loop returns as an ERR frame), the
+        answers out (:func:`~repro.broker.frames.encode_answers`; the
+        reply meta counts them).  A traced request (``trace_id != 0``)
+        additionally appends a JSON span sidecar and reports its byte
+        length in the reply header's ``span`` field - the coordinator
+        strips it before decoding and grafts the spans under its own
         ``shard_execute`` span.
         """
         queries = decode_query_block(dim, payload)
@@ -185,10 +180,7 @@ class ShardWorker:
             }])
         send_frame(self.sock, OP_OK, len(results),
                    pack_reply(self.shard.data_epoch,
-                              [encode_result_block(results),
-                               encode_sketch_block(
-                                   extract_sketch_frames(results)),
-                               span_block]),
+                              [*encode_answers(results), span_block]),
                    trace_id=trace_id, span=len(span_block))
 
     def _summary_npz(self) -> bytes:

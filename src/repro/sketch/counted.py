@@ -1,24 +1,21 @@
-"""Counted-value sketch core and the three concrete sketches.
+"""Counted-value sketch core and the two concrete sketches.
 
-One representation serves all three aggregates: a map from live value
-to an integer count, plus the exact live-row total.  What differs per
-sketch is *which* values are retained (:meth:`CountedSketch._keeps`),
+One representation serves every sketch aggregate: a map from live
+value to an integer count, plus the exact live-row total.  What differs
+per sketch is *which* values are retained (:meth:`CountedSketch._keeps`),
 how an estimate is rendered, and the accuracy contract:
 
 * :class:`QuantileSketch` retains a value iff its hash's trailing-zero
   level reaches the configured ``height`` - an expected ``2**-height``
   subsample of the distinct values, each standing for ``2**height`` of
   them.  ``height=0`` degenerates to exact quantiles.
-* :class:`DistinctSketch` retains everything with exact multiplicities
-  (that is what makes HyperLogLog deletable) but *estimates* through
-  the classic register harmonic mean, so accuracy scales as
-  ``1.04/sqrt(m)`` with ``m = 2**bits`` registers - the bound the
-  accuracy benchmark pins.
-* :class:`HeavyHitters` retains exact counts and reports the top-k
-  mass; crossing ``capacity`` distinct values clears the ``exact``
-  honesty flag (the outer-approximation contract of
-  :class:`repro.index.topk.TopK`), and - like that seed structure - the
-  flag never comes back within one sketch's lifetime.
+* :class:`ExactCountSketch` retains every value with its exact
+  multiplicity.  COUNT DISTINCT reads it through the classic
+  HyperLogLog register harmonic mean (exact multiplicities are what
+  make the HLL deletable), so accuracy scales as ``1.04/sqrt(m)`` with
+  ``m = 2**bits`` registers - the bound the accuracy benchmark pins.
+  TOPK reads the same multiset's top-k counts
+  (:meth:`ExactCountSketch.top`).
 
 Serialization (:meth:`CountedSketch.to_bytes`) is canonical: entries
 are emitted in ascending value order, so two sketches over the same
@@ -35,8 +32,7 @@ import numpy as np
 
 from .hashing import hash_float, sample_level
 
-__all__ = ["CountedSketch", "DistinctSketch", "HeavyHitters",
-           "QuantileSketch"]
+__all__ = ["CountedSketch", "ExactCountSketch", "QuantileSketch"]
 
 #: ``kind:u8 | version:u8 | param:u32 | n_total:i64 | n_entries:i64``
 _BLOB_HEADER = struct.Struct("<BBIqq")
@@ -226,10 +222,11 @@ class QuantileSketch(CountedSketch):
         return min(1.0, math.sqrt(math.log(2.0 / delta) / (2.0 * m)))
 
 
-class DistinctSketch(CountedSketch):
-    """Refcounted HyperLogLog: deletable, mergeable, classic estimate.
+class ExactCountSketch(CountedSketch):
+    """Every live value with its exact count: a refcounted HyperLogLog
+    for COUNT DISTINCT and the exact top-k counts for TOPK.
 
-    ``param`` is the register-index bit width ``b`` (``m = 2**b``
+    ``param`` is the HLL register-index bit width ``b`` (``m = 2**b``
     registers).  Exact multiplicities make deletion an exact decrement;
     the registers are re-derived from the live distinct values at
     estimate time, so the estimate after any insert/delete/merge
@@ -281,28 +278,6 @@ class DistinctSketch(CountedSketch):
     def rel_error_bound(self, z: float = 2.0) -> float:
         """``z`` standard errors of the HLL estimator: ``z*1.04/sqrt(m)``."""
         return z * 1.04 / math.sqrt(self.n_registers)
-
-
-class HeavyHitters(CountedSketch):
-    """Exact heavy-hitter counts with a saturation honesty flag.
-
-    ``param`` is the distinct-value ``capacity`` of the honesty
-    contract: while at most ``capacity`` distinct values are live the
-    top-k answers are marked provably exact; beyond it the answers
-    remain the true counts of the retained multiset but the ``exact``
-    flag drops, the sketch-level analogue of the outer-approximation
-    contract of :class:`repro.index.topk.TopK`.  Unlike that seed
-    structure's sticky in-memory flag, the sketch flag is a pure
-    function of the live multiset - it must be, or per-shard histories
-    could disagree with the single engine's and break the
-    sharded==single identity gate.
-    """
-
-    KIND = 3
-
-    @property
-    def exact(self) -> bool:
-        return len(self.counts) <= self.param
 
     def top(self, k: int) -> List[Tuple[float, int]]:
         """The ``k`` most frequent live values, count desc then value asc."""

@@ -4,15 +4,17 @@ This module is the single place where the engine layers meet the
 sketch package:
 
 * :data:`SKETCH_KIND` names, per sketch-family :class:`~repro.core.
-  queries.AggFunc` member, the sketch kind that backs it.
+  queries.AggFunc` member, the sketch kind that backs it (COUNT
+  DISTINCT and TOPK read the one exact-count kind).
 * :func:`sketch_answer` renders a :class:`~repro.core.queries.
   QueryResult` from a sketch state.  The single engine, the sharded
   merge rule and the fleet coordinator all call this one function, so a
-  single-contributor pass-through, a merged answer and a wire-decoded
-  answer are byte-identical by construction.
+  single-contributor pass-through, a merged answer (over no
+  contributors: the empty sketch's answer) and a wire-decoded answer
+  are byte-identical by construction.
 * :func:`merge_sketch_blobs` folds canonical blobs (the
-  ``details["sketch"]`` payload that also rides the fleet's sketch
-  side-frame) back into one sketch.
+  ``details["sketch"]`` payload that also rides an OP_QUERY reply) back
+  into one sketch.
 """
 
 from __future__ import annotations
@@ -21,48 +23,43 @@ import math
 from typing import Sequence
 
 from ..core.queries import AggFunc, Query, QueryResult
-from .counted import (CountedSketch, DistinctSketch, HeavyHitters,
-                      QuantileSketch)
+from .counted import CountedSketch, ExactCountSketch, QuantileSketch
 
-__all__ = ["HLL_BITS", "KIND_DISTINCT", "KIND_HEAVY", "KIND_QUANTILE",
-           "SKETCH_HEIGHT", "SKETCH_KEY", "SKETCH_KIND", "TOPK_CAPACITY",
+__all__ = ["HLL_BITS", "KIND_COUNTS", "KIND_QUANTILE", "SKETCH_HEIGHT",
+           "SKETCH_KEY", "SKETCH_KIND", "TOPK_CAPACITY",
            "merge_sketch_blobs", "new_sketch", "sketch_answer",
-           "sketch_empty_answer", "sketch_from_bytes"]
+           "sketch_from_bytes"]
 
 #: ``QueryResult.details`` key carrying a canonical sketch blob.
 SKETCH_KEY = "sketch"
 
 KIND_QUANTILE = QuantileSketch.KIND
-KIND_DISTINCT = DistinctSketch.KIND
-KIND_HEAVY = HeavyHitters.KIND
+KIND_COUNTS = ExactCountSketch.KIND
 
 _SKETCH_CLASSES = {
     KIND_QUANTILE: QuantileSketch,
-    KIND_DISTINCT: DistinctSketch,
-    KIND_HEAVY: HeavyHitters,
+    KIND_COUNTS: ExactCountSketch,
 }
 
 #: The sketch kind backing each sketch-family aggregate.
 SKETCH_KIND = {AggFunc.PERCENTILE: KIND_QUANTILE,
-               AggFunc.COUNT_DISTINCT: KIND_DISTINCT,
-               AggFunc.TOPK: KIND_HEAVY}
+               AggFunc.COUNT_DISTINCT: KIND_COUNTS,
+               AggFunc.TOPK: KIND_COUNTS}
 
 
 #: The parameters every engine builds its sketches with (a blob's
 #: header carries its sketch's; only equal parameters merge).
 SKETCH_HEIGHT = 4            # quantile sample: 2**-4 of the values
 HLL_BITS = 11                # HLL: 2**11 registers, ~2.3% error
-TOPK_CAPACITY = 64           # TOPK exact up to 64 live values
+TOPK_CAPACITY = 64           # TOPK exact up to 64 distinct live values
 
 
 def new_sketch(kind: int) -> CountedSketch:
     """Construct an empty sketch of ``kind`` with the engine parameters."""
     if kind == KIND_QUANTILE:
         return QuantileSketch(SKETCH_HEIGHT)
-    if kind == KIND_DISTINCT:
-        return DistinctSketch(HLL_BITS)
-    if kind == KIND_HEAVY:
-        return HeavyHitters(TOPK_CAPACITY)
+    if kind == KIND_COUNTS:
+        return ExactCountSketch(HLL_BITS)
     raise ValueError(f"unknown sketch kind {kind}")
 
 
@@ -104,24 +101,13 @@ def sketch_answer(query: Query, sketch: CountedSketch) -> QueryResult:
         estimate = sketch.estimate()
         exact = sketch.n_total == 0
     elif query.agg is AggFunc.TOPK:
+        # Exact while the live values fit the capacity: a pure function
+        # of the multiset, so every shard split renders the same flag.
         estimate = sketch.top_mass(int(query.param))
-        exact = sketch.exact
+        exact = len(sketch) <= TOPK_CAPACITY
     else:
         raise ValueError(f"{query.agg} is not a sketch aggregate")
     return QueryResult(float(estimate), 0.0, 0.0, exact=exact,
                        n_covered=sketch.n_total, n_partial=0,
                        details=details)
 
-
-def sketch_empty_answer(query: Query) -> QueryResult:
-    """The merge-over-no-contributors answer (router pruned everyone).
-
-    Mirrors what an engine with zero live rows answers from its empty
-    sketch: an undefined (NaN, non-exact) percentile, and exact zeros
-    for the counting sketches.
-    """
-    if query.agg is AggFunc.PERCENTILE:
-        return QueryResult(math.nan, 0.0, 0.0, exact=False,
-                           details={"ci": "unavailable"})
-    return QueryResult(0.0, 0.0, 0.0, exact=True,
-                       details={"ci": "unavailable"})

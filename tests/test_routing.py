@@ -32,7 +32,7 @@ from repro.core.merge import (MOMENTS_KEY, N_Q_KEY, merge_results)
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, SKETCH_AGGS
 from repro.core.routing import (RoutingStats, ShardSummary,
-                                plan_contributors, plan_query_subsets)
+                                plan_query_subsets)
 from repro.core.sharded import ShardedJanusAQP
 
 # Sketch aggregates are whole-column by contract (no predicate
@@ -160,13 +160,6 @@ class TestShardSummary:
         hi = lo + rng.uniform(0, 20, (50, 2))
         assert np.array_equal(s.may_contain_many(lo, hi),
                               t.may_contain_many(lo, hi))
-
-    def test_plan_contributors_none_summary_is_conservative(self):
-        s = ShardSummary(1)
-        s.add(np.array([[5.0]]))
-        plans = plan_contributors([s, None], [0, 1],
-                                  np.array([[50.0]]), np.array([[60.0]]))
-        assert plans == [[1]]   # shard 0 pruned, unknown shard 1 kept
 
 
 def frozen_may_contain_many(s, lo, hi):

@@ -9,7 +9,7 @@ that ends at the same multiset ends at byte-identical canonical blobs.
   split-independence of :meth:`CountedSketch.merge_in`, plus exact
   delete inverses, as hypothesis properties over random streams.
 * **Serialization** - ``to_bytes``/``from_bytes`` round-trips are
-  idempotent and canonical for all three kinds.
+  idempotent and canonical for both kinds.
 * **Identity** - a sharded engine answers every sketch aggregate
   bit-identically (estimate, exactness, and the blob itself) to a
   single engine fed the same stream, through interleaved
@@ -21,6 +21,7 @@ that ends at the same multiset ends at byte-identical canonical blobs.
 
 import json
 import math
+import urllib.request
 
 import numpy as np
 import pytest
@@ -34,20 +35,21 @@ from repro.core.persist import (load_sharded, load_synopsis, save_sharded,
 from repro.core.queries import AggFunc, Query, Rectangle, SKETCH_AGGS
 from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
+from repro.service import serve_background
 from repro.service.fleet import FleetCoordinator
-from repro.sketch import (SKETCH_KEY, SKETCH_KIND, DistinctSketch,
-                          HeavyHitters, QuantileSketch, merge_sketch_blobs,
-                          new_sketch, sketch_from_bytes)
+from repro.sketch import (SKETCH_KEY, SKETCH_KIND, ExactCountSketch,
+                          QuantileSketch, merge_sketch_blobs, new_sketch,
+                          sketch_answer, sketch_from_bytes)
+from repro.sketch.registry import HLL_BITS, TOPK_CAPACITY
 
 UNBOUNDED = Rectangle((-math.inf,), (math.inf,))
 
 #: (sketch class, constructor param) for the pure-algebra properties;
-#: small params so saturation/sampling regimes are actually exercised.
-SKETCH_SPECS = [(QuantileSketch, 2), (DistinctSketch, 6),
-                (HeavyHitters, 8)]
+#: a small height so the sampling regime is actually exercised.
+SKETCH_SPECS = [(QuantileSketch, 2), (ExactCountSketch, 6)]
 
 #: Discrete-ish value streams: duplicates are common (exercises the
-#: counted core) but the support is wide enough to saturate HeavyHitters.
+#: counted core) but the support is wide.
 values_strategy = st.lists(
     st.integers(0, 40).map(float), min_size=0, max_size=120)
 
@@ -130,10 +132,10 @@ class TestMergeAlgebra:
         with pytest.raises(ValueError):
             QuantileSketch(2).merge_in(QuantileSketch(3))
         with pytest.raises(ValueError):
-            QuantileSketch(2).merge_in(DistinctSketch(2))
+            QuantileSketch(2).merge_in(ExactCountSketch(2))
 
     def test_delete_underflow_raises(self):
-        sketch = HeavyHitters(4)
+        sketch = ExactCountSketch(4)
         sketch.insert_many([1.0])
         with pytest.raises(ValueError):
             sketch.delete_many([1.0, 1.0])
@@ -180,8 +182,8 @@ def engine_config(seed=0, n_shards=1):
 
 
 def make_rows(rng, n):
-    """``v`` has 120 distinct values: past TOPK_CAPACITY (64), so the
-    heavy hitters saturate, and 9 of them survive the quantile sketch's
+    """``v`` has 120 distinct values: past TOPK_CAPACITY (64), so TOPK
+    answers are not exact, and 9 of them survive the quantile sketch's
     2**-SKETCH_HEIGHT sampling."""
     return np.column_stack([rng.uniform(0.0, 100.0, n),
                             rng.integers(0, 120, n).astype(float)])
@@ -240,6 +242,9 @@ def test_seeding_path_equals_insert_path():
     pre_table.insert_many(rows)
     seeded = JanusAQP(pre_table, "v", ("x",), config=engine_config())
     seeded.initialize()
+    # COUNT DISTINCT and TOPK read one multiset: two sketches a column.
+    assert [type(s) for s in seeded._sketches["v"].values()] == \
+        [QuantileSketch, ExactCountSketch]
     for q, got, want in zip(sketch_queries(),
                             seeded.query_many(sketch_queries()),
                             inserted.query_many(sketch_queries())):
@@ -384,6 +389,42 @@ def test_fleet_wire_carries_sketches(tmp_path):
     control.close()
 
 
+def test_emptied_coordinators_answer_like_the_single_engine(tmp_path):
+    """Every row deleted: a 2-shard engine and a 2-worker fleet merge
+    over no contributors, and must still answer each sketch aggregate
+    exactly as the single engine does from its own empty sketches -
+    ``details`` keys and blob bytes included - so served TOPK carries
+    an empty item list."""
+    rng = np.random.default_rng(43)
+    rows = make_rows(rng, 1_000)
+    single = make_single(rows)
+    sharded = ShardedJanusAQP(["x", "v"], "v", ("x",), n_shards=2,
+                              config=engine_config(n_shards=2))
+    sharded.insert_many(rows)
+    sharded.initialize()
+    save_sharded(sharded, tmp_path / "snap")
+    queries = sketch_queries()
+    everything = list(range(len(rows)))
+    with FleetCoordinator(tmp_path / "snap", supervise=False) as fleet:
+        for engine in (single, sharded, fleet):
+            engine.delete_many(everything)
+        want = single.query_many(queries)
+        assert want[-1].details[SKETCH_KEY] == \
+            new_sketch(SKETCH_KIND[AggFunc.TOPK]).to_bytes()
+        for tag, engine in (("sharded", sharded), ("fleet", fleet)):
+            for q, got, w in zip(queries, engine.query_many(queries), want):
+                assert repr(got) == repr(w), (tag, q.agg.value)
+    with serve_background(sharded, port=0) as handle:
+        request = urllib.request.Request(
+            f"http://{handle.host}:{handle.port}/sql",
+            data=json.dumps({"sql": "SELECT TOPK(v, 3) FROM t"}).encode(),
+            headers={"Content-Type": "application/json"})
+        served = json.load(urllib.request.urlopen(request))["result"]
+    assert served["topk"] == [] and served["estimate"] == 0.0
+    assert served["exact"] is True
+    sharded.close()
+
+
 # ---------------------------------------------------------------------- #
 # merge rules at the shard combiner
 # ---------------------------------------------------------------------- #
@@ -455,7 +496,7 @@ class TestAccuracy:
         rng = np.random.default_rng(13)
         for true_distinct in (500, 5_000, 50_000):
             values = rng.uniform(0, 1, true_distinct)
-            sketch = DistinctSketch(11)
+            sketch = ExactCountSketch(11)
             sketch.insert_many(values)
             sketch.insert_many(values[: true_distinct // 2])  # dupes
             rel_err = abs(sketch.estimate() - true_distinct) \
@@ -465,9 +506,10 @@ class TestAccuracy:
     def test_topk_exact_on_zipf_stream(self):
         rng = np.random.default_rng(17)
         data = np.minimum(rng.zipf(1.5, 20_000), 30).astype(float)
-        sketch = HeavyHitters(64)
+        sketch = ExactCountSketch(HLL_BITS)
         sketch.insert_many(data)
-        assert sketch.exact              # support fits the capacity
+        topk = Query(AggFunc.TOPK, "v", ("x",), UNBOUNDED, 5.0)
+        assert sketch_answer(topk, sketch).exact  # support fits capacity
         uniques, counts = np.unique(data, return_counts=True)
         order = np.lexsort((uniques, -counts))
         for k in (1, 5, 10):
@@ -477,8 +519,9 @@ class TestAccuracy:
             assert sketch.top_mass(k) == float(counts[order[:k]].sum())
 
     def test_topk_saturation_drops_exactness(self):
-        sketch = HeavyHitters(4)
-        sketch.insert_many([float(i) for i in range(5)])
-        assert not sketch.exact
-        sketch.delete_many([4.0])
-        assert sketch.exact              # pure function of the multiset
+        topk = Query(AggFunc.TOPK, "v", ("x",), UNBOUNDED, 5.0)
+        sketch = ExactCountSketch(HLL_BITS)
+        sketch.insert_many([float(i) for i in range(TOPK_CAPACITY + 1)])
+        assert not sketch_answer(topk, sketch).exact
+        sketch.delete_many([0.0])
+        assert sketch_answer(topk, sketch).exact  # a function of the multiset

@@ -115,9 +115,9 @@ def test_max_exactness_invariant(values, k):
 class TestSaturationContract:
     """Property pins for the outer-approximation contract (PR 9).
 
-    Unlike the sketch package's :class:`~repro.sketch.counted.
-    HeavyHitters` (whose ``exact`` is a pure function of the live
-    multiset), the seed structure's flag is *sticky* by design: once a
+    Unlike a TOPK sketch answer (whose ``exact`` is a pure function of
+    the live multiset, :func:`~repro.sketch.registry.sketch_answer`),
+    the seed structure's flag is *sticky* by design: once a
     delete is refused, top() is an outer approximation forever, and
     values trimmed at insert time can never refill the window.
     """

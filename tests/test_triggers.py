@@ -201,3 +201,54 @@ class TestLifetimeCounters:
         assert engine.trigger is trigger
         engine.insert_many(ds.data[6750:7750])          # a full period
         assert (trigger.state.n_forced, engine.n_repartitions) == (2, 2)
+
+
+class TestEmptyPool:
+    """An empty pool has nothing to partition: a due check neither
+    rebuilds nor evaluates a candidate, so a write that emptied the
+    table still succeeds (it used to raise out of a forced rebuild after
+    the table had already dropped the rows)."""
+
+    def test_forced_check_on_an_emptied_engine(self):
+        from repro.core.janus import JanusAQP
+        from repro.core.table import Table
+        from repro.datasets.synthetic import nyc_taxi
+        ds = nyc_taxi(n=3500, seed=0)
+        table = Table(ds.schema)
+        table.insert_many(ds.data[:3000])
+        engine = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                          config=JanusConfig(k=8, repartition_every=100))
+        engine.initialize()
+        for b in range(6):
+            engine.delete_many(range(500 * b, 500 * (b + 1)))
+        assert len(engine.table) == len(engine.pool) == 0
+        outcomes = {o: c.value for o, c in engine._c_checks.items()}
+        assert outcomes == {"none": 0, "rejected": 0, "committed": 0,
+                            "forced": 5, "error": 0}
+        assert engine.trigger.state.n_forced == engine.n_repartitions == 5
+        # Rows return: the first due check forces a rebuild as before.
+        engine.insert_many(ds.data[3000:3500])
+        assert engine.trigger.state.n_forced == engine.n_repartitions == 6
+
+    def test_sharded_delete_that_empties_a_shard_reaches_every_shard(self):
+        from repro.core.queries import Query
+        from repro.core.sharded import ShardedJanusAQP
+        from repro.datasets.synthetic import nyc_taxi
+        ds = nyc_taxi(n=4000, seed=0)
+        engine = ShardedJanusAQP(
+            ds.schema, ds.agg_attr, ds.predicate_attrs, n_shards=2,
+            sharding="attr", config=JanusConfig(k=8, repartition_every=100))
+        engine.insert_many(ds.data)
+        engine.initialize()
+        assert engine.shard_sizes() == [2000, 2000]
+        owners = np.array([engine.shard_of(t) for t in range(4000)])
+        first = np.flatnonzero(owners == 1)[:50].tolist()
+        engine.delete_many(np.flatnonzero(owners == 0).tolist() + first)
+        live = engine._placement.owned_in(0, 4000)[0].size
+        assert engine.shard_sizes() == [0, 1950]
+        assert len(engine) == live == 1950
+        d = len(ds.predicate_attrs)
+        count = Query(AggFunc.COUNT, ds.agg_attr, ds.predicate_attrs,
+                      Rectangle((-math.inf,) * d, (math.inf,) * d))
+        assert engine.query(count).estimate == 1950
+        engine.close()

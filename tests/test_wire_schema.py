@@ -28,10 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.broker.frames import (RESULT_DTYPE, SketchFrame,
-                                 attach_sketch_frames, decode_result_block,
-                                 decode_sketch_block, encode_result_block,
-                                 encode_sketch_block, extract_sketch_frames)
+from repro.broker.frames import (RESULT_DTYPE, decode_answers,
+                                 decode_result_block, encode_answers,
+                                 encode_result_block)
 from repro.broker.frames import (decode_query_block, encode_query_block,
                                  query_dtype)
 from repro.broker.requests import (TOPK_KEY, QueryResponse, decode,
@@ -93,10 +92,8 @@ class TestRoundTrips:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(envelopes(), max_size=5), st.integers(0, 10 ** 9))
     def test_every_codec_carries_every_envelope(self, results, qid):
-        block = decode_result_block(
-            encode_result_block(results).tobytes())
-        attach_sketch_frames(block, decode_sketch_block(
-            encode_sketch_block(extract_sketch_frames(results))))
+        block = decode_answers(b"".join(
+            bytes(part) for part in encode_answers(results)), len(results))
         assert len(block) == len(results)
         for want, via_block in zip(results, block):
             # fleet block + sidecar: the merge inputs and the blob
@@ -505,26 +502,30 @@ def test_a_declared_query_field_reaches_every_boundary(
 # sketch sidecar faults are ValueErrors naming the sidecar
 # ------------------------------------------------------------------ #
 class TestSidecarFaults:
-    SIDECAR = encode_sketch_block([SketchFrame(0, b"abcdef"),
-                                   SketchFrame(2, b"xy")])
+    """An OP_QUERY reply body: three answers, blobs on the first and
+    the third, as ``index:u32 | blob_len:u32 | blob`` after the block."""
+    RESULTS = [QueryResult(1.0, details={SKETCH_KEY: b"abcdef"}),
+               QueryResult(2.0),
+               QueryResult(3.0, details={SKETCH_KEY: b"xy"})]
+    BLOCK, SIDECAR = (bytes(part) for part in encode_answers(RESULTS))
 
     def test_round_trip(self):
-        assert decode_sketch_block(self.SIDECAR) == \
-            [SketchFrame(0, b"abcdef"), SketchFrame(2, b"xy")]
+        assert self.SIDECAR == (b"\x00\x00\x00\x00\x06\x00\x00\x00abcdef"
+                                b"\x02\x00\x00\x00\x02\x00\x00\x00xy")
+        got = decode_answers(self.BLOCK + self.SIDECAR, 3)
+        assert [r.details for r in got] == [r.details for r in self.RESULTS]
 
     @pytest.mark.parametrize("cut", [3, 8 + 6 + 5, 8 + 3, 8 + 6 + 8 + 1])
     def test_truncated_sidecar(self, cut):
         """Cut mid-header (fewer than 8 header bytes left) or
         mid-blob: the same ``ValueError``, never ``struct.error``."""
         with pytest.raises(ValueError, match="sketch sidecar"):
-            decode_sketch_block(self.SIDECAR[:cut])
+            decode_answers(self.BLOCK + self.SIDECAR[:cut], 3)
 
     def test_frame_index_past_the_block(self):
-        results = [QueryResult(1.0), QueryResult(2.0)]
         with pytest.raises(ValueError, match="sketch sidecar.*2"):
-            attach_sketch_frames(results,
-                                 decode_sketch_block(self.SIDECAR))
-        assert SKETCH_KEY in results[0].details     # frame 0 landed
+            decode_answers(self.BLOCK[:2 * RESULT_DTYPE.itemsize]
+                           + self.SIDECAR, 2)
 
 
 # ------------------------------------------------------------------ #
