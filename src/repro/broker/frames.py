@@ -16,11 +16,11 @@ process boundary is framed here.  The design goals, in order:
    indexes into a per-frame name table.  Nothing is spelled as text
    per query, and the worker still rebuilds - and so validates -
    every query through the schema's constructor;
-3. **bit-exact answers** - :data:`RESULT_DTYPE` carries every wire
-   field :class:`~repro.core.queries.QueryResult` declares (derived
-   from its :class:`~repro.core.queries.WireSchema`, never restated)
-   plus the merge inputs (AVG's ``n_q`` normalizer, the
-   VARIANCE/STDDEV moment triple) as IEEE-754 doubles, which
+3. **bit-exact answers** - :data:`RESULT_DTYPE` is exactly the wire
+   schema :class:`~repro.core.queries.QueryResult` declares (derived
+   from its :class:`~repro.core.queries.WireSchema`, never restated),
+   merge inputs included (AVG's ``n_q`` normalizer, the
+   VARIANCE/STDDEV moment triple), numbers as IEEE-754 doubles, which
    round-trip exactly; the coordinator's
    :func:`~repro.core.merge.merge_results` therefore sees
    byte-identical inputs to the in-process fan-out's.
@@ -61,7 +61,6 @@ from typing import (Callable, Dict, Iterable, List, Sequence, Set,
 
 import numpy as np
 
-from ..core.merge import MOMENTS_KEY, N_Q_KEY
 from ..core.queries import Query, QueryResult, WireField, WireSchema
 from ..sketch.registry import SKETCH_KEY
 
@@ -97,29 +96,17 @@ OP_ERR = 17       #: failure; payload = "ExcType\nmessage" (UTF-8)
 
 _SCHEMA = WireSchema(QueryResult)
 _ENVELOPE = attrgetter(*(f.key for f in _SCHEMA.fields))
-_MERGE_INPUTS = [
-    ("has_n_q", "<i1"), ("n_q", "<f8"),
-    ("has_moments", "<i1"),
-    ("m_count", "<f8"), ("m_sum", "<f8"), ("m_sumsq", "<f8"),
-    ("ci_unavailable", "<i1")]
-_NO_MERGE_INPUTS = (0, 0.0, 0, 0.0, 0.0, 0.0, 0)
 
 #: One wire record per :class:`~repro.core.queries.QueryResult`: its
-#: wire fields, then the fleet-only merge inputs read out of
-#: ``details``.  The three ``has_*``/flag bytes distinguish "no details
-#: entry" from a zero-valued one, so decoded ``details`` dicts match
-#: the originals key for key and the merge rules (which probe
-#: ``details.get``) behave identically on both sides of the wire.
-RESULT_DTYPE = np.dtype(
-    [(f.key, f.dtype) for f in _SCHEMA.fields] + _MERGE_INPUTS)
+#: wire fields, in schema order.
+RESULT_DTYPE = np.dtype([(f.key, f.dtype) for f in _SCHEMA.fields])
 if any(f.cast not in (float, int, bool) for f in _SCHEMA.fields):
     raise TypeError("a block column's cast must be float, int or bool")
 #: The same layout read back with flag bytes as ``bool``, so
 #: ``tolist()`` hands every wire field its own Python type and
 #: decoding casts nothing.
 _DECODE_DTYPE = np.dtype(
-    [(f.key, "?" if f.cast is bool else f.dtype) for f in _SCHEMA.fields]
-    + _MERGE_INPUTS)
+    [(f.key, "?" if f.cast is bool else f.dtype) for f in _SCHEMA.fields])
 
 
 # ---------------------------------------------------------------------- #
@@ -379,20 +366,9 @@ def decode_query_block(d: int, payload) -> List[Query]:
 # ---------------------------------------------------------------------- #
 # result block codec
 # ---------------------------------------------------------------------- #
-def _merge_inputs(details: dict) -> tuple:
-    """The trailing :data:`RESULT_DTYPE` columns of one answer."""
-    if not details:
-        return _NO_MERGE_INPUTS
-    return (N_Q_KEY in details, details.get(N_Q_KEY, 0.0),
-            MOMENTS_KEY in details,
-            *details.get(MOMENTS_KEY, (0.0, 0.0, 0.0)),
-            details.get("ci") == "unavailable")
-
-
 def encode_result_block(results: Sequence[QueryResult]) -> np.ndarray:
     """Pack query answers into a :data:`RESULT_DTYPE` record block."""
-    return np.array([_ENVELOPE(result) + _merge_inputs(result.details)
-                     for result in results], dtype=RESULT_DTYPE)
+    return np.array(list(map(_ENVELOPE, results)), dtype=RESULT_DTYPE)
 
 
 def decode_result_block(payload) -> List[QueryResult]:
@@ -403,16 +379,8 @@ def decode_result_block(payload) -> List[QueryResult]:
     :func:`decode_answers`.
     """
     block = np.frombuffer(payload, dtype=_DECODE_DTYPE)
-    results = _SCHEMA.build_many(iter([block[f.key].tolist()
-                                       for f in _SCHEMA.fields]))
-    for i in np.flatnonzero(block["ci_unavailable"]).tolist():
-        results[i].details["ci"] = "unavailable"
-    n_q, moments = block["n_q"], block[["m_count", "m_sum", "m_sumsq"]]
-    for i in np.flatnonzero(block["has_n_q"]).tolist():
-        results[i].details[N_Q_KEY] = n_q[i].item()
-    for i in np.flatnonzero(block["has_moments"]).tolist():
-        results[i].details[MOMENTS_KEY] = moments[i].item()
-    return results
+    return _SCHEMA.build_many(iter([block[f.key].tolist()
+                                    for f in _SCHEMA.fields]))
 
 
 # ---------------------------------------------------------------------- #

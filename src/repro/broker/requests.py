@@ -62,8 +62,9 @@ class QueryResponse:
     """One answered query on the results topic: the query id beside the
     full :class:`~repro.core.queries.QueryResult` envelope (estimate,
     both variance components of Section 4.4.1, exactness, frontier
-    sizes), so consumers can reconstruct confidence intervals without
-    talking to the synopsis."""
+    sizes, merge inputs, the interval flag), so consumers can
+    reconstruct confidence intervals without talking to the
+    synopsis."""
 
     query_id: int
     result: QueryResult
@@ -234,7 +235,7 @@ def result_to_dict(result: QueryResult) -> dict:
     """JSON-safe mapping for a :class:`~repro.core.queries.QueryResult`:
     the :func:`encode_result` envelope, so a service client can rebuild
     confidence intervals, plus a TOPK answer's item list; the rest of
-    ``details`` (merge bookkeeping, numpy payloads) stays server-side."""
+    ``details`` (diagnostics, the sketch blob) stays server-side."""
     payload = _result_to_dict(result)
     if TOPK_KEY in result.details:
         payload[TOPK_KEY] = result.details[TOPK_KEY]

@@ -611,12 +611,12 @@ class DynamicPartitionTree:
             n_q += counts[row]
         for row in partial:
             n_q += counts[row]
-        # The normalizer rides along in ``details`` so shard merging can
+        # The normalizer rides along (``n_q``) so shard merging can
         # reweight per-shard means into the union estimator (merge.py).
         if n_q <= 0:
             return QueryResult(math.nan, 0.0, 0.0, False,
                                n_covered=len(cover), n_partial=len(partial),
-                               details={"n_q": n_q})
+                               n_q=n_q)
         est = 0.0
         var_c = 0.0
         sums, varbases = (self.table.column("sum_estimates", pos, *totals),
@@ -634,7 +634,7 @@ class DynamicPartitionTree:
             var_s += c_var
         return QueryResult(est, var_c, var_s, False,
                            n_covered=len(cover), n_partial=len(partial),
-                           details={"n_q": n_q})
+                           n_q=n_q)
 
     def _answer_variance(self, query: Query, cover: List[int],
                          partial: List[int], first: int,
@@ -645,8 +645,8 @@ class DynamicPartitionTree:
         composed using SUM and CNT" - every node maintains sum(a^2)
         alongside sum(a), so E[a^2] - E[a]^2 is a plug-in estimate.
         No confidence interval is reported (the delta-method variance of
-        the composition is out of the paper's scope); ``details`` flags
-        this.
+        the composition is out of the paper's scope): ``ci_available``
+        is false.
         """
         pos = self.stat_pos(query.attr)
         totals = (self.n0, self.h_total)
@@ -670,23 +670,18 @@ class DynamicPartitionTree:
             count_est += n
             sum_est += total
             sumsq_est += totalsq
-        # Plug-in moments ride along in ``details`` so shard merging can
+        # Plug-in moments ride along (``m_*``) so shard merging can
         # re-compose the union's VARIANCE/STDDEV exactly (merge.py).
-        plug_in = (count_est, sum_est, sumsq_est)
-        if count_est <= 0:
-            return QueryResult(math.nan, 0.0, 0.0, False,
-                               n_covered=len(cover),
-                               n_partial=len(partial),
-                               details={"ci": "unavailable",
-                                        "moments": plug_in})
-        mean = sum_est / count_est
-        variance = max(0.0, sumsq_est / count_est - mean * mean)
-        est = variance if query.agg is AggFunc.VARIANCE else \
-            math.sqrt(variance)
+        est = math.nan
+        if count_est > 0:
+            mean = sum_est / count_est
+            variance = max(0.0, sumsq_est / count_est - mean * mean)
+            est = variance if query.agg is AggFunc.VARIANCE else \
+                math.sqrt(variance)
         return QueryResult(est, 0.0, 0.0, False,
                            n_covered=len(cover), n_partial=len(partial),
-                           details={"ci": "unavailable",
-                                    "moments": plug_in})
+                           m_count=count_est, m_sum=sum_est,
+                           m_sumsq=sumsq_est, ci_available=False)
 
     def _answer_minmax(self, query: Query, cover: List[int],
                        partial: List[int], first: int,
@@ -704,7 +699,8 @@ class DynamicPartitionTree:
         est = (max(candidates) if is_max else min(candidates)) \
             if candidates else math.nan
         return QueryResult(est, 0.0, 0.0, False,
-                           n_covered=len(cover), n_partial=len(partial))
+                           n_covered=len(cover), n_partial=len(partial),
+                           ci_available=False)
 
     #: The estimator of each family a tree answers (the sketch family
     #: never reaches one: :attr:`template` carries no sketch columns).

@@ -142,7 +142,7 @@ def _uniform_extreme(agg, n_total, m, matched_values):
 def _uniform_moments(agg, n_total, m, matched_values):
     # Plug-in moments, matching the tree's E[a^2] - E[a]^2
     # composition (Section 6.6); like MIN/MAX, no variance-of-the-
-    # variance estimate is attempted (ci unavailable).
+    # variance estimate is attempted (``uniform_scan`` marks no ci).
     n_matched = int(matched_values.shape[0])
     if n_matched == 0:
         return PartialContribution(math.nan, 0.0, 0)
@@ -197,4 +197,6 @@ def uniform_scan(query: Query, schema: Sequence[str], rows: np.ndarray,
         matched = rows[mask, schema.index(query.attr)]
     contrib = uniform_estimate(query.agg, n_total, rows.shape[0], matched)
     return QueryResult(contrib.estimate, 0.0, contrib.variance,
-                       exact=False, n_partial=1)
+                       exact=False, n_partial=1, ci_available=(
+                           query.agg.family in (AggFamily.ADDITIVE,
+                                                AggFamily.RATIO)))

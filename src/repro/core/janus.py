@@ -164,12 +164,12 @@ class JanusAQP:
         self._agg_idx = table.col_index(agg_attr)
         self._lock = threading.RLock()
 
-        #: Stall instrumentation (ROADMAP item 5 is gated on these
-        #: series): histograms over reoptimize / lock-held reoptimize /
-        #: per-batch ingest durations.  A sharded engine passes its own
-        #: registry plus a ``shard`` label so every shard's stalls land
-        #: on one ``/metrics`` page; standalone engines get a private
-        #: registry.
+        #: Stall instrumentation (the ROADMAP item "Evaluation leaves
+        #: the ingest lane" is gated on these series): histograms over
+        #: reoptimize / lock-held reoptimize / per-batch ingest
+        #: durations.  A sharded engine passes its own registry plus a
+        #: ``shard`` label so every shard's stalls land on one
+        #: ``/metrics`` page; standalone engines get a private registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         labels = dict(metrics_labels or {})
         self._h_reopt = self.metrics.histogram(

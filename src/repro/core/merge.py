@@ -11,7 +11,7 @@ add, which gives closed-form combination rules per aggregate:
   a single partition tree over the union of the shards' frontiers would
   compute, so no statistical power is lost to sharding.
 * **AVG** - each shard reports its estimate *and* the population
-  normalizer ``n_q`` it used (``QueryResult.details["n_q"]``).  The
+  normalizer ``n_q`` it used (the ``QueryResult.n_q`` field).  The
   coordinator reweights: with ``W_s = n_q_s / sum(n_q)``, the combined
   estimate is ``sum_s W_s * est_s`` and the variance ``sum_s W_s^2 *
   var_s`` (:func:`merge_avg`).  Expanding the weights shows this equals
@@ -20,10 +20,10 @@ add, which gives closed-form combination rules per aggregate:
   :func:`~repro.core.estimators.avg_partial_moments` performs inside one
   tree, lifted one level up.
 * **VARIANCE / STDDEV** - shards report their plug-in moments
-  ``(count, sum, sum of squares)`` (``details["moments"]``); the
-  coordinator adds them and re-derives ``E[a^2] - E[a]^2``
-  (:func:`merge_moments`), again identical in form to the single-tree
-  composition of Section 6.6.
+  ``(count, sum, sum of squares)`` (``m_count`` / ``m_sum`` /
+  ``m_sumsq``); the coordinator adds them and re-derives
+  ``E[a^2] - E[a]^2`` (:func:`merge_moments`), again identical in form
+  to the single-tree composition of Section 6.6.
 * **PERCENTILE / COUNT_DISTINCT / TOPK** - each shard's answer carries
   its canonical sketch blob; the coordinator folds the blobs (state is
   canonical in the union multiset, so any merge order gives identical
@@ -40,7 +40,9 @@ Every merge also folds the exactness flag conservatively (``exact`` only
 when all contributing shards are exact) and accumulates the frontier
 sizes, so the combined :class:`~repro.core.queries.QueryResult` carries
 a valid normal-approximation confidence interval via the usual
-:meth:`~repro.core.queries.QueryResult.ci`.
+:meth:`~repro.core.queries.QueryResult.ci` - or, for the families
+without one (VARIANCE/STDDEV, MIN/MAX, the sketches), ``ci_available``
+false and NaN bounds, as on a single engine.
 
 The rules are closed under *subsets*: a shard with zero live rows in
 the query rectangle contributes an exact 0 to the additive aggregates,
@@ -59,11 +61,6 @@ import math
 from typing import List, Optional, Sequence
 
 from .queries import AggFamily, AggFunc, Query, QueryResult
-
-#: details key under which AVG answers report their normalizer.
-N_Q_KEY = "n_q"
-#: details key under which VARIANCE/STDDEV answers report their moments.
-MOMENTS_KEY = "moments"
 
 
 def _fold_frontier(results: Sequence[QueryResult]) -> tuple:
@@ -93,17 +90,15 @@ def merge_additive(results: Sequence[QueryResult]) -> QueryResult:
 def merge_avg(results: Sequence[QueryResult]) -> QueryResult:
     """AVG combination: reweight shard means by their ``n_q`` shares.
 
-    Shards that could not form an estimate (``n_q <= 0`` or a missing
-    normalizer, i.e. no population in the query region) contribute
-    nothing and do not void exactness: an average over zero rows is
-    undefined on that shard but irrelevant to the union.  When *no*
-    shard has population the combined answer is NaN, mirroring the
-    single-instance behavior.
+    Shards that could not form an estimate (``n_q <= 0``, i.e. no
+    population in the query region) contribute nothing and do not void
+    exactness: an average over zero rows is undefined on that shard but
+    irrelevant to the union.  When *no* shard has population the
+    combined answer is NaN, mirroring the single-instance behavior.
     """
-    live = [r for r in results
-            if float(r.details.get(N_Q_KEY, 0.0)) > 0.0]
+    live = [r for r in results if r.n_q > 0.0]
     n_cov, n_par = _fold_frontier(results)
-    n_q_total = sum(float(r.details[N_Q_KEY]) for r in live)
+    n_q_total = sum(r.n_q for r in live)
     if not live or n_q_total <= 0:
         return QueryResult(math.nan, 0.0, 0.0, exact=False,
                            n_covered=n_cov, n_partial=n_par)
@@ -111,14 +106,13 @@ def merge_avg(results: Sequence[QueryResult]) -> QueryResult:
     var_c = 0.0
     var_s = 0.0
     for r in live:
-        w = float(r.details[N_Q_KEY]) / n_q_total
+        w = r.n_q / n_q_total
         est += w * r.estimate
         var_c += w * w * r.variance_catchup
         var_s += w * w * r.variance_sample
     return QueryResult(est, var_c, var_s,
                        exact=all(r.exact for r in live),
-                       n_covered=n_cov, n_partial=n_par,
-                       details={N_Q_KEY: n_q_total})
+                       n_covered=n_cov, n_partial=n_par, n_q=n_q_total)
 
 
 def merge_moments(agg: AggFunc,
@@ -136,24 +130,22 @@ def merge_moments(agg: AggFunc,
     totalsq = 0.0
     exact = True
     for r in results:
-        c, s, s2 = r.details.get(MOMENTS_KEY, (0.0, 0.0, 0.0))
-        count += c
-        total += s
-        totalsq += s2
-        if c > 0:
+        count += r.m_count
+        total += r.m_sum
+        totalsq += r.m_sumsq
+        if r.m_count > 0:
             exact = exact and r.exact
     n_cov, n_par = _fold_frontier(results)
     if count <= 0:
         return QueryResult(math.nan, 0.0, 0.0, exact=False,
                            n_covered=n_cov, n_partial=n_par,
-                           details={"ci": "unavailable"})
+                           ci_available=False)
     mean = total / count
     variance = max(0.0, totalsq / count - mean * mean)
     est = variance if agg is AggFunc.VARIANCE else math.sqrt(variance)
     return QueryResult(est, 0.0, 0.0, exact=exact,
-                       n_covered=n_cov, n_partial=n_par,
-                       details={"ci": "unavailable",
-                                MOMENTS_KEY: (count, total, totalsq)})
+                       n_covered=n_cov, n_partial=n_par, m_count=count,
+                       m_sum=total, m_sumsq=totalsq, ci_available=False)
 
 
 def merge_minmax(agg: AggFunc, results: Sequence[QueryResult],
@@ -181,10 +173,11 @@ def merge_minmax(agg: AggFunc, results: Sequence[QueryResult],
     n_cov, n_par = _fold_frontier(results)
     if not candidates:
         return QueryResult(math.nan, 0.0, 0.0, exact=False,
-                           n_covered=n_cov, n_partial=n_par)
+                           n_covered=n_cov, n_partial=n_par,
+                           ci_available=False)
     est = max(candidates) if is_max else min(candidates)
     return QueryResult(est, 0.0, 0.0, exact=exact,
-                       n_covered=n_cov, n_partial=n_par)
+                       n_covered=n_cov, n_partial=n_par, ci_available=False)
 
 
 def merge_sketch(query: Query,

@@ -382,8 +382,16 @@ class QueryResult:
     approximation error: a sketch in its exact regime, a merge over no
     live shard, a static tree's full cover.  A dynamic tree's answer is
     never exact (its nodes hold catch-up estimates).
-    ``details`` (merge bookkeeping, diagnostics) declares no :func:`wire`
-    metadata, so no codec carries it wholesale.
+
+    The merge inputs ride as fields too: ``n_q`` is the population
+    normalizer an AVG answer divided by, ``m_count`` / ``m_sum`` /
+    ``m_sumsq`` the plug-in moments a VARIANCE/STDDEV answer was
+    composed from (Section 6.6); both stay 0.0 on every other answer.
+    ``ci_available`` is false on answers with no normal interval
+    (VARIANCE/STDDEV, MIN/MAX, the sketch aggregates), whose
+    :meth:`ci` bounds are then NaN.  ``details`` holds diagnostics
+    only; it declares no :func:`wire` metadata, so no codec carries it
+    wholesale.
     """
 
     estimate: float = field(metadata=wire(float, "<f8"))
@@ -394,6 +402,11 @@ class QueryResult:
     exact: bool = field(default=False, metadata=wire(bool, "<i1"))
     n_covered: int = field(default=0, metadata=wire(int, "<i8"))
     n_partial: int = field(default=0, metadata=wire(int, "<i8"))
+    n_q: float = field(default=0.0, metadata=wire(float, "<f8"))
+    m_count: float = field(default=0.0, metadata=wire(float, "<f8"))
+    m_sum: float = field(default=0.0, metadata=wire(float, "<f8"))
+    m_sumsq: float = field(default=0.0, metadata=wire(float, "<f8"))
+    ci_available: bool = field(default=True, metadata=wire(bool, "<i1"))
     details: dict = field(default_factory=dict)
 
     @property
@@ -402,12 +415,16 @@ class QueryResult:
         return self.variance_catchup + self.variance_sample
 
     def ci(self, z: float = 1.96) -> Tuple[float, float]:
-        """Confidence interval ``estimate +/- z * sqrt(nu_c + nu_s)``."""
-        half = z * math.sqrt(max(self.variance, 0.0))
+        """Confidence interval ``estimate +/- z * sqrt(nu_c + nu_s)``;
+        NaN bounds when :attr:`ci_available` is false."""
+        half = self.ci_halfwidth(z)
         return (self.estimate - half, self.estimate + half)
 
     def ci_halfwidth(self, z: float = 1.96) -> float:
-        """Half-width of :meth:`ci` at confidence level ``z``."""
+        """Half-width of :meth:`ci` at confidence level ``z`` (NaN when
+        the answer has no interval)."""
+        if not self.ci_available:
+            return math.nan
         return z * math.sqrt(max(self.variance, 0.0))
 
 

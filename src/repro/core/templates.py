@@ -7,8 +7,8 @@ attributes)``.  The paper offers two designs, both implemented here:
   template, each with its full error guarantees.  The paper shares one
   global pooled sample under every tree, O(m + L*k); here each template
   is a whole engine with its own pool, O(L*m) - one shared pool is the
-  open step (ROADMAP.md item 6).  Templates can be added lazily when a
-  query from an unseen template arrives.
+  open step (ROADMAP.md, "Method 1 as the paper states it").  Templates
+  can be added lazily when a query from an unseen template arrives.
 * **Method 2** (:class:`HeuristicRouter`) - a single tree.  A different
   aggregation *function* is free (SUM/COUNT statistics are maintained in
   every node); a different aggregation *attribute* is free too when the

@@ -11,10 +11,11 @@ benchmark drivers create one client per thread (mirroring real
 connection-pooled clients, one connection per in-flight request).
 Results come back as full :class:`~repro.core.queries.QueryResult`
 envelopes (estimate, both variance components, exactness, frontier
-sizes), so ``result.ci()`` works client-side exactly as in-process;
-the server-side ``details`` dict is not transported, and the client
-records whether the server answered from its epoch cache as
-``result.details["cached"]``.
+sizes, the merge inputs and ``ci_available``), so ``result.ci()``
+works client-side exactly as in-process - NaN bounds included, on an
+answer without an interval; the server-side ``details`` dict is not
+transported, and the client records whether the server answered from
+its epoch cache as ``result.details["cached"]``.
 """
 
 from __future__ import annotations

@@ -88,12 +88,10 @@ def sketch_answer(query: Query, sketch: CountedSketch) -> QueryResult:
     """Render the answer for ``query`` from one sketch state.
 
     The returned ``details`` carry the canonical blob (under
-    :data:`SKETCH_KEY`) so the answer can be re-merged upstream, plus
-    the ``ci: unavailable`` marker shared with VARIANCE/STDDEV -
-    sketch answers have deterministic error bounds, not normal
-    confidence intervals.
+    :data:`SKETCH_KEY`) so the answer can be re-merged upstream, and
+    ``ci_available`` is false, as on VARIANCE/STDDEV - sketch answers
+    have deterministic error bounds, not normal confidence intervals.
     """
-    details = {"ci": "unavailable", SKETCH_KEY: sketch.to_bytes()}
     if query.agg is AggFunc.PERCENTILE:
         estimate = sketch.quantile(float(query.param))
         exact = sketch.exact and not math.isnan(estimate)
@@ -109,5 +107,6 @@ def sketch_answer(query: Query, sketch: CountedSketch) -> QueryResult:
         raise ValueError(f"{query.agg} is not a sketch aggregate")
     return QueryResult(float(estimate), 0.0, 0.0, exact=exact,
                        n_covered=sketch.n_total, n_partial=0,
-                       details=details)
+                       ci_available=False,
+                       details={SKETCH_KEY: sketch.to_bytes()})
 

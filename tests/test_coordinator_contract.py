@@ -27,7 +27,8 @@ import pytest
 
 from repro.core.janus import JanusConfig
 from repro.core.persist import load_sharded, save_sharded
-from repro.core.queries import AggFunc, Query, Rectangle
+from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
+                                WireSchema)
 from repro.core.templates import HeuristicRouter
 from repro.core.sharded import LocalShard, ShardedJanusAQP
 from repro.datasets.synthetic import nyc_taxi
@@ -84,6 +85,9 @@ def workload(ds):
     return queries
 
 
+ENVELOPE = WireSchema(QueryResult).fields
+
+
 def canon(value):
     """A bit-exact, NaN-safe comparable form of an answer field."""
     if isinstance(value, float):
@@ -97,11 +101,7 @@ def answers(engine, queries):
     out = []
     for route in (True, False):
         for r in engine.query_many(queries, route=route):
-            out.append((canon(float(r.estimate)),
-                        canon(float(r.variance_catchup)),
-                        canon(float(r.variance_sample)),
-                        bool(r.exact), int(r.n_covered),
-                        int(r.n_partial),
+            out.append((*(canon(f.get(r)) for f in ENVELOPE),
                         sorted((k, canon(v))
                                for k, v in r.details.items())))
     return out

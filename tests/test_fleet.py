@@ -33,9 +33,9 @@ from repro.broker.frames import (HEADER, MAX_PAYLOAD, OP_INSERT, OP_OK,
                                  pack_reply, recv_frame, send_frame,
                                  split_reply)
 from repro.core.janus import JanusConfig
-from repro.core.merge import MOMENTS_KEY, N_Q_KEY
 from repro.core.persist import load_sharded, save_sharded
-from repro.core.queries import AggFunc, Query, QueryResult, Rectangle
+from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
+                                WireSchema)
 from repro.core.sharded import ShardedJanusAQP
 from repro.datasets.synthetic import nasdaq_etf, nyc_taxi
 from repro.service import ServiceError, serve_background
@@ -78,17 +78,14 @@ def all_agg_queries(ds):
     return queries
 
 
+ENVELOPE = [f.key for f in WireSchema(QueryResult).fields]
+
+
 def assert_same(got: QueryResult, want: QueryResult, tag=""):
-    """Bit-identity: every answer field, NaN-aware, plus details keys."""
-    if math.isnan(want.estimate):
-        assert math.isnan(got.estimate), (tag, got, want)
-    else:
-        assert got.estimate == want.estimate, (tag, got, want)
-    assert got.variance_catchup == want.variance_catchup, (tag,)
-    assert got.variance_sample == want.variance_sample, (tag,)
-    assert got.exact == want.exact, (tag,)
-    assert got.n_covered == want.n_covered, (tag,)
-    assert got.n_partial == want.n_partial, (tag,)
+    """Bit-identity: every wire field, NaN-aware, plus details keys."""
+    for key in ENVELOPE:
+        a, b = getattr(got, key), getattr(want, key)
+        assert a == b or (a != a and b != b), (tag, key, got, want)
     assert sorted(got.details) == sorted(want.details), (tag,)
 
 
@@ -155,36 +152,21 @@ class TestFrameProtocol:
                             n_covered=3, n_partial=2)
         avg = QueryResult(estimate=2.0, variance_catchup=0.0,
                           variance_sample=0.125, exact=True,
-                          n_covered=1, n_partial=0)
-        avg.details[N_Q_KEY] = 17.0
+                          n_covered=1, n_partial=0, n_q=17.0)
         varr = QueryResult(estimate=float("nan"), variance_catchup=0.0,
                            variance_sample=0.0, exact=False,
-                           n_covered=0, n_partial=1)
-        varr.details["ci"] = "unavailable"
-        varr.details[MOMENTS_KEY] = (5.0, 12.5, 40.25)
+                           n_covered=0, n_partial=1, m_count=5.0,
+                           m_sum=12.5, m_sumsq=40.25, ci_available=False)
         block = encode_result_block([plain, avg, varr])
         decoded = decode_result_block(block.tobytes())
         assert len(decoded) == 3
         assert_same(decoded[0], plain, "plain")
         assert_same(decoded[1], avg, "avg")
         assert_same(decoded[2], varr, "variance")
-        assert decoded[1].details[N_Q_KEY] == 17.0
-        assert decoded[2].details[MOMENTS_KEY] == (5.0, 12.5, 40.25)
-        assert decoded[2].details["ci"] == "unavailable"
-
-    def test_zero_valued_details_distinct_from_absent(self):
-        """has_* flags carry 'present but 0.0' across the wire."""
-        zeroed = QueryResult(estimate=0.0, variance_catchup=0.0,
-                             variance_sample=0.0, exact=False,
-                             n_covered=0, n_partial=0)
-        zeroed.details[N_Q_KEY] = 0.0
-        absent = QueryResult(estimate=0.0, variance_catchup=0.0,
-                             variance_sample=0.0, exact=False,
-                             n_covered=0, n_partial=0)
-        got = decode_result_block(
-            encode_result_block([zeroed, absent]).tobytes())
-        assert N_Q_KEY in got[0].details
-        assert N_Q_KEY not in got[1].details
+        assert decoded[1].n_q == 17.0
+        assert (decoded[2].m_count, decoded[2].m_sum,
+                decoded[2].m_sumsq) == (5.0, 12.5, 40.25)
+        assert decoded[2].ci_available is False
 
 
 class TestBitIdentity:

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import JanusConfig, Query, QueryResult, Rectangle
-from repro.core.merge import (MOMENTS_KEY, N_Q_KEY, merge_results)
+from repro.core.merge import merge_results
 from repro.core.persist import load_sharded, save_sharded
 from repro.core.queries import AggFunc, SKETCH_AGGS
 from repro.core.routing import (RoutingStats, ShardSummary,
@@ -431,11 +431,13 @@ def empty_shard_answer(agg):
         return QueryResult(0.0, 0.0, 0.0, exact=False, n_partial=1)
     if agg is AggFunc.AVG:
         return QueryResult(math.nan, 0.0, 0.0, exact=False, n_partial=1,
-                           details={N_Q_KEY: 0.0})
+                           n_q=0.0)
     if agg in (AggFunc.VARIANCE, AggFunc.STDDEV):
         return QueryResult(math.nan, 0.0, 0.0, exact=False, n_partial=1,
-                           details={MOMENTS_KEY: (0.0, 0.0, 0.0)})
-    return QueryResult(math.nan, 0.0, 0.0, exact=False, n_partial=1)
+                           m_count=0.0, m_sum=0.0, m_sumsq=0.0,
+                           ci_available=False)
+    return QueryResult(math.nan, 0.0, 0.0, exact=False, n_partial=1,
+                       ci_available=False)
 
 
 def query_for(agg):
@@ -448,7 +450,7 @@ class TestMergeSubsets:
     Frontier counts (``n_covered``/``n_partial``) legitimately differ -
     a pruned shard's phantom partial leaf is not counted - so the
     comparison covers estimate, variance components, exactness and the
-    details payload, the fields that define the answer and its CI.
+    merge inputs, the fields that define the answer and its CI.
     """
 
     @pytest.mark.parametrize("agg", ALL_AGGS)
@@ -456,11 +458,10 @@ class TestMergeSubsets:
         q = query_for(agg)
         informative = [
             QueryResult(12.0, 0.5, 0.25, exact=False, n_covered=2,
-                        details={N_Q_KEY: 40.0,
-                                 MOMENTS_KEY: (40.0, 480.0, 6200.0)}),
+                        n_q=40.0, m_count=40.0, m_sum=480.0,
+                        m_sumsq=6200.0),
             QueryResult(7.0, 0.1, 0.05, exact=False, n_covered=1,
-                        details={N_Q_KEY: 10.0,
-                                 MOMENTS_KEY: (10.0, 70.0, 560.0)}),
+                        n_q=10.0, m_count=10.0, m_sum=70.0, m_sumsq=560.0),
         ]
         full = merge_results(
             q, informative + [empty_shard_answer(agg)],
@@ -473,8 +474,8 @@ class TestMergeSubsets:
         assert pruned.variance_catchup == full.variance_catchup
         assert pruned.variance_sample == full.variance_sample
         assert pruned.exact == full.exact
-        for key in (N_Q_KEY, MOMENTS_KEY):
-            assert pruned.details.get(key) == full.details.get(key)
+        for key in ("n_q", "m_count", "m_sum", "m_sumsq", "ci_available"):
+            assert getattr(pruned, key) == getattr(full, key)
 
     def test_minmax_exactness_corner(self):
         """NaN from a pruned (provably empty) shard must not void

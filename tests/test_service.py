@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.requests import query_to_dict
 from repro.core.janus import JanusAQP, JanusConfig
-from repro.core.queries import AggFunc, Query, Rectangle
+from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
+                                WireSchema)
 from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
@@ -30,6 +31,7 @@ N_ROWS = 9_000
 N_SEED = 6_000
 ALL_AGGS = (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG, AggFunc.MIN,
             AggFunc.MAX, AggFunc.VARIANCE, AggFunc.STDDEV)
+ENVELOPE = [f.key for f in WireSchema(QueryResult).fields]
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +96,7 @@ class TestEndToEnd:
                 via_sql = client.sql_many([sql_for(q) for q in queries])
             expected = engine.query_many(queries)
             for got, sqlgot, want in zip(via_query, via_sql, expected):
-                for name in ("estimate", "variance_catchup",
-                             "variance_sample", "exact", "n_covered",
-                             "n_partial"):
+                for name in ENVELOPE:
                     want_v = getattr(want, name)
                     if isinstance(want_v, float) and math.isnan(want_v):
                         assert math.isnan(getattr(got, name))
@@ -115,6 +115,35 @@ class TestEndToEnd:
                 b = client.sql(sql_for(query))
                 assert a.estimate == b.estimate
                 assert a.ci() == b.ci()
+
+    def test_answers_without_an_interval_say_so(self, ds):
+        """VARIANCE, MAX and COUNT DISTINCT answers reach the client
+        with ``ci_available`` false and NaN bounds (``/sql`` JSON says
+        ``"ci_available": false``); SUM and AVG keep the finite
+        interval the engine computes in-process."""
+        engine = build_sketched(ds)
+        col, attr = ds.predicate_attrs[0], ds.agg_attr
+        where = f"FROM t WHERE {col} BETWEEN 100 AND 400.5"
+        statements = {
+            f"SELECT SUM({attr}) {where}": True,
+            f"SELECT AVG({attr}) {where}": True,
+            f"SELECT VARIANCE({attr}) {where}": False,
+            f"SELECT MAX({attr}) {where}": False,
+            "SELECT COUNT(DISTINCT passenger_count) FROM t": False}
+        with serve_background(engine, port=0) as handle, \
+                ServiceClient(handle.host, handle.port) as client:
+            for statement, has_ci in statements.items():
+                got = client.sql(statement)
+                raw = client._json("POST", "/sql", {"sql": statement})
+                assert raw["result"]["ci_available"] is has_ci, statement
+                assert got.ci_available is has_ci, statement
+                want = engine.query(handle.server.bind_sql(statement))
+                if has_ci:
+                    assert got.ci() == want.ci(), statement
+                    assert all(map(math.isfinite, got.ci())), statement
+                else:
+                    assert all(map(math.isnan, got.ci())), statement
+                    assert math.isnan(got.ci_halfwidth()), statement
 
     def test_insert_delete_roundtrip_and_epochs(self, ds):
         engine = build_single(ds)

@@ -20,8 +20,8 @@ import pytest
 
 from repro.broker.broker import Broker
 from repro.core.janus import JanusAQP, JanusConfig
-from repro.core.merge import (N_Q_KEY, merge_additive, merge_avg,
-                              merge_minmax, merge_moments, merge_results)
+from repro.core.merge import (merge_additive, merge_avg, merge_minmax,
+                              merge_moments, merge_results)
 from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
                                 SKETCH_AGGS)
 from repro.core.sharded import ShardedJanusAQP
@@ -376,9 +376,11 @@ class TestMergeRules:
     """Unit pins for the estimator combination rules."""
 
     @staticmethod
-    def result(est, vc=0.0, vs=0.0, exact=False, details=None):
+    def result(est, vc=0.0, vs=0.0, exact=False, moments=None, **fields):
+        if moments is not None:
+            fields.update(zip(("m_count", "m_sum", "m_sumsq"), moments))
         return QueryResult(est, vc, vs, exact, n_covered=1, n_partial=1,
-                           details=details or {})
+                           **fields)
 
     def test_additive_sums_estimates_and_variances(self):
         merged = merge_additive([self.result(10.0, 1.0, 2.0, exact=False),
@@ -400,25 +402,24 @@ class TestMergeRules:
 
     def test_avg_reweights_by_population(self):
         merged = merge_avg([
-            self.result(10.0, 4.0, 0.0, details={N_Q_KEY: 100.0}),
-            self.result(20.0, 8.0, 0.0, details={N_Q_KEY: 300.0})])
+            self.result(10.0, 4.0, 0.0, n_q=100.0),
+            self.result(20.0, 8.0, 0.0, n_q=300.0)])
         assert merged.estimate == pytest.approx(0.25 * 10 + 0.75 * 20)
         assert merged.variance_catchup == \
             pytest.approx(0.0625 * 4 + 0.5625 * 8)
-        assert merged.details[N_Q_KEY] == 400.0
+        assert merged.n_q == 400.0
 
     def test_avg_skips_empty_shards_without_voiding_exactness(self):
         """A shard with no population in the region contributes nothing -
         the single-row/empty-shard edge of the merge rules."""
         merged = merge_avg([
-            self.result(7.0, exact=True, details={N_Q_KEY: 50.0}),
-            self.result(math.nan, details={N_Q_KEY: 0.0})])
+            self.result(7.0, exact=True, n_q=50.0),
+            self.result(math.nan, n_q=0.0)])
         assert merged.estimate == 7.0
         assert merged.exact
 
     def test_avg_no_population_anywhere_is_nan(self):
-        merged = merge_avg([self.result(math.nan,
-                                        details={N_Q_KEY: 0.0})])
+        merged = merge_avg([self.result(math.nan, n_q=0.0)])
         assert math.isnan(merged.estimate) and not merged.exact
 
     def test_moments_recompose_variance(self):
@@ -426,14 +427,14 @@ class TestMergeRules:
         b = np.array([9.0, 3.0])
         both = np.concatenate([a, b])
         merged = merge_moments(AggFunc.VARIANCE, [
-            self.result(a.var(), details={
-                "moments": (a.size, a.sum(), (a * a).sum())}),
-            self.result(b.var(), details={
-                "moments": (b.size, b.sum(), (b * b).sum())})])
+            self.result(a.var(),
+                        moments=(a.size, a.sum(), (a * a).sum())),
+            self.result(b.var(),
+                        moments=(b.size, b.sum(), (b * b).sum()))])
         assert merged.estimate == pytest.approx(both.var())
         stddev = merge_moments(AggFunc.STDDEV, [
-            self.result(0.0, details={
-                "moments": (both.size, both.sum(), (both * both).sum())})])
+            self.result(0.0, moments=(both.size, both.sum(),
+                                      (both * both).sum()))])
         assert stddev.estimate == pytest.approx(both.std())
 
     def test_moments_empty_shard_does_not_veto_exactness(self):
@@ -442,16 +443,15 @@ class TestMergeRules:
         folds over contributing shards only (as in merge_avg)."""
         vals = np.array([2.0, 4.0, 6.0])
         merged = merge_moments(AggFunc.VARIANCE, [
-            self.result(vals.var(), exact=True, details={
-                "moments": (vals.size, vals.sum(), (vals * vals).sum())}),
-            self.result(math.nan, exact=False, details={
-                "moments": (0.0, 0.0, 0.0)})])
+            self.result(vals.var(), exact=True, moments=(
+                vals.size, vals.sum(), (vals * vals).sum())),
+            self.result(math.nan, exact=False, moments=(0.0, 0.0, 0.0))])
         assert merged.estimate == pytest.approx(vals.var())
         assert merged.exact
 
     def test_moments_zero_count_is_nan(self):
         merged = merge_moments(AggFunc.VARIANCE, [
-            self.result(math.nan, details={"moments": (0.0, 0.0, 0.0)})])
+            self.result(math.nan, moments=(0.0, 0.0, 0.0))])
         assert math.isnan(merged.estimate) and not merged.exact
 
     def test_minmax_takes_extremal(self):

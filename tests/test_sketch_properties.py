@@ -78,6 +78,9 @@ def assert_bit_identical(got, want, tag=""):
     assert got.variance_catchup == want.variance_catchup
     assert got.variance_sample == want.variance_sample
     assert got.details.get(SKETCH_KEY) == want.details.get(SKETCH_KEY), tag
+    assert got.ci_available is want.ci_available, tag
+    # a sketch bound is not a normal interval: the answer says so
+    assert not (SKETCH_KEY in want.details and want.ci_available), tag
 
 
 # ---------------------------------------------------------------------- #
@@ -456,8 +459,7 @@ class TestSketchMergeRules:
         single = make_single(make_rows(rng, 400))
         for q in self.queries():
             good = single.query(q)
-            stripped = dataclasses.replace(
-                good, details={"ci": "unavailable"})
+            stripped = dataclasses.replace(good, details={})
             with pytest.raises(ValueError):
                 merge_results(q, [good, stripped], [False, False])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.janus import JanusAQP, JanusConfig
-from repro.core.queries import AggFunc, Query, Rectangle
+from repro.core.queries import SKETCH_AGGS, AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.core.templates import HeuristicRouter, SynopsisManager
 from repro.datasets.synthetic import nyc_taxi
@@ -174,6 +174,23 @@ class TestHeuristicRouter:
         assert res.details.get("fallback") == "uniform"
         truth = table.ground_truth(q)
         assert abs(res.estimate - truth) / truth < 0.35
+
+    def test_fallback_marks_aggregates_without_an_interval(self, router):
+        """The uniform fallback's VARIANCE / STDDEV / MIN / MAX answers
+        carry no interval (NaN bounds), as the tree's do; SUM / COUNT /
+        AVG keep a finite one."""
+        r, _ = router
+        for agg in AggFunc:
+            if agg in SKETCH_AGGS:
+                continue
+            q = Query(agg, "trip_distance", ("dropoff_time",),
+                      Rectangle((100.0,), (400.0,)))
+            res = r.query(q)
+            assert res.details.get("fallback") == "uniform"
+            has_ci = agg in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG)
+            assert res.ci_available is has_ci, agg
+            assert all(map(math.isfinite, res.ci())) is has_ci, agg
+            assert math.isfinite(res.ci_halfwidth()) is has_ci, agg
 
     def test_repartition_for_new_predicate(self, router):
         r, table = router

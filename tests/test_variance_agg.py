@@ -85,7 +85,8 @@ class TestExactPath:
         q = Query(AggFunc.STDDEV, "a", ("x",),
                   Rectangle((-math.inf,), (math.inf,)))
         res = dpt.query(q, no_samples)
-        assert res.details.get("ci") == "unavailable"
+        assert not res.ci_available
+        assert all(map(math.isnan, (*res.ci(), res.ci_halfwidth())))
 
 
 class TestEndToEnd:

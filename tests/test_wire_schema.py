@@ -5,11 +5,15 @@ field metadata; the HTTP dict codec, the broker line codec
 (``broker/requests.py``) and the fleet result block
 (``broker/frames.py``) are loops over it.  Pinned here:
 
-* every codec round-trips arbitrary envelopes field for field, and
-  exactly the ``details`` entries it is specified to carry;
+* every codec round-trips arbitrary envelopes field for field, merge
+  inputs and interval flag included, and exactly the ``details``
+  entries it is specified to carry;
 * the bytes, line records and JSON of a fixed result / query list equal
-  goldens captured at the last commit that spelled the fields out by
-  hand (52cca6f), so the derivation changed no wire format;
+  goldens: the query goldens were captured at the last commit that
+  spelled the fields out by hand (52cca6f), the result goldens re-cut
+  when ``n_q``, the moment triple and ``ci_available`` became wire
+  fields (the block lost its two ``has_*`` bytes and reads the flag
+  the other way round);
 * a field declared with wire metadata reaches all three boundaries
   with no other edit - there is no second field list left to drift.
 """
@@ -38,7 +42,6 @@ from repro.broker.requests import (TOPK_KEY, QueryResponse, decode,
                                    encode_result, query_from_dict,
                                    query_to_dict, result_from_dict,
                                    result_to_dict)
-from repro.core.merge import MOMENTS_KEY, N_Q_KEY
 from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
                                 WireSchema)
 from repro.sketch.registry import SKETCH_KEY
@@ -71,14 +74,9 @@ counts = st.integers(-2 ** 63, 2 ** 63 - 1)
 @st.composite
 def envelopes(draw):
     result = QueryResult(draw(floats), draw(floats), draw(floats),
-                         draw(st.booleans()), draw(counts), draw(counts))
-    if draw(st.booleans()):
-        result.details[N_Q_KEY] = draw(finite)
-    if draw(st.booleans()):
-        result.details[MOMENTS_KEY] = (draw(finite), draw(finite),
-                                       draw(finite))
-    if draw(st.booleans()):
-        result.details["ci"] = "unavailable"
+                         draw(st.booleans()), draw(counts), draw(counts),
+                         draw(floats), draw(floats), draw(floats),
+                         draw(floats), draw(st.booleans()))
     if draw(st.booleans()):
         result.details[SKETCH_KEY] = draw(st.binary(max_size=40))
     if draw(st.booleans()):
@@ -96,7 +94,7 @@ class TestRoundTrips:
             bytes(part) for part in encode_answers(results)), len(results))
         assert len(block) == len(results)
         for want, via_block in zip(results, block):
-            # fleet block + sidecar: the merge inputs and the blob
+            # fleet block + sidecar: the envelope and the blob
             assert same_envelope(via_block, want)
             assert via_block.details == {
                 k: v for k, v in want.details.items() if k != TOPK_KEY}
@@ -129,24 +127,23 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             decode_result("R|1|2.0|0.0|0.0|1|3")    # no n_partial
         with pytest.raises(ValueError):
+            decode_result("R|1|2.0|0.0|0.0|1|3|2")  # no merge inputs
+        with pytest.raises(ValueError):
             result_from_dict({"estimate": 1.0})
 
 
 # ------------------------------------------------------------------ #
-# goldens captured at 52cca6f (hand-written codecs)
+# goldens (queries: 52cca6f, hand-written codecs; results: re-cut
+# with the merge-input fields)
 # ------------------------------------------------------------------ #
 def golden_results():
-    results = [
+    return [
         QueryResult(1234.5, 0.25, 1.5, False, 3, 2),
         QueryResult(-0.0, 0.0, 0.0, True, 0, 0),
-        QueryResult(INF, 5e-324, 1e308, False, 2 ** 62, 7),
-        QueryResult(math.nan, 0.0, 0.0, False, 0, 1),
+        QueryResult(INF, 5e-324, 1e308, False, 2 ** 62, 7, n_q=17.0),
+        QueryResult(math.nan, 0.0, 0.0, False, 0, 1, m_count=5.0,
+                    m_sum=12.5, m_sumsq=40.25, ci_available=False),
         QueryResult(0.1, 2.2250738585072014e-308, 1 / 3, True, 12, 0)]
-    results[2].details[N_Q_KEY] = 17.0
-    results[3].details["ci"] = "unavailable"
-    results[3].details[MOMENTS_KEY] = (5.0, 12.5, 40.25)
-    results[4].details[N_Q_KEY] = 0.0
-    return results
 
 
 def golden_queries():
@@ -167,32 +164,31 @@ GOLDEN_DTYPE = [
     ("estimate", "<f8", 0), ("variance_catchup", "<f8", 8),
     ("variance_sample", "<f8", 16), ("exact", "|i1", 24),
     ("n_covered", "<i8", 25), ("n_partial", "<i8", 33),
-    ("has_n_q", "|i1", 41), ("n_q", "<f8", 42),
-    ("has_moments", "|i1", 50), ("m_count", "<f8", 51),
-    ("m_sum", "<f8", 59), ("m_sumsq", "<f8", 67),
-    ("ci_unavailable", "|i1", 75)]
+    ("n_q", "<f8", 41), ("m_count", "<f8", 49),
+    ("m_sum", "<f8", 57), ("m_sumsq", "<f8", 65),
+    ("ci_available", "|i1", 73)]
 
 GOLDEN_BLOCK = (
     "00000000004a9340000000000000d03f000000000000f83f00030000000000"
     "00000200000000000000000000000000000000000000000000000000000000"
-    "00000000000000000000000000000000000000000080000000000000000000"
-    "00000000000000010000000000000000000000000000000000000000000000"
-    "00000000000000000000000000000000000000000000000000000000000000"
-    "000000f07f0100000000000000a0c8eb85f3cce17f00000000000000004007"
-    "00000000000000010000000000003140000000000000000000000000000000"
-    "0000000000000000000000000000000000f87f000000000000000000000000"
-    "00000000000000000000000000010000000000000000000000000000000001"
-    "000000000000144000000000000029400000000000204440019a9999999999"
-    "b93f0000000000001000555555555555d53f010c0000000000000000000000"
-    "00000000010000000000000000000000000000000000000000000000000000"
-    "0000000000000000")
+    "00000000000000000000000100000000000000800000000000000000000000"
+    "00000000000100000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000001000000000000f0"
+    "7f0100000000000000a0c8eb85f3cce17f0000000000000000400700000000"
+    "00000000000000000031400000000000000000000000000000000000000000"
+    "0000000001000000000000f87f000000000000000000000000000000000000"
+    "00000000000000010000000000000000000000000000000000000000001440"
+    "00000000000029400000000000204440009a9999999999b93f000000000000"
+    "1000555555555555d53f010c00000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000001")
 
 GOLDEN_RESULT_LINES = [
-    "R|40|1234.5|0.25|1.5|0|3|2",
-    "R|41|-0.0|0.0|0.0|1|0|0",
-    "R|42|inf|5e-324|1e+308|0|4611686018427387904|7",
-    "R|43|nan|0.0|0.0|0|0|1",
-    "R|44|0.1|2.2250738585072014e-308|0.3333333333333333|1|12|0"]
+    "R|40|1234.5|0.25|1.5|0|3|2|0.0|0.0|0.0|0.0|1",
+    "R|41|-0.0|0.0|0.0|1|0|0|0.0|0.0|0.0|0.0|1",
+    "R|42|inf|5e-324|1e+308|0|4611686018427387904|7|17.0|0.0|0.0|0.0|1",
+    "R|43|nan|0.0|0.0|0|0|1|0.0|5.0|12.5|40.25|0",
+    "R|44|0.1|2.2250738585072014e-308|0.3333333333333333|1|12|0|"
+    "0.0|0.0|0.0|0.0|1"]
 
 GOLDEN_QUERY_LINES = [
     "Q|7|SUM|fare|pickup|1.5|20.25",
@@ -203,17 +199,23 @@ GOLDEN_QUERY_LINES = [
 
 GOLDEN_RESULT_JSON = [
     '{"estimate": 1234.5, "variance_catchup": 0.25, "variance_sample": '
-    '1.5, "exact": false, "n_covered": 3, "n_partial": 2}',
+    '1.5, "exact": false, "n_covered": 3, "n_partial": 2, "n_q": 0.0, '
+    '"m_count": 0.0, "m_sum": 0.0, "m_sumsq": 0.0, "ci_available": true}',
     '{"estimate": -0.0, "variance_catchup": 0.0, "variance_sample": 0.0, '
-    '"exact": true, "n_covered": 0, "n_partial": 0}',
+    '"exact": true, "n_covered": 0, "n_partial": 0, "n_q": 0.0, '
+    '"m_count": 0.0, "m_sum": 0.0, "m_sumsq": 0.0, "ci_available": true}',
     '{"estimate": Infinity, "variance_catchup": 5e-324, '
     '"variance_sample": 1e+308, "exact": false, "n_covered": '
-    '4611686018427387904, "n_partial": 7}',
+    '4611686018427387904, "n_partial": 7, "n_q": 17.0, "m_count": 0.0, '
+    '"m_sum": 0.0, "m_sumsq": 0.0, "ci_available": true}',
     '{"estimate": NaN, "variance_catchup": 0.0, "variance_sample": 0.0, '
-    '"exact": false, "n_covered": 0, "n_partial": 1}',
+    '"exact": false, "n_covered": 0, "n_partial": 1, "n_q": 0.0, '
+    '"m_count": 5.0, "m_sum": 12.5, "m_sumsq": 40.25, '
+    '"ci_available": false}',
     '{"estimate": 0.1, "variance_catchup": 2.2250738585072014e-308, '
     '"variance_sample": 0.3333333333333333, "exact": true, "n_covered": '
-    '12, "n_partial": 0}']
+    '12, "n_partial": 0, "n_q": 0.0, "m_count": 0.0, "m_sum": 0.0, '
+    '"m_sumsq": 0.0, "ci_available": true}']
 
 GOLDEN_QUERY_JSON = [
     '{"agg": "SUM", "attr": "fare", "predicate_attrs": ["pickup"], '
@@ -235,7 +237,7 @@ class TestGoldens:
         assert [(n, RESULT_DTYPE.fields[n][0].str,
                  RESULT_DTYPE.fields[n][1])
                 for n in RESULT_DTYPE.names] == GOLDEN_DTYPE
-        assert RESULT_DTYPE.itemsize == 76
+        assert RESULT_DTYPE.itemsize == 74
 
     def test_result_block_bytes(self):
         block = encode_result_block(golden_results())
@@ -301,16 +303,19 @@ def test_a_declared_field_reaches_every_boundary(tmp_path):
     seen = json.loads(done.stdout)
     assert seen["payload"] == {
         "estimate": 1.0, "variance_catchup": 0.0, "variance_sample": 0.0,
-        "exact": False, "n_covered": 0, "n_partial": 0, "probe": 2.5}
-    assert seen["line"] == "R|3|1.0|0.0|0.0|0|0|0|2.5"
-    assert seen["names"] == ENVELOPE + ["probe"] + \
-        list(RESULT_DTYPE.names[len(ENVELOPE):])
+        "exact": False, "n_covered": 0, "n_partial": 0, "n_q": 0.0,
+        "m_count": 0.0, "m_sum": 0.0, "m_sumsq": 0.0,
+        "ci_available": True, "probe": 2.5}
+    assert seen["line"] == "R|3|1.0|0.0|0.0|0|0|0|0.0|0.0|0.0|0.0|1|2.5"
+    assert seen["names"] == ENVELOPE + ["probe"]
     assert seen["back"] == [2.5, 2.5, 2.5]
 
 
 def test_details_declares_no_wire_metadata():
     assert ENVELOPE == ["estimate", "variance_catchup", "variance_sample",
-                        "exact", "n_covered", "n_partial"]
+                        "exact", "n_covered", "n_partial", "n_q",
+                        "m_count", "m_sum", "m_sumsq", "ci_available"]
+    assert list(RESULT_DTYPE.names) == ENVELOPE
     assert [f.key for f in WireSchema(Query).fields] == \
         ["agg", "attr", "predicate_attrs", "lo", "hi", "param"]
 
