@@ -215,6 +215,10 @@ class JanusAQP:
         self.reservoir = self.pool.reservoir
 
         self.dpt: Optional[DynamicPartitionTree] = None
+        #: The candidate evaluation's 1-D partitioner: each search starts
+        #: at the rung the last one won (engine state, never persisted).
+        self._ladder = OneDimPartitioner(self.config.focus_agg,
+                                         delta=self.config.delta)  # guarded-by: _lock
         #: One per engine life (its counters are lifetime counts).
         self.trigger: Optional[RepartitionTrigger] = None  # guarded-by: _lock
         self.n_repartitions = 0
@@ -252,6 +256,7 @@ class JanusAQP:
         """Build the first synopsis from the current table state."""
         with self._lock:
             self.dpt = None     # void once the pool resets: a first build
+            self._ladder.rung = None                # and a cold search
             self._pool_changed(self.pool.initialize())
             return self._rebuild(catchup_goal)
 
@@ -339,12 +344,14 @@ class JanusAQP:
 
     def _partition(self, coords: np.ndarray, values: np.ndarray,
                    tids: np.ndarray, k: int, rect: Rectangle, n_pop: int,
-                   index: RangeIndex
+                   index: RangeIndex,
+                   ladder: Optional[OneDimPartitioner] = None
                    ) -> Union[OneDimResult, KDTreeResult]:
         """Stage 2, the engine's only partitioner call: ``k`` leaves
         over the items inside ``rect`` (``index``: theirs, for the AVG
         oracle's canonical cells).  Reads no engine state, so a frozen
-        snapshot is partitioned without the lock.
+        snapshot is partitioned without the lock; in 1-D ``ladder``
+        (a partitioner that carries its last rung) replaces a cold one.
         """
         if coords.shape[0] == 0:
             raise RuntimeError("cannot partition: empty sample pool")
@@ -357,7 +364,8 @@ class JanusAQP:
             a, b = keys.searchsorted(lo, "left"), keys.searchsorted(hi,
                                                                    "right")
             if lo <= hi and a < b:
-                return OneDimPartitioner(focus, delta=delta).partition(
+                return (ladder or OneDimPartitioner(
+                    focus, delta=delta)).partition(
                     keys[a:b], values[a:b], k, n_population=n_pop,
                     domain=(lo, hi))
         elif rect.contains_points(coords).any():
@@ -548,24 +556,29 @@ class JanusAQP:
         """Run the trigger over a batch's ``(leaf, row count)`` pairs."""
         n_checks = self.trigger.state.n_checks
         action = self.trigger.on_update_batch(self.dpt, leaf_counts)
-        outcome = "none"
-        if action is TriggerAction.FORCED:
-            self.reoptimize()
-            outcome = "forced"
-        elif action is TriggerAction.CANDIDATE and \
-                self.config.auto_repartition:
-            outcome, spec = self._candidate_spec()
-            if spec is not None:
-                self._rebuild(spec=spec)
-        elif self.trigger.state.n_checks == n_checks:
-            return                       # no drift check came due
+        outcome, spec = "none", None
+        try:
+            if action is TriggerAction.FORCED:
+                self.reoptimize()
+                outcome = "forced"
+            elif action is TriggerAction.CANDIDATE and \
+                    self.config.auto_repartition:
+                outcome, spec = self._candidate_spec()
+            elif self.trigger.state.n_checks == n_checks:
+                return                   # no drift check came due
+        except (RuntimeError, ValueError, OverflowError) as exc:
+            # The partitioner raised (an empty pool, an error ladder
+            # that overflows): the batch is applied, the write succeeds.
+            log_event(None, "candidate_eval_error", error=repr(exc))
+            outcome = "error"
+        if spec is not None:
+            self._rebuild(spec=spec)
         self._c_checks[outcome].inc()
 
     def _candidate_spec(self) -> Tuple[str, Optional[TreeSpec]]:  # requires-lock: _lock
         """A fresh partitioning R' against the commit rule ``M(R') <
-        M(R) / beta`` (Section 5.4): ``("committed", spec)``,
-        ``("rejected", None)`` or, the partitioner having raised,
-        ``("error", None)``.  R' is judged on the rectangles a tree
+        M(R) / beta`` (Section 5.4): ``("committed", spec)`` or
+        ``("rejected", None)``.  R' is judged on the rectangles a tree
         built from it would have (only a commit builds one), worst
         bucket first and only until one leaf decides a rejection."""
         hist, t0 = self._h_candidate_eval, time.perf_counter()
@@ -574,11 +587,7 @@ class JanusAQP:
         hist["m_r"].observe(t1 - t0)
         snapshot = self._snapshot(None, False)
         root = snapshot[4]              # the rectangle R' partitions
-        try:
-            found = self._partition(*snapshot)
-        except (RuntimeError, ValueError) as exc:
-            log_event(None, "candidate_eval_error", error=repr(exc))
-            return "error", None
+        found = self._partition(*snapshot, self._ladder)
         t2 = time.perf_counter()
         hist["partition"].observe(t2 - t1)
         rects = (inflate_rect(rect, root) for rect in found.leaf_rects())

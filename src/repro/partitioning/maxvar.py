@@ -35,8 +35,7 @@ bucket is a contiguous run).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,17 +44,35 @@ from ..index.range_index import RangeIndex
 from ..sampling.pool import SamplePool
 
 
-@dataclass
 class MaxVarResult:
-    """Approximate max variance in a rectangle, with a witness query."""
+    """Approximate max variance in a rectangle, with a witness query.
 
-    variance: float
-    witness: Optional[Rectangle] = None
+    The witness may come as a zero-argument callable, built on first
+    read: the engine reads only :attr:`variance`, and a SUM witness
+    costs more to build than the oracle's arithmetic."""
+
+    __slots__ = ("variance", "_witness")
+
+    def __init__(self, variance: float,
+                 witness: Union[Rectangle, Callable[[], Rectangle],
+                                None] = None) -> None:
+        self.variance = variance
+        self._witness = witness
+
+    @property
+    def witness(self) -> Optional[Rectangle]:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
     @property
     def error(self) -> float:
         """Confidence-interval length proxy: sqrt of the variance."""
         return math.sqrt(max(self.variance, 0.0))
+
+    def __repr__(self) -> str:
+        return (f"MaxVarResult(variance={self.variance!r}, "
+                f"witness={self.witness!r})")
 
 
 # ---------------------------------------------------------------------- #
@@ -121,22 +138,34 @@ class PrefixStats:
         return count_query_variance(pop_ratio, j - i)
 
     def max_var_sum(self, i: int, j: int, pop_ratio: float) -> float:
-        """Median half-split oracle (1/4-approximation):
-        :func:`sum_query_variance` of each half, written out operation
-        for operation (the 1-D partitioner probes it thousands of times
-        per partitioning)."""
-        m_b = j - i
-        if m_b <= 1:
-            return 0.0
-        mid = i + m_b // 2
+        """Median half-split oracle (1/4-approximation) of bucket
+        ``[i, j)``: :meth:`sum_oracle`'s kernel."""
+        return self.sum_oracle(pop_ratio)(i, j)
+
+    def sum_oracle(self, pop_ratio: float, root: bool = False
+                   ) -> Callable[[int, int], float]:
+        """:func:`sum_query_variance` of each half of ``[i, j)``, the
+        larger one - or, with ``root``, its square root (the error) - as
+        one closure over the prefix lists, written out operation for
+        operation: the 1-D partitioner probes it thousands of times per
+        partitioning, one Python call a probe."""
         p1, p2 = self._p1, self._p2
-        n_b = pop_ratio * m_b
-        scale = (n_b * n_b) / (m_b ** 3)
-        s, s2 = p1[mid] - p1[i], p2[mid] - p2[i]
-        left = scale * (m_b * s2 - s * s)
-        s, s2 = p1[j] - p1[mid], p2[j] - p2[mid]
-        right = scale * (m_b * s2 - s * s)
-        return max(0.0, left, right)
+        sqrt = math.sqrt
+
+        def oracle(i: int, j: int) -> float:
+            m_b = j - i
+            if m_b <= 1:
+                return 0.0
+            mid = i + m_b // 2
+            n_b = pop_ratio * m_b
+            scale = (n_b * n_b) / (m_b ** 3)
+            s, s2 = p1[mid] - p1[i], p2[mid] - p2[i]
+            left = scale * (m_b * s2 - s * s)
+            s, s2 = p1[j] - p1[mid], p2[j] - p2[mid]
+            right = scale * (m_b * s2 - s * s)
+            var = max(0.0, left, right)
+            return sqrt(var) if root else var
+        return oracle
 
     def max_var_sum_many(self, i: np.ndarray, j: np.ndarray,
                          pop_ratio: float) -> np.ndarray:
@@ -305,23 +334,21 @@ class MaxVarOracle:
         if m_b <= 1:
             return MaxVarResult(0.0, witness=rect)
         mid = m_b // 2
-        best_var, best_witness = -1.0, rect
-        cut = float(keys[mid - 1])
-        halves = ((0, mid), (mid, m_b))
-        for idx, (lo, hi) in enumerate(halves):
-            seg = vals[lo:hi]
+        best_var, best = -1.0, 0
+        for half, seg in enumerate((vals[:mid], vals[mid:])):
             var = sum_query_variance(self.pop_ratio, m_b,
                                      float(seg.sum()),
                                      float((seg * seg).sum()))
             if var > best_var:
-                best_var = var
-                bounds = list(zip(rect.lo, rect.hi))
-                if idx == 0:
-                    bounds[dim] = (rect.lo[dim], cut)
-                else:
-                    bounds[dim] = (cut, rect.hi[dim])
-                best_witness = Rectangle.from_bounds(bounds)
-        return MaxVarResult(best_var, witness=best_witness)
+                best_var, best = var, half
+
+        def witness() -> Rectangle:
+            bounds = list(zip(rect.lo, rect.hi))
+            cut = float(keys[mid - 1])
+            bounds[dim] = (cut, rect.hi[dim]) if best else \
+                (rect.lo[dim], cut)
+            return Rectangle.from_bounds(bounds)
+        return MaxVarResult(best_var, witness=witness)
 
     def _max_var_avg(self, rect: Rectangle, coords: np.ndarray,
                      values: np.ndarray) -> MaxVarResult:

@@ -65,12 +65,20 @@ class OneDimResult:
 
 
 class OneDimPartitioner:
-    """Greedy-feasibility binary search over the error ladder."""
+    """Greedy-feasibility search over the error ladder.
+
+    :attr:`rung` is where the next search starts, as an offset from the
+    one-bucket rung ``t_hi``: ``None`` (a fresh partitioner) is the
+    plain binary search over the whole ladder, and every search leaves
+    its winning rung there, so a partitioner kept across calls starts
+    each search where the last one ended.
+    """
 
     def __init__(self, agg: AggFunc = AggFunc.SUM,
                  delta: float = 0.05) -> None:
         self.agg = agg
         self.delta = delta
+        self.rung: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     def partition(self, keys: np.ndarray, values: np.ndarray, k: int,
@@ -94,31 +102,37 @@ class OneDimPartitioner:
         n_population = n_population if n_population is not None else m
         pop_ratio = n_population / m
         prefix = PrefixStats(values)
-        window = max(4, int(self.delta * m))
-        is_sum = self.agg is AggFunc.SUM
+        fails = self._fail_table(prefix, pop_ratio)
+        if self.agg is AggFunc.SUM:
+            bucket_error = prefix.sum_oracle(pop_ratio, root=True)
+        else:
+            # An AVG probe is a numpy call over its window, and a ladder
+            # step re-probes many of the buckets earlier steps did
+            # (every first bucket, and every run they agree on).
+            memo: Dict[int, float] = {}
+            window = max(4, int(self.delta * m))
 
-        # A ladder step re-probes many of the buckets earlier steps
-        # did (every first bucket, and every run they agree on).
-        memo: Dict[int, float] = {}
-
-        def bucket_error(i: int, j: int) -> float:
-            key = i * (m + 1) + j
-            err = memo.get(key)
-            if err is None:
-                var = (prefix.max_var_sum(i, j, pop_ratio) if is_sum else
-                       prefix.max_var(i, j, self.agg, pop_ratio, window))
-                err = memo[key] = math.sqrt(max(var, 0.0))
-            return err
+            def bucket_error(i: int, j: int) -> float:
+                key = i * (m + 1) + j
+                err = memo.get(key)
+                if err is None:
+                    err = memo[key] = math.sqrt(max(prefix.max_var(
+                        i, j, self.agg, pop_ratio, window), 0.0))
+                return err
 
         hi_err = bucket_error(0, m)          # one bucket: the worst case
         if hi_err <= 0.0:
             bounds = self._equal_count_bounds(m, k)
         else:
             bounds = self._pad(self._search_ladder(
-                m, k, hi_err, bucket_error,
-                self._fail_table(prefix, pop_ratio)), k)
+                m, k, hi_err, bucket_error, fails), k)
         edges = keys[np.asarray(bounds[1:-1], dtype=np.intp) - 1].tolist()
-        errors = [bucket_error(a, b) for a, b in zip(bounds, bounds[1:])]
+        if fails is None:
+            errors = [bucket_error(a, b) for a, b in zip(bounds, bounds[1:])]
+        else:                                # the same doubles, one call
+            at = np.array(bounds)
+            errors = np.sqrt(prefix.max_var_sum_many(
+                at[:-1], at[1:], pop_ratio)).tolist()
         lo_d, hi_d = (domain if domain is not None
                       else (float(keys[0]), float(keys[-1])))
         # Interior cuts: the edges without the repeats tied keys cause.
@@ -148,14 +162,36 @@ class OneDimPartitioner:
 
     def _search_ladder(self, m: int, k: int, hi_err: float, bucket_error,
                        fails: Optional[np.ndarray]) -> List[int]:
-        """Binary search over exponents t of rho^t within the error range."""
+        """Binary search for the lowest feasible exponent t of rho^t
+        within the error range - from a carried :attr:`rung`, over
+        the bracket a gallop from that rung leaves."""
         # Lower end of the ladder: a tiny fraction of the 1-bucket error
         # stands in for the paper's L/sqrt(2) bound (both are poly bounds
         # used only to bound the ladder length).
         t_hi = math.ceil(math.log(hi_err, _RHO))
         t_lo = t_hi - 64                       # ~ rho^-64 relative floor
         best_bounds: Optional[List[int]] = None
+        # Rung lo - 1 is infeasible (or below the ladder), rung hi + 1
+        # is best_bounds' (or above it).
         lo, hi = t_lo, t_hi
+        if self.rung is not None:
+            # Gallop from the carried rung, down while feasible and up
+            # while not, at doubling distance until feasibility flips.
+            t, step, down = min(max(t_hi + self.rung, lo), hi), 1, None
+            while lo <= hi:
+                bounds = self._feasible(m, k, _RHO ** t, bucket_error,
+                                        fails)
+                if bounds is not None:
+                    best_bounds, hi = bounds, t - 1
+                    if down is False:
+                        break
+                    down, t = True, max(t - step, lo)
+                else:
+                    lo = t + 1
+                    if down:
+                        break
+                    down, t = False, min(t + step, hi)
+                step *= 2
         while lo <= hi:
             mid = (lo + hi) // 2
             e = _RHO ** mid
@@ -165,6 +201,7 @@ class OneDimPartitioner:
                 hi = mid - 1
             else:
                 lo = mid + 1
+        self.rung = None if best_bounds is None else hi + 1 - t_hi
         if best_bounds is None:
             best_bounds = self._feasible(m, k, _RHO ** (t_hi + 1),
                                          bucket_error, fails)

@@ -25,6 +25,9 @@ sys.path.insert(0, os.path.abspath(os.path.join(
     os.path.dirname(__file__), os.pardir, "benchmarks")))
 
 from lib.dp import DPPartitioner  # noqa: E402
+# the 1-D stress shapes the decision replay draws (tests/ is on the path)
+from test_trigger_decisions import (  # noqa: E402
+    _partition_or_error, samples)
 
 
 def sample_data(n=200, seed=0):
@@ -258,3 +261,72 @@ class TestKDTree:
         right = sum(1 for leaf in result.tree.leaves()
                     if leaf.rect.lo[0] >= 50.0 - 1e-9)
         assert right > left
+
+
+# ---------------------------------------------------------------------- #
+# the ladder search does not depend on the rung it starts from
+# ---------------------------------------------------------------------- #
+#: ``None`` is a fresh partitioner: the binary search over the ladder.
+START_RUNGS = [None, 0, -1, -3, -6, -20, -64]
+
+
+class _Recording(OneDimPartitioner):
+    """Keeps the arguments of its last ladder search."""
+
+    searched = None
+
+    def _search_ladder(self, m, k, hi_err, bucket_error, fails):
+        self.searched = (m, k, hi_err, bucket_error, fails)
+        return super()._search_ladder(m, k, hi_err, bucket_error, fails)
+
+
+def _full_scan(part):
+    """Feasibility of every rung of the last search's ladder, lowest
+    first (the last is the one-bucket rung ``t_hi``)."""
+    m, k, hi_err, bucket_error, fails = part.searched
+    t_hi = math.ceil(math.log(hi_err, 2.0))
+    return [part._feasible(m, k, 2.0 ** t, bucket_error, fails) is not None
+            for t in range(t_hi - 64, t_hi + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=samples(), k=st.integers(1, 128))
+def test_search_result_does_not_depend_on_its_start_rung(sample, k):
+    """The decision replay's input shapes (ties, heavy tails, 1e150 /
+    1e200 values, +-inf, NaN), redrawn with up to 128 buckets: from
+    every start a search wins the lowest feasible rung wherever
+    feasibility is monotone over the ladder, and so returns the bounds,
+    cuts and ``max_error`` a cold search does; where it is not, each
+    start still ends on a rung just above an infeasible one."""
+    keys, values, _, agg, n_pop, domain = sample
+    got, parts = [], []
+    for start in START_RUNGS:
+        part = _Recording(agg)
+        part.rung = start
+        got.append(_partition_or_error(part, keys, values, k, n_pop,
+                                        domain))
+        parts.append(part)
+    if isinstance(got[0], type):            # inf / NaN: every start raises
+        assert all(g is got[0] for g in got)
+        return
+    if parts[0].searched is None:           # one bucket of error 0: no search
+        assert all(p.searched is None for p in parts)
+        feasible, monotone = [], True
+    else:
+        feasible = _full_scan(parts[0])
+        monotone = feasible == sorted(feasible)
+    if monotone:
+        for g in got[1:]:
+            assert g.bucket_index_bounds == got[0].bucket_index_bounds
+            assert g.boundaries == got[0].boundaries
+            assert repr(g.max_error) == repr(got[0].max_error)
+    if not feasible:
+        return
+    for part in parts:
+        if True not in feasible:            # past the ladder: no rung won
+            assert part.rung is None
+            continue
+        won = part.rung + 64                # its index in ``feasible``
+        assert feasible[won] and (won == 0 or not feasible[won - 1])
+        if monotone:
+            assert won == feasible.index(True)

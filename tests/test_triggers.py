@@ -1,6 +1,9 @@
 """Tests for the re-partitioning triggers (Section 5.4 rules)."""
 
+import collections
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -252,3 +255,103 @@ class TestEmptyPool:
                       Rectangle((-math.inf,) * d, (math.inf,) * d))
         assert engine.query(count).estimate == 1950
         engine.close()
+
+
+class TestOverflowingEvaluation:
+    """Aggregate values of +-1e200 make a one-bucket error of inf, whose
+    error ladder ``math.ceil(math.log(inf))`` cannot start: the
+    evaluation fails with ``OverflowError`` after the batch is applied.
+    The write must still succeed, the failure counted under
+    ``outcome="error"`` (it used to raise out of the committed write,
+    and a sharded batch reached only the shards before the raise)."""
+
+    @staticmethod
+    def _rows():
+        from repro.datasets.synthetic import nyc_taxi
+        ds = nyc_taxi(n=4800, seed=0)
+        rows = ds.data[4000:].copy()
+        rows[:, ds.schema.index(ds.agg_attr)] = \
+            np.random.default_rng(1).choice([-1e200, 1e200], len(rows))
+        return ds, rows
+
+    @staticmethod
+    def _count_all(engine, ds):
+        from repro.core.queries import Query
+        d = len(ds.predicate_attrs)
+        return engine.query(Query(
+            AggFunc.COUNT, ds.agg_attr, ds.predicate_attrs,
+            Rectangle((-math.inf,) * d, (math.inf,) * d))).estimate
+
+    @pytest.mark.parametrize("cfg", [{"check_every": 64},
+                                     {"repartition_every": 160}],
+                             ids=["candidate", "forced"])
+    def test_single_engine_write_succeeds(self, cfg):
+        from repro.core.janus import JanusAQP
+        from repro.core.table import Table
+        ds, rows = self._rows()
+        table = Table(ds.schema)
+        table.insert_many(ds.data[:4000])
+        engine = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
+                          config=JanusConfig(**cfg))
+        engine.initialize()
+        with np.errstate(all="ignore"):
+            for b in range(0, len(rows), 80):
+                engine.insert_many(rows[b:b + 80])
+        assert engine._c_checks["error"].value >= 1
+        assert len(table) == 4800
+        assert self._count_all(engine, ds) == 4800
+
+    def test_sharded_batch_reaches_every_shard(self):
+        from repro.core.sharded import ShardedJanusAQP
+        ds, rows = self._rows()
+        engine = ShardedJanusAQP(
+            ds.schema, ds.agg_attr, ds.predicate_attrs, n_shards=2,
+            sharding="hash", config=JanusConfig(check_every=64))
+        engine.insert_many(ds.data[:4000])
+        engine.initialize()
+        with np.errstate(all="ignore"):
+            for b in range(0, len(rows), 80):
+                engine.insert_many(rows[b:b + 80])
+        errors = [engine.metrics.counter(
+            "janus_engine_trigger_checks_total", outcome="error",
+            shard=str(s)).value for s in range(2)]
+        assert sum(errors) >= 1
+        assert len(engine) == sum(engine.shard_sizes()) == 4800
+        assert self._count_all(engine, ds) == 4800
+        engine.close()
+
+
+class TestDecisionGate:
+    """The ``engine_stream`` seed-7 trace, 5 s (the end-to-end
+    benchmark's inputs): what the trigger decided, batch by batch, is
+    pinned - a change that means to be decision-identical (a faster
+    evaluation, say) must leave this split exactly as it is."""
+
+    def test_seed7_stream_decisions(self):
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__),
+                                        os.pardir, "benchmarks", "e2e"))
+        try:
+            import inputs as gen
+            import workloads as wl
+        finally:
+            sys.path.pop(0)
+        inp = gen.generate("engine_stream", 7, 5.0)
+        engine = wl.build_solo(inp, wl.seed_rows(inp))
+        trigger, seen = engine.trigger, collections.Counter()
+        on_update_batch = trigger.on_update_batch
+
+        def logged(dpt, leaf_counts):
+            action = on_update_batch(dpt, leaf_counts)
+            seen[action.value] += 1
+            return action
+        trigger.on_update_batch = logged
+        apply = wl.write_via(engine.insert_many, engine.delete_many,
+                             inp.data)
+        for op in inp.writes:
+            apply(op)
+        assert engine.trigger is trigger
+        assert (dict(seen), engine.n_repartitions, engine.pool_size) == \
+            ({"none": 349, "candidate": 151}, 6, 1451)
+        assert {o: c.value for o, c in engine._c_checks.items()} == {
+            "none": 3, "rejected": 145, "committed": 6, "forced": 0,
+            "error": 0}
