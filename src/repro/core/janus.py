@@ -211,7 +211,10 @@ class JanusAQP:
         self.pool = SamplePool(
             table, self.config.sample_rate, self.config.min_pool,
             seed=self.config.seed + 1,
-            index_on=(self._pred_idx, self._agg_idx))
+            index_on=(self._pred_idx, self._agg_idx),
+            view_builds={how: self.metrics.counter(
+                "janus_pool_view_total", how=how, **labels)
+                for how in ("patched", "rebuilt")})
         self.reservoir = self.pool.reservoir
 
         self.dpt: Optional[DynamicPartitionTree] = None
@@ -498,7 +501,7 @@ class JanusAQP:
             # its accepted rows there instead of routing them again.
             self._pool_changed(self.pool.insert_many(
                 tids, None if leaf_of is None
-                else self.dpt.leaf_ids_at(leaf_of)))
+                else self.dpt.leaf_ids_at(leaf_of), rows))
             for sketch, vals in self._sketch_columns(rows):
                 sketch.insert_many(vals)
             self.data_epoch += 1

@@ -56,6 +56,19 @@ _LEAF_SIZE = 16
 _DISJOINT, _PARTIAL, _CONTAINED = 0, 1, 2
 
 
+def key_sort(keys: np.ndarray, tids: np.ndarray) -> np.ndarray:
+    """The permutation listing points in ``(key, tid)`` order, NaN keys
+    last.  Distinct keys have one order, which the unstable sort finds
+    several times faster; ties (two NaNs included, and ``-0.0 == 0.0``)
+    need the tid as a second key."""
+    order = keys.argsort()
+    ranked = keys[order]
+    if keys.size > 1 and (ranked[-2] != ranked[-2] or
+                          (ranked[1:] == ranked[:-1]).any()):
+        order = np.lexsort((tids, keys))
+    return order
+
+
 class _KDNode:
     """A k-d tree node: its slots, their count and tight bounding box,
     and its two children once a walk first needs them (``()`` for a
@@ -104,16 +117,22 @@ class RangeIndex:
 
     @classmethod
     def of(cls, coords: np.ndarray, values: np.ndarray, tids: np.ndarray,
-           rank: Optional[np.ndarray] = None) -> "RangeIndex":
+           rank: Optional[np.ndarray] = None,
+           key_order: Optional[Tuple[np.ndarray, ...]] = None
+           ) -> "RangeIndex":
         """The point set of ``(n, dim)`` ``coords`` and their ``values``
         and distinct ``tids``, taken over (not copied) and made
         read-only.  ``report`` and ``all_items`` list the points by
         ascending ``rank`` (default: in the order given); no other
-        query depends on an order, so the pool hands over its blocks'
-        order and their filing stamps and only those two pay a sort."""
+        query depends on an order, so the pool hands over its members
+        in any order with their filing stamps and only those two pay a
+        sort; in 1-D it hands over :meth:`key_order`'s arrays too."""
         index = cls.__new__(cls)
         index.dim = coords.shape[1]
         index._load(coords, values, tids, rank)
+        for arr in key_order or ():
+            arr.flags.writeable = False
+        index._view = key_order
         return index
 
     def _load(self, coords: np.ndarray, values: np.ndarray,
@@ -205,14 +224,7 @@ class RangeIndex:
         order, NaN keys last - one sort, on first use."""
         if self._view is None:
             keys, tids = self._coords[:, 0], self._tids
-            # Distinct keys have one order, which the unstable sort
-            # finds several times faster; ties (two NaNs included) need
-            # the tid as a second key.
-            order = keys.argsort()
-            ranked = keys[order]
-            if keys.size > 1 and (ranked[-2] != ranked[-2] or
-                                  (ranked[1:] == ranked[:-1]).any()):
-                order = np.lexsort((tids, keys))
+            order = key_sort(keys, tids)
             self._view = (keys[order], self._values[order], tids[order])
         return self._view
 

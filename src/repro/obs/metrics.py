@@ -132,6 +132,9 @@ CATALOG = {
                       "stage (m_r / partition / commit_test)."),
     "janus_engine_rebalance_seconds":
         ("histogram", "Cross-shard rebalance duration."),
+    "janus_pool_view_total":
+        ("counter", "Sample-pool range index views built, by how "
+                    "(patched from the last one / rebuilt in full)."),
     # ---- routing (owned by RoutingStats) ----
     "janus_routing_queries_total":
         ("counter", "Queries that went through the shard planner."),

@@ -13,8 +13,8 @@ range tree".  :class:`SamplePool` is that one store.  It owns
   bucket, or a single stratum when nothing routes) - the blocks are what
   the query path reads, so there is no second copy to keep in step;
 * optionally a read-only :class:`~repro.index.range_index.RangeIndex`
-  over the members, built from the blocks when read (:attr:`SamplePool.
-  index`), for the partitioner and the oracle.
+  over the members, built when read (:attr:`SamplePool.index`) - in 1-D
+  patched from the last one - for the partitioner and the oracle.
 
 Nothing subscribes to anything: every mutating call asks the reservoir
 for its net membership change, applies it to rows and strata, and
@@ -31,7 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.table import Table
-from ..index.range_index import RangeIndex
+from ..index.range_index import RangeIndex, key_sort
+from ..obs.metrics import Counter
 from .reservoir import DynamicReservoir, PoolChange
 
 #: Full-schema ``(n, n_schema)`` rows -> their ``(n,)`` integer stratum keys.
@@ -40,6 +41,11 @@ RouteRows = Callable[[np.ndarray], np.ndarray]
 #: What one mutating call did: per change, the stratum key of each member
 #: it removed or added, or ``None`` for a redraw (every member refiled).
 StrataReports = List[Optional[np.ndarray]]
+
+#: A change of fewer rows than this is filed or evicted row by row, a
+#: larger one stratum by stratum; both leave the same blocks (a stratum
+#: that loses ``_FEW`` rows or more is compacted, not swap-deleted).
+_FEW = 8
 
 
 class SamplePool:
@@ -54,10 +60,11 @@ class SamplePool:
 
     def __init__(self, table: Table, sample_rate: float, min_pool: int = 128,
                  seed: int = 0,
-                 index_on: Optional[Tuple[Sequence[int], int]] = None
-                 ) -> None:
+                 index_on: Optional[Tuple[Sequence[int], int]] = None,
+                 view_builds: Optional[Dict[str, Counter]] = None) -> None:
         """``index_on = (predicate columns, value column)``: what
-        :attr:`index` holds (without it the pool holds rows only)."""
+        :attr:`index` holds (without it the pool holds rows only);
+        ``view_builds``: counters of its builds, by how they were made."""
         self.table = table
         self.sample_rate = sample_rate
         self.min_pool = min_pool
@@ -76,6 +83,13 @@ class SamplePool:
         self._n_filed = 0  # guarded-by: _lock
         self._loc_key = np.full(64, -1, dtype=np.int64)  # guarded-by: _lock
         self._loc_row = np.zeros(64, dtype=np.int64)  # guarded-by: _lock
+        # 1-D: the last view's key-ordered arrays (None: build anew) and
+        # those of each batch filed since; see _key_ordered.
+        self._keyed: Optional[Tuple[np.ndarray, ...]] = None  # guarded-by: _lock
+        self._joined: List[Tuple[np.ndarray, ...]] = []  # guarded-by: _lock
+        self._n_joined = 0  # guarded-by: _lock
+        self.view_builds = view_builds or {
+            how: Counter() for how in ("patched", "rebuilt")}
 
     # ------------------------------------------------------------------ #
     # reads
@@ -137,12 +151,59 @@ class SamplePool:
         """The members' ``index_on`` columns as a read-only
         :class:`RangeIndex` listing them in the order they joined, built
         when first read after a change (one per :attr:`version`)."""
-        if self._index_on is not None and self._view[0] != self.version:
+        if self._index_on is None or self._view[0] == self.version:
+            return self._view[1]
+        cols, value = self._index_on
+        self.view_builds["rebuilt" if self._keyed is None else "patched"
+                         ].inc()
+        if len(cols) == 1:
+            keys, values, tids, stamps = self._keyed = self._key_ordered()
+            self._joined, self._n_joined = [], 0
+            view = RangeIndex.of(keys[:, None], values, tids, stamps,
+                                 (keys, values, tids))
+        else:
+            tids, stamps, rows = self._members()
+            view = RangeIndex.of(rows[:, cols], rows[:, value].copy(),
+                                 tids, stamps)
+        self._view = (self.version, view)
+        return view
+
+    def _key_ordered(self) -> Tuple[np.ndarray, ...]:  # requires-lock: _lock
+        """Every member's ``(key, value, tid, stamp)`` in ``(key, tid)``
+        order, NaN keys last, as new arrays: the last view's less the
+        members that left, with those that joined since (each tid once:
+        a redraw drops the carried view) put in by binary search - or
+        all sorted afresh when one is NaN or ties a key (-0.0 == 0.0)."""
+        if self._keyed is None:
             tids, stamps, rows = self._members()
             cols, value = self._index_on
-            self._view = (self.version, RangeIndex.of(
-                rows[:, cols], rows[:, value].copy(), tids, stamps))
-        return self._view[1]
+            every = [rows[:, cols[0]], rows[:, value], tids, stamps]
+        else:
+            old = self._live(self._keyed)
+            if not self._joined:
+                return tuple(old)
+            new = self._live([np.concatenate(c) for c in zip(*self._joined)])
+            order = new[0].argsort()
+            new = [a[order] for a in new]
+            keys = new[0]
+            at = old[0].searchsorted(keys)
+            if not (np.isnan(keys).any() or (keys[1:] == keys[:-1]).any()
+                    or (old[0].searchsorted(keys, "right") != at).any()):
+                at += np.arange(keys.size)      # new row i's final place
+                slot = np.ones(keys.size + old[0].size, dtype=bool)
+                slot[at] = False
+                out = tuple(np.empty(slot.size, a.dtype) for a in old)
+                for o, a, b in zip(out, old, new):
+                    o[slot], o[at] = a, b
+                return out
+            every = [np.concatenate(pair) for pair in zip(old, new)]
+        order = key_sort(every[0], every[2])
+        return tuple(a[order] for a in every)
+
+    def _live(self, cols: Sequence[np.ndarray]) -> List[np.ndarray]:  # requires-lock: _lock
+        """``cols`` (the third: tids) less the rows of non-members."""
+        kept = self._loc_key[cols[2]] >= 0
+        return list(cols) if kept.all() else [a[kept] for a in cols]
 
     def target(self) -> int:
         """The paper's standing pool size ``2m = 2 * rate * |D|``."""
@@ -184,23 +245,27 @@ class SamplePool:
         self._file(tids[order], rows[order])
 
     def insert_many(self, tids: Sequence[int],  # requires-lock: _lock
-                    keys: Optional[np.ndarray] = None) -> StrataReports:
+                    keys: Optional[np.ndarray] = None,
+                    rows: Optional[np.ndarray] = None) -> StrataReports:
         """Account rows just inserted into the table, then let the pool
         track :meth:`target` as the table grows.
 
         ``keys``, when given, are the stratum keys of ``tids``' rows, in
         the same order (``tids`` ascending, as the table assigns them):
         the caller's own descent already found them, so the accepted
-        rows are filed under them instead of routed again.
+        rows are filed under them instead of routed again; likewise
+        ``rows``, the rows themselves, spare the table a gather.
 
         Growth is applied by resampling (a grown target filled only by
         future arrivals would bias the pool), amortized by the 25%
         hysteresis so steady insertion costs O(1) per tuple.
         """
         change = self.reservoir.on_insert_many(tids)
-        if keys is not None and change.added:
-            keys = keys[np.searchsorted(np.asarray(tids), change.added)]
-        reports = self._apply(change, keys)
+        if change.added and (keys is not None or rows is not None):
+            at = np.searchsorted(np.asarray(tids), change.added)
+            keys = None if keys is None else keys[at]
+            rows = None if rows is None else rows[at]
+        reports = self._apply(change, keys, rows)
         want = self.target()
         if want > 1.25 * self.reservoir.target_size:
             reports += self._apply(self.reservoir.set_target(want))
@@ -212,9 +277,10 @@ class SamplePool:
 
     # ------------------------------------------------------------------ #
     def _apply(self, change: PoolChange,  # requires-lock: _lock
-               keys: Optional[np.ndarray] = None) -> StrataReports:
-        """Bring rows and strata in line with the reservoir (``keys``:
-        the added rows' stratum keys, if already known)."""
+               keys: Optional[np.ndarray] = None,
+               rows: Optional[np.ndarray] = None) -> StrataReports:
+        """Bring rows and strata in line with the reservoir (``keys`` /
+        ``rows``: the added rows' stratum keys / rows, if at hand)."""
         if change.reset:
             self._clear()
         touched = []
@@ -224,7 +290,8 @@ class SamplePool:
             self._remove_many(gone)
         if change.added:
             tids = np.asarray(change.added, dtype=np.int64)
-            rows = self.table.rows_for(tids)    # a gather: our own copy
+            if rows is None:
+                rows = self.table.rows_for(tids)  # a gather: our own copy
             touched.append(self._file(tids, rows, keys))
         reports = [None] if change.reset else \
             [np.concatenate(touched)] if touched else []
@@ -234,6 +301,7 @@ class SamplePool:
     def _clear(self) -> None:  # requires-lock: _lock
         """Drop every resident row."""
         self._mat, self._size, self._tid_at = {}, {}, {}
+        self._keyed = None      # the next view is built anew
         # Fresh small location arrays instead of a fill(-1) memset:
         # capacity tracks the highest tid ever pooled, so on a
         # long-running stream the memset would scale with total inserts
@@ -251,45 +319,64 @@ class SamplePool:
             keys = np.zeros(tids.shape[0], dtype=np.int64)
         elif keys is None:
             keys = self._route(rows)
-        stamps = self._n_filed + np.arange(tids.shape[0])
-        self._n_filed += tids.shape[0]
-        for key in np.unique(keys):
-            sel = np.flatnonzero(keys == key)
-            self._add_block(int(key), tids[sel], rows[sel], stamps[sel])
-        return keys
-
-    def _add_block(self, key: int, tids: np.ndarray,  # requires-lock: _lock
-                   rows: np.ndarray, stamps: np.ndarray) -> None:
-        n = tids.shape[0]
-        mat = self._mat.get(key)
-        size = self._size.get(key, 0)
-        need = size + n
-        if mat is None:
-            cap = max(4, 2 * need)
-            mat = self._mat[key] = np.empty((cap, self._n_cols))
-            self._tid_at[key] = np.empty((cap, 2), dtype=np.int64)
-        elif need > mat.shape[0]:
-            cap = max(2 * mat.shape[0], need)
-            grown = np.empty((cap, self._n_cols))
-            grown[:size] = mat[:size]
-            mat = self._mat[key] = grown
-            tids_grown = np.empty((cap, 2), dtype=np.int64)
-            tids_grown[:size] = self._tid_at[key][:size]
-            self._tid_at[key] = tids_grown
-        mat[size:need] = rows
-        self._tid_at[key][size:need, 0] = tids
-        self._tid_at[key][size:need, 1] = stamps
-        cap = self._loc_key.shape[0]
-        top = int(tids.max())
+        first, n = self._n_filed, tids.shape[0]
+        self._n_filed += n
+        stamps = first + np.arange(n)
+        if self._keyed is not None:     # logged for the next view
+            cols, value = self._index_on
+            self._joined.append((rows[:, cols[0]], rows[:, value], tids,
+                                 stamps))
+            self._n_joined += n
+            if self._n_joined > len(self):      # cheaper built anew
+                self._keyed = None
+        cap, top = self._loc_key.shape[0], int(tids.max())
         if top >= cap:
             loc_key = np.full(max(top + 1, 2 * cap), -1, dtype=np.int64)
             loc_key[:cap] = self._loc_key
             loc_row = np.zeros(loc_key.shape[0], dtype=np.int64)
             loc_row[:cap] = self._loc_row
             self._loc_key, self._loc_row = loc_key, loc_row
-        self._loc_key[tids] = key
-        self._loc_row[tids] = np.arange(size, need, dtype=np.int64)
-        self._size[key] = need
+        if n >= _FEW:
+            for k in np.unique(keys):
+                key, sel = int(k), np.flatnonzero(keys == k)
+                size = self._size.get(key, 0)
+                need = size + sel.size
+                self._reserve(key, need)
+                self._mat[key][size:need] = rows[sel]
+                self._tid_at[key][size:need, 0] = tids[sel]
+                self._tid_at[key][size:need, 1] = stamps[sel]
+                self._loc_key[tids[sel]] = key
+                self._loc_row[tids[sel]] = np.arange(size, need)
+                self._size[key] = need
+            return keys
+        # A few rows: one at a time, into blocks reserved as the bulk
+        # path would (new strata created in key order, same capacities).
+        key_list = keys.tolist()
+        for key in sorted(set(key_list)):
+            self._reserve(key, self._size.get(key, 0) + key_list.count(key))
+        for i, (key, tid) in enumerate(zip(key_list, tids.tolist())):
+            row = self._size[key]
+            self._mat[key][row] = rows[i]
+            self._tid_at[key][row] = (tid, first + i)
+            self._loc_key[tid], self._loc_row[tid] = key, row
+            self._size[key] = row + 1
+        return keys
+
+    def _reserve(self, key: int, need: int) -> None:  # requires-lock: _lock
+        """Make stratum ``key``'s block hold ``need`` rows."""
+        mat, size = self._mat.get(key), self._size.setdefault(key, 0)
+        if mat is None:
+            cap = max(4, 2 * need)
+            self._mat[key] = np.empty((cap, self._n_cols))
+            self._tid_at[key] = np.empty((cap, 2), dtype=np.int64)
+        elif need > mat.shape[0]:
+            cap = max(2 * mat.shape[0], need)
+            grown = np.empty((cap, self._n_cols))
+            grown[:size] = mat[:size]
+            self._mat[key] = grown
+            tids_grown = np.empty((cap, 2), dtype=np.int64)
+            tids_grown[:size] = self._tid_at[key][:size]
+            self._tid_at[key] = tids_grown
 
     def _remove(self, tid: int) -> None:  # requires-lock: _lock
         key = int(self._loc_key[tid])
@@ -308,11 +395,15 @@ class SamplePool:
         """One pass per touched stratum: a few removals swap-delete in
         the order given; a sweep (a bulk delete's evictions) compacts
         the block, its row-to-tid map and ``_loc_row`` with masks."""
+        if tids.size < _FEW:
+            for tid in tids.tolist():
+                self._remove(tid)
+            return
         keys = self._loc_key[tids]
         for k in np.unique(keys):
             key = int(k)
             gone = tids[keys == k]
-            if gone.size < 8:
+            if gone.size < _FEW:
                 for tid in gone.tolist():
                     self._remove(tid)
                 continue

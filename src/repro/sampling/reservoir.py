@@ -113,32 +113,29 @@ class DynamicReservoir:
         takes one vectorized acceptance draw and returns one net
         membership change.
         """
-        tids = [int(t) for t in tids]
         added: List[int] = []
         removed: List[int] = []
         # Phase 1: fill to the target deterministically.
         n_fill = min(max(self.target_size - len(self._members), 0),
                      len(tids))
         for tid in tids[:n_fill]:
-            self._add(tid)
-            added.append(tid)
-        rest = tids[n_fill:]
-        if rest:
+            self._add(int(tid))
+            added.append(int(tid))
+        n_rest = len(tids) - n_fill
+        if n_rest:
             size = len(self._members)
             if size > 0 and len(self.table) > 0:
                 # Live count as of each remaining tid's insertion.
-                base = len(self.table) - len(rest)
-                n_live = base + 1 + np.arange(len(rest))
-                accept = self._rng.random(len(rest)) < (size / n_live)
-                n_accepted = int(accept.sum())
-                if n_accepted:
-                    victims = self._rng.integers(size, size=n_accepted)
-                    for tid, v_idx in zip(
-                            (t for t, a in zip(rest, accept) if a),
-                            victims):
-                        victim = self._members[int(v_idx)]
-                        self._remove_at(int(v_idx))
-                        removed.append(victim)
+                base = len(self.table) - n_rest
+                n_live = base + 1 + np.arange(n_rest)
+                accept = np.flatnonzero(
+                    self._rng.random(n_rest) < (size / n_live))
+                if accept.size:
+                    victims = self._rng.integers(size, size=accept.size)
+                    for at, v_idx in zip(accept.tolist(), victims.tolist()):
+                        tid = int(tids[n_fill + at])
+                        removed.append(self._members[v_idx])
+                        self._remove_at(v_idx)
                         self._add(tid)
                         added.append(tid)
         # Net of the batch: a tid added and then evicted inside it

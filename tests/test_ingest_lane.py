@@ -23,6 +23,7 @@ from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.table import Table
 from repro.datasets.synthetic import nyc_taxi
 from repro.index.range_index import RangeIndex
+from repro.sampling.pool import SamplePool
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +133,20 @@ def test_a_write_that_does_not_commit_rereads_nothing(monkeypatch, taxi):
             calls[_name] += 1
             return _orig(self, *args)
         monkeypatch.setattr(cls, name, counted)
-    builds, key_order = [], RangeIndex.key_order
+    # The pool orders its members by key (patched or sorted) once per
+    # view it builds; the index it hands them to never sorts again.
+    builds, sorts, key_ordered = [], [], SamplePool._key_ordered
+    key_order = RangeIndex.key_order
+
+    def counted_key_ordered(self):
+        builds.append(engine.pool.version)
+        return key_ordered(self)
 
     def counted_key_order(self):
         if self._view is None:
-            builds.append(engine.pool.version)
+            sorts.append(engine.pool.version)
         return key_order(self)
+    monkeypatch.setattr(SamplePool, "_key_ordered", counted_key_ordered)
     monkeypatch.setattr(RangeIndex, "key_order", counted_key_order)
     rejected = engine._c_checks["rejected"].value
     rng = np.random.default_rng(3)
@@ -157,4 +166,5 @@ def test_a_write_that_does_not_commit_rereads_nothing(monkeypatch, taxi):
     # pool version
     assert len(builds) >= 10
     assert len(set(builds)) == len(builds)
+    assert sorts == []
     assert engine.table.domain("pickup_time") == (lo, hi)

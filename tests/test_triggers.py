@@ -325,9 +325,14 @@ class TestDecisionGate:
     """The ``engine_stream`` seed-7 trace, 5 s (the end-to-end
     benchmark's inputs): what the trigger decided, batch by batch, is
     pinned - a change that means to be decision-identical (a faster
-    evaluation, say) must leave this split exactly as it is."""
+    evaluation, say) must leave this split exactly as it is.  The same
+    protocol over the write trace drawn at table seed 1013, which no
+    change was tuned on, is pinned beside it."""
 
-    def test_seed7_stream_decisions(self):
+    @staticmethod
+    def _replay(monkeypatch, table_seed):
+        """Play the 5 s trace at ``table_seed``; the trigger's split, the
+        commits, the final pool size and the checks' outcomes."""
         sys.path.insert(0, os.path.join(os.path.dirname(__file__),
                                         os.pardir, "benchmarks", "e2e"))
         try:
@@ -335,6 +340,7 @@ class TestDecisionGate:
             import workloads as wl
         finally:
             sys.path.pop(0)
+        monkeypatch.setattr(gen, "TABLE_SEED", table_seed)
         inp = gen.generate("engine_stream", 7, 5.0)
         engine = wl.build_solo(inp, wl.seed_rows(inp))
         trigger, seen = engine.trigger, collections.Counter()
@@ -350,8 +356,17 @@ class TestDecisionGate:
         for op in inp.writes:
             apply(op)
         assert engine.trigger is trigger
-        assert (dict(seen), engine.n_repartitions, engine.pool_size) == \
-            ({"none": 349, "candidate": 151}, 6, 1451)
-        assert {o: c.value for o, c in engine._c_checks.items()} == {
-            "none": 3, "rejected": 145, "committed": 6, "forced": 0,
-            "error": 0}
+        return (dict(seen), engine.n_repartitions, engine.pool_size,
+                {o: c.value for o, c in engine._c_checks.items()})
+
+    def test_seed7_stream_decisions(self, monkeypatch):
+        assert self._replay(monkeypatch, 0) == (
+            {"none": 349, "candidate": 151}, 6, 1451,
+            {"none": 3, "rejected": 145, "committed": 6, "forced": 0,
+             "error": 0})
+
+    def test_held_out_write_trace_decisions(self, monkeypatch):
+        assert self._replay(monkeypatch, 1013) == (
+            {"none": 345, "candidate": 155}, 6, 1240,
+            {"none": 0, "rejected": 149, "committed": 6, "forced": 0,
+             "error": 0})
