@@ -2,11 +2,11 @@
 
 The ISSUE 9 acceptance benchmark for the sketch-backed aggregates
 (``PERCENTILE`` / ``COUNT(DISTINCT)`` / ``TOPK``, :mod:`repro.sketch`).
-One seeded workload - a continuous column for the quantile/distinct
-sketches and a zipf-skewed discrete column for heavy hitters - is
-streamed (insert + a delete wave, so delete-exactness is on the hook)
-into a single engine and into 2- and 4-shard fleets, and every answer
-is scored against the exact ground truth of the surviving rows.
+One seeded workload - a continuous column ``v`` (every value
+distinct) and a zipf-skewed discrete column ``w`` - is streamed
+(insert + a delete wave, so delete-exactness is on the hook) into a
+single engine and into 2- and 4-shard engines, and every answer is
+scored against the exact ground truth of the surviving rows.
 
 Gates (asserted in **both** full and smoke modes - accuracy is
 wall-clock independent, unlike the throughput benches):
@@ -14,12 +14,14 @@ wall-clock independent, unlike the throughput benches):
 * **PERCENTILE** - observed rank error at every probed fraction is
   within the sketch's own DKW bound ``rank_eps(delta)``; the bound
   itself must be non-vacuous (< 0.1).
-* **COUNT(DISTINCT)** - relative error within ``rel_error_bound(3.0)``
-  = ``3 * 1.04 / sqrt(2^HLL_BITS)`` (~6.9% at 11 bits).
-* **TOPK** - ``exact`` on the capped-zipf column (its support fits
-  ``TOPK_CAPACITY``) and the item list equals the true top-k.
+* **COUNT(DISTINCT)** - ``exact``, and equal to
+  ``np.unique(live).size`` on the high-cardinality column ``v``.
+* **TOPK** - ``exact`` on both columns, the mass equals the true top-k
+  mass and the item list equals the true top-k (count desc, then
+  value asc) - on ``w``'s 30 values and on ``v``, where every value
+  has count 1, alike.
 * **Identity** - every sharded answer (estimate, exactness and the
-  canonical blob) is bit-identical to the single engine's: sketch
+  sketch state) is bit-identical to the single engine's: sketch
   merging introduces no error whatsoever, at any shard count.
 
 Emits ``BENCH_sketch_accuracy.json``.  Set ``JANUS_BENCH_SMOKE=1``
@@ -38,7 +40,7 @@ from repro.core.janus import JanusAQP, JanusConfig
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
-from repro.sketch import SKETCH_KEY, sketch_from_bytes
+from repro.sketch import SKETCH_KEY
 
 SMOKE = os.environ.get("JANUS_BENCH_SMOKE", "") not in ("", "0")
 
@@ -47,10 +49,10 @@ N_SEED = N_TOTAL // 2
 SHARD_COUNTS = (2, 4)
 FRACTIONS = (0.05, 0.25, 0.5, 0.75, 0.95)
 TOP_K = 10
-ZIPF_SUPPORT = 30            # < TOPK_CAPACITY: TOPK must stay exact
+ZIPF_SUPPORT = 30            # w's support: heavy hitters with ties
 DKW_DELTA = 0.01             # quantile bound confidence 1 - delta
-HLL_Z = 3.0                  # distinct bound at 3 standard errors
 MAX_RANK_EPS = 0.10          # the DKW bound must be non-vacuous
+TOPK_ATTRS = ("w", "v")      # a 30-value and an all-distinct support
 
 SCHEMA = ("x", "v", "w")     # predicate key, continuous, zipf-skewed
 UNBOUNDED = Rectangle((-math.inf,), (math.inf,))
@@ -76,8 +78,8 @@ def sketch_queries():
     queries = [Query(AggFunc.PERCENTILE, "v", ("x",), UNBOUNDED, p)
                for p in FRACTIONS]
     queries.append(Query(AggFunc.COUNT_DISTINCT, "v", ("x",), UNBOUNDED))
-    queries.append(Query(AggFunc.TOPK, "w", ("x",), UNBOUNDED,
-                         float(TOP_K)))
+    queries += [Query(AggFunc.TOPK, attr, ("x",), UNBOUNDED, float(TOP_K))
+                for attr in TOPK_ATTRS]
     return queries
 
 
@@ -104,8 +106,7 @@ def score(results, live) -> dict:
     percentiles = []
     for i, p in enumerate(FRACTIONS):
         result = results[i]
-        sketch = sketch_from_bytes(result.details[SKETCH_KEY])
-        bound = sketch.rank_eps(DKW_DELTA)
+        bound = result.details[SKETCH_KEY].rank_eps(DKW_DELTA)
         observed_rank = np.searchsorted(ordered_v, result.estimate,
                                         side="right") / n_live
         percentiles.append({
@@ -121,31 +122,28 @@ def score(results, live) -> dict:
 
     distinct_result = results[len(FRACTIONS)]
     true_distinct = int(np.unique(live[:, 1]).size)
-    hll = sketch_from_bytes(distinct_result.details[SKETCH_KEY])
-    hll_bound = hll.rel_error_bound(HLL_Z)
-    rel_error = abs(distinct_result.estimate - true_distinct) \
-        / max(true_distinct, 1)
     distinct = {
         "estimate": distinct_result.estimate,
         "true_distinct": true_distinct,
-        "rel_error": rel_error,
-        "rel_error_bound": hll_bound,
-        "within_bound": bool(rel_error <= hll_bound),
+        "exact": distinct_result.exact,
+        "matches": distinct_result.estimate == true_distinct,
     }
 
-    topk_result = results[len(FRACTIONS) + 1]
-    uniques, counts = np.unique(live[:, 2], return_counts=True)
-    order = np.lexsort((uniques, -counts))
-    true_items = [[float(uniques[i]), int(counts[i])]
-                  for i in order[:TOP_K]]
-    hh = sketch_from_bytes(topk_result.details[SKETCH_KEY])
-    topk = {
-        "estimate_mass": topk_result.estimate,
-        "true_mass": float(counts[order[:TOP_K]].sum()),
-        "exact": topk_result.exact,
-        "items_match": [list(item) for item in hh.top(TOP_K)]
-            == true_items,
-    }
+    topk = {}
+    for attr, result in zip(TOPK_ATTRS, results[len(FRACTIONS) + 1:]):
+        uniques, counts = np.unique(live[:, SCHEMA.index(attr)],
+                                    return_counts=True)
+        order = np.lexsort((uniques, -counts))[:TOP_K]
+        true_items = [[float(uniques[i]), int(counts[i])] for i in order]
+        topk[attr] = {
+            "distinct": int(uniques.size),
+            "estimate_mass": result.estimate,
+            "true_mass": float(counts[order].sum()),
+            "exact": result.exact,
+            "items_match": [list(item) for item in
+                            result.details[SKETCH_KEY].top(TOP_K)]
+                == true_items,
+        }
     return {"percentile": percentiles, "count_distinct": distinct,
             "topk": topk}
 
@@ -184,7 +182,6 @@ def run_sketch_accuracy():
         "fractions": list(FRACTIONS),
         "top_k": TOP_K,
         "dkw_delta": DKW_DELTA,
-        "hll_z": HLL_Z,
         "series": series,
         "all_identical_to_single": all_identical,
     }
@@ -210,16 +207,17 @@ def format_table(r) -> str:
             f"{same:>10}")
         d = row["count_distinct"]
         lines.append(
-            f"{row['shards']:>7}{'DISTINCT rel':>18}"
-            f"{d['rel_error']:>11.4f}{d['rel_error_bound']:>11.4f}"
-            f"{'y' if d['within_bound'] else 'N':>5}{same:>10}")
-        t = row["topk"]
-        lines.append(
-            f"{row['shards']:>7}{'TOPK':>18}"
-            f"{abs(t['estimate_mass'] - t['true_mass']):>11.1f}"
+            f"{row['shards']:>7}{'DISTINCT(v)':>18}"
+            f"{abs(d['estimate'] - d['true_distinct']):>11.1f}"
             f"{'exact':>11}"
-            f"{'y' if t['exact'] and t['items_match'] else 'N':>5}"
-            f"{same:>10}")
+            f"{'y' if d['exact'] and d['matches'] else 'N':>5}{same:>10}")
+        for attr, t in row["topk"].items():
+            lines.append(
+                f"{row['shards']:>7}{f'TOPK({attr})':>18}"
+                f"{abs(t['estimate_mass'] - t['true_mass']):>11.1f}"
+                f"{'exact':>11}"
+                f"{'y' if t['exact'] and t['items_match'] else 'N':>5}"
+                f"{same:>10}")
     lines.append(
         f"all sharded answers identical to single engine: "
         f"{r['all_identical_to_single']}")
@@ -238,6 +236,11 @@ def test_sketch_accuracy(benchmark):
         for entry in row["percentile"]:
             assert entry["within_bound"], (row["shards"], entry)
             assert entry["rank_eps_bound"] <= MAX_RANK_EPS, entry
-        assert row["count_distinct"]["within_bound"], row["shards"]
-        assert row["topk"]["exact"], row["shards"]
-        assert row["topk"]["items_match"], row["shards"]
+        distinct = row["count_distinct"]
+        assert distinct["exact"] and distinct["matches"], \
+            (row["shards"], distinct)
+        for attr, topk in row["topk"].items():
+            assert topk["exact"], (row["shards"], attr)
+            assert topk["estimate_mass"] == topk["true_mass"], \
+                (row["shards"], attr, topk)
+            assert topk["items_match"], (row["shards"], attr)

@@ -34,8 +34,9 @@ Frame layout (little-endian)::
 ``meta`` is an opcode-specific small integer (column count for
 INSERT, the queries' dimensionality for QUERY, result count for a
 QUERY reply, flag bits elsewhere).  A QUERY reply's body is
-:func:`encode_answers`'s: the result block, then the answers' sketch
-blobs - the one place that knows where those blobs ride.
+:func:`encode_answers`'s: the result block, then the answers' sketches
+as canonical blobs - the one place where a sketch becomes bytes and
+back.
 ``trace_id`` is 0 for untraced traffic; on a traced *request* it
 carries the request's trace id and ``span`` the coordinator-side
 parent span id, so the worker can parent its own spans under the
@@ -62,7 +63,7 @@ from typing import (Callable, Dict, Iterable, List, Sequence, Set,
 import numpy as np
 
 from ..core.queries import Query, QueryResult, WireField, WireSchema
-from ..sketch.registry import SKETCH_KEY
+from ..sketch.registry import SKETCH_KEY, sketch_from_bytes
 
 __all__ = [
     "HEADER", "MAX_PAYLOAD", "OP_DELETE", "OP_ERR", "OP_INSERT",
@@ -393,22 +394,23 @@ _BLOB_HEADER = struct.Struct("<II")
 def encode_answers(results: Sequence[QueryResult]) -> List[object]:
     """An OP_QUERY reply body: the :data:`RESULT_DTYPE` block, then a
     sidecar of ``index:u32 | blob_len:u32 | blob`` for every answer
-    carrying a canonical sketch blob (``details["sketch"]``, variable
-    length, so not a block column).  ``index`` is the answer's
-    position in the block."""
+    carrying a sketch (``details["sketch"]``), the blob its canonical
+    bytes (variable length, so not a block column).  ``index`` is the
+    answer's position in the block."""
     sidecar = []
     for i, result in enumerate(results):
-        blob = result.details.get(SKETCH_KEY)
-        if blob is not None:
+        sketch = result.details.get(SKETCH_KEY)
+        if sketch is not None:
+            blob = sketch.to_bytes()
             sidecar += (_BLOB_HEADER.pack(i, len(blob)), blob)
     return [encode_result_block(results), b"".join(sidecar)]
 
 
 def decode_answers(payload, n: int) -> List[QueryResult]:
     """:func:`encode_answers` of ``n`` answers back into answer objects,
-    each sketch blob byte-identical to the one the worker's engine put
-    in ``details["sketch"]``.  A sidecar cut short or indexing past the
-    block is a ``ValueError``."""
+    each blob decoded into a sketch equal to the one the worker's
+    engine put in ``details["sketch"]``.  A sidecar cut short or
+    indexing past the block is a ``ValueError``."""
     fixed_end = n * RESULT_DTYPE.itemsize
     results = decode_result_block(payload[:fixed_end])
     sidecar = bytes(payload[fixed_end:])
@@ -425,6 +427,6 @@ def decode_answers(payload, n: int) -> List[QueryResult]:
                 f"sketch sidecar frame indexes result {index} of a "
                 f"{len(results)}-result block")
         results[index].details[SKETCH_KEY] = \
-            sidecar[offset:offset + blob_len]
+            sketch_from_bytes(sidecar[offset:offset + blob_len])
         offset += blob_len
     return results

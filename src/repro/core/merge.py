@@ -25,9 +25,9 @@ add, which gives closed-form combination rules per aggregate:
   ``E[a^2] - E[a]^2`` (:func:`merge_moments`), again identical in form
   to the single-tree composition of Section 6.6.
 * **PERCENTILE / COUNT_DISTINCT / TOPK** - each shard's answer carries
-  its canonical sketch blob; the coordinator folds the blobs (state is
-  canonical in the union multiset, so any merge order gives identical
-  bytes) and re-renders the answer from the merged sketch
+  a snapshot of its sketch; the coordinator folds the snapshots (state
+  is canonical in the union multiset, so any merge order gives the
+  same state) and re-renders the answer from the merged sketch
   (:func:`merge_sketch`).
 * **MIN / MAX** - the extremal per-shard estimate wins
   (:func:`merge_minmax`).  Exactness propagates only when every shard
@@ -182,29 +182,31 @@ def merge_minmax(agg: AggFunc, results: Sequence[QueryResult],
 
 def merge_sketch(query: Query,
                  results: Sequence[QueryResult]) -> QueryResult:
-    """PERCENTILE/COUNT_DISTINCT/TOPK combination: fold the blobs.
+    """PERCENTILE/COUNT_DISTINCT/TOPK combination: fold the snapshots.
 
-    Each contributing shard's answer carries its canonical sketch blob
-    (``details["sketch"]``); blobs are deserialized, folded in any
-    order (the state is canonical in the union multiset, so the order
-    cannot matter) and re-rendered through the same
+    Each contributing shard's answer carries a snapshot of its sketch
+    (``details["sketch"]``); the snapshots are folded, in any order
+    (the state is canonical in the union multiset, so the order cannot
+    matter), into a fresh sketch - no input is changed - and
+    re-rendered through the same
     :func:`~repro.sketch.registry.sketch_answer` the shards themselves
-    used - which is what makes a merged answer byte-identical to the
-    single engine's answer over the union of the rows.  With no
-    contributors that answer is the one an engine renders from its own
-    empty sketch.
+    used, which is what makes a merged answer identical to the single
+    engine's answer over the union of the rows.  With no contributors
+    that answer is the one an engine renders from its own empty
+    sketch.
     """
-    from ..sketch.registry import (SKETCH_KEY, SKETCH_KIND,
-                                   merge_sketch_blobs, new_sketch,
+    from ..sketch.registry import (SKETCH_KEY, SKETCH_KIND, new_sketch,
                                    sketch_answer)
-    blobs = [r.details[SKETCH_KEY] for r in results
-             if SKETCH_KEY in r.details]
-    if len(blobs) != len(results):
+    snapshots = [r.details[SKETCH_KEY] for r in results
+                 if SKETCH_KEY in r.details]
+    if len(snapshots) != len(results):
         raise ValueError(
-            f"{query.agg.value} merge needs a sketch blob from every "
-            f"contributing shard ({len(blobs)} of {len(results)})")
-    return sketch_answer(query, merge_sketch_blobs(blobs) if blobs
-                         else new_sketch(SKETCH_KIND[query.agg]))
+            f"{query.agg.value} merge needs a sketch from every "
+            f"contributing shard ({len(snapshots)} of {len(results)})")
+    merged = new_sketch(SKETCH_KIND[query.agg])
+    for snapshot in snapshots:
+        merged.merge_in(snapshot)
+    return sketch_answer(query, merged)
 
 
 #: Each family's combination rule, as ``(query, results, empty_ok)``.

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..sketch.registry import HLL_BITS, SKETCH_HEIGHT, TOPK_CAPACITY
+from ..sketch.registry import SKETCH_HEIGHT
 from .dpt import DynamicPartitionTree
 from .janus import JanusAQP, JanusConfig
 from .node import NodeTable
@@ -102,14 +102,16 @@ def _config_dict(config: JanusConfig) -> dict:
 
 def _config_from(config: dict) -> JanusConfig:
     config = dict(config, focus_agg=AggFunc(config["focus_agg"]))
-    # Earlier builds stored the sketch parameters, now constants.
-    for key, value in (("sketch_height", SKETCH_HEIGHT),
-                       ("hll_bits", HLL_BITS),
-                       ("topk_capacity", TOPK_CAPACITY)):
-        saved = config.pop(key, value)
-        if saved != value:
-            raise ValueError(f"snapshot config has {key}={saved!r}; this "
-                             f"build's sketches use {key}={value}")
+    # Earlier builds stored the sketch parameters.  The quantile
+    # sample's height still shapes PERCENTILE answers; the HyperLogLog
+    # bits and TOPK capacity no longer change any answer.
+    config.pop("hll_bits", None)
+    config.pop("topk_capacity", None)
+    saved = config.pop("sketch_height", SKETCH_HEIGHT)
+    if saved != SKETCH_HEIGHT:
+        raise ValueError(f"snapshot config has sketch_height={saved!r}; "
+                         f"this build's sketches use "
+                         f"sketch_height={SKETCH_HEIGHT}")
     return JanusConfig(**config)
 
 

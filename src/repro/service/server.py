@@ -72,7 +72,7 @@ from ..core.queries import AggFamily, AggFunc, Query, QueryResult
 from ..obs.logs import log_event
 from ..obs.metrics import MetricsRegistry, render_exposition
 from ..obs.trace import TRACE_CAPACITY, TraceContext, Tracer
-from ..sketch.registry import SKETCH_KEY, sketch_from_bytes
+from ..sketch.registry import SKETCH_KEY
 from .batcher import MicroBatcher
 from .cache import ResultCache
 from .fleet import FleetUnavailableError
@@ -341,18 +341,17 @@ class AQPServer:
                 results[i] = result
         for query, result in zip(queries, results):
             # TOPK clients want the members, not just the covered mass;
-            # the item list rides in the envelope (decoded from the
-            # answer's own sketch blob, so it is exactly the state the
-            # estimate came from).  Decoded once per answer: the list
+            # the item list rides in the envelope (read from the
+            # answer's own sketch snapshot, so it is exactly the state
+            # the estimate came from).  Read once per answer: the list
             # stays with the (cacheable) result, so a cache hit does no
             # sketch work.
             if query.agg is AggFunc.TOPK and \
                     TOPK_KEY not in result.details and \
                     SKETCH_KEY in result.details:
-                sketch = sketch_from_bytes(result.details[SKETCH_KEY])
                 result.details[TOPK_KEY] = [
-                    [float(value), int(count)] for value, count
-                    in sketch.top(int(query.param))]
+                    [value, count] for value, count in
+                    result.details[SKETCH_KEY].top(int(query.param))]
         payloads = [result_to_dict(r) for r in results]
         return payloads, cached
 

@@ -21,27 +21,25 @@ Two sketches share one counted-value core (:mod:`.counted`):
   ``height`` trailing zero bits, giving an expected ``2**-height``
   sample of the distinct values at weight ``2**height``.
 * :class:`~repro.sketch.counted.ExactCountSketch` - every live value
-  with its exact count.  COUNT DISTINCT reads it as a refcounted
-  HyperLogLog (exact multiplicities make it deletable; the estimate is
-  the classic bias-corrected register harmonic mean), TOPK as exact
-  top-k counts, exact while at most ``TOPK_CAPACITY`` distinct values
-  are live.
+  with its exact count.  COUNT DISTINCT is its length and TOPK its
+  top-k counts, both exact.
 
-:mod:`.registry` maps aggregates to sketch kinds, serializes canonical
-blobs and renders :class:`~repro.core.queries.QueryResult` answers that
-are shared verbatim by the single engine, the sharded merge and the
-fleet wire.
+:mod:`.registry` maps aggregates to sketch kinds and renders
+:class:`~repro.core.queries.QueryResult` answers that are shared
+verbatim by the single engine, the sharded merge and the fleet wire.
+An answer carries a read-only snapshot of the sketch it was read from;
+only the fleet wire turns one into canonical bytes and back.
 """
 
 from .counted import CountedSketch, ExactCountSketch, QuantileSketch
 from .hashing import hash_float, sample_level, splitmix64
 from .registry import (KIND_COUNTS, KIND_QUANTILE, SKETCH_KEY,
-                       SKETCH_KIND, merge_sketch_blobs, new_sketch,
-                       sketch_answer, sketch_from_bytes)
+                       SKETCH_KIND, new_sketch, sketch_answer,
+                       sketch_from_bytes)
 
 __all__ = [
     "CountedSketch", "ExactCountSketch", "QuantileSketch", "KIND_COUNTS",
     "KIND_QUANTILE", "SKETCH_KEY", "SKETCH_KIND", "hash_float",
-    "merge_sketch_blobs", "new_sketch", "sample_level", "sketch_answer",
+    "new_sketch", "sample_level", "sketch_answer",
     "sketch_from_bytes", "splitmix64",
 ]

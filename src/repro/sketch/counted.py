@@ -10,27 +10,30 @@ how an estimate is rendered, and the accuracy contract:
   subsample of the distinct values, each standing for ``2**height`` of
   them.  ``height=0`` degenerates to exact quantiles.
 * :class:`ExactCountSketch` retains every value with its exact
-  multiplicity.  COUNT DISTINCT reads it through the classic
-  HyperLogLog register harmonic mean (exact multiplicities are what
-  make the HLL deletable), so accuracy scales as ``1.04/sqrt(m)`` with
-  ``m = 2**bits`` registers - the bound the accuracy benchmark pins.
-  TOPK reads the same multiset's top-k counts
-  (:meth:`ExactCountSketch.top`).
+  multiplicity, so it answers COUNT DISTINCT (``len``) and TOPK
+  (:meth:`ExactCountSketch.top` / :meth:`~ExactCountSketch.top_mass`)
+  exactly.
 
-Serialization (:meth:`CountedSketch.to_bytes`) is canonical: entries
-are emitted in ascending value order, so two sketches over the same
-multiset serialize to identical bytes no matter how they were built.
+Values are canonical on the way in: every NaN is one key and ``-0.0``
+is ``0.0``, so the state is a function of the live multiset as
+``np.unique`` sees it.  Serialization (:meth:`CountedSketch.to_bytes`)
+is canonical too: entries are emitted in ascending value order, so two
+sketches over the same multiset serialize to identical bytes no matter
+how they were built.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import math
 import struct
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .hashing import hash_float, sample_level
+from .hashing import sample_level
 
 __all__ = ["CountedSketch", "ExactCountSketch", "QuantileSketch"]
 
@@ -41,6 +44,22 @@ _BLOB_VERSION = 1
 #: The one key every NaN is counted under (as ``np.unique`` counts
 #: them): a NaN under its own float object is a key no delete finds.
 _NAN = math.nan
+
+
+def _canonical(values: Sequence[float]) -> List[float]:
+    """``values`` as Python floats, ``-0.0`` folded onto ``0.0``: adding
+    ``0.0`` maps ``-0.0`` to ``0.0`` and leaves every other value (NaN
+    included) as it is, so equal values share one key whichever zero
+    arrived first."""
+    return (np.asarray(values, dtype=np.float64) + 0.0).tolist()
+
+
+def _rank(item: Tuple[float, int]) -> tuple:
+    """TOPK order: count desc, then value asc, NaN last (a bare
+    ``(-count, value)`` compares NaN "equal" to every value, which
+    leaves ties in insertion order)."""
+    value, count = item
+    return (-count, value != value, value)
 
 
 class CountedSketch:
@@ -59,32 +78,47 @@ class CountedSketch:
         self.counts: Dict[float, int] = {}
         self.n_total = 0
 
+    @classmethod
+    def _read_only(cls, param: int, n_total: int,
+                   counts: Dict[float, int]) -> "CountedSketch":
+        """A sketch over ``counts`` that no insert, delete or merge
+        into it can change."""
+        sketch = cls.__new__(cls)
+        sketch.param, sketch.n_total = param, n_total
+        sketch.counts = MappingProxyType(counts)  # type: ignore
+        return sketch
+
+    def snapshot(self) -> "CountedSketch":
+        """A read-only copy of this state.  An answer carries one: the
+        live sketch keeps changing and the result cache keeps answers,
+        and no merge or consumer can change what an answer holds."""
+        return self._read_only(self.param, self.n_total, dict(self.counts))
+
     # -------------------------------------------------------------- #
     # multiset maintenance
     # -------------------------------------------------------------- #
     def _keeps(self, value: float) -> bool:
         return True
 
-    def insert_many(self, values: Iterable[float]) -> None:
+    def insert_many(self, values: Sequence[float]) -> None:
+        values = _canonical(values)
         counts = self.counts
-        for raw in values:
-            value = float(raw)
+        for value in values:
             if value != value:
                 value = _NAN
-            self.n_total += 1
             if self._keeps(value):
                 counts[value] = counts.get(value, 0) + 1
+        self.n_total += len(values)
 
-    def delete_many(self, values: Iterable[float]) -> None:
+    def delete_many(self, values: Sequence[float]) -> None:
+        values = _canonical(values)
+        if len(values) > self.n_total:
+            raise ValueError("sketch delete underflow: more rows "
+                             "deleted than inserted")
         counts = self.counts
-        for raw in values:
-            value = float(raw)
+        for value in values:
             if value != value:
                 value = _NAN
-            self.n_total -= 1
-            if self.n_total < 0:
-                raise ValueError("sketch delete underflow: more rows "
-                                 "deleted than inserted")
             if self._keeps(value):
                 left = counts.get(value, 0) - 1
                 if left < 0:
@@ -94,15 +128,16 @@ class CountedSketch:
                     counts[value] = left
                 else:
                     del counts[value]
+        self.n_total -= len(values)
 
     def merge_in(self, other: "CountedSketch") -> "CountedSketch":
-        """Fold another sketch of the same kind/parameter into this one."""
+        """Fold another sketch of the same kind/parameter into this one
+        (``other`` is only read)."""
         if type(other) is not type(self) or other.param != self.param:
             raise ValueError(
                 f"cannot merge {type(other).__name__}(param="
                 f"{getattr(other, 'param', '?')}) into "
                 f"{type(self).__name__}(param={self.param})")
-        self.n_total += other.n_total
         counts = self.counts
         for value, count in other.counts.items():
             combined = counts.get(value, 0) + count
@@ -110,6 +145,7 @@ class CountedSketch:
                 counts[value] = combined
             else:
                 del counts[value]
+        self.n_total += other.n_total
         return self
 
     # -------------------------------------------------------------- #
@@ -129,6 +165,7 @@ class CountedSketch:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CountedSketch":
+        """The read-only sketch a :meth:`to_bytes` blob records."""
         kind, version, param, n_total, n_entries = \
             _BLOB_HEADER.unpack_from(blob)
         if kind != cls.KIND:
@@ -136,16 +173,15 @@ class CountedSketch:
                              f"{cls.__name__} (kind {cls.KIND})")
         if version != _BLOB_VERSION:
             raise ValueError(f"unsupported sketch blob version {version}")
-        sketch = cls(param)
         offset = _BLOB_HEADER.size
         values = np.frombuffer(blob, dtype="<f8", count=n_entries,
                                offset=offset)
         counts = np.frombuffer(blob, dtype="<i8", count=n_entries,
                                offset=offset + 8 * n_entries)
-        sketch.counts = {_NAN if v != v else float(v): int(c)
-                         for v, c in zip(values, counts)}
-        sketch.n_total = int(n_total)
-        return sketch
+        return cls._read_only(
+            int(param), int(n_total),
+            {_NAN if v != v else v: c
+             for v, c in zip(values.tolist(), counts.tolist())})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountedSketch):
@@ -156,6 +192,12 @@ class CountedSketch:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    def __repr__(self) -> str:
+        # The canonical bytes' digest, so an answer's repr pins its state.
+        blob = hashlib.sha256(self.to_bytes()).hexdigest()[:16]
+        return (f"{type(self).__name__}(param={self.param}, n_total="
+                f"{self.n_total}, entries={len(self)}, blob={blob})")
 
 
 class QuantileSketch(CountedSketch):
@@ -223,70 +265,24 @@ class QuantileSketch(CountedSketch):
 
 
 class ExactCountSketch(CountedSketch):
-    """Every live value with its exact count: a refcounted HyperLogLog
-    for COUNT DISTINCT and the exact top-k counts for TOPK.
-
-    ``param`` is the HLL register-index bit width ``b`` (``m = 2**b``
-    registers).  Exact multiplicities make deletion an exact decrement;
-    the registers are re-derived from the live distinct values at
-    estimate time, so the estimate after any insert/delete/merge
-    history equals the estimate over the surviving multiset.
-    """
+    """Every live value with its exact count: COUNT DISTINCT is
+    ``len(sketch)`` and TOPK reads :meth:`top` / :meth:`top_mass`, both
+    exact.  It takes no parameter; its blob header's slot reads 0."""
 
     KIND = 2
 
-    @property
-    def n_registers(self) -> int:
-        return 1 << self.param
-
-    def _alpha(self) -> float:
-        m = self.n_registers
-        if m <= 16:
-            return 0.673
-        if m <= 32:
-            return 0.697
-        if m <= 64:
-            return 0.709
-        return 0.7213 / (1.0 + 1.079 / m)
-
-    def _registers(self) -> np.ndarray:
-        b = self.param
-        width = 64 - b
-        registers = np.zeros(self.n_registers, dtype=np.int64)
-        for value in self.counts:
-            h = hash_float(value)
-            j = h >> width
-            rest = h & ((1 << width) - 1)
-            rho = width - rest.bit_length() + 1
-            if rho > registers[j]:
-                registers[j] = rho
-        return registers
-
-    def estimate(self) -> float:
-        """Bias-corrected harmonic-mean estimate with linear counting."""
-        if not self.counts:
-            return 0.0
-        m = self.n_registers
-        registers = self._registers()
-        raw = self._alpha() * m * m / float(
-            np.sum(np.power(2.0, -registers.astype(np.float64))))
-        zeros = int(np.count_nonzero(registers == 0))
-        if raw <= 2.5 * m and zeros:
-            return m * math.log(m / zeros)
-        return raw
-
-    def rel_error_bound(self, z: float = 2.0) -> float:
-        """``z`` standard errors of the HLL estimator: ``z*1.04/sqrt(m)``."""
-        return z * 1.04 / math.sqrt(self.n_registers)
+    def __init__(self) -> None:
+        super().__init__(0)
 
     def top(self, k: int) -> List[Tuple[float, int]]:
-        """The ``k`` most frequent live values, count desc then value asc."""
+        """The ``k`` most frequent live values, count desc then value
+        asc, NaN last: O(d log k) over the ``d`` live values."""
         if k < 1:
             raise ValueError(f"top-k needs k >= 1, got {k}")
-        ranked = sorted(self.counts.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return ranked[:k]
+        return heapq.nsmallest(k, self.counts.items(), key=_rank)
 
     def top_mass(self, k: int) -> float:
         """Total live-row count captured by the top ``k`` values."""
-        return float(sum(count for _value, count in self.top(k)))
+        if k < 1:
+            raise ValueError(f"top-k needs k >= 1, got {k}")
+        return float(sum(heapq.nlargest(k, self.counts.values())))

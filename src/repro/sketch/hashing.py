@@ -1,8 +1,8 @@
-"""Deterministic 64-bit value hashing shared by every sketch.
+"""Deterministic 64-bit value hashing behind the quantile sketch.
 
 All sketch randomness is *hash* randomness: a value's sampling level
-(quantile sketch) and its HyperLogLog register/rank are pure functions
-of the value's IEEE-754 bit pattern through the splitmix64 finalizer.
+(the quantile sketch keeps it or not) is a pure function of the
+value's IEEE-754 bit pattern through the splitmix64 finalizer.
 No RNG state exists anywhere in the package, so two sketches that saw
 the same value multiset are byte-identical regardless of process,
 shard or insertion order - the property every merge/identity gate in

@@ -1,4 +1,4 @@
-"""Aggregate <-> sketch wiring: kinds, blobs and answer rendering.
+"""Aggregate <-> sketch wiring: kinds, parameters and answer rendering.
 
 This module is the single place where the engine layers meet the
 sketch package:
@@ -11,26 +11,24 @@ sketch package:
   merge rule and the fleet coordinator all call this one function, so a
   single-contributor pass-through, a merged answer (over no
   contributors: the empty sketch's answer) and a wire-decoded answer
-  are byte-identical by construction.
-* :func:`merge_sketch_blobs` folds canonical blobs (the
-  ``details["sketch"]`` payload that also rides an OP_QUERY reply) back
-  into one sketch.
+  are identical by construction.
+* :func:`sketch_from_bytes` reads a canonical blob back into a sketch;
+  only the fleet wire (:mod:`repro.broker.frames`) makes and reads
+  blobs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from ..core.queries import AggFunc, Query, QueryResult
 from .counted import CountedSketch, ExactCountSketch, QuantileSketch
 
-__all__ = ["HLL_BITS", "KIND_COUNTS", "KIND_QUANTILE", "SKETCH_HEIGHT",
-           "SKETCH_KEY", "SKETCH_KIND", "TOPK_CAPACITY",
-           "merge_sketch_blobs", "new_sketch", "sketch_answer",
+__all__ = ["KIND_COUNTS", "KIND_QUANTILE", "SKETCH_HEIGHT", "SKETCH_KEY",
+           "SKETCH_KIND", "new_sketch", "sketch_answer",
            "sketch_from_bytes"]
 
-#: ``QueryResult.details`` key carrying a canonical sketch blob.
+#: ``QueryResult.details`` key carrying the answer's sketch snapshot.
 SKETCH_KEY = "sketch"
 
 KIND_QUANTILE = QuantileSketch.KIND
@@ -47,11 +45,10 @@ SKETCH_KIND = {AggFunc.PERCENTILE: KIND_QUANTILE,
                AggFunc.TOPK: KIND_COUNTS}
 
 
-#: The parameters every engine builds its sketches with (a blob's
-#: header carries its sketch's; only equal parameters merge).
-SKETCH_HEIGHT = 4            # quantile sample: 2**-4 of the values
-HLL_BITS = 11                # HLL: 2**11 registers, ~2.3% error
-TOPK_CAPACITY = 64           # TOPK exact up to 64 distinct live values
+#: The quantile sample every engine builds with (a blob's header
+#: carries its sketch's; only equal parameters merge): 2**-4 of the
+#: distinct values.
+SKETCH_HEIGHT = 4
 
 
 def new_sketch(kind: int) -> CountedSketch:
@@ -59,7 +56,7 @@ def new_sketch(kind: int) -> CountedSketch:
     if kind == KIND_QUANTILE:
         return QuantileSketch(SKETCH_HEIGHT)
     if kind == KIND_COUNTS:
-        return ExactCountSketch(HLL_BITS)
+        return ExactCountSketch()
     raise ValueError(f"unknown sketch kind {kind}")
 
 
@@ -74,39 +71,26 @@ def sketch_from_bytes(blob: bytes) -> CountedSketch:
     return cls.from_bytes(blob)
 
 
-def merge_sketch_blobs(blobs: Sequence[bytes]) -> CountedSketch:
-    """Fold canonical blobs into one sketch (any order, same result)."""
-    if not blobs:
-        raise ValueError("no sketch blobs to merge")
-    merged = sketch_from_bytes(blobs[0])
-    for blob in blobs[1:]:
-        merged.merge_in(sketch_from_bytes(blob))
-    return merged
-
-
 def sketch_answer(query: Query, sketch: CountedSketch) -> QueryResult:
     """Render the answer for ``query`` from one sketch state.
 
-    The returned ``details`` carry the canonical blob (under
-    :data:`SKETCH_KEY`) so the answer can be re-merged upstream, and
-    ``ci_available`` is false, as on VARIANCE/STDDEV - sketch answers
-    have deterministic error bounds, not normal confidence intervals.
+    The returned ``details`` carry a read-only snapshot of the state
+    (under :data:`SKETCH_KEY`) so the answer can be re-merged upstream,
+    and ``ci_available`` is false, as on VARIANCE/STDDEV - sketch
+    answers have deterministic error bounds, not normal confidence
+    intervals.  COUNT DISTINCT and TOPK read an exact-count sketch and
+    are exact.
     """
     if query.agg is AggFunc.PERCENTILE:
         estimate = sketch.quantile(float(query.param))
         exact = sketch.exact and not math.isnan(estimate)
     elif query.agg is AggFunc.COUNT_DISTINCT:
-        estimate = sketch.estimate()
-        exact = sketch.n_total == 0
+        estimate, exact = len(sketch), True
     elif query.agg is AggFunc.TOPK:
-        # Exact while the live values fit the capacity: a pure function
-        # of the multiset, so every shard split renders the same flag.
-        estimate = sketch.top_mass(int(query.param))
-        exact = len(sketch) <= TOPK_CAPACITY
+        estimate, exact = sketch.top_mass(int(query.param)), True
     else:
         raise ValueError(f"{query.agg} is not a sketch aggregate")
     return QueryResult(float(estimate), 0.0, 0.0, exact=exact,
                        n_covered=sketch.n_total, n_partial=0,
                        ci_available=False,
-                       details={SKETCH_KEY: sketch.to_bytes()})
-
+                       details={SKETCH_KEY: sketch.snapshot()})

@@ -216,11 +216,12 @@ class TestCacheBehaviour:
 
     def test_topk_decodes_its_sketch_once_per_answer(self, ds,
                                                      monkeypatch):
-        """A TOPK cache hit does no sketch work: the decoded item list
-        stays with the cached answer, and only a new answer (here: a
-        write bumped the epoch) decodes again."""
-        from repro.service import server as server_mod
-        from repro.sketch.registry import SKETCH_KEY, sketch_from_bytes
+        """A TOPK cache hit does no sketch work: the item list read from
+        the answer's sketch stays with the cached answer, and only a new
+        answer (here: a write bumped the epoch) reads its sketch
+        again."""
+        from repro.sketch.counted import ExactCountSketch
+        from repro.sketch.registry import SKETCH_KEY
         table = Table(ds.schema, capacity=ds.n + 16)
         table.insert_many(ds.data[:N_SEED])
         engine = JanusAQP(table, ds.agg_attr, ds.predicate_attrs,
@@ -229,21 +230,20 @@ class TestCacheBehaviour:
                               check_every=10 ** 9,
                               sketch_attrs=("passenger_count",)))
         engine.initialize()
-        decoded = []
+        top = ExactCountSketch.top
+        read = []
 
-        def counting(blob):
-            decoded.append(len(blob))
-            return sketch_from_bytes(blob)
+        def counting(sketch, k):
+            read.append(k)
+            return top(sketch, k)
 
-        monkeypatch.setattr(server_mod, "sketch_from_bytes", counting)
+        monkeypatch.setattr(ExactCountSketch, "top", counting)
         query = Query(AggFunc.TOPK, "passenger_count",
                       ds.predicate_attrs,
                       Rectangle((-math.inf,), (math.inf,)), 3.0)
 
         def expected():
-            blob = engine.query(query).details[SKETCH_KEY]
-            return [(float(v), int(c))
-                    for v, c in sketch_from_bytes(blob).top(3)]
+            return top(engine.query(query).details[SKETCH_KEY], 3)
 
         with serve_background(engine, port=0) as handle:
             with ServiceClient(handle.host, handle.port) as client:
@@ -257,7 +257,7 @@ class TestCacheBehaviour:
         assert [r.details["cached"] for r in after] == [False, True, True]
         assert all(r.details["topk"] == want_before for r in before)
         assert all(r.details["topk"] == want_after for r in after)
-        assert len(decoded) == 2, decoded
+        assert read == [3, 3], read
 
 
 ANSWER_FIELDS = ("estimate", "variance_catchup", "variance_sample",

@@ -11,12 +11,13 @@ that ends at the same multiset ends at byte-identical canonical blobs.
 * **Serialization** - ``to_bytes``/``from_bytes`` round-trips are
   idempotent and canonical for both kinds.
 * **Identity** - a sharded engine answers every sketch aggregate
-  bit-identically (estimate, exactness, and the blob itself) to a
-  single engine fed the same stream, through interleaved
+  bit-identically (estimate, exactness, and the sketch state itself)
+  to a single engine fed the same stream, through interleaved
   insert/delete/reoptimize, through ``save_sharded``/``load_sharded``,
   and through the process fleet's wire protocol.
-* **Accuracy** - estimates stay within each sketch's own pinned bound
-  against the exact ground truth.
+* **Accuracy** - PERCENTILE stays within the quantile sketch's pinned
+  bound against the exact ground truth; COUNT DISTINCT and TOPK are
+  exact.
 """
 
 import json
@@ -25,7 +26,7 @@ import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.janus import JanusAQP, JanusConfig
@@ -37,16 +38,15 @@ from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
 from repro.service import serve_background
 from repro.service.fleet import FleetCoordinator
-from repro.sketch import (SKETCH_KEY, SKETCH_KIND, ExactCountSketch,
-                          QuantileSketch, merge_sketch_blobs, new_sketch,
+from repro.sketch import (KIND_COUNTS, SKETCH_KEY, SKETCH_KIND,
+                          ExactCountSketch, QuantileSketch, new_sketch,
                           sketch_answer, sketch_from_bytes)
-from repro.sketch.registry import HLL_BITS, TOPK_CAPACITY
 
 UNBOUNDED = Rectangle((-math.inf,), (math.inf,))
 
-#: (sketch class, constructor param) for the pure-algebra properties;
-#: a small height so the sampling regime is actually exercised.
-SKETCH_SPECS = [(QuantileSketch, 2), (ExactCountSketch, 6)]
+#: Empty-sketch factories for the pure-algebra properties; a small
+#: height so the sampling regime is actually exercised.
+SKETCH_SPECS = [lambda: QuantileSketch(2), ExactCountSketch]
 
 #: Discrete-ish value streams: duplicates are common (exercises the
 #: counted core) but the support is wide.
@@ -54,8 +54,8 @@ values_strategy = st.lists(
     st.integers(0, 40).map(float), min_size=0, max_size=120)
 
 
-def build(cls, param, values):
-    sketch = cls(param)
+def build(make, values):
+    sketch = make()
     sketch.insert_many(values)
     return sketch
 
@@ -69,7 +69,7 @@ def sketch_queries(attr="v", preds=("x",)):
 
 
 def assert_bit_identical(got, want, tag=""):
-    """Full-envelope equality including the canonical blob."""
+    """Full-envelope equality including the sketch state."""
     if math.isnan(want.estimate):
         assert math.isnan(got.estimate), (tag, got, want)
     else:
@@ -96,25 +96,25 @@ class TestMergeAlgebra:
         order: state and canonical blob equal the unsplit sketch's."""
         rng = np.random.default_rng(seed)
         assignment = rng.integers(0, n_parts, size=len(values))
-        for cls, param in SKETCH_SPECS:
-            whole = build(cls, param, values)
-            parts = [build(cls, param,
+        for make in SKETCH_SPECS:
+            whole = build(make, values)
+            parts = [build(make,
                            [v for v, s in zip(values, assignment)
                             if s == p])
                      for p in range(n_parts)]
             order = rng.permutation(n_parts)
-            merged = cls(param)
+            merged = make()
             for p in order:
                 merged.merge_in(parts[p])
-            assert merged == whole, cls.__name__
-            assert merged.to_bytes() == whole.to_bytes(), cls.__name__
+            assert merged == whole, whole
+            assert merged.to_bytes() == whole.to_bytes(), whole
 
     @settings(max_examples=60, deadline=None)
     @given(values_strategy, values_strategy)
     def test_merge_commutes(self, xs, ys):
-        for cls, param in SKETCH_SPECS:
-            xy = build(cls, param, xs).merge_in(build(cls, param, ys))
-            yx = build(cls, param, ys).merge_in(build(cls, param, xs))
+        for make in SKETCH_SPECS:
+            xy = build(make, xs).merge_in(build(make, ys))
+            yx = build(make, ys).merge_in(build(make, xs))
             assert xy == yx and xy.to_bytes() == yx.to_bytes()
 
     @settings(max_examples=60, deadline=None)
@@ -126,22 +126,49 @@ class TestMergeAlgebra:
         keep_mask = rng.integers(0, 2, size=len(values)).astype(bool)
         kept = [v for v, k in zip(values, keep_mask) if k]
         dropped = [v for v, k in zip(values, keep_mask) if not k]
-        for cls, param in SKETCH_SPECS:
-            churned = build(cls, param, values)
+        for make in SKETCH_SPECS:
+            churned = build(make, values)
             churned.delete_many(dropped)
-            assert churned == build(cls, param, kept), cls.__name__
+            assert churned == build(make, kept), churned
 
     def test_merge_rejects_mismatched_sketches(self):
         with pytest.raises(ValueError):
             QuantileSketch(2).merge_in(QuantileSketch(3))
         with pytest.raises(ValueError):
-            QuantileSketch(2).merge_in(ExactCountSketch(2))
+            QuantileSketch(2).merge_in(ExactCountSketch())
 
     def test_delete_underflow_raises(self):
-        sketch = ExactCountSketch(4)
+        sketch = ExactCountSketch()
         sketch.insert_many([1.0])
         with pytest.raises(ValueError):
             sketch.delete_many([1.0, 1.0])
+        assert sketch.n_total == 1 and sketch.counts == {1.0: 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([math.nan, 0.0, 1.0, 2.0, 3.0]),
+                    max_size=12), st.integers(0, 2 ** 31 - 1))
+    @example([2.0, math.nan, 1.0, 3.0], 0)
+    def test_top_is_a_function_of_the_multiset(self, values, seed):
+        """The same multiset, inserted in two orders, and its two halves
+        merged in both orders: ``top(k)`` agrees for every ``k``, with
+        NaN ranked after every value of its count."""
+        rng = np.random.default_rng(seed)
+        shuffled = [values[i] for i in rng.permutation(len(values))]
+        half = len(values) // 2
+        xs, ys = shuffled[:half], shuffled[half:]
+        sketches = [build(ExactCountSketch, values),
+                    build(ExactCountSketch, values[::-1]),
+                    build(ExactCountSketch, xs).merge_in(
+                        build(ExactCountSketch, ys)),
+                    build(ExactCountSketch, ys).merge_in(
+                        build(ExactCountSketch, xs))]
+        for k in range(1, len(values) + 2):
+            tops = [repr(sketch.top(k)) for sketch in sketches]
+            assert tops == tops[:1] * 4, (k, tops)
+        ranked = sketches[0].top(len(values) + 1)
+        nan_at = [i for i, (v, _c) in enumerate(ranked) if v != v]
+        for i in nan_at:
+            assert all(c < ranked[i][1] for _v, c in ranked[i + 1:])
 
 
 # ---------------------------------------------------------------------- #
@@ -151,20 +178,22 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     @given(values_strategy)
     def test_roundtrip_is_idempotent(self, values):
-        for cls, param in SKETCH_SPECS:
-            sketch = build(cls, param, values)
+        for make in SKETCH_SPECS:
+            sketch = build(make, values)
             blob = sketch.to_bytes()
             restored = sketch_from_bytes(blob)
-            assert type(restored) is cls
+            assert type(restored) is type(sketch)
             assert restored == sketch
             assert restored.to_bytes() == blob
 
     @settings(max_examples=40, deadline=None)
     @given(values_strategy, values_strategy)
     def test_blob_merge_equals_state_merge(self, xs, ys):
-        for cls, param in SKETCH_SPECS:
-            a, b = build(cls, param, xs), build(cls, param, ys)
-            via_blobs = merge_sketch_blobs([a.to_bytes(), b.to_bytes()])
+        for make in SKETCH_SPECS:
+            a, b = build(make, xs), build(make, ys)
+            via_blobs = make()
+            for blob in (a.to_bytes(), b.to_bytes()):
+                via_blobs.merge_in(sketch_from_bytes(blob))
             assert via_blobs == a.merge_in(b)
 
     def test_bad_blobs_raise(self):
@@ -185,9 +214,8 @@ def engine_config(seed=0, n_shards=1):
 
 
 def make_rows(rng, n):
-    """``v`` has 120 distinct values: past TOPK_CAPACITY (64), so TOPK
-    answers are not exact, and 9 of them survive the quantile sketch's
-    2**-SKETCH_HEIGHT sampling."""
+    """``v`` has 120 distinct values, 9 of which survive the quantile
+    sketch's 2**-SKETCH_HEIGHT sampling."""
     return np.column_stack([rng.uniform(0.0, 100.0, n),
                             rng.integers(0, 120, n).astype(float)])
 
@@ -282,8 +310,9 @@ def test_sketch_blobs_survive_persistence(tmp_path):
 
 def store_sketches(path, engine=None, **params):
     """Rewrite the archive at ``path`` as builds that stored sketch
-    state wrote it: the sketch parameters as config keys (defaults, or
-    ``params``) and, for a synopsis archive, ``engine``'s blobs."""
+    state wrote it: the sketch parameters as config keys (those builds'
+    defaults, or ``params``) and, for a synopsis archive, ``engine``'s
+    blobs."""
     with np.load(path, allow_pickle=False) as archive:
         arrays = dict(archive)
     meta = json.loads(str(arrays["meta"]))
@@ -301,8 +330,10 @@ def store_sketches(path, engine=None, **params):
 
 def test_archives_with_stored_sketches_still_load(tmp_path):
     """Archives and manifests carrying the sketch parameters and blobs
-    load and answer bit-identically to the saved engines; a sketch
-    parameter this build does not use is refused by name."""
+    load and answer bit-identically to the saved engines, whatever
+    HyperLogLog bits and TOPK capacity they name (neither changes an
+    answer any more); a quantile height this build does not use is
+    refused by name."""
     rng = np.random.default_rng(29)
     rows = make_rows(rng, 3_000)
     queries = sketch_queries() + [
@@ -311,7 +342,7 @@ def test_archives_with_stored_sketches_still_load(tmp_path):
     single = make_single(rows)
     path = str(tmp_path / "single.npz")
     save_synopsis(single, path)
-    store_sketches(path, single)
+    store_sketches(path, single, hll_bits=8, topk_capacity=7)
     restored = load_synopsis(path, single.table)
     for q, got, w in zip(queries, restored.query_many(queries),
                          single.query_many(queries)):
@@ -325,7 +356,7 @@ def test_archives_with_stored_sketches_still_load(tmp_path):
     save_sharded(sharded, fleet)
     for s, shard in enumerate(sharded.shards):
         store_sketches(fleet / f"shard{s}.npz", shard)
-    store_sketches(fleet / "manifest.npz")
+    store_sketches(fleet / "manifest.npz", hll_bits=14)
     reloaded = load_sharded(fleet)
     for q, got, w in zip(queries, reloaded.query_many(queries),
                          sharded.query_many(queries)):
@@ -333,11 +364,11 @@ def test_archives_with_stored_sketches_still_load(tmp_path):
     sharded.close()
     reloaded.close()
 
-    store_sketches(path, hll_bits=8)
-    with pytest.raises(ValueError, match="hll_bits"):
+    store_sketches(path, sketch_height=3)
+    with pytest.raises(ValueError, match="sketch_height"):
         load_synopsis(path, single.table)
-    store_sketches(fleet / "manifest.npz", hll_bits=8)
-    with pytest.raises(ValueError, match="hll_bits"):
+    store_sketches(fleet / "manifest.npz", sketch_height=3)
+    with pytest.raises(ValueError, match="sketch_height"):
         load_sharded(fleet)
 
 
@@ -365,14 +396,15 @@ def test_nan_rows_delete_cleanly():
         for q, got in zip(queries, engine.query_many(queries)):
             fresh = new_sketch(SKETCH_KIND[q.agg])
             fresh.insert_many(live)
-            assert got.details[SKETCH_KEY] == fresh.to_bytes(), q.agg
+            assert got.details[SKETCH_KEY].to_bytes() == \
+                fresh.to_bytes(), q.agg
     sharded.close()
 
 
 def test_fleet_wire_carries_sketches(tmp_path):
     """The process fleet answers sketch aggregates bit-identically to
-    the in-process engine restored from the same snapshot: blobs cross
-    the worker socket in the variable-length sketch sidecar."""
+    the in-process engine restored from the same snapshot: sketches
+    cross the worker socket as blobs in the variable-length sidecar."""
     rng = np.random.default_rng(37)
     rows = make_rows(rng, 3_000)
     sharded = ShardedJanusAQP(["x", "v"], "v", ("x",), n_shards=2,
@@ -385,10 +417,14 @@ def test_fleet_wire_carries_sketches(tmp_path):
     control = load_sharded(tmp_path / "snap")
     queries = sketch_queries()
     want = control.query_many(queries)
+    _, counts = np.unique(rows[:, 1], return_counts=True)
     with FleetCoordinator(tmp_path / "snap", supervise=False) as fleet:
         assert fleet.sketch_attrs == ("v",)
         for q, got, w in zip(queries, fleet.query_many(queries), want):
             assert_bit_identical(got, w, ("fleet", q.agg.value))
+        *_, distinct, topk = fleet.query_many(queries)
+    assert distinct.exact and distinct.estimate == counts.size
+    assert topk.exact and topk.estimate == np.sort(counts)[-5:].sum()
     control.close()
 
 
@@ -396,7 +432,7 @@ def test_emptied_coordinators_answer_like_the_single_engine(tmp_path):
     """Every row deleted: a 2-shard engine and a 2-worker fleet merge
     over no contributors, and must still answer each sketch aggregate
     exactly as the single engine does from its own empty sketches -
-    ``details`` keys and blob bytes included - so served TOPK carries
+    ``details`` keys and sketch state included - so served TOPK carries
     an empty item list."""
     rng = np.random.default_rng(43)
     rows = make_rows(rng, 1_000)
@@ -413,7 +449,7 @@ def test_emptied_coordinators_answer_like_the_single_engine(tmp_path):
             engine.delete_many(everything)
         want = single.query_many(queries)
         assert want[-1].details[SKETCH_KEY] == \
-            new_sketch(SKETCH_KIND[AggFunc.TOPK]).to_bytes()
+            new_sketch(SKETCH_KIND[AggFunc.TOPK])
         for tag, engine in (("sharded", sharded), ("fleet", fleet)):
             for q, got, w in zip(queries, engine.query_many(queries), want):
                 assert repr(got) == repr(w), (tag, q.agg.value)
@@ -494,24 +530,33 @@ class TestAccuracy:
             want = ordered[max(1, math.ceil(p * data.size)) - 1]
             assert sketch.quantile(p) == want
 
-    def test_hll_relative_error_within_bound(self):
+    def test_count_distinct_is_exact(self):
+        """COUNT DISTINCT is the number of distinct live values, as
+        ``np.unique`` counts them (every NaN one value, ``-0.0`` equal
+        to ``0.0``), through duplicates and deletes."""
         rng = np.random.default_rng(13)
+        count_distinct = Query(AggFunc.COUNT_DISTINCT, "v", ("x",),
+                               UNBOUNDED)
         for true_distinct in (500, 5_000, 50_000):
             values = rng.uniform(0, 1, true_distinct)
-            sketch = ExactCountSketch(11)
+            values[:3] = (math.nan, -0.0, 0.0)
+            sketch = ExactCountSketch()
             sketch.insert_many(values)
             sketch.insert_many(values[: true_distinct // 2])  # dupes
-            rel_err = abs(sketch.estimate() - true_distinct) \
-                / true_distinct
-            assert rel_err <= sketch.rel_error_bound(3.0), true_distinct
+            sketch.delete_many(values[-10:])
+            live = np.concatenate([values[:-10],
+                                   values[: true_distinct // 2]])
+            answer = sketch_answer(count_distinct, sketch)
+            assert answer.estimate == np.unique(live).size
+            assert answer.exact
 
     def test_topk_exact_on_zipf_stream(self):
         rng = np.random.default_rng(17)
         data = np.minimum(rng.zipf(1.5, 20_000), 30).astype(float)
-        sketch = ExactCountSketch(HLL_BITS)
+        sketch = ExactCountSketch()
         sketch.insert_many(data)
         topk = Query(AggFunc.TOPK, "v", ("x",), UNBOUNDED, 5.0)
-        assert sketch_answer(topk, sketch).exact  # support fits capacity
+        assert sketch_answer(topk, sketch).exact
         uniques, counts = np.unique(data, return_counts=True)
         order = np.lexsort((uniques, -counts))
         for k in (1, 5, 10):
@@ -520,10 +565,40 @@ class TestAccuracy:
             assert sketch.top(k) == want
             assert sketch.top_mass(k) == float(counts[order[:k]].sum())
 
-    def test_topk_saturation_drops_exactness(self):
-        topk = Query(AggFunc.TOPK, "v", ("x",), UNBOUNDED, 5.0)
-        sketch = ExactCountSketch(HLL_BITS)
-        sketch.insert_many([float(i) for i in range(TOPK_CAPACITY + 1)])
-        assert not sketch_answer(topk, sketch).exact
-        sketch.delete_many([0.0])
-        assert sketch_answer(topk, sketch).exact  # a function of the multiset
+    def test_topk_exact_on_a_wide_support(self):
+        """Thousands of distinct live values: TOPK is still exact, and
+        its items are the true top-k."""
+        rng = np.random.default_rng(19)
+        data = np.round(rng.normal(0.0, 30.0, 20_000))
+        sketch = ExactCountSketch()
+        sketch.insert_many(data)
+        uniques, counts = np.unique(data, return_counts=True)
+        assert uniques.size > 100
+        order = np.lexsort((uniques, -counts))
+        for k in (1, 3, 50):
+            answer = sketch_answer(
+                Query(AggFunc.TOPK, "v", ("x",), UNBOUNDED, float(k)),
+                sketch)
+            assert answer.exact
+            assert answer.estimate == float(counts[order[:k]].sum())
+            assert sketch.top(k) == [(float(uniques[i]), int(counts[i]))
+                                     for i in order[:k]]
+
+
+def test_signed_zeros_are_one_value():
+    """``-0.0`` and ``0.0`` are one live value: engines that saw them in
+    either order hold byte-identical sketches, and TOPK names ``0.0``."""
+    rng = np.random.default_rng(47)
+    rows = make_rows(rng, 600)
+    blobs, items = [], []
+    for zeros in ((-0.0, 0.0), (0.0, -0.0)):
+        special = np.array([[1.0, zeros[0]], [2.0, zeros[1]],
+                            [3.0, 5.0]])
+        engine = make_single(np.vstack([special, rows]))
+        bank = engine._sketches["v"]
+        blobs.append([bank[kind].to_bytes() for kind in sorted(bank)])
+        # repr tells -0.0 from 0.0, which == does not
+        items.append(repr(bank[KIND_COUNTS].top(200)))
+    assert blobs[0] == blobs[1]
+    assert items[0] == items[1]
+    assert "-0.0" not in items[0] and "(0.0, " in items[0]

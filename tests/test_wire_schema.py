@@ -44,6 +44,7 @@ from repro.broker.requests import (TOPK_KEY, QueryResponse, decode,
                                    result_to_dict)
 from repro.core.queries import (AggFunc, Query, QueryResult, Rectangle,
                                 WireSchema)
+from repro.sketch import ExactCountSketch, QuantileSketch
 from repro.sketch.registry import SKETCH_KEY
 
 ENVELOPE = [f.key for f in WireSchema(QueryResult).fields]
@@ -72,13 +73,21 @@ counts = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
 @st.composite
+def sketches(draw):
+    sketch = draw(st.sampled_from(
+        [ExactCountSketch, lambda: QuantileSketch(2)]))()
+    sketch.insert_many(draw(st.lists(floats, max_size=8)))
+    return sketch
+
+
+@st.composite
 def envelopes(draw):
     result = QueryResult(draw(floats), draw(floats), draw(floats),
                          draw(st.booleans()), draw(counts), draw(counts),
                          draw(floats), draw(floats), draw(floats),
                          draw(floats), draw(st.booleans()))
     if draw(st.booleans()):
-        result.details[SKETCH_KEY] = draw(st.binary(max_size=40))
+        result.details[SKETCH_KEY] = draw(sketches())
     if draw(st.booleans()):
         result.details[TOPK_KEY] = draw(st.lists(
             st.tuples(finite, st.integers(0, 2 ** 40)).map(list),
@@ -94,7 +103,7 @@ class TestRoundTrips:
             bytes(part) for part in encode_answers(results)), len(results))
         assert len(block) == len(results)
         for want, via_block in zip(results, block):
-            # fleet block + sidecar: the envelope and the blob
+            # fleet block + sidecar: the envelope and the sketch
             assert same_envelope(via_block, want)
             assert via_block.details == {
                 k: v for k, v in want.details.items() if k != TOPK_KEY}
@@ -506,24 +515,39 @@ def test_a_declared_query_field_reaches_every_boundary(
 # ------------------------------------------------------------------ #
 # sketch sidecar faults are ValueErrors naming the sidecar
 # ------------------------------------------------------------------ #
+def one_value_sketch():
+    sketch = ExactCountSketch()
+    sketch.insert_many([1.0])
+    return sketch
+
+
 class TestSidecarFaults:
-    """An OP_QUERY reply body: three answers, blobs on the first and
-    the third, as ``index:u32 | blob_len:u32 | blob`` after the block."""
-    RESULTS = [QueryResult(1.0, details={SKETCH_KEY: b"abcdef"}),
+    """An OP_QUERY reply body: three answers, sketches on the first and
+    the third, as ``index:u32 | blob_len:u32 | blob`` after the block:
+    a 38-byte blob (one value) and a 22-byte one (empty)."""
+    RESULTS = [QueryResult(1.0, details={SKETCH_KEY: one_value_sketch()}),
                QueryResult(2.0),
-               QueryResult(3.0, details={SKETCH_KEY: b"xy"})]
+               QueryResult(3.0, details={SKETCH_KEY: ExactCountSketch()})]
     BLOCK, SIDECAR = (bytes(part) for part in encode_answers(RESULTS))
 
     def test_round_trip(self):
-        assert self.SIDECAR == (b"\x00\x00\x00\x00\x06\x00\x00\x00abcdef"
-                                b"\x02\x00\x00\x00\x02\x00\x00\x00xy")
+        # kind:u8 | version:u8 | param:u32 | n_total:i64 | n_entries:i64,
+        # then the values (f8) and their counts (i8)
+        assert self.SIDECAR == (
+            b"\x00\x00\x00\x00\x26\x00\x00\x00"
+            b"\x02\x01\x00\x00\x00\x00" + (1).to_bytes(8, "little") * 2
+            + struct.pack("<d", 1.0) + (1).to_bytes(8, "little")
+            + b"\x02\x00\x00\x00\x16\x00\x00\x00"
+            b"\x02\x01\x00\x00\x00\x00" + bytes(16))
         got = decode_answers(self.BLOCK + self.SIDECAR, 3)
         assert [r.details for r in got] == [r.details for r in self.RESULTS]
 
-    @pytest.mark.parametrize("cut", [3, 8 + 6 + 5, 8 + 3, 8 + 6 + 8 + 1])
+    @pytest.mark.parametrize("cut", [3, 19, 11, 23, 8 + 38 + 5,
+                                     8 + 38 + 8 + 1])
     def test_truncated_sidecar(self, cut):
-        """Cut mid-header (fewer than 8 header bytes left) or
-        mid-blob: the same ``ValueError``, never ``struct.error``."""
+        """Cut mid-header (fewer than 8 header bytes left: 3, 51) or
+        mid-blob (11, 19, 23 into the first, 55 into the second): the
+        same ``ValueError``, never ``struct.error``."""
         with pytest.raises(ValueError, match="sketch sidecar"):
             decode_answers(self.BLOCK + self.SIDECAR[:cut], 3)
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Bit-identity gate: the three answer digests, one pass each.
+"""Bit-identity gate: the answer digests, one pass each.
 
 Usage:  python tools/digests.py [--write]
 
@@ -15,7 +15,13 @@ says so beside the re-cut.
   15 s stream, one write then one ``query_many(64)`` per step;
 * ``sharded`` - the ``serve_cold_mixed`` seed-7 snapshot: lone reads
   with a write after every 20th, VARIANCE / STDDEV probes and 46
-  batches of 64.
+  batches of 64;
+* ``sketch`` - PERCENTILE / COUNT DISTINCT / TOPK answers (estimate,
+  ``exact``, ``n_covered``, the sketch's canonical bytes and the TOPK
+  items) over a high-cardinality and a narrow column, both holding
+  NaN, ``-0.0`` and ``0.0``, after inserts and deletes.  A single
+  engine, a 2-shard engine and a 2-worker fleet must print one digest;
+  if they do not, the line names all three.
 
 Each digest is the first 16 hex digits of the sha256 of the answers'
 ``repr``.  Float results can differ across numpy builds, Python
@@ -23,7 +29,7 @@ versions and cpus, so the expected file names the numpy, Python and
 machine it was cut on, a mismatch prints this run's, and CI runs the
 check on that numpy and Python only.  What the trigger decides is an
 integer line that holds across builds; ``tests/test_triggers.py``
-(``TestDecisionGate``) pins it.  Runs from any directory in about 10 s.
+(``TestDecisionGate``) pins it.  Runs from any directory in about 15 s.
 """
 
 from __future__ import annotations
@@ -45,10 +51,13 @@ import numpy as np  # noqa: E402
 import inputs as gen  # noqa: E402
 import workloads as wl  # noqa: E402
 from repro.core.janus import JanusAQP, JanusConfig  # noqa: E402
-from repro.core.persist import load_sharded  # noqa: E402
+from repro.core.persist import load_sharded, save_sharded  # noqa: E402
 from repro.core.queries import AggFunc, Query, Rectangle  # noqa: E402
+from repro.core.sharded import ShardedJanusAQP  # noqa: E402
 from repro.core.table import Table  # noqa: E402
 from repro.datasets.synthetic import nyc_taxi  # noqa: E402
+from repro.service.fleet import FleetCoordinator  # noqa: E402
+from repro.sketch import SKETCH_KEY  # noqa: E402
 
 
 def digest(items) -> str:
@@ -117,10 +126,72 @@ def sharded() -> str:
     return joined(out)
 
 
+def sketch_rows(rng, n: int) -> np.ndarray:
+    """``x`` predicate, ``a`` aggregate, ``v`` ~n distinct values, ``w``
+    nine; every 97th ``v`` and 89th ``w`` is NaN, -0.0 or 0.0, and the
+    first zero is a -0.0 in row 1, which a 2-shard engine places apart
+    from the 0.0 in row 2."""
+    rows = np.column_stack([rng.uniform(0.0, 100.0, n),
+                            rng.uniform(0.0, 10.0, n),
+                            rng.normal(0.0, 50.0, n),
+                            rng.integers(-4, 5, n).astype(float)])
+    for col, step in ((2, 97), (3, 89)):
+        rows[::step, col] = rng.choice([np.nan, -0.0, 0.0],
+                                       rows[::step, col].size)
+    rows[:3, 2:] = [[1.5], [-0.0], [0.0]]
+    return rows
+
+
+def sketch_answers(engine, queries) -> str:
+    out = []
+    for q, r in zip(queries, engine.query_many(queries)):
+        state = r.details[SKETCH_KEY]
+        items = state.top(int(q.param)) if q.agg is AggFunc.TOPK else None
+        out.append((r.estimate, r.exact, r.n_covered, state.to_bytes(),
+                    items))
+    return digest(out)
+
+
+def sketch() -> str:
+    rng = np.random.default_rng(3)
+    seed, more = sketch_rows(rng, 20000), sketch_rows(rng, 4000)
+    dead = list(range(0, 24000, 7))
+    schema = ("x", "a", "v", "w")
+    config = JanusConfig(k=16, seed=0, sketch_attrs=("v", "w"))
+    everywhere = Rectangle((-np.inf,), (np.inf,))
+    queries = [Query(agg, attr, ("x",), everywhere, param)
+               for attr in ("v", "w")
+               for agg, param in [(AggFunc.PERCENTILE, p)
+                                  for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+               + [(AggFunc.COUNT_DISTINCT, None)]
+               + [(AggFunc.TOPK, float(k)) for k in (1, 3, 10)]]
+    single = JanusAQP(Table(schema), "a", ("x",), config=config)
+    single.insert_many(seed)
+    single.initialize()
+    sharded = ShardedJanusAQP(schema, "a", ("x",), n_shards=2,
+                              config=config)
+    sharded.insert_many(seed)
+    sharded.initialize()
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_sharded(sharded, tmp)
+        with FleetCoordinator(tmp, supervise=False) as fleet:
+            for name, e in (("single", single), ("2-shard", sharded),
+                            ("fleet", fleet)):
+                e.insert_many(more)
+                e.delete_many(dead)
+                got[name] = sketch_answers(e, queries)
+    sharded.close()
+    if len(set(got.values())) == 1:
+        return got["single"]
+    return "DIVERGED " + " ".join(f"{n}={d}" for n, d in got.items())
+
+
 CHECKS: Dict[str, Callable[[], str]] = {
     "lone": lone,
     "batch": batch,
     "sharded": sharded,
+    "sketch": sketch,
 }
 
 
