@@ -5,7 +5,10 @@ initialization pipeline.  The synopsis state is small by design (that is
 the point of the paper): the partition-tree node statistics plus the
 pooled sample rows.  We serialize both into a single ``.npz`` archive -
 flat numpy arrays plus one JSON metadata string, no pickling - and
-restore against the same archival table.
+restore against the same archival table.  Float members are stored
+as they are and every other member is deflated at level 1
+(:func:`_savez`); ``np.load`` reads that and the fully deflated
+archives of earlier builds alike.
 
 What is saved: the tree structure (parent links + rectangles), every
 node's catch-up accumulators / exact deltas / base statistics, the
@@ -28,7 +31,10 @@ re-partitioning.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
+import zipfile
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -115,16 +121,41 @@ def _config_from(config: dict) -> JanusConfig:
     return JanusConfig(**config)
 
 
+def _savez(path: Union[str, Path], arrays: Dict[str, object]) -> None:
+    """Write ``arrays`` as an ``.npz`` archive that ``np.load`` reads,
+    like ``np.savez_compressed`` (which also appends ``.npz`` to a path
+    without it), but with float members stored, not deflated: sample
+    rows and node statistics shrink by under a fifth under zlib and
+    deflating them was most of a save's time.  Every other member
+    (integer tid maps, JSON text) is deflated at level 1, which keeps
+    nearly all of what the default level saves on them."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name, value in arrays.items():
+            array = np.asanyarray(value)
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, array, allow_pickle=False)
+            if array.dtype.kind == "f":
+                archive.writestr(name + ".npy", buf.getvalue(),
+                                 compress_type=zipfile.ZIP_STORED)
+            else:
+                archive.writestr(name + ".npy", buf.getvalue(),
+                                 compress_type=zipfile.ZIP_DEFLATED,
+                                 compresslevel=1)
+
+
 def save_synopsis(janus: JanusAQP, path: str) -> None:
     """Serialize a JanusAQP synopsis to ``path`` (.npz archive)."""
-    np.savez_compressed(path, **_synopsis_payload(janus))
+    _savez(path, _synopsis_payload(janus))
 
 
 def _synopsis_payload(janus: JanusAQP) -> Dict[str, object]:
     """Gather everything :func:`save_synopsis` writes, as fresh arrays.
 
     Split out so :func:`save_sharded` can copy every shard's state
-    under the fleet locks and pay for compression and disk IO *after*
+    under the fleet locks and pay for encoding and disk IO *after*
     releasing them.
     """
     dpt = janus.dpt
@@ -244,8 +275,9 @@ def save_sharded(sharded: ShardedJanusAQP,
 
     The in-memory snapshot is gathered under the coordinator's
     placement lock plus every shard's lock (acquired in shard order,
-    the same order as the data path, so there is no cycle); compression
-    and disk IO happen *after* the locks are released, so the
+    the same order as the data path, so there is no cycle); encoding
+    (:func:`_savez`: float members stored, the rest deflated at level
+    1) and disk IO happen *after* the locks are released, so the
     fleet-wide blocking window is one array copy, not the archive
     write.  An ingest batch already past tid assignment when the locks
     are taken could still leave shard rows the tid maps do not know
@@ -316,10 +348,10 @@ def save_sharded(sharded: ShardedJanusAQP,
             for key, arr in sharded.summaries[s].state_arrays().items():
                 arrays[f"summary{s}_{key}"] = arr
 
-    # Locks released: pay for compression and file writes here.
+    # Locks released: pay for encoding and file writes here.
     for s, payload in payloads.items():
-        np.savez_compressed(out / f"shard{s}.npz", **payload)
-    np.savez_compressed(out / _MANIFEST, **arrays)
+        _savez(out / f"shard{s}.npz", payload)
+    _savez(out / _MANIFEST, arrays)
 
 
 @dataclasses.dataclass
@@ -395,8 +427,8 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             if not (0 <= s < n_shards):
                 raise ValueError(f"snapshot has {n_shards} shards, "
                                  f"no shard {s}")
-            # One shard at a time, so only one table's decompressed
-            # arrays are ever in flight.
+            # One shard at a time, so only one table's decoded arrays
+            # are ever in flight.
             restored[s] = Table(schema)
             restored[s].restore(archive[f"table{s}_tids"],
                                 archive[f"table{s}_rows"],
@@ -412,7 +444,7 @@ def read_sharded_manifest(dir_path: Union[str, Path],
             table_next_tids=table_next_tids,
             # save_sharded's consistency gate pins mapped tids == live
             # rows per shard, so the maps give the table sizes without
-            # decompressing any table.
+            # reading any table.
             table_sizes=np.bincount(shard_of[shard_of >= 0],
                                     minlength=n_shards).tolist(),
             summaries=summaries,

@@ -32,14 +32,13 @@ only the fleet wire turns one into canonical bytes and back.
 """
 
 from .counted import CountedSketch, ExactCountSketch, QuantileSketch
-from .hashing import hash_float, sample_level, splitmix64
+from .hashing import hash_floats, sampled
 from .registry import (KIND_COUNTS, KIND_QUANTILE, SKETCH_KEY,
                        SKETCH_KIND, new_sketch, sketch_answer,
                        sketch_from_bytes)
 
 __all__ = [
     "CountedSketch", "ExactCountSketch", "QuantileSketch", "KIND_COUNTS",
-    "KIND_QUANTILE", "SKETCH_KEY", "SKETCH_KIND", "hash_float",
-    "new_sketch", "sample_level", "sketch_answer",
-    "sketch_from_bytes", "splitmix64",
+    "KIND_QUANTILE", "SKETCH_KEY", "SKETCH_KIND", "hash_floats",
+    "new_sketch", "sampled", "sketch_answer", "sketch_from_bytes",
 ]

@@ -2,13 +2,12 @@
 
 One representation serves every sketch aggregate: a map from live
 value to an integer count, plus the exact live-row total.  What differs
-per sketch is *which* values are retained (:meth:`CountedSketch._keeps`),
+per sketch is *which* values are retained (:meth:`CountedSketch._kept`),
 how an estimate is rendered, and the accuracy contract:
 
-* :class:`QuantileSketch` retains a value iff its hash's trailing-zero
-  level reaches the configured ``height`` - an expected ``2**-height``
-  subsample of the distinct values, each standing for ``2**height`` of
-  them.  ``height=0`` degenerates to exact quantiles.
+* :class:`QuantileSketch` retains a value iff its hash has at least
+  ``height`` trailing zero bits - an expected ``2**-height`` subsample
+  of the distinct values, each standing for ``2**height`` of them.  ``height=0`` degenerates to exact quantiles.
 * :class:`ExactCountSketch` retains every value with its exact
   multiplicity, so it answers COUNT DISTINCT (``len``) and TOPK
   (:meth:`ExactCountSketch.top` / :meth:`~ExactCountSketch.top_mass`)
@@ -29,11 +28,11 @@ import heapq
 import math
 import struct
 from types import MappingProxyType
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hashing import sample_level
+from .hashing import canonical, sampled
 
 __all__ = ["CountedSketch", "ExactCountSketch", "QuantileSketch"]
 
@@ -44,14 +43,6 @@ _BLOB_VERSION = 1
 #: The one key every NaN is counted under (as ``np.unique`` counts
 #: them): a NaN under its own float object is a key no delete finds.
 _NAN = math.nan
-
-
-def _canonical(values: Sequence[float]) -> List[float]:
-    """``values`` as Python floats, ``-0.0`` folded onto ``0.0``: adding
-    ``0.0`` maps ``-0.0`` to ``0.0`` and leaves every other value (NaN
-    included) as it is, so equal values share one key whichever zero
-    arrived first."""
-    return (np.asarray(values, dtype=np.float64) + 0.0).tolist()
 
 
 def _rank(item: Tuple[float, int]) -> tuple:
@@ -66,9 +57,11 @@ class CountedSketch:
     """Shared multiset core: value -> live count, plus the row total.
 
     Subclasses set :attr:`KIND` (the wire tag) and override
-    :meth:`_keeps` to decide which values are materialized.  All state
-    transitions are exact multiset arithmetic, so state is canonical in
-    the live multiset by construction.
+    :meth:`_kept` to decide which values are materialized.  A batch is
+    canonicalized and filtered as one array; the dict is touched only
+    for the values kept.  All state transitions are exact multiset
+    arithmetic, so state is canonical in the live multiset by
+    construction.
     """
 
     KIND = 0
@@ -77,6 +70,7 @@ class CountedSketch:
         self.param = int(param)
         self.counts: Dict[float, int] = {}
         self.n_total = 0
+        self._snapshot: Optional[CountedSketch] = None
 
     @classmethod
     def _read_only(cls, param: int, n_total: int,
@@ -86,53 +80,77 @@ class CountedSketch:
         sketch = cls.__new__(cls)
         sketch.param, sketch.n_total = param, n_total
         sketch.counts = MappingProxyType(counts)  # type: ignore
+        sketch._snapshot = sketch
         return sketch
 
     def snapshot(self) -> "CountedSketch":
         """A read-only copy of this state.  An answer carries one: the
         live sketch keeps changing and the result cache keeps answers,
-        and no merge or consumer can change what an answer holds."""
-        return self._read_only(self.param, self.n_total, dict(self.counts))
+        and no merge or consumer can change what an answer holds.  The
+        copy is made once per state: every answer until the next
+        insert, delete or merge shares it."""
+        if self._snapshot is None:
+            self._snapshot = self._read_only(self.param, self.n_total,
+                                             dict(self.counts))
+        return self._snapshot
 
     # -------------------------------------------------------------- #
     # multiset maintenance
     # -------------------------------------------------------------- #
-    def _keeps(self, value: float) -> bool:
-        return True
+    def _kept(self, values: np.ndarray) -> np.ndarray:
+        """The :func:`~.hashing.canonical` ``values`` this sketch
+        materializes, in input order."""
+        return values
+
+    def _check_writable(self) -> None:
+        # A snapshot's counts refuse writes themselves, but a batch
+        # that keeps no value would still move its n_total, and every
+        # answer holding the snapshot would see it.
+        if self._snapshot is self:
+            raise TypeError(f"a {type(self).__name__} snapshot is "
+                            f"read-only")
 
     def insert_many(self, values: Sequence[float]) -> None:
-        values = _canonical(values)
+        self._check_writable()
         counts = self.counts
-        for value in values:
+        for value in self._kept(canonical(values)).tolist():
             if value != value:
                 value = _NAN
-            if self._keeps(value):
-                counts[value] = counts.get(value, 0) + 1
+            counts[value] = counts.get(value, 0) + 1
         self.n_total += len(values)
+        self._snapshot = None
 
     def delete_many(self, values: Sequence[float]) -> None:
-        values = _canonical(values)
+        """Remove one live row per value, all or nothing: a batch that
+        deletes more rows, or more of one value, than are live raises
+        ``ValueError`` with the sketch unchanged."""
+        self._check_writable()
         if len(values) > self.n_total:
             raise ValueError("sketch delete underflow: more rows "
                              "deleted than inserted")
-        counts = self.counts
-        for value in values:
+        deleted: Dict[float, int] = {}
+        for value in self._kept(canonical(values)).tolist():
             if value != value:
                 value = _NAN
-            if self._keeps(value):
-                left = counts.get(value, 0) - 1
-                if left < 0:
-                    raise ValueError(f"sketch delete of value {value} "
-                                     f"that is not live")
-                if left:
-                    counts[value] = left
-                else:
-                    del counts[value]
+            deleted[value] = deleted.get(value, 0) + 1
+        counts = self.counts
+        for value, n in deleted.items():
+            if counts.get(value, 0) < n:
+                raise ValueError(f"sketch delete of value {value} "
+                                 f"that is not live")
+        for value, n in deleted.items():
+            left = counts[value] - n
+            if left:
+                counts[value] = left
+            else:
+                del counts[value]
         self.n_total -= len(values)
+        self._snapshot = None
 
     def merge_in(self, other: "CountedSketch") -> "CountedSketch":
         """Fold another sketch of the same kind/parameter into this one
         (``other`` is only read)."""
+        self._check_writable()
         if type(other) is not type(self) or other.param != self.param:
             raise ValueError(
                 f"cannot merge {type(other).__name__}(param="
@@ -146,22 +164,28 @@ class CountedSketch:
             else:
                 del counts[value]
         self.n_total += other.n_total
+        self._snapshot = None
         return self
 
     # -------------------------------------------------------------- #
     # canonical serialization
     # -------------------------------------------------------------- #
-    def to_bytes(self) -> bytes:
-        """Canonical blob: header + entries in ascending value order."""
+    def _entries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The retained values and their counts, in ascending value
+        order with NaN last (as ``np.sort`` and ``np.unique`` rank it)."""
         values = np.fromiter(self.counts.keys(), dtype=np.float64,
                              count=len(self.counts))
         counts = np.fromiter(self.counts.values(), dtype=np.int64,
                              count=len(self.counts))
         order = np.argsort(values, kind="stable")
+        return values[order], counts[order]
+
+    def to_bytes(self) -> bytes:
+        """Canonical blob: header + entries in ascending value order."""
+        values, counts = self._entries()
         header = _BLOB_HEADER.pack(self.KIND, _BLOB_VERSION, self.param,
                                    self.n_total, len(self.counts))
-        return header + values[order].tobytes() + \
-            counts[order].tobytes()
+        return header + values.tobytes() + counts.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CountedSketch":
@@ -214,8 +238,8 @@ class QuantileSketch(CountedSketch):
 
     KIND = 1
 
-    def _keeps(self, value: float) -> bool:
-        return sample_level(value) >= self.param
+    def _kept(self, values: np.ndarray) -> np.ndarray:
+        return values[sampled(values, self.param)]
 
     def sampled_rows(self) -> int:
         """Live rows whose value the sketch retained."""
@@ -231,23 +255,18 @@ class QuantileSketch(CountedSketch):
 
         The retained sample's weighted empirical CDF is inverted at
         ``p``: the smallest retained value whose cumulative count
-        reaches ``ceil(p * W)`` of the retained mass ``W``.  On an
-        exact sketch (``height=0``) this is precisely the lower
-        quantile of the live multiset.
+        reaches ``ceil(p * W)`` of the retained mass ``W``, NaN ranked
+        above every value.  On an exact sketch (``height=0``) this is
+        precisely the lower quantile of the live multiset.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile fraction {p} outside [0, 1]")
         if not self.counts:
             return math.nan
-        values = sorted(self.counts)
-        weight = self.sampled_rows()
-        target = max(1, math.ceil(p * weight))
-        cum = 0
-        for value in values:
-            cum += self.counts[value]
-            if cum >= target:
-                return value
-        return values[-1]
+        values, counts = self._entries()
+        cum = np.cumsum(counts)
+        target = max(1, math.ceil(p * int(cum[-1])))
+        return float(values[np.searchsorted(cum, target)])
 
     def rank_eps(self, delta: float = 0.01) -> float:
         """DKW rank-error bound at confidence ``1 - delta``.

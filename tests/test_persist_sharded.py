@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.core.janus import JanusConfig
-from repro.core.persist import load_sharded, save_sharded
+from repro.core.persist import (load_sharded, load_synopsis, save_sharded,
+                                save_synopsis)
 from repro.core.queries import AggFunc, Query, Rectangle
 from repro.core.sharded import ShardedJanusAQP
 from repro.core.table import Table
@@ -273,3 +276,41 @@ class TestValidation:
                      FleetCoordinator):
             with pytest.raises(ValueError, match="range"):
                 load(fleet)
+
+
+class TestStorage:
+    def test_floats_are_stored_and_the_rest_deflated(self, ds, tmp_path):
+        sharded = build(ds)
+        save_sharded(sharded, tmp_path / "fleet")
+        sharded.close()
+        for path in sorted((tmp_path / "fleet").iterdir()):
+            with zipfile.ZipFile(path) as members, np.load(path) as arrays:
+                for info in members.infolist():
+                    kind = arrays[info.filename[:-len(".npy")]].dtype.kind
+                    assert info.compress_type == (
+                        zipfile.ZIP_STORED if kind == "f"
+                        else zipfile.ZIP_DEFLATED), (path.name, info)
+
+    def test_fully_deflated_archives_still_load(self, ds, tmp_path):
+        """A single-engine archive and a sharded snapshot that
+        ``np.savez_compressed`` wrote, as earlier builds did, answer as
+        the archives this build writes of the same engines."""
+        sharded = build(ds)
+        save_sharded(sharded, tmp_path / "new")
+        save_synopsis(sharded.shards[1], str(tmp_path / "new" / "solo.npz"))
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        for path in (tmp_path / "old").iterdir():
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            np.savez_compressed(path, **arrays)
+        queries = workload(ds)
+        answers = {}
+        for name in ("new", "old"):
+            restored = load_sharded(tmp_path / name)
+            solo = load_synopsis(str(tmp_path / name / "solo.npz"),
+                                 sharded.tables[1])
+            answers[name] = [repr(r) for r in restored.query_many(queries)
+                             + solo.query_many(queries)]
+            restored.close()
+        assert answers["old"] == answers["new"]
+        sharded.close()

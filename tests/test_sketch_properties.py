@@ -20,8 +20,10 @@ that ends at the same multiset ends at byte-identical canonical blobs.
   exact.
 """
 
+import hashlib
 import json
 import math
+import struct
 import urllib.request
 
 import numpy as np
@@ -39,8 +41,10 @@ from repro.core.table import Table
 from repro.service import serve_background
 from repro.service.fleet import FleetCoordinator
 from repro.sketch import (KIND_COUNTS, SKETCH_KEY, SKETCH_KIND,
-                          ExactCountSketch, QuantileSketch, new_sketch,
-                          sketch_answer, sketch_from_bytes)
+                          ExactCountSketch, QuantileSketch, hash_floats,
+                          new_sketch, sampled, sketch_answer,
+                          sketch_from_bytes)
+from repro.sketch.hashing import canonical
 
 UNBOUNDED = Rectangle((-math.inf,), (math.inf,))
 
@@ -602,3 +606,165 @@ def test_signed_zeros_are_one_value():
     assert blobs[0] == blobs[1]
     assert items[0] == items[1]
     assert "-0.0" not in items[0] and "(0.0, " in items[0]
+
+
+# ---------------------------------------------------------------------- #
+# the column hash, batch order, atomic deletes and shared snapshots
+# ---------------------------------------------------------------------- #
+#: Bit patterns whose splitmix64 hash is 0, 2**63 and 2**62 (64, 63 and
+#: 62 trailing zeros): no random draw reaches those heights.
+DEEP_HASH_BITS = (0x61C8864680B583EB, 0x2FEDF1EFCE1D5545,
+                  0x7D6C2E9076B45A87)
+KEEP_HEIGHTS = (0, 1, 4, 63, 64, 65)
+
+
+def keep_probe_values():
+    """10,000 seeded doubles: random bit patterns, small integers, both
+    zeros and infinities, subnormals and NaNs of several signs and
+    payloads (quiet and signaling), plus :data:`DEEP_HASH_BITS`."""
+    values = np.random.default_rng(49).integers(
+        0, 2 ** 64, size=10_000, dtype=np.uint64).view(np.float64)
+    special = np.concatenate([
+        np.arange(-64.0, 65.0),
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+         -1e-310, 2.2250738585072014e-308],
+        np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                  0x7FF8000000000001, 0x7FF0000000000001,
+                  0xFFFFFFFFFFFFFFFF, *DEEP_HASH_BITS],
+                 dtype=np.uint64).view(np.float64)])
+    values[:special.size] = special
+    return values
+
+
+def splitmix64_reference(bits):
+    """The finalizer one value at a time, in Python integers."""
+    mask = (1 << 64) - 1
+    x = (bits + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+class TestColumnHash:
+    def test_keep_decisions_are_pinned(self):
+        """The keep decisions of every probe value at every height
+        digest as the per-value hash of earlier builds decided them."""
+        with np.errstate(invalid="ignore"):    # signaling NaNs
+            values = canonical(keep_probe_values())
+        digest = hashlib.sha256()
+        for height in KEEP_HEIGHTS:
+            digest.update(np.packbits(sampled(values, height)).tobytes())
+        assert digest.hexdigest()[:16] == "42f9fa37d1099fb4"
+        assert [int(sampled(values, h).sum()) for h in KEEP_HEIGHTS] == \
+            [10_000, 4_985, 653, 2, 1, 0]
+
+    def test_column_hash_equals_the_scalar_finalizer(self):
+        """Every NaN hashes as ``math.nan``, ``-0.0`` as ``0.0``, every
+        other value as its own bit pattern."""
+        with np.errstate(invalid="ignore"):
+            values = canonical(keep_probe_values())
+        nan_bits = struct.unpack("<Q", struct.pack("<d", math.nan))[0]
+        want = [splitmix64_reference(nan_bits if v != v else
+                                     struct.unpack("<Q", struct.pack(
+                                         "<d", v + 0.0))[0])
+                for v in keep_probe_values().tolist()]
+        assert hash_floats(values).tolist() == want
+
+
+class TestBatching:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+               st.floats(allow_nan=True),
+               st.sampled_from([0.0, -0.0, math.nan, 1.0, 2.0])),
+               max_size=60),
+           st.integers(0, 2 ** 31 - 1))
+    def test_one_batch_equals_one_by_one_and_reversed(self, values, seed):
+        """One ``insert_many``, value-by-value inserts and the reversed
+        batch build equal sketches with identical bytes, and so do the
+        three ways of deleting a sub-multiset of them."""
+        dropped = [v for v, d in zip(values, np.random.default_rng(
+            seed).integers(0, 2, len(values))) if d]
+        with np.errstate(invalid="ignore"):    # signaling NaNs
+            for make in SKETCH_SPECS + [lambda: QuantileSketch(0)]:
+                batch, single, backwards = make(), make(), make()
+                batch.insert_many(values)
+                for v in values:
+                    single.insert_many([v])
+                backwards.insert_many(values[::-1])
+                assert batch == single == backwards
+                assert batch.to_bytes() == single.to_bytes() == \
+                    backwards.to_bytes()
+                batch.delete_many(dropped)
+                for v in dropped:
+                    single.delete_many([v])
+                backwards.delete_many(dropped[::-1])
+                assert batch == single == backwards
+                assert batch.to_bytes() == single.to_bytes() == \
+                    backwards.to_bytes()
+
+    @pytest.mark.parametrize("make", [ExactCountSketch,
+                                      lambda: QuantileSketch(0)],
+                             ids=["counts", "quantile"])
+    def test_a_failed_delete_changes_nothing(self, make):
+        """A batch naming a value that is not live, or one value more
+        often than it is live, raises before any of its values is
+        removed."""
+        sketch = build(make, [1.0, 2.0, 3.0])
+        for batch in ([1.0, 5.0], [3.0, 2.0, 2.0]):
+            with pytest.raises(ValueError, match="not live"):
+                sketch.delete_many(batch)
+            assert sketch.counts == {1.0: 1, 2.0: 1, 3.0: 1}
+            assert sketch.n_total == 3
+
+    def test_quantile_ranks_nan_last(self):
+        """NaN sorts above every value whatever order it arrived in, as
+        ``np.unique`` and the canonical blob order it."""
+        a = build(lambda: QuantileSketch(0), [3.0, math.nan, 1.0, 2.0])
+        b = build(lambda: QuantileSketch(0), [1.0, 2.0, math.nan, 3.0])
+        assert a == b
+        for sketch in (a, b):
+            assert [sketch.quantile(p) for p in (0.0, 0.5, 0.75)] == \
+                [1.0, 2.0, 3.0]
+            assert math.isnan(sketch.quantile(1.0))
+
+
+def test_answers_share_one_snapshot_per_state():
+    """Answers over an unchanged sketch hold one snapshot object; a
+    write between two answers gives the second a new one.  An answer
+    renders as it would from a fresh copy of the live column's sketch."""
+    rng = np.random.default_rng(53)
+    engine = make_single(make_rows(rng, 800))
+    distinct, topk = sketch_queries()[3:]
+    first = engine.query(distinct).details[SKETCH_KEY]
+    assert engine.query(topk).details[SKETCH_KEY] is first
+    assert engine.query(distinct).details[SKETCH_KEY] is first
+    for write in (lambda: engine.insert_many(make_rows(rng, 3)),
+                  lambda: engine.delete_many([0, 1])):
+        epoch = first.n_total
+        write()
+        second = engine.query(distinct).details[SKETCH_KEY]
+        assert second is not first and first.n_total == epoch
+        first = second
+    queries = sketch_queries()
+    for q, got in zip(queries, engine.query_many(queries)):
+        fresh = new_sketch(SKETCH_KIND[q.agg])
+        fresh.insert_many(engine.table.column("v"))
+        assert repr(got) == repr(sketch_answer(q, fresh)), q.agg
+    sketch = ExactCountSketch()
+    snapshot = sketch.snapshot()
+    assert sketch.snapshot() is snapshot
+    sketch.merge_in(build(ExactCountSketch, [1.0]))
+    assert sketch.snapshot() is not snapshot and len(snapshot) == 0
+
+
+def test_a_snapshot_refuses_every_write():
+    """Even a batch the quantile sketch keeps nothing of: it used to
+    move the snapshot's ``n_total`` without an error."""
+    sketch = build(lambda: QuantileSketch(64), [1.0, 2.0])
+    snapshot = sketch.snapshot()
+    for write in (lambda: snapshot.insert_many([3.0]),
+                  lambda: snapshot.delete_many([1.0]),
+                  lambda: snapshot.merge_in(QuantileSketch(64))):
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    assert snapshot.n_total == 2 and snapshot == sketch

@@ -21,10 +21,15 @@ says so beside the re-cut.
   items) over a high-cardinality and a narrow column, both holding
   NaN, ``-0.0`` and ``0.0``, after inserts and deletes.  A single
   engine, a 2-shard engine and a 2-worker fleet must print one digest;
-  if they do not, the line names all three.
+  if they do not, the line names all three;
+* ``snapshot`` - the contents of the ``serve_cold_mixed`` seed-7
+  ``save_sharded`` snapshot: every archive member's name, dtype, shape
+  and bytes, file by file.  How members are stored in the zip (and its
+  timestamps) does not enter it, so it pins what a snapshot holds, not
+  how it is compressed.
 
-Each digest is the first 16 hex digits of the sha256 of the answers'
-``repr``.  Float results can differ across numpy builds, Python
+Each answer digest is the first 16 hex digits of the sha256 of the
+answers' ``repr``.  Float results can differ across numpy builds, Python
 versions and cpus, so the expected file names the numpy, Python and
 machine it was cut on, a mismatch prints this run's, and CI runs the
 check on that numpy and Python only.  What the trigger decides is an
@@ -187,11 +192,28 @@ def sketch() -> str:
     return "DIVERGED " + " ".join(f"{n}={d}" for n, d in got.items())
 
 
+def snapshot() -> str:
+    inp = gen.generate("serve_cold_mixed", 7, 15)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap"
+        wl.build_snapshot(inp, wl.seed_rows(inp), snap)
+        for path in sorted(snap.iterdir()):
+            with np.load(path, allow_pickle=False) as archive:
+                for name in sorted(archive.files):
+                    member = archive[name]
+                    h.update(f"{path.name}/{name} {member.dtype.str} "
+                             f"{member.shape}\n".encode())
+                    h.update(member.tobytes())
+    return h.hexdigest()[:16]
+
+
 CHECKS: Dict[str, Callable[[], str]] = {
     "lone": lone,
     "batch": batch,
     "sharded": sharded,
     "sketch": sketch,
+    "snapshot": snapshot,
 }
 
 
